@@ -31,6 +31,11 @@ class CaloronPoint:
     k: np.ndarray
     theta: float
 
+    def flow(self, v: "CaloronTangent", t: float) -> "CaloronPoint":
+        return CaloronPoint(forms.flow(self.p, v.X, t),
+                            self.k @ exp_alg(t * v.eta),
+                            self.theta + t * v.lam)
+
 
 @dataclass(frozen=True)
 class CaloronTangent:
@@ -38,17 +43,9 @@ class CaloronTangent:
     eta: np.ndarray
     lam: float
 
-
-forms.register_point_type(
-    CaloronPoint,
-    lambda pt, v, t: CaloronPoint(forms.flow(pt.p, v.X, t),
-                                  pt.k @ exp_alg(t * v.eta),
-                                  pt.theta + t * v.lam))
-
-forms.register_tangent_type(
-    CaloronTangent,
-    lambda v, w: CaloronTangent(tangent_bracket(v.X, w.X),
-                                v.eta @ w.eta - w.eta @ v.eta, 0.0))
+    def bracket(self, w: "CaloronTangent") -> "CaloronTangent":
+        return CaloronTangent(tangent_bracket(self.X, w.X),
+                              self.eta @ w.eta - w.eta @ self.eta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +132,17 @@ def group_act(pt: CaloronPoint, V: CaloronTangent, k0: np.ndarray):
 # curvature
 
 
-def _nabla_phi_memo(scn, p, fd_step: float = 1e-4, richardson: bool = True):
-    """X -> gerbe.nabla_phi(scn, p, X, ...), computed at most once per
-    scenario tangent object X; for the pairs of one 4-form evaluation."""
+def _memo(fn):
+    """fn, computed at most once per tuple of argument objects (keyed by
+    identity); made per call, for the pairs of one 4-form evaluation."""
     seen = {}
 
-    def at(X):
-        hit = seen.get(id(X))
+    def at(*args):
+        key = tuple(map(id, args))
+        hit = seen.get(key)
         if hit is None:
-            # the entry keeps X alive, so its id is not reused
-            hit = seen[id(X)] = (X, gerbe.nabla_phi(scn, p, X, fd_step,
-                                                    richardson))
+            # the entry keeps the arguments alive, so their ids are not reused
+            hit = seen[key] = (args, fn(*args))
         return hit[1]
 
     return at
@@ -211,8 +208,9 @@ def curvature_form(scn, fd_step: float = 1e-4, richardson: bool = True,
 def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4,
                     fd_step: float = 1e-4, richardson: bool = True) -> float:
     """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle."""
-    Rf = curvature_form(scn, fd_step, richardson,
-                        _nabla_phi_memo(scn, pt.p, fd_step, richardson))
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step,
+                                                richardson))
+    Rf = curvature_form(scn, fd_step, richardson, nabla_phi)
     val = wedge_pair(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
@@ -220,10 +218,13 @@ def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4,
 def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
                      fd_step: float = 1e-4, richardson: bool = True) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
-    part; the conjugation by k drops under the invariant pairing."""
+    part; the conjugation by k drops under the invariant pairing.  The
+    two wedges share one F sample per ordered tangent pair."""
     n = scn.group.n
-    nabla_phi = _nabla_phi_memo(scn, pt.p, fd_step, richardson)
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step,
+                                                richardson))
 
+    @_memo
     def f_ev(q, a, b):
         return eval_samples(scn.curvature(q.p, a.X, b.X, fd_step, richardson),
                             q.theta)

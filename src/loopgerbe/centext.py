@@ -5,31 +5,27 @@ and a 1-form alpha on its square; together they present the extension.
 From them: the path-group cocycle c(f,g), disk holonomy H, the
 path-space connection mu_hat, and the pairing behind reduced splittings.
 
-The argument slot of alpha (which factor's velocity it eats) is fixed at
-first use by a self-test of d(alpha) = delta(R) on a small fixture; a
-ConventionError aborts everything if neither slot satisfies it.
+The argument slot of alpha (which factor's velocity it eats) is pinned
+to the first factor; verified once by the self-test of d(alpha) =
+delta(R) on a small fixture at first use, and a ConventionError aborts
+everything if the pinned slot fails it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import Form, delta_nerve, ext_d
-from .liegroup import SU2, adjoint_inv
+from .liegroup import SU2
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
-                    conj_loop, pair_samples, quad_closed, quad_s1, quad_unit)
+                    conj_loop, pair_samples, quad_grid, quad_unit)
 
 
 class ConventionError(RuntimeError):
-    """Neither argument-slot convention for alpha satisfies d(alpha) = delta(R)."""
-
-
-def _quad(samples: np.ndarray, template: GridFun) -> complex:
-    if template.closed:
-        return complex(quad_closed(samples, template.grid.h))
-    return complex(quad_s1(samples))
+    """The pinned argument slot of alpha fails d(alpha) = delta(R)."""
 
 
 def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> complex:
@@ -37,23 +33,22 @@ def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> complex:
     if X.grid.n != g.grid.n or Y.grid.n != g.grid.n:
         raise ValueError("grid mismatch")
     s = pair_samples(X, Y.dtheta()) - pair_samples(Y, X.dtheta())
-    return 0.25j / np.pi * _quad(s, X)
+    return 0.25j / np.pi * quad_grid(s, X)
 
 
 # ---------------------------------------------------------------------------
 # alpha and its slot self-test
 
 
-def _alpha_raw(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun,
-               slot: str) -> complex:
-    if slot == "first":
-        s = pair_samples(Xg, h.z())
-    else:
-        s = pair_samples(Xh, g.z())
-    return 0.5j / np.pi * _quad(s, Xg)
+ALPHA_SLOT = "first"
 
 
-def _self_test_fixture():
+def _alpha_raw(h: LoopPoint, Xg: GridFun) -> complex:
+    return 0.5j / np.pi * quad_grid(pair_samples(Xg, h.z()), Xg)
+
+
+def _slot_residual() -> float:
+    """|d(alpha) - delta(R)| on a small fixture nerve pair."""
     from . import sampling
 
     grid = ThetaGrid(24)
@@ -61,43 +56,34 @@ def _self_test_fixture():
     pt = tuple(sampling.random_loop(rng, grid, SU2) for _ in range(2))
     vecs = [tuple(sampling.random_loop_tangent(rng, grid, SU2) for _ in range(2))
             for _ in range(2)]
-    return pt, vecs
-
-
-def _slot_residual(slot: str) -> float:
-    pt, vecs = _self_test_fixture()
-    alpha_form = Form(1, lambda q, V: _alpha_raw(q[0], q[1], V[0], V[1], slot))
+    alpha_form = Form(1, lambda q, V: _alpha_raw(q[1], V[0]))
     r_nerve = Form(2, lambda q, V, W: eval_R(q[0], V[0], W[0]))
     lhs = ext_d(alpha_form, pt, vecs)
     rhs = delta_nerve(r_nerve)(pt, *vecs)
     return abs(lhs - rhs)
 
 
-_ALPHA_SLOT = None
-
-
+@functools.cache
 def alpha_slot() -> str:
-    """The argument slot alpha consumes, resolved once per process."""
-    global _ALPHA_SLOT
-    if _ALPHA_SLOT is None:
-        res = {slot: _slot_residual(slot) for slot in ("first", "second")}
-        best = min(res, key=res.get)
-        if res[best] > 1e-6:
-            raise ConventionError(
-                f"no alpha slot satisfies d(alpha) = delta(R): residuals {res}")
-        _ALPHA_SLOT = best
-    return _ALPHA_SLOT
+    """The argument slot alpha consumes: pinned; verified once by the
+    self-test, which raises ConventionError when the slot fails it."""
+    res = _slot_residual()
+    if res > 1e-6:
+        raise ConventionError(
+            f"alpha slot {ALPHA_SLOT!r} fails d(alpha) = delta(R): residual {res}")
+    return ALPHA_SLOT
 
 
 def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> complex:
-    """(i/2 pi) int <velocity of one slot, Z(other element)> dtheta.
+    """(i/2 pi) int <Xg, Z(h)> dtheta: the velocity of the first slot
+    against Z of the second element.
 
-    The slot pairing is resolved by the startup self-test; with the
-    orientation that passes it the value is (i/2 pi) int <Xg, Z(h)>.
+    The slot is pinned; verified once by the self-test (alpha_slot).
     """
     if g.grid.n != h.grid.n or Xg.grid.n != g.grid.n or Xh.grid.n != g.grid.n:
         raise ValueError("grid mismatch")
-    return _alpha_raw(g, h, Xg, Xh, alpha_slot())
+    alpha_slot()
+    return _alpha_raw(h, Xg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +187,13 @@ def gomi_cocycle_Z(g: LoopPoint, X: GridFun) -> complex:
     """(i/2 pi) int <X, Z(g)> dtheta."""
     if g.grid.n != X.grid.n:
         raise ValueError("grid mismatch")
-    return 0.5j / np.pi * _quad(pair_samples(X, g.z()), X)
+    return 0.5j / np.pi * quad_grid(pair_samples(X, g.z()), X)
 
 
 def splitting_ell(scenario, p, X: GridFun) -> complex:
     """ell(p, X) = (i/2 pi) int <Higgs(p), X> dtheta."""
     phi = scenario.higgs(p)
-    return 0.5j / np.pi * _quad(pair_samples(phi, X), X)
+    return 0.5j / np.pi * quad_grid(pair_samples(phi, X), X)
 
 
 def reduced_splitting_check(scenario, p, g: LoopPoint, X: GridFun) -> float:

@@ -3,7 +3,9 @@
 Points and tangents come in a handful of kinds: loop-group points with
 left-trivialised algebra-loop tangents, flat chart points with plain
 vector tangents, tuples of either (products, fibre products, nerve
-levels), and scenario-specific composites registered by other modules.
+levels), and scenario-specific composites.  Every non-tuple point type
+moves itself along a tangent through its own `flow(v, t)` method, and a
+composite tangent type brackets itself through `bracket(w)`.
 
 Tangent objects double as their canonical extension fields: a chart
 tangent extends to the constant field, a left-trivialised loop tangent
@@ -19,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .liegroup import bracket as alg_bracket
-from .loops import GridFun, LoopPoint, conj_loop
+from .loops import GridFun, conj_loop
 
 # ---------------------------------------------------------------------------
 # points, tangents, flows, brackets
@@ -36,33 +38,17 @@ class ChartPt:
 
     x: np.ndarray
 
-
-_FLOW_HANDLERS: dict = {}
-_BRACKET_HANDLERS: dict = {}
-
-
-def register_point_type(ptype, flow_fn) -> None:
-    """Teach `flow` about a scenario-specific point type."""
-    _FLOW_HANDLERS[ptype] = flow_fn
-
-
-def register_tangent_type(ttype, bracket_fn) -> None:
-    """Teach `bracket` about a scenario-specific tangent type."""
-    _BRACKET_HANDLERS[ttype] = bracket_fn
+    def flow(self, v: np.ndarray, t: float) -> "ChartPt":
+        return ChartPt(self.x + t * v)
 
 
 def flow(pt, v, t: float):
     """Move pt for time t along the canonical extension of tangent v."""
     if isinstance(pt, tuple):
         return tuple(flow(p, w, t) for p, w in zip(pt, v))
-    if isinstance(pt, LoopPoint):
-        return pt.flow(v, t)
-    if isinstance(pt, ChartPt):
-        return ChartPt(pt.x + t * v)
-    fn = _FLOW_HANDLERS.get(type(pt))
-    if fn is None:
+    if not hasattr(pt, "flow"):
         raise TypeError(f"no flow rule for {type(pt).__name__}")
-    return fn(pt, v, t)
+    return pt.flow(v, t)
 
 
 def tangent_bracket(v, w):
@@ -76,10 +62,9 @@ def tangent_bracket(v, w):
         return GridFun(v.grid, alg_bracket(v.vals, w.vals), v.closed, d)
     if isinstance(v, np.ndarray):
         return np.zeros_like(v)
-    fn = _BRACKET_HANDLERS.get(type(v))
-    if fn is None:
+    if not hasattr(v, "bracket"):
         raise TypeError(f"no bracket rule for {type(v).__name__}")
-    return fn(v, w)
+    return v.bracket(w)
 
 
 # ---------------------------------------------------------------------------

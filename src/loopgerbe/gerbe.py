@@ -26,13 +26,7 @@ from . import centext, forms
 from .forms import Form, ext_d, tangent_bracket
 from .liegroup import SU2, Group, exp_alg, group_inv, project_algebra
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
-                    pair_samples, quad_closed, quad_s1)
-
-
-def _quad(samples: np.ndarray, template: GridFun) -> complex:
-    if template.closed:
-        return complex(quad_closed(samples, template.grid.h))
-    return complex(quad_s1(samples))
+                    pair_samples, quad_grid)
 
 
 def _one() -> Fn:
@@ -48,6 +42,9 @@ def _one() -> Fn:
 class TrivialPoint:
     m: np.ndarray
     g: LoopPoint
+
+    def flow(self, v, t: float) -> "TrivialPoint":
+        return TrivialPoint(self.m + t * v[0], self.g.flow(v[1], t))
 
 
 class TrivialBundle:
@@ -224,11 +221,6 @@ class TrivialBundle:
         return conj_loop(p.g, base)
 
 
-forms.register_point_type(
-    TrivialPoint,
-    lambda p, v, t: TrivialPoint(p.m + t * v[0], p.g.flow(v[1], t)))
-
-
 # ---------------------------------------------------------------------------
 # path fibration
 
@@ -388,7 +380,7 @@ def epsilon_form(scn, pts, vecs) -> complex:
     V1, V2 = vecs
     a1 = scn.connection(p1, V1)
     z = scn.tau(p1, p2).z()
-    return 0.5j / np.pi * _quad(pair_samples(a1, z), a1)
+    return 0.5j / np.pi * quad_grid(pair_samples(a1, z), a1)
 
 
 def beta_form(scn, pts, vecs) -> complex:
@@ -410,7 +402,7 @@ def curving_f(scn, p, V, W, fd_step: float = 1e-4, richardson: bool = True) -> c
     phi = scn.higgs(p)
     s = (0.5 * (pair_samples(aV, aW.dtheta()) - pair_samples(aW, aV.dtheta()))
          - pair_samples(F, phi))
-    return 0.5j / np.pi * _quad(s, aV)
+    return 0.5j / np.pi * quad_grid(s, aV)
 
 
 def nabla_phi(scn, p, V, fd_step: float = 1e-4, richardson: bool = True) -> GridFun:
@@ -453,7 +445,7 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4,
     s = (pair_samples(Fs[(0, 1)], nps[2])
          - pair_samples(Fs[(0, 2)], nps[1])
          + pair_samples(Fs[(1, 2)], nps[0]))
-    val = -1.0 / (4 * np.pi ** 2) * _quad(s, nps[0])
+    val = -1.0 / (4 * np.pi ** 2) * quad_grid(s, nps[0])
     return float(np.real(val))
 
 

@@ -13,8 +13,7 @@ payloads which take precedence over either numerical route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,22 +27,6 @@ from .liegroup import (
     group_inv,
     project_algebra,
 )
-
-# default differentiation for periodic grid data lacking an exact payload;
-# "fd4" is the finite-difference fallback selectable from the CLI config
-_DTHETA_MODE = "spectral"
-
-
-def set_dtheta_mode(mode: str) -> None:
-    global _DTHETA_MODE
-    if mode not in ("spectral", "fd4"):
-        raise ValueError(f"unknown differentiation mode {mode!r}")
-    _DTHETA_MODE = mode
-
-
-def get_dtheta_mode() -> str:
-    return _DTHETA_MODE
-
 
 # ---------------------------------------------------------------------------
 # closed-form scalar profiles
@@ -158,11 +141,6 @@ def spectral_dtheta(vals: np.ndarray) -> np.ndarray:
     shape = (n,) + (1,) * (vals.ndim - 1)
     spec = np.fft.fft(vals, axis=0)
     return np.fft.ifft(1j * k.reshape(shape) * spec, axis=0)
-
-
-def fd4_dtheta_periodic(vals: np.ndarray, h: float) -> np.ndarray:
-    return (-np.roll(vals, -2, 0) + 8 * np.roll(vals, -1, 0)
-            - 8 * np.roll(vals, 1, 0) + np.roll(vals, 2, 0)) / (12.0 * h)
 
 
 _FD4_LEFT = np.array([[-25, 48, -36, 16, -3],
@@ -288,8 +266,6 @@ class GridFun:
             return self._like(self.dvals)
         if self.closed:
             return self._like(fd4_dtheta_closed(self.vals, self.grid.h))
-        if _DTHETA_MODE == "fd4":
-            return self._like(fd4_dtheta_periodic(self.vals, self.grid.h))
         return self._like(spectral_dtheta(self.vals))
 
     def interp(self, theta: float) -> np.ndarray:
@@ -329,12 +305,17 @@ def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
     return -np.einsum("tij,tji->t", X.vals, Y.vals)
 
 
+def quad_grid(samples: np.ndarray, template: GridFun) -> complex:
+    """Integral over theta of node samples, using the rule matching the
+    grid flavour of `template`."""
+    if template.closed:
+        return complex(quad_closed(samples, template.grid.h))
+    return complex(quad_s1(samples))
+
+
 def quad_pair(X: GridFun, Y: GridFun) -> complex:
     """Integral over theta of <X, Y>, using the rule matching the grid flavour."""
-    s = pair_samples(X, Y)
-    if X.closed:
-        return complex(quad_closed(s, X.grid.h))
-    return complex(quad_s1(s))
+    return quad_grid(pair_samples(X, Y), X)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +367,6 @@ class LoopPoint:
             return GridFun(self.grid, self.zvals, self.closed)
         if self.closed:
             dv = fd4_dtheta_closed(self.vals, self.grid.h)
-        elif _DTHETA_MODE == "fd4":
-            dv = fd4_dtheta_periodic(self.vals, self.grid.h)
         else:
             dv = spectral_dtheta(self.vals)
         return GridFun(self.grid, project_algebra(dv @ group_inv(self.vals)), self.closed)
@@ -425,23 +404,6 @@ class LoopPoint:
         return LoopPoint(grid, vals, closed, np.zeros_like(vals))
 
 
-def loop_mul(g: LoopPoint, h: LoopPoint) -> LoopPoint:
-    return g.mul(h)
-
-
-def loop_inv(g: LoopPoint) -> LoopPoint:
-    return g.inv()
-
-
-def dtheta(x):
-    """Derivative along the loop parameter: Z(g) for points, d/dtheta for vectors."""
-    if isinstance(x, LoopPoint):
-        return x.z()
-    if isinstance(x, GridFun):
-        return x.dtheta()
-    raise TypeError(f"cannot differentiate {type(x).__name__}")
-
-
 def conj_loop(h: LoopPoint, X: GridFun, inverse: bool = True) -> GridFun:
     """Ad(h^(-1)) X (or Ad(h) X) node-wise, with the exact derivative when known.
 
@@ -462,23 +424,6 @@ def conj_loop(h: LoopPoint, X: GridFun, inverse: bool = True) -> GridFun:
 
 # ---------------------------------------------------------------------------
 # closed-form loops
-
-
-@dataclass(frozen=True)
-class AnalyticLoop:
-    """exp(f(theta) xi) for a fixed algebra direction xi and scalar profile f."""
-
-    xi: np.ndarray
-    profile: TrigPoly
-
-    def realize(self, grid: ThetaGrid, closed: bool = False) -> LoopPoint:
-        t = grid.closed_nodes if closed else grid.nodes
-        f = np.asarray(self.profile.val(t))
-        df = np.asarray(self.profile.dval(t))
-        vals = exp_alg(f[:, None, None] * self.xi)
-        # single generator: Z = f'(theta) xi exactly
-        z = df[:, None, None] * np.broadcast_to(self.xi, vals.shape)
-        return LoopPoint(grid, vals, closed, np.ascontiguousarray(z))
 
 
 def product_loop(grid: ThetaGrid, factors: Sequence[tuple], closed: bool = False) -> LoopPoint:
@@ -591,74 +536,3 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple], npath: int,
         loops.append(lp)
         vels.append(vel)
     return PathInLoopGroup(sgrid, loops, vels)
-
-
-def path_endpoint(f: PathInLoopGroup) -> LoopPoint:
-    return f.endpoint()
-
-
-def path_velocity(f: PathInLoopGroup, i: int) -> GridFun:
-    return f.velocity(i)
-
-
-# ---------------------------------------------------------------------------
-# text fixtures
-
-# One line per grid node; a group element is written as 2 n^2 reals,
-# row-major with real and imaginary parts interleaved.
-
-
-def save_loop(path, lp: LoopPoint) -> None:
-    n = lp.n
-    rows = []
-    for mat in lp.vals:
-        flat = mat.reshape(-1)
-        row = np.empty(2 * n * n)
-        row[0::2] = flat.real
-        row[1::2] = flat.imag
-        rows.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def load_loop(path, closed: bool = False) -> LoopPoint:
-    rows = [np.array([float(x) for x in line.split()])
-            for line in Path(path).read_text().strip().splitlines()]
-    width = rows[0].size
-    n = int(round(np.sqrt(width / 2)))
-    if 2 * n * n != width:
-        raise ValueError(f"line width {width} is not 2 n^2")
-    vals = np.empty((len(rows), n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        vals[i] = (row[0::2] + 1j * row[1::2]).reshape(n, n)
-    m = len(rows) - 1 if closed else len(rows)
-    return LoopPoint(ThetaGrid(m), vals, closed)
-
-
-def save_analytic_loop(path, loop: AnalyticLoop, group) -> None:
-    xi_coeffs = group.coeffs(loop.xi)
-    p = loop.profile
-    lines = [
-        f"group {group.name}",
-        "xi " + " ".join(repr(float(c)) for c in xi_coeffs),
-        f"a0 {float(p.a0)!r}",
-        "cos " + " ".join(repr(float(c)) for c in p.ac),
-        "sin " + " ".join(repr(float(c)) for c in p.bs),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_analytic_loop(path):
-    from .liegroup import group_by_name
-
-    fields = {}
-    for line in Path(path).read_text().strip().splitlines():
-        key, _, rest = line.partition(" ")
-        fields[key] = rest.strip()
-    group = group_by_name(fields["group"])
-    xi = group.from_coeffs([float(x) for x in fields["xi"].split()])
-    poly = TrigPoly(
-        a0=float(fields["a0"]),
-        ac=tuple(float(x) for x in fields["cos"].split()) if fields.get("cos") else (),
-        bs=tuple(float(x) for x in fields["sin"].split()) if fields.get("sin") else (),
-    )
-    return AnalyticLoop(xi, poly)

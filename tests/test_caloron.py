@@ -11,7 +11,7 @@ from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
                                integrate_circle, kernel_vector, killingback_map,
                                loop_act, pontrjagin_form, pontrjagin_split,
                                vertical_vector)
-from loopgerbe.forms import wedge_pair
+from loopgerbe.forms import Form, wedge_pair
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
 from loopgerbe.loops import Fn, ThetaGrid
@@ -143,6 +143,25 @@ def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(monkeypatch):
     unshared = wedge_pair(inner, (curvature_form(TB), curvature_form(TB)))
     plain = float(np.real(unshared(pt, *Vs))) * (-1.0 / (8 * np.pi ** 2))
 
+    # the split with unshared F and H forms: every sample recomputed
+    def f_ev(q, a, b):
+        return eval_samples(TB.curvature(q.p, a.X, b.X), q.theta)
+
+    def h_ev(q, a, b):
+        out = np.zeros((TB.group.n, TB.group.n), dtype=complex)
+        if b.lam != 0.0:
+            out = out + b.lam * eval_samples(gerbe.nabla_phi(TB, q.p, a.X),
+                                             q.theta)
+        if a.lam != 0.0:
+            out = out - a.lam * eval_samples(gerbe.nabla_phi(TB, q.p, b.X),
+                                             q.theta)
+        return out
+
+    Ff, Hf = Form(2, f_ev), Form(2, h_ev)
+    split_val = (wedge_pair(inner, (Ff, Ff))(pt, *Vs)
+                 + 2.0 * wedge_pair(inner, (Ff, Hf))(pt, *Vs))
+    split_plain = float(np.real(split_val)) * (-1.0 / (8 * np.pi ** 2))
+
     calls = {"nabla_phi": 0, "curvature": 0}
     nabla_phi = gerbe.nabla_phi
     curvature = TrivialBundle.curvature
@@ -165,7 +184,9 @@ def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(monkeypatch):
     calls.update(nabla_phi=0, curvature=0)
     rhs = pontrjagin_split(TB, pt, *Vs)
     assert calls["nabla_phi"] <= 4
-    assert calls["curvature"] <= 24
+    # both wedges share one F sample per ordered tangent pair
+    assert calls["curvature"] == 12
+    assert rhs == split_plain
     assert abs(lhs - rhs) < 1e-8
 
 

@@ -48,16 +48,14 @@ def test_spectral_dtheta_exact_on_bandlimited():
 
 def test_dtheta_convergence_non_bandlimited():
     # exp(sin t) is smooth but not a finite Fourier sum
-    errs_sp, errs_fd = [], []
+    errs_sp = []
     for n in (32, 64):
         grid = ThetaGrid(n)
         t = grid.nodes
         f = np.exp(np.sin(t))
         df = np.cos(t) * f
         errs_sp.append(maxabs(loops.spectral_dtheta(f) - df))
-        errs_fd.append(maxabs(loops.fd4_dtheta_periodic(f, grid.h) - df))
     assert errs_sp[1] < 1e-12  # spectral converges faster than any power
-    assert errs_fd[0] / errs_fd[1] > 12.0  # fourth order: factor ~16
 
 
 def test_fd4_closed_converges_at_order_four():
@@ -205,46 +203,6 @@ def test_pair_and_quad_pair():
     assert maxabs(s - np.sin(t) ** 2) < 1e-13
     assert abs(loops.quad_pair(X, X) - np.pi) < 1e-12
     assert abs(loops.quad_pair(X, Y)) < 1e-12
-
-
-def test_dtheta_mode_switch():
-    grid = ThetaGrid(64)
-    t = grid.nodes
-    f = np.exp(np.sin(t))[:, None, None] * lg.SU2.basis[0]
-    X = GridFun(grid, f)
-    loops.set_dtheta_mode("fd4")
-    try:
-        dfd = X.dtheta().vals
-    finally:
-        loops.set_dtheta_mode("spectral")
-    dsp = X.dtheta().vals
-    want = (np.cos(t) * np.exp(np.sin(t)))[:, None, None] * lg.SU2.basis[0]
-    assert maxabs(dsp - want) < 1e-11
-    assert 1e-11 < maxabs(dfd - want) < 1e-3
-    with pytest.raises(ValueError):
-        loops.set_dtheta_mode("bogus")
-
-
-def test_loop_fixture_roundtrip(tmp_path):
-    grid = ThetaGrid(16)
-    rng = sampling.make_rng(30)
-    g = sampling.random_loop(rng, grid, lg.SU3)
-    fn = tmp_path / "loop.txt"
-    loops.save_loop(fn, g)
-    back = loops.load_loop(fn)
-    assert maxabs(back.vals - g.vals) < 1e-12
-    assert back.grid.n == grid.n
-
-
-def test_analytic_fixture_roundtrip(tmp_path):
-    rng = sampling.make_rng(31)
-    tp = sampling.random_trig(rng)
-    al = loops.AnalyticLoop(lg.SU2.basis[2], tp)
-    fn = tmp_path / "aloop.txt"
-    loops.save_analytic_loop(fn, al, lg.SU2)
-    back = loops.load_analytic_loop(fn)
-    grid = ThetaGrid(16)
-    assert maxabs(back.realize(grid).vals - al.realize(grid).vals) < 1e-12
 
 
 def test_fn_combinators():
