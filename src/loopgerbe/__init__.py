@@ -13,6 +13,9 @@ gerbe      trivial-bundle and path-fibration scenarios, gerbe connection
            data, curving, string three-form
 caloron    transfer between loop-group bundle data and bundle data on the
            product with a circle
+sampling   seeded random fixtures, with a recording and replaying generator
+checks     the named residual checks, their registry and convergence studies
+report     versioned JSON report and its CSV projection
 cli        reproducible residual-report runner
 """
 

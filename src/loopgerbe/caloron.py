@@ -22,7 +22,7 @@ import numpy as np
 from . import forms, gerbe
 from .forms import Form, tangent_bracket, wedge_pair
 from .liegroup import adjoint_inv, exp_alg, group_inv, inner
-from .loops import GridFun, LoopPoint, conj_loop, quad_s1
+from .loops import GridFun, LoopPoint, conj_loop, pair_samples, quad_s1
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,30 @@ class CaloronTangent:
 # angle evaluation
 
 
+def _node(fun, theta: float):
+    """Index of the grid node at the angle for a GridFun or LoopPoint,
+    None off the nodes (more than 1e-9 grid steps away).  Periodic grids
+    wrap around; closed grids reject angles outside [0, 2 pi]."""
+    j = float(theta) / fun.grid.h
+    jr = int(round(j))
+    if abs(j - jr) > 1e-9:
+        return None
+    if not fun.closed:
+        return jr % fun.grid.n
+    if 0 <= jr <= fun.grid.n:
+        return jr
+    raise ValueError("angle outside the closed grid")
+
+
 def eval_samples(fun: GridFun, theta: float) -> np.ndarray:
     """Value of a grid function at an arbitrary angle.
 
     Exact table lookup on grid nodes; trigonometric interpolation off
     the nodes, which needs periodic data.
     """
-    j = float(theta) / fun.grid.h
-    jr = int(round(j))
-    if abs(j - jr) < 1e-9:
-        if fun.closed:
-            if 0 <= jr <= fun.grid.n:
-                return fun.vals[jr]
-            raise ValueError("angle outside the closed grid")
-        return fun.vals[jr % fun.grid.n]
+    j = _node(fun, theta)
+    if j is not None:
+        return fun.vals[j]
     if fun.closed:
         raise ValueError("off-node angles need periodic data")
     return fun.interp(float(theta))
@@ -73,15 +83,10 @@ def eval_samples(fun: GridFun, theta: float) -> np.ndarray:
 
 def eval_loop(g: LoopPoint, theta: float) -> np.ndarray:
     """Group-valued loops are only evaluated at exact grid nodes."""
-    j = float(theta) / g.grid.h
-    jr = int(round(j))
-    if abs(j - jr) > 1e-9:
+    j = _node(g, theta)
+    if j is None:
         raise ValueError("group loops are evaluated at grid nodes only")
-    if g.closed:
-        if 0 <= jr <= g.grid.n:
-            return g.vals[jr]
-        raise ValueError("angle outside the closed grid")
-    return g.vals[jr % g.grid.n]
+    return g.vals[j]
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,7 @@ def _memo(fn):
 
 
 def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
-                      fd_step: float = 1e-4, richardson: bool = True,
-                      nabla_phi=None) -> GridFun:
+                      fd_step: float = 1e-4, nabla_phi=None) -> GridFun:
     """The curvature on a tangent pair as a function of the angle:
     ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V).
 
@@ -161,9 +165,9 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
     """
     if nabla_phi is None:
         def nabla_phi(X):
-            return gerbe.nabla_phi(scn, p, X, fd_step, richardson)
+            return gerbe.nabla_phi(scn, p, X, fd_step)
 
-    total = scn.curvature(p, V.X, W.X, fd_step, richardson)
+    total = scn.curvature(p, V.X, W.X, fd_step)
     if W.lam != 0.0:
         total = total + nabla_phi(V.X) * W.lam
     if V.lam != 0.0:
@@ -175,19 +179,17 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
                       W: CaloronTangent, fd_step: float = 1e-4,
-                      richardson: bool = True, nabla_phi=None) -> np.ndarray:
-    samples = curvature_samples(scn, pt.p, pt.k, V, W, fd_step, richardson,
-                                nabla_phi)
+                      nabla_phi=None) -> np.ndarray:
+    samples = curvature_samples(scn, pt.p, pt.k, V, W, fd_step, nabla_phi)
     return eval_samples(samples, pt.theta)
 
 
 def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
-                        W: CaloronTangent, fd_step: float = 1e-4,
-                        richardson: bool = True) -> np.ndarray:
+                        W: CaloronTangent, fd_step: float = 1e-4) -> np.ndarray:
     """dA + (1/2)[A, A] evaluated through the generic exterior derivative
     (periodic scenarios; the angle flows off the nodes)."""
     A = Form(1, lambda q, T: caloron_connection(scn, q, T), name="caloron A")
-    dA = forms.ext_d(A, pt, (V, W), fd_step, richardson)
+    dA = forms.ext_d(A, pt, (V, W), fd_step)
     aV = caloron_connection(scn, pt, V)
     aW = caloron_connection(scn, pt, W)
     return dA + (aV @ aW - aW @ aV)
@@ -197,37 +199,33 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 # the 4-form and its circle integral
 
 
-def curvature_form(scn, fd_step: float = 1e-4, richardson: bool = True,
-                   nabla_phi=None) -> Form:
+def curvature_form(scn, fd_step: float = 1e-4, nabla_phi=None) -> Form:
     """The curvature as a 2-form; a nabla_phi memo (see curvature_samples)
     ties it to the point the memo was made for."""
     return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b, fd_step,
-                                                     richardson, nabla_phi))
+                                                     nabla_phi))
 
 
 def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4,
-                    fd_step: float = 1e-4, richardson: bool = True) -> float:
+                    fd_step: float = 1e-4) -> float:
     """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle."""
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step,
-                                                richardson))
-    Rf = curvature_form(scn, fd_step, richardson, nabla_phi)
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step))
+    Rf = curvature_form(scn, fd_step, nabla_phi)
     val = wedge_pair(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
 def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
-                     fd_step: float = 1e-4, richardson: bool = True) -> float:
+                     fd_step: float = 1e-4) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
     part; the conjugation by k drops under the invariant pairing.  The
     two wedges share one F sample per ordered tangent pair."""
     n = scn.group.n
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step,
-                                                richardson))
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step))
 
     @_memo
     def f_ev(q, a, b):
-        return eval_samples(scn.curvature(q.p, a.X, b.X, fd_step, richardson),
-                            q.theta)
+        return eval_samples(scn.curvature(q.p, a.X, b.X, fd_step), q.theta)
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
@@ -244,8 +242,7 @@ def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
-def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4,
-                     richardson: bool = True) -> float:
+def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
     """Circle integral of the 4-form contracted with three lifted base
     directions and the angle direction; equals the descended 3-form.
 
@@ -267,14 +264,11 @@ def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4,
     R = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            R[(i, j)] = curvature_samples(scn, p, k, Ts[i], Ts[j],
-                                          fd_step, richardson)
+            R[(i, j)] = curvature_samples(scn, p, k, Ts[i], Ts[j], fd_step)
 
-    def ps(a, b):
-        return np.einsum("tij,tji->t", a.vals, b.vals) * -1.0
-
-    integrand = 2.0 * (ps(R[(0, 1)], R[(2, 3)]) - ps(R[(0, 2)], R[(1, 3)])
-                       + ps(R[(0, 3)], R[(1, 2)]))
+    integrand = 2.0 * (pair_samples(R[(0, 1)], R[(2, 3)])
+                       - pair_samples(R[(0, 2)], R[(1, 3)])
+                       + pair_samples(R[(0, 3)], R[(1, 2)]))
     total = quad_s1(integrand) * (-1.0 / (8 * np.pi ** 2))
     return float(np.real(total))
 
@@ -313,7 +307,5 @@ def killingback_map(xloop: np.ndarray, qloop: LoopPoint, k: np.ndarray,
     Covers evaluation on the base and is exact on grid nodes; constant
     on based-loop orbits (x, q g, g(theta)^-1 k, theta)."""
     q = eval_loop(qloop, theta)
-    j = int(round(float(theta) / qloop.grid.h))
-    x = np.asarray(xloop)[j % qloop.grid.n] if not qloop.closed \
-        else np.asarray(xloop)[j]
+    x = np.asarray(xloop)[_node(qloop, theta)]
     return x, q @ np.asarray(k, dtype=complex)

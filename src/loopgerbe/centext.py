@@ -43,10 +43,6 @@ def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> complex:
 ALPHA_SLOT = "first"
 
 
-def _alpha_raw(h: LoopPoint, Xg: GridFun) -> complex:
-    return 0.5j / np.pi * quad_grid(pair_samples(Xg, h.z()), Xg)
-
-
 def _slot_residual() -> float:
     """|d(alpha) - delta(R)| on a small fixture nerve pair."""
     from . import sampling
@@ -56,7 +52,7 @@ def _slot_residual() -> float:
     pt = tuple(sampling.random_loop(rng, grid, SU2) for _ in range(2))
     vecs = [tuple(sampling.random_loop_tangent(rng, grid, SU2) for _ in range(2))
             for _ in range(2)]
-    alpha_form = Form(1, lambda q, V: _alpha_raw(q[1], V[0]))
+    alpha_form = Form(1, lambda q, V: gomi_cocycle_Z(q[1], V[0]))
     r_nerve = Form(2, lambda q, V, W: eval_R(q[0], V[0], W[0]))
     lhs = ext_d(alpha_form, pt, vecs)
     rhs = delta_nerve(r_nerve)(pt, *vecs)
@@ -83,7 +79,7 @@ def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> complex:
     if g.grid.n != h.grid.n or Xg.grid.n != g.grid.n or Xh.grid.n != g.grid.n:
         raise ValueError("grid mismatch")
     alpha_slot()
-    return _alpha_raw(h, Xg)
+    return gomi_cocycle_Z(h, Xg)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +142,7 @@ def holonomy_H(disk: DiskLoop, nr: int = 33, ns: int = 33) -> complex:
     The left-trivialised radial partial of exp(r xi(s)) is xi(s) exactly
     (single direction commutes with itself); the s-partial is the
     left-trivialised derivative of the exponential, evaluated by the
-    convergent series.
+    truncated series of liegroup.dexp_left.
     """
     from .liegroup import dexp_left
 

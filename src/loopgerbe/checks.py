@@ -38,6 +38,13 @@ REPORT_FORMATS = ("json", "csv")
 FD_LADDER_START = 1e-2
 
 
+# the public configuration fields in report order, each with the type a
+# flag or environment value is coerced to
+CONFIG_FIELDS = {"scenario": str, "group": str, "ntheta": int, "npath": int,
+                 "fd_step": float, "tol": float, "seed": int, "report": str,
+                 "out": str}
+
+
 @dataclass
 class RunConfig:
     """Everything a run depends on; flat so it serialises as-is."""
@@ -51,7 +58,9 @@ class RunConfig:
     seed: int = 7
     report: str = "json"
     out: Optional[str] = None
-    richardson: bool = True         # plain central differences when False
+    # plain central differences when False; only the step ladder of
+    # convergence_table sets it, and only pair_form_coboundary reads it
+    richardson: bool = True
 
     def problems(self) -> list:
         out = []
@@ -74,10 +83,7 @@ class RunConfig:
         return out
 
     def as_dict(self) -> dict:
-        return {"scenario": self.scenario, "group": self.group,
-                "ntheta": self.ntheta, "npath": self.npath,
-                "fd_step": self.fd_step, "tol": self.tol, "seed": self.seed,
-                "report": self.report, "out": self.out}
+        return {key: getattr(self, key) for key in CONFIG_FIELDS}
 
 
 def _setup(cfg: RunConfig):
@@ -221,8 +227,7 @@ def string_matches_invariant_form(cfg: RunConfig, rng, n: int = 4) -> float:
     for _ in range(n):
         p = random_path_point(rng, grid, group)
         Ts = [random_path_tangent(rng, grid, group) for _ in range(3)]
-        got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step,
-                                   richardson=cfg.richardson)
+        got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
         k = pf.project(p)
         want = gerbe.omega3(k, *(k @ pf.project_tangent(T) for T in Ts))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -239,18 +244,16 @@ def curving_differential_path(cfg: RunConfig, rng, n: int = 1) -> float:
     grid, group = _setup(cfg)
     pf = _pf(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b,
-                                                    fd_step=cfg.fd_step,
-                                                    richardson=cfg.richardson))
+                                                    fd_step=cfg.fd_step))
     worst = 0.0
     for _ in range(n):
         p = random_path_point(rng, grid, group)
         Ts = tuple(random_path_tangent(rng, grid, group) for _ in range(3))
         # outer step 1e-3: the inner quadratures are exact here, the
         # wider step keeps the second-level difference noise down
-        df = ext_d(fform, p, Ts, h=1e-3, richardson=cfg.richardson)
+        df = ext_d(fform, p, Ts, h=1e-3)
         want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts,
-                                                 fd_step=cfg.fd_step,
-                                                 richardson=cfg.richardson)
+                                                 fd_step=cfg.fd_step)
         worst = max(worst, abs(df - want))
     return worst
 
@@ -282,8 +285,7 @@ def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
 
         form = Form(3, pulled)
         vs = tuple(rng.normal(size=4) for _ in range(4))
-        val = ext_d(form, ChartPt(rng.normal(size=4) * 0.3), vs,
-                    h=1e-3, richardson=cfg.richardson)
+        val = ext_d(form, ChartPt(rng.normal(size=4) * 0.3), vs, h=1e-3)
         worst = max(worst, abs(val))
     return worst
 
@@ -317,16 +319,13 @@ def transition_coboundary(cfg: RunConfig, rng, n: int = 2) -> float:
 
 def _curving_chain(scn, pts, vecs, wecs, cfg: RunConfig) -> float:
     p1, p2 = pts
-    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1], fd_step=cfg.fd_step,
-                           richardson=cfg.richardson)
-           - gerbe.curving_f(scn, p1, vecs[0], wecs[0], fd_step=cfg.fd_step,
-                             richardson=cfg.richardson))
+    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1], fd_step=cfg.fd_step)
+           - gerbe.curving_f(scn, p1, vecs[0], wecs[0], fd_step=cfg.fd_step))
     t = scn.tau(p1, p2)
     tr = centext.eval_R(t, gerbe.tau_deriv(scn, p1, p2, *vecs),
                         gerbe.tau_deriv(scn, p1, p2, *wecs))
     eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
-    de = ext_d(eps, pts, (vecs, wecs), h=cfg.fd_step,
-               richardson=cfg.richardson)
+    de = ext_d(eps, pts, (vecs, wecs), h=cfg.fd_step)
     return abs(lhs - (tr - de))
 
 
@@ -357,16 +356,14 @@ def curving_differential_chart(cfg: RunConfig, rng, n: int = 1) -> float:
     grid, group = _setup(cfg)
     tb = _tb(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b,
-                                                    fd_step=cfg.fd_step,
-                                                    richardson=cfg.richardson))
+                                                    fd_step=cfg.fd_step))
     worst = 0.0
     for _ in range(n):
         p = _tb_point(tb, rng)
         Ts = tuple(_tb_tangent(tb, rng) for _ in range(3))
-        df = ext_d(fform, p, Ts, h=1e-3, richardson=cfg.richardson)
+        df = ext_d(fform, p, Ts, h=1e-3)
         want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts],
-                                              fd_step=cfg.fd_step,
-                                              richardson=cfg.richardson)
+                                              fd_step=cfg.fd_step)
         worst = max(worst, abs(df - want))
     return worst
 
@@ -403,20 +400,18 @@ def differential_square_zero(cfg: RunConfig, rng, n: int = 1) -> float:
         one = Form(1, lambda pt, v: float(np.sin(pt.x[0])) * v[1]
                    + float(np.exp(0.3 * pt.x[2])) * v[0]
                    + float(pt.x[1] ** 2) * v[2])
-        d1 = ext_d_form(one, h=1e-3, richardson=cfg.richardson)
+        d1 = ext_d_form(one, h=1e-3)
         x0 = ChartPt(rng.normal(size=3) * 0.5)
         vs = tuple(rng.normal(size=3) for _ in range(3))
-        worst = max(worst, abs(ext_d(d1, x0, vs, h=1e-3,
-                                     richardson=cfg.richardson)))
+        worst = max(worst, abs(ext_d(d1, x0, vs, h=1e-3)))
 
         C = random_loop_tangent(rng, grid, group)
         F0 = Form(0, lambda g: centext.gomi_cocycle_Z(g, C))
-        d0 = ext_d_form(F0, h=1e-3, richardson=cfg.richardson)
+        d0 = ext_d_form(F0, h=1e-3)
         g = random_loop(rng, grid, group)
         X = random_loop_tangent(rng, grid, group)
         Y = random_loop_tangent(rng, grid, group)
-        worst = max(worst, abs(ext_d(d0, g, (X, Y), h=1e-3,
-                                     richardson=cfg.richardson)))
+        worst = max(worst, abs(ext_d(d0, g, (X, Y), h=1e-3)))
     return worst
 
 
@@ -478,10 +473,8 @@ def curvature_square_split(cfg: RunConfig, rng, n: int = 10) -> float:
     for _ in range(n):
         pt = _caloron_point(tb, rng)
         Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
-        lhs = caloron.pontrjagin_form(tb, pt, *Vs, fd_step=cfg.fd_step,
-                                      richardson=cfg.richardson)
-        rhs = caloron.pontrjagin_split(tb, pt, *Vs, fd_step=cfg.fd_step,
-                                       richardson=cfg.richardson)
+        lhs = caloron.pontrjagin_form(tb, pt, *Vs, fd_step=cfg.fd_step)
+        rhs = caloron.pontrjagin_split(tb, pt, *Vs, fd_step=cfg.fd_step)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -495,10 +488,8 @@ def circle_reduction(cfg: RunConfig, rng, n: int = 3) -> float:
     for _ in range(n):
         m = rng.uniform(-0.6, 0.6, size=tb.dim)
         us = [rng.normal(size=tb.dim) for _ in range(3)]
-        a = caloron.integrate_circle(tb, m, *us, fd_step=cfg.fd_step,
-                                     richardson=cfg.richardson)
-        b = gerbe.string_form(tb, m, *us, fd_step=cfg.fd_step,
-                              richardson=cfg.richardson)
+        a = caloron.integrate_circle(tb, m, *us, fd_step=cfg.fd_step)
+        b = gerbe.string_form(tb, m, *us, fd_step=cfg.fd_step)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return worst
 
@@ -688,8 +679,7 @@ class SuiteResult:
         return self.aborted is None and all(r["pass"] for r in self.rows)
 
 
-def run_suite(cfg: RunConfig, with_convergence: bool = True,
-              record_fixtures: bool = False) -> SuiteResult:
+def run_suite(cfg: RunConfig, record_fixtures: bool = False) -> SuiteResult:
     """Run every check selected by the configuration, in name order.
 
     With record_fixtures every draw a check makes is logged, keyed by
@@ -708,12 +698,11 @@ def run_suite(cfg: RunConfig, with_convergence: bool = True,
             result.rows.append(run_check(spec, cfg, rng))
             if record_fixtures:
                 result.fixtures[spec.name] = rng.log
-        if with_convergence:
-            grids = convergence_grids(cfg)
-            for spec in specs:
-                if spec.convergence:
-                    result.convergence.extend(
-                        convergence_table(spec.name, grids, cfg).rows)
+        grids = convergence_grids(cfg)
+        for spec in specs:
+            if spec.convergence:
+                result.convergence.extend(
+                    convergence_table(spec.name, grids, cfg).rows)
     except centext.ConventionError as exc:
         result.aborted = str(exc)
     result.rows.sort(key=lambda r: r["name"])

@@ -30,11 +30,6 @@ EXIT_CONVENTION = 4
 
 ENV_PREFIX = "LOOPGERBE_"
 
-_FIELD_TYPES = {"scenario": str, "group": str, "ntheta": int, "npath": int,
-                "fd_step": float, "tol": float, "seed": int, "report": str,
-                "out": str}
-
-
 class UsageError(Exception):
     pass
 
@@ -60,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _coerce(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
+    typ = checks.CONFIG_FIELDS[key]
     try:
         return typ(raw)
     except ValueError:
@@ -79,14 +74,14 @@ def load_config(argv=None) -> checks.RunConfig:
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
         for key, val in data.items():
-            if key not in _FIELD_TYPES:
+            if key not in checks.CONFIG_FIELDS:
                 raise UsageError("unknown config key: %s" % key)
             merged[key] = val
-    for key in _FIELD_TYPES:
+    for key in checks.CONFIG_FIELDS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             merged[key] = _coerce(key, raw)
-    for key in _FIELD_TYPES:
+    for key in checks.CONFIG_FIELDS:
         val = getattr(ns, key)
         if val is not None:
             merged[key] = val

@@ -1,4 +1,4 @@
-"""Differential forms over the point types used by the artifact.
+"""Differential forms over the supported point types.
 
 Points and tangents come in a handful of kinds: loop-group points with
 left-trivialised algebra-loop tangents, flat chart points with plain
@@ -90,13 +90,18 @@ class Form:
         return self.ev(pt, *vecs)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def signed_permutations(d: int) -> list:
+    """(perm, sign) for every permutation of range(d), in
+    itertools.permutations order; sign is +1 or -1 by inversion count."""
+    out = []
+    for perm in itertools.permutations(range(d)):
+        sign = 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        out.append((perm, sign))
+    return out
 
 
 def pair_forms(p: Callable, forms, name: str = "") -> Form:
@@ -118,12 +123,12 @@ def pair_forms(p: Callable, forms, name: str = "") -> Form:
     """
     degs = [f.degree for f in forms]
     d = sum(degs)
+    perms = signed_permutations(d)
 
     def ev(pt, *vecs):
         seen = {}
         total = None
-        for perm in itertools.permutations(range(d)):
-            sign = _perm_sign(perm)
+        for perm, sign in perms:
             args = []
             pos = 0
             for f, k in zip(forms, degs):
@@ -160,9 +165,10 @@ def wedge_pair(p: Callable, forms, name: str = "") -> Form:
     return Form(base.degree, ev, name)
 
 
-def _directional(fun: Callable, h: float, richardson: bool):
+def directional(fun: Callable, h: float, richardson: bool = True):
     """Central-difference derivative of t -> fun(t) at 0, optional one
-    Richardson level (h and h/2)."""
+    Richardson level (h and h/2).  fun's values need only support
+    subtraction and scalar multiplication."""
 
     def d(step):
         return (fun(step) - fun(-step)) * (0.5 / step)
@@ -194,7 +200,7 @@ def ext_d(form: Form, pt, vecs, h: float = 1e-4, richardson: bool = True):
     for i, v in enumerate(vecs):
         rest = vecs[:i] + vecs[i + 1 :]
         sign = -1.0 if i % 2 else 1.0
-        der = _directional(lambda t: form(flow(pt, v, t), *rest), h, richardson)
+        der = directional(lambda t: form(flow(pt, v, t), *rest), h, richardson)
         acc(der * sign)
     for i in range(k1):
         for j in range(i + 1, k1):

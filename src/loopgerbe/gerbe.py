@@ -17,13 +17,13 @@ to a fibre product share their projection slot by slot.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import centext, forms
-from .forms import Form, ext_d, tangent_bracket
+from .forms import (Form, directional, ext_d, signed_permutations,
+                    tangent_bracket)
 from .liegroup import SU2, Group, exp_alg, group_inv, project_algebra
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
                     pair_samples, quad_grid)
@@ -194,19 +194,14 @@ class TrivialBundle:
             raise ValueError("points in different fibres")
         return p.g.inv().mul(q.g)
 
-    def curvature(self, p: TrivialPoint, V, W, fd_step: float = 1e-4,
-                  richardson: bool = True) -> GridFun:
+    def curvature(self, p: TrivialPoint, V, W,
+                  fd_step: float = 1e-4) -> GridFun:
         """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences."""
         u, v = V[0], W[0]
 
         def da_dir(x, y):
-            def f(t):
-                return self.base_connection(p.m + t * x, y)
-            d1 = (f(fd_step) - f(-fd_step)) * (0.5 / fd_step)
-            if not richardson:
-                return d1
-            d2 = (f(0.5 * fd_step) - f(-0.5 * fd_step)) * (1.0 / fd_step)
-            return d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
+            return directional(
+                lambda t: self.base_connection(p.m + t * x, y), fd_step)
 
         base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(
             self.base_connection(p.m, u), self.base_connection(p.m, v))
@@ -306,7 +301,7 @@ class PathFibration:
         return p.inv().mul(q)
 
     def curvature(self, p: LoopPoint, V: GridFun, W: GridFun,
-                  fd_step: float = 1e-4, richardson: bool = True) -> GridFun:
+                  fd_step: float = 1e-4) -> GridFun:
         """Closed form: a quadratic-in-theta profile times the endpoint
         bracket conjugated back along the path."""
         Q, ramp = self._endpoint_frame(p)
@@ -350,8 +345,7 @@ def tau_deriv_fd(scn, p, q, V, W, fd_step: float = 1e-4) -> GridFun:
     def at(t):
         return scn.tau(forms.flow(p, V, t), forms.flow(q, W, t))
 
-    lo, hi = at(-fd_step), at(fd_step)
-    raw = (hi.vals - lo.vals) * (0.5 / fd_step)
+    raw = directional(lambda t: at(t).vals, fd_step, richardson=False)
     t0 = at(0.0)
     ltriv = project_algebra(group_inv(t0.vals) @ raw)
     return GridFun(t0.grid, ltriv, t0.closed)
@@ -377,10 +371,7 @@ def epsilon_form(scn, pts, vecs) -> complex:
     delta(epsilon) = beta an identity.
     """
     p1, p2 = pts
-    V1, V2 = vecs
-    a1 = scn.connection(p1, V1)
-    z = scn.tau(p1, p2).z()
-    return 0.5j / np.pi * quad_grid(pair_samples(a1, z), a1)
+    return centext.gomi_cocycle_Z(scn.tau(p1, p2), scn.connection(p1, vecs[0]))
 
 
 def beta_form(scn, pts, vecs) -> complex:
@@ -394,54 +385,45 @@ def beta_form(scn, pts, vecs) -> complex:
     return centext.eval_alpha(t12, t23, d12, d23)
 
 
-def curving_f(scn, p, V, W, fd_step: float = 1e-4, richardson: bool = True) -> complex:
+def curving_f(scn, p, V, W, fd_step: float = 1e-4) -> complex:
     """(i/2 pi) int [ (1/2)(<A(V), A(W)'> - <A(W), A(V)'>) - <F(V,W), Phi> ]."""
     aV = scn.connection(p, V)
     aW = scn.connection(p, W)
-    F = scn.curvature(p, V, W, fd_step, richardson)
+    F = scn.curvature(p, V, W, fd_step)
     phi = scn.higgs(p)
     s = (0.5 * (pair_samples(aV, aW.dtheta()) - pair_samples(aW, aV.dtheta()))
          - pair_samples(F, phi))
     return 0.5j / np.pi * quad_grid(s, aV)
 
 
-def nabla_phi(scn, p, V, fd_step: float = 1e-4, richardson: bool = True) -> GridFun:
+def nabla_phi(scn, p, V, fd_step: float = 1e-4) -> GridFun:
     """Covariant derivative of the Higgs field along V.
 
     Directional term by flow differences; bracket and -dtheta(A) exact.
     """
-
-    def at(t):
-        return scn.higgs(forms.flow(p, V, t))
-
-    d1 = (at(fd_step) - at(-fd_step)) * (0.5 / fd_step)
-    if richardson:
-        d2 = (at(0.5 * fd_step) - at(-0.5 * fd_step)) * (1.0 / fd_step)
-        d1 = d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
+    d1 = directional(lambda t: scn.higgs(forms.flow(p, V, t)), fd_step)
     aV = scn.connection(p, V)
     phi = scn.higgs(p)
     return d1 + tangent_bracket(aV, phi) - aV.dtheta()
 
 
-def curvature_via_ext_d(scn, p, V, W, fd_step: float = 1e-4,
-                        richardson: bool = True) -> GridFun:
+def curvature_via_ext_d(scn, p, V, W, fd_step: float = 1e-4) -> GridFun:
     """dA(V, W) + [A(V), A(W)] through the generic exterior derivative."""
     A = connection_form(scn)
-    dA = ext_d(A, p, (V, W), fd_step, richardson)
+    dA = ext_d(A, p, (V, W), fd_step)
     return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
 
 
-def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4,
-                   richardson: bool = True) -> float:
+def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4) -> float:
     """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point.
 
     The (2,1) pairing is the three-term alternating shuffle.  The value
     descends: it depends only on the projections of point and tangents.
     """
-    Fs = {}
-    for (i, a), (j, b) in itertools.combinations(enumerate((T1, T2, T3)), 2):
-        Fs[(i, j)] = scn.curvature(p, a, b, fd_step, richardson)
-    nps = [nabla_phi(scn, p, T, fd_step, richardson) for T in (T1, T2, T3)]
+    Ts = (T1, T2, T3)
+    Fs = {(i, j): scn.curvature(p, Ts[i], Ts[j], fd_step)
+          for i, j in ((0, 1), (0, 2), (1, 2))}
+    nps = [nabla_phi(scn, p, T, fd_step) for T in Ts]
     s = (pair_samples(Fs[(0, 1)], nps[2])
          - pair_samples(Fs[(0, 2)], nps[1])
          + pair_samples(Fs[(1, 2)], nps[0]))
@@ -449,15 +431,14 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4,
     return float(np.real(val))
 
 
-def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4,
-                richardson: bool = True) -> float:
+def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
     """The descended 3-form at a base point, via the canonical lift."""
     if isinstance(scn, TrivialBundle):
         p = scn.point(m)
     else:
         p = scn.canonical_lift(m)
     lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
-    return string_form_at(scn, p, *lifts, fd_step=fd_step, richardson=richardson)
+    return string_form_at(scn, p, *lifts, fd_step=fd_step)
 
 
 def higgs_transform_residual(scn, p, g: LoopPoint, field=None) -> float:
@@ -482,12 +463,7 @@ def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     ki = group_inv(np.asarray(k, dtype=complex))
     hats = [np.asarray(x, dtype=complex) @ ki for x in (u, v, w)]
     total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(3)):
-        sign = 1.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if perm[i] > perm[j]:
-                    sign = -sign
+    for perm, sign in signed_permutations(3):
         a, b, c = (hats[i] for i in perm)
         total += sign * -np.trace((a @ b - b @ a) @ c)
     return float(np.real(total)) / (48 * np.pi ** 2)
@@ -524,8 +500,7 @@ def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
     ki = np.swapaxes(k, -1, -2).conj()
     hats = [d @ ki for d in (dk_eta, dk_x1, dk_x2)]
     total = np.zeros(E.shape, dtype=complex)
-    for perm, sign in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
-                       ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
+    for perm, sign in signed_permutations(3):
         a, b, c = (hats[i] for i in perm)
         comm = a @ b - b @ a
         total += sign * -np.einsum("...ij,...ji->...", comm, c)

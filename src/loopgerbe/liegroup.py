@@ -172,33 +172,36 @@ def maurer_cartan(g, v, right: bool = False, atol: float = 1e-8) -> np.ndarray:
     return project_algebra(out)
 
 
-def dexp_left(X, dX, tol: float = 1e-17, max_terms: int = 120) -> np.ndarray:
+# truncation of the dexp series: stop once a term falls below this
+# fraction of the first, and after at most this many terms
+_DEXP_TOL = 1e-17
+_DEXP_MAX_TERMS = 120
+
+
+def dexp_left(X, dX) -> np.ndarray:
     """exp(-X) d(exp(X)) for a variation dX of X.
 
-    Series sum_k (-ad_X)^k (dX) / (k+1)!; converges for any bounded X,
-    truncated once terms fall below tol relative to the running sum.
+    Series sum_k (-ad_X)^k (dX) / (k+1)!, which is dexp_right at -X.
+    The truncated series is accurate only for moderate X.  Against
+    scipy.linalg.expm_frechet on su2, for X of coefficient norm s in the
+    orthonormal basis and dX with standard normal coefficients, the
+    largest entry error over 20 draws is 6e-16 at s = 1, 3e-12 at
+    s = 10, 2e-6 at s = 20, 3 at s = 30 and 3e9 at s = 40 (ROADMAP
+    item 2 replaces the series by a closed form).
     """
+    return dexp_right(-np.asarray(X, dtype=complex), dX)
+
+
+def dexp_right(X, dX) -> np.ndarray:
+    """d(exp(X)) exp(-X): series sum_k (ad_X)^k (dX) / (k+1)!; see
+    dexp_left for its accuracy range."""
     X = np.asarray(X, dtype=complex)
     term = np.array(np.broadcast_to(np.asarray(dX, dtype=complex), X.shape))
     total = term.copy()
     scale = max(np.max(np.abs(term)), 1e-300)
-    for k in range(1, max_terms):
-        term = (term @ X - X @ term) / (k + 1.0)
-        total += term
-        if np.max(np.abs(term)) < tol * scale:
-            break
-    return total
-
-
-def dexp_right(X, dX, tol: float = 1e-17, max_terms: int = 120) -> np.ndarray:
-    """d(exp(X)) exp(-X): series sum_k (ad_X)^k (dX) / (k+1)!."""
-    X = np.asarray(X, dtype=complex)
-    term = np.array(np.broadcast_to(np.asarray(dX, dtype=complex), X.shape))
-    total = term.copy()
-    scale = max(np.max(np.abs(term)), 1e-300)
-    for k in range(1, max_terms):
+    for k in range(1, _DEXP_MAX_TERMS):
         term = (X @ term - term @ X) / (k + 1.0)
         total += term
-        if np.max(np.abs(term)) < tol * scale:
+        if np.max(np.abs(term)) < _DEXP_TOL * scale:
             break
     return total

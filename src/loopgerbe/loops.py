@@ -157,6 +157,14 @@ def fd4_dtheta_closed(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _dtheta(vals: np.ndarray, grid: ThetaGrid, closed: bool) -> np.ndarray:
+    """Numerical theta derivative of node samples: 4th-order differences
+    on a closed grid, spectral on a periodic one."""
+    if closed:
+        return fd4_dtheta_closed(vals, grid.h)
+    return spectral_dtheta(vals)
+
+
 def quad_s1(samples: np.ndarray) -> np.ndarray:
     """Periodic trapezoid rule over the N-node grid: (2 pi / N) * sum."""
     samples = np.asarray(samples)
@@ -264,9 +272,7 @@ class GridFun:
     def dtheta(self) -> "GridFun":
         if self.dvals is not None:
             return self._like(self.dvals)
-        if self.closed:
-            return self._like(fd4_dtheta_closed(self.vals, self.grid.h))
-        return self._like(spectral_dtheta(self.vals))
+        return self._like(_dtheta(self.vals, self.grid, self.closed))
 
     def interp(self, theta: float) -> np.ndarray:
         """Trigonometric interpolation at an off-grid angle (periodic only)."""
@@ -365,10 +371,7 @@ class LoopPoint:
         """Right logarithmic derivative Z(g) = (d_theta g) g^(-1)."""
         if self.zvals is not None:
             return GridFun(self.grid, self.zvals, self.closed)
-        if self.closed:
-            dv = fd4_dtheta_closed(self.vals, self.grid.h)
-        else:
-            dv = spectral_dtheta(self.vals)
+        dv = _dtheta(self.vals, self.grid, self.closed)
         return GridFun(self.grid, project_algebra(dv @ group_inv(self.vals)), self.closed)
 
     def log_derivative(self) -> GridFun:
@@ -404,21 +407,15 @@ class LoopPoint:
         return LoopPoint(grid, vals, closed, np.zeros_like(vals))
 
 
-def conj_loop(h: LoopPoint, X: GridFun, inverse: bool = True) -> GridFun:
-    """Ad(h^(-1)) X (or Ad(h) X) node-wise, with the exact derivative when known.
+def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
+    """Ad(h^(-1)) X node-wise, with the exact derivative when known.
 
     d_theta Ad(h^(-1)) X = Ad(h^(-1)) (d_theta X + [X, Z(h)]).
     """
-    if inverse:
-        vals = adjoint_inv(h.vals, X.vals)
-    else:
-        vals = adjoint(h.vals, X.vals)
+    vals = adjoint_inv(h.vals, X.vals)
     d = None
     if X.dvals is not None and h.zvals is not None:
-        if inverse:
-            d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
-        else:
-            d = adjoint(h.vals, X.dvals + bracket(h.zvals, X.vals))
+        d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
     return GridFun(X.grid, vals, X.closed, d)
 
 
@@ -474,15 +471,10 @@ class PathInLoopGroup:
         m = self.m
         if m < 5:
             raise ValueError("need at least 5 path nodes")
-        stack = [lp.vals for lp in self.loops]
-        if 2 <= i <= m - 3:
-            raw = (-stack[i + 2] + 8 * stack[i + 1] - 8 * stack[i - 1] + stack[i - 2]) / (12 * ds)
-        elif i < 2:
-            # rows are anchored at the boundary node, not at i
-            raw = sum(c * stack[j] for j, c in enumerate(_FD4_LEFT[i])) / ds
-        else:
-            r = m - 1 - i
-            raw = -sum(c * stack[m - 1 - j] for j, c in enumerate(_FD4_LEFT[r])) / ds
+        # the 5-node window around i, shifted inwards at the ends
+        lo = min(max(i - 2, 0), m - 5)
+        window = np.stack([lp.vals for lp in self.loops[lo:lo + 5]])
+        raw = fd4_dtheta_closed(window, ds)[i - lo]
         g = self.loops[i]
         ltriv = project_algebra(group_inv(g.vals) @ raw)
         return GridFun(g.grid, ltriv, g.closed)
@@ -502,13 +494,14 @@ class PathInLoopGroup:
         return PathInLoopGroup(self.sgrid, loops, vels)
 
 
-def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple], npath: int,
-                      closed: bool = False) -> PathInLoopGroup:
+def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
+                      npath: int) -> PathInLoopGroup:
     """Path s -> prod_j exp(sigma_j(s) X_j) with exact velocities.
 
     factors: sequence of (sigma, X) with sigma a scalar profile on [0, 1]
-    vanishing at 0 and X a GridFun algebra loop.  The left-trivialised
-    velocity is sum_j Ad((prod_{l>j} E_l)^(-1))(sigma_j'(s) X_j).
+    vanishing at 0 and X a periodic GridFun algebra loop.  The
+    left-trivialised velocity is
+    sum_j Ad((prod_{l>j} E_l)^(-1))(sigma_j'(s) X_j).
     """
     sgrid = np.linspace(0.0, 1.0, npath)
     n = factors[0][1].vals.shape[-1]
@@ -522,14 +515,14 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple], npath: int,
             z = None
             if X.dvals is not None:
                 z = dexp_right(sv * X.vals, sv * X.dvals)
-            pieces.append((LoopPoint(grid, e, closed, z), dsv, X))
+            pieces.append((LoopPoint(grid, e, zvals=z), dsv, X))
         lp = pieces[0][0]
         for q, _, _ in pieces[1:]:
             lp = lp.mul(q)
-        vel = GridFun.zero(grid, n, closed)
+        vel = GridFun.zero(grid, n)
         for j, (_, dsv, X) in enumerate(pieces):
-            term = GridFun(grid, dsv * X.vals, closed,
-                           None if X.dvals is None else dsv * X.dvals)
+            term = GridFun(grid, dsv * X.vals,
+                           dvals=None if X.dvals is None else dsv * X.dvals)
             for q, _, _ in pieces[j + 1:]:
                 term = conj_loop(q, term)
             vel = vel + term

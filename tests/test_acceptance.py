@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from loopgerbe import caloron, centext, checks, gerbe
+from loopgerbe import checks, gerbe
 from loopgerbe.checks import RunConfig, convergence_table
 from loopgerbe.forms import ChartPt, Form, delta_fibre, ext_d
 from loopgerbe.sampling import random_loop

@@ -1,10 +1,13 @@
-import numpy as np
+import json
 
-from loopgerbe import centext, liegroup as lg, loops, sampling
+import numpy as np
+import pytest
+
+from loopgerbe import centext, cli, liegroup as lg, loops, sampling
 from loopgerbe.centext import (DiskLoop, cocycle_c, eval_R, eval_alpha,
                                gomi_cocycle_Z, holonomy_H, mu_hat,
                                reduced_splitting_check)
-from loopgerbe.forms import Form, delta_nerve, ext_d, ext_d_form
+from loopgerbe.forms import delta_nerve, ext_d
 from loopgerbe.loops import GridFun, LoopPoint, ThetaGrid, path_from_factors
 
 
@@ -62,7 +65,28 @@ def test_alpha_frozen_values():
 
 
 def test_alpha_slot_resolved():
-    assert centext.alpha_slot() in ("first", "second")
+    assert centext.alpha_slot() == centext.ALPHA_SLOT == "first"
+
+
+def test_failing_slot_self_test_aborts(tmp_path, monkeypatch, capsys):
+    # a pinned slot that fails d(alpha) = delta(R) stops alpha and the run
+    monkeypatch.setattr(centext, "_slot_residual", lambda: 1.0)
+    centext.alpha_slot.cache_clear()
+    try:
+        rng = sampling.make_rng(55)
+        g, h = (sampling.random_loop(rng, GRID, lg.SU2) for _ in range(2))
+        zero = GridFun.zero(GRID, 2)
+        with pytest.raises(centext.ConventionError):
+            eval_alpha(g, h, zero, zero)
+        out = str(tmp_path / "rep.json")
+        status = cli.main(["--scenario", "central-extension", "--out", out])
+        assert status == cli.EXIT_CONVENTION == 4
+        rep = json.loads(open(out).read())
+        assert "fails d(alpha) = delta(R)" in rep["aborted"]
+        assert rep["checks"] == []
+    finally:
+        centext.alpha_slot.cache_clear()
+    capsys.readouterr()
 
 
 def nerve_sample(rng, q, grid=GRID, group=lg.SU2):

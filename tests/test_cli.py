@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import pytest
 

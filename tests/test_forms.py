@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve, ext_d,
-                             flow, pair_forms, tangent_bracket, wedge_pair)
+from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
+                             directional, ext_d, flow, pair_forms,
+                             signed_permutations, tangent_bracket, wedge_pair)
 from loopgerbe.liegroup import SU2
 from loopgerbe.loops import ThetaGrid, quad_s1, spectral_dtheta
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
@@ -162,6 +163,15 @@ def test_pair_forms_evaluates_each_component_once_per_index_tuple():
     assert got == _brute_pair_sum(_mul, (F2, F1), pt, vs[:3])
 
 
+def test_signed_permutations_order_and_sign():
+    for d in range(5):
+        got = signed_permutations(d)
+        assert [perm for perm, _ in got] == list(itertools.permutations(range(d)))
+        for perm, sign in got:
+            # the determinant of the permutation matrix is its sign
+            assert sign == round(np.linalg.det(np.eye(d)[list(perm)]))
+
+
 def test_form_arity_checked():
     f = Form(2, lambda pt, v, w: 0.0)
     with pytest.raises(ValueError):
@@ -170,6 +180,17 @@ def test_form_arity_checked():
 
 # ---------------------------------------------------------------------------
 # exterior derivative
+
+
+def test_directional_orders():
+    # plain central differences are exact on quadratics; one Richardson
+    # level is exact on quartics
+    def fun(t):
+        return np.array([t ** 2 + 3 * t, t ** 4 + t ** 3 - 2 * t])
+
+    plain = directional(fun, 0.1, richardson=False)
+    assert np.allclose(plain, [3.0, 0.1 ** 2 - 2.0], rtol=0, atol=1e-13)
+    assert np.allclose(directional(fun, 0.1), [3.0, -2.0], rtol=0, atol=1e-13)
 
 
 def test_ext_d_chart_zero_form_exact():

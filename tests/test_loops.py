@@ -183,6 +183,22 @@ def test_path_exact_velocity_matches_fd():
         assert maxabs(f.velocity(i).vals - f.velocity_exact(i).vals) < 1e-7
 
 
+def test_path_velocity_is_the_closed_grid_stencil():
+    # the window around each node reproduces the stencil over the whole
+    # path bit for bit, one-sided end rows included
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(31)
+    f = sampling.random_group_path(rng, grid, lg.SU2, npath=9)
+    ds = f.sgrid[1] - f.sgrid[0]
+    raw = loops.fd4_dtheta_closed(np.stack([g.vals for g in f.loops]), ds)
+    for i, g in enumerate(f.loops):
+        want = lg.project_algebra(lg.group_inv(g.vals) @ raw[i])
+        assert np.array_equal(f.velocity(i).vals, want)
+    short = loops.PathInLoopGroup(f.sgrid[:4], f.loops[:4])
+    with pytest.raises(ValueError):
+        short.velocity(0)
+
+
 def test_path_product_velocity():
     grid = ThetaGrid(16)
     rng = sampling.make_rng(29)
