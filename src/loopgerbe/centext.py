@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Form, delta_nerve, ext_d
-from .liegroup import SU2
+from .liegroup import SU2, exp_dexp_right
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
                     conj_loop, pair_samples, quad_grid, quad_unit)
 
@@ -140,24 +140,21 @@ def holonomy_H(disk: DiskLoop, nr: int = 33, ns: int = 33) -> complex:
     """exp of the integral of R over the exponential disk filling.
 
     The left-trivialised radial partial of exp(r xi(s)) is xi(s) exactly
-    (single direction commutes with itself); the s-partial is the
-    left-trivialised derivative of the exponential, evaluated by the
-    truncated series of liegroup.dexp_left.
+    (single direction commutes with itself); the s-partial is
+    dexp_left(r xi(s), r xi'(s)) = dexp_right(-r xi(s), r xi'(s)), in
+    closed form from one eigendecomposition of xi(s) for all radii.
     """
-    from .liegroup import dexp_left
-
     rs = np.linspace(0.0, 1.0, nr)
     ss = np.linspace(0.0, 1.0, ns)
     grid = disk.terms[0][1].grid
+    shape = disk.terms[0][1].vals.shape
+    pt = LoopPoint(grid, np.broadcast_to(np.eye(shape[-1]), shape))
     rows = np.empty((nr, ns), dtype=complex)
     for j, s in enumerate(ss):
         xi = disk.xi(float(s))
-        dxi = disk.dxi(float(s))
-        for i, r in enumerate(rs):
-            pt = LoopPoint(grid, np.broadcast_to(np.eye(xi.vals.shape[-1]),
-                                                 xi.vals.shape))
-            ds_vec = GridFun(grid, dexp_left(r * xi.vals, r * dxi.vals))
-            rows[i, j] = eval_R(pt, xi, ds_vec)
+        _, ds = exp_dexp_right(-xi.vals, disk.dxi(float(s)).vals, rs)
+        for i in range(nr):
+            rows[i, j] = eval_R(pt, xi, GridFun(grid, ds[i]))
     inner = np.array([quad_unit(rows[:, j]) for j in range(ns)])
     return complex(np.exp(quad_unit(inner)))
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import caloron, centext, gerbe, sampling
 from .caloron import CaloronPoint, CaloronTangent
 from .forms import ChartPt, Form, delta_fibre, delta_nerve, ext_d, ext_d_form
-from .liegroup import dexp_left, exp_alg, group_by_name
+from .liegroup import exp_alg, exp_dexp_right, group_by_name
 from .loops import ThetaGrid
 from .sampling import (random_algebra, random_loop, random_loop_tangent,
                        random_path_fibre_points, random_path_fibre_tangent,
@@ -262,7 +262,7 @@ def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
     """|d omega3| through a four-direction chart on the structure group.
 
     The chart is s -> exp(sum_j s_j x_j) k0 with exact pushforwards via
-    the left-trivialised differential of exp; for a rank-one group the
+    the right-trivialised differential of exp; for a rank-one group the
     pullback is degenerate, for su3 the four directions are generic.
     """
     grid, group = _setup(cfg)
@@ -274,14 +274,11 @@ def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
         def amap(s):
             return sum(float(s[j]) * xs[j] for j in range(4))
 
-        def raw(s, a):
-            A = amap(s)
-            return exp_alg(A) @ dexp_left(A, amap(a)) @ k0
-
         def pulled(pt, va, vb, vc):
-            k = exp_alg(amap(pt.x)) @ k0
-            return gerbe.omega3(k, raw(pt.x, va), raw(pt.x, vb),
-                                raw(pt.x, vc))
+            # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three
+            e, d = exp_dexp_right(amap(pt.x), np.stack([amap(v) for v in (va, vb, vc)]))
+            k = e @ k0
+            return gerbe.omega3(k, *(d @ k))
 
         form = Form(3, pulled)
         vs = tuple(rng.normal(size=4) for _ in range(4))

@@ -269,7 +269,7 @@ class PathFibration:
             raise ValueError("no principal logarithm near this element")
         return LoopPoint(
             self.grid,
-            exp_alg(self.grid.closed_nodes[:, None, None] / (2 * np.pi) * eta),
+            exp_alg(eta, self.grid.closed_nodes / (2 * np.pi)),
             closed=True,
             zvals=(1.0 / (2 * np.pi))
             * np.broadcast_to(eta, (self.grid.n + 1,) + eta.shape).copy())

@@ -22,8 +22,8 @@ from .liegroup import (
     adjoint,
     adjoint_inv,
     bracket,
-    dexp_right,
     exp_alg,
+    exp_dexp_right,
     group_inv,
     project_algebra,
 )
@@ -383,11 +383,11 @@ class LoopPoint:
         """The point g exp(t X), with the Z payload carried along exactly."""
         if X.closed != self.closed or X.grid.n != self.grid.n:
             raise ValueError("grid mismatch")
-        e = exp_alg(X.vals, t)
-        z = None
-        if self.zvals is not None and X.dvals is not None:
-            z = self.zvals + adjoint(self.vals, dexp_right(t * X.vals, t * X.dvals))
-        return LoopPoint(self.grid, self.vals @ e, self.closed, z)
+        if self.zvals is None or X.dvals is None:
+            return LoopPoint(self.grid, self.vals @ exp_alg(X.vals, t), self.closed)
+        e, d = exp_dexp_right(X.vals, X.dvals, t)
+        return LoopPoint(self.grid, self.vals @ e, self.closed,
+                         self.zvals + adjoint(self.vals, d))
 
     def endpoint(self) -> np.ndarray:
         if not self.closed:
@@ -412,11 +412,15 @@ def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
 
     d_theta Ad(h^(-1)) X = Ad(h^(-1)) (d_theta X + [X, Z(h)]).
     """
-    vals = adjoint_inv(h.vals, X.vals)
-    d = None
-    if X.dvals is not None and h.zvals is not None:
-        d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
+    vals, d = _conj(h.vals, h.zvals, X.vals, X.dvals)
     return GridFun(X.grid, vals, X.closed, d)
+
+
+def _conj(h, zh, x, dx) -> tuple:
+    """Ad(h^(-1)) x and its theta derivative (None unless zh and dx are
+    known) on node arrays with any leading axes."""
+    d = None if zh is None or dx is None else adjoint_inv(h, dx + bracket(x, zh))
+    return adjoint_inv(h, x), d
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +433,10 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple], closed: bool = False
     Each factor is (profile, xi) where profile provides val/dval.
     """
     out = None
+    t = grid.closed_nodes if closed else grid.nodes
     for f, xi in factors:
-        t = grid.closed_nodes if closed else grid.nodes
-        fv = np.asarray(f.val(t))
+        vals = exp_alg(xi, f.val(t))
         dfv = np.asarray(f.dval(t))
-        vals = exp_alg(fv[:, None, None] * xi)
         z = np.ascontiguousarray(dfv[:, None, None] * np.broadcast_to(xi, vals.shape))
         lp = LoopPoint(grid, vals, closed, z)
         out = lp if out is None else out.mul(lp)
@@ -501,31 +504,30 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
     factors: sequence of (sigma, X) with sigma a scalar profile on [0, 1]
     vanishing at 0 and X a periodic GridFun algebra loop.  The
     left-trivialised velocity is
-    sum_j Ad((prod_{l>j} E_l)^(-1))(sigma_j'(s) X_j).
+    sum_j Ad((prod_{l>j} E_l)^(-1))(sigma_j'(s) X_j), accumulated factor
+    by factor as v <- Ad(E_j^(-1)) v + sigma_j'(s) X_j.  Every array
+    carries the path nodes as a leading axis, so each factor costs one
+    eigendecomposition whatever npath is.
     """
     sgrid = np.linspace(0.0, 1.0, npath)
-    n = factors[0][1].vals.shape[-1]
-    loops, vels = [], []
-    for s in sgrid:
-        pieces = []
-        for sigma, X in factors:
-            sv = float(sigma.val(np.asarray(s)))
-            dsv = float(sigma.dval(np.asarray(s)))
-            e = exp_alg(X.vals, sv)
-            z = None
-            if X.dvals is not None:
-                z = dexp_right(sv * X.vals, sv * X.dvals)
-            pieces.append((LoopPoint(grid, e, zvals=z), dsv, X))
-        lp = pieces[0][0]
-        for q, _, _ in pieces[1:]:
-            lp = lp.mul(q)
-        vel = GridFun.zero(grid, n)
-        for j, (_, dsv, X) in enumerate(pieces):
-            term = GridFun(grid, dsv * X.vals,
-                           dvals=None if X.dvals is None else dsv * X.dvals)
-            for q, _, _ in pieces[j + 1:]:
-                term = conj_loop(q, term)
-            vel = vel + term
-        loops.append(lp)
-        vels.append(vel)
+    g = vel = dvel = None
+    for sigma, X in factors:
+        sv = sigma.val(sgrid)
+        dsv = np.asarray(sigma.dval(sgrid), dtype=float)[:, None, None, None]
+        if X.dvals is None:
+            e, dv = LoopPoint(grid, exp_alg(X.vals, sv)), None
+        else:
+            ev, ze = exp_dexp_right(X.vals, X.dvals, sv)
+            e, dv = LoopPoint(grid, ev, zvals=ze), dsv * X.dvals
+        v = dsv * X.vals
+        if g is None:
+            g, vel, dvel = e, v, dv
+            continue
+        cv, cd = _conj(e.vals, e.zvals, vel, dvel)
+        g, vel = g.mul(e), cv + v
+        dvel = None if cd is None or dv is None else cd + dv
+    loops = [LoopPoint(grid, g.vals[i], zvals=None if g.zvals is None else g.zvals[i])
+             for i in range(npath)]
+    vels = [GridFun(grid, vel[i], dvals=None if dvel is None else dvel[i])
+            for i in range(npath)]
     return PathInLoopGroup(sgrid, loops, vels)

@@ -227,3 +227,72 @@ def test_fn_combinators():
     want = 2.0 * s + (np.cos(s) - 1.0)
     assert maxabs(f.val(s) - want) < 1e-14
     assert abs(f.val(np.asarray(0.0))) < 1e-14
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count the eigendecompositions made through np.linalg.eigh."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_one_eigh_per_algebra_element(eigh_calls):
+    grid = ThetaGrid(32)
+    rng = sampling.make_rng(32)
+    g = sampling.random_loop(rng, grid, lg.SU3)
+    X = sampling.random_loop_tangent(rng, grid, lg.SU3)
+    eigh_calls.clear()
+    gt = g.flow(X, 0.4)
+    assert gt.zvals is not None and len(eigh_calls) == 1
+    # product_loop decomposes each constant generator once
+    eigh_calls.clear()
+    factors = [(sampling.random_trig(rng).as_fn(), sampling.random_algebra(rng, lg.SU3))
+               for _ in range(3)]
+    loops.product_loop(grid, factors)
+    assert eigh_calls == [(3, 3)] * 3
+    # path_from_factors: one per factor, whatever the number of path nodes
+    pfactors = [(sampling.random_unit_profile(rng),
+                 sampling.random_loop_tangent(rng, grid, lg.SU3)) for _ in range(3)]
+    for npath in (5, 17, 65):
+        eigh_calls.clear()
+        loops.path_from_factors(grid, pfactors, npath)
+        assert eigh_calls == [(grid.n, 3, 3)] * 3
+
+
+def _path_node_by_node(grid, factors, s):
+    """Reference: the path node at s from per-node exp_alg and dexp_right."""
+    lp = vel = None
+    for sigma, X in factors:
+        sv = float(sigma.val(np.asarray(s)))
+        dsv = float(sigma.dval(np.asarray(s)))
+        e = LoopPoint(grid, lg.exp_alg(sv * X.vals),
+                      zvals=lg.dexp_right(sv * X.vals, sv * X.dvals))
+        term = GridFun(grid, dsv * X.vals, dvals=dsv * X.dvals)
+        if lp is None:
+            lp, vel = e, term
+        else:
+            lp, vel = lp.mul(e), loops.conj_loop(e, vel) + term
+    return lp, vel
+
+
+def test_batched_path_matches_node_by_node_reference():
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(33)
+    for group in (lg.SU2, lg.SU3):
+        factors = [(sampling.random_unit_profile(rng),
+                    sampling.random_loop_tangent(rng, grid, group)) for _ in range(3)]
+        f = loops.path_from_factors(grid, factors, npath=11)
+        assert f.m == 11
+        for i, s in enumerate(f.sgrid):
+            lp, vel = _path_node_by_node(grid, factors, s)
+            assert maxabs(f.loops[i].vals - lp.vals) < 1e-13
+            assert maxabs(f.loops[i].zvals - lp.zvals) < 1e-13
+            assert maxabs(f.vels[i].vals - vel.vals) < 1e-13
+            assert maxabs(f.vels[i].dvals - vel.dvals) < 1e-13
