@@ -611,7 +611,8 @@ def _fit_order(hs, rs) -> Optional[float]:
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 
 
-def convergence_table(name: str, grids, cfg: RunConfig = None) -> ConvergenceResult:
+def convergence_table(name: str, grids, cfg: RunConfig = None,
+                      residual: Optional[float] = None) -> ConvergenceResult:
     """Rerun one check over a refinement ladder.
 
     Grid-resolved checks sweep the angular grid sizes given; step-dominated
@@ -620,6 +621,10 @@ def convergence_table(name: str, grids, cfg: RunConfig = None) -> ConvergenceRes
     reciprocal step).  The fitted slope of log(residual) against the
     refinement parameter is the observed order; it is omitted for ladders
     designed to sit flat at roundoff.
+
+    `residual` is the check's own result at cfg, when the caller already
+    has it: the grid rung at cfg.ntheta would rerun that exact
+    configuration on the same fixtures, so it reuses the value instead.
     """
     if name not in CHECKS:
         raise ValueError("unknown check: %s" % name)
@@ -640,8 +645,11 @@ def convergence_table(name: str, grids, cfg: RunConfig = None) -> ConvergenceRes
         return out
     hs, rs = [], []
     for g in sorted(int(g) for g in grids):
-        sub = replace(cfg, ntheta=g)
-        r = float(spec.fn(sub, _check_rng(sub, spec.name)))
+        if residual is not None and g == cfg.ntheta:
+            r = residual
+        else:
+            sub = replace(cfg, ntheta=g)
+            r = float(spec.fn(sub, _check_rng(sub, spec.name)))
         out.rows.append({"name": spec.name, "grid": g, "residual": r})
         hs.append(1.0 / g)
         rs.append(r)
@@ -683,7 +691,8 @@ def run_suite(cfg: RunConfig, record_fixtures: bool = False) -> SuiteResult:
     check name, so the exact sampled scenario can be serialised next to
     the report.  A convention failure in the extension self-test aborts
     the sweep; the rows already produced are kept so a report can still
-    be written.
+    be written.  Each convergence table reuses its check's row as the
+    rung at cfg.ntheta, so no configuration runs twice.
     """
     result = SuiteResult()
     specs = select_checks(cfg)
@@ -696,10 +705,10 @@ def run_suite(cfg: RunConfig, record_fixtures: bool = False) -> SuiteResult:
             if record_fixtures:
                 result.fixtures[spec.name] = rng.log
         grids = convergence_grids(cfg)
-        for spec in specs:
+        for spec, row in zip(specs, result.rows):
             if spec.convergence:
-                result.convergence.extend(
-                    convergence_table(spec.name, grids, cfg).rows)
+                result.convergence.extend(convergence_table(
+                    spec.name, grids, cfg, row["residual"]).rows)
     except centext.ConventionError as exc:
         result.aborted = str(exc)
     result.rows.sort(key=lambda r: r["name"])

@@ -62,6 +62,21 @@ def _coerce(key: str, raw: str):
         raise UsageError("bad value for %s: %r" % (key, raw))
 
 
+def _checked(key: str, val):
+    """A config-file value, of its field's type: None only where the
+    default is None, and an integer where a float is wanted is taken as
+    that float (a bool is neither)."""
+    typ = checks.CONFIG_FIELDS[key]
+    if val is None and getattr(checks.RunConfig, key) is None:
+        return val
+    if typ is float and type(val) is int:
+        return float(val)
+    if type(val) is not typ:
+        raise UsageError("config key %s must be of type %s, got %r"
+                         % (key, typ.__name__, val))
+    return val
+
+
 def load_config(argv=None) -> checks.RunConfig:
     ns = build_parser().parse_args(argv)
     merged = {}
@@ -76,7 +91,7 @@ def load_config(argv=None) -> checks.RunConfig:
         for key, val in data.items():
             if key not in checks.CONFIG_FIELDS:
                 raise UsageError("unknown config key: %s" % key)
-            merged[key] = val
+            merged[key] = _checked(key, val)
     for key in checks.CONFIG_FIELDS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:

@@ -12,6 +12,7 @@ the coroot diag(i, -i) of su(2) has squared length 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -125,24 +126,51 @@ def _exp_eig(w, U, t: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", U, phase, U.conj())
 
 
+@dataclass(frozen=True)
+class AlgEig:
+    """X = U diag(i w) U* for an anti-Hermitian X, with Uh = U* and, when a
+    tangent dX was given, Y = U* dX U: all that exp(tX) and
+    dexp_right(tX, t dX) need, at any number of scales t."""
+
+    w: np.ndarray
+    U: np.ndarray
+    Uh: np.ndarray
+    Y: Optional[np.ndarray] = None
+
+    def exp(self, t=1.0) -> np.ndarray:
+        """exp(t X) = U diag(exp(i t w)) U*; leading axes of t lead the result."""
+        return _exp_eig(self.w, self.U, np.asarray(t, dtype=float))
+
+    def exp_dexp(self, t=1.0) -> tuple:
+        """exp(tX) and dexp_right(tX, t dX), with the closed form of
+        dexp_right (Daleckii-Krein; Higham, Functions of Matrices, 2008,
+        3.2).  t's leading axes lead both."""
+        t = np.asarray(t, dtype=float)
+        ts = t.reshape(t.shape + (1,) * self.Y.ndim)
+        theta = ts * (self.w[..., :, None] - self.w[..., None, :])
+        phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
+        return _exp_eig(self.w, self.U, t), self.U @ (phi * (ts * self.Y)) @ self.Uh
+
+
+def eig_alg(X, dX=None) -> AlgEig:
+    """The one eigendecomposition behind exp and dexp at X; dX may add
+    leading axes to those of X.  ValueError unless X is anti-Hermitian."""
+    w, U = _eigh_alg(X)
+    Uh = np.swapaxes(U, -1, -2).conj()
+    Y = None if dX is None else Uh @ np.asarray(dX, dtype=complex) @ U
+    return AlgEig(w, U, Uh, Y)
+
+
 def exp_alg(X, t=1.0) -> np.ndarray:
     """exp(t X) = U diag(exp(i t w)) U* for anti-Hermitian X = U diag(i w) U*.
     Leading axes of t lead the result: one eigh serves every scale."""
-    return _exp_eig(*_eigh_alg(X), np.asarray(t, dtype=float))
+    return eig_alg(X).exp(t)
 
 
 def exp_dexp_right(X, dX, t=1.0) -> tuple:
-    """exp(tX) and dexp_right(tX, t dX) from one eigh of X, with the closed
-    form of dexp_right (Daleckii-Krein; Higham, Functions of Matrices, 2008,
-    3.2).  dX may add leading axes to those of X; t's leading axes lead both."""
-    w, U = _eigh_alg(X)
-    Uh = np.swapaxes(U, -1, -2).conj()
-    Y = Uh @ np.asarray(dX, dtype=complex) @ U
-    t = np.asarray(t, dtype=float)
-    ts = t.reshape(t.shape + (1,) * Y.ndim)
-    theta = ts * (w[..., :, None] - w[..., None, :])
-    phi = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-    return _exp_eig(w, U, t), U @ (phi * (ts * Y)) @ Uh
+    """exp(tX) and dexp_right(tX, t dX) from one eigh of X (`AlgEig.exp_dexp`).
+    dX may add leading axes to those of X; t's leading axes lead both."""
+    return eig_alg(X, dX).exp_dexp(t)
 
 
 def adjoint(g, X) -> np.ndarray:

@@ -13,15 +13,17 @@ payloads which take precedence over either numerical route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .liegroup import (
+    AlgEig,
     adjoint,
     adjoint_inv,
     bracket,
+    eig_alg,
     exp_alg,
     exp_dexp_right,
     group_inv,
@@ -212,19 +214,26 @@ def quad_unit(samples: np.ndarray) -> np.ndarray:
 # algebra-valued grid functions
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFun:
     """A matrix-valued function sampled on the theta grid.
 
     Tangent vectors to loop groups appear here in left-trivialised form:
     the samples are algebra elements.  `dvals` is an optional exact theta
     derivative used in preference to numerical differentiation.
+
+    One eigendecomposition per tangent: `eig` decomposes `vals` (with
+    `dvals` in its eigenbasis) on first use and keeps the result, so
+    every flow along this tangent, at any step, reuses it.  The instance
+    is frozen so that the kept decomposition always matches the samples.
     """
 
     grid: ThetaGrid
     vals: np.ndarray
     closed: bool = False
     dvals: Optional[np.ndarray] = None
+    _eig: Optional[AlgEig] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         want = self.grid.n + 1 if self.closed else self.grid.n
@@ -268,6 +277,12 @@ class GridFun:
         if self.dvals is not None and dc is not None:
             d = np.asarray(dc)[:, None, None] * self.vals + cv * self.dvals
         return self._like(cv * self.vals, d)
+
+    def eig(self) -> AlgEig:
+        """The decomposition of vals and dvals, made once and kept."""
+        if self._eig is None:
+            object.__setattr__(self, "_eig", eig_alg(self.vals, self.dvals))
+        return self._eig
 
     def dtheta(self) -> "GridFun":
         if self.dvals is not None:
@@ -380,12 +395,17 @@ class LoopPoint:
         return GridFun(self.grid, adjoint_inv(self.vals, zz.vals), self.closed)
 
     def flow(self, X: GridFun, t: float) -> "LoopPoint":
-        """The point g exp(t X), with the Z payload carried along exactly."""
+        """The point g exp(t X), with the Z payload carried along exactly.
+
+        Evaluated from the tangent's kept eigendecomposition (`X.eig()`),
+        so the four Richardson steps of a directional derivative, and
+        every other flow along X, share one eigh.  A tangent that is not
+        anti-Hermitian raises ValueError on its first flow."""
         if X.closed != self.closed or X.grid.n != self.grid.n:
             raise ValueError("grid mismatch")
         if self.zvals is None or X.dvals is None:
-            return LoopPoint(self.grid, self.vals @ exp_alg(X.vals, t), self.closed)
-        e, d = exp_dexp_right(X.vals, X.dvals, t)
+            return LoopPoint(self.grid, self.vals @ X.eig().exp(t), self.closed)
+        e, d = X.eig().exp_dexp(t)
         return LoopPoint(self.grid, self.vals @ e, self.closed,
                          self.zvals + adjoint(self.vals, d))
 

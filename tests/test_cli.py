@@ -51,7 +51,7 @@ def test_env_coercion_and_bad_value(monkeypatch):
         cli.load_config([])
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(cli.UsageError):
         cli.load_config(["--config", missing])
@@ -67,6 +67,24 @@ def test_config_file_errors(tmp_path):
     unknown.write_text(json.dumps({"nthetaa": 32}))
     with pytest.raises(cli.UsageError):
         cli.load_config(["--config", str(unknown)])
+    # a value of the wrong JSON type is a usage error, never a traceback;
+    # an integer "out" must not be taken as a file descriptor
+    for data in ({"fd_step": "1e-4"}, {"tol": "x"}, {"out": 5},
+                 {"ntheta": True}, {"fd_step": None}):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(data))
+        with pytest.raises(cli.UsageError):
+            cli.load_config(["--config", str(typed)])
+        assert cli.main(["--config", str(typed)]) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_values_of_the_field_type(tmp_path):
+    cfgfile = tmp_path / "typed.json"
+    cfgfile.write_text(json.dumps({"tol": 1, "fd_step": 1e-3, "out": None}))
+    cfg = cli.load_config(["--config", str(cfgfile)])
+    assert cfg.tol == 1.0 and type(cfg.tol) is float
+    assert cfg.fd_step == 1e-3 and cfg.out is None
 
 
 def test_invalid_values_exit_usage(capsys):
@@ -229,6 +247,27 @@ def test_grid_sweep_rows_match_request():
     assert [row["grid"] for row in tab.rows] == list(grids)
     # closed-form integrands: already at roundoff on the coarsest grid
     assert all(row["residual"] < 1e-10 for row in tab.rows)
+
+
+def test_suite_runs_each_check_configuration_once(monkeypatch):
+    # the finest grid rung of a convergence table is the check's own row
+    name = "path-fibration/string-matches-invariant-form"
+    spec = CHECKS[name]
+    grids_run = []
+
+    def counted(cfg, rng, **kw):
+        grids_run.append(cfg.ntheta)
+        return spec.fn(cfg, rng, **kw)
+
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(spec, fn=counted))
+    cfg = RunConfig(scenario="path-fibration")
+    result = run_suite(cfg)
+    assert sorted(grids_run) == [32, 64, 128]
+    rows = [r for r in result.convergence if r["name"] == name]
+    assert rows == convergence_table(name, convergence_grids(cfg), cfg).rows
+    own = [r for r in result.rows if r["name"] == name][0]
+    assert rows[-1]["grid"] == cfg.ntheta
+    assert rows[-1]["residual"] == own["residual"]
 
 
 def test_convergence_unknown_check():

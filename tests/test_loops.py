@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from loopgerbe import centext, gerbe
 from loopgerbe import liegroup as lg
 from loopgerbe import loops, sampling
+from loopgerbe.forms import Form, ext_d, tangent_bracket
 from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly
 
 
@@ -264,6 +266,51 @@ def test_one_eigh_per_algebra_element(eigh_calls):
         eigh_calls.clear()
         loops.path_from_factors(grid, pfactors, npath)
         assert eigh_calls == [(grid.n, 3, 3)] * 3
+
+
+def test_one_eigh_per_flow_direction(eigh_calls):
+    grid = ThetaGrid(32)
+    rng = sampling.make_rng(34)
+    tb = gerbe.TrivialBundle.default(grid, lg.SU3)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=tb.dim),
+                 sampling.random_loop(rng, grid, lg.SU3))
+    V = (rng.normal(size=tb.dim), sampling.random_loop_tangent(rng, grid, lg.SU3))
+    # nabla_phi flows p to the four Richardson steps +-h, +-h/2
+    eigh_calls.clear()
+    gerbe.nabla_phi(tb, p, V)
+    assert eigh_calls == [(grid.n, 3, 3)]
+    # d of a 2-form on three tangents: twelve flows, one eigh per tangent
+    g = sampling.random_loop(rng, grid, lg.SU3)
+    Xs = tuple(sampling.random_loop_tangent(rng, grid, lg.SU3) for _ in range(3))
+    two = Form(2, lambda q, X, Y: centext.gomi_cocycle_Z(q, tangent_bracket(X, Y)))
+    eigh_calls.clear()
+    ext_d(two, g, Xs)
+    assert eigh_calls == [(grid.n, 3, 3)] * 3
+
+
+def test_flow_from_kept_decomposition_is_the_direct_route():
+    grid = ThetaGrid(32)
+    rng = sampling.make_rng(35)
+    for group in (lg.SU2, lg.SU3):
+        g = sampling.random_loop(rng, grid, group)
+        X = sampling.random_loop_tangent(rng, grid, group)
+        for t in (1e-4, -5e-5, 0.7, 1e-4):
+            e, d = lg.exp_dexp_right(X.vals, X.dvals, t)
+            gt = g.flow(X, t)
+            assert np.array_equal(gt.vals, g.vals @ e)
+            assert np.array_equal(gt.zvals, g.zvals + lg.adjoint(g.vals, d))
+            bare = LoopPoint(grid, g.vals)
+            assert np.array_equal(bare.flow(X, t).vals, g.vals @ lg.exp_alg(X.vals, t))
+
+
+def test_bad_tangent_raises_on_every_flow():
+    grid = ThetaGrid(16)
+    g = LoopPoint.identity(grid, 2)
+    herm = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), (16, 2, 2))
+    X = GridFun(grid, herm, dvals=np.zeros_like(herm))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            g.flow(X, 1e-3)
 
 
 def _path_node_by_node(grid, factors, s):

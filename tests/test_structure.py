@@ -2,8 +2,11 @@
 import goes unused, and no parameter exists that no caller varies."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
+
+import pytest
 
 from loopgerbe import caloron, forms, gerbe, liegroup, loops
 
@@ -18,6 +21,14 @@ def test_no_module_rebinds_a_global():
             if isinstance(node, ast.Global):
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_gridfun_is_frozen():
+    # the kept eigendecomposition of a tangent must match its samples
+    X = loops.GridFun.zero(loops.ThetaGrid(16), 2)
+    for name in ("vals", "dvals"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(X, name, None)
 
 
 def test_forms_has_no_type_registry():
