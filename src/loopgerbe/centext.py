@@ -4,6 +4,10 @@ The two basic objects are a left-invariant 2-form R on the loop group
 and a 1-form alpha on its square; together they present the extension.
 From them: the path-group cocycle c(f,g), disk holonomy H, the
 path-space connection mu_hat, and the pairing behind reduced splittings.
+Loops and tangents may be stacked along leading axes (the nodes of a
+path, the radii and spokes of a disk); each form then returns one value
+per stacked node, so a path integral is one evaluation and one
+quadrature.
 
 The argument slot of alpha (which factor's velocity it eats) is pinned
 to the first factor; verified once by the self-test of d(alpha) =
@@ -28,7 +32,7 @@ class ConventionError(RuntimeError):
     """The pinned argument slot of alpha fails d(alpha) = delta(R)."""
 
 
-def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> complex:
+def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> np.ndarray:
     """(i/4 pi) int (<X, Y'> - <Y, X'>) dtheta; independent of g."""
     if X.grid.n != g.grid.n or Y.grid.n != g.grid.n:
         raise ValueError("grid mismatch")
@@ -70,7 +74,7 @@ def alpha_slot() -> str:
     return ALPHA_SLOT
 
 
-def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> complex:
+def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> np.ndarray:
     """(i/2 pi) int <Xg, Z(h)> dtheta: the velocity of the first slot
     against Z of the second element.
 
@@ -90,10 +94,7 @@ def cocycle_c(f: PathInLoopGroup, g: PathInLoopGroup) -> complex:
     """exp of the s-integral of alpha along the pair path; unit modulus."""
     if f.m != g.m:
         raise ValueError("path shape mismatch")
-    vals = np.array([
-        eval_alpha(f.loops[i], g.loops[i], f.velocity_exact(i), g.velocity_exact(i))
-        for i in range(f.m)])
-    return complex(np.exp(quad_unit(vals)))
+    return complex(np.exp(quad_unit(eval_alpha(f.g, g.g, f.vel, g.vel))))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +111,21 @@ class DiskLoop:
 
     terms: list  # of (Fn, GridFun)
 
-    def xi(self, s: float) -> GridFun:
-        out = None
-        for sigma, X in self.terms:
-            t = X * float(sigma.val(np.asarray(s)))
-            out = t if out is None else out + t
-        return out
+    def xi(self, s) -> GridFun:
+        """xi at the parameters s; the axes of s lead the samples."""
+        return self._combine([(sigma.val, X) for sigma, X in self.terms], s)
 
-    def dxi(self, s: float) -> GridFun:
+    def dxi(self, s) -> GridFun:
+        """xi'(s), stacked as in `xi`."""
+        return self._combine([(sigma.dval, X) for sigma, X in self.terms], s)
+
+    @staticmethod
+    def _combine(terms: list, s) -> GridFun:
         out = None
-        for sigma, X in self.terms:
-            t = X * float(sigma.dval(np.asarray(s)))
+        for c, X in terms:
+            cv = np.asarray(c(np.asarray(s, dtype=float)), dtype=float)[..., None, None, None]
+            t = GridFun(X.grid, cv * X.vals, X.closed,
+                        None if X.dvals is None else cv * X.dvals)
             out = t if out is None else out + t
         return out
 
@@ -136,47 +141,47 @@ class DiskLoop:
         return DiskLoop([(Fn.scale(sigma, lam), X) for sigma, X in self.terms])
 
 
-def holonomy_H(disk: DiskLoop, nr: int = 33, ns: int = 33) -> complex:
+# Simpson nodes of the disk filling in r and in s
+HOLONOMY_NR = 33
+HOLONOMY_NS = 33
+
+
+def holonomy_H(disk: DiskLoop) -> complex:
     """exp of the integral of R over the exponential disk filling.
 
     The left-trivialised radial partial of exp(r xi(s)) is xi(s) exactly
     (single direction commutes with itself); the s-partial is
     dexp_left(r xi(s), r xi'(s)) = dexp_right(-r xi(s), r xi'(s)), in
     closed form from one eigendecomposition of xi(s) for all radii.
+    R is evaluated on every (r, s) node at once, then integrated over r
+    and over s.
     """
-    rs = np.linspace(0.0, 1.0, nr)
-    ss = np.linspace(0.0, 1.0, ns)
-    grid = disk.terms[0][1].grid
-    shape = disk.terms[0][1].vals.shape
-    pt = LoopPoint(grid, np.broadcast_to(np.eye(shape[-1]), shape))
-    rows = np.empty((nr, ns), dtype=complex)
-    for j, s in enumerate(ss):
-        xi = disk.xi(float(s))
-        _, ds = exp_dexp_right(-xi.vals, disk.dxi(float(s)).vals, rs)
-        for i in range(nr):
-            rows[i, j] = eval_R(pt, xi, GridFun(grid, ds[i]))
-    inner = np.array([quad_unit(rows[:, j]) for j in range(ns)])
-    return complex(np.exp(quad_unit(inner)))
+    rs = np.linspace(0.0, 1.0, HOLONOMY_NR)
+    ss = np.linspace(0.0, 1.0, HOLONOMY_NS)
+    xi = disk.xi(ss)
+    _, ds = exp_dexp_right(-xi.vals, disk.dxi(ss).vals, rs)
+    pt = LoopPoint(xi.grid, np.broadcast_to(np.eye(xi.vals.shape[-1]), xi.vals.shape))
+    rows = eval_R(pt, xi, GridFun(xi.grid, ds))
+    return complex(np.exp(quad_unit(quad_unit(rows.T))))
 
 
 # ---------------------------------------------------------------------------
 # path-space connection
 
 
-def mu_hat(f: PathInLoopGroup, X: list) -> complex:
-    """s-quadrature of R(f(s))(f'(s), X(s)) along the path."""
-    if len(X) != f.m:
+def mu_hat(f: PathInLoopGroup, X: GridFun) -> complex:
+    """s-quadrature of R(f(s))(f'(s), X(s)) along the path; X is stacked
+    over the path nodes like `f.vel`."""
+    if X.vals.shape[:-3] != (f.m,):
         raise ValueError("shape mismatch: need one vector per path node")
-    vals = np.array([eval_R(f.loops[i], f.velocity_exact(i), X[i])
-                     for i in range(f.m)])
-    return complex(quad_unit(vals))
+    return complex(quad_unit(eval_R(f.g, f.vel, X)))
 
 
 # ---------------------------------------------------------------------------
 # splitting cocycle and reduced splittings
 
 
-def gomi_cocycle_Z(g: LoopPoint, X: GridFun) -> complex:
+def gomi_cocycle_Z(g: LoopPoint, X: GridFun) -> np.ndarray:
     """(i/2 pi) int <X, Z(g)> dtheta."""
     if g.grid.n != X.grid.n:
         raise ValueError("grid mismatch")

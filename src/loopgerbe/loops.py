@@ -9,6 +9,12 @@ identity-based paths (which need not close up) live here, differentiation
 falls back to 4th-order finite differences and quadrature to composite
 Simpson.  Objects built from closed-form data carry exact derivative
 payloads which take precedence over either numerical route.
+
+Node arrays may carry leading axes: the samples of a path in the loop
+group stack its parameter nodes in front, shape (M, N, n, n).  Theta is
+always axis -3 of a matrix-valued array and the last axis of a scalar
+one; theta derivatives never run along a leading axis, and the
+quadratures integrate the last axis.
 """
 
 from __future__ import annotations
@@ -160,17 +166,18 @@ def fd4_dtheta_closed(vals: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dtheta(vals: np.ndarray, grid: ThetaGrid, closed: bool) -> np.ndarray:
-    """Numerical theta derivative of node samples: 4th-order differences
-    on a closed grid, spectral on a periodic one."""
-    if closed:
-        return fd4_dtheta_closed(vals, grid.h)
-    return spectral_dtheta(vals)
+    """Numerical theta derivative of matrix samples along theta (axis -3),
+    never along leading axes: 4th-order differences on a closed grid,
+    spectral on a periodic one."""
+    vals = np.moveaxis(vals, -3, 0)
+    d = fd4_dtheta_closed(vals, grid.h) if closed else spectral_dtheta(vals)
+    return np.moveaxis(d, 0, -3)
 
 
 def quad_s1(samples: np.ndarray) -> np.ndarray:
-    """Periodic trapezoid rule over the N-node grid: (2 pi / N) * sum."""
+    """Periodic trapezoid rule over the N nodes of the last axis: (2 pi / N) * sum."""
     samples = np.asarray(samples)
-    return samples.sum(axis=0) * (2.0 * np.pi / samples.shape[0])
+    return samples.sum(axis=-1) * (2.0 * np.pi / samples.shape[-1])
 
 
 def _simpson_weights(m: int) -> np.ndarray:
@@ -198,16 +205,16 @@ def _simpson_weights(m: int) -> np.ndarray:
 
 
 def quad_closed(samples: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson over a closed grid with spacing h."""
+    """Composite Simpson along the last axis, a closed grid with spacing h."""
     samples = np.asarray(samples)
-    w = _simpson_weights(samples.shape[0]) * h
-    return np.tensordot(w, samples, axes=(0, 0))
+    w = _simpson_weights(samples.shape[-1]) * h
+    return np.tensordot(samples, w, axes=(-1, 0))
 
 
 def quad_unit(samples: np.ndarray) -> np.ndarray:
-    """Composite Simpson over [0, 1] on equally spaced nodes."""
+    """Composite Simpson over [0, 1] on equally spaced nodes of the last axis."""
     samples = np.asarray(samples)
-    return quad_closed(samples, 1.0 / (samples.shape[0] - 1))
+    return quad_closed(samples, 1.0 / (samples.shape[-1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,9 @@ class GridFun:
 
     Tangent vectors to loop groups appear here in left-trivialised form:
     the samples are algebra elements.  `dvals` is an optional exact theta
-    derivative used in preference to numerical differentiation.
+    derivative used in preference to numerical differentiation.  The
+    samples may carry leading axes (the nodes of a path, say); theta is
+    axis -3 of `vals` and `dvals`.
 
     One eigendecomposition per tangent: `eig` decomposes `vals` (with
     `dvals` in its eigenbasis) on first use and keeps the result, so
@@ -237,8 +246,8 @@ class GridFun:
 
     def __post_init__(self):
         want = self.grid.n + 1 if self.closed else self.grid.n
-        if self.vals.shape[0] != want:
-            raise ValueError(f"expected {want} nodes, got {self.vals.shape[0]}")
+        if self.vals.shape[-3] != want:
+            raise ValueError(f"expected {want} nodes, got {self.vals.shape[-3]}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -321,20 +330,21 @@ class GridFun:
 
 
 def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
-    """Node-wise invariant pairing <X, Y> = -tr(X Y); shape (nodes,)."""
+    """Node-wise invariant pairing <X, Y> = -tr(X Y); the leading axes of
+    X and Y broadcast, and theta becomes the last axis."""
     X._check(Y)
-    return -np.einsum("tij,tji->t", X.vals, Y.vals)
+    return -np.einsum("...ij,...ji->...", X.vals, Y.vals)
 
 
-def quad_grid(samples: np.ndarray, template: GridFun) -> complex:
-    """Integral over theta of node samples, using the rule matching the
-    grid flavour of `template`."""
+def quad_grid(samples: np.ndarray, template: GridFun) -> np.ndarray:
+    """Integral over theta (the last axis) of node samples, using the rule
+    matching the grid flavour of `template`."""
     if template.closed:
-        return complex(quad_closed(samples, template.grid.h))
-    return complex(quad_s1(samples))
+        return quad_closed(samples, template.grid.h)
+    return quad_s1(samples)
 
 
-def quad_pair(X: GridFun, Y: GridFun) -> complex:
+def quad_pair(X: GridFun, Y: GridFun) -> np.ndarray:
     """Integral over theta of <X, Y>, using the rule matching the grid flavour."""
     return quad_grid(pair_samples(X, Y), X)
 
@@ -350,7 +360,8 @@ class LoopPoint:
     Periodic instances are loops; closed instances with vals[0] = identity
     are the points of the path fibration.  `zvals` caches the exact right
     logarithmic derivative Z(g) = (d_theta g) g^(-1) when it is known in
-    closed form; group multiplication and flows propagate it.
+    closed form; group multiplication and flows propagate it.  As for
+    GridFun, the samples may carry leading axes and theta is axis -3.
     """
 
     grid: ThetaGrid
@@ -432,15 +443,10 @@ def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
 
     d_theta Ad(h^(-1)) X = Ad(h^(-1)) (d_theta X + [X, Z(h)]).
     """
-    vals, d = _conj(h.vals, h.zvals, X.vals, X.dvals)
-    return GridFun(X.grid, vals, X.closed, d)
-
-
-def _conj(h, zh, x, dx) -> tuple:
-    """Ad(h^(-1)) x and its theta derivative (None unless zh and dx are
-    known) on node arrays with any leading axes."""
-    d = None if zh is None or dx is None else adjoint_inv(h, dx + bracket(x, zh))
-    return adjoint_inv(h, x), d
+    d = None
+    if h.zvals is not None and X.dvals is not None:
+        d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
+    return GridFun(X.grid, adjoint_inv(h.vals, X.vals), X.closed, d)
 
 
 # ---------------------------------------------------------------------------
@@ -471,50 +477,34 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple], closed: bool = False
 
 @dataclass
 class PathInLoopGroup:
-    """A path [0, 1] -> loop group, sampled at M parameter nodes.
+    """A path [0, 1] -> loop group, sampled at the M parameter nodes `sgrid`.
 
-    `vels` optionally carries exact left-trivialised velocities; the
-    `velocity` method is the generic 4th-order finite-difference route.
+    `g` holds the M loops as one LoopPoint and `vel` their exact
+    left-trivialised s-velocities as one GridFun, both with the path
+    nodes as the leading axis: shape (M, N, n, n), theta is axis -3.
     """
 
     sgrid: np.ndarray
-    loops: list
-    vels: Optional[list] = None
+    g: LoopPoint
+    vel: GridFun
 
     @property
     def m(self) -> int:
-        return len(self.loops)
+        return self.sgrid.size
 
-    def endpoint(self) -> LoopPoint:
-        return self.loops[-1]
-
-    def velocity(self, i: int) -> GridFun:
-        """Left-trivialised s-derivative at node i (4th-order differences)."""
-        ds = self.sgrid[1] - self.sgrid[0]
-        m = self.m
-        if m < 5:
+    def velocity(self) -> GridFun:
+        """Left-trivialised s-derivative at every node by 4th-order
+        differences: the numerical reference for `vel`."""
+        if self.m < 5:
             raise ValueError("need at least 5 path nodes")
-        # the 5-node window around i, shifted inwards at the ends
-        lo = min(max(i - 2, 0), m - 5)
-        window = np.stack([lp.vals for lp in self.loops[lo:lo + 5]])
-        raw = fd4_dtheta_closed(window, ds)[i - lo]
-        g = self.loops[i]
-        ltriv = project_algebra(group_inv(g.vals) @ raw)
-        return GridFun(g.grid, ltriv, g.closed)
-
-    def velocity_exact(self, i: int) -> GridFun:
-        if self.vels is None:
-            return self.velocity(i)
-        return self.vels[i]
+        raw = fd4_dtheta_closed(self.g.vals, self.sgrid[1] - self.sgrid[0])
+        ltriv = project_algebra(group_inv(self.g.vals) @ raw)
+        return GridFun(self.g.grid, ltriv, self.g.closed)
 
     def mul(self, other: "PathInLoopGroup") -> "PathInLoopGroup":
         """Pointwise product path; velocities compose as Ad(h^(-1)) f' + h'."""
-        loops = [f.mul(g) for f, g in zip(self.loops, other.loops)]
-        vels = None
-        if self.vels is not None and other.vels is not None:
-            vels = [conj_loop(h, vf) + vg
-                    for h, vf, vg in zip(other.loops, self.vels, other.vels)]
-        return PathInLoopGroup(self.sgrid, loops, vels)
+        return PathInLoopGroup(self.sgrid, self.g.mul(other.g),
+                               conj_loop(other.g, self.vel) + other.vel)
 
 
 def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
@@ -522,32 +512,22 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
     """Path s -> prod_j exp(sigma_j(s) X_j) with exact velocities.
 
     factors: sequence of (sigma, X) with sigma a scalar profile on [0, 1]
-    vanishing at 0 and X a periodic GridFun algebra loop.  The
-    left-trivialised velocity is
-    sum_j Ad((prod_{l>j} E_l)^(-1))(sigma_j'(s) X_j), accumulated factor
-    by factor as v <- Ad(E_j^(-1)) v + sigma_j'(s) X_j.  Every array
-    carries the path nodes as a leading axis, so each factor costs one
-    eigendecomposition whatever npath is.
+    vanishing at 0 and X a periodic GridFun algebra loop with its exact
+    theta derivative (ValueError otherwise).  The path is the product of
+    the single-factor paths exp(sigma_j(s) X_j), whose velocities are
+    sigma_j'(s) X_j.  Every array carries the path nodes as a leading
+    axis, so each factor costs one eigendecomposition whatever npath is.
     """
     sgrid = np.linspace(0.0, 1.0, npath)
-    g = vel = dvel = None
+    path = None
     for sigma, X in factors:
-        sv = sigma.val(sgrid)
-        dsv = np.asarray(sigma.dval(sgrid), dtype=float)[:, None, None, None]
         if X.dvals is None:
-            e, dv = LoopPoint(grid, exp_alg(X.vals, sv)), None
-        else:
-            ev, ze = exp_dexp_right(X.vals, X.dvals, sv)
-            e, dv = LoopPoint(grid, ev, zvals=ze), dsv * X.dvals
-        v = dsv * X.vals
-        if g is None:
-            g, vel, dvel = e, v, dv
-            continue
-        cv, cd = _conj(e.vals, e.zvals, vel, dvel)
-        g, vel = g.mul(e), cv + v
-        dvel = None if cd is None or dv is None else cd + dv
-    loops = [LoopPoint(grid, g.vals[i], zvals=None if g.zvals is None else g.zvals[i])
-             for i in range(npath)]
-    vels = [GridFun(grid, vel[i], dvals=None if dvel is None else dvel[i])
-            for i in range(npath)]
-    return PathInLoopGroup(sgrid, loops, vels)
+            raise ValueError("a path factor needs its exact theta derivative (dvals)")
+        ev, ze = exp_dexp_right(X.vals, X.dvals, sigma.val(sgrid))
+        dsv = np.asarray(sigma.dval(sgrid), dtype=float)[:, None, None, None]
+        one = PathInLoopGroup(sgrid, LoopPoint(grid, ev, zvals=ze),
+                              GridFun(grid, dsv * X.vals, dvals=dsv * X.dvals))
+        path = one if path is None else path.mul(one)
+    if path is None:
+        raise ValueError("need at least one factor")
+    return path

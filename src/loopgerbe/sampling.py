@@ -224,11 +224,11 @@ def random_pinned_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
 
 def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,
                       npath: int, nfactors: int = 2, harmonics: int = 2,
-                      scale: float = 0.5, based_loops: bool = False) -> PathInLoopGroup:
+                      scale: float = 0.5) -> PathInLoopGroup:
     """Path from the identity in the loop group with exact velocities."""
     factors = []
     for _ in range(nfactors):
-        X = random_loop_tangent(rng, grid, group, harmonics, scale, based=based_loops)
+        X = random_loop_tangent(rng, grid, group, harmonics, scale)
         factors.append((random_unit_profile(rng), X))
     return path_from_factors(grid, factors, npath)
 

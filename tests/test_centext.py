@@ -168,6 +168,58 @@ def test_cocycle_commuting_closed_form():
     assert abs(got - want) < 1e-7
 
 
+def node(path, i):
+    """Node i of a path as an unstacked loop and velocity."""
+    g, v = path.g, path.vel
+    return (LoopPoint(g.grid, g.vals[i], zvals=g.zvals[i]),
+            GridFun(v.grid, v.vals[i], dvals=v.dvals[i]))
+
+
+def test_cocycle_is_the_per_node_quadrature():
+    # one stacked evaluation of alpha gives the bits of one call per node
+    rng = sampling.make_rng(54)
+    for group, npath in ((lg.SU2, 129), (lg.SU3, 33)):
+        f, g = (sampling.random_group_path(rng, GRID, group, npath) for _ in range(2))
+        for a, b in ((f, g), (f.mul(g), f)):
+            vals = []
+            for i in range(a.m):
+                (ga, va), (gb, vb) = node(a, i), node(b, i)
+                vals.append(eval_alpha(ga, gb, va, vb))
+            assert cocycle_c(a, b) == complex(np.exp(loops.quad_unit(np.array(vals))))
+
+
+def holonomy_per_radius(disk):
+    """Reference: R evaluated one spoke and one radius at a time."""
+    nr, ns = centext.HOLONOMY_NR, centext.HOLONOMY_NS
+    rs = np.linspace(0.0, 1.0, nr)
+    ss = np.linspace(0.0, 1.0, ns)
+    grid = disk.terms[0][1].grid
+    shape = disk.terms[0][1].vals.shape
+    pt = LoopPoint(grid, np.broadcast_to(np.eye(shape[-1]), shape))
+    rows = np.empty((nr, ns), dtype=complex)
+    for j, s in enumerate(ss):
+        xi = disk.xi(float(s))
+        _, ds = lg.exp_dexp_right(-xi.vals, disk.dxi(float(s)).vals, rs)
+        for i in range(nr):
+            rows[i, j] = eval_R(pt, xi, GridFun(grid, ds[i]))
+    inner = np.array([loops.quad_unit(rows[:, j]) for j in range(ns)])
+    return complex(np.exp(loops.quad_unit(inner)))
+
+
+def test_holonomy_is_the_per_radius_loop():
+    # the stack rounds in another order than one spoke at a time, so
+    # the last bit may differ: numpy multiplies into a temporary in
+    # place above 256 KiB (which swaps the operands of a complex
+    # product), the r-quadrature of all spokes is one BLAS
+    # matrix-vector product, and einsum walks broadcast operands
+    # in another order
+    rng = sampling.make_rng(49)
+    for group in (lg.SU2, lg.SU3):
+        disk = DiskLoop(sampling.random_disk_terms(rng, GRID, group))
+        for d in (disk, disk.scaled(0.1)):
+            assert abs(holonomy_H(d) - holonomy_per_radius(d)) < 1e-15
+
+
 def test_holonomy_trivial_and_reversal():
     rng = sampling.make_rng(49)
     zero_disk = DiskLoop([(loops.Fn.zero(), GridFun.zero(GRID, 2))])
@@ -188,15 +240,22 @@ def test_holonomy_small_area_order():
     assert abs(order - 2.0) < 0.1
 
 
+def stack(vecs):
+    """One GridFun with the tangents of `vecs` along a leading axis."""
+    return GridFun(GRID, np.stack([v.vals for v in vecs]),
+                   dvals=np.stack([v.dvals for v in vecs]))
+
+
 def test_mu_hat_trivial_cases():
     rng = sampling.make_rng(51)
     f = random_path(rng)
-    vels = [f.velocity_exact(i) for i in range(f.m)]
-    assert abs(mu_hat(f, vels)) < 1e-12
+    assert abs(mu_hat(f, f.vel)) < 1e-12
     ident = path_from_factors(GRID, [(loops.Fn.zero(), GridFun.zero(GRID, 2))],
                               npath=f.m)
-    X = [sampling.random_loop_tangent(rng, GRID, lg.SU2) for _ in range(f.m)]
+    X = stack([sampling.random_loop_tangent(rng, GRID, lg.SU2) for _ in range(f.m)])
     assert abs(mu_hat(ident, X)) < 1e-14
+    with pytest.raises(ValueError):
+        mu_hat(ident, sampling.random_loop_tangent(rng, GRID, lg.SU2))
 
 
 def test_mu_hat_against_independent_quadrature():
@@ -210,14 +269,12 @@ def test_mu_hat_against_independent_quadrature():
     Y = sampling.random_loop_tangent(rng, GRID, lg.SU2)
 
     def field(path):
-        return [Y * float(mu.val(np.asarray(s))) for s in path.sgrid]
+        return stack([Y * float(mu.val(np.asarray(s))) for s in path.sgrid])
 
     f1 = path_from_factors(GRID, factors, npath=201)
     v1 = mu_hat(f1, field(f1))
     f2 = path_from_factors(GRID, factors, npath=257)
-    vals = np.array([eval_R(f2.loops[i], f2.velocity(i), field(f2)[i])
-                     for i in range(f2.m)])
-    v2 = complex(loops.quad_unit(vals))
+    v2 = complex(loops.quad_unit(eval_R(f2.g, f2.velocity(), field(f2))))
     assert abs(v1 - v2) < 1e-7
 
 

@@ -179,26 +179,40 @@ def test_path_exact_velocity_matches_fd():
     grid = ThetaGrid(16)
     rng = sampling.make_rng(28)
     f = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
+    fd = f.velocity().vals
     for i in (0, 1, 127, 128):
-        assert maxabs(f.velocity(i).vals - f.velocity_exact(i).vals) < 1e-6
+        assert maxabs(fd[i] - f.vel.vals[i]) < 1e-6
     for i in (7, 64):
-        assert maxabs(f.velocity(i).vals - f.velocity_exact(i).vals) < 1e-7
+        assert maxabs(fd[i] - f.vel.vals[i]) < 1e-7
+
+
+def test_path_velocity_last_row_is_the_path_end():
+    # the last row is the one-sided stencil at s = 1, not a row of the
+    # stencil at the start of the path
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(28)
+    f = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
+    assert f.sgrid[-1] == 1.0
+    assert maxabs(f.velocity().vals[-1] - f.vel.vals[-1]) < 1e-6
 
 
 def test_path_velocity_is_the_closed_grid_stencil():
-    # the window around each node reproduces the stencil over the whole
-    # path bit for bit, one-sided end rows included
+    # every node, one-sided end rows included, is the closed-grid
+    # stencil over the path nodes, left-trivialised at that node
     grid = ThetaGrid(16)
     rng = sampling.make_rng(31)
     f = sampling.random_group_path(rng, grid, lg.SU2, npath=9)
     ds = f.sgrid[1] - f.sgrid[0]
-    raw = loops.fd4_dtheta_closed(np.stack([g.vals for g in f.loops]), ds)
-    for i, g in enumerate(f.loops):
-        want = lg.project_algebra(lg.group_inv(g.vals) @ raw[i])
-        assert np.array_equal(f.velocity(i).vals, want)
-    short = loops.PathInLoopGroup(f.sgrid[:4], f.loops[:4])
+    raw = loops.fd4_dtheta_closed(f.g.vals, ds)
+    vel = f.velocity()
+    assert vel.vals.shape == (9, grid.n, 2, 2)
+    for i in range(f.m):
+        want = lg.project_algebra(lg.group_inv(f.g.vals[i]) @ raw[i])
+        assert np.array_equal(vel.vals[i], want)
+    short = loops.PathInLoopGroup(f.sgrid[:4], LoopPoint(grid, f.g.vals[:4]),
+                                  GridFun(grid, f.vel.vals[:4]))
     with pytest.raises(ValueError):
-        short.velocity(0)
+        short.velocity()
 
 
 def test_path_product_velocity():
@@ -207,8 +221,39 @@ def test_path_product_velocity():
     f = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
     g = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
     fg = f.mul(g)
+    fd = fg.velocity().vals
     for i in (33, 80):
-        assert maxabs(fg.velocity_exact(i).vals - fg.velocity(i).vals) < 2e-6
+        assert maxabs(fg.vel.vals[i] - fd[i]) < 2e-6
+
+
+def test_path_factor_needs_its_theta_derivative():
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(36)
+    X = sampling.random_loop_tangent(rng, grid, lg.SU2)
+    sigma = sampling.random_unit_profile(rng)
+    with pytest.raises(ValueError, match="dvals"):
+        loops.path_from_factors(grid, [(sigma, GridFun(grid, X.vals))], npath=9)
+    with pytest.raises(ValueError):
+        loops.path_from_factors(grid, [], npath=9)
+
+
+def test_stacked_dtheta_is_the_per_slice_dtheta():
+    # theta is axis -3: the derivative of a stack never runs along the
+    # leading axes, on periodic and on closed grids
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(37)
+    for closed in (False, True):
+        m = grid.n + 1 if closed else grid.n
+        vals = rng.normal(size=(3, 5, m, 2, 2)) + 1j * rng.normal(size=(3, 5, m, 2, 2))
+        got = GridFun(grid, vals, closed).dtheta().vals
+        assert got.shape == vals.shape
+        for a in range(3):
+            for b in range(5):
+                want = GridFun(grid, vals[a, b], closed).dtheta().vals
+                assert np.array_equal(got[a, b], want)
+        lp = LoopPoint(grid, lg.exp_alg(lg.project_algebra(vals)), closed)
+        z = lp.z().vals
+        assert np.array_equal(z[2, 4], LoopPoint(grid, lp.vals[2, 4], closed).z().vals)
 
 
 def test_pair_and_quad_pair():
@@ -339,7 +384,7 @@ def test_batched_path_matches_node_by_node_reference():
         assert f.m == 11
         for i, s in enumerate(f.sgrid):
             lp, vel = _path_node_by_node(grid, factors, s)
-            assert maxabs(f.loops[i].vals - lp.vals) < 1e-13
-            assert maxabs(f.loops[i].zvals - lp.zvals) < 1e-13
-            assert maxabs(f.vels[i].vals - vel.vals) < 1e-13
-            assert maxabs(f.vels[i].dvals - vel.dvals) < 1e-13
+            assert maxabs(f.g.vals[i] - lp.vals) < 1e-13
+            assert maxabs(f.g.zvals[i] - lp.zvals) < 1e-13
+            assert maxabs(f.vel.vals[i] - vel.vals) < 1e-13
+            assert maxabs(f.vel.dvals[i] - vel.dvals) < 1e-13

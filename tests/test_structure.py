@@ -1,5 +1,6 @@
 """Package-wide structure: no module keeps mutable global state, no
-import goes unused, and no parameter exists that no caller varies."""
+import goes unused, no parameter exists that no caller varies, and
+paths are node-stacked arrays that no Python loop walks."""
 
 import ast
 import dataclasses
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopgerbe import caloron, forms, gerbe, liegroup, loops
+from loopgerbe import caloron, centext, forms, gerbe, liegroup, loops, sampling
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "loopgerbe"
@@ -85,3 +86,44 @@ def test_no_parameter_that_no_caller_varies():
     assert _params(liegroup.dexp_left) == ("X", "dX")
     assert _params(liegroup.dexp_right) == ("X", "dX")
     assert _params(loops.conj_loop) == ("h", "X")
+    # the disk filling always takes 33 x 33 Simpson nodes, and no path
+    # is drawn from based tangents
+    assert _params(centext.holonomy_H) == ("disk",)
+    assert "based_loops" not in _params(sampling.random_group_path)
+
+
+def _defs(path: Path) -> dict:
+    """Every function and method of a module by qualified name."""
+    out = {}
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    out[node.name + "." + sub.name] = sub
+    return out
+
+
+def test_no_python_loop_over_path_nodes():
+    # a path is one stacked LoopPoint and one stacked GridFun: the
+    # product rule, the difference velocity and the path integrals are
+    # array operations over the node axis
+    loops_ = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp)
+    defs = {**_defs(SRC / "centext.py"), **_defs(SRC / "loops.py")}
+    names = ("cocycle_c", "mu_hat", "holonomy_H",
+             "PathInLoopGroup.mul", "PathInLoopGroup.velocity")
+    offenders = [name for name in names
+                 if any(isinstance(n, loops_) for n in ast.walk(defs[name]))]
+    assert offenders == []
+
+
+def test_path_has_one_representation():
+    fields = {f.name for f in dataclasses.fields(loops.PathInLoopGroup)}
+    assert fields == {"sgrid", "g", "vel"}
+    for gone in ("loops", "vels", "velocity_exact", "endpoint"):
+        assert not hasattr(loops.PathInLoopGroup, gone)
+    # Ad(h^-1) with its derivative is written once, in conj_loop
+    assert not hasattr(loops, "_conj")
