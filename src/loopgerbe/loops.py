@@ -299,16 +299,17 @@ class GridFun:
         return self._like(_dtheta(self.vals, self.grid, self.closed))
 
     def interp(self, theta: float) -> np.ndarray:
-        """Trigonometric interpolation at an off-grid angle (periodic only)."""
+        """Trigonometric interpolation at an off-grid angle (periodic only),
+        along theta; leading axes are kept."""
         if self.closed:
             raise ValueError("trigonometric interpolation needs periodic data")
         n = self.grid.n
-        spec = np.fft.fft(self.vals, axis=0) / n
+        spec = np.fft.fft(self.vals, axis=-3) / n
         k = np.fft.fftfreq(n, d=1.0 / n)
         phase = np.exp(1j * k * theta)
         # split the Nyquist coefficient between +n/2 and -n/2
         phase[n // 2] = np.cos(n // 2 * theta)
-        return np.tensordot(phase, spec, axes=(0, 0))
+        return np.tensordot(phase, spec, axes=(0, -3))
 
     @staticmethod
     def from_profiles(grid: ThetaGrid, terms: Sequence[tuple], closed: bool = False) -> "GridFun":
@@ -423,7 +424,7 @@ class LoopPoint:
     def endpoint(self) -> np.ndarray:
         if not self.closed:
             raise ValueError("endpoint is defined for closed-grid paths")
-        return self.vals[-1]
+        return self.vals[..., -1, :, :]
 
     @staticmethod
     def identity(grid: ThetaGrid, n: int, closed: bool = False) -> "LoopPoint":
@@ -487,6 +488,12 @@ class PathInLoopGroup:
     sgrid: np.ndarray
     g: LoopPoint
     vel: GridFun
+
+    def __post_init__(self):
+        want = (self.sgrid.size,)
+        if self.g.vals.shape[:-3] != want or self.vel.vals.shape[:-3] != want:
+            raise ValueError(f"path samples must stack {want[0]} path nodes in front, "
+                             f"got {self.g.vals.shape} and {self.vel.vals.shape}")
 
     @property
     def m(self) -> int:

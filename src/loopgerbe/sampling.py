@@ -111,16 +111,11 @@ def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
 
 def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
                         harmonics: int = 2, scale: float = 0.5,
-                        closed: bool = False, based: bool = False) -> GridFun:
-    """Algebra-valued loop with exact derivative payload.
-
-    based=True pins the value at theta = 0 (and 2 pi) to zero.
-    """
+                        closed: bool = False) -> GridFun:
+    """Algebra-valued loop with exact derivative payload."""
     terms = []
     for a in range(group.dim):
-        tp = random_trig(rng, harmonics, scale)
-        prof = Fn.based(tp.as_fn()) if based else tp.as_fn()
-        terms.append((prof, group.basis[a]))
+        terms.append((random_trig(rng, harmonics, scale).as_fn(), group.basis[a]))
     return GridFun.from_profiles(grid, terms, closed)
 
 

@@ -180,20 +180,40 @@ def test_path_exact_velocity_matches_fd():
     rng = sampling.make_rng(28)
     f = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
     fd = f.velocity().vals
-    for i in (0, 1, 127, 128):
+    # row -1 is the one-sided stencil at s = 1, not a row of the stencil
+    # at the start of the path
+    for i in (0, 1, 127, 128, -1):
         assert maxabs(fd[i] - f.vel.vals[i]) < 1e-6
     for i in (7, 64):
         assert maxabs(fd[i] - f.vel.vals[i]) < 1e-7
 
 
-def test_path_velocity_last_row_is_the_path_end():
-    # the last row is the one-sided stencil at s = 1, not a row of the
-    # stencil at the start of the path
+def test_path_samples_must_stack_the_path_nodes():
+    # an unstacked loop, or a stack of the wrong length, would otherwise
+    # be read with theta as the path axis, or broadcast as a constant path
     grid = ThetaGrid(16)
     rng = sampling.make_rng(28)
-    f = sampling.random_group_path(rng, grid, lg.SU2, npath=129)
-    assert f.sgrid[-1] == 1.0
-    assert maxabs(f.velocity().vals[-1] - f.vel.vals[-1]) < 1e-6
+    f = sampling.random_group_path(rng, grid, lg.SU2, npath=9)
+    with pytest.raises(ValueError):
+        loops.PathInLoopGroup(f.sgrid, LoopPoint(grid, f.g.vals[3]), f.vel)
+    with pytest.raises(ValueError):
+        loops.PathInLoopGroup(f.sgrid, f.g, GridFun(grid, f.vel.vals[3]))
+    with pytest.raises(ValueError):
+        loops.PathInLoopGroup(f.sgrid[:8], f.g, f.vel)
+
+
+def test_stacked_interp_and_endpoint_act_along_theta():
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(29)
+    f = sampling.random_group_path(rng, grid, lg.SU2, npath=5)
+    for theta in (0.37, 2 * np.pi - 1e-3):
+        got = f.vel.interp(theta)
+        assert got.shape == (5, 2, 2)
+        for i in range(5):
+            assert np.array_equal(got[i], GridFun(grid, f.vel.vals[i]).interp(theta))
+    p = LoopPoint(grid, np.stack([sampling.random_path_point(rng, grid, lg.SU2).vals
+                                  for _ in range(3)]), closed=True)
+    assert np.array_equal(p.endpoint(), p.vals[:, -1])
 
 
 def test_path_velocity_is_the_closed_grid_stencil():

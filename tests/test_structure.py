@@ -90,6 +90,7 @@ def test_no_parameter_that_no_caller_varies():
     # is drawn from based tangents
     assert _params(centext.holonomy_H) == ("disk",)
     assert "based_loops" not in _params(sampling.random_group_path)
+    assert "based" not in _params(sampling.random_loop_tangent)
 
 
 def _defs(path: Path) -> dict:
