@@ -21,7 +21,7 @@ import numpy as np
 
 from . import forms, gerbe
 from .forms import Form, tangent_bracket, wedge_pair
-from .liegroup import adjoint_inv, exp_alg, group_inv, inner
+from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
 from .loops import GridFun, LoopPoint, conj_loop, pair_samples, quad_s1
 
 
@@ -33,7 +33,7 @@ class CaloronPoint:
 
     def flow(self, v: "CaloronTangent", t: float) -> "CaloronPoint":
         return CaloronPoint(forms.flow(self.p, v.X, t),
-                            self.k @ exp_alg(t * v.eta),
+                            mm(self.k, exp_alg(t * v.eta)),
                             self.theta + t * v.lam)
 
 
@@ -45,7 +45,7 @@ class CaloronTangent:
 
     def bracket(self, w: "CaloronTangent") -> "CaloronTangent":
         return CaloronTangent(tangent_bracket(self.X, w.X),
-                              self.eta @ w.eta - w.eta @ self.eta, 0.0)
+                              bracket(self.eta, w.eta), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def loop_act(scn, pt: CaloronPoint, V: CaloronTangent, g: LoopPoint):
     """Push point and tangent along the based-loop action
     (p, k, theta) -> (p g, g(theta)^-1 k, theta)."""
     gtheta = eval_loop(g, pt.theta)
-    newpt = CaloronPoint(scn.act(pt.p, g), group_inv(gtheta) @ pt.k, pt.theta)
+    newpt = CaloronPoint(scn.act(pt.p, g), mm(group_inv(gtheta), pt.k), pt.theta)
     if isinstance(V.X, tuple):
         pushed = (V.X[0], conj_loop(g, V.X[1]))
     else:
@@ -129,7 +129,7 @@ def loop_act(scn, pt: CaloronPoint, V: CaloronTangent, g: LoopPoint):
 
 def group_act(pt: CaloronPoint, V: CaloronTangent, k0: np.ndarray):
     """Push along the right action of a constant group element."""
-    newpt = CaloronPoint(pt.p, pt.k @ k0, pt.theta)
+    newpt = CaloronPoint(pt.p, mm(pt.k, k0), pt.theta)
     return newpt, CaloronTangent(V.X, adjoint_inv(k0, V.eta), V.lam)
 
 
@@ -172,9 +172,7 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
         total = total + nabla_phi(V.X) * W.lam
     if V.lam != 0.0:
         total = total - nabla_phi(W.X) * V.lam
-    ki = group_inv(np.asarray(k, dtype=complex))
-    vals = np.einsum("ij,tjk,kl->til", ki, total.vals, np.asarray(k, dtype=complex))
-    return GridFun(total.grid, vals, total.closed)
+    return GridFun(total.grid, adjoint_inv(k, total.vals), total.closed)
 
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
@@ -192,7 +190,7 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
     dA = forms.ext_d(A, pt, (V, W), fd_step)
     aV = caloron_connection(scn, pt, V)
     aW = caloron_connection(scn, pt, W)
-    return dA + (aV @ aW - aW @ aV)
+    return dA + bracket(aV, aW)
 
 
 # ---------------------------------------------------------------------------
@@ -308,4 +306,4 @@ def killingback_map(xloop: np.ndarray, qloop: LoopPoint, k: np.ndarray,
     on based-loop orbits (x, q g, g(theta)^-1 k, theta)."""
     q = eval_loop(qloop, theta)
     x = np.asarray(xloop)[_node(qloop, theta)]
-    return x, q @ np.asarray(k, dtype=complex)
+    return x, mm(q, np.asarray(k, dtype=complex))

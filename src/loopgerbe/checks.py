@@ -23,7 +23,7 @@ import numpy as np
 from . import caloron, centext, gerbe, sampling
 from .caloron import CaloronPoint, CaloronTangent
 from .forms import ChartPt, Form, delta_fibre, delta_nerve, ext_d, ext_d_form
-from .liegroup import exp_alg, exp_dexp_right, group_by_name
+from .liegroup import exp_alg, exp_dexp_right, group_by_name, mm
 from .loops import ThetaGrid
 from .sampling import (random_algebra, random_loop, random_loop_tangent,
                        random_path_fibre_points, random_path_fibre_tangent,
@@ -229,7 +229,7 @@ def string_matches_invariant_form(cfg: RunConfig, rng, n: int = 4) -> float:
         Ts = [random_path_tangent(rng, grid, group) for _ in range(3)]
         got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
         k = pf.project(p)
-        want = gerbe.omega3(k, *(k @ pf.project_tangent(T) for T in Ts))
+        want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst
 
@@ -277,8 +277,8 @@ def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
         def pulled(pt, va, vb, vc):
             # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three
             e, d = exp_dexp_right(amap(pt.x), np.stack([amap(v) for v in (va, vb, vc)]))
-            k = e @ k0
-            return gerbe.omega3(k, *(d @ k))
+            k = mm(e, k0)
+            return gerbe.omega3(k, *mm(d, k))
 
         form = Form(3, pulled)
         vs = tuple(rng.normal(size=4) for _ in range(4))
@@ -457,7 +457,7 @@ def connection_axioms(cfg: RunConfig, rng, n: int = 2) -> float:
         k0 = exp_alg(random_algebra(rng, group))
         qt, Vp = caloron.group_act(pt, V, k0)
         lhs = caloron.caloron_connection(tb, qt, Vp)
-        rhs = np.linalg.inv(k0) @ a0 @ k0
+        rhs = mm(mm(np.linalg.inv(k0), a0), k0)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

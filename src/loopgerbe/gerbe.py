@@ -24,7 +24,8 @@ import numpy as np
 from . import centext, forms
 from .forms import (Form, directional, ext_d, signed_permutations,
                     tangent_bracket)
-from .liegroup import SU2, Group, exp_alg, group_inv, project_algebra
+from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
+                       project_algebra)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
                     pair_samples, quad_grid)
 
@@ -163,7 +164,7 @@ class TrivialBundle:
 
     def base_connection_dm(self, m, u, w) -> GridFun:
         """Exact directional m-derivative of a(.)(u) along chart vector w."""
-        dr = float(self.rho_grad(m) @ np.asarray(w, dtype=float))
+        dr = float(np.dot(self.rho_grad(m), np.asarray(w, dtype=float)))
         terms = [(Fn.scale(f, dr * float(u[d])), xi)
                  for d, (f, xi) in enumerate(self.a_terms)]
         return GridFun.from_profiles(self.grid, terms)
@@ -279,19 +280,17 @@ class PathFibration:
 
     def _endpoint_frame(self, p: LoopPoint):
         """Q(theta) = p(theta)^-1 p(2pi) and the ramp theta/2pi."""
-        Q = group_inv(p.vals) @ p.vals[-1]
+        Q = mm(group_inv(p.vals), p.vals[-1])
         ramp = p.grid.closed_nodes / (2.0 * np.pi)
         return Q, ramp
 
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, ramp = self._endpoint_frame(p)
-        w = np.einsum("tij,jk,tkl->til", Q, V.vals[-1], group_inv(Q))
+        w = adjoint(Q, V.vals[-1])
         vals = V.vals - ramp[:, None, None] * w
         dvals = None
         if V.dvals is not None and p.zvals is not None:
-            phi = self.higgs(p).vals
-            dw = np.einsum("tij,tjk->tik", w, phi) - np.einsum(
-                "tij,tjk->tik", phi, w)
+            dw = bracket(w, self.higgs(p).vals)
             dvals = V.dvals - (1.0 / (2 * np.pi)) * w - ramp[:, None, None] * dw
         return GridFun(p.grid, vals, closed=True, dvals=dvals)
 
@@ -306,20 +305,17 @@ class PathFibration:
         bracket conjugated back along the path."""
         Q, ramp = self._endpoint_frame(p)
         theta = p.grid.closed_nodes
-        c = V.vals[-1] @ W.vals[-1] - W.vals[-1] @ V.vals[-1]
-        adc = np.einsum("tij,jk,tkl->til", Q, c, group_inv(Q))
+        adc = adjoint(Q, bracket(V.vals[-1], W.vals[-1]))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
         vals = 2.0 * poly[:, None, None] * adc
-        phi = self.higgs(p).vals
         dpoly = theta / (4 * np.pi ** 2) - 1.0 / (4 * np.pi)
-        dadc = np.einsum("tij,tjk->tik", adc, phi) - np.einsum(
-            "tij,tjk->tik", phi, adc)
+        dadc = bracket(adc, self.higgs(p).vals)
         dvals = 2.0 * (dpoly[:, None, None] * adc + poly[:, None, None] * dadc)
         return GridFun(p.grid, vals, closed=True, dvals=dvals)
 
     def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, _ = self._endpoint_frame(p)
-        w = np.einsum("tij,jk,tkl->til", Q, V.vals[-1], group_inv(Q))
+        w = adjoint(Q, V.vals[-1])
         return GridFun(p.grid, w * (1.0 / (2 * np.pi)), closed=True)
 
 
@@ -347,7 +343,7 @@ def tau_deriv_fd(scn, p, q, V, W, fd_step: float = 1e-4) -> GridFun:
 
     raw = directional(lambda t: at(t).vals, fd_step, richardson=False)
     t0 = at(0.0)
-    ltriv = project_algebra(group_inv(t0.vals) @ raw)
+    ltriv = project_algebra(mm(group_inv(t0.vals), raw))
     return GridFun(t0.grid, ltriv, t0.closed)
 
 
@@ -461,11 +457,11 @@ def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     x to x k^-1.  The full six-permutation sum is taken literally.
     """
     ki = group_inv(np.asarray(k, dtype=complex))
-    hats = [np.asarray(x, dtype=complex) @ ki for x in (u, v, w)]
+    hats = [mm(np.asarray(x, dtype=complex), ki) for x in (u, v, w)]
     total = 0.0 + 0.0j
     for perm, sign in signed_permutations(3):
         a, b, c = (hats[i] for i in perm)
-        total += sign * -np.trace((a @ b - b @ a) @ c)
+        total += sign * -np.trace(mm(bracket(a, b), c))
     return float(np.real(total)) / (48 * np.pi ** 2)
 
 
@@ -498,12 +494,11 @@ def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
     dk_x2 = pack(0.0 * E, 1j * se / e2, 1j * se * e2, 0.0 * E)
 
     ki = np.swapaxes(k, -1, -2).conj()
-    hats = [d @ ki for d in (dk_eta, dk_x1, dk_x2)]
+    hats = [mm(d, ki) for d in (dk_eta, dk_x1, dk_x2)]
     total = np.zeros(E.shape, dtype=complex)
     for perm, sign in signed_permutations(3):
         a, b, c = (hats[i] for i in perm)
-        comm = a @ b - b @ a
-        total += sign * -np.einsum("...ij,...ji->...", comm, c)
+        total += sign * -np.einsum("...ij,...ji->...", bracket(a, b), c)
     vals = np.real(total) / (48 * np.pi ** 2)
     cell = (np.pi / 2 / neta) * (2 * np.pi / nxi) ** 2
     return float(vals.sum() * cell)

@@ -33,6 +33,7 @@ from .liegroup import (
     exp_alg,
     exp_dexp_right,
     group_inv,
+    mm,
     project_algebra,
 )
 
@@ -392,14 +393,14 @@ class LoopPoint:
         z = None
         if self.zvals is not None and other.zvals is not None:
             z = self.zvals + adjoint(self.vals, other.zvals)
-        return LoopPoint(self.grid, self.vals @ other.vals, self.closed, z)
+        return LoopPoint(self.grid, mm(self.vals, other.vals), self.closed, z)
 
     def z(self) -> GridFun:
         """Right logarithmic derivative Z(g) = (d_theta g) g^(-1)."""
         if self.zvals is not None:
             return GridFun(self.grid, self.zvals, self.closed)
         dv = _dtheta(self.vals, self.grid, self.closed)
-        return GridFun(self.grid, project_algebra(dv @ group_inv(self.vals)), self.closed)
+        return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))), self.closed)
 
     def log_derivative(self) -> GridFun:
         """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g)."""
@@ -416,9 +417,9 @@ class LoopPoint:
         if X.closed != self.closed or X.grid.n != self.grid.n:
             raise ValueError("grid mismatch")
         if self.zvals is None or X.dvals is None:
-            return LoopPoint(self.grid, self.vals @ X.eig().exp(t), self.closed)
+            return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)), self.closed)
         e, d = X.eig().exp_dexp(t)
-        return LoopPoint(self.grid, self.vals @ e, self.closed,
+        return LoopPoint(self.grid, mm(self.vals, e), self.closed,
                          self.zvals + adjoint(self.vals, d))
 
     def endpoint(self) -> np.ndarray:
@@ -505,7 +506,7 @@ class PathInLoopGroup:
         if self.m < 5:
             raise ValueError("need at least 5 path nodes")
         raw = fd4_dtheta_closed(self.g.vals, self.sgrid[1] - self.sgrid[0])
-        ltriv = project_algebra(group_inv(self.g.vals) @ raw)
+        ltriv = project_algebra(mm(group_inv(self.g.vals), raw))
         return GridFun(self.g.grid, ltriv, self.g.closed)
 
     def mul(self, other: "PathInLoopGroup") -> "PathInLoopGroup":

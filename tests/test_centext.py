@@ -208,10 +208,8 @@ def holonomy_per_radius(disk):
 
 def test_holonomy_is_the_per_radius_loop():
     # the stack rounds in another order than one spoke at a time, so
-    # the last bit may differ: numpy multiplies into a temporary in
-    # place above 256 KiB (which swaps the operands of a complex
-    # product), the r-quadrature of all spokes is one BLAS
-    # matrix-vector product, and einsum walks broadcast operands
+    # the last bit may differ: the r-quadrature of all spokes is one
+    # BLAS matrix-vector product, and einsum walks broadcast operands
     # in another order
     rng = sampling.make_rng(49)
     for group in (lg.SU2, lg.SU3):

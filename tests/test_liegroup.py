@@ -1,9 +1,13 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from loopgerbe import liegroup as lg
 from loopgerbe import sampling
+from loopgerbe.loops import ThetaGrid
 
 
 def maxabs(x):
@@ -195,6 +199,63 @@ def test_exp_dexp_right_serves_every_scale():
     assert maxabs(E1 - lg.exp_alg(Xs[0])) == 0.0
     for i in range(6):
         assert maxabs(D1[i] - lg.dexp_right(Xs[0], dXs[i])) < 1e-14
+
+
+def test_stacked_scales_round_as_each_scale_alone():
+    # bit for bit: a stack of scales takes the same floating-point steps
+    # as each scale alone, also where numpy multiplies a large temporary
+    # in place (su3 here: 33 x 64 3x3 complex matrices exceed 256 KiB)
+    grid = ThetaGrid(64)
+    rs = np.linspace(0.0, 1.0, 33)
+    for seed in range(20):
+        rng = sampling.make_rng(seed)
+        for group in (lg.SU2, lg.SU3):
+            X = sampling.random_loop_tangent(rng, grid, group)
+            E, D = lg.exp_dexp_right(X.vals, X.dvals, rs)
+            for i, r in enumerate(rs):
+                e, d = lg.exp_dexp_right(X.vals, X.dvals, r)
+                assert np.array_equal(E[i], e)
+                assert np.array_equal(D[i], d)
+
+
+@st.composite
+def _mm_operands(draw):
+    n = draw(st.sampled_from((2, 3)))
+    lead = draw(st.sampled_from(((), (1,), (4,), (2, 3), (3, 5))))
+    side = draw(st.sampled_from(("both", "a single", "b single")))
+    entries = hnp.arrays(float, (2,) + lead + (n, n),
+                         elements=st.floats(-40.0, 40.0))
+
+    def operand(single):
+        parts = draw(entries)
+        z = parts[0] + 1j * parts[1]
+        return z[(0,) * len(lead)] if single else z
+
+    return operand(side == "a single"), operand(side == "b single"), lead
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mm_operands())
+def test_mm_is_matmul_and_rounds_a_stack_as_its_slices(ops):
+    a, b, lead = ops
+    got = lg.mm(a, b)
+    want = np.matmul(a, b)
+    assert got.shape == want.shape
+    n = a.shape[-1]
+    # relative to n |a| |b| in the max norm, with an absolute floor
+    # for products in the subnormal range
+    scale = (n * np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+             * np.max(np.abs(b), axis=(-2, -1), keepdims=True))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale + 1e-300)
+    A = np.broadcast_to(a, lead + (n, n))
+    B = np.broadcast_to(b, lead + (n, n))
+    for idx in np.ndindex(lead):
+        assert np.array_equal(got[idx], lg.mm(A[idx], B[idx]))
+
+
+def test_mm_rejects_mismatched_sizes():
+    with pytest.raises(ValueError):
+        lg.mm(np.eye(2), np.eye(3))
 
 
 def test_eigen_kernels_reject_non_anti_hermitian_input():

@@ -1,6 +1,7 @@
 """Package-wide structure: no module keeps mutable global state, no
-import goes unused, no parameter exists that no caller varies, and
-paths are node-stacked arrays that no Python loop walks."""
+import goes unused, no parameter exists that no caller varies, paths
+are node-stacked arrays that no Python loop walks, and every matrix
+product goes through `liegroup.mm`."""
 
 import ast
 import dataclasses
@@ -128,3 +129,44 @@ def test_path_has_one_representation():
         assert not hasattr(loops.PathInLoopGroup, gone)
     # Ad(h^-1) with its derivative is written once, in conj_loop
     assert not hasattr(loops, "_conj")
+
+
+def _is_matrix_product(subscripts: str) -> bool:
+    """An einsum with two or more operands that sums an index and keeps
+    two output indices: a (possibly chained) matrix product.  Traces and
+    pairings such as "...ij,...ji->..." keep none or one."""
+    inputs, arrow, output = subscripts.replace("...", "").replace(" ", "").partition("->")
+    operands = inputs.split(",")
+    if not arrow:
+        return len(operands) > 1
+    summed = set("".join(operands)) - set(output)
+    return len(operands) > 1 and len(output) >= 2 and bool(summed)
+
+
+def _matrix_products(path: Path) -> list:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append(where + " @")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "matmul":
+                out.append(where + " matmul")
+            elif node.func.attr == "einsum":
+                sub = node.args[0] if node.args else None
+                if not (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                        and not _is_matrix_product(sub.value)):
+                    out.append(where + " einsum")
+    return out
+
+
+def test_every_matrix_product_goes_through_mm():
+    # one product kernel: the @ operator, np.matmul and matrix-product
+    # einsums appear nowhere in the package, liegroup.mm included
+    assert _is_matrix_product("tij,jk,tkl->til")
+    assert _is_matrix_product("...ij,...jk->...ik")
+    assert not _is_matrix_product("...ij,...ji->...")
+    assert not _is_matrix_product("aij,...ji->...a")
+    offenders = [site for path in sorted(SRC.glob("*.py"))
+                 for site in _matrix_products(path)]
+    assert offenders == []
