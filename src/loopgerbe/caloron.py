@@ -22,19 +22,24 @@ import numpy as np
 from . import forms, gerbe
 from .forms import Form, tangent_bracket, wedge_pair
 from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
-from .loops import GridFun, LoopPoint, conj_loop, pair_samples, quad_s1
+from .loops import (GridFun, LoopPoint, conj_loop, pair_samples, quad_s1,
+                    step_axes)
 
 
 @dataclass(frozen=True)
 class CaloronPoint:
+    """A scenario point, a group element and an angle; a stack of them
+    when k and theta carry leading axes (theta's are the point's)."""
+
     p: object
     k: np.ndarray
     theta: float
 
-    def flow(self, v: "CaloronTangent", t: float) -> "CaloronPoint":
+    def flow(self, v: "CaloronTangent", t) -> "CaloronPoint":
+        pad = np.ndim(self.theta) - np.ndim(v.lam)
         return CaloronPoint(forms.flow(self.p, v.X, t),
-                            mm(self.k, exp_alg(t * v.eta)),
-                            self.theta + t * v.lam)
+                            mm(self.k, exp_alg(step_axes(t, pad + 2) * v.eta)),
+                            self.theta + step_axes(t, pad) * v.lam)
 
 
 @dataclass(frozen=True)
@@ -52,41 +57,55 @@ class CaloronTangent:
 # angle evaluation
 
 
-def _node(fun, theta: float):
-    """Index of the grid node at the angle for a GridFun or LoopPoint,
-    None off the nodes (more than 1e-9 grid steps away).  Periodic grids
-    wrap around; closed grids reject angles outside [0, 2 pi]."""
-    j = float(theta) / fun.grid.h
-    jr = int(round(j))
-    if abs(j - jr) > 1e-9:
-        return None
+def _node(fun, theta):
+    """(j, off) for an angle or an array of them and a GridFun or
+    LoopPoint: the index of the nearest grid node and whether the angle
+    is off the nodes (more than 1e-9 grid steps away).  Periodic grids
+    wrap around; closed grids reject node angles outside [0, 2 pi]."""
+    j = theta / fun.grid.h
+    jr = np.rint(j)
+    off = abs(j - jr) > 1e-9
+    jr = jr.astype(int)
     if not fun.closed:
-        return jr % fun.grid.n
-    if 0 <= jr <= fun.grid.n:
-        return jr
-    raise ValueError("angle outside the closed grid")
+        return jr % fun.grid.n, off
+    if np.count_nonzero(~off & ((jr < 0) | (jr > fun.grid.n))):
+        raise ValueError("angle outside the closed grid")
+    return np.where(off, 0, jr), off
 
 
-def eval_samples(fun: GridFun, theta: float) -> np.ndarray:
-    """Value of a grid function at an arbitrary angle.
+def _at_nodes(vals: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """vals at theta node j; the axes of j broadcast against the leading
+    axes of vals (a node per node set of a stack)."""
+    if j.ndim == 0:
+        return vals[..., j, :, :]
+    lead = max(vals.ndim - 3, j.ndim)
+    vals = vals.reshape((1,) * (lead + 3 - vals.ndim) + vals.shape)
+    j = j.reshape((1,) * (lead - j.ndim) + j.shape + (1, 1, 1))
+    return np.take_along_axis(vals, j, axis=-3)[..., 0, :, :]
+
+
+def eval_samples(fun: GridFun, theta) -> np.ndarray:
+    """Value of a grid function at an angle, or at an array of angles
+    whose axes broadcast against the function's leading axes.
 
     Exact table lookup on grid nodes; trigonometric interpolation off
     the nodes, which needs periodic data.
     """
-    j = _node(fun, theta)
-    if j is not None:
-        return fun.vals[j]
+    j, off = _node(fun, theta)
+    vals = _at_nodes(fun.vals, j)
+    if not np.count_nonzero(off):
+        return vals
     if fun.closed:
         raise ValueError("off-node angles need periodic data")
-    return fun.interp(float(theta))
+    return np.where(off[..., None, None], fun.interp(theta), vals)
 
 
-def eval_loop(g: LoopPoint, theta: float) -> np.ndarray:
+def eval_loop(g: LoopPoint, theta) -> np.ndarray:
     """Group-valued loops are only evaluated at exact grid nodes."""
-    j = _node(g, theta)
-    if j is None:
+    j, off = _node(g, theta)
+    if np.count_nonzero(off):
         raise ValueError("group loops are evaluated at grid nodes only")
-    return g.vals[j]
+    return _at_nodes(g.vals, j)
 
 
 # ---------------------------------------------------------------------------
@@ -305,5 +324,5 @@ def killingback_map(xloop: np.ndarray, qloop: LoopPoint, k: np.ndarray,
     Covers evaluation on the base and is exact on grid nodes; constant
     on based-loop orbits (x, q g, g(theta)^-1 k, theta)."""
     q = eval_loop(qloop, theta)
-    x = np.asarray(xloop)[_node(qloop, theta)]
+    x = np.asarray(xloop)[_node(qloop, theta)[0]]
     return x, mm(q, np.asarray(k, dtype=complex))

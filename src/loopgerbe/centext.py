@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import Form, delta_nerve, ext_d
-from .liegroup import SU2, exp_dexp_right
+from .liegroup import SU2, eig_alg
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
                     conj_loop, pair_samples, quad_grid, quad_unit)
 
@@ -159,7 +159,7 @@ def holonomy_H(disk: DiskLoop) -> complex:
     rs = np.linspace(0.0, 1.0, HOLONOMY_NR)
     ss = np.linspace(0.0, 1.0, HOLONOMY_NS)
     xi = disk.xi(ss)
-    _, ds = exp_dexp_right(-xi.vals, disk.dxi(ss).vals, rs)
+    ds = eig_alg(-xi.vals, disk.dxi(ss).vals).dexp(rs)
     pt = LoopPoint(xi.grid, np.broadcast_to(np.eye(xi.vals.shape[-1]), xi.vals.shape))
     rows = eval_R(pt, xi, GridFun(xi.grid, ds))
     return complex(np.exp(quad_unit(quad_unit(rows.T))))

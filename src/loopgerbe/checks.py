@@ -272,11 +272,15 @@ def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
         xs = [random_algebra(rng, group) for _ in range(4)]
 
         def amap(s):
-            return sum(float(s[j]) * xs[j] for j in range(4))
+            # s may stack chart points in front of its last axis
+            return sum(s[..., j, None, None] * xs[j] for j in range(4))
 
         def pulled(pt, va, vb, vc):
-            # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three
-            e, d = exp_dexp_right(amap(pt.x), np.stack([amap(v) for v in (va, vb, vc)]))
+            # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three;
+            # the three tangents lead the point's own leading axes
+            A = amap(pt.x)
+            dA = np.stack([amap(v) for v in (va, vb, vc)])
+            e, d = exp_dexp_right(A, dA.reshape((3,) + (1,) * (A.ndim - 2) + A.shape[-2:]))
             k = mm(e, k0)
             return gerbe.omega3(k, *mm(d, k))
 
@@ -394,9 +398,10 @@ def differential_square_zero(cfg: RunConfig, rng, n: int = 1) -> float:
     grid, group = _setup(cfg)
     worst = 0.0
     for _ in range(n):
-        one = Form(1, lambda pt, v: float(np.sin(pt.x[0])) * v[1]
-                   + float(np.exp(0.3 * pt.x[2])) * v[0]
-                   + float(pt.x[1] ** 2) * v[2])
+        # float_power: x ** 2 as numpy rounds it for a single number
+        one = Form(1, lambda pt, v: np.sin(pt.x[..., 0]) * v[1]
+                   + np.exp(0.3 * pt.x[..., 2]) * v[0]
+                   + np.float_power(pt.x[..., 1], 2) * v[2])
         d1 = ext_d_form(one, h=1e-3)
         x0 = ChartPt(rng.normal(size=3) * 0.5)
         vs = tuple(rng.normal(size=3) for _ in range(3))

@@ -14,6 +14,15 @@ at a flowed point with the same tangent objects therefore evaluates it
 on the canonical extension, which is what the finite-difference exterior
 derivative below assumes.  Brackets of those extensions are zero on
 chart parts and the pointwise algebra bracket on loop parts.
+
+The step axes.  `flow(v, t)` takes an array of steps t, and the flowed
+point is the stack of the points at every step: the axes of t lead,
+the point's own leading axes follow, and theta stays axis -3 of every
+matrix-valued sample.  Everything evaluated at a point broadcasts over
+its leading axes, so a form at a flowed point returns one value per
+step, stacked in front.  `directional` makes one such evaluation per
+difference stencil; an exterior derivative of an exterior derivative
+flows an already stacked point and gets the axes (inner, outer, ...).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .liegroup import bracket as alg_bracket
-from .loops import GridFun, conj_loop
+from .loops import GridFun, conj_loop, step_axes
 
 # ---------------------------------------------------------------------------
 # points, tangents, flows, brackets
@@ -38,12 +47,15 @@ class ChartPt:
 
     x: np.ndarray
 
-    def flow(self, v: np.ndarray, t: float) -> "ChartPt":
-        return ChartPt(self.x + t * v)
+    def flow(self, v: np.ndarray, t) -> "ChartPt":
+        """x + t v at every step of t; t's axes lead those of x."""
+        v = np.asarray(v)
+        return ChartPt(self.x + step_axes(t, self.x.ndim - v.ndim + 1) * v)
 
 
-def flow(pt, v, t: float):
-    """Move pt for time t along the canonical extension of tangent v."""
+def flow(pt, v, t):
+    """Move pt along the canonical extension of tangent v for every step
+    of t (a number or an array); t's axes lead the point's own."""
     if isinstance(pt, tuple):
         return tuple(flow(p, w, t) for p, w in zip(pt, v))
     if not hasattr(pt, "flow"):
@@ -167,16 +179,19 @@ def wedge_pair(p: Callable, forms, name: str = "") -> Form:
 
 def directional(fun: Callable, h: float, richardson: bool = True):
     """Central-difference derivative of t -> fun(t) at 0, optional one
-    Richardson level (h and h/2).  fun's values need only support
-    subtraction and scalar multiplication."""
+    Richardson level (h and h/2).
 
-    def d(step):
-        return (fun(step) - fun(-step)) * (0.5 / step)
-
-    d1 = d(h)
+    fun is called once, with the step array [h, -h, h/2, -h/2] ([h, -h]
+    without Richardson), and returns its values stacked in front: the
+    step axis leads, whatever leading axes the value has follow.  The
+    differences are taken from slices of that axis, which need only
+    support subtraction and scalar multiplication."""
+    step = 0.5 * h
+    vals = fun(np.array([h, -h, step, -step] if richardson else [h, -h]))
+    d1 = (vals[0] - vals[1]) * (0.5 / h)
     if not richardson:
         return d1
-    d2 = d(0.5 * h)
+    d2 = (vals[2] - vals[3]) * (0.5 / step)
     return d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
 
 
@@ -184,9 +199,11 @@ def ext_d(form: Form, pt, vecs, h: float = 1e-4, richardson: bool = True):
     """Exterior derivative of `form` at pt on len = degree+1 tangents.
 
     Directional terms use central differences along the canonical
-    extension flows; bracket terms are exact.  Values must support
-    addition and scalar multiplication (complex numbers, arrays and
-    GridFun all do).
+    extension flows, one evaluation of the form at the point flowed by
+    the whole stencil per tangent; bracket terms are exact.  Values must
+    support addition and scalar multiplication (complex numbers, arrays
+    and GridFun all do), and the form must broadcast over the leading
+    axes of a stacked point.
     """
     k1 = len(vecs)
     if k1 != form.degree + 1:

@@ -22,17 +22,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import centext, forms
-from .forms import (Form, directional, ext_d, signed_permutations,
+from .forms import (ChartPt, Form, directional, ext_d, signed_permutations,
                     tangent_bracket)
 from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
                        project_algebra)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
-                    pair_samples, quad_grid)
+                    pair_samples, quad_grid, step_axes)
 
 
 def _one() -> Fn:
     return Fn(lambda t: np.ones_like(np.asarray(t, dtype=float)),
               lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+
+
+def _sq(x):
+    """x ** 2 rounded at every entry of a stack as numpy rounds it for a
+    single number (C pow): the array power squares by x * x, which
+    differs in the last bit for about one argument in a thousand."""
+    return np.float_power(x, 2)
+
+
+def _coeffs(c, m) -> np.ndarray:
+    """The coefficient c of a chart function at the chart points m, one
+    per point of a stack (a constant function broadcasts), against the
+    theta axis of a profile: its axes lead the samples of
+    `GridFun.from_profiles`."""
+    lead = np.shape(m)[:-1]
+    if np.shape(c) != lead:
+        c = c * np.ones(lead)
+    return np.asarray(c)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +62,14 @@ class TrivialPoint:
     m: np.ndarray
     g: LoopPoint
 
-    def flow(self, v, t: float) -> "TrivialPoint":
-        return TrivialPoint(self.m + t * v[0], self.g.flow(v[1], t))
+    def flow(self, v, t) -> "TrivialPoint":
+        # the loop may broadcast against a stack of chart points, or the
+        # other way round: each part pads the steps to the point's leading
+        # axes, then flows as its own type does
+        mlead, glead = self.m.ndim - 1, self.g.vals.ndim - 3
+        lead = max(mlead, glead)
+        return TrivialPoint(ChartPt(self.m).flow(v[0], step_axes(t, lead - mlead)).x,
+                            self.g.flow(v[1], step_axes(t, lead - glead)))
 
 
 class TrivialBundle:
@@ -55,6 +79,8 @@ class TrivialBundle:
     is a(m)(u) = rho(m) * sum_d u_d profile_d(theta) xi_d.  The Higgs
     seed is phi(m) = phi_coeff(m) * profile(theta) xi.  Tangents are
     (u, X) pairs: a chart vector and a left-trivialised loop vector.
+    Chart points may stack leading axes in front of the chart axis, and
+    every chart function reads coordinate i as m[..., i].
     """
 
     def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
@@ -79,22 +105,22 @@ class TrivialBundle:
         E = group.basis
 
         def rho(m):
-            return (1.0 - m[0] ** 2) * (1.0 - m[1] ** 2)
+            return (1.0 - _sq(m[..., 0])) * (1.0 - _sq(m[..., 1]))
 
         def rho_grad(m):
-            return np.array([-2.0 * m[0] * (1.0 - m[1] ** 2),
-                             -2.0 * m[1] * (1.0 - m[0] ** 2)])
+            return np.stack([-2.0 * m[..., 0] * (1.0 - _sq(m[..., 1])),
+                             -2.0 * m[..., 1] * (1.0 - _sq(m[..., 0]))], axis=-1)
 
         return TrivialBundle(
             grid, group,
             a_terms=[(Fn(np.sin, np.cos), E[0]),
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1])],
             phi_term=(_one(), E[2]),
-            phi_coeff=lambda m: m[0],
+            phi_coeff=lambda m: m[..., 0],
             phi_coeff_grad=lambda m: np.array([1.0, 0.0]),
             rho=rho, rho_grad=rho_grad,
             phi2_term=(_one(), E[0]),
-            phi2_coeff=lambda m: 0.4 + m[1],
+            phi2_coeff=lambda m: 0.4 + m[..., 1],
         )
 
     @staticmethod
@@ -104,14 +130,14 @@ class TrivialBundle:
         E = group.basis
 
         def rho(m):
-            return ((1.0 - m[0] ** 2) * (1.0 - m[1] ** 2)
-                    * (1.0 - m[2] ** 2))
+            return ((1.0 - _sq(m[..., 0])) * (1.0 - _sq(m[..., 1]))
+                    * (1.0 - _sq(m[..., 2])))
 
         def rho_grad(m):
-            f = (1.0 - m[0] ** 2, 1.0 - m[1] ** 2, 1.0 - m[2] ** 2)
-            return np.array([-2.0 * m[0] * f[1] * f[2],
-                             -2.0 * m[1] * f[0] * f[2],
-                             -2.0 * m[2] * f[0] * f[1]])
+            f = (1.0 - _sq(m[..., 0]), 1.0 - _sq(m[..., 1]), 1.0 - _sq(m[..., 2]))
+            return np.stack([-2.0 * m[..., 0] * f[1] * f[2],
+                             -2.0 * m[..., 1] * f[0] * f[2],
+                             -2.0 * m[..., 2] * f[0] * f[1]], axis=-1)
 
         # third direction deliberately theta-constant: an all-oscillatory
         # choice makes every <F, grad Phi> product average to zero on the
@@ -122,11 +148,11 @@ class TrivialBundle:
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1]),
                      (_one(), E[2])],
             phi_term=(_one(), E[2]),
-            phi_coeff=lambda m: m[0] - 0.3 * m[2],
+            phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2],
             phi_coeff_grad=lambda m: np.array([1.0, 0.0, -0.3]),
             rho=rho, rho_grad=rho_grad,
             phi2_term=(_one(), E[0]),
-            phi2_coeff=lambda m: 0.4 + m[1],
+            phi2_coeff=lambda m: 0.4 + m[..., 1],
         )
 
     # points and tangents
@@ -158,7 +184,7 @@ class TrivialBundle:
 
     def base_connection(self, m, u) -> GridFun:
         r = self.rho(m)
-        terms = [(Fn.scale(f, r * float(u[d])), xi)
+        terms = [(Fn.scale(f, _coeffs(r * float(u[d]), m)), xi)
                  for d, (f, xi) in enumerate(self.a_terms)]
         return GridFun.from_profiles(self.grid, terms)
 
@@ -172,12 +198,12 @@ class TrivialBundle:
     def phi(self, m) -> GridFun:
         f, xi = self.phi_term
         c = self.rho(m) * self.phi_coeff(m)
-        return GridFun.from_profiles(self.grid, [(Fn.scale(f, c), xi)])
+        return GridFun.from_profiles(self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)])
 
     def phi_alt(self, m) -> GridFun:
         f, xi = self.phi2_term
         c = self.rho(m) * self.phi2_coeff(m)
-        return GridFun.from_profiles(self.grid, [(Fn.scale(f, c), xi)])
+        return GridFun.from_profiles(self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)])
 
     # gerbe surface
 
@@ -197,12 +223,14 @@ class TrivialBundle:
 
     def curvature(self, p: TrivialPoint, V, W,
                   fd_step: float = 1e-4) -> GridFun:
-        """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences."""
+        """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences,
+        one stacked base connection per difference stencil."""
         u, v = V[0], W[0]
 
         def da_dir(x, y):
             return directional(
-                lambda t: self.base_connection(p.m + t * x, y), fd_step)
+                lambda t: self.base_connection(ChartPt(p.m).flow(x, t).x, y),
+                fd_step)
 
         base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(
             self.base_connection(p.m, u), self.base_connection(p.m, v))
@@ -219,6 +247,12 @@ class TrivialBundle:
 
 # ---------------------------------------------------------------------------
 # path fibration
+
+
+def _end(vals: np.ndarray) -> np.ndarray:
+    """The samples at 2 pi, theta kept as a unit axis -3 so that they
+    broadcast against every node of a stack of paths."""
+    return vals[..., -1:, :, :]
 
 
 class PathFibration:
@@ -238,7 +272,7 @@ class PathFibration:
     def check_point(self, p: LoopPoint) -> None:
         if not p.closed:
             raise ValueError("path points live on the closed grid")
-        if float(np.max(np.abs(p.vals[0] - np.eye(self.group.n)))) > 1e-10:
+        if float(np.max(np.abs(p.vals[..., 0, :, :] - np.eye(self.group.n)))) > 1e-10:
             raise ValueError("paths must start at the identity")
 
     def act(self, p: LoopPoint, gam: LoopPoint) -> LoopPoint:
@@ -259,7 +293,7 @@ class PathFibration:
         return p.endpoint()
 
     def project_tangent(self, V: GridFun) -> np.ndarray:
-        return V.vals[-1]
+        return V.vals[..., -1, :, :]
 
     def canonical_lift(self, k: np.ndarray) -> LoopPoint:
         """The one-parameter path exp(theta/2pi * log k); generic k only."""
@@ -280,13 +314,13 @@ class PathFibration:
 
     def _endpoint_frame(self, p: LoopPoint):
         """Q(theta) = p(theta)^-1 p(2pi) and the ramp theta/2pi."""
-        Q = mm(group_inv(p.vals), p.vals[-1])
+        Q = mm(group_inv(p.vals), _end(p.vals))
         ramp = p.grid.closed_nodes / (2.0 * np.pi)
         return Q, ramp
 
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, ramp = self._endpoint_frame(p)
-        w = adjoint(Q, V.vals[-1])
+        w = adjoint(Q, _end(V.vals))
         vals = V.vals - ramp[:, None, None] * w
         dvals = None
         if V.dvals is not None and p.zvals is not None:
@@ -295,7 +329,7 @@ class PathFibration:
         return GridFun(p.grid, vals, closed=True, dvals=dvals)
 
     def tau(self, p: LoopPoint, q: LoopPoint) -> LoopPoint:
-        if float(np.max(np.abs(p.vals[-1] - q.vals[-1]))) > 1e-10:
+        if float(np.max(np.abs(p.endpoint() - q.endpoint()))) > 1e-10:
             raise ValueError("points in different fibres")
         return p.inv().mul(q)
 
@@ -305,7 +339,7 @@ class PathFibration:
         bracket conjugated back along the path."""
         Q, ramp = self._endpoint_frame(p)
         theta = p.grid.closed_nodes
-        adc = adjoint(Q, bracket(V.vals[-1], W.vals[-1]))
+        adc = adjoint(Q, bracket(_end(V.vals), _end(W.vals)))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
         vals = 2.0 * poly[:, None, None] * adc
         dpoly = theta / (4 * np.pi ** 2) - 1.0 / (4 * np.pi)
@@ -315,7 +349,7 @@ class PathFibration:
 
     def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, _ = self._endpoint_frame(p)
-        w = adjoint(Q, V.vals[-1])
+        w = adjoint(Q, _end(V.vals))
         return GridFun(p.grid, w * (1.0 / (2 * np.pi)), closed=True)
 
 
@@ -410,8 +444,9 @@ def curvature_via_ext_d(scn, p, V, W, fd_step: float = 1e-4) -> GridFun:
     return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
 
 
-def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4) -> float:
-    """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point.
+def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4):
+    """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point, one
+    value per node set of a stacked point.
 
     The (2,1) pairing is the three-term alternating shuffle.  The value
     descends: it depends only on the projections of point and tangents.
@@ -424,11 +459,12 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4) -> float:
          - pair_samples(Fs[(0, 2)], nps[1])
          + pair_samples(Fs[(1, 2)], nps[0]))
     val = -1.0 / (4 * np.pi ** 2) * quad_grid(s, nps[0])
-    return float(np.real(val))
+    return np.real(val)
 
 
-def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
-    """The descended 3-form at a base point, via the canonical lift."""
+def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4):
+    """The descended 3-form at a base point, via the canonical lift; a
+    trivial bundle takes a stack of chart points as well."""
     if isinstance(scn, TrivialBundle):
         p = scn.point(m)
     else:
@@ -450,19 +486,20 @@ def higgs_transform_residual(scn, p, g: LoopPoint, field=None) -> float:
 # the right-invariant 3-form on K
 
 
-def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """(1/48 pi^2) <[Theta-hat, Theta-hat], Theta-hat> on raw tangents at k.
 
     Tangents are curve derivatives at k; the right-invariant form sends
-    x to x k^-1.  The full six-permutation sum is taken literally.
+    x to x k^-1.  The full six-permutation sum is taken literally.  k
+    and the tangents may stack leading axes; the value has those axes.
     """
     ki = group_inv(np.asarray(k, dtype=complex))
     hats = [mm(np.asarray(x, dtype=complex), ki) for x in (u, v, w)]
     total = 0.0 + 0.0j
     for perm, sign in signed_permutations(3):
         a, b, c = (hats[i] for i in perm)
-        total += sign * -np.trace(mm(bracket(a, b), c))
-    return float(np.real(total)) / (48 * np.pi ** 2)
+        total += sign * -np.trace(mm(bracket(a, b), c), axis1=-2, axis2=-1)
+    return np.real(total) / (48 * np.pi ** 2)
 
 
 def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:

@@ -157,10 +157,9 @@ class AlgEig:
         """exp(t X) = U diag(exp(i t w)) U*; leading axes of t lead the result."""
         return _exp_eig(self.w, self.U, self.Uh, np.asarray(t, dtype=float))
 
-    def exp_dexp(self, t=1.0) -> tuple:
-        """exp(tX) and dexp_right(tX, t dX), with the closed form of
-        dexp_right (Daleckii-Krein; Higham, Functions of Matrices, 2008,
-        3.2).  t's leading axes lead both."""
+    def dexp(self, t=1.0) -> np.ndarray:
+        """dexp_right(tX, t dX) in closed form (Daleckii-Krein; Higham,
+        Functions of Matrices, 2008, 3.2); t's leading axes lead it."""
         t = np.asarray(t, dtype=float)
         ts = t.reshape(t.shape + (1,) * self.Y.ndim)
         theta = ts * (self.w[..., :, None] - self.w[..., None, :])
@@ -169,8 +168,11 @@ class AlgEig:
         # ts * Y in place, and its complex product is not bitwise
         # commutative, so this order rounds a stack of scales as it
         # rounds each scale alone
-        d = mm(mm(self.U, (ts * self.Y) * phi), self.Uh)
-        return _exp_eig(self.w, self.U, self.Uh, t), d
+        return mm(mm(self.U, (ts * self.Y) * phi), self.Uh)
+
+    def exp_dexp(self, t=1.0) -> tuple:
+        """exp(tX) and dexp_right(tX, t dX); t's leading axes lead both."""
+        return self.exp(t), self.dexp(t)
 
 
 def eig_alg(X, dX=None) -> AlgEig:
@@ -245,7 +247,7 @@ def maurer_cartan(g, v, right: bool = False, atol: float = 1e-8) -> np.ndarray:
 
 def dexp_left(X, dX) -> np.ndarray:
     """exp(-X) d(exp(X)) = dexp_right(-X, dX); same closed form and domain."""
-    return dexp_right(-np.asarray(X, dtype=complex), dX)
+    return eig_alg(-np.asarray(X, dtype=complex), dX).dexp()
 
 
 def dexp_right(X, dX) -> np.ndarray:
@@ -253,4 +255,4 @@ def dexp_right(X, dX) -> np.ndarray:
     and phi(x) = (e^(ix) - 1)/(ix) = e^(ix/2) sinc(x/2), entire with phi(0) = 1:
     exact up to roundoff for anti-Hermitian X (repeated eigenvalues included)
     and any dX."""
-    return exp_dexp_right(X, dX)[1]
+    return eig_alg(X, dX).dexp()

@@ -14,11 +14,13 @@ Node arrays may carry leading axes: the samples of a path in the loop
 group stack its parameter nodes in front, shape (M, N, n, n).  Theta is
 always axis -3 of a matrix-valued array and the last axis of a scalar
 one; theta derivatives never run along a leading axis, and the
-quadratures integrate the last axis.
+quadratures integrate the last axis.  A flow by an array of steps puts
+the step axes in front of those (`step_axes`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -129,13 +131,29 @@ class ThetaGrid:
     def h(self) -> float:
         return 2.0 * np.pi / self.n
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
+        """The N periodic nodes, built once per grid and read-only."""
+        return _frozen(2.0 * np.pi * np.arange(self.n) / self.n)
 
-    @property
+    @functools.cached_property
     def closed_nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n + 1) / self.n
+        """The N+1 closed-grid nodes, built once per grid and read-only."""
+        return _frozen(2.0 * np.pi * np.arange(self.n + 1) / self.n)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def step_axes(t, pad: int) -> np.ndarray:
+    """The steps t of a flow as a float array with `pad` unit axes
+    appended.  A flow pads by its point's leading ndim minus its
+    tangent's, so the axes of t lead the point's own leading axes in
+    the flowed point."""
+    t = np.asarray(t, dtype=float)
+    return t.reshape(t.shape + (1,) * pad)
 
 
 def spectral_dtheta(vals: np.ndarray) -> np.ndarray:
@@ -206,10 +224,12 @@ def _simpson_weights(m: int) -> np.ndarray:
 
 
 def quad_closed(samples: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson along the last axis, a closed grid with spacing h."""
+    """Composite Simpson along the last axis, a closed grid with spacing h.
+    One BLAS dot per row (`np.vecdot`), so a stack of rows rounds as
+    each row alone."""
     samples = np.asarray(samples)
     w = _simpson_weights(samples.shape[-1]) * h
-    return np.tensordot(samples, w, axes=(-1, 0))
+    return np.vecdot(w, samples)
 
 
 def quad_unit(samples: np.ndarray) -> np.ndarray:
@@ -269,16 +289,27 @@ class GridFun:
         return self._like(self.vals + other.vals, d)
 
     def __sub__(self, other: "GridFun") -> "GridFun":
-        return self + (-other)
+        self._check(other)
+        d = None
+        if self.dvals is not None and other.dvals is not None:
+            d = self.dvals - other.dvals
+        return self._like(self.vals - other.vals, d)
 
     def __neg__(self) -> "GridFun":
         return self._like(-self.vals, None if self.dvals is None else -self.dvals)
 
     def __mul__(self, c) -> "GridFun":
-        c = complex(c)
+        """Scale by a number, or node-set by node-set by an array of the
+        leading shape."""
+        c = np.asarray(c, dtype=complex)[..., None, None, None]
         return self._like(c * self.vals, None if self.dvals is None else c * self.dvals)
 
     __rmul__ = __mul__
+
+    def __getitem__(self, i) -> "GridFun":
+        """Index the leading axes, never theta: X[0] is the first node set
+        of a stack."""
+        return self._like(self.vals[i], None if self.dvals is None else self.dvals[i])
 
     def scale_profile(self, c: np.ndarray, dc: Optional[np.ndarray] = None) -> "GridFun":
         """Multiply node-wise by a scalar profile c(theta); product rule for dvals."""
@@ -299,29 +330,35 @@ class GridFun:
             return self._like(self.dvals)
         return self._like(_dtheta(self.vals, self.grid, self.closed))
 
-    def interp(self, theta: float) -> np.ndarray:
-        """Trigonometric interpolation at an off-grid angle (periodic only),
-        along theta; leading axes are kept."""
+    def interp(self, theta) -> np.ndarray:
+        """Trigonometric interpolation at off-grid angles (periodic only),
+        along theta.  The angles' axes broadcast against the leading axes
+        (an angle per node set of a stack), shape (..., n, n)."""
         if self.closed:
             raise ValueError("trigonometric interpolation needs periodic data")
+        theta = np.asarray(theta, dtype=float)
         n = self.grid.n
         spec = np.fft.fft(self.vals, axis=-3) / n
         k = np.fft.fftfreq(n, d=1.0 / n)
-        phase = np.exp(1j * k * theta)
+        phase = np.exp(1j * k * theta[..., None])
         # split the Nyquist coefficient between +n/2 and -n/2
-        phase[n // 2] = np.cos(n // 2 * theta)
-        return np.tensordot(phase, spec, axes=(0, -3))
+        phase[..., n // 2] = np.cos(n // 2 * theta)
+        # the row of phases times the n*n columns of the spectrum
+        flat = spec.reshape(spec.shape[:-2] + (-1,))
+        out = mm(phase[..., None, :], flat)[..., 0, :]
+        return out.reshape(out.shape[:-1] + self.vals.shape[-2:])
 
     @staticmethod
     def from_profiles(grid: ThetaGrid, terms: Sequence[tuple], closed: bool = False) -> "GridFun":
-        """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j."""
+        """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j.
+        A profile may return a stack of them, theta last: its leading
+        axes lead the samples."""
         t = grid.closed_nodes if closed else grid.nodes
-        n = terms[0][1].shape[-1]
-        vals = np.zeros((t.size, n, n), dtype=complex)
-        dvals = np.zeros_like(vals)
+        # from 0.0, so that the profiles' stack shape sets the samples'
+        vals = dvals = 0.0
         for f, X in terms:
-            vals += np.asarray(f.val(t))[:, None, None] * X
-            dvals += np.asarray(f.dval(t))[:, None, None] * X
+            vals = vals + np.asarray(f.val(t))[..., None, None] * X
+            dvals = dvals + np.asarray(f.dval(t))[..., None, None] * X
         return GridFun(grid, vals, closed, dvals)
 
     @staticmethod
@@ -333,9 +370,16 @@ class GridFun:
 
 def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
     """Node-wise invariant pairing <X, Y> = -tr(X Y); the leading axes of
-    X and Y broadcast, and theta becomes the last axis."""
+    X and Y broadcast, and theta becomes the last axis.
+
+    An operand that broadcasts is copied out to the common shape first:
+    einsum walks a stride-0 operand in another order, and on contiguous
+    operands every node rounds as it rounds alone."""
     X._check(Y)
-    return -np.einsum("...ij,...ji->...", X.vals, Y.vals)
+    shape = np.broadcast_shapes(X.vals.shape, Y.vals.shape)
+    x, y = (a if a.shape == shape else np.ascontiguousarray(np.broadcast_to(a, shape))
+            for a in (X.vals, Y.vals))
+    return -np.einsum("...ij,...ji->...", x, y)
 
 
 def quad_grid(samples: np.ndarray, template: GridFun) -> np.ndarray:
@@ -407,15 +451,18 @@ class LoopPoint:
         zz = self.z()
         return GridFun(self.grid, adjoint_inv(self.vals, zz.vals), self.closed)
 
-    def flow(self, X: GridFun, t: float) -> "LoopPoint":
-        """The point g exp(t X), with the Z payload carried along exactly.
+    def flow(self, X: GridFun, t) -> "LoopPoint":
+        """The points g exp(t X), with the Z payload carried along exactly.
 
-        Evaluated from the tangent's kept eigendecomposition (`X.eig()`),
-        so the four Richardson steps of a directional derivative, and
-        every other flow along X, share one eigh.  A tangent that is not
+        t is a step or an array of steps; its axes lead the point's own
+        leading axes in the result (`step_axes`).  Evaluated from the
+        tangent's kept eigendecomposition (`X.eig()`), so the four
+        Richardson steps of a directional derivative, and every other
+        flow along X, share one eigh.  A tangent that is not
         anti-Hermitian raises ValueError on its first flow."""
         if X.closed != self.closed or X.grid.n != self.grid.n:
             raise ValueError("grid mismatch")
+        t = step_axes(t, self.vals.ndim - X.vals.ndim)
         if self.zvals is None or X.dvals is None:
             return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)), self.closed)
         e, d = X.eig().exp_dexp(t)

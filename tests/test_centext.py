@@ -218,6 +218,22 @@ def test_holonomy_is_the_per_radius_loop():
             assert abs(holonomy_H(d) - holonomy_per_radius(d)) < 1e-15
 
 
+def test_holonomy_dexp_without_exp_is_unchanged():
+    # the s-partials come from dexp alone now; exp(tX) was computed and
+    # discarded before, and the value is the same to the bit
+    rng = sampling.make_rng(53)
+    rs = np.linspace(0.0, 1.0, centext.HOLONOMY_NR)
+    ss = np.linspace(0.0, 1.0, centext.HOLONOMY_NS)
+    for group in (lg.SU2, lg.SU3):
+        disk = DiskLoop(sampling.random_disk_terms(rng, GRID, group))
+        xi = disk.xi(ss)
+        _, ds = lg.exp_dexp_right(-xi.vals, disk.dxi(ss).vals, rs)
+        pt = LoopPoint(GRID, np.broadcast_to(np.eye(group.n), xi.vals.shape))
+        rows = eval_R(pt, xi, GridFun(GRID, ds))
+        want = complex(np.exp(loops.quad_unit(loops.quad_unit(rows.T))))
+        assert holonomy_H(disk) == want
+
+
 def test_holonomy_trivial_and_reversal():
     rng = sampling.make_rng(49)
     zero_disk = DiskLoop([(loops.Fn.zero(), GridFun.zero(GRID, 2))])

@@ -125,6 +125,16 @@ def test_pass_run_writes_report_and_fixtures(tmp_path, capsys):
     assert set(side["fixtures"]) == set(names)
 
 
+def test_fixtures_are_written_compact(tmp_path):
+    # one line of compact JSON: the C encoder writes it, no indent
+    argv, out = fast_args(tmp_path)
+    assert cli.main(argv) == cli.EXIT_PASS
+    text = open(tmp_path / "rep.fixtures.json").read()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    side = json.loads(text)
+    assert text == json.dumps(side) + "\n"
+
+
 def test_stdout_when_no_out(capsys):
     status = cli.main(["--scenario", "trivial-bundle", "--ntheta", "48"])
     assert status == cli.EXIT_PASS

@@ -184,9 +184,10 @@ def test_form_arity_checked():
 
 def test_directional_orders():
     # plain central differences are exact on quadratics; one Richardson
-    # level is exact on quartics
+    # level is exact on quartics.  fun takes the step array and stacks
+    # its values with the step axis in front
     def fun(t):
-        return np.array([t ** 2 + 3 * t, t ** 4 + t ** 3 - 2 * t])
+        return np.stack([t ** 2 + 3 * t, t ** 4 + t ** 3 - 2 * t], axis=-1)
 
     plain = directional(fun, 0.1, richardson=False)
     assert np.allclose(plain, [3.0, 0.1 ** 2 - 2.0], rtol=0, atol=1e-13)
@@ -194,7 +195,7 @@ def test_directional_orders():
 
 
 def test_ext_d_chart_zero_form_exact():
-    f = Form(0, lambda pt: float(pt.x[0] ** 2 * pt.x[1]))
+    f = Form(0, lambda pt: pt.x[..., 0] ** 2 * pt.x[..., 1])
     pt = chart(1.5, -0.7)
     v = np.array([0.3, 0.9])
     want = 2 * 1.5 * (-0.7) * 0.3 + 1.5 ** 2 * 0.9
@@ -203,7 +204,7 @@ def test_ext_d_chart_zero_form_exact():
 
 def test_ext_d_chart_one_form_exact():
     # x0 dx1 has exterior derivative dx0 wedge dx1
-    w = Form(1, lambda pt, v: float(pt.x[0] * v[1]))
+    w = Form(1, lambda pt, v: pt.x[..., 0] * v[1])
     pt = chart(0.8, 0.2)
     v = np.array([1.0, 2.0])
     u = np.array([-0.5, 1.0])
@@ -213,8 +214,8 @@ def test_ext_d_chart_one_form_exact():
 
 def _pairing_zero_form(C):
     def ev(g):
-        return 0.5j / np.pi * complex(quad_s1(
-            np.einsum("ij,tji->t", C, g.z().vals)) * -1.0)
+        return 0.5j / np.pi * (quad_s1(
+            np.einsum("ij,...tji->...t", C, g.z().vals)) * -1.0)
     return Form(0, lambda g: ev(g))
 
 
@@ -232,9 +233,9 @@ def test_ext_d_loop_zero_form_matches_analytic():
 
 
 def test_ext_d_squared_small_on_chart():
-    w = Form(1, lambda pt, v: float(
-        np.sin(pt.x[0] * pt.x[1]) * v[0] + np.exp(0.3 * pt.x[2]) * v[1]
-        + np.cos(pt.x[0]) * pt.x[2] * v[2]))
+    w = Form(1, lambda pt, v: (
+        np.sin(pt.x[..., 0] * pt.x[..., 1]) * v[0] + np.exp(0.3 * pt.x[..., 2]) * v[1]
+        + np.cos(pt.x[..., 0]) * pt.x[..., 2] * v[2]))
     dw = Form(2, lambda pt, a, b: ext_d(w, pt, (a, b)))
     pt = chart(0.4, -0.8, 0.6)
     rng = make_rng(5)

@@ -218,6 +218,22 @@ def test_stacked_scales_round_as_each_scale_alone():
                 assert np.array_equal(D[i], d)
 
 
+def test_dexp_is_the_second_output_of_exp_dexp():
+    # one formula: exp_dexp is (exp, dexp), and dexp_right and dexp_left
+    # are dexp at one scale, bit for bit
+    rng = sampling.make_rng(29)
+    for group in (lg.SU2, lg.SU3):
+        X = sampling.random_algebra(rng, group, scale=3.0)
+        dX = np.stack([sampling.random_algebra(rng, group) for _ in range(5)])
+        eig = lg.eig_alg(X, dX)
+        for t in (1.0, 0.3, np.array([[0.0, -2.0], [0.5, 7.0]])):
+            e, d = eig.exp_dexp(t)
+            assert np.array_equal(d, eig.dexp(t))
+            assert np.array_equal(e, eig.exp(t))
+        assert np.array_equal(lg.dexp_right(X, dX), lg.exp_dexp_right(X, dX)[1])
+        assert np.array_equal(lg.dexp_left(X, dX), lg.exp_dexp_right(-X, dX)[1])
+
+
 @st.composite
 def _mm_operands(draw):
     n = draw(st.sampled_from((2, 3)))

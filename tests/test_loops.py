@@ -23,6 +23,18 @@ def test_grid_validation():
     assert abs(g.h - 2 * np.pi / 16) < 1e-15
 
 
+def test_grid_nodes_are_built_once_and_read_only():
+    g = ThetaGrid(24)
+    assert g.nodes is g.nodes and g.closed_nodes is g.closed_nodes
+    assert np.array_equal(g.nodes, 2.0 * np.pi * np.arange(24) / 24)
+    assert np.array_equal(g.closed_nodes, 2.0 * np.pi * np.arange(25) / 24)
+    for nodes in (g.nodes, g.closed_nodes):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+    # equal grids stay equal and hashable with their nodes built
+    assert g == ThetaGrid(24) and hash(g) == hash(ThetaGrid(24))
+
+
 def test_quad_s1_exact_on_trig():
     grid = ThetaGrid(16)
     t = grid.nodes

@@ -1,0 +1,198 @@
+"""The Richardson stencil as one stacked evaluation.
+
+`forms.directional` calls its function once with every step; a flow by
+an array of steps puts the step axes in front of the point's own
+leading axes; and everything evaluated at a flowed point equals the
+evaluations at each step alone, bit for bit."""
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import given, settings
+
+from loopgerbe import caloron, centext, gerbe
+from loopgerbe.caloron import CaloronPoint, CaloronTangent
+from loopgerbe.forms import ChartPt, directional, flow
+from loopgerbe.gerbe import PathFibration, TrivialBundle, TrivialPoint
+from loopgerbe.liegroup import SU2, SU3, exp_alg
+from loopgerbe.loops import GridFun, LoopPoint, ThetaGrid
+from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
+                                random_loop_tangent, random_path_fibre_points,
+                                random_path_fibre_tangent, random_path_point,
+                                random_path_tangent)
+
+STENCIL = (0.1, -0.1, 0.05, -0.05)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per stencil
+
+
+def test_directional_calls_fun_once_with_every_step():
+    seen = []
+
+    def fun(t):
+        seen.append(np.array(t))
+        return np.stack([t ** 3, np.cos(t)], axis=-1)
+
+    directional(fun, 0.1)
+    assert len(seen) == 1 and np.array_equal(seen[0], STENCIL)
+    directional(fun, 0.1, richardson=False)
+    assert len(seen) == 2 and np.array_equal(seen[1], STENCIL[:2])
+
+
+def _tb_fixture(seed, grid=ThetaGrid(32), group=SU2):
+    rng = make_rng(seed)
+    tb = TrivialBundle.default(grid, group)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=2), random_loop(rng, grid, group))
+    V, W = ((rng.normal(size=2), random_loop_tangent(rng, grid, group))
+            for _ in range(2))
+    return rng, tb, p, V, W
+
+
+def test_nabla_phi_makes_one_loop_flow(monkeypatch):
+    rng, tb, p, V, _ = _tb_fixture(61)
+    pf = PathFibration(tb.grid)
+    pp = random_path_point(rng, tb.grid, SU2)
+    X = random_path_tangent(rng, tb.grid, SU2)
+    steps = []
+    plain = LoopPoint.flow
+
+    def counted(self, Y, t):
+        steps.append(np.shape(t))
+        return plain(self, Y, t)
+
+    monkeypatch.setattr(LoopPoint, "flow", counted)
+    gerbe.nabla_phi(tb, p, V)
+    assert steps == [(4,)]
+    gerbe.nabla_phi(pf, pp, X)
+    assert steps == [(4,), (4,)]
+
+
+def test_tb_curvature_builds_two_stacked_and_two_plain_base_connections(monkeypatch):
+    _, tb, p, V, W = _tb_fixture(67)
+    shapes = []
+    plain = tb.base_connection
+
+    def counted(m, u):
+        shapes.append(np.shape(m))
+        return plain(m, u)
+
+    monkeypatch.setattr(tb, "base_connection", counted)
+    tb.curvature(p, V, W)
+    assert sorted(shapes) == [(2,), (2,), (4, 2), (4, 2)]
+
+
+def test_flows_stack_steps_in_front_of_the_point_axes():
+    # an inner stencil on a point an outer stencil flowed: (4, 4, ...)
+    rng, tb, p, V, W = _tb_fixture(71)
+    t = np.array(STENCIL)
+    q = flow(flow(p, V, t), W, t)
+    assert q.m.shape == (4, 4, 2)
+    assert q.g.vals.shape == q.g.zvals.shape == (4, 4, 32, 2, 2)
+    assert tb.curvature(flow(p, V, t), V, W).vals.shape == (4, 32, 2, 2)
+    # a stack of chart points over one loop flows both parts to its axes
+    stack = TrivialPoint(flow(ChartPt(p.m), V[0], t).x, p.g)
+    q = flow(stack, W, t[:2])
+    assert q.m.shape == (2, 4, 2) and q.g.vals.shape == (2, 1, 32, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluations equal the evaluations step by step
+
+
+def _arrays(value) -> list:
+    """The arrays a value is made of, in a fixed order; None kept."""
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if isinstance(value, GridFun):
+        return [value.vals, value.dvals]
+    if isinstance(value, LoopPoint):
+        return [value.vals, value.zvals]
+    if isinstance(value, TrivialPoint):
+        return [value.m] + _arrays(value.g)
+    if isinstance(value, ChartPt):
+        return [value.x]
+    if isinstance(value, CaloronPoint):
+        return _arrays(value.p) + [value.k, np.asarray(value.theta)]
+    return [np.asarray(value)]
+
+
+def _assert_per_step(fun, pt, v, steps):
+    """fun at the stacked point flow(pt, v, steps) equals fun at every
+    flow(pt, v, step) alone, bit for bit."""
+    stacked = _arrays(fun(flow(pt, v, steps)))
+    for idx in np.ndindex(steps.shape):
+        alone = _arrays(fun(flow(pt, v, float(steps[idx]))))
+        assert len(alone) == len(stacked)
+        for s, a in zip(stacked, alone):
+            if a is None:
+                assert s is None
+            else:
+                assert s[idx].shape == a.shape
+                assert np.array_equal(s[idx], a), (idx, np.max(np.abs(s[idx] - a)))
+
+
+def _ident(x):
+    return x
+
+
+@st.composite
+def _cases(draw):
+    group = draw(st.sampled_from((SU2, SU3)))
+    ntheta = 2 * draw(st.integers(8, 20))
+    seed = draw(st.integers(0, 2 ** 20))
+    shape = draw(st.sampled_from(((1,), (3,), (4,), (2, 3), (4, 2))))
+    steps = draw(hnp.arrays(float, shape, elements=st.floats(-0.05, 0.05)))
+    return group, ThetaGrid(ntheta), make_rng(seed), steps
+
+
+@settings(max_examples=10, deadline=None)
+@given(_cases())
+def test_stacked_point_evaluates_as_every_step_alone(case):
+    group, grid, rng, steps = case
+
+    # chart points and loops
+    x = ChartPt(rng.normal(size=3))
+    _assert_per_step(_ident, x, rng.normal(size=3), steps)
+    g = random_loop(rng, grid, group)
+    X = random_loop_tangent(rng, grid, group)
+    C = random_loop_tangent(rng, grid, group)
+    _assert_per_step(_ident, g, X, steps)
+    _assert_per_step(lambda q: centext.gomi_cocycle_Z(q, C), g, X, steps)
+
+    # the two scenarios: a point, the tangent it flows along, two more
+    tb = TrivialBundle.default(grid, group)
+    pf = PathFibration(grid, group)
+    tbs = (tb.point(rng.uniform(-0.6, 0.6, size=2), g),
+           *((rng.normal(size=2), random_loop_tangent(rng, grid, group))
+             for _ in range(3)))
+    pfs = (random_path_point(rng, grid, group),
+           *(random_path_tangent(rng, grid, group) for _ in range(3)))
+    for scn, (p, V, A, B) in ((tb, tbs), (pf, pfs)):
+        for fun in (_ident,
+                    lambda q: scn.connection(q, A),
+                    scn.higgs,
+                    lambda q: scn.curvature(q, A, B),
+                    lambda q: gerbe.nabla_phi(scn, q, A),
+                    lambda q: gerbe.curving_f(scn, q, A, B)):
+            _assert_per_step(fun, p, V, steps)
+
+    # fibre pairs: a tuple point flows slot by slot
+    m = rng.uniform(-0.6, 0.6, size=2)
+    pair = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(2))
+    u = rng.normal(size=2)
+    vecs, wecs = (tuple((u, random_loop_tangent(rng, grid, group)) for _ in range(2))
+                  for _ in range(2))
+    _assert_per_step(lambda q: gerbe.epsilon_form(tb, q, wecs), pair, vecs, steps)
+    ppair = random_path_fibre_points(rng, grid, group, 2)
+    pvecs, pwecs = (random_path_fibre_tangent(rng, grid, group, 2) for _ in range(2))
+    _assert_per_step(lambda q: gerbe.epsilon_form(pf, q, pwecs), ppair, pvecs, steps)
+
+    # the transferred bundle: the angle flows off the grid nodes
+    cpt = CaloronPoint(tbs[0], exp_alg(random_algebra(rng, group)),
+                       float(grid.nodes[int(rng.integers(grid.n))]))
+    Vc, Ac = (CaloronTangent(T, random_algebra(rng, group), float(rng.uniform(-1.0, 1.0)))
+              for T in tbs[1:3])
+    _assert_per_step(_ident, cpt, Vc, steps)
+    _assert_per_step(lambda q: caloron.caloron_connection(tb, q, Ac), cpt, Vc, steps)

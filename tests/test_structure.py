@@ -170,3 +170,29 @@ def test_every_matrix_product_goes_through_mm():
     offenders = [site for path in sorted(SRC.glob("*.py"))
                  for site in _matrix_products(path)]
     assert offenders == []
+
+
+def test_directional_evaluates_fun_once():
+    # the Richardson stencil is one stacked evaluation: one call of fun
+    # with the step array, and no loop over the steps
+    loops_ = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp, ast.Lambda, ast.FunctionDef)
+    fn = _defs(SRC / "forms.py")["directional"]
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "fun"]
+    assert len(calls) == 1
+    assert not any(isinstance(n, loops_) for n in ast.walk(fn) if n is not fn)
+
+
+def test_no_flow_casts_its_steps_to_float():
+    # flows take arrays of steps: a float(...) anywhere in a flow method
+    # (or forms.flow) would turn a stack back into one step
+    flows = [(path.name, name, fn)
+             for path in (SRC / m for m in ("forms.py", "loops.py", "gerbe.py", "caloron.py"))
+             for name, fn in _defs(path).items()
+             if name == "flow" or name.endswith(".flow")]
+    assert len(flows) == 5
+    offenders = ["%s:%s" % (where, name) for where, name, fn in flows
+                 if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id == "float" for n in ast.walk(fn))]
+    assert offenders == []
