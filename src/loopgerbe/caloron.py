@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, gerbe
-from .forms import Form, tangent_bracket, wedge_pair
+from .forms import Form, pair_forms, tangent_bracket
 from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
-from .loops import (GridFun, LoopPoint, conj_loop, pair_samples, quad_s1,
-                    step_axes)
+from .loops import GridFun, LoopPoint, conj_loop, quad_s1, step_axes
 
 
 @dataclass(frozen=True)
@@ -224,12 +223,13 @@ def curvature_form(scn, fd_step: float = 1e-4, nabla_phi=None) -> Form:
 
 
 def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4,
-                    fd_step: float = 1e-4) -> float:
-    """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle."""
+                    fd_step: float = 1e-4):
+    """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle, one
+    value per angle of a point stacked over angles."""
     nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step))
     Rf = curvature_form(scn, fd_step, nabla_phi)
-    val = wedge_pair(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
-    return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
+    val = pair_forms(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
+    return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
 def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
@@ -254,8 +254,8 @@ def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
 
     Ff = Form(2, f_ev)
     Hf = Form(2, h_ev)
-    val = (wedge_pair(inner, (Ff, Ff))(pt, V1, V2, V3, V4)
-           + 2.0 * wedge_pair(inner, (Ff, Hf))(pt, V1, V2, V3, V4))
+    val = (pair_forms(inner, (Ff, Ff))(pt, V1, V2, V3, V4)
+           + 2.0 * pair_forms(inner, (Ff, Hf))(pt, V1, V2, V3, V4))
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
@@ -263,31 +263,25 @@ def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
     """Circle integral of the 4-form contracted with three lifted base
     directions and the angle direction; equals the descended 3-form.
 
+    The periodic trapezoid rule over the N off-node angles
+    (j + 1/2) 2 pi / N: `pontrjagin_form` at one CaloronPoint stacked
+    over them, its curvature read off by trigonometric interpolation.
+    No sum, pairing or node is shared with `gerbe.string_form`.
+
     Only scenarios in the periodic picture qualify: the integrand is a
     function on the whole circle, not on a cut interval.
     """
-    if isinstance(scn, gerbe.TrivialBundle):
-        p = scn.point(m)
-    else:
-        p = scn.canonical_lift(m)
-    if scn.higgs(p).closed:
+    if scn.closed:
         raise ValueError("circle integration needs the periodic picture")
+    p = scn.canonical_lift(m)
     n = scn.group.n
     no_eta = np.zeros((n, n), dtype=complex)
     Ts = [CaloronTangent(scn.lift_tangent(p, u), no_eta, 0.0)
           for u in (u1, u2, u3)]
     Ts.append(CaloronTangent(scn.zero_tangent(p), no_eta, 1.0))
-    k = np.eye(n, dtype=complex)
-    R = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            R[(i, j)] = curvature_samples(scn, p, k, Ts[i], Ts[j], fd_step)
-
-    integrand = 2.0 * (pair_samples(R[(0, 1)], R[(2, 3)])
-                       - pair_samples(R[(0, 2)], R[(1, 3)])
-                       + pair_samples(R[(0, 3)], R[(1, 2)]))
-    total = quad_s1(integrand) * (-1.0 / (8 * np.pi ** 2))
-    return float(np.real(total))
+    angles = scn.grid.nodes + 0.5 * scn.grid.h
+    pt = CaloronPoint(p, np.eye(n, dtype=complex), angles)
+    return float(quad_s1(pontrjagin_form(scn, pt, *Ts, fd_step=fd_step)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,16 @@ its leading axes, so a form at a flowed point returns one value per
 step, stacked in front.  `directional` makes one such evaluation per
 difference stencil; an exterior derivative of an exterior derivative
 flows an already stacked point and gets the axes (inner, outer, ...).
+
+The pairing.  `pair_forms` is the one wedge of vector-valued forms.
+Its inputs must be alternating: it sums over the shuffles, in
+itertools.permutations order, which equals the sum over all d!
+permutations divided by the product of the degrees' factorials.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,64 +121,49 @@ def signed_permutations(d: int) -> list:
 
 
 def pair_forms(p: Callable, forms, name: str = "") -> Form:
-    """Combine vector-valued forms through a multilinear map p.
+    """The alternating pairing of vector-valued forms through a
+    multilinear map p: their wedge product.
 
-    The result has degree d = sum(degrees) and is the signed sum over
-    all d! permutations of the arguments, with no 1/d! factor:
+    The result has degree d = sum of the degrees k_i and is the signed
+    sum over shuffles: the permutations of the d arguments, taken in
+    itertools.permutations order, that increase within each form's
+    block of arguments,
 
-        (X_1 .. X_d) -> sum_perm sign(perm) p(w_1(X..), ..., w_k(X..)).
+        (X_1 .. X_d) -> sum_shuffle sign p(w_1(X..), ..., w_r(X..)).
 
-    For a collection of 1-forms and antisymmetric p this is d! times the
-    pointwise application.
+    The component forms must be alternating; then this equals the signed
+    sum over all d! permutations divided by prod(k_i!).  For 1-forms
+    every permutation is a shuffle.
 
     Within one evaluation each component form is evaluated once per
-    distinct ordered tuple of argument indices and the value reused
-    across permutations, so a (2,2) pairing of one form with itself
-    costs 12 component evaluations rather than 48.  The terms are
-    summed in the same order as without the reuse.
+    increasing index tuple and the value reused across shuffles, so a
+    (2,2) pairing of one form with itself costs 6 component
+    evaluations.
     """
     degs = [f.degree for f in forms]
-    d = sum(degs)
-    perms = signed_permutations(d)
+    ends = list(itertools.accumulate(degs))
+    shuffles = []
+    for perm, sign in signed_permutations(sum(degs)):
+        blocks = [perm[e - k:e] for k, e in zip(degs, ends)]
+        if all(list(b) == sorted(b) for b in blocks):
+            shuffles.append((blocks, sign))
 
     def ev(pt, *vecs):
         seen = {}
         total = None
-        for perm, sign in perms:
+        for blocks, sign in shuffles:
             args = []
-            pos = 0
-            for f, k in zip(forms, degs):
-                idx = perm[pos:pos + k]
+            for f, idx in zip(forms, blocks):
                 key = (id(f), idx)
                 if key not in seen:
                     seen[key] = f(pt, *(vecs[i] for i in idx))
                 args.append(seen[key])
-                pos += k
             term = p(*args)
             term = term * sign if sign < 0 else term
             total = term if total is None else total + term
         return total
 
-    return Form(d, ev, name)
-
-
-def wedge_pair(p: Callable, forms, name: str = "") -> Form:
-    """Shuffle-normalised pairing: pair_forms divided by prod(degree_i!).
-
-    Agrees with pair_forms on collections of 1-forms; for alternating
-    higher-degree inputs it is the usual wedge of vector-valued forms,
-    which is the normalisation the curving and Pontrjagin formulas use.
-    """
-    base = pair_forms(p, forms, name)
-    scale = 1.0
-    for f in forms:
-        scale *= math.factorial(f.degree)
-    inv = 1.0 / scale
-
-    def ev(pt, *vecs):
-        return base.ev(pt, *vecs) * inv
-
-    return Form(base.degree, ev, name)
+    return Form(sum(degs), ev, name)
 
 
 def directional(fun: Callable, h: float, richardson: bool = True):

@@ -17,15 +17,16 @@ to a fibre product share their projection slot by slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import centext, forms
-from .forms import (ChartPt, Form, directional, ext_d, signed_permutations,
-                    tangent_bracket)
+from .forms import (ChartPt, Form, directional, ext_d, pair_forms,
+                    signed_permutations, tangent_bracket)
 from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
-                       project_algebra)
+                       project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
                     pair_samples, quad_grid, step_axes)
 
@@ -83,16 +84,16 @@ class TrivialBundle:
     every chart function reads coordinate i as m[..., i].
     """
 
+    closed = False  # loops on the periodic grid
+
     def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
-                 phi_coeff, phi_coeff_grad, rho, rho_grad,
-                 phi2_term=None, phi2_coeff=None):
+                 phi_coeff, rho, rho_grad, phi2_term=None, phi2_coeff=None):
         self.grid = grid
         self.group = group
         self.dim = len(a_terms)
         self.a_terms = a_terms
         self.phi_term = phi_term
         self.phi_coeff = phi_coeff
-        self.phi_coeff_grad = phi_coeff_grad
         self.rho = rho
         self.rho_grad = rho_grad
         self.phi2_term = phi2_term if phi2_term is not None else phi_term
@@ -117,7 +118,6 @@ class TrivialBundle:
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1])],
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0],
-            phi_coeff_grad=lambda m: np.array([1.0, 0.0]),
             rho=rho, rho_grad=rho_grad,
             phi2_term=(_one(), E[0]),
             phi2_coeff=lambda m: 0.4 + m[..., 1],
@@ -149,7 +149,6 @@ class TrivialBundle:
                      (_one(), E[2])],
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2],
-            phi_coeff_grad=lambda m: np.array([1.0, 0.0, -0.3]),
             rho=rho, rho_grad=rho_grad,
             phi2_term=(_one(), E[0]),
             phi2_coeff=lambda m: 0.4 + m[..., 1],
@@ -161,6 +160,10 @@ class TrivialBundle:
         if g is None:
             g = LoopPoint.identity(self.grid, self.group.n)
         return TrivialPoint(np.asarray(m, dtype=float), g)
+
+    def canonical_lift(self, m) -> TrivialPoint:
+        """The point over m with the identity loop, as `point(m)`."""
+        return self.point(m)
 
     def act(self, p: TrivialPoint, h: LoopPoint) -> TrivialPoint:
         return TrivialPoint(p.m, p.g.mul(h))
@@ -264,6 +267,8 @@ class PathFibration:
     2 pi as well.  The connection interpolates between the path value
     and its endpoint pullback.
     """
+
+    closed = True  # paths on the closed grid
 
     def __init__(self, grid: ThetaGrid, group: Group = SU2):
         self.grid = grid
@@ -448,27 +453,21 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4):
     """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point, one
     value per node set of a stacked point.
 
-    The (2,1) pairing is the three-term alternating shuffle.  The value
-    descends: it depends only on the projections of point and tangents.
+    The (2,1) pairing `forms.pair_forms` of the curvature and nabla Phi
+    through `pair_samples`, integrated by the rule of the scenario's
+    grid flavour.  The value descends: it depends only on the
+    projections of point and tangents.
     """
-    Ts = (T1, T2, T3)
-    Fs = {(i, j): scn.curvature(p, Ts[i], Ts[j], fd_step)
-          for i, j in ((0, 1), (0, 2), (1, 2))}
-    nps = [nabla_phi(scn, p, T, fd_step) for T in Ts]
-    s = (pair_samples(Fs[(0, 1)], nps[2])
-         - pair_samples(Fs[(0, 2)], nps[1])
-         + pair_samples(Fs[(1, 2)], nps[0]))
-    val = -1.0 / (4 * np.pi ** 2) * quad_grid(s, nps[0])
-    return np.real(val)
+    F = Form(2, functools.partial(scn.curvature, fd_step=fd_step))
+    dphi = Form(1, functools.partial(nabla_phi, scn, fd_step=fd_step))
+    s = pair_forms(pair_samples, (F, dphi))(p, T1, T2, T3)
+    return np.real(-1.0 / (4 * np.pi ** 2) * quad_grid(s, scn))
 
 
 def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4):
     """The descended 3-form at a base point, via the canonical lift; a
     trivial bundle takes a stack of chart points as well."""
-    if isinstance(scn, TrivialBundle):
-        p = scn.point(m)
-    else:
-        p = scn.canonical_lift(m)
+    p = scn.canonical_lift(m)
     lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
     return string_form_at(scn, p, *lifts, fd_step=fd_step)
 
@@ -490,15 +489,22 @@ def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """(1/48 pi^2) <[Theta-hat, Theta-hat], Theta-hat> on raw tangents at k.
 
     Tangents are curve derivatives at k; the right-invariant form sends
-    x to x k^-1.  The full six-permutation sum is taken literally.  k
-    and the tangents may stack leading axes; the value has those axes.
+    x to x k^-1.  The six-permutation sum is taken literally, with each
+    of the three brackets and its trace computed once.  k and the
+    tangents may stack leading axes; the value has those axes.
     """
     ki = group_inv(np.asarray(k, dtype=complex))
     hats = [mm(np.asarray(x, dtype=complex), ki) for x in (u, v, w)]
     total = 0.0 + 0.0j
-    for perm, sign in signed_permutations(3):
-        a, b, c = (hats[i] for i in perm)
-        total += sign * -np.trace(mm(bracket(a, b), c), axis1=-2, axis2=-1)
+    traces = {}
+    for (i, j, l), sign in signed_permutations(3):
+        if (j, i) in traces:
+            # [b, a] is exactly -[a, b], so its trace against the same
+            # third slot is exactly the negated one
+            total -= sign * -traces.pop((j, i))
+        else:
+            traces[i, j] = trace_mm(bracket(hats[i], hats[j]), hats[l])
+            total += sign * -traces[i, j]
     return np.real(total) / (48 * np.pi ** 2)
 
 
@@ -530,12 +536,6 @@ def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
     dk_x1 = pack(1j * ce * e1, 0.0 * E, 0.0 * E, -1j * ce / e1)
     dk_x2 = pack(0.0 * E, 1j * se / e2, 1j * se * e2, 0.0 * E)
 
-    ki = np.swapaxes(k, -1, -2).conj()
-    hats = [mm(d, ki) for d in (dk_eta, dk_x1, dk_x2)]
-    total = np.zeros(E.shape, dtype=complex)
-    for perm, sign in signed_permutations(3):
-        a, b, c = (hats[i] for i in perm)
-        total += sign * -np.einsum("...ij,...ji->...", bracket(a, b), c)
-    vals = np.real(total) / (48 * np.pi ** 2)
+    vals = omega3(k, dk_eta, dk_x1, dk_x2)
     cell = (np.pi / 2 / neta) * (2 * np.pi / nxi) ** 2
     return float(vals.sum() * cell)

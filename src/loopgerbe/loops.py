@@ -382,9 +382,10 @@ def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
     return -np.einsum("...ij,...ji->...", x, y)
 
 
-def quad_grid(samples: np.ndarray, template: GridFun) -> np.ndarray:
+def quad_grid(samples: np.ndarray, template) -> np.ndarray:
     """Integral over theta (the last axis) of node samples, using the rule
-    matching the grid flavour of `template`."""
+    matching the grid flavour of `template`: anything with a `grid` and
+    a `closed` flag, a GridFun or a scenario."""
     if template.closed:
         return quad_closed(samples, template.grid.h)
     return quad_s1(samples)

@@ -7,7 +7,7 @@ import pytest
 
 from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
                              directional, ext_d, flow, pair_forms,
-                             signed_permutations, tangent_bracket, wedge_pair)
+                             signed_permutations, tangent_bracket)
 from loopgerbe.liegroup import SU2
 from loopgerbe.loops import ThetaGrid, quad_s1, spectral_dtheta
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
@@ -77,24 +77,6 @@ def test_pair_forms_two_one_forms():
     assert abs(both(pt, v, w) - want) < 1e-14
 
 
-def test_wedge_pair_two_one_is_three_term_shuffle():
-    F2 = Form(2, lambda pt, v, w: float(
-        np.sin(pt.x[0]) * (v[0] * w[1] - v[1] * w[0])))
-    F1 = Form(1, lambda pt, v: float(pt.x[1] ** 2 * v[2]))
-    shuffled = wedge_pair(lambda a, b: a * b, (F2, F1))
-    full = pair_forms(lambda a, b: a * b, (F2, F1))
-    pt = chart(0.7, -0.4, 1.3)
-    rng = make_rng(3)
-    vs = [rng.normal(size=3) for _ in range(3)]
-    want = (F2(pt, vs[0], vs[1]) * F1(pt, vs[2])
-            - F2(pt, vs[0], vs[2]) * F1(pt, vs[1])
-            + F2(pt, vs[1], vs[2]) * F1(pt, vs[0]))
-    got = shuffled(pt, *vs)
-    assert abs(got - want) < 1e-13
-    # the unnormalised sum over all six permutations double counts
-    assert abs(full(pt, *vs) - 2.0 * want) < 1e-13
-
-
 def _counted(form, calls):
     def ev(pt, *vecs):
         calls.append(form.name)
@@ -102,9 +84,10 @@ def _counted(form, calls):
     return Form(form.degree, ev, form.name)
 
 
-def _brute_pair_sum(p, forms, pt, vecs):
+def _brute_pair_sum(p, forms, pt, vecs, signed=True):
     """The d!-permutation sum written out directly, sign from the
-    determinant of the permutation matrix."""
+    determinant of the permutation matrix; unsigned, the sum of the
+    terms' magnitudes."""
     d = len(vecs)
     total = None
     for perm in itertools.permutations(range(d)):
@@ -114,7 +97,10 @@ def _brute_pair_sum(p, forms, pt, vecs):
             args.append(f(pt, *(vecs[perm[pos + j]] for j in range(f.degree))))
             pos += f.degree
         term = p(*args)
-        term = term * sign if sign < 0 else term
+        if not signed:
+            term = abs(term)
+        elif sign < 0:
+            term = term * sign
         total = term if total is None else total + term
     return total
 
@@ -127,40 +113,82 @@ def _chart_two_form(name, c):
     return Form(2, lambda pt, v, w: float(
         np.sin(c * pt.x[0]) * (v[0] * w[1] - v[1] * w[0])
         + pt.x[1] * (v[2] * w[3] - v[3] * w[2])
-        + c * v[1] * w[2]), name)
+        + c * (v[1] * w[2] - v[2] * w[1])), name)
+
+
+def _chart_one_form(name, c):
+    return Form(1, lambda pt, v: float(
+        pt.x[1] ** 2 * v[2] + c * v[0] - pt.x[0] * v[3]), name)
+
+
+def _chart_vectors(seed):
+    rng = make_rng(seed)
+    return chart(0.7, -0.4, 1.3, 0.2), [rng.normal(size=4) for _ in range(4)]
+
+
+def test_pair_forms_is_the_shuffle_sum():
+    # the shuffles, written out in permutation order, bit for bit
+    pt, vs = _chart_vectors(3)
+    F, G = _chart_two_form("F", 1.0), _chart_two_form("G", -2.5)
+    A, B = _chart_one_form("A", 0.5), _chart_one_form("B", -1.5)
+    F01, F02, F03, F12, F13, F23 = (F(pt, vs[i], vs[j]) for i, j in
+                                    itertools.combinations(range(4), 2))
+    G01, G02, G03, G12, G13, G23 = (G(pt, vs[i], vs[j]) for i, j in
+                                    itertools.combinations(range(4), 2))
+    want = (F01 * G23 - F02 * G13 + F03 * G12
+            + F12 * G03 - F13 * G02 + F23 * G01)
+    assert pair_forms(_mul, (F, G))(pt, *vs) == want
+    want = (F01 * A(pt, vs[2]) - F02 * A(pt, vs[1])
+            + F12 * A(pt, vs[0]))
+    assert pair_forms(_mul, (F, A))(pt, *vs[:3]) == want
+    want = A(pt, vs[0]) * B(pt, vs[1]) - A(pt, vs[1]) * B(pt, vs[0])
+    assert pair_forms(_mul, (A, B))(pt, *vs[:2]) == want
+
+
+def test_pair_forms_is_the_permutation_sum_over_block_factorials():
+    # on alternating inputs the shuffle sum is the d!-sum / prod k_i!,
+    # to round-off relative to the magnitude of the summed terms (the
+    # sums cancel, so the value itself may be much smaller)
+    F, G = _chart_two_form("F", 1.0), _chart_two_form("G", -2.5)
+    A, B = _chart_one_form("A", 0.5), _chart_one_form("B", -1.5)
+    for seed in range(8):
+        pt, vs = _chart_vectors(seed)
+        for forms, scale in (((A, B), 1.0), ((F, A), 2.0), ((F, G), 4.0),
+                             ((F, F), 4.0)):
+            d = sum(f.degree for f in forms)
+            got = pair_forms(_mul, forms)(pt, *vs[:d])
+            want = _brute_pair_sum(_mul, forms, pt, vs[:d]) / scale
+            size = _brute_pair_sum(_mul, forms, pt, vs[:d], signed=False) / scale
+            assert abs(got - want) <= 1e-15 * size
 
 
 def test_pair_forms_evaluates_each_component_once_per_index_tuple():
-    # a (2,2) pairing visits 24 permutations; only 12 ordered index
-    # pairs are distinct, so one form paired with itself needs 12
-    # evaluations, and two different forms 12 each
-    pt = chart(0.7, -0.4, 1.3, 0.2)
-    rng = make_rng(13)
-    vs = [rng.normal(size=4) for _ in range(4)]
+    # a (2,2) pairing sums 6 shuffles; each increasing index pair is the
+    # block of one form in exactly one of them, so one form paired with
+    # itself needs 6 evaluations, and two different forms 6 each
+    pt, vs = _chart_vectors(13)
     F = _chart_two_form("F", 1.0)
     G = _chart_two_form("G", -2.5)
 
     calls = []
     Fc = _counted(F, calls)
     got = pair_forms(_mul, (Fc, Fc))(pt, *vs)
-    assert len(calls) == 12
-    assert got == _brute_pair_sum(_mul, (F, F), pt, vs)
+    assert len(calls) == 6
+    assert got == pair_forms(_mul, (F, F))(pt, *vs)
 
     calls.clear()
     Fc, Gc = _counted(F, calls), _counted(G, calls)
     got = pair_forms(_mul, (Fc, Gc))(pt, *vs)
-    assert calls.count("F") == 12 and calls.count("G") == 12
-    assert got == _brute_pair_sum(_mul, (F, G), pt, vs)
+    assert calls.count("F") == 6 and calls.count("G") == 6
+    assert got == pair_forms(_mul, (F, G))(pt, *vs)
 
-    # mixed degrees: 6 ordered pairs for the 2-form, 3 single slots
-    F2 = Form(2, lambda pt, v, w: float(
-        np.sin(pt.x[0]) * (v[0] * w[1] - v[1] * w[0]) + v[2] * w[0]), "F2")
-    F1 = Form(1, lambda pt, v: float(pt.x[1] ** 2 * v[2] + v[0]), "F1")
+    # mixed degrees: 3 increasing pairs for the 2-form, 3 single slots
+    A = _chart_one_form("A", 0.5)
     calls.clear()
-    got = pair_forms(_mul, (_counted(F2, calls), _counted(F1, calls)))(
+    got = pair_forms(_mul, (_counted(F, calls), _counted(A, calls)))(
         pt, *vs[:3])
-    assert calls.count("F2") == 6 and calls.count("F1") == 3
-    assert got == _brute_pair_sum(_mul, (F2, F1), pt, vs[:3])
+    assert calls.count("F") == 3 and calls.count("A") == 3
+    assert got == pair_forms(_mul, (F, A))(pt, *vs[:3])
 
 
 def test_signed_permutations_order_and_sign():

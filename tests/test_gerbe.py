@@ -11,7 +11,8 @@ from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              nabla_phi, omega3, omega3_su2_integral,
                              string_form, string_form_at, tau_deriv,
                              tau_deriv_fd)
-from loopgerbe.liegroup import SU2, exp_alg
+from loopgerbe.forms import signed_permutations
+from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
 from loopgerbe.loops import ThetaGrid, conj_loop
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
@@ -393,6 +394,22 @@ def test_omega3_right_invariance_and_alternating():
     assert abs(at_k - at_kh) < 1e-13
     sw = omega3(k, xi[1] @ k, xi[0] @ k, xi[2] @ k)
     assert abs(at_k + sw) < 1e-13
+
+
+def test_omega3_is_the_literal_six_bracket_sum_bit_for_bit():
+    # omega3 shares [a, b] and [b, a] = -[a, b]; the sum over all six
+    # ordered brackets, each traced through a full product, is the same
+    rng = make_rng(229)
+    for group in (SU2, SU3):
+        k = exp_alg(np.stack([random_algebra(rng, group) for _ in range(7)]))
+        raw = [mm(np.stack([random_algebra(rng, group) for _ in range(7)]), k)
+               for _ in range(3)]
+        hats = [mm(x, group_inv(k)) for x in raw]
+        total = 0.0 + 0.0j
+        for perm, sign in signed_permutations(3):
+            a, b, c = (hats[i] for i in perm)
+            total += sign * -np.trace(mm(bracket(a, b), c), axis1=-2, axis2=-1)
+        assert np.array_equal(omega3(k, *raw), np.real(total) / (48 * np.pi ** 2))
 
 
 def test_string_form_matches_omega3_at_endpoint():

@@ -269,6 +269,24 @@ def test_mm_is_matmul_and_rounds_a_stack_as_its_slices(ops):
         assert np.array_equal(got[idx], lg.mm(A[idx], B[idx]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_mm_operands())
+def test_trace_mm_is_the_trace_of_mm_bit_for_bit(ops):
+    a, b, _ = ops
+    want = np.trace(lg.mm(a, b), axis1=-2, axis2=-1)
+    assert np.array_equal(lg.trace_mm(a, b), want)
+
+
+def test_trace_mm_on_a_large_stack_bit_for_bit():
+    # the (64, 16, 16) node stack of omega3_su2_integral
+    rng = sampling.make_rng(23)
+    for n in (2, 3):
+        a, b = (rng.normal(size=(64, 16, 16, n, n))
+                + 1j * rng.normal(size=(64, 16, 16, n, n)) for _ in range(2))
+        want = np.trace(lg.mm(a, b), axis1=-2, axis2=-1)
+        assert np.array_equal(lg.trace_mm(a, b), want)
+
+
 def test_mm_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
         lg.mm(np.eye(2), np.eye(3))

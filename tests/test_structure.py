@@ -92,6 +92,8 @@ def test_no_parameter_that_no_caller_varies():
     assert _params(centext.holonomy_H) == ("disk",)
     assert "based_loops" not in _params(sampling.random_group_path)
     assert "based" not in _params(sampling.random_loop_tangent)
+    # nothing reads a gradient of the Higgs coefficient
+    assert "phi_coeff_grad" not in _params(gerbe.TrivialBundle.__init__)
 
 
 def _defs(path: Path) -> dict:
@@ -196,3 +198,30 @@ def test_no_flow_casts_its_steps_to_float():
                  if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                         and n.func.id == "float" for n in ast.walk(fn))]
     assert offenders == []
+
+
+def _calls_by_function(path: Path) -> dict:
+    """Qualified function name -> names of the functions it calls
+    directly (a bare name or the attribute of a method call)."""
+    out = {}
+    for name, fn in _defs(path).items():
+        out[name] = {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                     for n in ast.walk(fn) if isinstance(n, ast.Call)
+                     and isinstance(n.func, (ast.Name, ast.Attribute))}
+    return out
+
+
+def test_one_alternating_pairing():
+    # pair_forms is the one alternating sum over permutations: the caloron
+    # 4-form and the descended 3-form are its pairings, and only the
+    # literal six-term omega3 writes out a permutation sum of its own
+    assert not hasattr(forms, "wedge_pair")
+    calls = {path.stem + "." + name: called
+             for path in sorted(SRC.glob("*.py"))
+             for name, called in _calls_by_function(path).items()}
+    permuting = sorted(name for name, called in calls.items()
+                       if "signed_permutations" in called)
+    assert permuting == ["forms.pair_forms", "gerbe.omega3"]
+    for name in ("caloron.integrate_circle", "gerbe.string_form_at"):
+        assert not calls[name] & {"pair_samples", "curvature_samples",
+                                  "curvature"}, name
