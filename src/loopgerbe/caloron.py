@@ -65,7 +65,7 @@ def _node(fun, theta):
     jr = np.rint(j)
     off = abs(j - jr) > 1e-9
     jr = jr.astype(int)
-    if not fun.closed:
+    if not fun.grid.closed:
         return jr % fun.grid.n, off
     if np.count_nonzero(~off & ((jr < 0) | (jr > fun.grid.n))):
         raise ValueError("angle outside the closed grid")
@@ -94,7 +94,7 @@ def eval_samples(fun: GridFun, theta) -> np.ndarray:
     vals = _at_nodes(fun.vals, j)
     if not np.count_nonzero(off):
         return vals
-    if fun.closed:
+    if fun.grid.closed:
         raise ValueError("off-node angles need periodic data")
     return np.where(off[..., None, None], fun.interp(theta), vals)
 
@@ -190,7 +190,7 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
         total = total + nabla_phi(V.X) * W.lam
     if V.lam != 0.0:
         total = total - nabla_phi(W.X) * V.lam
-    return GridFun(total.grid, adjoint_inv(k, total.vals), total.closed)
+    return GridFun(total.grid, adjoint_inv(k, total.vals))
 
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
@@ -271,7 +271,7 @@ def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
     Only scenarios in the periodic picture qualify: the integrand is a
     function on the whole circle, not on a cut interval.
     """
-    if scn.closed:
+    if scn.grid.closed:
         raise ValueError("circle integration needs the periodic picture")
     p = scn.canonical_lift(m)
     n = scn.group.n
@@ -290,25 +290,18 @@ def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
 
 def extract_connection_higgs(scn, p):
     """Read (A, Phi) back out of the transferred connection at the
-    identity frame: A(X) from (X, 0, 0), Phi from (0, 0, 1)."""
-    template = scn.higgs(p)
+    identity frame: A(X) from (X, 0, 0), Phi from (0, 0, 1), each from
+    one evaluation at the point stacked over the grid nodes."""
+    grid = scn.grid
     n = scn.group.n
-    k = np.eye(n, dtype=complex)
-    thetas = template.grid.closed_nodes if template.closed else template.grid.nodes
-
-    def at(theta, V):
-        return caloron_connection(scn, CaloronPoint(p, k, float(theta)), V)
-
-    tdir = CaloronTangent(scn.zero_tangent(p), np.zeros((n, n)), 1.0)
-    phi = GridFun(template.grid,
-                  np.stack([at(t, tdir) for t in thetas]), template.closed)
+    pt = CaloronPoint(p, np.eye(n, dtype=complex), grid.nodes)
 
     def connection_of(X):
         V = CaloronTangent(X, np.zeros((n, n)), 0.0)
-        return GridFun(template.grid,
-                       np.stack([at(t, V) for t in thetas]), template.closed)
+        return GridFun(grid, caloron_connection(scn, pt, V))
 
-    return connection_of, phi
+    tdir = CaloronTangent(scn.zero_tangent(p), np.zeros((n, n)), 1.0)
+    return connection_of, GridFun(grid, caloron_connection(scn, pt, tdir))
 
 
 def killingback_map(xloop: np.ndarray, qloop: LoopPoint, k: np.ndarray,

@@ -25,7 +25,7 @@ import numpy as np
 from .forms import Form, delta_nerve, ext_d
 from .liegroup import SU2, eig_alg
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
-                    conj_loop, pair_samples, quad_grid, quad_unit)
+                    conj_loop, pair_samples, quad_unit)
 
 
 class ConventionError(RuntimeError):
@@ -34,10 +34,10 @@ class ConventionError(RuntimeError):
 
 def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> np.ndarray:
     """(i/4 pi) int (<X, Y'> - <Y, X'>) dtheta; independent of g."""
-    if X.grid.n != g.grid.n or Y.grid.n != g.grid.n:
+    if X.grid != g.grid or Y.grid != g.grid:
         raise ValueError("grid mismatch")
     s = pair_samples(X, Y.dtheta()) - pair_samples(Y, X.dtheta())
-    return 0.25j / np.pi * quad_grid(s, X)
+    return 0.25j / np.pi * X.grid.quad(s)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> np.ndarr
 
     The slot is pinned; verified once by the self-test (alpha_slot).
     """
-    if g.grid.n != h.grid.n or Xg.grid.n != g.grid.n or Xh.grid.n != g.grid.n:
+    if h.grid != g.grid or Xg.grid != g.grid or Xh.grid != g.grid:
         raise ValueError("grid mismatch")
     alpha_slot()
     return gomi_cocycle_Z(h, Xg)
@@ -124,7 +124,7 @@ class DiskLoop:
         out = None
         for c, X in terms:
             cv = np.asarray(c(np.asarray(s, dtype=float)), dtype=float)[..., None, None, None]
-            t = GridFun(X.grid, cv * X.vals, X.closed,
+            t = GridFun(X.grid, cv * X.vals,
                         None if X.dvals is None else cv * X.dvals)
             out = t if out is None else out + t
         return out
@@ -183,15 +183,15 @@ def mu_hat(f: PathInLoopGroup, X: GridFun) -> complex:
 
 def gomi_cocycle_Z(g: LoopPoint, X: GridFun) -> np.ndarray:
     """(i/2 pi) int <X, Z(g)> dtheta."""
-    if g.grid.n != X.grid.n:
+    if g.grid != X.grid:
         raise ValueError("grid mismatch")
-    return 0.5j / np.pi * quad_grid(pair_samples(X, g.z()), X)
+    return 0.5j / np.pi * X.grid.quad(pair_samples(X, g.z()))
 
 
 def splitting_ell(scenario, p, X: GridFun) -> complex:
     """ell(p, X) = (i/2 pi) int <Higgs(p), X> dtheta."""
     phi = scenario.higgs(p)
-    return 0.5j / np.pi * quad_grid(pair_samples(phi, X), X)
+    return 0.5j / np.pi * X.grid.quad(pair_samples(phi, X))
 
 
 def reduced_splitting_check(scenario, p, g: LoopPoint, X: GridFun) -> float:

@@ -208,9 +208,9 @@ def reduced_splitting(cfg: RunConfig, rng, n: int = 3) -> float:
         X = random_loop_tangent(rng, grid, group)
         worst = max(worst, centext.reduced_splitting_check(tb, p, g, X))
 
-        pp = random_path_point(rng, grid, group)
-        gam = random_loop(rng, grid, group, closed=True, based=True)
-        Xc = random_loop_tangent(rng, grid, group, closed=True)
+        pp = random_path_point(rng, pf.grid, group)
+        gam = random_loop(rng, pf.grid, group, based=True)
+        Xc = random_loop_tangent(rng, pf.grid, group)
         worst = max(worst, centext.reduced_splitting_check(pf, pp, gam, Xc))
     return worst
 
@@ -221,12 +221,11 @@ def reduced_splitting(cfg: RunConfig, rng, n: int = 3) -> float:
 
 def string_matches_invariant_form(cfg: RunConfig, rng, n: int = 4) -> float:
     """relative gap between the descended 3-form and omega3 downstairs."""
-    grid, group = _setup(cfg)
     pf = _pf(cfg)
     worst = 0.0
     for _ in range(n):
-        p = random_path_point(rng, grid, group)
-        Ts = [random_path_tangent(rng, grid, group) for _ in range(3)]
+        p = random_path_point(rng, pf.grid, pf.group)
+        Ts = [random_path_tangent(rng, pf.grid, pf.group) for _ in range(3)]
         got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
         k = pf.project(p)
         want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
@@ -241,14 +240,13 @@ def invariant_volume(cfg: RunConfig, rng, n: int = 0) -> float:
 
 def curving_differential_path(cfg: RunConfig, rng, n: int = 1) -> float:
     """|d f - 2 pi i omega(projected)| on the path fibration."""
-    grid, group = _setup(cfg)
     pf = _pf(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b,
                                                     fd_step=cfg.fd_step))
     worst = 0.0
     for _ in range(n):
-        p = random_path_point(rng, grid, group)
-        Ts = tuple(random_path_tangent(rng, grid, group) for _ in range(3))
+        p = random_path_point(rng, pf.grid, pf.group)
+        Ts = tuple(random_path_tangent(rng, pf.grid, pf.group) for _ in range(3))
         # outer step 1e-3: the inner quadratures are exact here, the
         # wider step keeps the second-level difference noise down
         df = ext_d(fform, p, Ts, h=1e-3)
@@ -310,8 +308,8 @@ def transition_coboundary(cfg: RunConfig, rng, n: int = 2) -> float:
         worst = max(worst, abs(delta_fibre(eps)(pts, vecs)
                                - gerbe.beta_form(tb, pts, vecs)))
 
-        ppts = random_path_fibre_points(rng, grid, group, 3)
-        pvecs = random_path_fibre_tangent(rng, grid, group, 3)
+        ppts = random_path_fibre_points(rng, pf.grid, group, 3)
+        pvecs = random_path_fibre_tangent(rng, pf.grid, group, 3)
         peps = Form(1, lambda pt, v: gerbe.epsilon_form(pf, pt, v))
         worst = max(worst, abs(delta_fibre(peps)(ppts, pvecs)
                                - gerbe.beta_form(pf, ppts, pvecs)))
@@ -344,9 +342,9 @@ def curving_transition(cfg: RunConfig, rng, n: int = 1) -> float:
         wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
         worst = max(worst, _curving_chain(tb, pts, vecs, wecs, cfg))
 
-        ppts = random_path_fibre_points(rng, grid, group, 2)
-        pvecs = random_path_fibre_tangent(rng, grid, group, 2)
-        pwecs = random_path_fibre_tangent(rng, grid, group, 2)
+        ppts = random_path_fibre_points(rng, pf.grid, group, 2)
+        pvecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
+        pwecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
         worst = max(worst, _curving_chain(pf, ppts, pvecs, pwecs, cfg))
     return worst
 
@@ -498,7 +496,6 @@ def circle_reduction(cfg: RunConfig, rng, n: int = 3) -> float:
 
 def frame_round_trip(cfg: RunConfig, rng, n: int = 1) -> float:
     """connection and Higgs field recovered from the identity frame."""
-    grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
     worst = 0.0
     for _ in range(n):
@@ -510,9 +507,9 @@ def frame_round_trip(cfg: RunConfig, rng, n: int = 1) -> float:
         worst = max(worst, float(np.max(np.abs(phi.vals
                                                - tb.higgs(p).vals))))
 
-        pp = random_path_point(rng, grid, group)
+        pp = random_path_point(rng, pf.grid, pf.group)
         conn_of, phi = caloron.extract_connection_higgs(pf, pp)
-        X = random_path_tangent(rng, grid, group)
+        X = random_path_tangent(rng, pf.grid, pf.group)
         worst = max(worst, float(np.max(np.abs(
             conn_of(X).vals - pf.connection(pp, X).vals))))
         worst = max(worst, float(np.max(np.abs(phi.vals
@@ -610,8 +607,10 @@ class ConvergenceResult:
 
 
 def _fit_order(hs, rs) -> Optional[float]:
+    """The slope of log(residual) against log(step); None when fewer than
+    two rungs or a residual at zero leave no line to fit."""
     hs, rs = np.asarray(hs, dtype=float), np.asarray(rs, dtype=float)
-    if np.any(rs <= 0.0):
+    if hs.size < 2 or np.any(rs <= 0.0):
         return None
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 

@@ -75,7 +75,7 @@ def tangent_bracket(v, w):
         d = None
         if v.dvals is not None and w.dvals is not None:
             d = alg_bracket(v.dvals, w.vals) + alg_bracket(v.vals, w.dvals)
-        return GridFun(v.grid, alg_bracket(v.vals, w.vals), v.closed, d)
+        return GridFun(v.grid, alg_bracket(v.vals, w.vals), d)
     if isinstance(v, np.ndarray):
         return np.zeros_like(v)
     if not hasattr(v, "bracket"):

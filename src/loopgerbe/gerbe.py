@@ -28,7 +28,7 @@ from .forms import (ChartPt, Form, directional, ext_d, pair_forms,
 from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
                        project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
-                    pair_samples, quad_grid, step_axes)
+                    pair_samples, step_axes)
 
 
 def _one() -> Fn:
@@ -81,13 +81,12 @@ class TrivialBundle:
     seed is phi(m) = phi_coeff(m) * profile(theta) xi.  Tangents are
     (u, X) pairs: a chart vector and a left-trivialised loop vector.
     Chart points may stack leading axes in front of the chart axis, and
-    every chart function reads coordinate i as m[..., i].
+    every chart function reads coordinate i as m[..., i].  The loops
+    live on the periodic grid.
     """
 
-    closed = False  # loops on the periodic grid
-
     def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
-                 phi_coeff, rho, rho_grad, phi2_term=None, phi2_coeff=None):
+                 phi_coeff, rho, rho_grad):
         self.grid = grid
         self.group = group
         self.dim = len(a_terms)
@@ -96,8 +95,16 @@ class TrivialBundle:
         self.phi_coeff = phi_coeff
         self.rho = rho
         self.rho_grad = rho_grad
-        self.phi2_term = phi2_term if phi2_term is not None else phi_term
-        self.phi2_coeff = phi2_coeff if phi2_coeff is not None else phi_coeff
+
+    def with_data(self, *, phi_term=None, phi_coeff=None) -> "TrivialBundle":
+        """A new bundle on the same grid, group, base connection and bump
+        with the Higgs profile term or the Higgs coefficient replaced;
+        what is not given is kept."""
+        return TrivialBundle(
+            self.grid, self.group, self.a_terms,
+            self.phi_term if phi_term is None else phi_term,
+            self.phi_coeff if phi_coeff is None else phi_coeff,
+            self.rho, self.rho_grad)
 
     @staticmethod
     def default(grid: ThetaGrid, group: Group = SU2) -> "TrivialBundle":
@@ -119,8 +126,6 @@ class TrivialBundle:
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0],
             rho=rho, rho_grad=rho_grad,
-            phi2_term=(_one(), E[0]),
-            phi2_coeff=lambda m: 0.4 + m[..., 1],
         )
 
     @staticmethod
@@ -150,8 +155,6 @@ class TrivialBundle:
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2],
             rho=rho, rho_grad=rho_grad,
-            phi2_term=(_one(), E[0]),
-            phi2_coeff=lambda m: 0.4 + m[..., 1],
         )
 
     # points and tangents
@@ -203,11 +206,6 @@ class TrivialBundle:
         c = self.rho(m) * self.phi_coeff(m)
         return GridFun.from_profiles(self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)])
 
-    def phi_alt(self, m) -> GridFun:
-        f, xi = self.phi2_term
-        c = self.rho(m) * self.phi2_coeff(m)
-        return GridFun.from_profiles(self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)])
-
     # gerbe surface
 
     def connection(self, p: TrivialPoint, V) -> GridFun:
@@ -215,9 +213,6 @@ class TrivialBundle:
 
     def higgs(self, p: TrivialPoint) -> GridFun:
         return conj_loop(p.g, self.phi(p.m)) + p.g.log_derivative()
-
-    def higgs_alt(self, p: TrivialPoint) -> GridFun:
-        return conj_loop(p.g, self.phi_alt(p.m)) + p.g.log_derivative()
 
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
         if float(np.max(np.abs(p.m - q.m))) > 1e-10:
@@ -265,17 +260,16 @@ class PathFibration:
     the projection is evaluation at 2 pi.  Tangents are closed-grid
     algebra loops vanishing at theta = 0; vertical means vanishing at
     2 pi as well.  The connection interpolates between the path value
-    and its endpoint pullback.
+    and its endpoint pullback.  The scenario holds the closed grid with
+    the N of the grid it is given.
     """
 
-    closed = True  # paths on the closed grid
-
     def __init__(self, grid: ThetaGrid, group: Group = SU2):
-        self.grid = grid
+        self.grid = ThetaGrid(grid.n, closed=True)
         self.group = group
 
     def check_point(self, p: LoopPoint) -> None:
-        if not p.closed:
+        if not p.grid.closed:
             raise ValueError("path points live on the closed grid")
         if float(np.max(np.abs(p.vals[..., 0, :, :] - np.eye(self.group.n)))) > 1e-10:
             raise ValueError("paths must start at the identity")
@@ -288,11 +282,10 @@ class PathFibration:
 
     def lift_tangent(self, p: LoopPoint, xbar) -> GridFun:
         """The ramp lift: theta/2pi times a left-trivialised base vector."""
-        return GridFun.from_profiles(self.grid, [(Fn.ramp(1.0), np.asarray(xbar))],
-                                     closed=True)
+        return GridFun.from_profiles(self.grid, [(Fn.ramp(1.0), np.asarray(xbar))])
 
     def zero_tangent(self, p: LoopPoint) -> GridFun:
-        return GridFun.zero(self.grid, self.group.n, closed=True)
+        return GridFun.zero(self.grid, self.group.n)
 
     def project(self, p: LoopPoint) -> np.ndarray:
         return p.endpoint()
@@ -309,10 +302,9 @@ class PathFibration:
             raise ValueError("no principal logarithm near this element")
         return LoopPoint(
             self.grid,
-            exp_alg(eta, self.grid.closed_nodes / (2 * np.pi)),
-            closed=True,
+            exp_alg(eta, self.grid.nodes / (2 * np.pi)),
             zvals=(1.0 / (2 * np.pi))
-            * np.broadcast_to(eta, (self.grid.n + 1,) + eta.shape).copy())
+            * np.broadcast_to(eta, (self.grid.size,) + eta.shape).copy())
 
     def higgs(self, p: LoopPoint) -> GridFun:
         return conj_loop(p, p.z())
@@ -320,7 +312,7 @@ class PathFibration:
     def _endpoint_frame(self, p: LoopPoint):
         """Q(theta) = p(theta)^-1 p(2pi) and the ramp theta/2pi."""
         Q = mm(group_inv(p.vals), _end(p.vals))
-        ramp = p.grid.closed_nodes / (2.0 * np.pi)
+        ramp = p.grid.nodes / (2.0 * np.pi)
         return Q, ramp
 
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
@@ -331,7 +323,7 @@ class PathFibration:
         if V.dvals is not None and p.zvals is not None:
             dw = bracket(w, self.higgs(p).vals)
             dvals = V.dvals - (1.0 / (2 * np.pi)) * w - ramp[:, None, None] * dw
-        return GridFun(p.grid, vals, closed=True, dvals=dvals)
+        return GridFun(p.grid, vals, dvals)
 
     def tau(self, p: LoopPoint, q: LoopPoint) -> LoopPoint:
         if float(np.max(np.abs(p.endpoint() - q.endpoint()))) > 1e-10:
@@ -343,19 +335,19 @@ class PathFibration:
         """Closed form: a quadratic-in-theta profile times the endpoint
         bracket conjugated back along the path."""
         Q, ramp = self._endpoint_frame(p)
-        theta = p.grid.closed_nodes
+        theta = p.grid.nodes
         adc = adjoint(Q, bracket(_end(V.vals), _end(W.vals)))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
         vals = 2.0 * poly[:, None, None] * adc
         dpoly = theta / (4 * np.pi ** 2) - 1.0 / (4 * np.pi)
         dadc = bracket(adc, self.higgs(p).vals)
         dvals = 2.0 * (dpoly[:, None, None] * adc + poly[:, None, None] * dadc)
-        return GridFun(p.grid, vals, closed=True, dvals=dvals)
+        return GridFun(p.grid, vals, dvals)
 
     def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, _ = self._endpoint_frame(p)
         w = adjoint(Q, _end(V.vals))
-        return GridFun(p.grid, w * (1.0 / (2 * np.pi)), closed=True)
+        return GridFun(p.grid, w * (1.0 / (2 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def tau_deriv_fd(scn, p, q, V, W, fd_step: float = 1e-4) -> GridFun:
     raw = directional(lambda t: at(t).vals, fd_step, richardson=False)
     t0 = at(0.0)
     ltriv = project_algebra(mm(group_inv(t0.vals), raw))
-    return GridFun(t0.grid, ltriv, t0.closed)
+    return GridFun(t0.grid, ltriv)
 
 
 def connection_pullback_check(scn, p, q, V, W, fd_step: float = 1e-4) -> float:
@@ -428,7 +420,7 @@ def curving_f(scn, p, V, W, fd_step: float = 1e-4) -> complex:
     phi = scn.higgs(p)
     s = (0.5 * (pair_samples(aV, aW.dtheta()) - pair_samples(aW, aV.dtheta()))
          - pair_samples(F, phi))
-    return 0.5j / np.pi * quad_grid(s, aV)
+    return 0.5j / np.pi * aV.grid.quad(s)
 
 
 def nabla_phi(scn, p, V, fd_step: float = 1e-4) -> GridFun:
@@ -454,14 +446,14 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4):
     value per node set of a stacked point.
 
     The (2,1) pairing `forms.pair_forms` of the curvature and nabla Phi
-    through `pair_samples`, integrated by the rule of the scenario's
-    grid flavour.  The value descends: it depends only on the
+    through `pair_samples`, integrated by the quadrature of the
+    scenario's grid.  The value descends: it depends only on the
     projections of point and tangents.
     """
     F = Form(2, functools.partial(scn.curvature, fd_step=fd_step))
     dphi = Form(1, functools.partial(nabla_phi, scn, fd_step=fd_step))
     s = pair_forms(pair_samples, (F, dphi))(p, T1, T2, T3)
-    return np.real(-1.0 / (4 * np.pi ** 2) * quad_grid(s, scn))
+    return np.real(-1.0 / (4 * np.pi ** 2) * scn.grid.quad(s))
 
 
 def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4):

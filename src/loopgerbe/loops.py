@@ -1,14 +1,17 @@
 """Loops and paths in a compact group, sampled on a circle grid.
 
-Two grid flavours appear.  Periodic grids carry N nodes theta_j = 2 pi j/N
-with the node at 2 pi identified with 0; loops in the group and their
-tangents live here, differentiation is trigonometric (FFT) and the
-quadrature is the periodic trapezoid rule, both spectrally accurate for
-smooth periodic data.  Closed grids carry N+1 nodes including both ends;
-identity-based paths (which need not close up) live here, differentiation
-falls back to 4th-order finite differences and quadrature to composite
-Simpson.  Objects built from closed-form data carry exact derivative
-payloads which take precedence over either numerical route.
+A grid is periodic or closed; objects read the flavour from their grid
+(`ThetaGrid.closed`), which owns the nodes, the theta derivative and
+the quadrature of that flavour.  Periodic grids carry N nodes
+theta_j = 2 pi j/N with the node at 2 pi identified with 0; loops in
+the group and their tangents live here, differentiation is
+trigonometric (FFT) and the quadrature is the periodic trapezoid rule,
+both spectrally accurate for smooth periodic data.  Closed grids carry
+N+1 nodes including both ends; identity-based paths (which need not
+close up) live here, differentiation falls back to 4th-order finite
+differences and quadrature to composite Simpson.  Objects built from
+closed-form data carry exact derivative payloads which take precedence
+over either numerical route.
 
 Node arrays may carry leading axes: the samples of a path in the loop
 group stack its parameter nodes in front, shape (M, N, n, n).  Theta is
@@ -119,9 +122,11 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform grid on [0, 2 pi] with N subintervals."""
+    """Uniform grid on [0, 2 pi] with N subintervals: periodic (N nodes,
+    2 pi identified with 0) or closed (N+1 nodes, both ends kept)."""
 
     n: int
+    closed: bool = False
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
@@ -131,15 +136,28 @@ class ThetaGrid:
     def h(self) -> float:
         return 2.0 * np.pi / self.n
 
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
-        """The N periodic nodes, built once per grid and read-only."""
-        return _frozen(2.0 * np.pi * np.arange(self.n) / self.n)
+    @property
+    def size(self) -> int:
+        """The number of nodes: N periodic, N+1 closed."""
+        return self.n + 1 if self.closed else self.n
 
     @functools.cached_property
-    def closed_nodes(self) -> np.ndarray:
-        """The N+1 closed-grid nodes, built once per grid and read-only."""
-        return _frozen(2.0 * np.pi * np.arange(self.n + 1) / self.n)
+    def nodes(self) -> np.ndarray:
+        """The nodes 2 pi j/N, built once per grid and read-only."""
+        return _frozen(2.0 * np.pi * np.arange(self.size) / self.n)
+
+    def dtheta(self, vals: np.ndarray) -> np.ndarray:
+        """Numerical theta derivative of matrix samples along theta (axis
+        -3), never along leading axes: spectral on a periodic grid,
+        4th-order differences on a closed one."""
+        vals = np.moveaxis(vals, -3, 0)
+        d = fd4_dtheta_closed(vals, self.h) if self.closed else spectral_dtheta(vals)
+        return np.moveaxis(d, 0, -3)
+
+    def quad(self, samples: np.ndarray) -> np.ndarray:
+        """Integral over theta (the last axis) of node samples: the
+        periodic trapezoid rule, or composite Simpson on a closed grid."""
+        return quad_closed(samples, self.h) if self.closed else quad_s1(samples)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -182,15 +200,6 @@ def fd4_dtheta_closed(vals: np.ndarray, h: float) -> np.ndarray:
         out[r] = sum(c * vals[j] for j, c in enumerate(_FD4_LEFT[r])) / h
         out[-1 - r] = -sum(c * vals[-1 - j] for j, c in enumerate(_FD4_LEFT[r])) / h
     return out
-
-
-def _dtheta(vals: np.ndarray, grid: ThetaGrid, closed: bool) -> np.ndarray:
-    """Numerical theta derivative of matrix samples along theta (axis -3),
-    never along leading axes: 4th-order differences on a closed grid,
-    spectral on a periodic one."""
-    vals = np.moveaxis(vals, -3, 0)
-    d = fd4_dtheta_closed(vals, grid.h) if closed else spectral_dtheta(vals)
-    return np.moveaxis(d, 0, -3)
 
 
 def quad_s1(samples: np.ndarray) -> np.ndarray:
@@ -260,26 +269,18 @@ class GridFun:
 
     grid: ThetaGrid
     vals: np.ndarray
-    closed: bool = False
     dvals: Optional[np.ndarray] = None
     _eig: Optional[AlgEig] = field(default=None, init=False, repr=False,
                                    compare=False)
 
     def __post_init__(self):
-        want = self.grid.n + 1 if self.closed else self.grid.n
-        if self.vals.shape[-3] != want:
-            raise ValueError(f"expected {want} nodes, got {self.vals.shape[-3]}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.closed_nodes if self.closed else self.grid.nodes
+        _check_nodes(self.grid, self.vals)
 
     def _like(self, vals, dvals=None) -> "GridFun":
-        return GridFun(self.grid, vals, self.closed, dvals)
+        return GridFun(self.grid, vals, dvals)
 
     def _check(self, other: "GridFun"):
-        if self.grid.n != other.grid.n or self.closed != other.closed:
-            raise ValueError("grid mismatch")
+        _check_grids(self.grid, other.grid)
 
     def __add__(self, other: "GridFun") -> "GridFun":
         self._check(other)
@@ -311,14 +312,6 @@ class GridFun:
         of a stack."""
         return self._like(self.vals[i], None if self.dvals is None else self.dvals[i])
 
-    def scale_profile(self, c: np.ndarray, dc: Optional[np.ndarray] = None) -> "GridFun":
-        """Multiply node-wise by a scalar profile c(theta); product rule for dvals."""
-        cv = np.asarray(c)[:, None, None]
-        d = None
-        if self.dvals is not None and dc is not None:
-            d = np.asarray(dc)[:, None, None] * self.vals + cv * self.dvals
-        return self._like(cv * self.vals, d)
-
     def eig(self) -> AlgEig:
         """The decomposition of vals and dvals, made once and kept."""
         if self._eig is None:
@@ -328,13 +321,13 @@ class GridFun:
     def dtheta(self) -> "GridFun":
         if self.dvals is not None:
             return self._like(self.dvals)
-        return self._like(_dtheta(self.vals, self.grid, self.closed))
+        return self._like(self.grid.dtheta(self.vals))
 
     def interp(self, theta) -> np.ndarray:
         """Trigonometric interpolation at off-grid angles (periodic only),
         along theta.  The angles' axes broadcast against the leading axes
         (an angle per node set of a stack), shape (..., n, n)."""
-        if self.closed:
+        if self.grid.closed:
             raise ValueError("trigonometric interpolation needs periodic data")
         theta = np.asarray(theta, dtype=float)
         n = self.grid.n
@@ -349,23 +342,32 @@ class GridFun:
         return out.reshape(out.shape[:-1] + self.vals.shape[-2:])
 
     @staticmethod
-    def from_profiles(grid: ThetaGrid, terms: Sequence[tuple], closed: bool = False) -> "GridFun":
+    def from_profiles(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
         """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j.
         A profile may return a stack of them, theta last: its leading
         axes lead the samples."""
-        t = grid.closed_nodes if closed else grid.nodes
+        t = grid.nodes
         # from 0.0, so that the profiles' stack shape sets the samples'
         vals = dvals = 0.0
         for f, X in terms:
             vals = vals + np.asarray(f.val(t))[..., None, None] * X
             dvals = dvals + np.asarray(f.dval(t))[..., None, None] * X
-        return GridFun(grid, vals, closed, dvals)
+        return GridFun(grid, vals, dvals)
 
     @staticmethod
-    def zero(grid: ThetaGrid, n: int, closed: bool = False) -> "GridFun":
-        m = grid.n + 1 if closed else grid.n
-        z = np.zeros((m, n, n), dtype=complex)
-        return GridFun(grid, z, closed, z.copy())
+    def zero(grid: ThetaGrid, n: int) -> "GridFun":
+        z = np.zeros((grid.size, n, n), dtype=complex)
+        return GridFun(grid, z, z.copy())
+
+
+def _check_nodes(grid: ThetaGrid, vals: np.ndarray):
+    if vals.shape[-3] != grid.size:
+        raise ValueError(f"expected {grid.size} nodes, got {vals.shape[-3]}")
+
+
+def _check_grids(a: ThetaGrid, b: ThetaGrid):
+    if a is not b and a != b:
+        raise ValueError("grid mismatch")
 
 
 def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
@@ -382,20 +384,6 @@ def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
     return -np.einsum("...ij,...ji->...", x, y)
 
 
-def quad_grid(samples: np.ndarray, template) -> np.ndarray:
-    """Integral over theta (the last axis) of node samples, using the rule
-    matching the grid flavour of `template`: anything with a `grid` and
-    a `closed` flag, a GridFun or a scenario."""
-    if template.closed:
-        return quad_closed(samples, template.grid.h)
-    return quad_s1(samples)
-
-
-def quad_pair(X: GridFun, Y: GridFun) -> np.ndarray:
-    """Integral over theta of <X, Y>, using the rule matching the grid flavour."""
-    return quad_grid(pair_samples(X, Y), X)
-
-
 # ---------------------------------------------------------------------------
 # group-valued loops and identity-based paths
 
@@ -404,33 +392,32 @@ def quad_pair(X: GridFun, Y: GridFun) -> np.ndarray:
 class LoopPoint:
     """A group-valued function of theta.
 
-    Periodic instances are loops; closed instances with vals[0] = identity
-    are the points of the path fibration.  `zvals` caches the exact right
-    logarithmic derivative Z(g) = (d_theta g) g^(-1) when it is known in
-    closed form; group multiplication and flows propagate it.  As for
-    GridFun, the samples may carry leading axes and theta is axis -3.
+    Instances on a periodic grid are loops; instances on a closed grid
+    with vals[0] = identity are the points of the path fibration.
+    `zvals` caches the exact right logarithmic derivative
+    Z(g) = (d_theta g) g^(-1) when it is known in closed form; group
+    multiplication and flows propagate it.  As for GridFun, the samples
+    may carry leading axes and theta is axis -3, and their node count
+    must match the grid.
     """
 
     grid: ThetaGrid
     vals: np.ndarray
-    closed: bool = False
     zvals: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _check_nodes(self.grid, self.vals)
 
     @property
     def n(self) -> int:
         return self.vals.shape[-1]
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.closed_nodes if self.closed else self.grid.nodes
-
     def _check(self, other: "LoopPoint"):
-        if self.grid.n != other.grid.n or self.closed != other.closed:
-            raise ValueError("grid mismatch")
+        _check_grids(self.grid, other.grid)
 
     def inv(self) -> "LoopPoint":
         zi = None if self.zvals is None else -adjoint_inv(self.vals, self.zvals)
-        return LoopPoint(self.grid, group_inv(self.vals), self.closed, zi)
+        return LoopPoint(self.grid, group_inv(self.vals), zi)
 
     def mul(self, other: "LoopPoint") -> "LoopPoint":
         """Pointwise product; Z(gh) = Z(g) + Ad(g) Z(h)."""
@@ -438,19 +425,19 @@ class LoopPoint:
         z = None
         if self.zvals is not None and other.zvals is not None:
             z = self.zvals + adjoint(self.vals, other.zvals)
-        return LoopPoint(self.grid, mm(self.vals, other.vals), self.closed, z)
+        return LoopPoint(self.grid, mm(self.vals, other.vals), z)
 
     def z(self) -> GridFun:
         """Right logarithmic derivative Z(g) = (d_theta g) g^(-1)."""
         if self.zvals is not None:
-            return GridFun(self.grid, self.zvals, self.closed)
-        dv = _dtheta(self.vals, self.grid, self.closed)
-        return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))), self.closed)
+            return GridFun(self.grid, self.zvals)
+        dv = self.grid.dtheta(self.vals)
+        return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))))
 
     def log_derivative(self) -> GridFun:
         """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g)."""
         zz = self.z()
-        return GridFun(self.grid, adjoint_inv(self.vals, zz.vals), self.closed)
+        return GridFun(self.grid, adjoint_inv(self.vals, zz.vals))
 
     def flow(self, X: GridFun, t) -> "LoopPoint":
         """The points g exp(t X), with the Z payload carried along exactly.
@@ -461,31 +448,29 @@ class LoopPoint:
         Richardson steps of a directional derivative, and every other
         flow along X, share one eigh.  A tangent that is not
         anti-Hermitian raises ValueError on its first flow."""
-        if X.closed != self.closed or X.grid.n != self.grid.n:
-            raise ValueError("grid mismatch")
+        _check_grids(X.grid, self.grid)
         t = step_axes(t, self.vals.ndim - X.vals.ndim)
         if self.zvals is None or X.dvals is None:
-            return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)), self.closed)
+            return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)))
         e, d = X.eig().exp_dexp(t)
-        return LoopPoint(self.grid, mm(self.vals, e), self.closed,
+        return LoopPoint(self.grid, mm(self.vals, e),
                          self.zvals + adjoint(self.vals, d))
 
     def endpoint(self) -> np.ndarray:
-        if not self.closed:
+        if not self.grid.closed:
             raise ValueError("endpoint is defined for closed-grid paths")
         return self.vals[..., -1, :, :]
 
     @staticmethod
-    def identity(grid: ThetaGrid, n: int, closed: bool = False) -> "LoopPoint":
-        m = grid.n + 1 if closed else grid.n
-        vals = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
-        return LoopPoint(grid, vals, closed, np.zeros_like(vals))
+    def identity(grid: ThetaGrid, n: int) -> "LoopPoint":
+        vals = np.broadcast_to(np.eye(n, dtype=complex), (grid.size, n, n)).copy()
+        return LoopPoint(grid, vals, np.zeros_like(vals))
 
     @staticmethod
-    def constant(grid: ThetaGrid, k: np.ndarray, closed: bool = False) -> "LoopPoint":
-        m = grid.n + 1 if closed else grid.n
-        vals = np.broadcast_to(np.asarray(k, dtype=complex), (m, k.shape[0], k.shape[0])).copy()
-        return LoopPoint(grid, vals, closed, np.zeros_like(vals))
+    def constant(grid: ThetaGrid, k: np.ndarray) -> "LoopPoint":
+        vals = np.broadcast_to(np.asarray(k, dtype=complex),
+                               (grid.size, k.shape[0], k.shape[0])).copy()
+        return LoopPoint(grid, vals, np.zeros_like(vals))
 
 
 def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
@@ -496,25 +481,26 @@ def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
     d = None
     if h.zvals is not None and X.dvals is not None:
         d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
-    return GridFun(X.grid, adjoint_inv(h.vals, X.vals), X.closed, d)
+    return GridFun(X.grid, adjoint_inv(h.vals, X.vals), d)
 
 
 # ---------------------------------------------------------------------------
 # closed-form loops
 
 
-def product_loop(grid: ThetaGrid, factors: Sequence[tuple], closed: bool = False) -> LoopPoint:
-    """Product of single-generator loops exp(f_j xi_j), exact Z payload.
+def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
+    """Product of single-generator loops exp(f_j xi_j) on the nodes of
+    the grid, exact Z payload.
 
     Each factor is (profile, xi) where profile provides val/dval.
     """
     out = None
-    t = grid.closed_nodes if closed else grid.nodes
+    t = grid.nodes
     for f, xi in factors:
         vals = exp_alg(xi, f.val(t))
         dfv = np.asarray(f.dval(t))
         z = np.ascontiguousarray(dfv[:, None, None] * np.broadcast_to(xi, vals.shape))
-        lp = LoopPoint(grid, vals, closed, z)
+        lp = LoopPoint(grid, vals, z)
         out = lp if out is None else out.mul(lp)
     if out is None:
         raise ValueError("need at least one factor")
@@ -555,7 +541,7 @@ class PathInLoopGroup:
             raise ValueError("need at least 5 path nodes")
         raw = fd4_dtheta_closed(self.g.vals, self.sgrid[1] - self.sgrid[0])
         ltriv = project_algebra(mm(group_inv(self.g.vals), raw))
-        return GridFun(self.g.grid, ltriv, self.g.closed)
+        return GridFun(self.g.grid, ltriv)
 
     def mul(self, other: "PathInLoopGroup") -> "PathInLoopGroup":
         """Pointwise product path; velocities compose as Ad(h^(-1)) f' + h'."""

@@ -99,24 +99,23 @@ def random_based_profile(rng: np.random.Generator, harmonics: int = 2,
 
 def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
                 nfactors: int = 2, harmonics: int = 2, scale: float = 0.5,
-                closed: bool = False, based: bool = False) -> LoopPoint:
+                based: bool = False) -> LoopPoint:
     """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
     factors = []
     for _ in range(nfactors):
         tp = random_trig(rng, harmonics, scale)
         prof = Fn.based(tp.as_fn()) if based else tp.as_fn()
         factors.append((prof, random_algebra(rng, group)))
-    return product_loop(grid, factors, closed)
+    return product_loop(grid, factors)
 
 
 def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                        harmonics: int = 2, scale: float = 0.5,
-                        closed: bool = False) -> GridFun:
+                        harmonics: int = 2, scale: float = 0.5) -> GridFun:
     """Algebra-valued loop with exact derivative payload."""
     terms = []
     for a in range(group.dim):
         terms.append((random_trig(rng, harmonics, scale).as_fn(), group.basis[a]))
-    return GridFun.from_profiles(grid, terms, closed)
+    return GridFun.from_profiles(grid, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +124,25 @@ def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
 # A path-fibration point is a closed-grid loop-group element p with
 # p(0) = identity; its projection is the endpoint p(2 pi).  Tangents are
 # closed-grid algebra loops vanishing at 0; vertical ones vanish at
-# 2 pi too.
+# 2 pi too.  These samplers take the closed grid of the scenario
+# (`PathFibration.grid`) and raise ValueError on a periodic one.
+
+
+def _need_closed(grid: ThetaGrid):
+    if not grid.closed:
+        raise ValueError("path-fibration samples live on a closed grid")
 
 
 def random_path_point(rng: np.random.Generator, grid: ThetaGrid, group: Group,
                       nfactors: int = 2, harmonics: int = 2,
                       scale: float = 0.5) -> LoopPoint:
+    _need_closed(grid)
     factors = []
     for j in range(nfactors):
         prof = Fn.add(random_based_profile(rng, harmonics, scale),
                       Fn.ramp(float(rng.uniform(-scale, scale))))
         factors.append((prof, random_algebra(rng, group)))
-    return product_loop(grid, factors, closed=True)
+    return product_loop(grid, factors)
 
 
 def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
@@ -147,6 +153,7 @@ def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
     endpoint: "free" draws the 2 pi value, "zero" makes the tangent
     vertical, an algebra matrix pins the 2 pi value exactly.
     """
+    _need_closed(grid)
     if isinstance(endpoint, str) and endpoint == "free":
         end = random_algebra(rng, group, scale)
     elif isinstance(endpoint, str) and endpoint == "zero":
@@ -156,7 +163,7 @@ def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
     terms = [(Fn.ramp(1.0), end)]
     for a in range(group.dim):
         terms.append((random_based_profile(rng, harmonics, scale), group.basis[a]))
-    return GridFun.from_profiles(grid, terms, closed=True)
+    return GridFun.from_profiles(grid, terms)
 
 
 def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: Group,
@@ -165,7 +172,7 @@ def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: G
     p1 = random_path_point(rng, grid, group, nfactors)
     pts = [p1]
     for _ in range(q - 1):
-        gam = random_loop(rng, grid, group, nfactors=1, closed=True, based=True)
+        gam = random_loop(rng, grid, group, nfactors=1, based=True)
         pts.append(p1.mul(gam))
     return tuple(pts)
 

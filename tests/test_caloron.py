@@ -282,9 +282,9 @@ def test_extract_round_trip_trivial_bundle():
 
 def test_extract_round_trip_path_fibration():
     rng = make_rng(361)
-    p = random_path_point(rng, GRID, SU2)
+    p = random_path_point(rng, PF.grid, SU2)
     A_of, phi = extract_connection_higgs(PF, p)
-    X = random_path_tangent(rng, GRID, SU2)
+    X = random_path_tangent(rng, PF.grid, SU2)
     assert np.max(np.abs(A_of(X).vals - PF.connection(p, X).vals)) < 1e-12
     assert np.max(np.abs(phi.vals - PF.higgs(p).vals)) < 1e-12
 
@@ -348,6 +348,6 @@ def test_eval_samples_node_and_interp():
     phase[GRID.n // 2] = np.cos(GRID.n // 2 * theta)
     want = np.tensordot(phase, spec, axes=(0, 0))
     assert np.max(np.abs(got - want)) < 1e-12
-    closedX = random_path_tangent(rng, GRID, SU2)
+    closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         eval_samples(closedX, theta)

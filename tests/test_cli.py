@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -257,6 +258,18 @@ def test_grid_sweep_rows_match_request():
     assert [row["grid"] for row in tab.rows] == list(grids)
     # closed-form integrands: already at roundoff on the coarsest grid
     assert all(row["residual"] < 1e-10 for row in tab.rows)
+
+
+def test_one_rung_fits_no_order():
+    # at the smallest allowed grid the ladder is a single rung, and a
+    # line through one point has no slope to report
+    cfg = RunConfig(ntheta=16)
+    assert convergence_grids(cfg) == [16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = convergence_table("path-fibration/string-matches-invariant-form",
+                                [16], cfg)
+    assert len(tab.rows) == 1 and tab.order is None
 
 
 def test_suite_runs_each_check_configuration_once(monkeypatch):

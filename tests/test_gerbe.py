@@ -13,7 +13,7 @@ from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              tau_deriv_fd)
 from loopgerbe.forms import signed_permutations
 from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
-from loopgerbe.loops import ThetaGrid, conj_loop
+from loopgerbe.loops import Fn, ThetaGrid, conj_loop
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
@@ -22,6 +22,9 @@ from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
 PF = PathFibration(GRID)
+# a second Higgs field on the same bundle: seed E0, coefficient 0.4 + m_1
+TB_ALT = TB.with_data(phi_term=(Fn(np.ones_like, np.zeros_like), SU2.basis[0]),
+                      phi_coeff=lambda m: 0.4 + m[..., 1])
 
 
 def tb_point(rng, scale=0.6):
@@ -57,14 +60,14 @@ def test_tb_connection_reproduces_vertical_and_equivariance():
 
 def test_pf_connection_axioms():
     rng = make_rng(103)
-    p = random_path_point(rng, GRID, SU2)
+    p = random_path_point(rng, PF.grid, SU2)
     PF.check_point(p)
-    xi = random_path_tangent(rng, GRID, SU2, endpoint="zero")
+    xi = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
     got = PF.connection(p, PF.vertical(p, xi))
     assert np.max(np.abs(got.vals - xi.vals)) < 1e-8
 
-    gam = random_loop(rng, GRID, SU2, closed=True, based=True)
-    V = random_path_tangent(rng, GRID, SU2)
+    gam = random_loop(rng, PF.grid, SU2, based=True)
+    V = random_path_tangent(rng, PF.grid, SU2)
     lhs = PF.connection(PF.act(p, gam), conj_loop(gam, V))
     rhs = conj_loop(gam, PF.connection(p, V))
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-8
@@ -72,7 +75,7 @@ def test_pf_connection_axioms():
 
 def test_pf_point_validation():
     rng = make_rng(104)
-    g = random_loop(rng, GRID, SU2, closed=True)
+    g = random_loop(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         PF.check_point(g)
     with pytest.raises(ValueError):
@@ -85,11 +88,11 @@ def test_pf_point_validation():
 
 def test_tau_cocycle_and_fibre_guard():
     rng = make_rng(107)
-    p1, p2, p3 = random_path_fibre_points(rng, GRID, SU2, 3)
+    p1, p2, p3 = random_path_fibre_points(rng, PF.grid, SU2, 3)
     t12, t23, t13 = PF.tau(p1, p2), PF.tau(p2, p3), PF.tau(p1, p3)
     assert np.max(np.abs(t12.mul(t23).vals - t13.vals)) < 1e-12
     assert np.max(np.abs(p1.mul(t12).vals - p2.vals)) < 1e-12
-    q = random_path_point(rng, GRID, SU2)
+    q = random_path_point(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         PF.tau(p1, q)
 
@@ -102,8 +105,8 @@ def test_tau_cocycle_and_fibre_guard():
 
 def test_tau_deriv_matches_finite_differences():
     rng = make_rng(109)
-    p1, p2 = random_path_fibre_points(rng, GRID, SU2, 2)
-    V = random_path_fibre_tangent(rng, GRID, SU2, 2)
+    p1, p2 = random_path_fibre_points(rng, PF.grid, SU2, 2)
+    V = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
     exact = tau_deriv(PF, p1, p2, V[0], V[1])
     fd = tau_deriv_fd(PF, p1, p2, V[0], V[1])
     assert np.max(np.abs(exact.vals - fd.vals)) < 1e-8
@@ -120,8 +123,8 @@ def test_tau_deriv_matches_finite_differences():
 
 def test_connection_pullback_identity():
     rng = make_rng(113)
-    p1, p2 = random_path_fibre_points(rng, GRID, SU2, 2)
-    V = random_path_fibre_tangent(rng, GRID, SU2, 2)
+    p1, p2 = random_path_fibre_points(rng, PF.grid, SU2, 2)
+    V = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
     assert connection_pullback_check(PF, p1, p2, V[0], V[1]) < 1e-6
 
     m = np.array([-0.2, 0.5])
@@ -141,10 +144,10 @@ def test_higgs_transformation_rule():
     p = tb_point(rng)
     g = random_loop(rng, GRID, SU2)
     assert higgs_transform_residual(TB, p, g) < 1e-10
-    assert higgs_transform_residual(TB, p, g, TB.higgs_alt) < 1e-10
+    assert higgs_transform_residual(TB, p, g, TB_ALT.higgs) < 1e-10
 
-    pp = random_path_point(rng, GRID, SU2)
-    gam = random_loop(rng, GRID, SU2, closed=True, based=True)
+    pp = random_path_point(rng, PF.grid, SU2)
+    gam = random_loop(rng, PF.grid, SU2, based=True)
     assert higgs_transform_residual(PF, pp, gam) < 1e-10
 
 
@@ -156,15 +159,25 @@ def test_higgs_space_is_convex():
     g = random_loop(rng, GRID, SU2)
 
     def mix(q):
-        a, b = TB.higgs(q), TB.higgs_alt(q)
+        a, b = TB.higgs(q), TB_ALT.higgs(q)
         return a * 0.3 + b * 0.7
 
     assert higgs_transform_residual(TB, p, g, mix) < 1e-10
 
 
+def test_with_data_replaces_only_what_it_is_given():
+    assert TB_ALT is not TB
+    assert (TB_ALT.grid, TB_ALT.group, TB_ALT.a_terms, TB_ALT.rho) == (
+        TB.grid, TB.group, TB.a_terms, TB.rho)
+    m = np.array([0.2, -0.3])
+    want = TB.rho(m) * 0.1 * SU2.basis[0]
+    assert np.max(np.abs(TB_ALT.phi(m).vals - want)) < 1e-15
+    assert np.max(np.abs(TB.phi(m).vals - TB.rho(m) * 0.2 * SU2.basis[2])) < 1e-15
+
+
 def test_pf_higgs_is_log_derivative():
     rng = make_rng(137)
-    p = random_path_point(rng, GRID, SU2)
+    p = random_path_point(rng, PF.grid, SU2)
     phi = PF.higgs(p)
     assert np.max(np.abs(phi.vals - p.log_derivative().vals)) < 1e-12
 
@@ -190,9 +203,9 @@ def test_curvature_agrees_with_exterior_derivative_route():
     b = curvature_via_ext_d(TB, p, V, W)
     assert np.max(np.abs(a.vals - b.vals)) < 1e-6
 
-    pp = random_path_point(rng, GRID, SU2)
-    X = random_path_tangent(rng, GRID, SU2)
-    Y = random_path_tangent(rng, GRID, SU2)
+    pp = random_path_point(rng, PF.grid, SU2)
+    X = random_path_tangent(rng, PF.grid, SU2)
+    Y = random_path_tangent(rng, PF.grid, SU2)
     a = PF.curvature(pp, X, Y)
     b = curvature_via_ext_d(PF, pp, X, Y)
     assert np.max(np.abs(a.vals - b.vals)) < 1e-6
@@ -208,10 +221,10 @@ def test_curvature_equivariance():
     rhs = conj_loop(h, TB.curvature(p, V, W))
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-9
 
-    pp = random_path_point(rng, GRID, SU2)
-    gam = random_loop(rng, GRID, SU2, closed=True, based=True)
-    X = random_path_tangent(rng, GRID, SU2)
-    Y = random_path_tangent(rng, GRID, SU2)
+    pp = random_path_point(rng, PF.grid, SU2)
+    gam = random_loop(rng, PF.grid, SU2, based=True)
+    X = random_path_tangent(rng, PF.grid, SU2)
+    Y = random_path_tangent(rng, PF.grid, SU2)
     lhs = PF.curvature(PF.act(pp, gam), conj_loop(gam, X), conj_loop(gam, Y))
     rhs = conj_loop(gam, PF.curvature(pp, X, Y))
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-10
@@ -219,9 +232,9 @@ def test_curvature_equivariance():
 
 def test_pf_curvature_vanishes_on_verticals():
     rng = make_rng(157)
-    p = random_path_point(rng, GRID, SU2)
-    X = random_path_tangent(rng, GRID, SU2, endpoint="zero")
-    Y = random_path_tangent(rng, GRID, SU2)
+    p = random_path_point(rng, PF.grid, SU2)
+    X = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
+    Y = random_path_tangent(rng, PF.grid, SU2)
     F = PF.curvature(p, X, Y)
     assert np.max(np.abs(F.vals)) < 1e-12
 
@@ -232,8 +245,8 @@ def test_pf_curvature_vanishes_on_verticals():
 
 def test_nabla_phi_closed_form_on_path_fibration():
     rng = make_rng(163)
-    p = random_path_point(rng, GRID, SU2)
-    X = random_path_tangent(rng, GRID, SU2)
+    p = random_path_point(rng, PF.grid, SU2)
+    X = random_path_tangent(rng, PF.grid, SU2)
     generic = nabla_phi(PF, p, X)
     closed = PF.nabla_phi_closed(p, X)
     assert np.max(np.abs(generic.vals - closed.vals)) < 1e-7
@@ -246,8 +259,8 @@ def test_nabla_phi_kills_verticals():
     out = nabla_phi(TB, p, TB.vertical(p, xi))
     assert np.max(np.abs(out.vals)) < 1e-7
 
-    pp = random_path_point(rng, GRID, SU2)
-    eta = random_path_tangent(rng, GRID, SU2, endpoint="zero")
+    pp = random_path_point(rng, PF.grid, SU2)
+    eta = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
     out = nabla_phi(PF, pp, eta)
     assert np.max(np.abs(out.vals)) < 1e-7
 
@@ -287,8 +300,8 @@ def test_delta_epsilon_equals_beta_trivial_bundle():
 def test_delta_epsilon_equals_beta_path_fibration():
     rng = make_rng(181)
     for _ in range(3):
-        pts = random_path_fibre_points(rng, GRID, SU2, 3)
-        vecs = random_path_fibre_tangent(rng, GRID, SU2, 3)
+        pts = random_path_fibre_points(rng, PF.grid, SU2, 3)
+        vecs = random_path_fibre_tangent(rng, PF.grid, SU2, 3)
         eps = Form(1, lambda pt, v: epsilon_form(PF, pt, v))
         lhs = delta_fibre(eps)(pts, vecs)
         rhs = beta_form(PF, pts, vecs)
@@ -324,9 +337,9 @@ def test_curving_transition_trivial_bundle():
 
 def test_curving_transition_path_fibration():
     rng = make_rng(193)
-    pts = random_path_fibre_points(rng, GRID, SU2, 2)
-    vecs = random_path_fibre_tangent(rng, GRID, SU2, 2)
-    wecs = random_path_fibre_tangent(rng, GRID, SU2, 2)
+    pts = random_path_fibre_points(rng, PF.grid, SU2, 2)
+    vecs = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
+    wecs = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
     assert _curving_chain_residual(PF, pts, vecs, wecs) < 1e-6
 
 
@@ -336,8 +349,8 @@ def test_curving_transition_path_fibration():
 
 def test_df_is_pullback_of_string_form_path_fibration():
     rng = make_rng(197)
-    p = random_path_point(rng, GRID, SU2)
-    Ts = [random_path_tangent(rng, GRID, SU2) for _ in range(3)]
+    p = random_path_point(rng, PF.grid, SU2)
+    Ts = [random_path_tangent(rng, PF.grid, SU2) for _ in range(3)]
     fform = Form(2, lambda q, a, b: curving_f(PF, q, a, b))
     df = ext_d(fform, p, tuple(Ts), h=1e-3)
     want = 2j * np.pi * string_form_at(PF, p, *Ts)
@@ -359,13 +372,13 @@ def test_df_vanishing_base_directions_trivial_bundle():
 
 def test_string_form_descends_on_lifts():
     rng = make_rng(211)
-    p = random_path_point(rng, GRID, SU2)
-    Ts = [random_path_tangent(rng, GRID, SU2) for _ in range(3)]
+    p = random_path_point(rng, PF.grid, SU2)
+    Ts = [random_path_tangent(rng, PF.grid, SU2) for _ in range(3)]
     base = string_form_at(PF, p, *Ts)
 
-    gam = random_loop(rng, GRID, SU2, closed=True, based=True)
+    gam = random_loop(rng, PF.grid, SU2, based=True)
     q = PF.act(p, gam)
-    verts = [random_path_tangent(rng, GRID, SU2, endpoint="zero", scale=0.3)
+    verts = [random_path_tangent(rng, PF.grid, SU2, endpoint="zero", scale=0.3)
              for _ in range(3)]
     Us = [conj_loop(gam, T) + v for T, v in zip(Ts, verts)]
     moved = string_form_at(PF, q, *Us)
@@ -415,8 +428,8 @@ def test_omega3_is_the_literal_six_bracket_sum_bit_for_bit():
 def test_string_form_matches_omega3_at_endpoint():
     rng = make_rng(227)
     for _ in range(3):
-        p = random_path_point(rng, GRID, SU2)
-        Ts = [random_path_tangent(rng, GRID, SU2) for _ in range(3)]
+        p = random_path_point(rng, PF.grid, SU2)
+        Ts = [random_path_tangent(rng, PF.grid, SU2) for _ in range(3)]
         got = string_form_at(PF, p, *Ts)
         k = PF.project(p)
         raws = [k @ PF.project_tangent(T) for T in Ts]

@@ -18,21 +18,24 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         ThetaGrid(4)  # too small
     g = ThetaGrid(16)
-    assert len(g.nodes) == 16
-    assert len(g.closed_nodes) == 17
-    assert abs(g.h - 2 * np.pi / 16) < 1e-15
+    assert len(g.nodes) == g.size == 16
+    c = ThetaGrid(16, closed=True)
+    assert len(c.nodes) == c.size == 17
+    assert abs(g.h - 2 * np.pi / 16) < 1e-15 and c.h == g.h
 
 
 def test_grid_nodes_are_built_once_and_read_only():
-    g = ThetaGrid(24)
-    assert g.nodes is g.nodes and g.closed_nodes is g.closed_nodes
+    g, c = ThetaGrid(24), ThetaGrid(24, closed=True)
+    assert g.nodes is g.nodes and c.nodes is c.nodes
     assert np.array_equal(g.nodes, 2.0 * np.pi * np.arange(24) / 24)
-    assert np.array_equal(g.closed_nodes, 2.0 * np.pi * np.arange(25) / 24)
-    for nodes in (g.nodes, g.closed_nodes):
+    assert np.array_equal(c.nodes, 2.0 * np.pi * np.arange(25) / 24)
+    for nodes in (g.nodes, c.nodes):
         with pytest.raises(ValueError):
             nodes[0] = 1.0
-    # equal grids stay equal and hashable with their nodes built
+    # equal grids stay equal and hashable with their nodes built; the
+    # flavour is part of the grid
     assert g == ThetaGrid(24) and hash(g) == hash(ThetaGrid(24))
+    assert c == ThetaGrid(24, True) and g != c
 
 
 def test_quad_s1_exact_on_trig():
@@ -101,10 +104,6 @@ def test_gridfun_arithmetic_propagates_derivatives():
     S = X + Y * (-2.0)
     assert S.dvals is not None
     assert maxabs(S.dvals - (X.dvals - 2.0 * Y.dvals)) < 1e-14
-    c = np.cos(grid.nodes)
-    P = X.scale_profile(c, -np.sin(grid.nodes))
-    want = -np.sin(grid.nodes)[:, None, None] * X.vals + c[:, None, None] * X.dvals
-    assert maxabs(P.dvals - want) < 1e-14
 
 
 def test_gridfun_interp_trig():
@@ -172,18 +171,46 @@ def test_loop_flow_keeps_z_payload():
 
 
 def test_closed_loop_constructors():
-    grid = ThetaGrid(16)
+    grid = ThetaGrid(16, closed=True)
     rng = sampling.make_rng(27)
     p = sampling.random_path_point(rng, grid, lg.SU2)
-    assert p.closed
+    assert p.grid.closed
     assert maxabs(p.vals[0] - np.eye(2)) < 1e-12
-    gam = sampling.random_loop(rng, grid, lg.SU2, closed=True, based=True)
+    gam = sampling.random_loop(rng, grid, lg.SU2, based=True)
     assert maxabs(gam.vals[0] - np.eye(2)) < 1e-12
     assert maxabs(gam.vals[-1] - np.eye(2)) < 1e-12
     X = sampling.random_path_tangent(rng, grid, lg.SU2)
     assert maxabs(X.vals[0]) < 1e-12
     V = sampling.random_path_tangent(rng, grid, lg.SU2, endpoint="zero")
     assert maxabs(V.vals[-1]) < 1e-12
+
+
+def test_path_samplers_need_the_closed_grid():
+    # the path fibration holds the closed grid of the N it is given, and
+    # its samplers refuse a periodic grid
+    grid = ThetaGrid(16)
+    assert gerbe.PathFibration(grid).grid == ThetaGrid(16, closed=True)
+    rng = sampling.make_rng(27)
+    for sample in (lambda: sampling.random_path_point(rng, grid, lg.SU2),
+                   lambda: sampling.random_path_tangent(rng, grid, lg.SU2),
+                   lambda: sampling.random_path_fibre_points(rng, grid, lg.SU2, 2),
+                   lambda: sampling.random_path_fibre_tangent(rng, grid, lg.SU2, 2)):
+        with pytest.raises(ValueError):
+            sample()
+
+
+def test_samples_must_match_the_node_count():
+    # a loop is checked against its grid when it is built, as a grid
+    # function is, not first inside z()
+    for grid in (ThetaGrid(16), ThetaGrid(16, closed=True)):
+        for m in (grid.size - 1, grid.size + 1):
+            vals = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
+            with pytest.raises(ValueError):
+                LoopPoint(grid, vals)
+            with pytest.raises(ValueError):
+                GridFun(grid, vals)
+        assert LoopPoint.identity(grid, 2).vals.shape == (grid.size, 2, 2)
+        assert GridFun.zero(grid, 2).vals.shape == (grid.size, 2, 2)
 
 
 def test_path_exact_velocity_matches_fd():
@@ -223,8 +250,9 @@ def test_stacked_interp_and_endpoint_act_along_theta():
         assert got.shape == (5, 2, 2)
         for i in range(5):
             assert np.array_equal(got[i], GridFun(grid, f.vel.vals[i]).interp(theta))
-    p = LoopPoint(grid, np.stack([sampling.random_path_point(rng, grid, lg.SU2).vals
-                                  for _ in range(3)]), closed=True)
+    cgrid = ThetaGrid(16, closed=True)
+    p = LoopPoint(cgrid, np.stack([sampling.random_path_point(rng, cgrid, lg.SU2).vals
+                                   for _ in range(3)]))
     assert np.array_equal(p.endpoint(), p.vals[:, -1])
 
 
@@ -272,20 +300,19 @@ def test_path_factor_needs_its_theta_derivative():
 def test_stacked_dtheta_is_the_per_slice_dtheta():
     # theta is axis -3: the derivative of a stack never runs along the
     # leading axes, on periodic and on closed grids
-    grid = ThetaGrid(16)
     rng = sampling.make_rng(37)
-    for closed in (False, True):
-        m = grid.n + 1 if closed else grid.n
+    for grid in (ThetaGrid(16), ThetaGrid(16, closed=True)):
+        m = grid.size
         vals = rng.normal(size=(3, 5, m, 2, 2)) + 1j * rng.normal(size=(3, 5, m, 2, 2))
-        got = GridFun(grid, vals, closed).dtheta().vals
+        got = GridFun(grid, vals).dtheta().vals
         assert got.shape == vals.shape
         for a in range(3):
             for b in range(5):
-                want = GridFun(grid, vals[a, b], closed).dtheta().vals
+                want = GridFun(grid, vals[a, b]).dtheta().vals
                 assert np.array_equal(got[a, b], want)
-        lp = LoopPoint(grid, lg.exp_alg(lg.project_algebra(vals)), closed)
+        lp = LoopPoint(grid, lg.exp_alg(lg.project_algebra(vals)))
         z = lp.z().vals
-        assert np.array_equal(z[2, 4], LoopPoint(grid, lp.vals[2, 4], closed).z().vals)
+        assert np.array_equal(z[2, 4], LoopPoint(grid, lp.vals[2, 4]).z().vals)
 
 
 def test_pair_and_quad_pair():
@@ -296,8 +323,8 @@ def test_pair_and_quad_pair():
     Y = GridFun(grid, np.cos(t)[:, None, None] * E1)
     s = loops.pair_samples(X, X)
     assert maxabs(s - np.sin(t) ** 2) < 1e-13
-    assert abs(loops.quad_pair(X, X) - np.pi) < 1e-12
-    assert abs(loops.quad_pair(X, Y)) < 1e-12
+    assert abs(grid.quad(s) - np.pi) < 1e-12
+    assert abs(grid.quad(loops.pair_samples(X, Y))) < 1e-12
 
 
 def test_fn_combinators():

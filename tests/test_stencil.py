@@ -53,8 +53,8 @@ def _tb_fixture(seed, grid=ThetaGrid(32), group=SU2):
 def test_nabla_phi_makes_one_loop_flow(monkeypatch):
     rng, tb, p, V, _ = _tb_fixture(61)
     pf = PathFibration(tb.grid)
-    pp = random_path_point(rng, tb.grid, SU2)
-    X = random_path_tangent(rng, tb.grid, SU2)
+    pp = random_path_point(rng, pf.grid, SU2)
+    X = random_path_tangent(rng, pf.grid, SU2)
     steps = []
     plain = LoopPoint.flow
 
@@ -167,8 +167,8 @@ def test_stacked_point_evaluates_as_every_step_alone(case):
     tbs = (tb.point(rng.uniform(-0.6, 0.6, size=2), g),
            *((rng.normal(size=2), random_loop_tangent(rng, grid, group))
              for _ in range(3)))
-    pfs = (random_path_point(rng, grid, group),
-           *(random_path_tangent(rng, grid, group) for _ in range(3)))
+    pfs = (random_path_point(rng, pf.grid, group),
+           *(random_path_tangent(rng, pf.grid, group) for _ in range(3)))
     for scn, (p, V, A, B) in ((tb, tbs), (pf, pfs)):
         for fun in (_ident,
                     lambda q: scn.connection(q, A),
@@ -185,8 +185,8 @@ def test_stacked_point_evaluates_as_every_step_alone(case):
     vecs, wecs = (tuple((u, random_loop_tangent(rng, grid, group)) for _ in range(2))
                   for _ in range(2))
     _assert_per_step(lambda q: gerbe.epsilon_form(tb, q, wecs), pair, vecs, steps)
-    ppair = random_path_fibre_points(rng, grid, group, 2)
-    pvecs, pwecs = (random_path_fibre_tangent(rng, grid, group, 2) for _ in range(2))
+    ppair = random_path_fibre_points(rng, pf.grid, group, 2)
+    pvecs, pwecs = (random_path_fibre_tangent(rng, pf.grid, group, 2) for _ in range(2))
     _assert_per_step(lambda q: gerbe.epsilon_form(pf, q, pwecs), ppair, pvecs, steps)
 
     # the transferred bundle: the angle flows off the grid nodes

@@ -1,7 +1,8 @@
 """Package-wide structure: no module keeps mutable global state, no
 import goes unused, no parameter exists that no caller varies, paths
-are node-stacked arrays that no Python loop walks, and every matrix
-product goes through `liegroup.mm`."""
+are node-stacked arrays that no Python loop walks, every matrix
+product goes through `liegroup.mm`, and the grid flavour is set on the
+grid alone."""
 
 import ast
 import dataclasses
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from loopgerbe import caloron, centext, forms, gerbe, liegroup, loops, sampling
+from loopgerbe import (caloron, centext, checks, cli, forms, gerbe, liegroup,
+                       loops, report, sampling)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "loopgerbe"
@@ -225,3 +227,49 @@ def test_one_alternating_pairing():
     for name in ("caloron.integrate_circle", "gerbe.string_form_at"):
         assert not calls[name] & {"pair_samples", "curvature_samples",
                                   "curvature"}, name
+
+
+def test_only_the_grid_is_periodic_or_closed():
+    # periodic or closed is decided once, by ThetaGrid(n, closed): no
+    # other public function, method, dataclass field or class attribute
+    # of the package takes or holds the flag
+    takes = []
+    for mod in (caloron, centext, checks, cli, forms, gerbe, liegroup,
+                loops, report, sampling):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__ or obj is loops.ThetaGrid:
+                continue
+            if inspect.isfunction(obj) and "closed" in _params(obj):
+                takes.append(name)
+            if inspect.isclass(obj):
+                if hasattr(obj, "closed"):
+                    takes.append(name + ".closed")
+                for attr, raw in vars(obj).items():
+                    fn = getattr(raw, "__func__", raw)
+                    if inspect.isfunction(fn) and "closed" in _params(fn):
+                        takes.append(name + "." + attr)
+    assert takes == []
+    assert _params(loops.ThetaGrid) == ("n", "closed")
+    for gone in ("quad_grid", "quad_pair", "_dtheta"):
+        assert not hasattr(loops, gone)
+    assert not hasattr(loops.ThetaGrid, "closed_nodes")
+    for cls in (loops.GridFun, loops.LoopPoint):
+        assert not hasattr(cls, "nodes")
+    assert not hasattr(loops.GridFun, "scale_profile")
+    # one Higgs field per bundle; another one is another bundle
+    for gone in ("phi_alt", "higgs_alt"):
+        assert not hasattr(gerbe.TrivialBundle, gone)
+    assert _params(gerbe.TrivialBundle.__init__) == (
+        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "rho", "rho_grad")
+
+
+def test_objects_on_different_grids_do_not_combine():
+    per = loops.ThetaGrid(16)
+    for other in (loops.ThetaGrid(16, closed=True), loops.ThetaGrid(32)):
+        X, Y = loops.GridFun.zero(per, 2), loops.GridFun.zero(other, 2)
+        g, h = loops.LoopPoint.identity(per, 2), loops.LoopPoint.identity(other, 2)
+        for combine in (lambda: X + Y, lambda: X - Y,
+                        lambda: loops.pair_samples(X, Y), lambda: g.mul(h),
+                        lambda: g.flow(Y, 0.1), lambda: h.flow(X, 0.1)):
+            with pytest.raises(ValueError):
+                combine()
