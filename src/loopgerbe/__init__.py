@@ -8,7 +8,7 @@ loops      theta grids, sampled loops and paths, differentiation, quadrature
 forms      differential forms over the supported point types, exterior
            derivative, simplicial alternating sums
 centext    the two-form and product one-form of the central extension,
-           path cocycle, disk holonomy, reduced splittings
+           path cocycle, reduced splittings
 gerbe      trivial-bundle and path-fibration scenarios, gerbe connection
            data, curving, string three-form
 caloron    transfer between loop-group bundle data and bundle data on the

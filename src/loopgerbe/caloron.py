@@ -303,13 +303,3 @@ def extract_connection_higgs(scn, p):
     tdir = CaloronTangent(scn.zero_tangent(p), np.zeros((n, n)), 1.0)
     return connection_of, GridFun(grid, caloron_connection(scn, pt, tdir))
 
-
-def killingback_map(xloop: np.ndarray, qloop: LoopPoint, k: np.ndarray,
-                    theta: float):
-    """Evaluation of a loop in a trivial chart bundle: (x(theta), q(theta) k).
-
-    Covers evaluation on the base and is exact on grid nodes; constant
-    on based-loop orbits (x, q g, g(theta)^-1 k, theta)."""
-    q = eval_loop(qloop, theta)
-    x = np.asarray(xloop)[_node(qloop, theta)[0]]
-    return x, mm(q, np.asarray(k, dtype=complex))

@@ -2,12 +2,10 @@
 
 The two basic objects are a left-invariant 2-form R on the loop group
 and a 1-form alpha on its square; together they present the extension.
-From them: the path-group cocycle c(f,g), disk holonomy H, the
-path-space connection mu_hat, and the pairing behind reduced splittings.
-Loops and tangents may be stacked along leading axes (the nodes of a
-path, the radii and spokes of a disk); each form then returns one value
-per stacked node, so a path integral is one evaluation and one
-quadrature.
+From them: the path-group cocycle c(f,g) and the pairing behind
+reduced splittings.  Loops and tangents may be stacked along leading
+axes (the nodes of a path); each form then returns one value per
+stacked node, so a path integral is one evaluation and one quadrature.
 
 The argument slot of alpha (which factor's velocity it eats) is pinned
 to the first factor; verified once by the self-test of d(alpha) =
@@ -18,14 +16,13 @@ everything if the pinned slot fails it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import Form, delta_nerve, ext_d
-from .liegroup import SU2, eig_alg
-from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
-                    conj_loop, pair_samples, quad_unit)
+from .liegroup import SU2
+from .loops import (GridFun, LoopPoint, PathInLoopGroup, ThetaGrid, conj_loop,
+                    pair_samples, quad_unit)
 
 
 class ConventionError(RuntimeError):
@@ -95,86 +92,6 @@ def cocycle_c(f: PathInLoopGroup, g: PathInLoopGroup) -> complex:
     if f.m != g.m:
         raise ValueError("path shape mismatch")
     return complex(np.exp(quad_unit(eval_alpha(f.g, g.g, f.vel, g.vel))))
-
-
-# ---------------------------------------------------------------------------
-# disk holonomy
-
-
-@dataclass
-class DiskLoop:
-    """Boundary loop s -> exp(xi(s)) with xi(s) = sum_j sigma_j(s) X_j.
-
-    Profiles vanish at s = 0 and 1, so the boundary is a loop at the
-    identity; the disk filling is (r, s) -> exp(r xi(s)).
-    """
-
-    terms: list  # of (Fn, GridFun)
-
-    def xi(self, s) -> GridFun:
-        """xi at the parameters s; the axes of s lead the samples."""
-        return self._combine([(sigma.val, X) for sigma, X in self.terms], s)
-
-    def dxi(self, s) -> GridFun:
-        """xi'(s), stacked as in `xi`."""
-        return self._combine([(sigma.dval, X) for sigma, X in self.terms], s)
-
-    @staticmethod
-    def _combine(terms: list, s) -> GridFun:
-        out = None
-        for c, X in terms:
-            cv = np.asarray(c(np.asarray(s, dtype=float)), dtype=float)[..., None, None, None]
-            t = GridFun(X.grid, cv * X.vals,
-                        None if X.dvals is None else cv * X.dvals)
-            out = t if out is None else out + t
-        return out
-
-    def reversed(self) -> "DiskLoop":
-        terms = []
-        for sigma, X in self.terms:
-            rev = Fn(lambda s, f=sigma: f.val(1.0 - np.asarray(s)),
-                     lambda s, f=sigma: -f.dval(1.0 - np.asarray(s)))
-            terms.append((rev, X))
-        return DiskLoop(terms)
-
-    def scaled(self, lam: float) -> "DiskLoop":
-        return DiskLoop([(Fn.scale(sigma, lam), X) for sigma, X in self.terms])
-
-
-# Simpson nodes of the disk filling in r and in s
-HOLONOMY_NR = 33
-HOLONOMY_NS = 33
-
-
-def holonomy_H(disk: DiskLoop) -> complex:
-    """exp of the integral of R over the exponential disk filling.
-
-    The left-trivialised radial partial of exp(r xi(s)) is xi(s) exactly
-    (single direction commutes with itself); the s-partial is
-    dexp_left(r xi(s), r xi'(s)) = dexp_right(-r xi(s), r xi'(s)), in
-    closed form from one eigendecomposition of xi(s) for all radii.
-    R is evaluated on every (r, s) node at once, then integrated over r
-    and over s.
-    """
-    rs = np.linspace(0.0, 1.0, HOLONOMY_NR)
-    ss = np.linspace(0.0, 1.0, HOLONOMY_NS)
-    xi = disk.xi(ss)
-    ds = eig_alg(-xi.vals, disk.dxi(ss).vals).dexp(rs)
-    pt = LoopPoint(xi.grid, np.broadcast_to(np.eye(xi.vals.shape[-1]), xi.vals.shape))
-    rows = eval_R(pt, xi, GridFun(xi.grid, ds))
-    return complex(np.exp(quad_unit(quad_unit(rows.T))))
-
-
-# ---------------------------------------------------------------------------
-# path-space connection
-
-
-def mu_hat(f: PathInLoopGroup, X: GridFun) -> complex:
-    """s-quadrature of R(f(s))(f'(s), X(s)) along the path; X is stacked
-    over the path nodes like `f.vel`."""
-    if X.vals.shape[:-3] != (f.m,):
-        raise ValueError("shape mismatch: need one vector per path node")
-    return complex(quad_unit(eval_R(f.g, f.vel, X)))
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,10 @@ def ext_d(form: Form, pt, vecs, h: float = 1e-4, richardson: bool = True):
     return total
 
 
-def ext_d_form(form: Form, h: float = 1e-4, richardson: bool = True) -> Form:
+def ext_d_form(form: Form, h: float = 1e-4) -> Form:
     """The exterior derivative as a Form (for nesting and delta-compatibility)."""
     return Form(form.degree + 1,
-                lambda pt, *vecs: ext_d(form, pt, vecs, h, richardson),
+                lambda pt, *vecs: ext_d(form, pt, vecs, h),
                 name=f"d({form.name})" if form.name else "")
 
 

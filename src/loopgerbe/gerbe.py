@@ -268,12 +268,6 @@ class PathFibration:
         self.grid = ThetaGrid(grid.n, closed=True)
         self.group = group
 
-    def check_point(self, p: LoopPoint) -> None:
-        if not p.grid.closed:
-            raise ValueError("path points live on the closed grid")
-        if float(np.max(np.abs(p.vals[..., 0, :, :] - np.eye(self.group.n)))) > 1e-10:
-            raise ValueError("paths must start at the identity")
-
     def act(self, p: LoopPoint, gam: LoopPoint) -> LoopPoint:
         return p.mul(gam)
 

@@ -241,22 +241,6 @@ def group_inv(g) -> np.ndarray:
     return np.swapaxes(np.asarray(g, dtype=complex), -1, -2).conj()
 
 
-def maurer_cartan(g, v, right: bool = False, atol: float = 1e-8) -> np.ndarray:
-    """Trivialise a raw tangent v at g: left form g^(-1) v, right form v g^(-1).
-
-    Raises ValueError when the result is not in the algebra, i.e. when v
-    was not actually tangent to the group at g.
-    """
-    g = np.asarray(g, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    gi = group_inv(g)
-    out = mm(v, gi) if right else mm(gi, v)
-    defect = np.max(np.abs(out - project_algebra(out)))
-    if defect > atol:
-        raise ValueError(f"vector is not tangent at g (defect {defect:.3e})")
-    return project_algebra(out)
-
-
 def dexp_left(X, dX) -> np.ndarray:
     """exp(-X) d(exp(X)) = dexp_right(-X, dX); same closed form and domain."""
     return eig_alg(-np.asarray(X, dtype=complex), dX).dexp()

@@ -466,12 +466,6 @@ class LoopPoint:
         vals = np.broadcast_to(np.eye(n, dtype=complex), (grid.size, n, n)).copy()
         return LoopPoint(grid, vals, np.zeros_like(vals))
 
-    @staticmethod
-    def constant(grid: ThetaGrid, k: np.ndarray) -> "LoopPoint":
-        vals = np.broadcast_to(np.asarray(k, dtype=complex),
-                               (grid.size, k.shape[0], k.shape[0])).copy()
-        return LoopPoint(grid, vals, np.zeros_like(vals))
-
 
 def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
     """Ad(h^(-1)) X node-wise, with the exact derivative when known.
@@ -557,7 +551,8 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
     vanishing at 0 and X a periodic GridFun algebra loop with its exact
     theta derivative (ValueError otherwise).  The path is the product of
     the single-factor paths exp(sigma_j(s) X_j), whose velocities are
-    sigma_j'(s) X_j.  Every array carries the path nodes as a leading
+    sigma_j'(s) X_j.  The velocities carry no theta derivative: no path
+    integral reads one.  Every array carries the path nodes as a leading
     axis, so each factor costs one eigendecomposition whatever npath is.
     """
     sgrid = np.linspace(0.0, 1.0, npath)
@@ -568,7 +563,7 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
         ev, ze = exp_dexp_right(X.vals, X.dvals, sigma.val(sgrid))
         dsv = np.asarray(sigma.dval(sgrid), dtype=float)[:, None, None, None]
         one = PathInLoopGroup(sgrid, LoopPoint(grid, ev, zvals=ze),
-                              GridFun(grid, dsv * X.vals, dvals=dsv * X.dvals))
+                              GridFun(grid, dsv * X.vals))
         path = one if path is None else path.mul(one)
     if path is None:
         raise ValueError("need at least one factor")

@@ -186,7 +186,7 @@ def random_path_fibre_tangent(rng: np.random.Generator, grid: ThetaGrid, group: 
 
 
 # ---------------------------------------------------------------------------
-# paths and disks in the loop group
+# paths in the loop group
 
 
 def random_unit_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
@@ -206,24 +206,6 @@ def random_unit_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
     return Fn(val, dval)
 
 
-def random_pinned_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
-    """Smooth profile on [0, 1] vanishing at both ends (for disk spokes)."""
-    c = _coeffs(rng, 3, scale)
-
-    def val(s):
-        s = np.asarray(s, dtype=float)
-        return (c[0] * np.sin(np.pi * s) + c[1] * np.sin(2.0 * np.pi * s)
-                + c[2] * s * (1.0 - s))
-
-    def dval(s):
-        s = np.asarray(s, dtype=float)
-        return (c[0] * np.pi * np.cos(np.pi * s)
-                + c[1] * 2.0 * np.pi * np.cos(2.0 * np.pi * s)
-                + c[2] * (1.0 - 2.0 * s))
-
-    return Fn(val, dval)
-
-
 def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,
                       npath: int, nfactors: int = 2, harmonics: int = 2,
                       scale: float = 0.5) -> PathInLoopGroup:
@@ -234,11 +216,3 @@ def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,
         factors.append((random_unit_profile(rng), X))
     return path_from_factors(grid, factors, npath)
 
-
-def random_disk_terms(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                      nterms: int = 2, harmonics: int = 2, scale: float = 0.6) -> list:
-    """Generator terms (sigma_j, X_j) for a disk with boundary loop
-    s -> exp(xi(s)), xi(s) = sum_j sigma_j(s) X_j, xi(0) = xi(1) = 0."""
-    return [(random_pinned_profile(rng, scale),
-             random_loop_tangent(rng, grid, group, harmonics, scale))
-            for _ in range(nterms)]

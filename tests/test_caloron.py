@@ -8,9 +8,8 @@ from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
                                caloron_connection, caloron_curvature,
                                curvature_form, curvature_via_ext_d, eval_loop,
                                eval_samples, extract_connection_higgs, group_act,
-                               integrate_circle, kernel_vector, killingback_map,
-                               loop_act, pontrjagin_form, pontrjagin_split,
-                               vertical_vector)
+                               integrate_circle, kernel_vector, loop_act,
+                               pontrjagin_form, pontrjagin_split, vertical_vector)
 from loopgerbe.forms import Form, pair_forms
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
@@ -290,48 +289,6 @@ def test_extract_round_trip_path_fibration():
 
 
 # ---------------------------------------------------------------------------
-# evaluation map
-
-
-def test_killingback_identity_at_zero():
-    rng = make_rng(367)
-    q = random_loop(rng, GRID, SU2)
-    x = rng.normal(size=(GRID.n, 2))
-    xv, qv = killingback_map(x, q, np.eye(2), 0.0)
-    assert np.allclose(xv, x[0])
-    assert np.max(np.abs(qv - q.vals[0])) < 1e-14
-
-
-def test_killingback_orbit_constancy():
-    rng = make_rng(373)
-    q = random_loop(rng, GRID, SU2)
-    x = rng.normal(size=(GRID.n, 2))
-    g = random_loop(rng, GRID, SU2, based=True)
-    k = exp_alg(random_algebra(rng, SU2))
-    for j in (0, 5, GRID.n - 1):
-        theta = float(GRID.nodes[j])
-        a = killingback_map(x, q, k, theta)
-        gk = np.linalg.inv(g.vals[j]) @ k
-        b = killingback_map(x, q.mul(g), gk, theta)
-        assert np.allclose(a[0], b[0])
-        assert np.max(np.abs(a[1] - b[1])) < 1e-13
-
-
-def test_killingback_equivariance_and_node_errors():
-    rng = make_rng(379)
-    q = random_loop(rng, GRID, SU2)
-    x = rng.normal(size=(GRID.n, 2))
-    k = exp_alg(random_algebra(rng, SU2))
-    k0 = exp_alg(random_algebra(rng, SU2))
-    theta = float(GRID.nodes[7])
-    a = killingback_map(x, q, k @ k0, theta)
-    b = killingback_map(x, q, k, theta)
-    assert np.max(np.abs(a[1] - b[1] @ k0)) < 1e-13
-    with pytest.raises(ValueError):
-        eval_loop(q, theta + 1e-3)
-
-
-# ---------------------------------------------------------------------------
 # angle evaluation helper
 
 
@@ -351,3 +308,7 @@ def test_eval_samples_node_and_interp():
     closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         eval_samples(closedX, theta)
+    # a group loop is evaluated on the grid nodes only
+    q = random_loop(rng, GRID, SU2)
+    with pytest.raises(ValueError):
+        eval_loop(q, float(GRID.nodes[7]) + 1e-3)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from loopgerbe import centext, cli, liegroup as lg, loops, sampling
-from loopgerbe.centext import (DiskLoop, cocycle_c, eval_R, eval_alpha,
-                               gomi_cocycle_Z, holonomy_H, mu_hat,
+from loopgerbe.centext import (cocycle_c, eval_R, eval_alpha, gomi_cocycle_Z,
                                reduced_splitting_check)
 from loopgerbe.forms import delta_nerve, ext_d
 from loopgerbe.loops import GridFun, LoopPoint, ThetaGrid, path_from_factors
@@ -57,7 +56,8 @@ def test_alpha_frozen_values():
     cosv = make_vec(np.cos, E1)
     assert abs(eval_alpha(g, h, cosv, zero) - 0.5j) < 1e-12
     # constant second factor has Z = 0
-    k = LoopPoint.constant(GRID, lg.exp_alg(0.3 * E2))
+    kv = np.broadcast_to(lg.exp_alg(0.3 * E2), (GRID.n, 2, 2)).copy()
+    k = LoopPoint(GRID, kv, zvals=np.zeros_like(kv))
     assert abs(eval_alpha(g, k, cosv, zero)) < 1e-14
     # the form only sees the first-slot velocity
     W = sampling.random_loop_tangent(rng, GRID, lg.SU2)
@@ -172,7 +172,7 @@ def node(path, i):
     """Node i of a path as an unstacked loop and velocity."""
     g, v = path.g, path.vel
     return (LoopPoint(g.grid, g.vals[i], zvals=g.zvals[i]),
-            GridFun(v.grid, v.vals[i], dvals=v.dvals[i]))
+            GridFun(v.grid, v.vals[i]))
 
 
 def test_cocycle_is_the_per_node_quadrature():
@@ -181,6 +181,7 @@ def test_cocycle_is_the_per_node_quadrature():
     for group, npath in ((lg.SU2, 129), (lg.SU3, 33)):
         f, g = (sampling.random_group_path(rng, GRID, group, npath) for _ in range(2))
         for a, b in ((f, g), (f.mul(g), f)):
+            assert a.vel.dvals is None
             vals = []
             for i in range(a.m):
                 (ga, va), (gb, vb) = node(a, i), node(b, i)
@@ -188,116 +189,13 @@ def test_cocycle_is_the_per_node_quadrature():
             assert cocycle_c(a, b) == complex(np.exp(loops.quad_unit(np.array(vals))))
 
 
-def holonomy_per_radius(disk):
-    """Reference: R evaluated one spoke and one radius at a time."""
-    nr, ns = centext.HOLONOMY_NR, centext.HOLONOMY_NS
-    rs = np.linspace(0.0, 1.0, nr)
-    ss = np.linspace(0.0, 1.0, ns)
-    grid = disk.terms[0][1].grid
-    shape = disk.terms[0][1].vals.shape
-    pt = LoopPoint(grid, np.broadcast_to(np.eye(shape[-1]), shape))
-    rows = np.empty((nr, ns), dtype=complex)
-    for j, s in enumerate(ss):
-        xi = disk.xi(float(s))
-        _, ds = lg.exp_dexp_right(-xi.vals, disk.dxi(float(s)).vals, rs)
-        for i in range(nr):
-            rows[i, j] = eval_R(pt, xi, GridFun(grid, ds[i]))
-    inner = np.array([loops.quad_unit(rows[:, j]) for j in range(ns)])
-    return complex(np.exp(loops.quad_unit(inner)))
-
-
-def test_holonomy_is_the_per_radius_loop():
-    # the stack rounds in another order than one spoke at a time, so
-    # the last bit may differ: the r-quadrature of all spokes is one
-    # BLAS matrix-vector product, and einsum walks broadcast operands
-    # in another order
-    rng = sampling.make_rng(49)
-    for group in (lg.SU2, lg.SU3):
-        disk = DiskLoop(sampling.random_disk_terms(rng, GRID, group))
-        for d in (disk, disk.scaled(0.1)):
-            assert abs(holonomy_H(d) - holonomy_per_radius(d)) < 1e-15
-
-
-def test_holonomy_dexp_without_exp_is_unchanged():
-    # the s-partials come from dexp alone now; exp(tX) was computed and
-    # discarded before, and the value is the same to the bit
-    rng = sampling.make_rng(53)
-    rs = np.linspace(0.0, 1.0, centext.HOLONOMY_NR)
-    ss = np.linspace(0.0, 1.0, centext.HOLONOMY_NS)
-    for group in (lg.SU2, lg.SU3):
-        disk = DiskLoop(sampling.random_disk_terms(rng, GRID, group))
-        xi = disk.xi(ss)
-        _, ds = lg.exp_dexp_right(-xi.vals, disk.dxi(ss).vals, rs)
-        pt = LoopPoint(GRID, np.broadcast_to(np.eye(group.n), xi.vals.shape))
-        rows = eval_R(pt, xi, GridFun(GRID, ds))
-        want = complex(np.exp(loops.quad_unit(loops.quad_unit(rows.T))))
-        assert holonomy_H(disk) == want
-
-
-def test_holonomy_trivial_and_reversal():
-    rng = sampling.make_rng(49)
-    zero_disk = DiskLoop([(loops.Fn.zero(), GridFun.zero(GRID, 2))])
-    assert abs(holonomy_H(zero_disk) - 1.0) < 1e-14
-    disk = DiskLoop(sampling.random_disk_terms(rng, GRID, lg.SU2))
-    H = holonomy_H(disk)
-    Hrev = holonomy_H(disk.reversed())
-    assert abs(abs(H) - 1.0) < 1e-10
-    assert abs(H * Hrev - 1.0) < 1e-8
-
-
-def test_holonomy_small_area_order():
-    rng = sampling.make_rng(50)
-    disk = DiskLoop(sampling.random_disk_terms(rng, GRID, lg.SU2))
-    lams = np.array([0.2, 0.1, 0.05])
-    logs = np.array([abs(np.log(holonomy_H(disk.scaled(l)))) for l in lams])
-    order = np.polyfit(np.log(lams), np.log(logs), 1)[0]
-    assert abs(order - 2.0) < 0.1
-
-
-def stack(vecs):
-    """One GridFun with the tangents of `vecs` along a leading axis."""
-    return GridFun(GRID, np.stack([v.vals for v in vecs]),
-                   dvals=np.stack([v.dvals for v in vecs]))
-
-
-def test_mu_hat_trivial_cases():
-    rng = sampling.make_rng(51)
-    f = random_path(rng)
-    assert abs(mu_hat(f, f.vel)) < 1e-12
-    ident = path_from_factors(GRID, [(loops.Fn.zero(), GridFun.zero(GRID, 2))],
-                              npath=f.m)
-    X = stack([sampling.random_loop_tangent(rng, GRID, lg.SU2) for _ in range(f.m)])
-    assert abs(mu_hat(ident, X)) < 1e-14
-    with pytest.raises(ValueError):
-        mu_hat(ident, sampling.random_loop_tangent(rng, GRID, lg.SU2))
-
-
-def test_mu_hat_against_independent_quadrature():
-    # same analytic path and vector field, rebuilt on a different s-grid
-    # and differentiated by finite differences instead of the payload
-    rng = sampling.make_rng(52)
-    factors = [(sampling.random_unit_profile(rng),
-                sampling.random_loop_tangent(rng, GRID, lg.SU2))
-               for _ in range(2)]
-    mu = sampling.random_unit_profile(rng)
-    Y = sampling.random_loop_tangent(rng, GRID, lg.SU2)
-
-    def field(path):
-        return stack([Y * float(mu.val(np.asarray(s))) for s in path.sgrid])
-
-    f1 = path_from_factors(GRID, factors, npath=201)
-    v1 = mu_hat(f1, field(f1))
-    f2 = path_from_factors(GRID, factors, npath=257)
-    v2 = complex(loops.quad_unit(eval_R(f2.g, f2.velocity(), field(f2))))
-    assert abs(v1 - v2) < 1e-7
-
-
 def test_gomi_frozen_and_alpha_relation():
     rng = sampling.make_rng(53)
     g = loops.product_loop(GRID, [(loops.TrigPoly(0.0, (), (1.0,)).as_fn(), E1)])
     X = make_vec(np.cos, E1)
     assert abs(gomi_cocycle_Z(g, X) - 0.5j) < 1e-12
-    k = LoopPoint.constant(GRID, lg.exp_alg(0.4 * E3))
+    kv = np.broadcast_to(lg.exp_alg(0.4 * E3), (GRID.n, 2, 2)).copy()
+    k = LoopPoint(GRID, kv, zvals=np.zeros_like(kv))
     assert abs(gomi_cocycle_Z(k, X)) < 1e-14
     h = sampling.random_loop(rng, GRID, lg.SU2)
     W = sampling.random_loop_tangent(rng, GRID, lg.SU2)

@@ -61,7 +61,6 @@ def test_tb_connection_reproduces_vertical_and_equivariance():
 def test_pf_connection_axioms():
     rng = make_rng(103)
     p = random_path_point(rng, PF.grid, SU2)
-    PF.check_point(p)
     xi = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
     got = PF.connection(p, PF.vertical(p, xi))
     assert np.max(np.abs(got.vals - xi.vals)) < 1e-8
@@ -71,15 +70,6 @@ def test_pf_connection_axioms():
     lhs = PF.connection(PF.act(p, gam), conj_loop(gam, V))
     rhs = conj_loop(gam, PF.connection(p, V))
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-8
-
-
-def test_pf_point_validation():
-    rng = make_rng(104)
-    g = random_loop(rng, PF.grid, SU2)
-    with pytest.raises(ValueError):
-        PF.check_point(g)
-    with pytest.raises(ValueError):
-        PF.check_point(random_loop(rng, GRID, SU2))
 
 
 # ---------------------------------------------------------------------------

@@ -99,17 +99,6 @@ def test_inner_bracket_cyclic():
     assert abs(lg.inner(lg.bracket(X, Y), Z) - lg.inner(X, lg.bracket(Y, Z))) < 1e-12
 
 
-def test_maurer_cartan():
-    rng = sampling.make_rng(17)
-    g0 = lg.exp_alg(sampling.random_algebra(rng, lg.SU2))
-    X = sampling.random_algebra(rng, lg.SU2)
-    v = g0 @ X  # tangent of t -> g0 exp(tX) at 0
-    assert maxabs(lg.maurer_cartan(g0, v) - X) < 1e-12
-    assert maxabs(lg.maurer_cartan(g0, v, right=True) - lg.adjoint(g0, X)) < 1e-12
-    with pytest.raises(ValueError):
-        lg.maurer_cartan(g0, np.eye(2, dtype=complex))
-
-
 def test_dexp_matches_finite_difference():
     rng = sampling.make_rng(18)
     X = sampling.random_algebra(rng, lg.SU3, scale=0.9)

@@ -86,12 +86,11 @@ def test_no_parameter_that_no_caller_varies():
     takes = [name for mod in (gerbe, caloron) for name, fn in _functions(mod)
              if "richardson" in _params(fn)]
     assert takes == []
+    assert _params(forms.ext_d_form) == ("form", "h")
     assert _params(liegroup.dexp_left) == ("X", "dX")
     assert _params(liegroup.dexp_right) == ("X", "dX")
     assert _params(loops.conj_loop) == ("h", "X")
-    # the disk filling always takes 33 x 33 Simpson nodes, and no path
-    # is drawn from based tangents
-    assert _params(centext.holonomy_H) == ("disk",)
+    # no path is drawn from based tangents
     assert "based_loops" not in _params(sampling.random_group_path)
     assert "based" not in _params(sampling.random_loop_tangent)
     # nothing reads a gradient of the Higgs coefficient
@@ -119,11 +118,45 @@ def test_no_python_loop_over_path_nodes():
     loops_ = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
     defs = {**_defs(SRC / "centext.py"), **_defs(SRC / "loops.py")}
-    names = ("cocycle_c", "mu_hat", "holonomy_H",
-             "PathInLoopGroup.mul", "PathInLoopGroup.velocity")
+    names = ("cocycle_c", "PathInLoopGroup.mul", "PathInLoopGroup.velocity")
     offenders = [name for name in names
                  if any(isinstance(n, loops_) for n in ast.walk(defs[name]))]
     assert offenders == []
+
+
+def test_no_code_that_only_tests_reach():
+    # the disk holonomy, the path-space connection and their samplers had
+    # no caller outside their own tests, and no more do these helpers
+    gone = {centext: ("DiskLoop", "HOLONOMY_NR", "HOLONOMY_NS", "holonomy_H",
+                      "mu_hat"),
+            sampling: ("random_pinned_profile", "random_disk_terms"),
+            caloron: ("killingback_map",), liegroup: ("maurer_cartan",),
+            loops.LoopPoint: ("constant",), gerbe.PathFibration: ("check_point",)}
+    present = [owner.__name__ + "." + name
+               for owner, names in gone.items() for name in names
+               if hasattr(owner, name)]
+    assert present == []
+
+
+def test_path_product_builds_no_velocity_derivative(monkeypatch):
+    # no path integral reads the theta derivative of a path velocity, so
+    # the product rule skips it: one product for gh, two for
+    # Z(gh) = Z(g) + Ad(g) Z(h) and two for Ad(h^-1) f'
+    grid = loops.ThetaGrid(16)
+    rng = sampling.make_rng(5)
+    f, g = (sampling.random_group_path(rng, grid, liegroup.SU2, 9) for _ in range(2))
+    calls = []
+    mm = liegroup.mm
+
+    def counting(*args):
+        calls.append(args)
+        return mm(*args)
+
+    monkeypatch.setattr(liegroup, "mm", counting)
+    monkeypatch.setattr(loops, "mm", counting)
+    fg = f.mul(g)
+    assert len(calls) == 5
+    assert f.vel.dvals is None and g.vel.dvals is None and fg.vel.dvals is None
 
 
 def test_path_has_one_representation():
