@@ -289,6 +289,28 @@ def test_extract_round_trip_path_fibration():
 
 
 # ---------------------------------------------------------------------------
+# evaluation map
+
+
+def test_killingback_equivariance_and_node_errors():
+    # the killing-back evaluation (x, q, k, theta) -> q(theta) k is right
+    # equivariant in k and constant on based-loop orbits (q g, g(theta)^-1 k)
+    rng = make_rng(379)
+    q = random_loop(rng, GRID, SU2)
+    g = random_loop(rng, GRID, SU2, based=True)
+    k = exp_alg(random_algebra(rng, SU2))
+    k0 = exp_alg(random_algebra(rng, SU2))
+    theta = float(GRID.nodes[7])
+    a = eval_loop(q, theta) @ (k @ k0)
+    b = eval_loop(q, theta) @ k
+    assert np.max(np.abs(a - b @ k0)) < 1e-13
+    gk = np.linalg.inv(eval_loop(g, theta)) @ k
+    assert np.max(np.abs(eval_loop(q.mul(g), theta) @ gk - b)) < 1e-13
+    with pytest.raises(ValueError):
+        eval_loop(q, theta + 1e-3)
+
+
+# ---------------------------------------------------------------------------
 # angle evaluation helper
 
 
@@ -308,7 +330,3 @@ def test_eval_samples_node_and_interp():
     closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         eval_samples(closedX, theta)
-    # a group loop is evaluated on the grid nodes only
-    q = random_loop(rng, GRID, SU2)
-    with pytest.raises(ValueError):
-        eval_loop(q, float(GRID.nodes[7]) + 1e-3)
