@@ -1,10 +1,16 @@
 """Named residual checks behind the command line and the acceptance gate.
 
-Each check is registered under a stable identifier with a formula tag,
-a default tolerance and the scenario suite it belongs to.  A check body
-draws its fixtures from a generator seeded by (run seed, check name),
-so reruns with the same configuration reproduce the samples exactly and
-adding a check never shifts another check's draws.
+Each check is registered under a stable identifier `<scenario>/<slug>`
+with a formula tag and a default tolerance.  A check body is one fixture
+draw `(cfg, rng) -> residual or tuple of residuals`: it builds its
+scenario from the configuration, which takes nothing from rng, then
+samples one fixture from rng and measures the identity on it.  `_draws`
+makes the body into the public check `(cfg, rng, n=<default>)`, which
+runs the draw n >= 1 times on the same generator and returns the worst
+residual; a NaN residual anywhere makes the check NaN, and so fails its
+row.  The generator is seeded by (run seed, check name), so reruns with
+the same configuration reproduce the samples exactly and adding a check
+never shifts another check's draws.
 
 `run_suite` produces the report rows; `convergence_table` reruns one
 check over a refinement ladder (grid halving, or step halving for the
@@ -116,6 +122,32 @@ def _tb_tangent(tb, rng, u=None):
             random_loop_tangent(rng, tb.grid, tb.group))
 
 
+def _worst(residuals) -> float:
+    """The largest residual; NaN when any residual is NaN."""
+    return float(np.max(residuals))
+
+
+def _draws(n: int):
+    """Make a fixture draw into a check that runs it n times by default.
+
+    The check keeps the draw's name and docstring but not a __wrapped__
+    link, so its signature is (cfg, rng, n).
+    """
+    def build(draw):
+        def check(cfg: RunConfig, rng, n: int = n) -> float:
+            if n < 1:
+                raise ValueError("a check needs at least one draw, got n=%r"
+                                 % (n,))
+            return _worst([draw(cfg, rng) for _ in range(n)])
+
+        check.__name__ = draw.__name__
+        check.__qualname__ = draw.__qualname__
+        check.__doc__ = draw.__doc__
+        return check
+
+    return build
+
+
 # ---------------------------------------------------------------------------
 # the identity on every paper_ref in a report row; keys are the stable
 # formula tags, values state the identity the tag stands for
@@ -156,164 +188,143 @@ EQUATION_TAGS = {
 # central extension
 
 
-def pair_form_coboundary(cfg: RunConfig, rng, n: int = 12) -> float:
-    """max |d alpha - delta R| over random nerve pairs."""
+@_draws(12)
+def pair_form_coboundary(cfg: RunConfig, rng):
+    """|d alpha - delta R| at random nerve pairs."""
     grid, group = _setup(cfg)
     alpha, r2 = centext.extension_forms()
-    dr = delta_nerve(r2)
-    worst = 0.0
-    for _ in range(n):
-        q = (random_loop(rng, grid, group), random_loop(rng, grid, group))
-        V = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
-        W = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
-        a = ext_d(alpha, q, (V, W), h=cfg.fd_step, richardson=cfg.richardson)
-        worst = max(worst, abs(a - dr(q, V, W)))
-    return worst
+    q = (random_loop(rng, grid, group), random_loop(rng, grid, group))
+    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
+    W = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
+    a = ext_d(alpha, q, (V, W), h=cfg.fd_step, richardson=cfg.richardson)
+    return abs(a - delta_nerve(r2)(q, V, W))
 
 
-def cochain_closed(cfg: RunConfig, rng, n: int = 12) -> float:
-    """max |delta alpha| over random nerve triples; no differentiation."""
+@_draws(12)
+def cochain_closed(cfg: RunConfig, rng):
+    """|delta alpha| at random nerve triples; no differentiation."""
     grid, group = _setup(cfg)
     alpha = centext.extension_forms()[0]
-    da = delta_nerve(alpha)
-    worst = 0.0
-    for _ in range(n):
-        q = tuple(random_loop(rng, grid, group) for _ in range(3))
-        V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
-        worst = max(worst, abs(da(q, V)))
-    return worst
+    q = tuple(random_loop(rng, grid, group) for _ in range(3))
+    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
+    return abs(delta_nerve(alpha)(q, V))
 
 
-def path_cocycle_identity(cfg: RunConfig, rng, n: int = 5) -> float:
-    """max cocycle defect over random path triples at npath nodes."""
+@_draws(5)
+def path_cocycle_identity(cfg: RunConfig, rng):
+    """cocycle defect at random path triples of npath nodes."""
     grid, group = _setup(cfg)
-    worst = 0.0
-    for _ in range(n):
-        f, g, k = (sampling.random_group_path(rng, grid, group, cfg.npath)
-                   for _ in range(3))
-        lhs = centext.cocycle_c(f, g) * centext.cocycle_c(f.mul(g), k)
-        rhs = centext.cocycle_c(g, k) * centext.cocycle_c(f, g.mul(k))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    f, g, k = (sampling.random_group_path(rng, grid, group, cfg.npath)
+               for _ in range(3))
+    lhs = centext.cocycle_c(f, g) * centext.cocycle_c(f.mul(g), k)
+    rhs = centext.cocycle_c(g, k) * centext.cocycle_c(f, g.mul(k))
+    return abs(lhs - rhs)
 
 
-def reduced_splitting(cfg: RunConfig, rng, n: int = 3) -> float:
+@_draws(3)
+def reduced_splitting(cfg: RunConfig, rng):
     """splitting identity on both scenario surfaces; pointwise cancellation."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    worst = 0.0
-    for _ in range(n):
-        p = _tb_point(tb, rng)
-        g = random_loop(rng, grid, group)
-        X = random_loop_tangent(rng, grid, group)
-        worst = max(worst, centext.reduced_splitting_check(tb, p, g, X))
+    p = _tb_point(tb, rng)
+    g = random_loop(rng, grid, group)
+    X = random_loop_tangent(rng, grid, group)
+    r_tb = centext.reduced_splitting_check(tb, p, g, X)
 
-        pp = random_path_point(rng, pf.grid, group)
-        gam = random_loop(rng, pf.grid, group, based=True)
-        Xc = random_loop_tangent(rng, pf.grid, group)
-        worst = max(worst, centext.reduced_splitting_check(pf, pp, gam, Xc))
-    return worst
+    pp = random_path_point(rng, pf.grid, group)
+    gam = random_loop(rng, pf.grid, group, based=True)
+    Xc = random_loop_tangent(rng, pf.grid, group)
+    return r_tb, centext.reduced_splitting_check(pf, pp, gam, Xc)
 
 
 # ---------------------------------------------------------------------------
 # path fibration
 
 
-def string_matches_invariant_form(cfg: RunConfig, rng, n: int = 4) -> float:
+@_draws(4)
+def string_matches_invariant_form(cfg: RunConfig, rng):
     """relative gap between the descended 3-form and omega3 downstairs."""
     pf = _pf(cfg)
-    worst = 0.0
-    for _ in range(n):
-        p = random_path_point(rng, pf.grid, pf.group)
-        Ts = [random_path_tangent(rng, pf.grid, pf.group) for _ in range(3)]
-        got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
-        k = pf.project(p)
-        want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst
+    p = random_path_point(rng, pf.grid, pf.group)
+    Ts = [random_path_tangent(rng, pf.grid, pf.group) for _ in range(3)]
+    got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
+    k = pf.project(p)
+    want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
+    return abs(got - want) / max(1.0, abs(want))
 
 
-def invariant_volume(cfg: RunConfig, rng, n: int = 0) -> float:
-    """|integral of omega3 over SU(2) - 1| in the two-angle chart."""
+def invariant_volume(cfg: RunConfig, rng) -> float:
+    """|integral of omega3 over SU(2) - 1| in the two-angle chart; a fixed
+    quadrature, so it draws nothing."""
     return abs(gerbe.omega3_su2_integral(neta=64, nxi=16) - 1.0)
 
 
-def curving_differential_path(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def curving_differential_path(cfg: RunConfig, rng):
     """|d f - 2 pi i omega(projected)| on the path fibration."""
     pf = _pf(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b,
                                                     fd_step=cfg.fd_step))
-    worst = 0.0
-    for _ in range(n):
-        p = random_path_point(rng, pf.grid, pf.group)
-        Ts = tuple(random_path_tangent(rng, pf.grid, pf.group) for _ in range(3))
-        # outer step 1e-3: the inner quadratures are exact here, the
-        # wider step keeps the second-level difference noise down
-        df = ext_d(fform, p, Ts, h=1e-3)
-        want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts,
-                                                 fd_step=cfg.fd_step)
-        worst = max(worst, abs(df - want))
-    return worst
+    p = random_path_point(rng, pf.grid, pf.group)
+    Ts = tuple(random_path_tangent(rng, pf.grid, pf.group) for _ in range(3))
+    # outer step 1e-3: the inner quadratures are exact here, the
+    # wider step keeps the second-level difference noise down
+    df = ext_d(fform, p, Ts, h=1e-3)
+    want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
+    return abs(df - want)
 
 
-def three_form_closed_base(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def three_form_closed_base(cfg: RunConfig, rng):
     """|d omega3| through a four-direction chart on the structure group.
 
     The chart is s -> exp(sum_j s_j x_j) k0 with exact pushforwards via
     the right-trivialised differential of exp; for a rank-one group the
     pullback is degenerate, for su3 the four directions are generic.
     """
-    grid, group = _setup(cfg)
-    worst = 0.0
-    for _ in range(n):
-        k0 = exp_alg(random_algebra(rng, group))
-        xs = [random_algebra(rng, group) for _ in range(4)]
+    group = _setup(cfg)[1]
+    k0 = exp_alg(random_algebra(rng, group))
+    xs = [random_algebra(rng, group) for _ in range(4)]
 
-        def amap(s):
-            # s may stack chart points in front of its last axis
-            return sum(s[..., j, None, None] * xs[j] for j in range(4))
+    def amap(s):
+        # s may stack chart points in front of its last axis
+        return sum(s[..., j, None, None] * xs[j] for j in range(4))
 
-        def pulled(pt, va, vb, vc):
-            # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three;
-            # the three tangents lead the point's own leading axes
-            A = amap(pt.x)
-            dA = np.stack([amap(v) for v in (va, vb, vc)])
-            e, d = exp_dexp_right(A, dA.reshape((3,) + (1,) * (A.ndim - 2) + A.shape[-2:]))
-            k = mm(e, k0)
-            return gerbe.omega3(k, *mm(d, k))
+    def pulled(pt, va, vb, vc):
+        # d(exp A) = dexp_right(A, dA) exp(A), one eigh for all three;
+        # the three tangents lead the point's own leading axes
+        A = amap(pt.x)
+        dA = np.stack([amap(v) for v in (va, vb, vc)])
+        e, d = exp_dexp_right(A, dA.reshape((3,) + (1,) * (A.ndim - 2) + A.shape[-2:]))
+        k = mm(e, k0)
+        return gerbe.omega3(k, *mm(d, k))
 
-        form = Form(3, pulled)
-        vs = tuple(rng.normal(size=4) for _ in range(4))
-        val = ext_d(form, ChartPt(rng.normal(size=4) * 0.3), vs, h=1e-3)
-        worst = max(worst, abs(val))
-    return worst
+    vs = tuple(rng.normal(size=4) for _ in range(4))
+    return abs(ext_d(Form(3, pulled), ChartPt(rng.normal(size=4) * 0.3), vs,
+                     h=1e-3))
 
 
 # ---------------------------------------------------------------------------
 # trivial bundle
 
 
-def transition_coboundary(cfg: RunConfig, rng, n: int = 2) -> float:
-    """max |delta epsilon - beta| over fibre triples, both scenarios."""
+@_draws(2)
+def transition_coboundary(cfg: RunConfig, rng):
+    """|delta epsilon - beta| at fibre triples, both scenarios."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    worst = 0.0
-    for _ in range(n):
-        m = rng.uniform(-0.6, 0.6, size=2)
-        pts = tuple(tb.point(m, random_loop(rng, grid, group))
-                    for _ in range(3))
-        u = rng.normal(size=2)
-        vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(3))
-        eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
-        worst = max(worst, abs(delta_fibre(eps)(pts, vecs)
-                               - gerbe.beta_form(tb, pts, vecs)))
+    m = rng.uniform(-0.6, 0.6, size=2)
+    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
+    u = rng.normal(size=2)
+    vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(3))
+    eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
+    r_tb = abs(delta_fibre(eps)(pts, vecs) - gerbe.beta_form(tb, pts, vecs))
 
-        ppts = random_path_fibre_points(rng, pf.grid, group, 3)
-        pvecs = random_path_fibre_tangent(rng, pf.grid, group, 3)
-        peps = Form(1, lambda pt, v: gerbe.epsilon_form(pf, pt, v))
-        worst = max(worst, abs(delta_fibre(peps)(ppts, pvecs)
-                               - gerbe.beta_form(pf, ppts, pvecs)))
-    return worst
+    ppts = random_path_fibre_points(rng, pf.grid, group, 3)
+    pvecs = random_path_fibre_tangent(rng, pf.grid, group, 3)
+    peps = Form(1, lambda pt, v: gerbe.epsilon_form(pf, pt, v))
+    return r_tb, abs(delta_fibre(peps)(ppts, pvecs)
+                     - gerbe.beta_form(pf, ppts, pvecs))
 
 
 def _curving_chain(scn, pts, vecs, wecs, cfg: RunConfig) -> float:
@@ -328,91 +339,78 @@ def _curving_chain(scn, pts, vecs, wecs, cfg: RunConfig) -> float:
     return abs(lhs - (tr - de))
 
 
-def curving_transition(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def curving_transition(cfg: RunConfig, rng):
     """|delta f - (tau^* R - d epsilon)| on fibre pairs, both scenarios."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    worst = 0.0
-    for _ in range(n):
-        m = rng.uniform(-0.6, 0.6, size=2)
-        pts = tuple(tb.point(m, random_loop(rng, grid, group))
-                    for _ in range(2))
-        u, w = rng.normal(size=2), rng.normal(size=2)
-        vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(2))
-        wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
-        worst = max(worst, _curving_chain(tb, pts, vecs, wecs, cfg))
+    m = rng.uniform(-0.6, 0.6, size=2)
+    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(2))
+    u, w = rng.normal(size=2), rng.normal(size=2)
+    vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(2))
+    wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
+    r_tb = _curving_chain(tb, pts, vecs, wecs, cfg)
 
-        ppts = random_path_fibre_points(rng, pf.grid, group, 2)
-        pvecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
-        pwecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
-        worst = max(worst, _curving_chain(pf, ppts, pvecs, pwecs, cfg))
-    return worst
+    ppts = random_path_fibre_points(rng, pf.grid, group, 2)
+    pvecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
+    pwecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
+    return r_tb, _curving_chain(pf, ppts, pvecs, pwecs, cfg)
 
 
-def curving_differential_chart(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def curving_differential_chart(cfg: RunConfig, rng):
     """|d f - 2 pi i omega| over the two-dimensional chart; the base has
     no room for a 3-form, so both sides cancel to the difference noise."""
-    grid, group = _setup(cfg)
     tb = _tb(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b,
                                                     fd_step=cfg.fd_step))
-    worst = 0.0
-    for _ in range(n):
-        p = _tb_point(tb, rng)
-        Ts = tuple(_tb_tangent(tb, rng) for _ in range(3))
-        df = ext_d(fform, p, Ts, h=1e-3)
-        want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts],
-                                              fd_step=cfg.fd_step)
-        worst = max(worst, abs(df - want))
-    return worst
+    p = _tb_point(tb, rng)
+    Ts = tuple(_tb_tangent(tb, rng) for _ in range(3))
+    df = ext_d(fform, p, Ts, h=1e-3)
+    want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts],
+                                          fd_step=cfg.fd_step)
+    return abs(df - want)
 
 
-def simplicial_square_zero(cfg: RunConfig, rng, n: int = 2) -> float:
+@_draws(2)
+def simplicial_square_zero(cfg: RunConfig, rng):
     """delta after delta in the nerve and fibre directions, three degrees."""
     grid, group = _setup(cfg)
     tb = _tb(cfg)
-    worst = 0.0
-    for _ in range(n):
-        C = random_loop_tangent(rng, grid, group)
-        F0 = Form(0, lambda q: centext.gomi_cocycle_Z(q[0], C))
-        gs = tuple(random_loop(rng, grid, group) for _ in range(3))
-        worst = max(worst, abs(delta_nerve(delta_nerve(F0))(gs)))
+    C = random_loop_tangent(rng, grid, group)
+    F0 = Form(0, lambda q: centext.gomi_cocycle_Z(q[0], C))
+    gs = tuple(random_loop(rng, grid, group) for _ in range(3))
+    r_zero = abs(delta_nerve(delta_nerve(F0))(gs))
 
-        r2 = centext.extension_forms()[1]
-        V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
-        W = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
-        worst = max(worst, abs(delta_nerve(delta_nerve(r2))(gs, V, W)))
+    r2 = centext.extension_forms()[1]
+    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
+    W = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
+    r_two = abs(delta_nerve(delta_nerve(r2))(gs, V, W))
 
-        ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
-        m = rng.uniform(-0.6, 0.6, size=2)
-        pts = tuple(tb.point(m, random_loop(rng, grid, group))
-                    for _ in range(3))
-        worst = max(worst, abs(delta_fibre(delta_fibre(ell0))(pts)))
-    return worst
+    ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
+    m = rng.uniform(-0.6, 0.6, size=2)
+    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
+    return r_zero, r_two, abs(delta_fibre(delta_fibre(ell0))(pts))
 
 
-def differential_square_zero(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def differential_square_zero(cfg: RunConfig, rng):
     """d after d on a chart 1-form and on a loop-group 0-form."""
     grid, group = _setup(cfg)
-    worst = 0.0
-    for _ in range(n):
-        # float_power: x ** 2 as numpy rounds it for a single number
-        one = Form(1, lambda pt, v: np.sin(pt.x[..., 0]) * v[1]
-                   + np.exp(0.3 * pt.x[..., 2]) * v[0]
-                   + np.float_power(pt.x[..., 1], 2) * v[2])
-        d1 = ext_d_form(one, h=1e-3)
-        x0 = ChartPt(rng.normal(size=3) * 0.5)
-        vs = tuple(rng.normal(size=3) for _ in range(3))
-        worst = max(worst, abs(ext_d(d1, x0, vs, h=1e-3)))
+    # float_power: x ** 2 as numpy rounds it for a single number
+    one = Form(1, lambda pt, v: np.sin(pt.x[..., 0]) * v[1]
+               + np.exp(0.3 * pt.x[..., 2]) * v[0]
+               + np.float_power(pt.x[..., 1], 2) * v[2])
+    x0 = ChartPt(rng.normal(size=3) * 0.5)
+    vs = tuple(rng.normal(size=3) for _ in range(3))
+    r_chart = abs(ext_d(ext_d_form(one, h=1e-3), x0, vs, h=1e-3))
 
-        C = random_loop_tangent(rng, grid, group)
-        F0 = Form(0, lambda g: centext.gomi_cocycle_Z(g, C))
-        d0 = ext_d_form(F0, h=1e-3)
-        g = random_loop(rng, grid, group)
-        X = random_loop_tangent(rng, grid, group)
-        Y = random_loop_tangent(rng, grid, group)
-        worst = max(worst, abs(ext_d(d0, g, (X, Y), h=1e-3)))
-    return worst
+    C = random_loop_tangent(rng, grid, group)
+    F0 = Form(0, lambda g: centext.gomi_cocycle_Z(g, C))
+    g = random_loop(rng, grid, group)
+    X = random_loop_tangent(rng, grid, group)
+    Y = random_loop_tangent(rng, grid, group)
+    return r_chart, abs(ext_d(ext_d_form(F0, h=1e-3), g, (X, Y), h=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -432,89 +430,77 @@ def _caloron_tangent(tb, rng) -> CaloronTangent:
                           float(rng.uniform(-1.0, 1.0)))
 
 
-def connection_axioms(cfg: RunConfig, rng, n: int = 2) -> float:
+def _sup(a) -> float:
+    return _worst(np.abs(a))
+
+
+@_draws(2)
+def connection_axioms(cfg: RunConfig, rng):
     """vertical reproduction, kernel annihilation, based-loop invariance
     and frame equivariance of the transferred connection."""
     grid, group = _setup(cfg)
     tb = _tb(cfg)
-    worst = 0.0
-    for _ in range(n):
-        pt = _caloron_point(tb, rng)
-        xi = random_algebra(rng, group)
-        got = caloron.caloron_connection(tb, pt,
-                                         caloron.vertical_vector(tb, pt, xi))
-        worst = max(worst, float(np.max(np.abs(got - xi))))
+    pt = _caloron_point(tb, rng)
+    xi = random_algebra(rng, group)
+    got = caloron.caloron_connection(tb, pt, caloron.vertical_vector(tb, pt, xi))
+    r_vertical = _sup(got - xi)
 
-        X = random_loop_tangent(rng, grid, group)
-        kv = caloron.kernel_vector(tb, pt, X)
-        worst = max(worst, float(np.max(np.abs(
-            caloron.caloron_connection(tb, pt, kv)))))
+    X = random_loop_tangent(rng, grid, group)
+    kv = caloron.kernel_vector(tb, pt, X)
+    r_kernel = _sup(caloron.caloron_connection(tb, pt, kv))
 
-        V = _caloron_tangent(tb, rng)
-        a0 = caloron.caloron_connection(tb, pt, V)
-        g = random_loop(rng, grid, group, based=True)
-        qt, Vp = caloron.loop_act(tb, pt, V, g)
-        worst = max(worst, float(np.max(np.abs(
-            caloron.caloron_connection(tb, qt, Vp) - a0))))
+    V = _caloron_tangent(tb, rng)
+    a0 = caloron.caloron_connection(tb, pt, V)
+    g = random_loop(rng, grid, group, based=True)
+    qt, Vp = caloron.loop_act(tb, pt, V, g)
+    r_loop = _sup(caloron.caloron_connection(tb, qt, Vp) - a0)
 
-        k0 = exp_alg(random_algebra(rng, group))
-        qt, Vp = caloron.group_act(pt, V, k0)
-        lhs = caloron.caloron_connection(tb, qt, Vp)
-        rhs = mm(mm(np.linalg.inv(k0), a0), k0)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    k0 = exp_alg(random_algebra(rng, group))
+    qt, Vp = caloron.group_act(pt, V, k0)
+    lhs = caloron.caloron_connection(tb, qt, Vp)
+    rhs = mm(mm(np.linalg.inv(k0), a0), k0)
+    return r_vertical, r_kernel, r_loop, _sup(lhs - rhs)
 
 
-def curvature_square_split(cfg: RunConfig, rng, n: int = 10) -> float:
+@_draws(10)
+def curvature_square_split(cfg: RunConfig, rng):
     """pointwise identity between the squared transferred curvature and
     its base-curvature / Higgs-derivative split."""
     tb = _tb(cfg)
-    worst = 0.0
-    for _ in range(n):
-        pt = _caloron_point(tb, rng)
-        Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
-        lhs = caloron.pontrjagin_form(tb, pt, *Vs, fd_step=cfg.fd_step)
-        rhs = caloron.pontrjagin_split(tb, pt, *Vs, fd_step=cfg.fd_step)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pt = _caloron_point(tb, rng)
+    Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
+    lhs = caloron.pontrjagin_form(tb, pt, *Vs, fd_step=cfg.fd_step)
+    rhs = caloron.pontrjagin_split(tb, pt, *Vs, fd_step=cfg.fd_step)
+    return abs(lhs - rhs)
 
 
-def circle_reduction(cfg: RunConfig, rng, n: int = 3) -> float:
+@_draws(3)
+def circle_reduction(cfg: RunConfig, rng):
     """circle integral of the 4-form against the descended 3-form, on
     the three-direction chart where the 3-form is nonzero."""
-    grid, group = _setup(cfg)
-    tb = gerbe.TrivialBundle.chart3(grid, group)
-    worst = 0.0
-    for _ in range(n):
-        m = rng.uniform(-0.6, 0.6, size=tb.dim)
-        us = [rng.normal(size=tb.dim) for _ in range(3)]
-        a = caloron.integrate_circle(tb, m, *us, fd_step=cfg.fd_step)
-        b = gerbe.string_form(tb, m, *us, fd_step=cfg.fd_step)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return worst
+    tb = gerbe.TrivialBundle.chart3(*_setup(cfg))
+    m = rng.uniform(-0.6, 0.6, size=tb.dim)
+    us = [rng.normal(size=tb.dim) for _ in range(3)]
+    a = caloron.integrate_circle(tb, m, *us, fd_step=cfg.fd_step)
+    b = gerbe.string_form(tb, m, *us, fd_step=cfg.fd_step)
+    return abs(a - b) / max(1.0, abs(b))
 
 
-def frame_round_trip(cfg: RunConfig, rng, n: int = 1) -> float:
+@_draws(1)
+def frame_round_trip(cfg: RunConfig, rng):
     """connection and Higgs field recovered from the identity frame."""
     tb, pf = _tb(cfg), _pf(cfg)
-    worst = 0.0
-    for _ in range(n):
-        p = _tb_point(tb, rng)
-        conn_of, phi = caloron.extract_connection_higgs(tb, p)
-        V = _tb_tangent(tb, rng)
-        worst = max(worst, float(np.max(np.abs(
-            conn_of(V).vals - tb.connection(p, V).vals))))
-        worst = max(worst, float(np.max(np.abs(phi.vals
-                                               - tb.higgs(p).vals))))
+    p = _tb_point(tb, rng)
+    conn_of, phi = caloron.extract_connection_higgs(tb, p)
+    V = _tb_tangent(tb, rng)
+    r_tb = (_sup(conn_of(V).vals - tb.connection(p, V).vals),
+            _sup(phi.vals - tb.higgs(p).vals))
 
-        pp = random_path_point(rng, pf.grid, pf.group)
-        conn_of, phi = caloron.extract_connection_higgs(pf, pp)
-        X = random_path_tangent(rng, pf.grid, pf.group)
-        worst = max(worst, float(np.max(np.abs(
-            conn_of(X).vals - pf.connection(pp, X).vals))))
-        worst = max(worst, float(np.max(np.abs(phi.vals
-                                               - pf.higgs(pp).vals))))
-    return worst
+    pp = random_path_point(rng, pf.grid, pf.group)
+    conn_of, phi = caloron.extract_connection_higgs(pf, pp)
+    X = random_path_tangent(rng, pf.grid, pf.group)
+    return r_tb + (_sup(conn_of(X).vals - pf.connection(pp, X).vals),
+                   _sup(phi.vals - pf.higgs(pp).vals))
 
 
 # ---------------------------------------------------------------------------
@@ -523,65 +509,62 @@ def frame_round_trip(cfg: RunConfig, rng, n: int = 1) -> float:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    name: str
+    name: str                  # "<scenario>/<slug>"
     paper_ref: str
     tol: float
     fn: Callable
-    scenario: str
     groups: tuple = ("su2", "su3")
     convergence: str = ""      # "", "grid", "fd" or "flat"
 
 
 _SPECS = [
     CheckSpec("central-extension/cochain-closed", "cochain-closed",
-              1e-8, cochain_closed, "central-extension"),
+              1e-8, cochain_closed),
     CheckSpec("central-extension/pair-form-coboundary",
               "pair-form-coboundary", 1e-6, pair_form_coboundary,
-              "central-extension", convergence="fd"),
+              convergence="fd"),
     CheckSpec("central-extension/path-cocycle-identity", "path-cocycle",
-              1e-6, path_cocycle_identity, "central-extension"),
+              1e-6, path_cocycle_identity),
     CheckSpec("central-extension/reduced-splitting", "reduced-splitting",
-              1e-8, reduced_splitting, "central-extension"),
+              1e-8, reduced_splitting),
     CheckSpec("path-fibration/curving-differential", "curving-differential",
-              1e-6, curving_differential_path, "path-fibration"),
+              1e-6, curving_differential_path),
     CheckSpec("path-fibration/invariant-volume", "invariant-volume",
-              1e-3, invariant_volume, "path-fibration", groups=("su2",)),
+              1e-3, invariant_volume, groups=("su2",)),
     CheckSpec("path-fibration/string-matches-invariant-form", "string-form",
-              1e-6, string_matches_invariant_form, "path-fibration",
-              convergence="grid"),
+              1e-6, string_matches_invariant_form, convergence="grid"),
     CheckSpec("path-fibration/three-form-closed", "three-form-closed",
-              1e-6, three_form_closed_base, "path-fibration"),
+              1e-6, three_form_closed_base),
     CheckSpec("trivial-bundle/curving-differential", "curving-differential",
-              1e-6, curving_differential_chart, "trivial-bundle"),
+              1e-6, curving_differential_chart),
     CheckSpec("trivial-bundle/curving-transition", "curving-transition",
-              1e-6, curving_transition, "trivial-bundle"),
+              1e-6, curving_transition),
     CheckSpec("trivial-bundle/differential-square-zero",
-              "differential-square-zero", 1e-8, differential_square_zero,
-              "trivial-bundle"),
+              "differential-square-zero", 1e-8, differential_square_zero),
     CheckSpec("trivial-bundle/simplicial-square-zero",
               "simplicial-square-zero", 1e-12, simplicial_square_zero,
-              "trivial-bundle", convergence="flat"),
+              convergence="flat"),
     CheckSpec("trivial-bundle/transition-coboundary", "transition-coboundary",
-              1e-8, transition_coboundary, "trivial-bundle"),
+              1e-8, transition_coboundary),
     CheckSpec("caloron-roundtrip/circle-reduction", "circle-reduction",
-              1e-6, circle_reduction, "caloron-roundtrip"),
+              1e-6, circle_reduction),
     CheckSpec("caloron-roundtrip/connection-axioms", "connection-transfer",
-              1e-8, connection_axioms, "caloron-roundtrip"),
+              1e-8, connection_axioms),
     CheckSpec("caloron-roundtrip/curvature-square-split",
-              "curvature-square-split", 1e-8, curvature_square_split,
-              "caloron-roundtrip"),
+              "curvature-square-split", 1e-8, curvature_square_split),
     CheckSpec("caloron-roundtrip/frame-round-trip", "frame-transfer",
-              1e-10, frame_round_trip, "caloron-roundtrip"),
+              1e-10, frame_round_trip),
 ]
 
 CHECKS = {s.name: s for s in sorted(_SPECS, key=lambda s: s.name)}
 
 assert all(s.paper_ref in EQUATION_TAGS for s in _SPECS)
+assert all(s.name.split("/")[0] in SCENARIOS[1:] for s in _SPECS)
 
 
 def select_checks(cfg: RunConfig) -> list:
     return [s for s in CHECKS.values()
-            if (cfg.scenario == "all" or s.scenario == cfg.scenario)
+            if cfg.scenario in ("all", s.name.split("/")[0])
             and cfg.group in s.groups]
 
 
@@ -608,9 +591,9 @@ class ConvergenceResult:
 
 def _fit_order(hs, rs) -> Optional[float]:
     """The slope of log(residual) against log(step); None when fewer than
-    two rungs or a residual at zero leave no line to fit."""
+    two rungs, or a residual at zero or not finite, leave no line to fit."""
     hs, rs = np.asarray(hs, dtype=float), np.asarray(rs, dtype=float)
-    if hs.size < 2 or np.any(rs <= 0.0):
+    if hs.size < 2 or not np.all(np.isfinite(rs)) or np.any(rs <= 0.0):
         return None
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 

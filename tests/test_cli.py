@@ -4,9 +4,10 @@ import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from loopgerbe import centext, cli, report as report_mod
+from loopgerbe import centext, checks, cli, report as report_mod
 from loopgerbe.checks import (CHECKS, EQUATION_TAGS, RunConfig,
                               convergence_grids, convergence_table,
                               run_check, run_suite)
@@ -153,6 +154,34 @@ def test_unreachable_tolerance_fails_but_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nan_residual_fails_its_row(tmp_path, capsys):
+    # at a subnormal step 0.5/h overflows to inf and the vanishing
+    # difference times inf is NaN; the NaN must reach the row and fail
+    # it, where a running max from 0.0 reported 0.0 and passed
+    cfg = RunConfig(fd_step=1e-320, ntheta=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = checks.pair_form_coboundary(cfg, checks._check_rng(cfg, "nan"),
+                                          n=2)
+        out = str(tmp_path / "rep.json")
+        status = cli.main(["--scenario", "central-extension", "--ntheta", "32",
+                           "--npath", "8", "--fd-step", "1e-320",
+                           "--out", out])
+    assert np.isnan(res)
+    assert status == cli.EXIT_FAIL
+    rows = {r["name"]: r for r in json.loads(open(out).read())["checks"]}
+    row = rows["central-extension/pair-form-coboundary"]
+    assert np.isnan(row["residual"]) and row["pass"] is False
+    assert "pair-form-coboundary residual=nan" in capsys.readouterr().err
+
+
+def test_check_needs_a_draw():
+    rng = checks._check_rng(RunConfig(), "none")
+    for fn in (checks.pair_form_coboundary, checks.frame_round_trip):
+        with pytest.raises(ValueError):
+            fn(RunConfig(ntheta=16), rng, n=0)
+
+
 def test_unwritable_out_exits_io(tmp_path, capsys):
     out = str(tmp_path / "no" / "such" / "dir" / "rep.json")
     argv = ["--scenario", "trivial-bundle", "--ntheta", "48", "--out", out]
@@ -270,6 +299,13 @@ def test_one_rung_fits_no_order():
         tab = convergence_table("path-fibration/string-matches-invariant-form",
                                 [16], cfg)
     assert len(tab.rows) == 1 and tab.order is None
+
+
+def test_non_finite_rung_fits_no_order():
+    # a NaN or infinite residual leaves no line; polyfit would return NaN
+    assert checks._fit_order([1e-2, 5e-3], [1e-6, 2.5e-7]) == pytest.approx(2.0)
+    for bad in (np.nan, np.inf):
+        assert checks._fit_order([1e-2, 5e-3, 2.5e-3], [1e-6, bad, 6e-8]) is None
 
 
 def test_suite_runs_each_check_configuration_once(monkeypatch):

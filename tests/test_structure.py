@@ -1,8 +1,9 @@
 """Package-wide structure: no module keeps mutable global state, no
 import goes unused, no parameter exists that no caller varies, paths
 are node-stacked arrays that no Python loop walks, every matrix
-product goes through `liegroup.mm`, and the grid flavour is set on the
-grid alone."""
+product goes through `liegroup.mm`, the grid flavour is set on the
+grid alone, and every check is one fixture draw that a single loop
+repeats."""
 
 import ast
 import dataclasses
@@ -157,6 +158,27 @@ def test_path_product_builds_no_velocity_derivative(monkeypatch):
     fg = f.mul(g)
     assert len(calls) == 5
     assert f.vel.dvals is None and g.vel.dvals is None and fg.vel.dvals is None
+
+
+def test_one_draw_loop():
+    # `_draws` alone repeats a check's draw and reduces its residuals;
+    # invariant-volume is a fixed quadrature and draws nothing
+    loop = checks._draws(1)(lambda cfg, rng: 0.0).__code__
+    drawn = {s.fn.__name__ for s in checks.CHECKS.values()
+             if s.fn.__code__ is loop}
+    names = {s.fn.__name__ for s in checks.CHECKS.values()}
+    assert drawn == names - {"invariant_volume"}
+    for name in drawn:
+        assert _params(getattr(checks, name)) == ("cfg", "rng", "n")
+    tree = ast.parse((SRC / "checks.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Call) and d.func.id == "_draws"
+                      for d in node.decorator_list)}
+    assert set(bodies) == drawn
+    looping = [name for name, node in bodies.items()
+               if any(isinstance(n, ast.For) for n in ast.walk(node))]
+    assert looping == []
 
 
 def test_path_has_one_representation():
