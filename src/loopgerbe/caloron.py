@@ -59,17 +59,18 @@ class CaloronTangent:
 def _node(fun, theta):
     """(j, off) for an angle or an array of them and a GridFun or
     LoopPoint: the index of the nearest grid node and whether the angle
-    is off the nodes (more than 1e-9 grid steps away).  Periodic grids
-    wrap around; closed grids reject node angles outside [0, 2 pi]."""
+    is off the nodes (NaN, +-inf, or more than 1e-9 grid steps away).
+    Periodic grids wrap; closed grids reject node angles outside [0, 2 pi]."""
     j = theta / fun.grid.h
     jr = np.rint(j)
-    off = abs(j - jr) > 1e-9
-    jr = jr.astype(int)
+    # NaN and +-inf compare false, so they are off the nodes
+    off = ~(abs(j - jr) <= 1e-9)
     if not fun.grid.closed:
-        return jr % fun.grid.n, off
-    if np.count_nonzero(~off & ((jr < 0) | (jr > fun.grid.n))):
+        return jr.astype(int) % fun.grid.n, off
+    jr = np.where(off, 0, jr).astype(int)
+    if np.count_nonzero((jr < 0) | (jr > fun.grid.n)):
         raise ValueError("angle outside the closed grid")
-    return np.where(off, 0, jr), off
+    return jr, off
 
 
 def _at_nodes(vals: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -172,7 +173,7 @@ def _memo(fn):
 
 
 def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
-                      fd_step: float = 1e-4, nabla_phi=None) -> GridFun:
+                      nabla_phi=None) -> GridFun:
     """The curvature on a tangent pair as a function of the angle:
     ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V).
 
@@ -183,9 +184,9 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
     """
     if nabla_phi is None:
         def nabla_phi(X):
-            return gerbe.nabla_phi(scn, p, X, fd_step)
+            return gerbe.nabla_phi(scn, p, X)
 
-    total = scn.curvature(p, V.X, W.X, fd_step)
+    total = scn.curvature(p, V.X, W.X)
     if W.lam != 0.0:
         total = total + nabla_phi(V.X) * W.lam
     if V.lam != 0.0:
@@ -194,18 +195,17 @@ def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
 
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
-                      W: CaloronTangent, fd_step: float = 1e-4,
-                      nabla_phi=None) -> np.ndarray:
-    samples = curvature_samples(scn, pt.p, pt.k, V, W, fd_step, nabla_phi)
+                      W: CaloronTangent, nabla_phi=None) -> np.ndarray:
+    samples = curvature_samples(scn, pt.p, pt.k, V, W, nabla_phi)
     return eval_samples(samples, pt.theta)
 
 
 def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
-                        W: CaloronTangent, fd_step: float = 1e-4) -> np.ndarray:
+                        W: CaloronTangent) -> np.ndarray:
     """dA + (1/2)[A, A] evaluated through the generic exterior derivative
     (periodic scenarios; the angle flows off the nodes)."""
     A = Form(1, lambda q, T: caloron_connection(scn, q, T), name="caloron A")
-    dA = forms.ext_d(A, pt, (V, W), fd_step)
+    dA = forms.ext_d(A, pt, (V, W), scn.fd_step)
     aV = caloron_connection(scn, pt, V)
     aW = caloron_connection(scn, pt, W)
     return dA + bracket(aV, aW)
@@ -215,34 +215,31 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 # the 4-form and its circle integral
 
 
-def curvature_form(scn, fd_step: float = 1e-4, nabla_phi=None) -> Form:
+def curvature_form(scn, nabla_phi=None) -> Form:
     """The curvature as a 2-form; a nabla_phi memo (see curvature_samples)
     ties it to the point the memo was made for."""
-    return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b, fd_step,
-                                                     nabla_phi))
+    return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b, nabla_phi))
 
 
-def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4,
-                    fd_step: float = 1e-4):
+def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4):
     """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle, one
     value per angle of a point stacked over angles."""
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step))
-    Rf = curvature_form(scn, fd_step, nabla_phi)
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X))
+    Rf = curvature_form(scn, nabla_phi)
     val = pair_forms(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
-def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
-                     fd_step: float = 1e-4) -> float:
+def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
     part; the conjugation by k drops under the invariant pairing.  The
     two wedges share one F sample per ordered tangent pair."""
     n = scn.group.n
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X, fd_step))
+    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X))
 
     @_memo
     def f_ev(q, a, b):
-        return eval_samples(scn.curvature(q.p, a.X, b.X, fd_step), q.theta)
+        return eval_samples(scn.curvature(q.p, a.X, b.X), q.theta)
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
@@ -259,7 +256,7 @@ def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4,
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
-def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
+def integrate_circle(scn, m, u1, u2, u3) -> float:
     """Circle integral of the 4-form contracted with three lifted base
     directions and the angle direction; equals the descended 3-form.
 
@@ -281,7 +278,7 @@ def integrate_circle(scn, m, u1, u2, u3, fd_step: float = 1e-4) -> float:
     Ts.append(CaloronTangent(scn.zero_tangent(p), no_eta, 1.0))
     angles = scn.grid.nodes + 0.5 * scn.grid.h
     pt = CaloronPoint(p, np.eye(n, dtype=complex), angles)
-    return float(quad_s1(pontrjagin_form(scn, pt, *Ts, fd_step=fd_step)))
+    return float(quad_s1(pontrjagin_form(scn, pt, *Ts)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class RunConfig:
     group: str = "su2"
     ntheta: int = 128
     npath: int = 128
-    fd_step: float = 1e-4
+    fd_step: float = gerbe.FD_STEP
     tol: Optional[float] = None     # None: per-check defaults
     seed: int = 7
     report: str = "json"
@@ -80,8 +80,8 @@ class RunConfig:
             out.append("npath must be an integer >= 2")
         if not (0.0 < self.fd_step <= 1e-2):
             out.append("fd_step must lie in (0, 1e-2]")
-        if self.tol is not None and not self.tol > 0.0:
-            out.append("tol must be positive")
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            out.append("tol must be positive and finite")
         if not isinstance(self.seed, int) or self.seed < 0:
             out.append("seed must be a non-negative integer")
         if self.report not in REPORT_FORMATS:
@@ -101,13 +101,11 @@ def _check_rng(cfg: RunConfig, name: str):
 
 
 def _tb(cfg: RunConfig):
-    grid, group = _setup(cfg)
-    return gerbe.TrivialBundle.default(grid, group)
+    return gerbe.TrivialBundle.default(*_setup(cfg), cfg.fd_step)
 
 
 def _pf(cfg: RunConfig):
-    grid, group = _setup(cfg)
-    return gerbe.PathFibration(grid, group)
+    return gerbe.PathFibration(*_setup(cfg), cfg.fd_step)
 
 
 def _tb_point(tb, rng):
@@ -247,7 +245,7 @@ def string_matches_invariant_form(cfg: RunConfig, rng):
     pf = _pf(cfg)
     p = random_path_point(rng, pf.grid, pf.group)
     Ts = [random_path_tangent(rng, pf.grid, pf.group) for _ in range(3)]
-    got = gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
+    got = gerbe.string_form_at(pf, p, *Ts)
     k = pf.project(p)
     want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
     return abs(got - want) / max(1.0, abs(want))
@@ -263,14 +261,13 @@ def invariant_volume(cfg: RunConfig, rng) -> float:
 def curving_differential_path(cfg: RunConfig, rng):
     """|d f - 2 pi i omega(projected)| on the path fibration."""
     pf = _pf(cfg)
-    fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b,
-                                                    fd_step=cfg.fd_step))
+    fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b))
     p = random_path_point(rng, pf.grid, pf.group)
     Ts = tuple(random_path_tangent(rng, pf.grid, pf.group) for _ in range(3))
     # outer step 1e-3: the inner quadratures are exact here, the
     # wider step keeps the second-level difference noise down
     df = ext_d(fform, p, Ts, h=1e-3)
-    want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts, fd_step=cfg.fd_step)
+    want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts)
     return abs(df - want)
 
 
@@ -327,15 +324,15 @@ def transition_coboundary(cfg: RunConfig, rng):
                      - gerbe.beta_form(pf, ppts, pvecs))
 
 
-def _curving_chain(scn, pts, vecs, wecs, cfg: RunConfig) -> float:
+def _curving_chain(scn, pts, vecs, wecs) -> float:
     p1, p2 = pts
-    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1], fd_step=cfg.fd_step)
-           - gerbe.curving_f(scn, p1, vecs[0], wecs[0], fd_step=cfg.fd_step))
+    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1])
+           - gerbe.curving_f(scn, p1, vecs[0], wecs[0]))
     t = scn.tau(p1, p2)
     tr = centext.eval_R(t, gerbe.tau_deriv(scn, p1, p2, *vecs),
                         gerbe.tau_deriv(scn, p1, p2, *wecs))
     eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
-    de = ext_d(eps, pts, (vecs, wecs), h=cfg.fd_step)
+    de = ext_d(eps, pts, (vecs, wecs), h=scn.fd_step)
     return abs(lhs - (tr - de))
 
 
@@ -349,12 +346,12 @@ def curving_transition(cfg: RunConfig, rng):
     u, w = rng.normal(size=2), rng.normal(size=2)
     vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(2))
     wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
-    r_tb = _curving_chain(tb, pts, vecs, wecs, cfg)
+    r_tb = _curving_chain(tb, pts, vecs, wecs)
 
     ppts = random_path_fibre_points(rng, pf.grid, group, 2)
     pvecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
     pwecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
-    return r_tb, _curving_chain(pf, ppts, pvecs, pwecs, cfg)
+    return r_tb, _curving_chain(pf, ppts, pvecs, pwecs)
 
 
 @_draws(1)
@@ -362,13 +359,11 @@ def curving_differential_chart(cfg: RunConfig, rng):
     """|d f - 2 pi i omega| over the two-dimensional chart; the base has
     no room for a 3-form, so both sides cancel to the difference noise."""
     tb = _tb(cfg)
-    fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b,
-                                                    fd_step=cfg.fd_step))
+    fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b))
     p = _tb_point(tb, rng)
     Ts = tuple(_tb_tangent(tb, rng) for _ in range(3))
     df = ext_d(fform, p, Ts, h=1e-3)
-    want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts],
-                                          fd_step=cfg.fd_step)
+    want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts])
     return abs(df - want)
 
 
@@ -469,8 +464,8 @@ def curvature_square_split(cfg: RunConfig, rng):
     tb = _tb(cfg)
     pt = _caloron_point(tb, rng)
     Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
-    lhs = caloron.pontrjagin_form(tb, pt, *Vs, fd_step=cfg.fd_step)
-    rhs = caloron.pontrjagin_split(tb, pt, *Vs, fd_step=cfg.fd_step)
+    lhs = caloron.pontrjagin_form(tb, pt, *Vs)
+    rhs = caloron.pontrjagin_split(tb, pt, *Vs)
     return abs(lhs - rhs)
 
 
@@ -478,11 +473,11 @@ def curvature_square_split(cfg: RunConfig, rng):
 def circle_reduction(cfg: RunConfig, rng):
     """circle integral of the 4-form against the descended 3-form, on
     the three-direction chart where the 3-form is nonzero."""
-    tb = gerbe.TrivialBundle.chart3(*_setup(cfg))
+    tb = gerbe.TrivialBundle.chart3(*_setup(cfg), cfg.fd_step)
     m = rng.uniform(-0.6, 0.6, size=tb.dim)
     us = [rng.normal(size=tb.dim) for _ in range(3)]
-    a = caloron.integrate_circle(tb, m, *us, fd_step=cfg.fd_step)
-    b = gerbe.string_form(tb, m, *us, fd_step=cfg.fd_step)
+    a = caloron.integrate_circle(tb, m, *us)
+    b = gerbe.string_form(tb, m, *us)
     return abs(a - b) / max(1.0, abs(b))
 
 
@@ -619,40 +614,32 @@ def convergence_table(name: str, grids, cfg: RunConfig = None,
     cfg = cfg if cfg is not None else RunConfig()
     out = ConvergenceResult()
     if spec.convergence == "fd":
-        steps = [FD_LADDER_START / 2 ** j for j in range(len(grids))]
-        hs, rs = [], []
-        for h in steps:
+        hs = [FD_LADDER_START / 2 ** j for j in range(len(grids))]
+        for h in hs:
             sub = replace(cfg, fd_step=h, richardson=False)
             r = float(spec.fn(sub, _check_rng(sub, spec.name)))
             out.rows.append({"name": spec.name + "#fd-step",
                              "grid": int(round(1.0 / h)), "residual": r})
-            hs.append(h)
-            rs.append(r)
-        out.order = _fit_order(hs, rs)
-        return out
-    hs, rs = [], []
-    for g in sorted(int(g) for g in grids):
-        if residual is not None and g == cfg.ntheta:
-            r = residual
-        else:
-            sub = replace(cfg, ntheta=g)
-            r = float(spec.fn(sub, _check_rng(sub, spec.name)))
-        out.rows.append({"name": spec.name, "grid": g, "residual": r})
-        hs.append(1.0 / g)
-        rs.append(r)
-    if spec.convergence == "grid":
-        out.order = _fit_order(hs, rs)
+    else:
+        gs = sorted(int(g) for g in grids)
+        hs = [1.0 / g for g in gs]
+        for g in gs:
+            if residual is not None and g == cfg.ntheta:
+                r = residual
+            else:
+                sub = replace(cfg, ntheta=g)
+                r = float(spec.fn(sub, _check_rng(sub, spec.name)))
+            out.rows.append({"name": spec.name, "grid": g, "residual": r})
+    if spec.convergence in ("fd", "grid"):
+        out.order = _fit_order(hs, [row["residual"] for row in out.rows])
     return out
 
 
-def _even(k: int) -> int:
-    return k if k % 2 == 0 else k + 1
-
-
 def convergence_grids(cfg: RunConfig) -> list:
-    gs = sorted({max(16, _even(cfg.ntheta // 4)), max(16, _even(cfg.ntheta // 2)),
-                 cfg.ntheta})
-    return gs
+    """cfg.ntheta, and a quarter and a half of it rounded up to an even
+    size of at least 16."""
+    return sorted({cfg.ntheta} | {max(16, k + k % 2)
+                                  for k in (cfg.ntheta // 4, cfg.ntheta // 2)})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ On top of that the module computes the transition forms epsilon and
 beta, the curving f, the covariant derivative of the Higgs field, the
 descended 3-form, and the right-invariant 3-form on K it reproduces.
 
+A scenario holds its difference step `fd_step` (`FD_STEP` unless given,
+set by `--fd-step`); every difference here and in `caloron` reads it.
+
 Conventions worth stating once: fibre-product projections are indexed
 by the slot they omit (pi_1(p1, p2) = p2), matching the alternating sums
 in forms.delta_fibre; all loop tangents are left-trivialised; tangents
@@ -17,7 +20,6 @@ to a fibre product share their projection slot by slot.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
                        project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
                     pair_samples, step_axes)
+
+FD_STEP = 1e-4  # the difference step of a scenario that is given none
 
 
 def _one() -> Fn:
@@ -86,7 +90,7 @@ class TrivialBundle:
     """
 
     def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
-                 phi_coeff, rho, rho_grad):
+                 phi_coeff, rho, rho_grad, fd_step: float = FD_STEP):
         self.grid = grid
         self.group = group
         self.dim = len(a_terms)
@@ -95,19 +99,21 @@ class TrivialBundle:
         self.phi_coeff = phi_coeff
         self.rho = rho
         self.rho_grad = rho_grad
+        self.fd_step = fd_step
 
     def with_data(self, *, phi_term=None, phi_coeff=None) -> "TrivialBundle":
-        """A new bundle on the same grid, group, base connection and bump
-        with the Higgs profile term or the Higgs coefficient replaced;
-        what is not given is kept."""
+        """A new bundle on the same grid, group, base connection, bump and
+        step with the Higgs profile term or the Higgs coefficient
+        replaced; what is not given is kept."""
         return TrivialBundle(
             self.grid, self.group, self.a_terms,
             self.phi_term if phi_term is None else phi_term,
             self.phi_coeff if phi_coeff is None else phi_coeff,
-            self.rho, self.rho_grad)
+            self.rho, self.rho_grad, self.fd_step)
 
     @staticmethod
-    def default(grid: ThetaGrid, group: Group = SU2) -> "TrivialBundle":
+    def default(grid: ThetaGrid, group: Group = SU2,
+                fd_step: float = FD_STEP) -> "TrivialBundle":
         """The standard instance: bump-weighted sin/cos directions and a
         chart-linear Higgs seed, generically curving."""
         E = group.basis
@@ -125,11 +131,12 @@ class TrivialBundle:
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1])],
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0],
-            rho=rho, rho_grad=rho_grad,
+            rho=rho, rho_grad=rho_grad, fd_step=fd_step,
         )
 
     @staticmethod
-    def chart3(grid: ThetaGrid, group: Group = SU2) -> "TrivialBundle":
+    def chart3(grid: ThetaGrid, group: Group = SU2,
+               fd_step: float = FD_STEP) -> "TrivialBundle":
         """Three chart directions, so the descended 3-form has room to
         be nonzero; used to give the circle reduction a nonzero target."""
         E = group.basis
@@ -154,7 +161,7 @@ class TrivialBundle:
                      (_one(), E[2])],
             phi_term=(_one(), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2],
-            rho=rho, rho_grad=rho_grad,
+            rho=rho, rho_grad=rho_grad, fd_step=fd_step,
         )
 
     # points and tangents
@@ -219,8 +226,7 @@ class TrivialBundle:
             raise ValueError("points in different fibres")
         return p.g.inv().mul(q.g)
 
-    def curvature(self, p: TrivialPoint, V, W,
-                  fd_step: float = 1e-4) -> GridFun:
+    def curvature(self, p: TrivialPoint, V, W) -> GridFun:
         """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences,
         one stacked base connection per difference stencil."""
         u, v = V[0], W[0]
@@ -228,7 +234,7 @@ class TrivialBundle:
         def da_dir(x, y):
             return directional(
                 lambda t: self.base_connection(ChartPt(p.m).flow(x, t).x, y),
-                fd_step)
+                self.fd_step)
 
         base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(
             self.base_connection(p.m, u), self.base_connection(p.m, v))
@@ -264,9 +270,11 @@ class PathFibration:
     the N of the grid it is given.
     """
 
-    def __init__(self, grid: ThetaGrid, group: Group = SU2):
+    def __init__(self, grid: ThetaGrid, group: Group = SU2,
+                 fd_step: float = FD_STEP):
         self.grid = ThetaGrid(grid.n, closed=True)
         self.group = group
+        self.fd_step = fd_step
 
     def act(self, p: LoopPoint, gam: LoopPoint) -> LoopPoint:
         return p.mul(gam)
@@ -324,8 +332,7 @@ class PathFibration:
             raise ValueError("points in different fibres")
         return p.inv().mul(q)
 
-    def curvature(self, p: LoopPoint, V: GridFun, W: GridFun,
-                  fd_step: float = 1e-4) -> GridFun:
+    def curvature(self, p: LoopPoint, V: GridFun, W: GridFun) -> GridFun:
         """Closed form: a quadratic-in-theta profile times the endpoint
         bracket conjugated back along the path."""
         Q, ramp = self._endpoint_frame(p)
@@ -348,10 +355,6 @@ class PathFibration:
 # scenario-generic constructions
 
 
-def connection_form(scn) -> Form:
-    return Form(1, lambda p, V: scn.connection(p, V), name="A")
-
-
 def tau_deriv(scn, p, q, V, W) -> GridFun:
     """Left-trivialised derivative of tau(p, q) along a fibre-pair tangent."""
     t = scn.tau(p, q)
@@ -360,19 +363,19 @@ def tau_deriv(scn, p, q, V, W) -> GridFun:
     return xq - conj_loop(t, xp)
 
 
-def tau_deriv_fd(scn, p, q, V, W, fd_step: float = 1e-4) -> GridFun:
+def tau_deriv_fd(scn, p, q, V, W) -> GridFun:
     """Finite-difference route: flow both slots, differentiate tau."""
 
     def at(t):
         return scn.tau(forms.flow(p, V, t), forms.flow(q, W, t))
 
-    raw = directional(lambda t: at(t).vals, fd_step, richardson=False)
+    raw = directional(lambda t: at(t).vals, scn.fd_step, richardson=False)
     t0 = at(0.0)
     ltriv = project_algebra(mm(group_inv(t0.vals), raw))
     return GridFun(t0.grid, ltriv)
 
 
-def connection_pullback_check(scn, p, q, V, W, fd_step: float = 1e-4) -> float:
+def connection_pullback_check(scn, p, q, V, W) -> float:
     """Residual of: A at q = ad(tau^-1)(A at p) + (d tau) tau^-1-style term.
 
     The transition derivative is taken by finite differences, making
@@ -380,7 +383,7 @@ def connection_pullback_check(scn, p, q, V, W, fd_step: float = 1e-4) -> float:
     """
     t = scn.tau(p, q)
     lhs = scn.connection(q, W)
-    rhs = conj_loop(t, scn.connection(p, V)) + tau_deriv_fd(scn, p, q, V, W, fd_step)
+    rhs = conj_loop(t, scn.connection(p, V)) + tau_deriv_fd(scn, p, q, V, W)
     return float(np.max(np.abs(lhs.vals - rhs.vals)))
 
 
@@ -406,36 +409,35 @@ def beta_form(scn, pts, vecs) -> complex:
     return centext.eval_alpha(t12, t23, d12, d23)
 
 
-def curving_f(scn, p, V, W, fd_step: float = 1e-4) -> complex:
+def curving_f(scn, p, V, W) -> complex:
     """(i/2 pi) int [ (1/2)(<A(V), A(W)'> - <A(W), A(V)'>) - <F(V,W), Phi> ]."""
     aV = scn.connection(p, V)
     aW = scn.connection(p, W)
-    F = scn.curvature(p, V, W, fd_step)
+    F = scn.curvature(p, V, W)
     phi = scn.higgs(p)
     s = (0.5 * (pair_samples(aV, aW.dtheta()) - pair_samples(aW, aV.dtheta()))
          - pair_samples(F, phi))
     return 0.5j / np.pi * aV.grid.quad(s)
 
 
-def nabla_phi(scn, p, V, fd_step: float = 1e-4) -> GridFun:
+def nabla_phi(scn, p, V) -> GridFun:
     """Covariant derivative of the Higgs field along V.
 
     Directional term by flow differences; bracket and -dtheta(A) exact.
     """
-    d1 = directional(lambda t: scn.higgs(forms.flow(p, V, t)), fd_step)
+    d1 = directional(lambda t: scn.higgs(forms.flow(p, V, t)), scn.fd_step)
     aV = scn.connection(p, V)
     phi = scn.higgs(p)
     return d1 + tangent_bracket(aV, phi) - aV.dtheta()
 
 
-def curvature_via_ext_d(scn, p, V, W, fd_step: float = 1e-4) -> GridFun:
+def curvature_via_ext_d(scn, p, V, W) -> GridFun:
     """dA(V, W) + [A(V), A(W)] through the generic exterior derivative."""
-    A = connection_form(scn)
-    dA = ext_d(A, p, (V, W), fd_step)
+    dA = ext_d(Form(1, scn.connection, name="A"), p, (V, W), scn.fd_step)
     return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
 
 
-def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4):
+def string_form_at(scn, p, T1, T2, T3):
     """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point, one
     value per node set of a stacked point.
 
@@ -444,18 +446,18 @@ def string_form_at(scn, p, T1, T2, T3, fd_step: float = 1e-4):
     scenario's grid.  The value descends: it depends only on the
     projections of point and tangents.
     """
-    F = Form(2, functools.partial(scn.curvature, fd_step=fd_step))
-    dphi = Form(1, functools.partial(nabla_phi, scn, fd_step=fd_step))
+    F = Form(2, scn.curvature)
+    dphi = Form(1, lambda q, T: nabla_phi(scn, q, T))
     s = pair_forms(pair_samples, (F, dphi))(p, T1, T2, T3)
     return np.real(-1.0 / (4 * np.pi ** 2) * scn.grid.quad(s))
 
 
-def string_form(scn, m, u1, u2, u3, fd_step: float = 1e-4):
+def string_form(scn, m, u1, u2, u3):
     """The descended 3-form at a base point, via the canonical lift; a
     trivial bundle takes a stack of chart points as well."""
     p = scn.canonical_lift(m)
     lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
-    return string_form_at(scn, p, *lifts, fd_step=fd_step)
+    return string_form_at(scn, p, *lifts)
 
 
 def higgs_transform_residual(scn, p, g: LoopPoint, field=None) -> float:

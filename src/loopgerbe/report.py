@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .checks import EQUATION_TAGS, RunConfig, SuiteResult
 
@@ -62,7 +63,10 @@ def normalized(report: dict) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """Indented JSON; a residual that is not finite is null (NaN is no JSON)."""
+    rows = {key: [r if math.isfinite(r["residual"]) else dict(r, residual=None)
+                  for r in report[key]] for key in ("checks", "convergence")}
+    return json.dumps(dict(report, **rows), indent=2, allow_nan=False) + "\n"
 
 
 def to_csv(report: dict) -> str:

@@ -47,31 +47,38 @@ class RecordingRNG:
 
 
 class ReplayRNG:
-    """Serves draws from a RecordingRNG log instead of a generator."""
+    """Serves draws from a RecordingRNG log instead of a generator; a
+    logged draw that does not fit the request raises ValueError."""
 
     def __init__(self, log):
         self._log = list(log)
         self._i = 0
 
-    def _next(self, method, dtype):
+    def _next(self, method, dtype, size):
         if self._i >= len(self._log):
             raise ValueError("fixture log exhausted")
         entry = self._log[self._i]
         self._i += 1
-        if entry["method"] != method:
-            raise ValueError("fixture log out of order: expected %s, have %s"
-                             % (entry["method"], method))
         vals = np.asarray(entry["values"], dtype=dtype)
+        shape = () if size is None else tuple(np.atleast_1d(size))
+        if (entry["method"], vals.shape) != (method, shape):
+            raise ValueError("fixture log out of order: logged %s %s, asked for %s %s"
+                             % (entry["method"], vals.shape, method, shape))
         return vals if vals.ndim else dtype(vals)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._next("uniform", float)
+        return self._next("uniform", float, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._next("normal", float)
+        return self._next("normal", float, size)
 
     def integers(self, low, high=None, size=None):
-        return self._next("integers", int)
+        low, high = (0, low) if high is None else (low, high)
+        vals = self._next("integers", int, size)
+        if np.any((vals < low) | (vals >= high)):
+            raise ValueError("fixture log has integers %s outside [%s, %s)"
+                             % (vals, low, high))
+        return vals
 
 
 def _coeffs(rng: np.random.Generator, k: int, scale: float) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_criterion_5_gerbe_derivation_chain():
         u, w = rng.normal(size=2), rng.normal(size=2)
         vecs = tuple(checks._tb_tangent(tb, rng, u) for _ in range(2))
         wecs = tuple(checks._tb_tangent(tb, rng, w) for _ in range(2))
-        curv.append(checks._curving_chain(tb, pts, vecs, wecs, cfg))
+        curv.append(checks._curving_chain(tb, pts, vecs, wecs))
     r_curv = checks._worst(curv)
     assert r_curv < 1e-6
 

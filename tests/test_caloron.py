@@ -330,3 +330,27 @@ def test_eval_samples_node_and_interp():
     closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
         eval_samples(closedX, theta)
+
+
+def test_non_finite_angle_is_off_the_nodes(monkeypatch):
+    # NaN and +-inf are no grid node: a loop cannot be evaluated there,
+    # periodic data interpolates to NaN and closed data refuses
+    rng = make_rng(389)
+    X = random_loop_tangent(rng, GRID, SU2)
+    q = random_loop(rng, GRID, SU2)
+    closedX = random_path_tangent(rng, PF.grid, SU2)
+    for theta in (np.nan, np.inf, -np.inf):
+        with np.errstate(invalid="ignore"):
+            assert np.all(np.isnan(eval_samples(X, theta)))
+            for fail in (lambda: eval_loop(q, theta),
+                         lambda: eval_samples(closedX, theta)):
+                with pytest.raises(ValueError):
+                    fail()
+    with np.errstate(invalid="ignore"):
+        mixed = eval_samples(X, np.array([GRID.nodes[3], np.nan]))
+    assert np.array_equal(mixed[0], X.vals[3]) and np.all(np.isnan(mixed[1]))
+    # a node angle is still a plain lookup: no interpolation runs
+    monkeypatch.setattr(type(X), "interp", None)
+    assert np.array_equal(eval_samples(X, float(GRID.nodes[5])), X.vals[5])
+    assert np.array_equal(eval_samples(closedX, float(PF.grid.nodes[-1])),
+                          closedX.vals[-1])

@@ -100,6 +100,15 @@ def test_invalid_values_exit_usage(capsys):
     assert "error:" in err
 
 
+def test_non_finite_tol_exits_usage(monkeypatch, capsys):
+    # an infinite tolerance would pass every row
+    assert cli.main(["--tol", "inf"]) == cli.EXIT_USAGE
+    assert cli.main(["--tol", "nan"]) == cli.EXIT_USAGE
+    monkeypatch.setenv("LOOPGERBE_TOL", "inf")
+    assert cli.main([]) == cli.EXIT_USAGE
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_argparse_failures_map_to_usage(capsys):
     assert cli.main(["--ntheta", "many"]) == cli.EXIT_USAGE
     assert cli.main(["--no-such-flag"]) == cli.EXIT_USAGE
@@ -169,10 +178,38 @@ def test_nan_residual_fails_its_row(tmp_path, capsys):
                            "--out", out])
     assert np.isnan(res)
     assert status == cli.EXIT_FAIL
-    rows = {r["name"]: r for r in json.loads(open(out).read())["checks"]}
+    rows = {r["name"]: r for r in strict_json(open(out).read())["checks"]}
     row = rows["central-extension/pair-form-coboundary"]
-    assert np.isnan(row["residual"]) and row["pass"] is False
+    assert row["residual"] is None and row["pass"] is False
     assert "pair-form-coboundary residual=nan" in capsys.readouterr().err
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens, which are not
+    JSON."""
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_residual_is_json_null():
+    row = {"name": "a/b", "paper_ref": "loop-cocycle", "residual": 1.5e-9,
+           "tol": 1e-8, "pass": True, "seconds": 0.25}
+    rep = {"version": report_mod.VERSION, "config": RunConfig().as_dict(),
+           "checks": [row], "convergence": [{"name": "a/b", "grid": 16,
+                                             "residual": 2.5e-9}]}
+    # a finite report is written as before
+    assert report_mod.to_json(rep) == json.dumps(rep, indent=2) + "\n"
+    bad = dict(rep, checks=[dict(row, residual=float("nan"), **{"pass": False})],
+               convergence=[dict(rep["convergence"][0], residual=float("inf"))])
+    got = strict_json(report_mod.to_json(bad))
+    assert got["checks"][0]["residual"] is None
+    assert got["convergence"][0]["residual"] is None
+    assert report_mod.validate_report(got) == []
+    # the report itself keeps the float, and CSV keeps its repr
+    assert np.isnan(bad["checks"][0]["residual"])
+    csv_text = report_mod.to_csv(bad)
+    assert ",nan,1e-08,false," in csv_text and ",inf,," in csv_text
 
 
 def test_check_needs_a_draw():
@@ -359,3 +396,24 @@ def test_replay_rejects_misuse():
     replay2 = ReplayRNG([])
     with pytest.raises(ValueError):
         replay2.uniform()
+
+
+def test_replay_rejects_a_draw_that_does_not_fit():
+    # a logged 3-vector does not answer a 2-vector request, and a logged
+    # integer outside [low, high) does not answer integers(low, high)
+    with pytest.raises(ValueError):
+        ReplayRNG([{"method": "uniform", "values": [0.1, 0.2, 0.3]}]).uniform(size=2)
+    with pytest.raises(ValueError):
+        ReplayRNG([{"method": "uniform", "values": 0.1}]).uniform(size=1)
+    with pytest.raises(ValueError):
+        ReplayRNG([{"method": "integers", "values": 120}]).integers(32)
+    with pytest.raises(ValueError):
+        ReplayRNG([{"method": "integers", "values": [3, 40]}]).integers(4, 40, size=2)
+    replay = ReplayRNG([{"method": "uniform", "values": [0.1, 0.2, 0.3]},
+                        {"method": "normal", "values": [[1.0], [2.0]]},
+                        {"method": "integers", "values": 31},
+                        {"method": "integers", "values": [4, 39]}])
+    assert replay.uniform(-1.0, 1.0, size=3).tolist() == [0.1, 0.2, 0.3]
+    assert replay.normal(size=(2, 1)).shape == (2, 1)
+    assert replay.integers(32) == 31
+    assert replay.integers(4, 40, size=2).tolist() == [4, 39]

@@ -2,8 +2,8 @@
 import goes unused, no parameter exists that no caller varies, paths
 are node-stacked arrays that no Python loop walks, every matrix
 product goes through `liegroup.mm`, the grid flavour is set on the
-grid alone, and every check is one fixture draw that a single loop
-repeats."""
+grid alone, the difference step on the scenario alone, and every check
+is one fixture draw that a single loop repeats."""
 
 import ast
 import dataclasses
@@ -315,7 +315,34 @@ def test_only_the_grid_is_periodic_or_closed():
     for gone in ("phi_alt", "higgs_alt"):
         assert not hasattr(gerbe.TrivialBundle, gone)
     assert _params(gerbe.TrivialBundle.__init__) == (
-        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "rho", "rho_grad")
+        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "rho",
+        "rho_grad", "fd_step")
+
+
+def test_the_scenario_carries_its_step():
+    # the difference step is set once, on the scenario: only the two
+    # scenario classes and their static constructors take it, and every
+    # route of gerbe and caloron reads scn.fd_step
+    takes = sorted(name for mod in (gerbe, caloron)
+                   for name, fn in _functions(mod) if "fd_step" in _params(fn))
+    assert takes == ["TrivialBundle.chart3", "TrivialBundle.default"]
+    for cls in (gerbe.TrivialBundle, gerbe.PathFibration):
+        assert inspect.signature(cls).parameters["fd_step"].default is gerbe.FD_STEP
+    for ctor in (gerbe.TrivialBundle.default, gerbe.TrivialBundle.chart3):
+        assert inspect.signature(ctor).parameters["fd_step"].default is gerbe.FD_STEP
+    assert checks.RunConfig().fd_step is gerbe.FD_STEP
+    grid = loops.ThetaGrid(16)
+    tb = gerbe.TrivialBundle.default(grid, fd_step=1e-3)
+    assert tb.fd_step == 1e-3
+    assert tb.with_data(phi_coeff=lambda m: m[..., 1]).fd_step == 1e-3
+    assert gerbe.TrivialBundle.chart3(grid).fd_step is gerbe.FD_STEP
+    assert gerbe.PathFibration(grid, liegroup.SU2, 1e-3).fd_step == 1e-3
+    # the step is written as a literal once in the scenario modules
+    literals = [path.name for path in (SRC / "gerbe.py", SRC / "caloron.py",
+                                       SRC / "checks.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and node.value == 1e-4]
+    assert literals == ["gerbe.py"]
 
 
 def test_objects_on_different_grids_do_not_combine():
