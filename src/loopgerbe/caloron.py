@@ -62,15 +62,17 @@ def _node(fun, theta):
     is off the nodes (NaN, +-inf, or more than 1e-9 grid steps away).
     Periodic grids wrap; closed grids reject node angles outside [0, 2 pi]."""
     j = theta / fun.grid.h
-    jr = np.rint(j)
-    # NaN and +-inf compare false, so they are off the nodes
-    off = ~(abs(j - jr) <= 1e-9)
+    # NaN and +-inf are off the nodes; node 0 stands in for them, so that
+    # neither the subtraction nor the cast sees them
+    finite = np.isfinite(j)
+    jr = np.rint(np.where(finite, j, 0.0))
+    off = ~finite | (abs(j - jr) > 1e-9)
+    jr = np.where(off, 0.0, jr)
     if not fun.grid.closed:
-        return jr.astype(int) % fun.grid.n, off
-    jr = np.where(off, 0, jr).astype(int)
-    if np.count_nonzero((jr < 0) | (jr > fun.grid.n)):
+        jr = jr % fun.grid.n
+    elif np.count_nonzero((jr < 0) | (jr > fun.grid.n)):
         raise ValueError("angle outside the closed grid")
-    return jr, off
+    return jr.astype(int), off
 
 
 def _at_nodes(vals: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import caloron, centext, gerbe, sampling
 from .caloron import CaloronPoint, CaloronTangent
-from .forms import ChartPt, Form, delta_fibre, delta_nerve, ext_d, ext_d_form
+from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
+                    ext_d_form)
 from .liegroup import exp_alg, exp_dexp_right, group_by_name, mm
 from .loops import ThetaGrid
 from .sampling import (random_algebra, random_loop, random_loop_tangent,
@@ -59,7 +60,7 @@ class RunConfig:
     group: str = "su2"
     ntheta: int = 128
     npath: int = 128
-    fd_step: float = gerbe.FD_STEP
+    fd_step: float = FD_STEP
     tol: Optional[float] = None     # None: per-check defaults
     seed: int = 7
     report: str = "json"

@@ -41,6 +41,8 @@ import numpy as np
 from .liegroup import bracket as alg_bracket
 from .loops import GridFun, conj_loop, step_axes
 
+FD_STEP = 1e-4  # the difference step of a scenario or derivative given none
+
 # ---------------------------------------------------------------------------
 # points, tangents, flows, brackets
 
@@ -120,7 +122,7 @@ def signed_permutations(d: int) -> list:
     return out
 
 
-def pair_forms(p: Callable, forms, name: str = "") -> Form:
+def pair_forms(p: Callable, forms) -> Form:
     """The alternating pairing of vector-valued forms through a
     multilinear map p: their wedge product.
 
@@ -163,7 +165,7 @@ def pair_forms(p: Callable, forms, name: str = "") -> Form:
             total = term if total is None else total + term
         return total
 
-    return Form(sum(degs), ev, name)
+    return Form(sum(degs), ev)
 
 
 def directional(fun: Callable, h: float, richardson: bool = True):
@@ -184,7 +186,7 @@ def directional(fun: Callable, h: float, richardson: bool = True):
     return d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
 
 
-def ext_d(form: Form, pt, vecs, h: float = 1e-4, richardson: bool = True):
+def ext_d(form: Form, pt, vecs, h: float = FD_STEP, richardson: bool = True):
     """Exterior derivative of `form` at pt on len = degree+1 tangents.
 
     Directional terms use central differences along the canonical
@@ -216,7 +218,7 @@ def ext_d(form: Form, pt, vecs, h: float = 1e-4, richardson: bool = True):
     return total
 
 
-def ext_d_form(form: Form, h: float = 1e-4) -> Form:
+def ext_d_form(form: Form, h: float = FD_STEP) -> Form:
     """The exterior derivative as a Form (for nesting and delta-compatibility)."""
     return Form(form.degree + 1,
                 lambda pt, *vecs: ext_d(form, pt, vecs, h),

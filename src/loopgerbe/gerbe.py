@@ -9,7 +9,7 @@ On top of that the module computes the transition forms epsilon and
 beta, the curving f, the covariant derivative of the Higgs field, the
 descended 3-form, and the right-invariant 3-form on K it reproduces.
 
-A scenario holds its difference step `fd_step` (`FD_STEP` unless given,
+A scenario holds its difference step `fd_step` (`forms.FD_STEP` unless given,
 set by `--fd-step`); every difference here and in `caloron` reads it.
 
 Conventions worth stating once: fibre-product projections are indexed
@@ -20,24 +20,18 @@ to a fibre product share their projection slot by slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import centext, forms
-from .forms import (ChartPt, Form, directional, ext_d, pair_forms,
+from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_forms,
                     signed_permutations, tangent_bracket)
 from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
                        project_algebra, trace_mm)
-from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, conj_loop,
+from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
                     pair_samples, step_axes)
-
-FD_STEP = 1e-4  # the difference step of a scenario that is given none
-
-
-def _one() -> Fn:
-    return Fn(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-              lambda t: np.zeros_like(np.asarray(t, dtype=float)))
 
 
 def _sq(x):
@@ -81,7 +75,8 @@ class TrivialBundle:
     """Chart x loop group with an analytic base connection and Higgs seed.
 
     a_terms: one (profile, xi) per chart direction; the base connection
-    is a(m)(u) = rho(m) * sum_d u_d profile_d(theta) xi_d.  The Higgs
+    is a(m)(u) = rho(m) * sum_d u_d profile_d(theta) xi_d with the bump
+    rho(m) = prod_i (1 - m_i^2) over the chart coordinates.  The Higgs
     seed is phi(m) = phi_coeff(m) * profile(theta) xi.  Tangents are
     (u, X) pairs: a chart vector and a left-trivialised loop vector.
     Chart points may stack leading axes in front of the chart axis, and
@@ -90,26 +85,23 @@ class TrivialBundle:
     """
 
     def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
-                 phi_coeff, rho, rho_grad, fd_step: float = FD_STEP):
+                 phi_coeff, fd_step: float = FD_STEP):
         self.grid = grid
         self.group = group
         self.dim = len(a_terms)
         self.a_terms = a_terms
         self.phi_term = phi_term
         self.phi_coeff = phi_coeff
-        self.rho = rho
-        self.rho_grad = rho_grad
         self.fd_step = fd_step
 
     def with_data(self, *, phi_term=None, phi_coeff=None) -> "TrivialBundle":
-        """A new bundle on the same grid, group, base connection, bump and
-        step with the Higgs profile term or the Higgs coefficient
+        """A new bundle on the same grid, group, base connection and step
+        with the Higgs profile term or the Higgs coefficient
         replaced; what is not given is kept."""
         return TrivialBundle(
             self.grid, self.group, self.a_terms,
             self.phi_term if phi_term is None else phi_term,
-            self.phi_coeff if phi_coeff is None else phi_coeff,
-            self.rho, self.rho_grad, self.fd_step)
+            self.phi_coeff if phi_coeff is None else phi_coeff, self.fd_step)
 
     @staticmethod
     def default(grid: ThetaGrid, group: Group = SU2,
@@ -117,21 +109,12 @@ class TrivialBundle:
         """The standard instance: bump-weighted sin/cos directions and a
         chart-linear Higgs seed, generically curving."""
         E = group.basis
-
-        def rho(m):
-            return (1.0 - _sq(m[..., 0])) * (1.0 - _sq(m[..., 1]))
-
-        def rho_grad(m):
-            return np.stack([-2.0 * m[..., 0] * (1.0 - _sq(m[..., 1])),
-                             -2.0 * m[..., 1] * (1.0 - _sq(m[..., 0]))], axis=-1)
-
         return TrivialBundle(
             grid, group,
             a_terms=[(Fn(np.sin, np.cos), E[0]),
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1])],
-            phi_term=(_one(), E[2]),
-            phi_coeff=lambda m: m[..., 0],
-            rho=rho, rho_grad=rho_grad, fd_step=fd_step,
+            phi_term=(TrigPoly(1.0), E[2]),
+            phi_coeff=lambda m: m[..., 0], fd_step=fd_step,
         )
 
     @staticmethod
@@ -140,17 +123,6 @@ class TrivialBundle:
         """Three chart directions, so the descended 3-form has room to
         be nonzero; used to give the circle reduction a nonzero target."""
         E = group.basis
-
-        def rho(m):
-            return ((1.0 - _sq(m[..., 0])) * (1.0 - _sq(m[..., 1]))
-                    * (1.0 - _sq(m[..., 2])))
-
-        def rho_grad(m):
-            f = (1.0 - _sq(m[..., 0]), 1.0 - _sq(m[..., 1]), 1.0 - _sq(m[..., 2]))
-            return np.stack([-2.0 * m[..., 0] * f[1] * f[2],
-                             -2.0 * m[..., 1] * f[0] * f[2],
-                             -2.0 * m[..., 2] * f[0] * f[1]], axis=-1)
-
         # third direction deliberately theta-constant: an all-oscillatory
         # choice makes every <F, grad Phi> product average to zero on the
         # circle and the reduced 3-form degenerates to roundoff
@@ -158,10 +130,9 @@ class TrivialBundle:
             grid, group,
             a_terms=[(Fn(np.sin, np.cos), E[0]),
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1]),
-                     (_one(), E[2])],
-            phi_term=(_one(), E[2]),
-            phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2],
-            rho=rho, rho_grad=rho_grad, fd_step=fd_step,
+                     (TrigPoly(1.0), E[2])],
+            phi_term=(TrigPoly(1.0), E[2]),
+            phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2], fd_step=fd_step,
         )
 
     # points and tangents
@@ -194,6 +165,20 @@ class TrivialBundle:
         return V[0]
 
     # base data
+
+    def _bump_factors(self, m) -> list:
+        return [1.0 - _sq(m[..., i]) for i in range(self.dim)]
+
+    def rho(self, m):
+        """The bump prod_i (1 - m_i^2), its factors multiplied left to right."""
+        return math.prod(self._bump_factors(m))
+
+    def rho_grad(self, m):
+        """Its chart gradient: component i is -2 m_i times the other
+        factors, multiplied left to right."""
+        f = self._bump_factors(m)
+        return np.stack([math.prod(f[:i] + f[i + 1:], start=-2.0 * m[..., i])
+                         for i in range(self.dim)], axis=-1)
 
     def base_connection(self, m, u) -> GridFun:
         r = self.rho(m)

@@ -84,9 +84,6 @@ class Group:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex)
-
     def from_coeffs(self, c) -> np.ndarray:
         """Algebra element sum_a c[a] * E_a.  c may have leading axes."""
         c = np.asarray(c, dtype=complex)
@@ -112,23 +109,23 @@ def group_by_name(name: str) -> Group:
         raise ValueError(f"unknown group {name!r}; expected one of {sorted(_GROUPS)}")
 
 
-def is_group_element(group: Group, g, atol: float = ATOL_STRUCT) -> bool:
+def is_group_element(group: Group, g) -> bool:
     g = np.asarray(g)
     if g.shape[-2:] != (group.n, group.n):
         return False
     eye = np.eye(group.n)
     unitary = np.max(np.abs(mm(np.swapaxes(g, -1, -2).conj(), g) - eye))
     det = np.max(np.abs(np.linalg.det(g) - 1.0))
-    return bool(unitary < atol and det < atol)
+    return bool(unitary < ATOL_STRUCT and det < ATOL_STRUCT)
 
 
-def is_algebra_element(group: Group, X, atol: float = ATOL_STRUCT) -> bool:
+def is_algebra_element(group: Group, X) -> bool:
     X = np.asarray(X)
     if X.shape[-2:] != (group.n, group.n):
         return False
     skew = np.max(np.abs(X + np.swapaxes(X, -1, -2).conj()))
     tr = np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))
-    return bool(skew < atol and tr < atol)
+    return bool(skew < ATOL_STRUCT and tr < ATOL_STRUCT)
 
 
 def project_algebra(M) -> np.ndarray:

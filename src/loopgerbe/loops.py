@@ -57,11 +57,6 @@ class Fn:
         return self.val(t)
 
     @staticmethod
-    def zero() -> "Fn":
-        return Fn(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                  lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-
-    @staticmethod
     def ramp(c: float = 1.0, period: float = 2.0 * np.pi) -> "Fn":
         """c * t / period: vanishes at 0, reaches c at the period end."""
         return Fn(lambda t, c=c: c * np.asarray(t, dtype=float) / period,
@@ -77,15 +72,16 @@ class Fn:
                   lambda t: sum(f.dval(t) for f in fs))
 
     @staticmethod
-    def based(f: "Fn", at: float = 0.0) -> "Fn":
-        """f shifted by a constant so that the result vanishes at `at`."""
-        c = float(f.val(np.asarray(at, dtype=float)))
+    def based(f: "Fn") -> "Fn":
+        """f shifted by a constant so that the result vanishes at 0."""
+        c = float(f.val(np.asarray(0.0)))
         return Fn(lambda t: f.val(t) - c, f.dval)
 
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """Finite Fourier sum a0 + sum_m (ac[m] cos((m+1) t) + bs[m] sin((m+1) t))."""
+    """Finite Fourier sum a0 + sum_m (ac[m] cos((m+1) t) + bs[m] sin((m+1) t)).
+    TrigPoly() is the zero profile and TrigPoly(1.0) the unit one."""
 
     a0: float = 0.0
     ac: tuple = ()
@@ -111,9 +107,6 @@ class TrigPoly:
 
     def __call__(self, t):
         return self.val(t)
-
-    def as_fn(self) -> Fn:
-        return Fn(self.val, self.dval)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +323,8 @@ class GridFun:
         if self.grid.closed:
             raise ValueError("trigonometric interpolation needs periodic data")
         theta = np.asarray(theta, dtype=float)
+        # an infinite angle has no phase; as NaN it gives NaN without a warning
+        theta = np.where(np.isinf(theta), np.nan, theta)
         n = self.grid.n
         spec = np.fft.fft(self.vals, axis=-3) / n
         k = np.fft.fftfreq(n, d=1.0 / n)

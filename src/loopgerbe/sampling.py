@@ -3,8 +3,17 @@
 Everything is driven by a counter-based generator so a seed pins the
 whole scenario.  Loops, tangents and paths are built from finite
 Fourier/polynomial profiles so that exact theta-derivative and
-velocity payloads ride along; coefficients are damped with harmonic
-number to keep the objects resolvable on coarse grids.
+velocity payloads ride along.
+
+One draw.  A theta profile is a0 + sum_m (a_m cos m theta + b_m sin m
+theta) over HARMONICS = 2 harmonics: a0, a_1, a_2, b_1, b_2 are drawn in
+that order uniform in [-SCALE, SCALE] = [-0.5, 0.5], and a_m, b_m are
+damped by 1/m^2 so that the objects resolve on coarse grids; a based
+profile subtracts its value at 0.  A loop is
+the product of NFACTORS = 2 single-generator factors exp(f_j(theta)
+xi_j), each a profile and then an algebra element whose basis
+coefficients are uniform in [-0.7, 0.7].  A path profile on [0, 1] has
+four coefficients uniform in [-0.8, 0.8].
 """
 
 from __future__ import annotations
@@ -14,6 +23,10 @@ import numpy as np
 from .liegroup import Group
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
                     TrigPoly, path_from_factors, product_loop)
+
+HARMONICS = 2  # harmonics of a theta profile
+SCALE = 0.5    # half-width of a profile coefficient's uniform draw
+NFACTORS = 2   # generator factors of a loop, a path point and a group path
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -89,39 +102,35 @@ def random_algebra(rng: np.random.Generator, group: Group, scale: float = 0.7) -
     return group.from_coeffs(_coeffs(rng, group.dim, scale))
 
 
-def random_trig(rng: np.random.Generator, harmonics: int = 2, scale: float = 0.5,
-                with_const: bool = True) -> TrigPoly:
-    damp = 1.0 / np.arange(1, harmonics + 1) ** 2
-    a0 = float(rng.uniform(-scale, scale)) if with_const else 0.0
-    ac = tuple(_coeffs(rng, harmonics, scale) * damp)
-    bs = tuple(_coeffs(rng, harmonics, scale) * damp)
+def random_trig(rng: np.random.Generator) -> TrigPoly:
+    damp = 1.0 / np.arange(1, HARMONICS + 1) ** 2
+    a0 = float(rng.uniform(-SCALE, SCALE))
+    ac = tuple(_coeffs(rng, HARMONICS, SCALE) * damp)
+    bs = tuple(_coeffs(rng, HARMONICS, SCALE) * damp)
     return TrigPoly(a0, ac, bs)
 
 
-def random_based_profile(rng: np.random.Generator, harmonics: int = 2,
-                         scale: float = 0.5) -> Fn:
+def random_based_profile(rng: np.random.Generator) -> Fn:
     """A trig profile shifted to vanish at 0 (hence at 2 pi as well)."""
-    return Fn.based(random_trig(rng, harmonics, scale).as_fn())
+    return Fn.based(random_trig(rng))
 
 
 def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                nfactors: int = 2, harmonics: int = 2, scale: float = 0.5,
-                based: bool = False) -> LoopPoint:
+                nfactors: int = NFACTORS, based: bool = False) -> LoopPoint:
     """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
     factors = []
     for _ in range(nfactors):
-        tp = random_trig(rng, harmonics, scale)
-        prof = Fn.based(tp.as_fn()) if based else tp.as_fn()
-        factors.append((prof, random_algebra(rng, group)))
+        tp = random_trig(rng)
+        factors.append((Fn.based(tp) if based else tp, random_algebra(rng, group)))
     return product_loop(grid, factors)
 
 
-def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                        harmonics: int = 2, scale: float = 0.5) -> GridFun:
+def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,
+                        group: Group) -> GridFun:
     """Algebra-valued loop with exact derivative payload."""
     terms = []
     for a in range(group.dim):
-        terms.append((random_trig(rng, harmonics, scale).as_fn(), group.basis[a]))
+        terms.append((random_trig(rng), group.basis[a]))
     return GridFun.from_profiles(grid, terms)
 
 
@@ -140,43 +149,36 @@ def _need_closed(grid: ThetaGrid):
         raise ValueError("path-fibration samples live on a closed grid")
 
 
-def random_path_point(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                      nfactors: int = 2, harmonics: int = 2,
-                      scale: float = 0.5) -> LoopPoint:
+def random_path_point(rng: np.random.Generator, grid: ThetaGrid,
+                      group: Group) -> LoopPoint:
     _need_closed(grid)
     factors = []
-    for j in range(nfactors):
-        prof = Fn.add(random_based_profile(rng, harmonics, scale),
-                      Fn.ramp(float(rng.uniform(-scale, scale))))
+    for _ in range(NFACTORS):
+        prof = Fn.add(random_based_profile(rng),
+                      Fn.ramp(float(rng.uniform(-SCALE, SCALE))))
         factors.append((prof, random_algebra(rng, group)))
     return product_loop(grid, factors)
 
 
 def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                        harmonics: int = 2, scale: float = 0.5,
-                        endpoint="free") -> GridFun:
+                        endpoint=None) -> GridFun:
     """Closed-grid tangent vanishing at theta = 0.
 
-    endpoint: "free" draws the 2 pi value, "zero" makes the tangent
-    vertical, an algebra matrix pins the 2 pi value exactly.
+    endpoint: None draws the 2 pi value, an algebra matrix pins it
+    exactly (zeros make the tangent vertical).
     """
     _need_closed(grid)
-    if isinstance(endpoint, str) and endpoint == "free":
-        end = random_algebra(rng, group, scale)
-    elif isinstance(endpoint, str) and endpoint == "zero":
-        end = np.zeros((group.n, group.n), dtype=complex)
-    else:
-        end = np.asarray(endpoint)
+    end = random_algebra(rng, group, SCALE) if endpoint is None else np.asarray(endpoint)
     terms = [(Fn.ramp(1.0), end)]
     for a in range(group.dim):
-        terms.append((random_based_profile(rng, harmonics, scale), group.basis[a]))
+        terms.append((random_based_profile(rng), group.basis[a]))
     return GridFun.from_profiles(grid, terms)
 
 
 def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                             q: int, nfactors: int = 2) -> tuple:
+                             q: int) -> tuple:
     """q points of one fibre: p_1 random, the rest p_1 times based loops."""
-    p1 = random_path_point(rng, grid, group, nfactors)
+    p1 = random_path_point(rng, grid, group)
     pts = [p1]
     for _ in range(q - 1):
         gam = random_loop(rng, grid, group, nfactors=1, based=True)
@@ -185,10 +187,10 @@ def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: G
 
 
 def random_path_fibre_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                              q: int, harmonics: int = 2, scale: float = 0.5) -> tuple:
+                              q: int) -> tuple:
     """One tangent to the q-fold fibre product: slots share the 2 pi value."""
-    end = random_algebra(rng, group, scale)
-    return tuple(random_path_tangent(rng, grid, group, harmonics, scale, endpoint=end)
+    end = random_algebra(rng, group, SCALE)
+    return tuple(random_path_tangent(rng, grid, group, endpoint=end)
                  for _ in range(q))
 
 
@@ -196,9 +198,9 @@ def random_path_fibre_tangent(rng: np.random.Generator, grid: ThetaGrid, group: 
 # paths in the loop group
 
 
-def random_unit_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
+def random_unit_profile(rng: np.random.Generator) -> Fn:
     """Smooth profile on [0, 1] vanishing at 0 (for path factors)."""
-    c = _coeffs(rng, 4, scale)
+    c = _coeffs(rng, 4, 0.8)
 
     def val(s):
         s = np.asarray(s, dtype=float)
@@ -214,12 +216,10 @@ def random_unit_profile(rng: np.random.Generator, scale: float = 0.8) -> Fn:
 
 
 def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                      npath: int, nfactors: int = 2, harmonics: int = 2,
-                      scale: float = 0.5) -> PathInLoopGroup:
+                      npath: int) -> PathInLoopGroup:
     """Path from the identity in the loop group with exact velocities."""
     factors = []
-    for _ in range(nfactors):
-        X = random_loop_tangent(rng, grid, group, harmonics, scale)
+    for _ in range(NFACTORS):
+        X = random_loop_tangent(rng, grid, group)
         factors.append((random_unit_profile(rng), X))
     return path_from_factors(grid, factors, npath)
-

@@ -1,5 +1,7 @@
 """Transferred connection, curvature square and the evaluation map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
 from loopgerbe.forms import Form, pair_forms
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
-from loopgerbe.loops import Fn, ThetaGrid
+from loopgerbe.loops import ThetaGrid, TrigPoly
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
@@ -247,11 +249,9 @@ def test_integrate_circle_flat_is_zero():
     E = SU2.basis
     flat = TrivialBundle(
         GRID, SU2,
-        a_terms=[(Fn.zero(), E[0]), (Fn.zero(), E[1])],
-        phi_term=(Fn.zero(), E[2]),
-        phi_coeff=lambda m: 0.0,
-        rho=lambda m: 1.0,
-        rho_grad=lambda m: np.zeros(2))
+        a_terms=[(TrigPoly(), E[0]), (TrigPoly(), E[1])],
+        phi_term=(TrigPoly(), E[2]),
+        phi_coeff=lambda m: 0.0)
     rng = make_rng(349)
     m = rng.uniform(-0.5, 0.5, size=2)
     us = [rng.normal(size=2) for _ in range(3)]
@@ -334,21 +334,22 @@ def test_eval_samples_node_and_interp():
 
 def test_non_finite_angle_is_off_the_nodes(monkeypatch):
     # NaN and +-inf are no grid node: a loop cannot be evaluated there,
-    # periodic data interpolates to NaN and closed data refuses
+    # periodic data interpolates to NaN and closed data refuses, and
+    # none of them makes numpy warn
     rng = make_rng(389)
     X = random_loop_tangent(rng, GRID, SU2)
     q = random_loop(rng, GRID, SU2)
     closedX = random_path_tangent(rng, PF.grid, SU2)
-    for theta in (np.nan, np.inf, -np.inf):
-        with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (np.nan, np.inf, -np.inf):
             assert np.all(np.isnan(eval_samples(X, theta)))
             for fail in (lambda: eval_loop(q, theta),
                          lambda: eval_samples(closedX, theta)):
                 with pytest.raises(ValueError):
                     fail()
-    with np.errstate(invalid="ignore"):
-        mixed = eval_samples(X, np.array([GRID.nodes[3], np.nan]))
-    assert np.array_equal(mixed[0], X.vals[3]) and np.all(np.isnan(mixed[1]))
+        mixed = eval_samples(X, np.array([GRID.nodes[3], np.nan, np.inf, -np.inf]))
+    assert np.array_equal(mixed[0], X.vals[3]) and np.all(np.isnan(mixed[1:]))
     # a node angle is still a plain lookup: no interpolation runs
     monkeypatch.setattr(type(X), "interp", None)
     assert np.array_equal(eval_samples(X, float(GRID.nodes[5])), X.vals[5])

@@ -61,7 +61,7 @@ def test_tb_connection_reproduces_vertical_and_equivariance():
 def test_pf_connection_axioms():
     rng = make_rng(103)
     p = random_path_point(rng, PF.grid, SU2)
-    xi = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
+    xi = random_path_tangent(rng, PF.grid, SU2, endpoint=np.zeros((2, 2)))
     got = PF.connection(p, PF.vertical(p, xi))
     assert np.max(np.abs(got.vals - xi.vals)) < 1e-8
 
@@ -157,12 +157,32 @@ def test_higgs_space_is_convex():
 
 def test_with_data_replaces_only_what_it_is_given():
     assert TB_ALT is not TB
-    assert (TB_ALT.grid, TB_ALT.group, TB_ALT.a_terms, TB_ALT.rho) == (
-        TB.grid, TB.group, TB.a_terms, TB.rho)
+    assert (TB_ALT.grid, TB_ALT.group, TB_ALT.a_terms) == (
+        TB.grid, TB.group, TB.a_terms)
     m = np.array([0.2, -0.3])
     want = TB.rho(m) * 0.1 * SU2.basis[0]
     assert np.max(np.abs(TB_ALT.phi(m).vals - want)) < 1e-15
     assert np.max(np.abs(TB.phi(m).vals - TB.rho(m) * 0.2 * SU2.basis[2])) < 1e-15
+
+
+def test_bump_is_the_product_over_the_chart():
+    # the one bump of both bundles equals the closed forms they were
+    # built with, bit for bit, on a stack of chart points
+    m = make_rng(151).uniform(-0.9, 0.9, size=(4, 5, 3))
+    m0, m1, m2 = np.moveaxis(m, -1, 0)
+    f0, f1, f2 = np.moveaxis(1.0 - np.float_power(m, 2), -1, 0)
+    old = {2: (f0 * f1, [-2.0 * m0 * f1, -2.0 * m1 * f0]),
+           3: (f0 * f1 * f2,
+               [-2.0 * m0 * f1 * f2, -2.0 * m1 * f0 * f2, -2.0 * m2 * f0 * f1])}
+    h = 1e-4
+    for tb in (TB, TrivialBundle.chart3(GRID)):
+        x = m[..., :tb.dim]
+        rho, grad = old[tb.dim]
+        assert np.array_equal(tb.rho(x), rho)
+        assert np.array_equal(tb.rho_grad(x), np.stack(grad, axis=-1))
+        step = h * np.eye(tb.dim)
+        fd = np.stack([(tb.rho(x + e) - tb.rho(x - e)) / (2.0 * h) for e in step], axis=-1)
+        assert np.max(np.abs(fd - tb.rho_grad(x))) < 1e-10
 
 
 def test_pf_higgs_is_log_derivative():
@@ -223,7 +243,7 @@ def test_curvature_equivariance():
 def test_pf_curvature_vanishes_on_verticals():
     rng = make_rng(157)
     p = random_path_point(rng, PF.grid, SU2)
-    X = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
+    X = random_path_tangent(rng, PF.grid, SU2, endpoint=np.zeros((2, 2)))
     Y = random_path_tangent(rng, PF.grid, SU2)
     F = PF.curvature(p, X, Y)
     assert np.max(np.abs(F.vals)) < 1e-12
@@ -250,7 +270,7 @@ def test_nabla_phi_kills_verticals():
     assert np.max(np.abs(out.vals)) < 1e-7
 
     pp = random_path_point(rng, PF.grid, SU2)
-    eta = random_path_tangent(rng, PF.grid, SU2, endpoint="zero")
+    eta = random_path_tangent(rng, PF.grid, SU2, endpoint=np.zeros((2, 2)))
     out = nabla_phi(PF, pp, eta)
     assert np.max(np.abs(out.vals)) < 1e-7
 
@@ -368,7 +388,7 @@ def test_string_form_descends_on_lifts():
 
     gam = random_loop(rng, PF.grid, SU2, based=True)
     q = PF.act(p, gam)
-    verts = [random_path_tangent(rng, PF.grid, SU2, endpoint="zero", scale=0.3)
+    verts = [0.6 * random_path_tangent(rng, PF.grid, SU2, endpoint=np.zeros((2, 2)))
              for _ in range(3)]
     Us = [conj_loop(gam, T) + v for T, v in zip(Ts, verts)]
     moved = string_form_at(PF, q, *Us)

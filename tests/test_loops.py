@@ -89,7 +89,7 @@ def test_fd4_closed_converges_at_order_four():
 def test_gridfun_exact_derivative_payload():
     grid = ThetaGrid(16)
     tp = TrigPoly(0.3, (0.5,), (0.2, 0.1))
-    X = GridFun.from_profiles(grid, [(tp.as_fn(), lg.SU2.basis[0])])
+    X = GridFun.from_profiles(grid, [(tp, lg.SU2.basis[0])])
     d = X.dtheta()
     t = grid.nodes
     want = tp.dval(t)[:, None, None] * lg.SU2.basis[0]
@@ -109,7 +109,7 @@ def test_gridfun_arithmetic_propagates_derivatives():
 def test_gridfun_interp_trig():
     grid = ThetaGrid(16)
     tp = TrigPoly(0.1, (0.4, 0.2), (0.3,))
-    X = GridFun.from_profiles(grid, [(tp.as_fn(), lg.SU2.basis[1])])
+    X = GridFun.from_profiles(grid, [(tp, lg.SU2.basis[1])])
     for theta in (0.0, 0.37, grid.nodes[5], 2 * np.pi - 1e-3):
         want = tp.val(theta) * lg.SU2.basis[1]
         assert maxabs(X.interp(float(theta)) - want) < 1e-12
@@ -181,7 +181,7 @@ def test_closed_loop_constructors():
     assert maxabs(gam.vals[-1] - np.eye(2)) < 1e-12
     X = sampling.random_path_tangent(rng, grid, lg.SU2)
     assert maxabs(X.vals[0]) < 1e-12
-    V = sampling.random_path_tangent(rng, grid, lg.SU2, endpoint="zero")
+    V = sampling.random_path_tangent(rng, grid, lg.SU2, endpoint=np.zeros((2, 2)))
     assert maxabs(V.vals[-1]) < 1e-12
 
 
@@ -328,7 +328,7 @@ def test_pair_and_quad_pair():
 
 
 def test_fn_combinators():
-    f = Fn.add(Fn.ramp(2.0, period=1.0), Fn.based(TrigPoly(0.0, (1.0,), ()).as_fn()))
+    f = Fn.add(Fn.ramp(2.0, period=1.0), Fn.based(TrigPoly(0.0, (1.0,), ())))
     s = np.array([0.0, 0.25, 1.0])
     want = 2.0 * s + (np.cos(s) - 1.0)
     assert maxabs(f.val(s) - want) < 1e-14
@@ -359,7 +359,7 @@ def test_one_eigh_per_algebra_element(eigh_calls):
     assert gt.zvals is not None and len(eigh_calls) == 1
     # product_loop decomposes each constant generator once
     eigh_calls.clear()
-    factors = [(sampling.random_trig(rng).as_fn(), sampling.random_algebra(rng, lg.SU3))
+    factors = [(sampling.random_trig(rng), sampling.random_algebra(rng, lg.SU3))
                for _ in range(3)]
     loops.product_loop(grid, factors)
     assert eigh_calls == [(3, 3)] * 3

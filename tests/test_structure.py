@@ -96,6 +96,30 @@ def test_no_parameter_that_no_caller_varies():
     assert "based" not in _params(sampling.random_loop_tangent)
     # nothing reads a gradient of the Higgs coefficient
     assert "phi_coeff_grad" not in _params(gerbe.TrivialBundle.__init__)
+    # one draw has fixed harmonics, coefficient range and factor count
+    assert (sampling.HARMONICS, sampling.SCALE, sampling.NFACTORS) == (2, 0.5, 2)
+    grid_group = ("rng", "grid", "group")
+    assert {name: _params(getattr(sampling, name)) for name in (
+        "random_trig", "random_based_profile", "random_loop",
+        "random_loop_tangent", "random_path_point", "random_path_tangent",
+        "random_path_fibre_points", "random_path_fibre_tangent",
+        "random_unit_profile", "random_group_path")} == {
+        "random_trig": ("rng",),
+        "random_based_profile": ("rng",),
+        "random_loop": grid_group + ("nfactors", "based"),
+        "random_loop_tangent": grid_group,
+        "random_path_point": grid_group,
+        "random_path_tangent": grid_group + ("endpoint",),
+        "random_path_fibre_points": grid_group + ("q",),
+        "random_path_fibre_tangent": grid_group + ("q",),
+        "random_unit_profile": ("rng",),
+        "random_group_path": grid_group + ("npath",)}
+    assert inspect.signature(sampling.random_path_tangent).parameters[
+        "endpoint"].default is None
+    assert _params(loops.Fn.based) == ("f",)
+    assert _params(forms.pair_forms) == ("p", "forms")
+    assert _params(liegroup.is_group_element) == ("group", "g")
+    assert _params(liegroup.is_algebra_element) == ("group", "X")
 
 
 def _defs(path: Path) -> dict:
@@ -132,7 +156,10 @@ def test_no_code_that_only_tests_reach():
                       "mu_hat"),
             sampling: ("random_pinned_profile", "random_disk_terms"),
             caloron: ("killingback_map",), liegroup: ("maurer_cartan",),
-            loops.LoopPoint: ("constant",), gerbe.PathFibration: ("check_point",)}
+            loops.LoopPoint: ("constant",), gerbe.PathFibration: ("check_point",),
+            # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
+            loops.TrigPoly: ("as_fn",), loops.Fn: ("zero",), gerbe: ("_one",),
+            liegroup.Group: ("identity",)}
     present = [owner.__name__ + "." + name
                for owner, names in gone.items() for name in names
                if hasattr(owner, name)]
@@ -315,8 +342,7 @@ def test_only_the_grid_is_periodic_or_closed():
     for gone in ("phi_alt", "higgs_alt"):
         assert not hasattr(gerbe.TrivialBundle, gone)
     assert _params(gerbe.TrivialBundle.__init__) == (
-        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "rho",
-        "rho_grad", "fd_step")
+        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "fd_step")
 
 
 def test_the_scenario_carries_its_step():
@@ -326,6 +352,7 @@ def test_the_scenario_carries_its_step():
     takes = sorted(name for mod in (gerbe, caloron)
                    for name, fn in _functions(mod) if "fd_step" in _params(fn))
     assert takes == ["TrivialBundle.chart3", "TrivialBundle.default"]
+    assert gerbe.FD_STEP is forms.FD_STEP
     for cls in (gerbe.TrivialBundle, gerbe.PathFibration):
         assert inspect.signature(cls).parameters["fd_step"].default is gerbe.FD_STEP
     for ctor in (gerbe.TrivialBundle.default, gerbe.TrivialBundle.chart3):
@@ -337,12 +364,14 @@ def test_the_scenario_carries_its_step():
     assert tb.with_data(phi_coeff=lambda m: m[..., 1]).fd_step == 1e-3
     assert gerbe.TrivialBundle.chart3(grid).fd_step is gerbe.FD_STEP
     assert gerbe.PathFibration(grid, liegroup.SU2, 1e-3).fd_step == 1e-3
-    # the step is written as a literal once in the scenario modules
-    literals = [path.name for path in (SRC / "gerbe.py", SRC / "caloron.py",
-                                       SRC / "checks.py")
+    # the step is written as a literal once in the package, in the module
+    # that takes the differences, and both exterior derivatives default to it
+    literals = [path.name for path in sorted(SRC.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Constant) and node.value == 1e-4]
-    assert literals == ["gerbe.py"]
+    assert literals == ["forms.py"]
+    for fn in (forms.ext_d, forms.ext_d_form):
+        assert inspect.signature(fn).parameters["h"].default is forms.FD_STEP
 
 
 def test_objects_on_different_grids_do_not_combine():
