@@ -8,25 +8,19 @@ axes (the nodes of a path); each form then returns one value per
 stacked node, so a path integral is one evaluation and one quadrature.
 
 The argument slot of alpha (which factor's velocity it eats) is pinned
-to the first factor; verified once by the self-test of d(alpha) =
-delta(R) on a small fixture at first use, and a ConventionError aborts
-everything if the pinned slot fails it.
+to the first factor.  A wrong slot breaks d(alpha) = delta(R), and so
+fails the rows central-extension/pair-form-coboundary,
+central-extension/cochain-closed, central-extension/path-cocycle-identity
+and trivial-bundle/transition-coboundary.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .forms import Form, delta_nerve, ext_d
-from .liegroup import SU2
-from .loops import (GridFun, LoopPoint, PathInLoopGroup, ThetaGrid, conj_loop,
+from .forms import Form
+from .loops import (GridFun, LoopPoint, PathInLoopGroup, conj_loop,
                     pair_samples, quad_unit)
-
-
-class ConventionError(RuntimeError):
-    """The pinned argument slot of alpha fails d(alpha) = delta(R)."""
 
 
 def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> np.ndarray:
@@ -38,48 +32,22 @@ def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# alpha and its slot self-test
+# alpha
 
 
 ALPHA_SLOT = "first"
 
 
-def _slot_residual() -> float:
-    """|d(alpha) - delta(R)| on a small fixture nerve pair."""
-    from . import sampling
-
-    grid = ThetaGrid(24)
-    rng = sampling.make_rng(1905)
-    pt = tuple(sampling.random_loop(rng, grid, SU2) for _ in range(2))
-    vecs = [tuple(sampling.random_loop_tangent(rng, grid, SU2) for _ in range(2))
-            for _ in range(2)]
-    alpha_form = Form(1, lambda q, V: gomi_cocycle_Z(q[1], V[0]))
-    r_nerve = Form(2, lambda q, V, W: eval_R(q[0], V[0], W[0]))
-    lhs = ext_d(alpha_form, pt, vecs)
-    rhs = delta_nerve(r_nerve)(pt, *vecs)
-    return abs(lhs - rhs)
-
-
-@functools.cache
 def alpha_slot() -> str:
-    """The argument slot alpha consumes: pinned; verified once by the
-    self-test, which raises ConventionError when the slot fails it."""
-    res = _slot_residual()
-    if res > 1e-6:
-        raise ConventionError(
-            f"alpha slot {ALPHA_SLOT!r} fails d(alpha) = delta(R): residual {res}")
+    """The argument slot alpha consumes: the first factor's velocity."""
     return ALPHA_SLOT
 
 
 def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> np.ndarray:
     """(i/2 pi) int <Xg, Z(h)> dtheta: the velocity of the first slot
-    against Z of the second element.
-
-    The slot is pinned; verified once by the self-test (alpha_slot).
-    """
+    against Z of the second element."""
     if h.grid != g.grid or Xg.grid != g.grid or Xh.grid != g.grid:
         raise ValueError("grid mismatch")
-    alpha_slot()
     return gomi_cocycle_Z(h, Xg)
 
 

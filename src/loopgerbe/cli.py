@@ -7,9 +7,8 @@ fixture values are serialised next to it so another implementation can
 compare against the same scenario without reproducing the generator.
 
 Exit status: 0 all checks passed, 1 at least one residual above
-tolerance, 2 unusable configuration, 3 report I/O failure, 4 the
-extension-form convention self-test failed (nothing downstream can be
-trusted).  The report is still written for statuses 1 and 4.
+tolerance or not finite, 2 unusable configuration, 3 report I/O
+failure.  The report is still written for status 1.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_CONVENTION = 4
 
 ENV_PREFIX = "LOOPGERBE_"
 
@@ -44,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntheta", type=int, help="angular grid size, even >= 16")
     p.add_argument("--npath", type=int, help="path parameter nodes")
     p.add_argument("--fd-step", dest="fd_step", type=float,
-                   help="difference step, in (0, 1e-2]")
+                   help="difference step, a normal float in (0, 1e-2]")
     p.add_argument("--tol", type=float,
                    help="override every per-check tolerance")
     p.add_argument("--seed", type=int, help="fixture seed")
@@ -133,9 +131,6 @@ def run(cfg: checks.RunConfig):
               % ("PASS" if row["pass"] else "FAIL", row["name"],
                  row["residual"], row["tol"], row["seconds"]),
               file=sys.stderr)
-    if result.aborted is not None:
-        print("aborted: %s" % result.aborted, file=sys.stderr)
-        return rep, EXIT_CONVENTION
     return rep, EXIT_PASS if result.all_pass else EXIT_FAIL
 
 

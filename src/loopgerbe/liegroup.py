@@ -89,12 +89,6 @@ class Group:
         c = np.asarray(c, dtype=complex)
         return np.tensordot(c, self.basis, axes=([-1], [0]))
 
-    def coeffs(self, X) -> np.ndarray:
-        """Coordinates of X in the orthonormal basis (real for su(n) input)."""
-        X = np.asarray(X, dtype=complex)
-        # <E_a, X> = -tr(E_a X)
-        return np.real(-np.einsum("aij,...ji->...a", self.basis, X))
-
 
 SU2 = Group("su2", 2, _su2_basis())
 SU3 = Group("su3", 3, _su3_basis())
@@ -107,25 +101,6 @@ def group_by_name(name: str) -> Group:
         return _GROUPS[name]
     except KeyError:
         raise ValueError(f"unknown group {name!r}; expected one of {sorted(_GROUPS)}")
-
-
-def is_group_element(group: Group, g) -> bool:
-    g = np.asarray(g)
-    if g.shape[-2:] != (group.n, group.n):
-        return False
-    eye = np.eye(group.n)
-    unitary = np.max(np.abs(mm(np.swapaxes(g, -1, -2).conj(), g) - eye))
-    det = np.max(np.abs(np.linalg.det(g) - 1.0))
-    return bool(unitary < ATOL_STRUCT and det < ATOL_STRUCT)
-
-
-def is_algebra_element(group: Group, X) -> bool:
-    X = np.asarray(X)
-    if X.shape[-2:] != (group.n, group.n):
-        return False
-    skew = np.max(np.abs(X + np.swapaxes(X, -1, -2).conj()))
-    tr = np.max(np.abs(np.trace(X, axis1=-2, axis2=-1)))
-    return bool(skew < ATOL_STRUCT and tr < ATOL_STRUCT)
 
 
 def project_algebra(M) -> np.ndarray:
@@ -236,11 +211,6 @@ def bracket(X, Y) -> np.ndarray:
 def group_inv(g) -> np.ndarray:
     """Inverse of a unitary stack (conjugate transpose)."""
     return np.swapaxes(np.asarray(g, dtype=complex), -1, -2).conj()
-
-
-def dexp_left(X, dX) -> np.ndarray:
-    """exp(-X) d(exp(X)) = dexp_right(-X, dX); same closed form and domain."""
-    return eig_alg(-np.asarray(X, dtype=complex), dX).dexp()
 
 
 def dexp_right(X, dX) -> np.ndarray:

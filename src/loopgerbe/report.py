@@ -17,27 +17,25 @@ from .checks import EQUATION_TAGS, RunConfig, SuiteResult
 
 VERSION = "1.0"
 
+REPORT_KEYS = ("version", "config", "checks", "convergence")
 CHECK_FIELDS = ("name", "paper_ref", "residual", "tol", "pass", "seconds")
 CONVERGENCE_FIELDS = ("name", "grid", "residual")
 
 
 def build_report(cfg: RunConfig, result: SuiteResult) -> dict:
-    out = {"version": VERSION, "config": cfg.as_dict(),
-           "checks": [{k: row[k] for k in CHECK_FIELDS}
-                      for row in result.rows],
-           "convergence": [{k: row[k] for k in CONVERGENCE_FIELDS}
-                           for row in result.convergence]}
-    if result.aborted is not None:
-        out["aborted"] = result.aborted
-    return out
+    return {"version": VERSION, "config": cfg.as_dict(),
+            "checks": [{k: row[k] for k in CHECK_FIELDS}
+                       for row in result.rows],
+            "convergence": [{k: row[k] for k in CONVERGENCE_FIELDS}
+                            for row in result.convergence]}
 
 
 def validate_report(report: dict) -> list:
     """Structural problems with a report; empty when well formed."""
-    problems = []
-    for key in ("version", "config", "checks", "convergence"):
-        if key not in report:
-            problems.append("missing key: %s" % key)
+    problems = ["missing key: %s" % key for key in REPORT_KEYS
+                if key not in report]
+    problems += ["unknown key: %s" % key for key in report
+                 if key not in REPORT_KEYS]
     for row in report.get("checks", ()):
         if tuple(row.keys()) != CHECK_FIELDS:
             problems.append("bad check row fields: %s" % (tuple(row.keys()),))
@@ -76,8 +74,6 @@ def to_csv(report: dict) -> str:
     w.writerow(["# version", report["version"]])
     for key, val in report["config"].items():
         w.writerow(["# config:" + key, "" if val is None else val])
-    if "aborted" in report:
-        w.writerow(["# aborted", report["aborted"]])
     w.writerow(["kind", "name", "paper_ref", "grid", "residual", "tol",
                 "pass", "seconds"])
     for row in report["checks"]:

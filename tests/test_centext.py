@@ -1,9 +1,6 @@
-import json
-
 import numpy as np
-import pytest
 
-from loopgerbe import centext, cli, liegroup as lg, loops, sampling
+from loopgerbe import centext, checks, liegroup as lg, loops, sampling
 from loopgerbe.centext import (cocycle_c, eval_R, eval_alpha, gomi_cocycle_Z,
                                reduced_splitting_check)
 from loopgerbe.forms import delta_nerve, ext_d
@@ -68,25 +65,23 @@ def test_alpha_slot_resolved():
     assert centext.alpha_slot() == centext.ALPHA_SLOT == "first"
 
 
-def test_failing_slot_self_test_aborts(tmp_path, monkeypatch, capsys):
-    # a pinned slot that fails d(alpha) = delta(R) stops alpha and the run
-    monkeypatch.setattr(centext, "_slot_residual", lambda: 1.0)
-    centext.alpha_slot.cache_clear()
-    try:
-        rng = sampling.make_rng(55)
-        g, h = (sampling.random_loop(rng, GRID, lg.SU2) for _ in range(2))
-        zero = GridFun.zero(GRID, 2)
-        with pytest.raises(centext.ConventionError):
-            eval_alpha(g, h, zero, zero)
-        out = str(tmp_path / "rep.json")
-        status = cli.main(["--scenario", "central-extension", "--out", out])
-        assert status == cli.EXIT_CONVENTION == 4
-        rep = json.loads(open(out).read())
-        assert "fails d(alpha) = delta(R)" in rep["aborted"]
-        assert rep["checks"] == []
-    finally:
-        centext.alpha_slot.cache_clear()
-    capsys.readouterr()
+def test_swapped_alpha_slot_fails_its_rows(monkeypatch):
+    # alpha eating the second factor's velocity breaks d(alpha) = delta(R):
+    # every row built on alpha fails, where the pinned slot passes
+    cfg = checks.RunConfig(ntheta=32, npath=16)
+    names = ("central-extension/pair-form-coboundary",
+             "central-extension/cochain-closed",
+             "central-extension/path-cocycle-identity",
+             "trivial-bundle/transition-coboundary")
+
+    def passes():
+        return [checks.run_check(checks.CHECKS[name], cfg)["pass"]
+                for name in names]
+
+    assert passes() == [True] * 4
+    monkeypatch.setattr(centext, "eval_alpha",
+                        lambda g, h, Xg, Xh: gomi_cocycle_Z(g, Xh))
+    assert passes() == [False] * 4
 
 
 def nerve_sample(rng, q, grid=GRID, group=lg.SU2):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loopgerbe import centext, checks, cli, report as report_mod
+from loopgerbe import checks, cli, report as report_mod
 from loopgerbe.checks import (CHECKS, EQUATION_TAGS, RunConfig,
                               convergence_grids, convergence_table,
                               run_check, run_suite)
@@ -98,6 +98,10 @@ def test_invalid_values_exit_usage(capsys):
     assert cli.main(["--report", "yaml"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err
+    # 0.5 / h overflows to inf below the smallest normal float
+    assert cli.main(["--fd-step", "1e-320"]) == cli.EXIT_USAGE
+    assert "fd_step must be a normal float" in capsys.readouterr().err
+    assert RunConfig(fd_step=np.finfo(float).tiny).problems() == []
 
 
 def test_non_finite_tol_exits_usage(monkeypatch, capsys):
@@ -163,7 +167,7 @@ def test_unreachable_tolerance_fails_but_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_nan_residual_fails_its_row(tmp_path, capsys):
+def test_nan_residual_fails_its_row(tmp_path, capsys, monkeypatch):
     # at a subnormal step 0.5/h overflows to inf and the vanishing
     # difference times inf is NaN; the NaN must reach the row and fail
     # it, where a running max from 0.0 reported 0.0 and passed
@@ -172,16 +176,16 @@ def test_nan_residual_fails_its_row(tmp_path, capsys):
         warnings.simplefilter("ignore", RuntimeWarning)
         res = checks.pair_form_coboundary(cfg, checks._check_rng(cfg, "nan"),
                                           n=2)
-        out = str(tmp_path / "rep.json")
-        status = cli.main(["--scenario", "central-extension", "--ntheta", "32",
-                           "--npath", "8", "--fd-step", "1e-320",
-                           "--out", out])
     assert np.isnan(res)
-    assert status == cli.EXIT_FAIL
+    # the command line refuses that step, so a NaN check body stands in
+    name = "trivial-bundle/simplicial-square-zero"
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(
+        CHECKS[name], fn=lambda cfg, rng: float("nan")))
+    argv, out = fast_args(tmp_path)
+    assert cli.main(argv) == cli.EXIT_FAIL
     rows = {r["name"]: r for r in strict_json(open(out).read())["checks"]}
-    row = rows["central-extension/pair-form-coboundary"]
-    assert row["residual"] is None and row["pass"] is False
-    assert "pair-form-coboundary residual=nan" in capsys.readouterr().err
+    assert rows[name]["residual"] is None and rows[name]["pass"] is False
+    assert "simplicial-square-zero residual=nan" in capsys.readouterr().err
 
 
 def strict_json(text: str):
@@ -226,24 +230,6 @@ def test_unwritable_out_exits_io(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_convention_abort_exits_4_with_partial_report(tmp_path, capsys,
-                                                      monkeypatch):
-    name = "trivial-bundle/simplicial-square-zero"
-
-    def boom(cfg, rng, n=2):
-        raise centext.ConventionError("slot self-test forced to fail")
-
-    monkeypatch.setitem(CHECKS, name,
-                        dataclasses.replace(CHECKS[name], fn=boom))
-    argv, out = fast_args(tmp_path)
-    assert cli.main(argv) == cli.EXIT_CONVENTION
-    rep = json.loads(open(out).read())
-    assert "aborted" in rep
-    done = [row["name"] for row in rep["checks"]]
-    assert name not in done and len(done) > 0
-    capsys.readouterr()
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -261,6 +247,9 @@ def test_report_fields_exact():
         assert row["paper_ref"] in EQUATION_TAGS
     for row in rep["convergence"]:
         assert tuple(row) == report_mod.CONVERGENCE_FIELDS
+    assert report_mod.validate_report(rep) == []
+    assert report_mod.validate_report(dict(rep, aborted="x")) == [
+        "unknown key: aborted"]
 
 
 def test_normalized_reports_deterministic():
