@@ -15,7 +15,7 @@ interpolation (periodic scenarios only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,37 @@ from .loops import GridFun, LoopPoint, conj_loop, quad_s1, step_axes
 @dataclass(frozen=True)
 class CaloronPoint:
     """A scenario point, a group element and an angle; a stack of them
-    when k and theta carry leading axes (theta's are the point's)."""
+    when k and theta carry leading axes (theta's are the point's).
+
+    The point keeps a table of the scenario samples at p that its
+    curvature reads, F(X, Y) and nabla Phi(X), each computed on first
+    use and kept, once per scenario and tangent objects (keyed by
+    identity): the 4-form and its split share them.  A flowed or pushed
+    point is a new point and starts an empty table.
+    """
 
     p: object
     k: np.ndarray
     theta: float
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def _once(self, kind, scn, tangents, compute):
+        key = (kind, id(scn)) + tuple(map(id, tangents))
+        hit = self._samples.get(key)
+        if hit is None:
+            # the entry keeps its keys alive, so their ids are not reused
+            hit = self._samples[key] = (scn, tangents, compute())
+        return hit[2]
+
+    def _base_curvature(self, scn, X, Y) -> GridFun:
+        """The scenario's curvature F(X, Y) at p."""
+        return self._once("F", scn, (X, Y), lambda: scn.curvature(self.p, X, Y))
+
+    def _nabla_phi(self, scn, X) -> GridFun:
+        """The covariant derivative nabla Phi(X) at p."""
+        return self._once("nabla_phi", scn, (X,),
+                          lambda: gerbe.nabla_phi(scn, self.p, X))
 
     def flow(self, v: "CaloronTangent", t) -> "CaloronPoint":
         pad = np.ndim(self.theta) - np.ndim(v.lam)
@@ -158,48 +184,22 @@ def group_act(pt: CaloronPoint, V: CaloronTangent, k0: np.ndarray):
 # curvature
 
 
-def _memo(fn):
-    """fn, computed at most once per tuple of argument objects (keyed by
-    identity); made per call, for the pairs of one 4-form evaluation."""
-    seen = {}
-
-    def at(*args):
-        key = tuple(map(id, args))
-        hit = seen.get(key)
-        if hit is None:
-            # the entry keeps the arguments alive, so their ids are not reused
-            hit = seen[key] = (args, fn(*args))
-        return hit[1]
-
-    return at
-
-
-def curvature_samples(scn, p, k, V: CaloronTangent, W: CaloronTangent,
-                      nabla_phi=None) -> GridFun:
+def curvature_samples(scn, pt: CaloronPoint, V: CaloronTangent,
+                      W: CaloronTangent) -> GridFun:
     """The curvature on a tangent pair as a function of the angle:
-    ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V).
-
-    nabla_phi, if given, maps a scenario tangent X to nabla Phi(X) at p
-    and is used instead of calling gerbe.nabla_phi, so that callers
-    pairing several curvature samples at one point can share one
-    evaluation per tangent; it must return what gerbe.nabla_phi would.
-    """
-    if nabla_phi is None:
-        def nabla_phi(X):
-            return gerbe.nabla_phi(scn, p, X)
-
-    total = scn.curvature(p, V.X, W.X)
+    ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V),
+    from the point's sample table."""
+    total = pt._base_curvature(scn, V.X, W.X)
     if W.lam != 0.0:
-        total = total + nabla_phi(V.X) * W.lam
+        total = total + pt._nabla_phi(scn, V.X) * W.lam
     if V.lam != 0.0:
-        total = total - nabla_phi(W.X) * V.lam
-    return GridFun(total.grid, adjoint_inv(k, total.vals))
+        total = total - pt._nabla_phi(scn, W.X) * V.lam
+    return GridFun(total.grid, adjoint_inv(pt.k, total.vals))
 
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
-                      W: CaloronTangent, nabla_phi=None) -> np.ndarray:
-    samples = curvature_samples(scn, pt.p, pt.k, V, W, nabla_phi)
-    return eval_samples(samples, pt.theta)
+                      W: CaloronTangent) -> np.ndarray:
+    return eval_samples(curvature_samples(scn, pt, V, W), pt.theta)
 
 
 def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
@@ -217,17 +217,15 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 # the 4-form and its circle integral
 
 
-def curvature_form(scn, nabla_phi=None) -> Form:
-    """The curvature as a 2-form; a nabla_phi memo (see curvature_samples)
-    ties it to the point the memo was made for."""
-    return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b, nabla_phi))
+def curvature_form(scn) -> Form:
+    """The curvature as a 2-form."""
+    return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b))
 
 
 def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4):
     """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle, one
     value per angle of a point stacked over angles."""
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X))
-    Rf = curvature_form(scn, nabla_phi)
+    Rf = curvature_form(scn)
     val = pair_forms(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
@@ -235,20 +233,19 @@ def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4):
 def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
     part; the conjugation by k drops under the invariant pairing.  The
-    two wedges share one F sample per ordered tangent pair."""
+    F and nabla Phi samples come from the point's table, so the two
+    wedges and the 4-form at the same point share them."""
     n = scn.group.n
-    nabla_phi = _memo(lambda X: gerbe.nabla_phi(scn, pt.p, X))
 
-    @_memo
     def f_ev(q, a, b):
-        return eval_samples(scn.curvature(q.p, a.X, b.X), q.theta)
+        return eval_samples(q._base_curvature(scn, a.X, b.X), q.theta)
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
         if b.lam != 0.0:
-            out = out + b.lam * eval_samples(nabla_phi(a.X), q.theta)
+            out = out + b.lam * eval_samples(q._nabla_phi(scn, a.X), q.theta)
         if a.lam != 0.0:
-            out = out - a.lam * eval_samples(nabla_phi(b.X), q.theta)
+            out = out - a.lam * eval_samples(q._nabla_phi(scn, b.X), q.theta)
         return out
 
     Ff = Form(2, f_ev)

@@ -75,16 +75,17 @@ class RunConfig:
             out.append("scenario must be one of %s" % (SCENARIOS,))
         if self.group not in GROUPS:
             out.append("group must be one of %s" % (GROUPS,))
-        if not isinstance(self.ntheta, int) or self.ntheta < 16 or self.ntheta % 2:
+        # a bool is an int to isinstance, but no count or seed
+        if type(self.ntheta) is not int or self.ntheta < 16 or self.ntheta % 2:
             out.append("ntheta must be an even integer >= 16")
-        if not isinstance(self.npath, int) or self.npath < 2:
+        if type(self.npath) is not int or self.npath < 2:
             out.append("npath must be an integer >= 2")
         # below the smallest normal float 0.5 / fd_step overflows to inf
         if not (np.finfo(float).tiny <= self.fd_step <= 1e-2):
             out.append("fd_step must be a normal float in (0, 1e-2]")
         if self.tol is not None and not 0.0 < self.tol < np.inf:
             out.append("tol must be positive and finite")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             out.append("seed must be a non-negative integer")
         if self.report not in REPORT_FORMATS:
             out.append("report must be one of %s" % (REPORT_FORMATS,))

@@ -8,7 +8,7 @@ import pytest
 from loopgerbe import checks, gerbe
 from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
                                caloron_connection, caloron_curvature,
-                               curvature_form, curvature_via_ext_d, eval_loop,
+                               curvature_via_ext_d, eval_loop,
                                eval_samples, extract_connection_higgs, group_act,
                                integrate_circle, kernel_vector, loop_act,
                                pontrjagin_form, pontrjagin_split, vertical_vector)
@@ -134,35 +134,47 @@ def test_pontrjagin_split_identity():
         assert abs(lhs - rhs) < 1e-8
 
 
-def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(monkeypatch):
-    # the 4-form pairs the six curvature samples in 6 shuffles; nabla Phi
-    # depends on one tangent only, so four evaluations are enough
-    rng = make_rng(333)
-    pt = tb_caloron_point(rng)
-    Vs = [tb_caloron_tangent(rng) for _ in range(4)]
-    # two separate curvature forms share nothing: the unshared reference
-    unshared = pair_forms(inner, (curvature_form(TB), curvature_form(TB)))
-    plain = float(np.real(unshared(pt, *Vs))) * (-1.0 / (8 * np.pi ** 2))
+def _fresh(q):
+    """The same point with an empty sample table."""
+    return CaloronPoint(q.p, q.k, q.theta)
 
-    # the split with unshared F and H forms: every sample recomputed
+
+def _unshared_form(scn, pt, Vs):
+    # two separate curvature forms, each sample at a point of its own:
+    # nothing is shared, every sample recomputed
+    forms_ = [Form(2, lambda q, a, b: caloron_curvature(scn, _fresh(q), a, b))
+              for _ in range(2)]
+    val = pair_forms(inner, tuple(forms_))(pt, *Vs)
+    return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
+
+
+def _unshared_split(scn, pt, Vs):
+    # the split with F and H forms that call the scenario directly
+    n = scn.group.n
+
     def f_ev(q, a, b):
-        return eval_samples(TB.curvature(q.p, a.X, b.X), q.theta)
+        return eval_samples(scn.curvature(q.p, a.X, b.X), q.theta)
 
     def h_ev(q, a, b):
-        out = np.zeros((TB.group.n, TB.group.n), dtype=complex)
+        out = np.zeros((n, n), dtype=complex)
         if b.lam != 0.0:
-            out = out + b.lam * eval_samples(gerbe.nabla_phi(TB, q.p, a.X),
+            out = out + b.lam * eval_samples(gerbe.nabla_phi(scn, q.p, a.X),
                                              q.theta)
         if a.lam != 0.0:
-            out = out - a.lam * eval_samples(gerbe.nabla_phi(TB, q.p, b.X),
+            out = out - a.lam * eval_samples(gerbe.nabla_phi(scn, q.p, b.X),
                                              q.theta)
         return out
 
     Ff, Hf = Form(2, f_ev), Form(2, h_ev)
-    split_val = (pair_forms(inner, (Ff, Ff))(pt, *Vs)
-                 + 2.0 * pair_forms(inner, (Ff, Hf))(pt, *Vs))
-    split_plain = float(np.real(split_val)) * (-1.0 / (8 * np.pi ** 2))
+    val = (pair_forms(inner, (Ff, Ff))(pt, *Vs)
+           + 2.0 * pair_forms(inner, (Ff, Hf))(pt, *Vs))
+    return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the real gerbe.nabla_phi and TrivialBundle.curvature
+    evaluations."""
     calls = {"nabla_phi": 0, "curvature": 0}
     nabla_phi = gerbe.nabla_phi
     curvature = TrivialBundle.curvature
@@ -177,18 +189,55 @@ def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(monkeypatch):
 
     monkeypatch.setattr(gerbe, "nabla_phi", counted_nabla_phi)
     monkeypatch.setattr(TrivialBundle, "curvature", counted_curvature)
-    lhs = pontrjagin_form(TB, pt, *Vs)
-    assert calls == {"nabla_phi": 4, "curvature": 6}
-    # sharing the samples leaves the value unchanged bit for bit
-    assert lhs == plain
+    return calls
 
-    calls.update(nabla_phi=0, curvature=0)
+
+def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
+    # the 4-form pairs the six curvature samples in 6 shuffles; nabla Phi
+    # depends on one tangent only, so four evaluations are enough, and
+    # the split at the same point reads the same samples from its table
+    rng = make_rng(333)
+    pt = tb_caloron_point(rng)
+    Vs = [tb_caloron_tangent(rng) for _ in range(4)]
+    plain = _unshared_form(TB, pt, Vs)
+    split_plain = _unshared_split(TB, pt, Vs)
+
+    counted.update(nabla_phi=0, curvature=0)
+    lhs = pontrjagin_form(TB, pt, *Vs)
     rhs = pontrjagin_split(TB, pt, *Vs)
-    assert calls["nabla_phi"] <= 4
-    # both wedges share one F sample per increasing tangent pair
-    assert calls["curvature"] == 6
+    assert counted == {"nabla_phi": 4, "curvature": 6}
+    # sharing the samples leaves each side unchanged bit for bit
+    assert lhs == plain
     assert rhs == split_plain
     assert abs(lhs - rhs) < 1e-8
+
+
+def test_one_split_draw_evaluates_each_sample_once(counted):
+    cfg = checks.RunConfig(ntheta=48)
+    checks.curvature_square_split(cfg, make_rng(5), n=1)
+    assert counted == {"nabla_phi": 4, "curvature": 6}
+
+
+def test_sample_table_answers_for_its_own_point_and_scenario(counted):
+    # the pushed point, another Higgs field at the same point and a
+    # flowed point each recompute every sample and equal the unshared route
+    rng = make_rng(339)
+    pt = tb_caloron_point(rng)
+    Vs = [tb_caloron_tangent(rng) for _ in range(4)]
+    base = pontrjagin_form(TB, pt, *Vs)
+    k0 = exp_alg(random_algebra(rng, SU2))
+    pushed = [group_act(pt, V, k0) for V in Vs]
+    tb2 = TB.with_data(phi_coeff=lambda m: m[..., 1])
+    step = CaloronTangent(Vs[0].X, Vs[0].eta, 0.0)
+    cases = [(TB, pushed[0][0], [w for _, w in pushed]), (tb2, pt, Vs),
+             (TB, pt.flow(step, 0.05), Vs)]
+    for scn, q, Ws in cases:
+        want = _unshared_form(scn, q, Ws)
+        counted.update(nabla_phi=0, curvature=0)
+        got = pontrjagin_form(scn, q, *Ws)
+        assert counted == {"nabla_phi": 4, "curvature": 6}
+        assert got == want
+    assert pontrjagin_form(tb2, pt, *Vs) != base
 
 
 def test_pontrjagin_stacked_over_angles_matches_each_angle():

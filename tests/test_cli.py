@@ -104,6 +104,14 @@ def test_invalid_values_exit_usage(capsys):
     assert RunConfig(fd_step=np.finfo(float).tiny).problems() == []
 
 
+def test_bool_counts_and_seed_are_refused():
+    # True is an int to isinstance; a report must never say "seed": true
+    for key in ("ntheta", "npath", "seed"):
+        for flag in (True, False):
+            assert RunConfig(**{key: flag}).problems() != [], (key, flag)
+    assert RunConfig(seed=0).problems() == []
+
+
 def test_non_finite_tol_exits_usage(monkeypatch, capsys):
     # an infinite tolerance would pass every row
     assert cli.main(["--tol", "inf"]) == cli.EXIT_USAGE

@@ -119,6 +119,16 @@ def test_no_parameter_that_no_caller_varies():
         "endpoint"].default is None
     assert _params(loops.Fn.based) == ("f",)
     assert _params(forms.pair_forms) == ("p", "forms")
+    # the caloron curvature reads F and nabla Phi from its point's sample
+    # table: no route takes a nabla_phi or a table of its own
+    pair = ("scn", "pt", "V", "W")
+    four = ("scn", "pt", "V1", "V2", "V3", "V4")
+    assert {name: _params(getattr(caloron, name)) for name in (
+        "curvature_samples", "caloron_curvature", "curvature_form",
+        "pontrjagin_form", "pontrjagin_split")} == {
+        "curvature_samples": pair, "caloron_curvature": pair,
+        "curvature_form": ("scn",), "pontrjagin_form": four,
+        "pontrjagin_split": four}
 
 
 def _defs(path: Path) -> dict:
@@ -151,11 +161,12 @@ def test_no_python_loop_over_path_nodes():
 def test_no_code_that_only_tests_reach():
     # the disk holonomy, the path-space connection and their samplers had
     # no caller outside their own tests, and no more do these helpers;
-    # the rows check alpha's slot, so no self-test aborts a run
+    # the rows check alpha's slot, so no self-test aborts a run, and the
+    # caloron point's sample table replaces the per-call memo
     gone = {centext: ("DiskLoop", "HOLONOMY_NR", "HOLONOMY_NS", "holonomy_H",
                       "mu_hat", "ConventionError", "_slot_residual"),
             sampling: ("random_pinned_profile", "random_disk_terms"),
-            caloron: ("killingback_map",),
+            caloron: ("killingback_map", "_memo"),
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left"),
             loops.LoopPoint: ("constant",), gerbe.PathFibration: ("check_point",),
