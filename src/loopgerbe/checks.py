@@ -313,9 +313,9 @@ def transition_coboundary(cfg: RunConfig, rng):
     """|delta epsilon - beta| at fibre triples, both scenarios."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    m = rng.uniform(-0.6, 0.6, size=2)
+    m = rng.uniform(-0.6, 0.6, size=tb.dim)
     pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
-    u = rng.normal(size=2)
+    u = rng.normal(size=tb.dim)
     vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(3))
     eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
     r_tb = abs(delta_fibre(eps)(pts, vecs) - gerbe.beta_form(tb, pts, vecs))
@@ -344,9 +344,9 @@ def curving_transition(cfg: RunConfig, rng):
     """|delta f - (tau^* R - d epsilon)| on fibre pairs, both scenarios."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    m = rng.uniform(-0.6, 0.6, size=2)
+    m = rng.uniform(-0.6, 0.6, size=tb.dim)
     pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(2))
-    u, w = rng.normal(size=2), rng.normal(size=2)
+    u, w = rng.normal(size=tb.dim), rng.normal(size=tb.dim)
     vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(2))
     wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
     r_tb = _curving_chain(tb, pts, vecs, wecs)
@@ -386,7 +386,7 @@ def simplicial_square_zero(cfg: RunConfig, rng):
     r_two = abs(delta_nerve(delta_nerve(r2))(gs, V, W))
 
     ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
-    m = rng.uniform(-0.6, 0.6, size=2)
+    m = rng.uniform(-0.6, 0.6, size=tb.dim)
     pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
     return r_zero, r_two, abs(delta_fibre(delta_fibre(ell0))(pts))
 

@@ -294,13 +294,13 @@ class PathFibration:
             * np.broadcast_to(eta, (self.grid.size,) + eta.shape).copy())
 
     def higgs(self, p: LoopPoint) -> GridFun:
-        return conj_loop(p, p.z())
+        """Phi = p^-1 d_theta p, which the point keeps."""
+        return p.log_derivative()
 
     def _endpoint_frame(self, p: LoopPoint):
-        """Q(theta) = p(theta)^-1 p(2pi) and the ramp theta/2pi."""
-        Q = mm(group_inv(p.vals), _end(p.vals))
-        ramp = p.grid.nodes / (2.0 * np.pi)
-        return Q, ramp
+        """Q(theta) = p(theta)^-1 p(2pi), which the point keeps, and the
+        ramp theta/2pi."""
+        return p.endpoint_frame(), p.grid.nodes / (2.0 * np.pi)
 
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, ramp = self._endpoint_frame(p)

@@ -121,8 +121,9 @@ def _eigh_alg(X):
     return np.linalg.eigh(-1j * X)
 
 
-def _exp_eig(w, U, Uh, t: np.ndarray) -> np.ndarray:
-    phase = np.exp(1j * t.reshape(t.shape + (1,) * w.ndim) * w)
+def _exp_eig(w, U, Uh, s: np.ndarray) -> np.ndarray:
+    """U diag(exp(i s w)) U*, the scales s against the leading axes of w."""
+    phase = np.exp(1j * s[..., None] * w)
     return mm(U * phase[..., None, :], Uh)
 
 
@@ -139,7 +140,19 @@ class AlgEig:
 
     def exp(self, t=1.0) -> np.ndarray:
         """exp(t X) = U diag(exp(i t w)) U*; leading axes of t lead the result."""
-        return _exp_eig(self.w, self.U, self.Uh, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return _exp_eig(self.w, self.U, self.Uh,
+                        t.reshape(t.shape + (1,) * (self.w.ndim - 1)))
+
+    def exp_each(self, s) -> np.ndarray:
+        """exp(s[j] X_j) for each X_j of a stack, at scales of its own: the
+        leading axes of s are those of X, and its further axes (theta,
+        say) lead each matrix of the result, shape s.shape + (n, n)."""
+        s = np.asarray(s, dtype=float)
+        lead = self.w.shape[:-1] + (1,) * (s.ndim - self.w.ndim + 1)
+        return _exp_eig(self.w.reshape(lead + self.w.shape[-1:]),
+                        self.U.reshape(lead + self.U.shape[-2:]),
+                        self.Uh.reshape(lead + self.Uh.shape[-2:]), s)
 
     def dexp(self, t=1.0) -> np.ndarray:
         """dexp_right(tX, t dX) in closed form (Daleckii-Krein; Higham,

@@ -19,6 +19,17 @@ always axis -3 of a matrix-valued array and the last axis of a scalar
 one; theta derivatives never run along a leading axis, and the
 quadratures integrate the last axis.  A flow by an array of steps puts
 the step axes in front of those (`step_axes`).
+
+Closed-form profiles may come as a stack with a leading term axis (a
+TrigPoly of k profiles): one val and one dval call evaluate every term,
+`GridFun.from_profiles` multiplies them by a stack of k matrices in one
+broadcast product and adds the terms in order, and `product_loop`
+decomposes its generators in one stacked eigh; each rounds as the same
+terms one at a time.  Derived samples are kept on the object they
+derive from, made on first use: a GridFun keeps its eigendecomposition,
+a LoopPoint its left logarithmic derivative and endpoint frame.  Both
+classes are frozen so that what they keep matches their samples, and
+no module keeps anything.
 """
 
 from __future__ import annotations
@@ -35,7 +46,6 @@ from .liegroup import (
     adjoint_inv,
     bracket,
     eig_alg,
-    exp_alg,
     exp_dexp_right,
     group_inv,
     mm,
@@ -73,36 +83,64 @@ class Fn:
 
     @staticmethod
     def based(f: "Fn") -> "Fn":
-        """f shifted by a constant so that the result vanishes at 0."""
-        c = float(f.val(np.asarray(0.0)))
-        return Fn(lambda t: f.val(t) - c, f.dval)
+        """f shifted by a constant so that the result vanishes at 0: one
+        val call takes t and 0.0 together, and the value at 0.0 is
+        subtracted after, term by term for a stack of profiles."""
+
+        def val(t):
+            t = np.asarray(t, dtype=float)
+            v = np.asarray(f.val(np.append(t, 0.0)))
+            return (v[..., :-1] - v[..., -1:]).reshape(v.shape[:-1] + t.shape)
+
+        return Fn(val, f.dval)
 
 
 @dataclass(frozen=True)
 class TrigPoly:
     """Finite Fourier sum a0 + sum_m (ac[m] cos((m+1) t) + bs[m] sin((m+1) t)).
-    TrigPoly() is the zero profile and TrigPoly(1.0) the unit one."""
+    TrigPoly() is the zero profile and TrigPoly(1.0) the unit one.
+
+    A stack of k profiles has a0 of shape (k,) and ac, bs of shape
+    (k, harmonics): the term axis leads the samples of val and dval,
+    which evaluate each cos(m t) and sin(m t) once for all k terms and
+    round every term as it rounds alone.  The coefficients are kept as
+    float arrays, one row per harmonic, from the first evaluation on.
+    """
 
     a0: float = 0.0
     ac: tuple = ()
     bs: tuple = ()
+    _rows: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def _coeffs(self) -> tuple:
+        """a0, and ac and bs one row per harmonic, made once and kept."""
+        if self._rows is None:
+            a0 = np.asarray(self.a0, dtype=float)
+            ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).T
+            bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).T
+            object.__setattr__(self, "_rows", (a0, ac, bs))
+        return self._rows
 
     def val(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.a0)
-        for m, a in enumerate(self.ac, start=1):
-            out = out + a * np.cos(m * t)
-        for m, b in enumerate(self.bs, start=1):
-            out = out + b * np.sin(m * t)
+        a0, ac, bs = self._coeffs()
+        out = np.empty(a0.shape + t.shape)
+        out.T[...] = a0  # the term axis last, so a0 broadcasts along it
+        for m, a in enumerate(ac, start=1):
+            out = out + np.multiply.outer(a, np.cos(m * t))
+        for m, b in enumerate(bs, start=1):
+            out = out + np.multiply.outer(b, np.sin(m * t))
         return out
 
     def dval(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for m, a in enumerate(self.ac, start=1):
-            out = out - m * a * np.sin(m * t)
-        for m, b in enumerate(self.bs, start=1):
-            out = out + m * b * np.cos(m * t)
+        a0, ac, bs = self._coeffs()
+        out = np.zeros(a0.shape + t.shape)
+        for m, a in enumerate(ac, start=1):
+            out = out - np.multiply.outer(m * a, np.sin(m * t))
+        for m, b in enumerate(bs, start=1):
+            out = out + np.multiply.outer(m * b, np.cos(m * t))
         return out
 
     def __call__(self, t):
@@ -338,21 +376,39 @@ class GridFun:
 
     @staticmethod
     def from_profiles(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
-        """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j.
-        A profile may return a stack of them, theta last: its leading
-        axes lead the samples."""
+        """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j,
+        added from 0.0 in the order given.  A profile may return a stack
+        of them, theta last: its leading axes lead the samples.  An X
+        with a leading axis is a stack of k matrices, and its f then a
+        stack of k profiles, term axis first (a stacked TrigPoly, say):
+        one val call, one dval call and one broadcast product serve the
+        k terms, which enter the sum in their order."""
         t = grid.nodes
         # from 0.0, so that the profiles' stack shape sets the samples'
         vals = dvals = 0.0
         for f, X in terms:
-            vals = vals + np.asarray(f.val(t))[..., None, None] * X
-            dvals = dvals + np.asarray(f.dval(t))[..., None, None] * X
+            vals = _add_terms(vals, f.val(t), X)
+            dvals = _add_terms(dvals, f.dval(t), X)
         return GridFun(grid, vals, dvals)
 
     @staticmethod
     def zero(grid: ThetaGrid, n: int) -> "GridFun":
         z = np.zeros((grid.size, n, n), dtype=complex)
         return GridFun(grid, z, z.copy())
+
+
+def _add_terms(out, samples, X):
+    """out + s X for a profile's samples s and a matrix X; for a stack of
+    k matrices, out + s_0 X_0 + ... + s_(k-1) X_(k-1) from one broadcast
+    product, added in order so that the stack rounds as its terms one at
+    a time."""
+    s = np.asarray(samples)[..., None, None]
+    X = np.asarray(X)
+    if X.ndim == 2:
+        return out + s * X
+    for term in s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:]):
+        out = out + term
+    return out
 
 
 def _check_nodes(grid: ThetaGrid, vals: np.ndarray):
@@ -383,7 +439,7 @@ def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
 # group-valued loops and identity-based paths
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopPoint:
     """A group-valued function of theta.
 
@@ -394,11 +450,21 @@ class LoopPoint:
     multiplication and flows propagate it.  As for GridFun, the samples
     may carry leading axes and theta is axis -3, and their node count
     must match the grid.
+
+    A point keeps what is derived from its samples alone: the left
+    logarithmic derivative (`log_derivative`, the Higgs field of a path
+    point) and, on a closed grid, the endpoint frame g(theta)^(-1) g(2 pi)
+    (`endpoint_frame`), each made on first use.  The instance is frozen
+    so that the kept data always match the samples, and they go with it.
     """
 
     grid: ThetaGrid
     vals: np.ndarray
     zvals: Optional[np.ndarray] = None
+    _logd: Optional[GridFun] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _frame: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         _check_nodes(self.grid, self.vals)
@@ -430,9 +496,12 @@ class LoopPoint:
         return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))))
 
     def log_derivative(self) -> GridFun:
-        """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g)."""
-        zz = self.z()
-        return GridFun(self.grid, adjoint_inv(self.vals, zz.vals))
+        """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g),
+        made once and kept."""
+        if self._logd is None:
+            object.__setattr__(self, "_logd", GridFun(
+                self.grid, adjoint_inv(self.vals, self.z().vals)))
+        return self._logd
 
     def flow(self, X: GridFun, t) -> "LoopPoint":
         """The points g exp(t X), with the Z payload carried along exactly.
@@ -455,6 +524,14 @@ class LoopPoint:
         if not self.grid.closed:
             raise ValueError("endpoint is defined for closed-grid paths")
         return self.vals[..., -1, :, :]
+
+    def endpoint_frame(self) -> np.ndarray:
+        """Q(theta) = g(theta)^(-1) g(2 pi) at every node, theta axis -3,
+        made once and kept (closed grids only)."""
+        if self._frame is None:
+            end = self.endpoint()[..., None, :, :]
+            object.__setattr__(self, "_frame", mm(group_inv(self.vals), end))
+        return self._frame
 
     @staticmethod
     def identity(grid: ThetaGrid, n: int) -> "LoopPoint":
@@ -481,18 +558,20 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
     """Product of single-generator loops exp(f_j xi_j) on the nodes of
     the grid, exact Z payload.
 
-    Each factor is (profile, xi) where profile provides val/dval.
+    Each factor is (profile, xi) where profile provides val/dval.  One
+    eigendecomposition of the stacked generators and one stacked exp
+    serve every factor.
     """
-    out = None
-    t = grid.nodes
-    for f, xi in factors:
-        vals = exp_alg(xi, f.val(t))
-        dfv = np.asarray(f.dval(t))
-        z = np.ascontiguousarray(dfv[:, None, None] * np.broadcast_to(xi, vals.shape))
-        lp = LoopPoint(grid, vals, z)
-        out = lp if out is None else out.mul(lp)
-    if out is None:
+    if not factors:
         raise ValueError("need at least one factor")
+    t = grid.nodes
+    xi = np.asarray([x for _, x in factors], dtype=complex)
+    vals = eig_alg(xi).exp_each([f.val(t) for f, _ in factors])
+    dfv = np.asarray([f.dval(t) for f, _ in factors], dtype=float)
+    z = dfv[..., None, None] * xi[:, None]
+    out = LoopPoint(grid, vals[0], z[0])
+    for e, dz in zip(vals[1:], z[1:]):
+        out = out.mul(LoopPoint(grid, e, dz))
     return out
 
 

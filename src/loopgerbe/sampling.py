@@ -110,6 +110,14 @@ def random_trig(rng: np.random.Generator) -> TrigPoly:
     return TrigPoly(a0, ac, bs)
 
 
+def _random_trigs(rng: np.random.Generator, k: int) -> TrigPoly:
+    """k profiles drawn as k `random_trig` calls, stacked on a leading
+    term axis."""
+    ps = [random_trig(rng) for _ in range(k)]
+    return TrigPoly(np.array([p.a0 for p in ps]), np.array([p.ac for p in ps]),
+                    np.array([p.bs for p in ps]))
+
+
 def random_based_profile(rng: np.random.Generator) -> Fn:
     """A trig profile shifted to vanish at 0 (hence at 2 pi as well)."""
     return Fn.based(random_trig(rng))
@@ -127,11 +135,9 @@ def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
 
 def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,
                         group: Group) -> GridFun:
-    """Algebra-valued loop with exact derivative payload."""
-    terms = []
-    for a in range(group.dim):
-        terms.append((random_trig(rng), group.basis[a]))
-    return GridFun.from_profiles(grid, terms)
+    """Algebra-valued loop sum_a f_a(theta) E_a over the basis, with exact
+    derivative payload: one stacked profile per basis element."""
+    return GridFun.from_profiles(grid, [(_random_trigs(rng, group.dim), group.basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +175,8 @@ def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
     """
     _need_closed(grid)
     end = random_algebra(rng, group, SCALE) if endpoint is None else np.asarray(endpoint)
-    terms = [(Fn.ramp(1.0), end)]
-    for a in range(group.dim):
-        terms.append((random_based_profile(rng), group.basis[a]))
-    return GridFun.from_profiles(grid, terms)
+    based = Fn.based(_random_trigs(rng, group.dim))
+    return GridFun.from_profiles(grid, [(Fn.ramp(1.0), end), (based, group.basis)])
 
 
 def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: Group,

@@ -86,10 +86,10 @@ def test_criterion_5_gerbe_derivation_chain():
     # so a NaN fails the part instead of vanishing into a running max
     trans = []
     for _ in range(6):
-        m = rng.uniform(-0.6, 0.6, size=2)
+        m = rng.uniform(-0.6, 0.6, size=tb.dim)
         pts = tuple(tb.point(m, random_loop(rng, grid, group))
                     for _ in range(3))
-        u = rng.normal(size=2)
+        u = rng.normal(size=tb.dim)
         vecs = tuple(checks._tb_tangent(tb, rng, u) for _ in range(3))
         eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
         trans.append(abs(delta_fibre(eps)(pts, vecs)
@@ -99,10 +99,10 @@ def test_criterion_5_gerbe_derivation_chain():
 
     curv = []
     for _ in range(4):
-        m = rng.uniform(-0.6, 0.6, size=2)
+        m = rng.uniform(-0.6, 0.6, size=tb.dim)
         pts = tuple(tb.point(m, random_loop(rng, grid, group))
                     for _ in range(2))
-        u, w = rng.normal(size=2), rng.normal(size=2)
+        u, w = rng.normal(size=tb.dim), rng.normal(size=tb.dim)
         vecs = tuple(checks._tb_tangent(tb, rng, u) for _ in range(2))
         wecs = tuple(checks._tb_tangent(tb, rng, w) for _ in range(2))
         curv.append(checks._curving_chain(tb, pts, vecs, wecs))

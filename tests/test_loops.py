@@ -357,12 +357,13 @@ def test_one_eigh_per_algebra_element(eigh_calls):
     eigh_calls.clear()
     gt = g.flow(X, 0.4)
     assert gt.zvals is not None and len(eigh_calls) == 1
-    # product_loop decomposes each constant generator once
+    # product_loop decomposes each constant generator once, all of them
+    # in one stacked call
     eigh_calls.clear()
     factors = [(sampling.random_trig(rng), sampling.random_algebra(rng, lg.SU3))
                for _ in range(3)]
     loops.product_loop(grid, factors)
-    assert eigh_calls == [(3, 3)] * 3
+    assert eigh_calls == [(3, 3, 3)]
     # path_from_factors: one per factor, whatever the number of path nodes
     pfactors = [(sampling.random_unit_profile(rng),
                  sampling.random_loop_tangent(rng, grid, lg.SU3)) for _ in range(3)]

@@ -1,0 +1,221 @@
+"""Fixture profiles and loop-point samples, each evaluated once.
+
+A stacked TrigPoly evaluates all its terms in one val and one dval
+call, and the samplers multiply and sum the terms of a stack as the
+same terms taken one at a time, bit for bit.  A loop point keeps its
+left logarithmic derivative and its endpoint frame; both equal a fresh
+computation bit for bit, and go with the point."""
+
+import gc
+import weakref
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from loopgerbe import sampling
+from loopgerbe.gerbe import PathFibration
+from loopgerbe.liegroup import SU2, SU3, adjoint_inv, exp_alg, group_inv, mm
+from loopgerbe.loops import Fn, LoopPoint, ThetaGrid, TrigPoly, conj_loop
+
+GROUPS = (SU2, SU3)
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-term oracle: one profile, one product and one exponential at a time
+
+
+def _trig(tp: TrigPoly, t) -> tuple:
+    """val and dval of one scalar profile, summed term by term."""
+    t = np.asarray(t, dtype=float)
+    val = np.full_like(t, tp.a0)
+    for m, a in enumerate(tp.ac, start=1):
+        val = val + a * np.cos(m * t)
+    for m, b in enumerate(tp.bs, start=1):
+        val = val + b * np.sin(m * t)
+    dval = np.zeros_like(t)
+    for m, a in enumerate(tp.ac, start=1):
+        dval = dval - m * a * np.sin(m * t)
+    for m, b in enumerate(tp.bs, start=1):
+        dval = dval + m * b * np.cos(m * t)
+    return val, dval
+
+
+def _based(tp: TrigPoly, t) -> tuple:
+    val, dval = _trig(tp, t)
+    return val - float(_trig(tp, np.asarray(0.0))[0]), dval
+
+
+def _ramp(c, t) -> tuple:
+    return c * t / (2.0 * np.pi), np.full_like(t, c / (2.0 * np.pi))
+
+
+def _sum(terms) -> tuple:
+    """0.0 + f_0 X_0 + f_1 X_1 + ... for (val, dval, X) terms."""
+    vals = dvals = 0.0
+    for v, d, X in terms:
+        vals = vals + v[:, None, None] * X
+        dvals = dvals + d[:, None, None] * X
+    return vals, dvals
+
+
+def _product(grid, factors) -> LoopPoint:
+    """exp(f_0 xi_0) exp(f_1 xi_1) ... for (val, dval, xi) factors, one
+    decomposition per factor."""
+    out = None
+    for v, d, xi in factors:
+        e = exp_alg(xi, v)
+        z = np.ascontiguousarray(d[:, None, None] * np.broadcast_to(xi, e.shape))
+        lp = LoopPoint(grid, e, z)
+        out = lp if out is None else out.mul(lp)
+    return out
+
+
+def _loop_tangent(rng, grid, group) -> tuple:
+    t = grid.nodes
+    return _sum([(*_trig(sampling.random_trig(rng), t), group.basis[a])
+                 for a in range(group.dim)])
+
+
+def _path_tangent(rng, grid, group) -> tuple:
+    t = grid.nodes
+    end = sampling.random_algebra(rng, group, sampling.SCALE)
+    terms = [(*_ramp(1.0, t), end)]
+    terms += [(*_based(sampling.random_trig(rng), t), group.basis[a])
+              for a in range(group.dim)]
+    return _sum(terms)
+
+
+def _loop(rng, grid, group, based) -> LoopPoint:
+    factors = []
+    for _ in range(sampling.NFACTORS):
+        tp = sampling.random_trig(rng)
+        v, d = (_based if based else _trig)(tp, grid.nodes)
+        factors.append((v, d, sampling.random_algebra(rng, group)))
+    return _product(grid, factors)
+
+
+def _path_point(rng, grid, group) -> LoopPoint:
+    factors = []
+    for _ in range(sampling.NFACTORS):
+        v, d = _based(sampling.random_trig(rng), grid.nodes)
+        rv, rd = _ramp(float(rng.uniform(-sampling.SCALE, sampling.SCALE)), grid.nodes)
+        # Fn.add sums from the integer 0
+        factors.append((0 + v + rv, 0 + d + rd, sampling.random_algebra(rng, group)))
+    return _product(grid, factors)
+
+
+# ---------------------------------------------------------------------------
+# stacked profiles
+
+
+_COEF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+_GRIDS = (ThetaGrid(8), ThetaGrid(8, closed=True), ThetaGrid(16),
+          ThetaGrid(16, closed=True))
+
+
+@st.composite
+def _stacks(draw):
+    k = draw(st.integers(1, 4))
+    a0 = draw(hnp.arrays(float, (k,), elements=_COEF))
+    ac = draw(hnp.arrays(float, (k, draw(st.integers(0, 3))), elements=_COEF))
+    bs = draw(hnp.arrays(float, (k, draw(st.integers(0, 3))), elements=_COEF))
+    return TrigPoly(a0, ac, bs), draw(st.sampled_from(_GRIDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_a_stacked_trig_poly_rounds_each_term_as_alone(case):
+    stack, grid = case
+    t = grid.nodes
+    val, dval, at0 = stack.val(t), stack.dval(t), stack.val(0.0)
+    based = Fn.based(stack).val(t)
+    k = stack.a0.shape[0]
+    assert val.shape == dval.shape == based.shape == (k, grid.size)
+    assert at0.shape == (k,)
+    for j in range(k):
+        one = TrigPoly(float(stack.a0[j]), tuple(stack.ac[j]), tuple(stack.bs[j]))
+        want_val, want_dval = _trig(one, t)
+        assert _same(val[j], one.val(t)) and _same(val[j], want_val)
+        assert _same(dval[j], one.dval(t)) and _same(dval[j], want_dval)
+        assert _same(at0[j], one.val(0.0))
+        assert _same(based[j], Fn.based(one).val(t))
+        assert _same(based[j], _based(one, t)[0])
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("seed", (7, 3))
+def test_samplers_match_the_per_term_oracle(group, seed):
+    per, closed = ThetaGrid(16), ThetaGrid(16, closed=True)
+    rng, ref = sampling.make_rng(seed), sampling.make_rng(seed)
+
+    X = sampling.random_loop_tangent(rng, per, group)
+    vals, dvals = _loop_tangent(ref, per, group)
+    assert _same(X.vals, vals) and _same(X.dvals, dvals)
+
+    V = sampling.random_path_tangent(rng, closed, group)
+    vals, dvals = _path_tangent(ref, closed, group)
+    assert _same(V.vals, vals) and _same(V.dvals, dvals)
+
+    for based in (False, True):
+        g = sampling.random_loop(rng, per, group, based=based)
+        want = _loop(ref, per, group, based)
+        assert _same(g.vals, want.vals) and _same(g.zvals, want.zvals)
+
+    p = sampling.random_path_point(rng, closed, group)
+    want = _path_point(ref, closed, group)
+    assert _same(p.vals, want.vals) and _same(p.zvals, want.zvals)
+    # both generators drew the same numbers in the same order
+    assert _same(rng.uniform(size=3), ref.uniform(size=3))
+
+
+# ---------------------------------------------------------------------------
+# what a loop point keeps
+
+
+def _points(rng, group):
+    grid = ThetaGrid(16, closed=True)
+    p = sampling.random_path_point(rng, grid, group)
+    V = sampling.random_path_tangent(rng, grid, group)
+    # with the exact Z payload, without it, and a flowed stack of points
+    return p, LoopPoint(grid, p.vals), p.flow(V, np.array([0.1, -0.05]))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_kept_samples_equal_fresh_ones(group):
+    for p in _points(sampling.make_rng(41), group):
+        L = p.log_derivative()
+        assert p.log_derivative() is L
+        assert _same(L.vals, adjoint_inv(p.vals, p.z().vals))
+        Q = p.endpoint_frame()
+        assert p.endpoint_frame() is Q
+        assert _same(Q, mm(group_inv(p.vals), p.vals[..., -1:, :, :]))
+    loop = sampling.random_loop(sampling.make_rng(42), ThetaGrid(16), group)
+    with pytest.raises(ValueError):
+        loop.endpoint_frame()
+
+
+def test_kept_samples_go_with_their_point():
+    p = _points(sampling.make_rng(43), SU2)[0]
+    kept = weakref.ref(p.log_derivative())
+    frame = weakref.ref(p.endpoint_frame())
+    del p
+    gc.collect()
+    assert kept() is None and frame() is None
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_path_higgs_is_the_conjugated_z(group):
+    pf = PathFibration(ThetaGrid(16), group)
+    for p in _points(sampling.make_rng(44), group):
+        phi, want = pf.higgs(p), conj_loop(p, p.z())
+        assert _same(phi.vals, want.vals)
+        assert phi.dvals is None and want.dvals is None

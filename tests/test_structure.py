@@ -1,6 +1,6 @@
-"""Package-wide structure: no module keeps mutable global state, no
-import goes unused, no parameter exists that no caller varies, paths
-are node-stacked arrays that no Python loop walks, every matrix
+"""Package-wide structure: no module keeps mutable global state or a
+cache, no import goes unused, no parameter exists that no caller
+varies, paths are node-stacked arrays that no Python loop walks, every matrix
 product goes through `liegroup.mm`, the grid flavour is set on the
 grid alone, the difference step on the scenario alone, every check
 is one fixture draw that a single loop repeats, and no public function
@@ -36,6 +36,101 @@ def test_gridfun_is_frozen():
     for name in ("vals", "dvals"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(X, name, None)
+
+
+def test_looppoint_is_frozen():
+    # the kept log-derivative and endpoint frame must match the samples
+    g = loops.LoopPoint.identity(loops.ThetaGrid(16, closed=True), 2)
+    for name in ("grid", "vals", "zvals"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+
+
+_CACHES = ("cache", "lru_cache")
+_MUTATORS = ("append", "extend", "insert", "update", "setdefault")
+
+
+def _root_name(node):
+    """The name at the root of x[...].attr[...], or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _kept_globally(source: str, name: str = "<src>") -> list:
+    """Module-level caches (functools.cache, lru_cache) and functions
+    that write into a module-level container: item assignment or
+    deletion, or a mutating method call, on a name the module binds and
+    the function does not."""
+    tree = ast.parse(source, name)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += ["%s:%d %s" % (name, node.lineno, a.name)
+                    for a in node.names if a.name in _CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in _CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            out.append("%s:%d %s" % (name, node.lineno, node.attr))
+    module = {n.id for stmt in tree.body
+              if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for n in ast.walk(stmt) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Store)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 + [a for a in (args.vararg, args.kwarg) if a]}
+        local |= {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = module - local
+        for node in ast.walk(fn):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            written = [_root_name(t) for t in targets if isinstance(t, ast.Subscript)]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS):
+                written.append(_root_name(node.func.value))
+            out += ["%s:%d %s" % (name, node.lineno, w) for w in written if w in shared]
+    return out
+
+
+def test_no_module_keeps_a_cache():
+    # kept data lives on instances (GridFun's eig, a LoopPoint's
+    # log-derivative, a CaloronPoint's samples), never in a module
+    offenders = [o for path in sorted(SRC.glob("*.py"))
+                 for o in _kept_globally(path.read_text(), path.name)]
+    assert offenders == []
+    # the rule sees a memo decorator and a module table of cos(m t)
+    tables = """
+import functools
+_TABLES = {}
+_LOG = []
+
+@functools.lru_cache(maxsize=None)
+def basis(n):
+    return n
+
+def cos_table(m, t):
+    key = (m, t.size)
+    if key not in _TABLES:
+        _TABLES[key] = np.cos(m * t)
+    _LOG.append(key)
+    return _TABLES[key]
+
+def local(m):
+    _TABLES = {}
+    _TABLES[m] = m
+    return _TABLES
+"""
+    assert _kept_globally(tables) == ["<src>:6 lru_cache", "<src>:13 _TABLES",
+                                      "<src>:14 _LOG"]
+    assert _kept_globally("from functools import cache\n") == ["<src>:1 cache"]
 
 
 def test_forms_has_no_type_registry():
