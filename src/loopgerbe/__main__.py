@@ -1,0 +1,8 @@
+"""`python -m loopgerbe`: the command-line runner of `loopgerbe.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,12 +15,13 @@ interpolation (periodic scenarios only).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import forms, gerbe
-from .forms import Form, pair_forms, tangent_bracket
+from .forms import Form, pair_forms, stack_tangents, tangent_bracket
 from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
 from .loops import GridFun, LoopPoint, conj_loop, quad_s1, step_axes
 
@@ -31,10 +32,14 @@ class CaloronPoint:
     when k and theta carry leading axes (theta's are the point's).
 
     The point keeps a table of the scenario samples at p that its
-    curvature reads, F(X, Y) and nabla Phi(X), each computed on first
-    use and kept, once per scenario and tangent objects (keyed by
-    identity): the 4-form and its split share them.  A flowed or pushed
-    point is a new point and starts an empty table.
+    curvature reads, F(X, Y) and nabla Phi(X), once per scenario and
+    tangent objects (keyed by identity): the 4-form and its split share
+    them.  `fill` puts in what a tuple of tangents needs, F on every
+    pair i < j and nabla Phi on every tangent: the missing entries, each
+    key once however often its tangents repeat, from one `scn.curvature`
+    call on the stacked pairs and one `gerbe.nabla_phi` call on the
+    stacked tangents, each entry a slice of its stack.  A flowed or
+    pushed point is a new point and starts an empty table.
     """
 
     p: object
@@ -43,22 +48,39 @@ class CaloronPoint:
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    def _once(self, kind, scn, tangents, compute):
-        key = (kind, id(scn)) + tuple(map(id, tangents))
-        hit = self._samples.get(key)
-        if hit is None:
-            # the entry keeps its keys alive, so their ids are not reused
-            hit = self._samples[key] = (scn, tangents, compute())
-        return hit[2]
+    def _missing(self, kind, scn, args) -> dict:
+        """{key: tangents} for the argument tuples not in the table yet."""
+        out = {}
+        for a in args:
+            key = (kind, id(scn)) + tuple(map(id, a))
+            if key not in self._samples:
+                out.setdefault(key, a)
+        return out
+
+    def _store(self, scn, todo: dict, stack: GridFun):
+        # the entry keeps its keys alive, so their ids are not reused
+        for i, (key, args) in enumerate(todo.items()):
+            self._samples[key] = (scn, args, stack[i])
+
+    def fill(self, scn, Xs) -> None:
+        """F(X_i, X_j) for i < j and nabla Phi(X_i) into the table, for
+        the scenario tangents Xs."""
+        pairs = self._missing("F", scn, itertools.combinations(Xs, 2))
+        ones = self._missing("nabla_phi", scn, ((X,) for X in Xs))
+        if pairs:
+            V, W = (stack_tangents(s) for s in zip(*pairs.values()))
+            self._store(scn, pairs, scn.curvature(self.p, V, W))
+        if ones:
+            V = stack_tangents([X for X, in ones.values()])
+            self._store(scn, ones, gerbe.nabla_phi(scn, self.p, V))
 
     def _base_curvature(self, scn, X, Y) -> GridFun:
-        """The scenario's curvature F(X, Y) at p."""
-        return self._once("F", scn, (X, Y), lambda: scn.curvature(self.p, X, Y))
+        """The scenario's curvature F(X, Y) at p, from the table."""
+        return self._samples[("F", id(scn), id(X), id(Y))][2]
 
     def _nabla_phi(self, scn, X) -> GridFun:
-        """The covariant derivative nabla Phi(X) at p."""
-        return self._once("nabla_phi", scn, (X,),
-                          lambda: gerbe.nabla_phi(scn, self.p, X))
+        """The covariant derivative nabla Phi(X) at p, from the table."""
+        return self._samples[("nabla_phi", id(scn), id(X))][2]
 
     def flow(self, v: "CaloronTangent", t) -> "CaloronPoint":
         pad = np.ndim(self.theta) - np.ndim(v.lam)
@@ -189,6 +211,7 @@ def curvature_samples(scn, pt: CaloronPoint, V: CaloronTangent,
     """The curvature on a tangent pair as a function of the angle:
     ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V),
     from the point's sample table."""
+    pt.fill(scn, (V.X, W.X))
     total = pt._base_curvature(scn, V.X, W.X)
     if W.lam != 0.0:
         total = total + pt._nabla_phi(scn, V.X) * W.lam
@@ -225,6 +248,7 @@ def curvature_form(scn) -> Form:
 def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4):
     """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle, one
     value per angle of a point stacked over angles."""
+    pt.fill(scn, (V1.X, V2.X, V3.X, V4.X))
     Rf = curvature_form(scn)
     val = pair_forms(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
@@ -236,6 +260,7 @@ def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4) -> float:
     F and nabla Phi samples come from the point's table, so the two
     wedges and the 4-form at the same point share them."""
     n = scn.group.n
+    pt.fill(scn, (V1.X, V2.X, V3.X, V4.X))
 
     def f_ev(q, a, b):
         return eval_samples(q._base_curvature(scn, a.X, b.X), q.theta)

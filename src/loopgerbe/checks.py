@@ -83,7 +83,8 @@ class RunConfig:
         # below the smallest normal float 0.5 / fd_step overflows to inf
         if not (np.finfo(float).tiny <= self.fd_step <= 1e-2):
             out.append("fd_step must be a normal float in (0, 1e-2]")
-        if self.tol is not None and not 0.0 < self.tol < np.inf:
+        if self.tol is not None and (type(self.tol) is bool
+                                     or not 0.0 < self.tol < np.inf):
             out.append("tol must be positive and finite")
         if type(self.seed) is not int or self.seed < 0:
             out.append("seed must be a non-negative integer")

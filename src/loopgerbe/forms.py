@@ -24,6 +24,13 @@ step, stacked in front.  `directional` makes one such evaluation per
 difference stencil; an exterior derivative of an exterior derivative
 flows an already stacked point and gets the axes (inner, outer, ...).
 
+The tangent stacks.  A tangent may carry leading stack axes as well
+(`stack_tangents` builds one from k tangents): the point broadcasts
+against them, right-aligned, so a flow along a stack of k tangents
+gives the axes (steps, k, ...), and a scenario's connection, curvature
+and nabla Phi at a stack of tangents return the k values stacked in
+front, each rounded as it rounds alone.
+
 The pairing.  `pair_forms` is the one wedge of vector-valued forms.
 Its inputs must be alternating: it sums over the shuffles, in
 itertools.permutations order, which equals the sum over all d!
@@ -54,9 +61,10 @@ class ChartPt:
     x: np.ndarray
 
     def flow(self, v: np.ndarray, t) -> "ChartPt":
-        """x + t v at every step of t; t's axes lead those of x."""
+        """x + t v at every step of t; t's axes lead those of x and of a
+        stack of vectors v, which broadcast."""
         v = np.asarray(v)
-        return ChartPt(self.x + step_axes(t, self.x.ndim - v.ndim + 1) * v)
+        return ChartPt(self.x + step_axes(t, max(self.x.ndim, v.ndim)) * v)
 
 
 def flow(pt, v, t):
@@ -67,6 +75,25 @@ def flow(pt, v, t):
     if not hasattr(pt, "flow"):
         raise TypeError(f"no flow rule for {type(pt).__name__}")
     return pt.flow(v, t)
+
+
+def stack_tangents(vs):
+    """The tangents vs, all of one kind, as one tangent with a leading
+    stack axis: tuples componentwise, a GridFun's vals and dvals (None
+    unless every tangent has them), arrays by np.stack."""
+    v = vs[0]
+    if isinstance(v, tuple):
+        return tuple(stack_tangents(c) for c in zip(*vs))
+    if isinstance(v, GridFun):
+        for w in vs[1:]:
+            v._check(w)
+        d = None
+        if all(w.dvals is not None for w in vs):
+            d = np.stack([w.dvals for w in vs])
+        return GridFun(v.grid, np.stack([w.vals for w in vs]), d)
+    if isinstance(v, np.ndarray):
+        return np.stack(vs)
+    raise TypeError(f"no stacking rule for {type(v).__name__}")
 
 
 def tangent_bracket(v, w):
@@ -108,17 +135,38 @@ class Form:
         return self.ev(pt, *vecs)
 
 
+def _sign(perm) -> int:
+    """+1 or -1 by the inversion count of perm."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def signed_permutations(d: int) -> list:
     """(perm, sign) for every permutation of range(d), in
     itertools.permutations order; sign is +1 or -1 by inversion count."""
+    return [(perm, _sign(perm)) for perm in itertools.permutations(range(d))]
+
+
+def shuffles(degs) -> list:
+    """(blocks, sign) for every shuffle of sum(degs) arguments into
+    increasing blocks of the given sizes, in itertools.permutations
+    order: each block a combination of the arguments the blocks before
+    it left, taken in itertools.combinations order."""
     out = []
-    for perm in itertools.permutations(range(d)):
-        sign = 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
+
+    def grow(blocks, rest, sizes):
+        if not sizes:
+            out.append((blocks, _sign(sum(blocks, ()))))
+            return
+        for block in itertools.combinations(rest, sizes[0]):
+            grow(blocks + [block], tuple(i for i in rest if i not in block),
+                 sizes[1:])
+
+    grow([], tuple(range(sum(degs))), list(degs))
     return out
 
 
@@ -127,8 +175,8 @@ def pair_forms(p: Callable, forms) -> Form:
     multilinear map p: their wedge product.
 
     The result has degree d = sum of the degrees k_i and is the signed
-    sum over shuffles: the permutations of the d arguments, taken in
-    itertools.permutations order, that increase within each form's
+    sum over shuffles (`shuffles`): the permutations of the d arguments,
+    in itertools.permutations order, that increase within each form's
     block of arguments,
 
         (X_1 .. X_d) -> sum_shuffle sign p(w_1(X..), ..., w_r(X..)).
@@ -143,17 +191,12 @@ def pair_forms(p: Callable, forms) -> Form:
     evaluations.
     """
     degs = [f.degree for f in forms]
-    ends = list(itertools.accumulate(degs))
-    shuffles = []
-    for perm, sign in signed_permutations(sum(degs)):
-        blocks = [perm[e - k:e] for k, e in zip(degs, ends)]
-        if all(list(b) == sorted(b) for b in blocks):
-            shuffles.append((blocks, sign))
+    blocks_signs = shuffles(degs)
 
     def ev(pt, *vecs):
         seen = {}
         total = None
-        for blocks, sign in shuffles:
+        for blocks, sign in blocks_signs:
             args = []
             for f, idx in zip(forms, blocks):
                 key = (id(f), idx)

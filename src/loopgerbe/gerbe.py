@@ -63,12 +63,15 @@ class TrivialPoint:
 
     def flow(self, v, t) -> "TrivialPoint":
         # the loop may broadcast against a stack of chart points, or the
-        # other way round: each part pads the steps to the point's leading
-        # axes, then flows as its own type does
-        mlead, glead = self.m.ndim - 1, self.g.vals.ndim - 3
+        # other way round, and both against a stack of tangents: each part
+        # pads the steps to the most leading axes, then flows as its own
+        # type does
+        u, X = np.asarray(v[0]), v[1]
+        mlead = max(self.m.ndim, u.ndim) - 1
+        glead = max(self.g.vals.ndim, X.vals.ndim) - 3
         lead = max(mlead, glead)
-        return TrivialPoint(ChartPt(self.m).flow(v[0], step_axes(t, lead - mlead)).x,
-                            self.g.flow(v[1], step_axes(t, lead - glead)))
+        return TrivialPoint(ChartPt(self.m).flow(u, step_axes(t, lead - mlead)).x,
+                            self.g.flow(X, step_axes(t, lead - glead)))
 
 
 class TrivialBundle:
@@ -181,15 +184,20 @@ class TrivialBundle:
                          for i in range(self.dim)], axis=-1)
 
     def base_connection(self, m, u) -> GridFun:
+        """a(m)(u); a stack of chart vectors u broadcasts against the
+        chart points m."""
         r = self.rho(m)
-        terms = [(Fn.scale(f, _coeffs(r * float(u[d]), m)), xi)
+        u = np.asarray(u)
+        terms = [(Fn.scale(f, _coeffs(r * u[..., d], m)), xi)
                  for d, (f, xi) in enumerate(self.a_terms)]
         return GridFun.from_profiles(self.grid, terms)
 
     def base_connection_dm(self, m, u, w) -> GridFun:
-        """Exact directional m-derivative of a(.)(u) along chart vector w."""
+        """Exact directional m-derivative of a(.)(u) along chart vector w
+        at one chart point; u may be a stack of chart vectors."""
         dr = float(np.dot(self.rho_grad(m), np.asarray(w, dtype=float)))
-        terms = [(Fn.scale(f, dr * float(u[d])), xi)
+        u = np.asarray(u)
+        terms = [(Fn.scale(f, _coeffs(dr * u[..., d], m)), xi)
                  for d, (f, xi) in enumerate(self.a_terms)]
         return GridFun.from_profiles(self.grid, terms)
 

@@ -199,8 +199,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def step_axes(t, pad: int) -> np.ndarray:
     """The steps t of a flow as a float array with `pad` unit axes
     appended.  A flow pads by its point's leading ndim minus its
-    tangent's, so the axes of t lead the point's own leading axes in
-    the flowed point."""
+    tangent's (none when a stack of tangents has more), so the axes of t
+    lead the point's own leading axes, broadcast against the tangent's,
+    in the flowed point."""
     t = np.asarray(t, dtype=float)
     return t.reshape(t.shape + (1,) * pad)
 
@@ -507,13 +508,14 @@ class LoopPoint:
         """The points g exp(t X), with the Z payload carried along exactly.
 
         t is a step or an array of steps; its axes lead the point's own
-        leading axes in the result (`step_axes`).  Evaluated from the
+        leading axes in the result (`step_axes`), which broadcast against
+        those of a stack of tangents X.  Evaluated from the
         tangent's kept eigendecomposition (`X.eig()`), so the four
         Richardson steps of a directional derivative, and every other
         flow along X, share one eigh.  A tangent that is not
         anti-Hermitian raises ValueError on its first flow."""
         _check_grids(X.grid, self.grid)
-        t = step_axes(t, self.vals.ndim - X.vals.ndim)
+        t = step_axes(t, max(0, self.vals.ndim - X.vals.ndim))
         if self.zvals is None or X.dvals is None:
             return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)))
         e, d = X.eig().exp_dexp(t)

@@ -15,7 +15,7 @@ from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
 from loopgerbe.forms import Form, pair_forms
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
-from loopgerbe.loops import ThetaGrid, TrigPoly
+from loopgerbe.loops import GridFun, ThetaGrid, TrigPoly, quad_s1
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
@@ -134,18 +134,24 @@ def test_pontrjagin_split_identity():
         assert abs(lhs - rhs) < 1e-8
 
 
-def _fresh(q):
-    """The same point with an empty sample table."""
-    return CaloronPoint(q.p, q.k, q.theta)
+def _direct_curvature(scn, q, a, b):
+    # the caloron curvature from unstacked scenario calls, nothing kept
+    total = scn.curvature(q.p, a.X, b.X)
+    if b.lam != 0.0:
+        total = total + gerbe.nabla_phi(scn, q.p, a.X) * b.lam
+    if a.lam != 0.0:
+        total = total - gerbe.nabla_phi(scn, q.p, b.X) * a.lam
+    return eval_samples(GridFun(total.grid, adjoint_inv(q.k, total.vals)),
+                        q.theta)
 
 
 def _unshared_form(scn, pt, Vs):
-    # two separate curvature forms, each sample at a point of its own:
-    # nothing is shared, every sample recomputed
-    forms_ = [Form(2, lambda q, a, b: caloron_curvature(scn, _fresh(q), a, b))
+    # two separate curvature forms, each sample recomputed by its own
+    # unstacked scenario calls: nothing is shared or stacked
+    forms_ = [Form(2, lambda q, a, b: _direct_curvature(scn, q, a, b))
               for _ in range(2)]
     val = pair_forms(inner, tuple(forms_))(pt, *Vs)
-    return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
+    return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
 def _unshared_split(scn, pt, Vs):
@@ -173,19 +179,19 @@ def _unshared_split(scn, pt, Vs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the real gerbe.nabla_phi and TrivialBundle.curvature
-    evaluations."""
-    calls = {"nabla_phi": 0, "curvature": 0}
+    """The real gerbe.nabla_phi and TrivialBundle.curvature evaluations,
+    one list entry per call: the number of tangents (pairs) it stacks."""
+    calls = {"nabla_phi": [], "curvature": []}
     nabla_phi = gerbe.nabla_phi
     curvature = TrivialBundle.curvature
 
-    def counted_nabla_phi(*args, **kwargs):
-        calls["nabla_phi"] += 1
-        return nabla_phi(*args, **kwargs)
+    def counted_nabla_phi(scn, p, V):
+        calls["nabla_phi"].append(len(V[0]))
+        return nabla_phi(scn, p, V)
 
-    def counted_curvature(self, *args, **kwargs):
-        calls["curvature"] += 1
-        return curvature(self, *args, **kwargs)
+    def counted_curvature(self, p, V, W):
+        calls["curvature"].append(len(V[0]))
+        return curvature(self, p, V, W)
 
     monkeypatch.setattr(gerbe, "nabla_phi", counted_nabla_phi)
     monkeypatch.setattr(TrivialBundle, "curvature", counted_curvature)
@@ -194,19 +200,21 @@ def counted(monkeypatch):
 
 def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
     # the 4-form pairs the six curvature samples in 6 shuffles; nabla Phi
-    # depends on one tangent only, so four evaluations are enough, and
-    # the split at the same point reads the same samples from its table
+    # depends on one tangent only, so four are enough: the point fills
+    # its table from one curvature call on the 6 stacked pairs and one
+    # nabla Phi call on the 4 stacked tangents, and the split at the
+    # same point reads the same samples from it
     rng = make_rng(333)
     pt = tb_caloron_point(rng)
     Vs = [tb_caloron_tangent(rng) for _ in range(4)]
     plain = _unshared_form(TB, pt, Vs)
     split_plain = _unshared_split(TB, pt, Vs)
 
-    counted.update(nabla_phi=0, curvature=0)
+    counted.update(nabla_phi=[], curvature=[])
     lhs = pontrjagin_form(TB, pt, *Vs)
     rhs = pontrjagin_split(TB, pt, *Vs)
-    assert counted == {"nabla_phi": 4, "curvature": 6}
-    # sharing the samples leaves each side unchanged bit for bit
+    assert counted == {"nabla_phi": [4], "curvature": [6]}
+    # stacking and sharing the samples leaves each side unchanged bit for bit
     assert lhs == plain
     assert rhs == split_plain
     assert abs(lhs - rhs) < 1e-8
@@ -215,7 +223,41 @@ def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
 def test_one_split_draw_evaluates_each_sample_once(counted):
     cfg = checks.RunConfig(ntheta=48)
     checks.curvature_square_split(cfg, make_rng(5), n=1)
-    assert counted == {"nabla_phi": 4, "curvature": 6}
+    assert counted == {"nabla_phi": [4], "curvature": [6]}
+
+
+def test_repeated_tangents_fill_each_key_once(counted):
+    # (V, W, V, W) has the pairs (V, W), (V, V), (W, V), (W, W) and the
+    # tangents V, W: 4 distinct F entries and 2 nabla Phi entries
+    rng = make_rng(343)
+    pt = tb_caloron_point(rng)
+    V, W = tb_caloron_tangent(rng), tb_caloron_tangent(rng)
+    plain = _unshared_form(TB, pt, (V, W, V, W))
+    counted.update(nabla_phi=[], curvature=[])
+    got = pontrjagin_form(TB, pt, V, W, V, W)
+    assert counted == {"nabla_phi": [2], "curvature": [4]}
+    assert len(pt._samples) == 6
+    assert got == plain
+
+
+def test_circle_reduction_samples_are_bit_identical(counted):
+    # lam = 0 on three tangents and 1 on the angle direction, at a point
+    # stacked over the off-node angles, as integrate_circle builds them
+    tb = TrivialBundle.chart3(GRID)
+    rng = make_rng(345)
+    m = rng.uniform(-0.6, 0.6, size=3)
+    us = [rng.normal(size=3) for _ in range(3)]
+    p = tb.canonical_lift(m)
+    no_eta = np.zeros((2, 2), dtype=complex)
+    Ts = [CaloronTangent(tb.lift_tangent(p, u), no_eta, 0.0) for u in us]
+    Ts.append(CaloronTangent(tb.zero_tangent(p), no_eta, 1.0))
+    pt = CaloronPoint(p, np.eye(2, dtype=complex), GRID.nodes + 0.5 * GRID.h)
+    plain = _unshared_form(tb, pt, Ts)
+    counted.update(nabla_phi=[], curvature=[])
+    got = pontrjagin_form(tb, pt, *Ts)
+    assert counted == {"nabla_phi": [4], "curvature": [6]}
+    assert np.array_equal(got, plain)
+    assert integrate_circle(tb, m, *us) == float(quad_s1(plain))
 
 
 def test_sample_table_answers_for_its_own_point_and_scenario(counted):
@@ -233,9 +275,9 @@ def test_sample_table_answers_for_its_own_point_and_scenario(counted):
              (TB, pt.flow(step, 0.05), Vs)]
     for scn, q, Ws in cases:
         want = _unshared_form(scn, q, Ws)
-        counted.update(nabla_phi=0, curvature=0)
+        counted.update(nabla_phi=[], curvature=[])
         got = pontrjagin_form(scn, q, *Ws)
-        assert counted == {"nabla_phi": 4, "curvature": 6}
+        assert counted == {"nabla_phi": [4], "curvature": [6]}
         assert got == want
     assert pontrjagin_form(tb2, pt, *Vs) != base
 

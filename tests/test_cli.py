@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,22 @@ def test_bool_counts_and_seed_are_refused():
         for flag in (True, False):
             assert RunConfig(**{key: flag}).problems() != [], (key, flag)
     assert RunConfig(seed=0).problems() == []
+
+
+def test_bool_tol_is_refused():
+    # a report must never say "tol": true either
+    for flag in (True, False):
+        assert RunConfig(tol=flag).problems() != [], flag
+    assert RunConfig(tol=1).problems() == []
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "loopgerbe", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "--scenario" in done.stdout
 
 
 def test_non_finite_tol_exits_usage(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
                              directional, ext_d, flow, pair_forms,
-                             signed_permutations, tangent_bracket)
+                             shuffles, signed_permutations, tangent_bracket)
 from loopgerbe.liegroup import SU2
 from loopgerbe.loops import ThetaGrid, quad_s1, spectral_dtheta
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
@@ -198,6 +198,27 @@ def test_signed_permutations_order_and_sign():
         for perm, sign in got:
             # the determinant of the permutation matrix is its sign
             assert sign == round(np.linalg.det(np.eye(d)[list(perm)]))
+
+
+def _compositions(d):
+    """Every tuple of positive degrees summing to d."""
+    if d == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, d + 1) for rest in _compositions(d - k)]
+
+
+def test_shuffles_are_the_increasing_signed_permutations():
+    # built from nested combinations, the shuffles are the signed
+    # permutations that increase within every block, in the same order
+    for d in range(1, 6):
+        for degs in _compositions(d) + [(0, d), (d, 0)]:
+            ends = list(itertools.accumulate(degs))
+            want = []
+            for perm, sign in signed_permutations(d):
+                blocks = [perm[e - k:e] for k, e in zip(degs, ends)]
+                if all(list(b) == sorted(b) for b in blocks):
+                    want.append((blocks, sign))
+            assert shuffles(degs) == want, degs
 
 
 def test_form_arity_checked():

@@ -3,7 +3,9 @@
 `forms.directional` calls its function once with every step; a flow by
 an array of steps puts the step axes in front of the point's own
 leading axes; and everything evaluated at a flowed point equals the
-evaluations at each step alone, bit for bit."""
+evaluations at each step alone, bit for bit.  The same holds for a
+stack of tangents: its axis follows the steps, and every value at it
+equals the values at each tangent alone."""
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 
 from loopgerbe import caloron, centext, gerbe
 from loopgerbe.caloron import CaloronPoint, CaloronTangent
-from loopgerbe.forms import ChartPt, directional, flow
+from loopgerbe.forms import ChartPt, directional, flow, stack_tangents
 from loopgerbe.gerbe import PathFibration, TrivialBundle, TrivialPoint
 from loopgerbe.liegroup import SU2, SU3, exp_alg
 from loopgerbe.loops import GridFun, LoopPoint, ThetaGrid
@@ -196,3 +198,91 @@ def test_stacked_point_evaluates_as_every_step_alone(case):
               for T in tbs[1:3])
     _assert_per_step(_ident, cpt, Vc, steps)
     _assert_per_step(lambda q: caloron.caloron_connection(tb, q, Ac), cpt, Vc, steps)
+
+
+# ---------------------------------------------------------------------------
+# stacked tangents evaluate as every tangent alone
+
+
+def _assert_slices(stacked, alone, at):
+    """Slice at(i) of every array of `stacked` equals the same array of
+    alone[i], bit for bit."""
+    stacked = _arrays(stacked)
+    for i, one in enumerate(alone):
+        one = _arrays(one)
+        assert len(one) == len(stacked)
+        for s, a in zip(stacked, one):
+            if a is None:
+                assert s is None
+            else:
+                assert s[at(i)].shape == a.shape
+                assert np.array_equal(s[at(i)], a), (i, np.max(np.abs(s[at(i)] - a)))
+
+
+@st.composite
+def _tangent_cases(draw):
+    group = draw(st.sampled_from((SU2, SU3)))
+    grid = ThetaGrid(draw(st.sampled_from((16, 32, 48))))
+    seed = draw(st.integers(0, 2 ** 20))
+    k = draw(st.integers(1, 4))
+    return group, grid, make_rng(seed), k
+
+
+@settings(max_examples=10, deadline=None)
+@given(_tangent_cases())
+def test_stacked_tangents_evaluate_as_every_tangent_alone(case):
+    group, grid, rng, k = case
+    tb = TrivialBundle.default(grid, group)
+    pf = PathFibration(grid, group)
+    tbs = (tb.point(rng.uniform(-0.6, 0.6, size=2), random_loop(rng, grid, group)),
+           [(rng.normal(size=2), random_loop_tangent(rng, grid, group))
+            for _ in range(2 * k)])
+    pfs = (random_path_point(rng, pf.grid, group),
+           [random_path_tangent(rng, pf.grid, group) for _ in range(2 * k)])
+    for scn, (p, Ts) in ((tb, tbs), (pf, pfs)):
+        Vs, Ws = Ts[:k], Ts[k:]
+        V, W = stack_tangents(Vs), stack_tangents(Ws)
+        _assert_slices(scn.connection(p, V), [scn.connection(p, A) for A in Vs],
+                       _ident)
+        _assert_slices(scn.curvature(p, V, W),
+                       [scn.curvature(p, A, B) for A, B in zip(Vs, Ws)], _ident)
+        _assert_slices(gerbe.nabla_phi(scn, p, V),
+                       [gerbe.nabla_phi(scn, p, A) for A in Vs], _ident)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_tangent_cases())
+def test_flows_along_a_tangent_stack_put_it_after_the_steps(case):
+    group, grid, rng, k = case
+    t = np.array(STENCIL)
+
+    def step_then(i):
+        return (slice(None), i)
+
+    x = ChartPt(rng.normal(size=3))
+    us = [rng.normal(size=3) for _ in range(k)]
+    assert flow(x, stack_tangents(us), t).x.shape == (4, k, 3)
+    _assert_slices(flow(x, stack_tangents(us), t), [flow(x, u, t) for u in us],
+                   step_then)
+
+    g = random_loop(rng, grid, group)
+    Xs = [random_loop_tangent(rng, grid, group) for _ in range(k)]
+    assert flow(g, stack_tangents(Xs), t).vals.shape == (4, k) + g.vals.shape
+    _assert_slices(flow(g, stack_tangents(Xs), t), [flow(g, X, t) for X in Xs],
+                   step_then)
+
+    tb = TrivialBundle.default(grid, group)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=2), g)
+    Vs = [(rng.normal(size=2), X) for X in Xs]
+    q = flow(p, stack_tangents(Vs), t)
+    assert q.m.shape == (4, k, 2) and q.g.vals.shape == (4, k) + g.vals.shape
+    _assert_slices(q, [flow(p, V, t) for V in Vs], step_then)
+
+    # a point stacked over k with a single tangent keeps its shape
+    xs = ChartPt(np.stack(us))
+    assert flow(xs, us[0], t).x.shape == (4, k, 3)
+    gs = flow(g, Xs[0], t)
+    assert flow(gs, Xs[0], t).vals.shape == (4, 4) + g.vals.shape
+    ps = TrivialPoint(np.stack([V[0] for V in Vs]), g)
+    qs = flow(ps, Vs[0], t)
+    assert qs.m.shape == (4, k, 2) and qs.g.vals.shape == (4, 1) + g.vals.shape

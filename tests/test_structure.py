@@ -452,7 +452,7 @@ def test_one_alternating_pairing():
              for path in sorted(SRC.glob("*.py"))
              for name, called in _calls_by_function(path).items()}
     permuting = sorted(name for name, called in calls.items()
-                       if "signed_permutations" in called)
+                       if called & {"signed_permutations", "shuffles"})
     assert permuting == ["forms.pair_forms", "gerbe.omega3"]
     for name in ("caloron.integrate_circle", "gerbe.string_form_at"):
         assert not calls[name] & {"pair_samples", "curvature_samples",
