@@ -38,8 +38,12 @@ class CaloronPoint:
     pair i < j and nabla Phi on every tangent: the missing entries, each
     key once however often its tangents repeat, from one `scn.curvature`
     call on the stacked pairs and one `gerbe.nabla_phi` call on the
-    stacked tangents, each entry a slice of its stack.  A flowed or
-    pushed point is a new point and starts an empty table.
+    stacked tangents, each entry a slice of its stack.
+
+    The point also keeps, per theta grid, the grid node of its angle
+    (`_node`, made on the first read on that grid): every read of a
+    grid function at the angle (`_at`) looks it up there.  A flowed or
+    pushed point is a new point and starts with both empty.
     """
 
     p: object
@@ -47,6 +51,15 @@ class CaloronPoint:
     theta: float
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _nodes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _at(self, fun: GridFun) -> np.ndarray:
+        """fun at the point's angle, as `eval_samples`, from the kept
+        node lookup of fun's grid."""
+        if fun.grid not in self._nodes:
+            self._nodes[fun.grid] = _node(fun.grid, self.theta)
+        return eval_samples(fun, self.theta, self._nodes[fun.grid])
 
     def _missing(self, kind, scn, args) -> dict:
         """{key: tangents} for the argument tuples not in the table yet."""
@@ -104,21 +117,21 @@ class CaloronTangent:
 # angle evaluation
 
 
-def _node(fun, theta):
-    """(j, off) for an angle or an array of them and a GridFun or
-    LoopPoint: the index of the nearest grid node and whether the angle
-    is off the nodes (NaN, +-inf, or more than 1e-9 grid steps away).
-    Periodic grids wrap; closed grids reject node angles outside [0, 2 pi]."""
-    j = theta / fun.grid.h
+def _node(grid, theta):
+    """(j, off) for an angle or an array of them on a theta grid: the
+    index of the nearest grid node and whether the angle is off the
+    nodes (NaN, +-inf, or more than 1e-9 grid steps away).  Periodic
+    grids wrap; closed grids reject node angles outside [0, 2 pi]."""
+    j = theta / grid.h
     # NaN and +-inf are off the nodes; node 0 stands in for them, so that
     # neither the subtraction nor the cast sees them
     finite = np.isfinite(j)
     jr = np.rint(np.where(finite, j, 0.0))
     off = ~finite | (abs(j - jr) > 1e-9)
     jr = np.where(off, 0.0, jr)
-    if not fun.grid.closed:
-        jr = jr % fun.grid.n
-    elif np.count_nonzero((jr < 0) | (jr > fun.grid.n)):
+    if not grid.closed:
+        jr = jr % grid.n
+    elif np.count_nonzero((jr < 0) | (jr > grid.n)):
         raise ValueError("angle outside the closed grid")
     return jr.astype(int), off
 
@@ -134,14 +147,17 @@ def _at_nodes(vals: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, j, axis=-3)[..., 0, :, :]
 
 
-def eval_samples(fun: GridFun, theta) -> np.ndarray:
+def eval_samples(fun: GridFun, theta, node) -> np.ndarray:
     """Value of a grid function at an angle, or at an array of angles
     whose axes broadcast against the function's leading axes.
 
     Exact table lookup on grid nodes; trigonometric interpolation off
     the nodes, which needs periodic data.
+
+    node is the lookup `_node(fun.grid, theta)`, which the caller keeps
+    (`CaloronPoint._at`).
     """
-    j, off = _node(fun, theta)
+    j, off = node
     vals = _at_nodes(fun.vals, j)
     if not np.count_nonzero(off):
         return vals
@@ -152,7 +168,7 @@ def eval_samples(fun: GridFun, theta) -> np.ndarray:
 
 def eval_loop(g: LoopPoint, theta) -> np.ndarray:
     """Group-valued loops are only evaluated at exact grid nodes."""
-    j, off = _node(g, theta)
+    j, off = _node(g.grid, theta)
     if np.count_nonzero(off):
         raise ValueError("group loops are evaluated at grid nodes only")
     return _at_nodes(g.vals, j)
@@ -164,8 +180,8 @@ def eval_loop(g: LoopPoint, theta) -> np.ndarray:
 
 def caloron_connection(scn, pt: CaloronPoint, V: CaloronTangent) -> np.ndarray:
     """ad(k^-1) A(X)|_theta + eta + lam ad(k^-1) Phi|_theta."""
-    a = eval_samples(scn.connection(pt.p, V.X), pt.theta)
-    phi = eval_samples(scn.higgs(pt.p), pt.theta)
+    a = pt._at(scn.connection(pt.p, V.X))
+    phi = pt._at(scn.higgs(pt.p))
     return adjoint_inv(pt.k, a + V.lam * phi) + V.eta
 
 
@@ -178,7 +194,7 @@ def vertical_vector(scn, pt: CaloronPoint, xi: np.ndarray) -> CaloronTangent:
 def kernel_vector(scn, pt: CaloronPoint, X: GridFun) -> CaloronTangent:
     """The degenerate quotient direction (iota(X), -X(theta) k, 0) for a
     loop-algebra direction X; the connection kills it."""
-    eta = -adjoint_inv(pt.k, eval_samples(X, pt.theta))
+    eta = -adjoint_inv(pt.k, pt._at(X))
     return CaloronTangent(scn.vertical(pt.p, X), eta, 0.0)
 
 
@@ -192,7 +208,7 @@ def loop_act(scn, pt: CaloronPoint, V: CaloronTangent, g: LoopPoint):
     else:
         pushed = conj_loop(g, V.X)
     # moving in theta drags g(theta): the group slot picks up -Z(g)
-    eta = V.eta - V.lam * adjoint_inv(pt.k, eval_samples(g.z(), pt.theta))
+    eta = V.eta - V.lam * adjoint_inv(pt.k, pt._at(g.z()))
     return newpt, CaloronTangent(pushed, eta, V.lam)
 
 
@@ -222,7 +238,7 @@ def curvature_samples(scn, pt: CaloronPoint, V: CaloronTangent,
 
 def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
                       W: CaloronTangent) -> np.ndarray:
-    return eval_samples(curvature_samples(scn, pt, V, W), pt.theta)
+    return pt._at(curvature_samples(scn, pt, V, W))
 
 
 def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
@@ -263,14 +279,14 @@ def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4) -> float:
     pt.fill(scn, (V1.X, V2.X, V3.X, V4.X))
 
     def f_ev(q, a, b):
-        return eval_samples(q._base_curvature(scn, a.X, b.X), q.theta)
+        return q._at(q._base_curvature(scn, a.X, b.X))
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
         if b.lam != 0.0:
-            out = out + b.lam * eval_samples(q._nabla_phi(scn, a.X), q.theta)
+            out = out + b.lam * q._at(q._nabla_phi(scn, a.X))
         if a.lam != 0.0:
-            out = out - a.lam * eval_samples(q._nabla_phi(scn, b.X), q.theta)
+            out = out - a.lam * q._at(q._nabla_phi(scn, b.X))
         return out
 
     Ff = Form(2, f_ev)

@@ -161,12 +161,6 @@ class TrivialBundle:
     def zero_tangent(self, p: TrivialPoint):
         return (np.zeros(self.dim), GridFun.zero(self.grid, self.group.n))
 
-    def project(self, p: TrivialPoint) -> np.ndarray:
-        return p.m
-
-    def project_tangent(self, V) -> np.ndarray:
-        return V[0]
-
     # base data
 
     def _bump_factors(self, m) -> list:
@@ -212,7 +206,11 @@ class TrivialBundle:
         return conj_loop(p.g, self.base_connection(p.m, V[0])) + V[1]
 
     def higgs(self, p: TrivialPoint) -> GridFun:
-        return conj_loop(p.g, self.phi(p.m)) + p.g.log_derivative()
+        """ad(g^-1) phi(m) + g^-1 d_theta g, with no theta-derivative
+        payload: the log-derivative has none, so phi is conjugated
+        without its own."""
+        phi = GridFun(self.grid, self.phi(p.m).vals)
+        return conj_loop(p.g, phi) + p.g.log_derivative()
 
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
         if float(np.max(np.abs(p.m - q.m))) > 1e-10:
@@ -221,16 +219,19 @@ class TrivialBundle:
 
     def curvature(self, p: TrivialPoint, V, W) -> GridFun:
         """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences,
-        one stacked base connection per difference stencil."""
+        one stacked base connection per difference stencil.  Its samples
+        carry no theta-derivative payload: no reader of F needs one, so
+        the base connections enter without theirs."""
         u, v = V[0], W[0]
 
-        def da_dir(x, y):
-            return directional(
-                lambda t: self.base_connection(ChartPt(p.m).flow(x, t).x, y),
-                self.fd_step)
+        def a(m, x):
+            return GridFun(self.grid, self.base_connection(m, x).vals)
 
-        base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(
-            self.base_connection(p.m, u), self.base_connection(p.m, v))
+        def da_dir(x, y):
+            return directional(lambda t: a(ChartPt(p.m).flow(x, t).x, y),
+                               self.fd_step)
+
+        base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(a(p.m, u), a(p.m, v))
         return conj_loop(p.g, base)
 
     def curvature_exact(self, p: TrivialPoint, V, W) -> GridFun:
@@ -327,16 +328,12 @@ class PathFibration:
 
     def curvature(self, p: LoopPoint, V: GridFun, W: GridFun) -> GridFun:
         """Closed form: a quadratic-in-theta profile times the endpoint
-        bracket conjugated back along the path."""
-        Q, ramp = self._endpoint_frame(p)
+        bracket conjugated back along the path.  No theta-derivative
+        payload: no reader of F needs one."""
         theta = p.grid.nodes
-        adc = adjoint(Q, bracket(_end(V.vals), _end(W.vals)))
+        adc = adjoint(p.endpoint_frame(), bracket(_end(V.vals), _end(W.vals)))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
-        vals = 2.0 * poly[:, None, None] * adc
-        dpoly = theta / (4 * np.pi ** 2) - 1.0 / (4 * np.pi)
-        dadc = bracket(adc, self.higgs(p).vals)
-        dvals = 2.0 * (dpoly[:, None, None] * adc + poly[:, None, None] * dadc)
-        return GridFun(p.grid, vals, dvals)
+        return GridFun(p.grid, 2.0 * poly[:, None, None] * adc)
 
     def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, _ = self._endpoint_frame(p)

@@ -9,9 +9,13 @@ trigonometric (FFT) and the quadrature is the periodic trapezoid rule,
 both spectrally accurate for smooth periodic data.  Closed grids carry
 N+1 nodes including both ends; identity-based paths (which need not
 close up) live here, differentiation falls back to 4th-order finite
-differences and quadrature to composite Simpson.  Objects built from
-closed-form data carry exact derivative payloads which take precedence
-over either numerical route.
+differences and quadrature to composite Simpson.  An exact theta
+derivative payload (`GridFun.dvals`, `LoopPoint.zvals`) takes
+precedence over either numerical route, and exists only where a reader
+needs it: tangents and loops built from closed-form data carry one
+(flows, connections and the curving read them), while path velocities
+and a scenario's curvature and Higgs field carry none, because every
+reader of those takes their values only.
 
 Node arrays may carry leading axes: the samples of a path in the loop
 group stack its parameter nodes in front, shape (M, N, n, n).  Theta is

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from loopgerbe import checks, gerbe
+from loopgerbe import (caloron, centext, checks, forms, gerbe, liegroup,
+                       loops)
 from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
                                caloron_connection, caloron_curvature,
                                curvature_via_ext_d, eval_loop,
@@ -134,6 +135,11 @@ def test_pontrjagin_split_identity():
         assert abs(lhs - rhs) < 1e-8
 
 
+def _eval(fun, theta):
+    # eval_samples with a lookup of its own, as CaloronPoint._at keeps one
+    return eval_samples(fun, theta, caloron._node(fun.grid, theta))
+
+
 def _direct_curvature(scn, q, a, b):
     # the caloron curvature from unstacked scenario calls, nothing kept
     total = scn.curvature(q.p, a.X, b.X)
@@ -141,7 +147,7 @@ def _direct_curvature(scn, q, a, b):
         total = total + gerbe.nabla_phi(scn, q.p, a.X) * b.lam
     if a.lam != 0.0:
         total = total - gerbe.nabla_phi(scn, q.p, b.X) * a.lam
-    return eval_samples(GridFun(total.grid, adjoint_inv(q.k, total.vals)),
+    return _eval(GridFun(total.grid, adjoint_inv(q.k, total.vals)),
                         q.theta)
 
 
@@ -159,15 +165,15 @@ def _unshared_split(scn, pt, Vs):
     n = scn.group.n
 
     def f_ev(q, a, b):
-        return eval_samples(scn.curvature(q.p, a.X, b.X), q.theta)
+        return _eval(scn.curvature(q.p, a.X, b.X), q.theta)
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
         if b.lam != 0.0:
-            out = out + b.lam * eval_samples(gerbe.nabla_phi(scn, q.p, a.X),
+            out = out + b.lam * _eval(gerbe.nabla_phi(scn, q.p, a.X),
                                              q.theta)
         if a.lam != 0.0:
-            out = out - a.lam * eval_samples(gerbe.nabla_phi(scn, q.p, b.X),
+            out = out - a.lam * _eval(gerbe.nabla_phi(scn, q.p, b.X),
                                              q.theta)
         return out
 
@@ -280,6 +286,47 @@ def test_sample_table_answers_for_its_own_point_and_scenario(counted):
         assert counted == {"nabla_phi": [4], "curvature": [6]}
         assert got == want
     assert pontrjagin_form(tb2, pt, *Vs) != base
+
+
+def test_one_split_draw_makes_at_most_45_products(monkeypatch):
+    # F and Phi carry no theta-derivative payload, so a draw builds none:
+    # 45 liegroup.mm calls, where building the payloads took 61
+    calls = []
+    mm = liegroup.mm
+
+    def counting(a, b):
+        calls.append(1)
+        return mm(a, b)
+
+    for mod in (caloron, centext, checks, forms, gerbe, liegroup, loops):
+        if getattr(mod, "mm", None) is mm:
+            monkeypatch.setattr(mod, "mm", counting)
+    checks.curvature_square_split(checks.RunConfig(ntheta=48), make_rng(5), n=1)
+    assert 0 < len(calls) <= 45
+
+
+def test_node_lookup_once_per_point_and_grid(monkeypatch):
+    # a split draw reads 30 values at one point on one grid: its angle's
+    # node is looked up once, and a read on another grid looks up its own
+    calls = []
+    node = caloron._node
+
+    def counting(grid, theta):
+        calls.append(grid)
+        return node(grid, theta)
+
+    monkeypatch.setattr(caloron, "_node", counting)
+    checks.curvature_square_split(checks.RunConfig(ntheta=48), make_rng(5), n=1)
+    assert calls == [ThetaGrid(48)]
+    rng = make_rng(347)
+    pt = tb_caloron_point(rng)
+    Xs = (random_loop_tangent(rng, GRID, SU2),
+          random_loop_tangent(rng, ThetaGrid(48), SU2))
+    want = [_eval(X, pt.theta) for X in Xs]
+    calls.clear()
+    got = [pt._at(X) for X in Xs + Xs]
+    assert calls == [GRID, ThetaGrid(48)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want + want))
 
 
 def test_pontrjagin_stacked_over_angles_matches_each_angle():
@@ -409,9 +456,9 @@ def test_eval_samples_node_and_interp():
     rng = make_rng(383)
     X = random_loop_tangent(rng, GRID, SU2)
     j = 11
-    assert np.array_equal(eval_samples(X, float(GRID.nodes[j])), X.vals[j])
+    assert np.array_equal(_eval(X, float(GRID.nodes[j])), X.vals[j])
     theta = 1.2345
-    got = eval_samples(X, theta)
+    got = _eval(X, theta)
     spec = np.fft.fft(X.vals, axis=0) / GRID.n
     ks = np.fft.fftfreq(GRID.n, d=1.0 / GRID.n)
     phase = np.exp(1j * ks * theta)
@@ -420,7 +467,7 @@ def test_eval_samples_node_and_interp():
     assert np.max(np.abs(got - want)) < 1e-12
     closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
-        eval_samples(closedX, theta)
+        _eval(closedX, theta)
 
 
 def test_non_finite_angle_is_off_the_nodes(monkeypatch):
@@ -434,15 +481,15 @@ def test_non_finite_angle_is_off_the_nodes(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for theta in (np.nan, np.inf, -np.inf):
-            assert np.all(np.isnan(eval_samples(X, theta)))
+            assert np.all(np.isnan(_eval(X, theta)))
             for fail in (lambda: eval_loop(q, theta),
-                         lambda: eval_samples(closedX, theta)):
+                         lambda: _eval(closedX, theta)):
                 with pytest.raises(ValueError):
                     fail()
-        mixed = eval_samples(X, np.array([GRID.nodes[3], np.nan, np.inf, -np.inf]))
+        mixed = _eval(X, np.array([GRID.nodes[3], np.nan, np.inf, -np.inf]))
     assert np.array_equal(mixed[0], X.vals[3]) and np.all(np.isnan(mixed[1:]))
     # a node angle is still a plain lookup: no interpolation runs
     monkeypatch.setattr(type(X), "interp", None)
-    assert np.array_equal(eval_samples(X, float(GRID.nodes[5])), X.vals[5])
-    assert np.array_equal(eval_samples(closedX, float(PF.grid.nodes[-1])),
+    assert np.array_equal(_eval(X, float(GRID.nodes[5])), X.vals[5])
+    assert np.array_equal(_eval(closedX, float(PF.grid.nodes[-1])),
                           closedX.vals[-1])

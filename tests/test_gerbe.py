@@ -240,6 +240,27 @@ def test_curvature_equivariance():
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-10
 
 
+@pytest.mark.parametrize("group", (SU2, SU3), ids=lambda g: g.name)
+def test_payloads_only_where_a_reader_needs_them(group):
+    # omega, the curving and the caloron curvature read F and Phi at the
+    # nodes only, so neither carries a theta-derivative payload; the
+    # connection keeps its own, which curving_f and nabla_phi read
+    # through dtheta()
+    rng = make_rng(157)
+    tb, pf = TrivialBundle.default(GRID, group), PathFibration(GRID, group)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=2), random_loop(rng, GRID, group))
+    V, W = ((rng.normal(size=2), random_loop_tangent(rng, GRID, group))
+            for _ in range(2))
+    pp = random_path_point(rng, pf.grid, group)
+    X, Y = (random_path_tangent(rng, pf.grid, group) for _ in range(2))
+    for scn, q, A, B in ((tb, p, V, W), (pf, pp, X, Y)):
+        assert scn.curvature(q, A, B).dvals is None
+        assert scn.higgs(q).dvals is None
+        a = scn.connection(q, A)
+        assert a.dvals is not None
+        assert np.array_equal(a.dtheta().vals, a.dvals)
+
+
 def test_pf_curvature_vanishes_on_verticals():
     rng = make_rng(157)
     p = random_path_point(rng, PF.grid, SU2)
