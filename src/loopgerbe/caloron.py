@@ -11,12 +11,18 @@ construction realises the transfer on concrete loops in a chart model.
 Angles decouple from the scenario's theta grid: grid functions are read
 off at exact nodes by table lookup and elsewhere by trigonometric
 interpolation (periodic scenarios only).
+
+The curvature of a tuple of tangents is one explicit value: the
+scenario's F and nabla Phi on the grid, stacked over the pairs and
+the tangents, and the caloron curvature R built from them on the grid
+(`curvature_samples`).  The 4-form and its split take that value and
+read its stacks at the angle, each stack in one evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,69 +37,15 @@ class CaloronPoint:
     """A scenario point, a group element and an angle; a stack of them
     when k and theta carry leading axes (theta's are the point's).
 
-    The point keeps a table of the scenario samples at p that its
-    curvature reads, F(X, Y) and nabla Phi(X), once per scenario and
-    tangent objects (keyed by identity): the 4-form and its split share
-    them.  `fill` puts in what a tuple of tangents needs, F on every
-    pair i < j and nabla Phi on every tangent: the missing entries, each
-    key once however often its tangents repeat, from one `scn.curvature`
-    call on the stacked pairs and one `gerbe.nabla_phi` call on the
-    stacked tangents, each entry a slice of its stack.
-
-    The point also keeps, per theta grid, the grid node of its angle
-    (`_node`, made on the first read on that grid): every read of a
-    grid function at the angle (`_at`) looks it up there.  A flowed or
-    pushed point is a new point and starts with both empty.
+    The point keeps nothing derived: a reader of a grid function at its
+    angle calls `eval_samples`, and the curvature samples of a tuple of
+    tangents are one `CurvatureSamples` value that `curvature_samples`
+    builds and its readers take explicitly.
     """
 
     p: object
     k: np.ndarray
     theta: float
-    _samples: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-    _nodes: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def _at(self, fun: GridFun) -> np.ndarray:
-        """fun at the point's angle, as `eval_samples`, from the kept
-        node lookup of fun's grid."""
-        if fun.grid not in self._nodes:
-            self._nodes[fun.grid] = _node(fun.grid, self.theta)
-        return eval_samples(fun, self.theta, self._nodes[fun.grid])
-
-    def _missing(self, kind, scn, args) -> dict:
-        """{key: tangents} for the argument tuples not in the table yet."""
-        out = {}
-        for a in args:
-            key = (kind, id(scn)) + tuple(map(id, a))
-            if key not in self._samples:
-                out.setdefault(key, a)
-        return out
-
-    def _store(self, scn, todo: dict, stack: GridFun):
-        # the entry keeps its keys alive, so their ids are not reused
-        for i, (key, args) in enumerate(todo.items()):
-            self._samples[key] = (scn, args, stack[i])
-
-    def fill(self, scn, Xs) -> None:
-        """F(X_i, X_j) for i < j and nabla Phi(X_i) into the table, for
-        the scenario tangents Xs."""
-        pairs = self._missing("F", scn, itertools.combinations(Xs, 2))
-        ones = self._missing("nabla_phi", scn, ((X,) for X in Xs))
-        if pairs:
-            V, W = (stack_tangents(s) for s in zip(*pairs.values()))
-            self._store(scn, pairs, scn.curvature(self.p, V, W))
-        if ones:
-            V = stack_tangents([X for X, in ones.values()])
-            self._store(scn, ones, gerbe.nabla_phi(scn, self.p, V))
-
-    def _base_curvature(self, scn, X, Y) -> GridFun:
-        """The scenario's curvature F(X, Y) at p, from the table."""
-        return self._samples[("F", id(scn), id(X), id(Y))][2]
-
-    def _nabla_phi(self, scn, X) -> GridFun:
-        """The covariant derivative nabla Phi(X) at p, from the table."""
-        return self._samples[("nabla_phi", id(scn), id(X))][2]
 
     def flow(self, v: "CaloronTangent", t) -> "CaloronPoint":
         pad = np.ndim(self.theta) - np.ndim(v.lam)
@@ -147,17 +99,14 @@ def _at_nodes(vals: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, j, axis=-3)[..., 0, :, :]
 
 
-def eval_samples(fun: GridFun, theta, node) -> np.ndarray:
+def eval_samples(fun: GridFun, theta) -> np.ndarray:
     """Value of a grid function at an angle, or at an array of angles
     whose axes broadcast against the function's leading axes.
 
     Exact table lookup on grid nodes; trigonometric interpolation off
     the nodes, which needs periodic data.
-
-    node is the lookup `_node(fun.grid, theta)`, which the caller keeps
-    (`CaloronPoint._at`).
     """
-    j, off = node
+    j, off = _node(fun.grid, theta)
     vals = _at_nodes(fun.vals, j)
     if not np.count_nonzero(off):
         return vals
@@ -180,8 +129,8 @@ def eval_loop(g: LoopPoint, theta) -> np.ndarray:
 
 def caloron_connection(scn, pt: CaloronPoint, V: CaloronTangent) -> np.ndarray:
     """ad(k^-1) A(X)|_theta + eta + lam ad(k^-1) Phi|_theta."""
-    a = pt._at(scn.connection(pt.p, V.X))
-    phi = pt._at(scn.higgs(pt.p))
+    a = eval_samples(scn.connection(pt.p, V.X), pt.theta)
+    phi = eval_samples(scn.higgs(pt.p), pt.theta)
     return adjoint_inv(pt.k, a + V.lam * phi) + V.eta
 
 
@@ -194,7 +143,7 @@ def vertical_vector(scn, pt: CaloronPoint, xi: np.ndarray) -> CaloronTangent:
 def kernel_vector(scn, pt: CaloronPoint, X: GridFun) -> CaloronTangent:
     """The degenerate quotient direction (iota(X), -X(theta) k, 0) for a
     loop-algebra direction X; the connection kills it."""
-    eta = -adjoint_inv(pt.k, pt._at(X))
+    eta = -adjoint_inv(pt.k, eval_samples(X, pt.theta))
     return CaloronTangent(scn.vertical(pt.p, X), eta, 0.0)
 
 
@@ -208,7 +157,7 @@ def loop_act(scn, pt: CaloronPoint, V: CaloronTangent, g: LoopPoint):
     else:
         pushed = conj_loop(g, V.X)
     # moving in theta drags g(theta): the group slot picks up -Z(g)
-    eta = V.eta - V.lam * adjoint_inv(pt.k, pt._at(g.z()))
+    eta = V.eta - V.lam * adjoint_inv(pt.k, eval_samples(g.z(), pt.theta))
     return newpt, CaloronTangent(pushed, eta, V.lam)
 
 
@@ -222,23 +171,51 @@ def group_act(pt: CaloronPoint, V: CaloronTangent, k0: np.ndarray):
 # curvature
 
 
-def curvature_samples(scn, pt: CaloronPoint, V: CaloronTangent,
-                      W: CaloronTangent) -> GridFun:
-    """The curvature on a tangent pair as a function of the angle:
-    ad(k^-1)(F(X_V, X_W) + nabla Phi(X_V) lam_W - nabla Phi(X_W) lam_V),
-    from the point's sample table."""
-    pt.fill(scn, (V.X, W.X))
-    total = pt._base_curvature(scn, V.X, W.X)
-    if W.lam != 0.0:
-        total = total + pt._nabla_phi(scn, V.X) * W.lam
-    if V.lam != 0.0:
-        total = total - pt._nabla_phi(scn, W.X) * V.lam
-    return GridFun(total.grid, adjoint_inv(pt.k, total.vals))
+@dataclass(frozen=True)
+class CurvatureSamples:
+    """What the curvature of a tuple of tangents V_1 .. V_d reads at a
+    point: its angle, the lams of the V_i, and three stacks on the
+    scenario's grid.  F holds F(X_i, X_j) and R the caloron curvature on
+    the pairs i < j, in itertools.combinations order; nabla_phi holds
+    nabla Phi(X_i)."""
+
+    theta: object
+    lams: tuple
+    F: GridFun
+    nabla_phi: GridFun
+    R: GridFun
 
 
-def caloron_curvature(scn, pt: CaloronPoint, V: CaloronTangent,
-                      W: CaloronTangent) -> np.ndarray:
-    return pt._at(curvature_samples(scn, pt, V, W))
+def _pair_index(table: CurvatureSamples) -> dict:
+    """{(i, j): position of the pair in the table's pair stacks}."""
+    pairs = itertools.combinations(range(len(table.lams)), 2)
+    return {ij: a for a, ij in enumerate(pairs)}
+
+
+def _at_angle(stack: GridFun, theta) -> np.ndarray:
+    """A stack of grid functions at the angle, from one `eval_samples`
+    call: the angle's axes lead the stack axis."""
+    return eval_samples(stack, np.expand_dims(theta, -1) if np.ndim(theta) else theta)
+
+
+def curvature_samples(scn, pt: CaloronPoint, Vs) -> CurvatureSamples:
+    """The curvature samples of the tangents Vs at pt, as functions of
+    the angle: F from one `scn.curvature` call on the stacked pairs,
+    nabla Phi from one `gerbe.nabla_phi` call on the stacked tangents,
+    and R = ad(k^-1)(F(X_i, X_j) + nabla Phi(X_i) lam_j
+    - nabla Phi(X_j) lam_i) from one stacked conjugation, each lam term
+    added only where its lam is nonzero."""
+    Xs = [V.X for V in Vs]
+    i, j = (list(ix) for ix in zip(*itertools.combinations(range(len(Vs)), 2)))
+    F = scn.curvature(pt.p, stack_tangents([Xs[a] for a in i]),
+                      stack_tangents([Xs[b] for b in j]))
+    grad = gerbe.nabla_phi(scn, pt.p, stack_tangents(Xs))
+    lam = np.array([V.lam for V in Vs], dtype=complex)[:, None, None, None]
+    total = F.vals
+    total = np.where(lam[j] != 0.0, total + lam[j] * grad.vals[i], total)
+    total = np.where(lam[i] != 0.0, total - lam[i] * grad.vals[j], total)
+    return CurvatureSamples(pt.theta, tuple(V.lam for V in Vs), F, grad,
+                            GridFun(F.grid, adjoint_inv(pt.k, total)))
 
 
 def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
@@ -256,43 +233,38 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 # the 4-form and its circle integral
 
 
-def curvature_form(scn) -> Form:
-    """The curvature as a 2-form."""
-    return Form(2, lambda q, a, b: caloron_curvature(scn, q, a, b))
-
-
-def pontrjagin_form(scn, pt: CaloronPoint, V1, V2, V3, V4):
-    """-(1/8 pi^2) <R, R> as a 4-form on the transferred bundle, one
+def pontrjagin_form(table: CurvatureSamples):
+    """-(1/8 pi^2) <R, R> as a 4-form on the table's four tangents, one
     value per angle of a point stacked over angles."""
-    pt.fill(scn, (V1.X, V2.X, V3.X, V4.X))
-    Rf = curvature_form(scn)
-    val = pair_forms(inner, (Rf, Rf))(pt, V1, V2, V3, V4)
+    R = _at_angle(table.R, table.theta)
+    index = _pair_index(table)
+    Rf = Form(2, lambda _, i, j: R[..., index[i, j], :, :])
+    val = pair_forms(inner, (Rf, Rf))(table, 0, 1, 2, 3)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
-def pontrjagin_split(scn, pt: CaloronPoint, V1, V2, V3, V4) -> float:
+def pontrjagin_split(table: CurvatureSamples) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
-    part; the conjugation by k drops under the invariant pairing.  The
-    F and nabla Phi samples come from the point's table, so the two
-    wedges and the 4-form at the same point share them."""
-    n = scn.group.n
-    pt.fill(scn, (V1.X, V2.X, V3.X, V4.X))
+    part; the conjugation by k drops under the invariant pairing.  F and
+    nabla Phi are read at the angle first and combined after."""
+    F = _at_angle(table.F, table.theta)
+    grad = _at_angle(table.nabla_phi, table.theta)
+    index = _pair_index(table)
+    lam = table.lams
+    n = F.shape[-1]
 
-    def f_ev(q, a, b):
-        return q._at(q._base_curvature(scn, a.X, b.X))
-
-    def h_ev(q, a, b):
+    def h_ev(_, i, j):
         out = np.zeros((n, n), dtype=complex)
-        if b.lam != 0.0:
-            out = out + b.lam * q._at(q._nabla_phi(scn, a.X))
-        if a.lam != 0.0:
-            out = out - a.lam * q._at(q._nabla_phi(scn, b.X))
+        if lam[j] != 0.0:
+            out = out + lam[j] * grad[..., i, :, :]
+        if lam[i] != 0.0:
+            out = out - lam[i] * grad[..., j, :, :]
         return out
 
-    Ff = Form(2, f_ev)
+    Ff = Form(2, lambda _, i, j: F[..., index[i, j], :, :])
     Hf = Form(2, h_ev)
-    val = (pair_forms(inner, (Ff, Ff))(pt, V1, V2, V3, V4)
-           + 2.0 * pair_forms(inner, (Ff, Hf))(pt, V1, V2, V3, V4))
+    val = (pair_forms(inner, (Ff, Ff))(table, 0, 1, 2, 3)
+           + 2.0 * pair_forms(inner, (Ff, Hf))(table, 0, 1, 2, 3))
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
@@ -318,7 +290,7 @@ def integrate_circle(scn, m, u1, u2, u3) -> float:
     Ts.append(CaloronTangent(scn.zero_tangent(p), no_eta, 1.0))
     angles = scn.grid.nodes + 0.5 * scn.grid.h
     pt = CaloronPoint(p, np.eye(n, dtype=complex), angles)
-    return float(quad_s1(pontrjagin_form(scn, pt, *Ts)))
+    return float(quad_s1(pontrjagin_form(curvature_samples(scn, pt, Ts))))
 
 
 # ---------------------------------------------------------------------------

@@ -468,9 +468,8 @@ def curvature_square_split(cfg: RunConfig, rng):
     tb = _tb(cfg)
     pt = _caloron_point(tb, rng)
     Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
-    lhs = caloron.pontrjagin_form(tb, pt, *Vs)
-    rhs = caloron.pontrjagin_split(tb, pt, *Vs)
-    return abs(lhs - rhs)
+    table = caloron.curvature_samples(tb, pt, Vs)
+    return abs(caloron.pontrjagin_form(table) - caloron.pontrjagin_split(table))
 
 
 @_draws(3)

@@ -210,7 +210,7 @@ class TrivialBundle:
         payload: the log-derivative has none, so phi is conjugated
         without its own."""
         phi = GridFun(self.grid, self.phi(p.m).vals)
-        return conj_loop(p.g, phi) + p.g.log_derivative()
+        return conj_loop(p.g, phi) + p.g.log_derivative
 
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
         if float(np.max(np.abs(p.m - q.m))) > 1e-10:
@@ -304,12 +304,12 @@ class PathFibration:
 
     def higgs(self, p: LoopPoint) -> GridFun:
         """Phi = p^-1 d_theta p, which the point keeps."""
-        return p.log_derivative()
+        return p.log_derivative
 
     def _endpoint_frame(self, p: LoopPoint):
         """Q(theta) = p(theta)^-1 p(2pi), which the point keeps, and the
         ramp theta/2pi."""
-        return p.endpoint_frame(), p.grid.nodes / (2.0 * np.pi)
+        return p.endpoint_frame, p.grid.nodes / (2.0 * np.pi)
 
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
         Q, ramp = self._endpoint_frame(p)
@@ -331,7 +331,7 @@ class PathFibration:
         bracket conjugated back along the path.  No theta-derivative
         payload: no reader of F needs one."""
         theta = p.grid.nodes
-        adc = adjoint(p.endpoint_frame(), bracket(_end(V.vals), _end(W.vals)))
+        adc = adjoint(p.endpoint_frame, bracket(_end(V.vals), _end(W.vals)))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
         return GridFun(p.grid, 2.0 * poly[:, None, None] * adc)
 
@@ -455,7 +455,7 @@ def higgs_transform_residual(scn, p, g: LoopPoint, field=None) -> float:
     if field is None:
         field = scn.higgs
     lhs = field(scn.act(p, g))
-    rhs = conj_loop(g, field(p)) + g.log_derivative()
+    rhs = conj_loop(g, field(p)) + g.log_derivative
     return float(np.max(np.abs(lhs.vals - rhs.vals)))
 
 

@@ -30,8 +30,9 @@ TrigPoly of k profiles): one val and one dval call evaluate every term,
 broadcast product and adds the terms in order, and `product_loop`
 decomposes its generators in one stacked eigh; each rounds as the same
 terms one at a time.  Derived samples are kept on the object they
-derive from, made on first use: a GridFun keeps its eigendecomposition,
-a LoopPoint its left logarithmic derivative and endpoint frame.  Both
+derive from, each a cached property made on first use: a TrigPoly
+keeps its coefficient rows, a GridFun its eigendecomposition, a
+LoopPoint its left logarithmic derivative and endpoint frame.  The
 classes are frozen so that what they keep matches their samples, and
 no module keeps anything.
 """
@@ -39,7 +40,7 @@ no module keeps anything.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,21 +115,18 @@ class TrigPoly:
     a0: float = 0.0
     ac: tuple = ()
     bs: tuple = ()
-    _rows: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
-    def _coeffs(self) -> tuple:
+    @functools.cached_property
+    def rows(self) -> tuple:
         """a0, and ac and bs one row per harmonic, made once and kept."""
-        if self._rows is None:
-            a0 = np.asarray(self.a0, dtype=float)
-            ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).T
-            bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).T
-            object.__setattr__(self, "_rows", (a0, ac, bs))
-        return self._rows
+        a0 = np.asarray(self.a0, dtype=float)
+        ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).T
+        bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).T
+        return a0, ac, bs
 
     def val(self, t):
         t = np.asarray(t, dtype=float)
-        a0, ac, bs = self._coeffs()
+        a0, ac, bs = self.rows
         out = np.empty(a0.shape + t.shape)
         out.T[...] = a0  # the term axis last, so a0 broadcasts along it
         for m, a in enumerate(ac, start=1):
@@ -139,7 +137,7 @@ class TrigPoly:
 
     def dval(self, t):
         t = np.asarray(t, dtype=float)
-        a0, ac, bs = self._coeffs()
+        a0, ac, bs = self.rows
         out = np.zeros(a0.shape + t.shape)
         for m, a in enumerate(ac, start=1):
             out = out - np.multiply.outer(m * a, np.sin(m * t))
@@ -306,8 +304,6 @@ class GridFun:
     grid: ThetaGrid
     vals: np.ndarray
     dvals: Optional[np.ndarray] = None
-    _eig: Optional[AlgEig] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __post_init__(self):
         _check_nodes(self.grid, self.vals)
@@ -348,11 +344,10 @@ class GridFun:
         of a stack."""
         return self._like(self.vals[i], None if self.dvals is None else self.dvals[i])
 
+    @functools.cached_property
     def eig(self) -> AlgEig:
         """The decomposition of vals and dvals, made once and kept."""
-        if self._eig is None:
-            object.__setattr__(self, "_eig", eig_alg(self.vals, self.dvals))
-        return self._eig
+        return eig_alg(self.vals, self.dvals)
 
     def dtheta(self) -> "GridFun":
         if self.dvals is not None:
@@ -466,10 +461,6 @@ class LoopPoint:
     grid: ThetaGrid
     vals: np.ndarray
     zvals: Optional[np.ndarray] = None
-    _logd: Optional[GridFun] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _frame: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     def __post_init__(self):
         _check_nodes(self.grid, self.vals)
@@ -500,13 +491,11 @@ class LoopPoint:
         dv = self.grid.dtheta(self.vals)
         return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))))
 
+    @functools.cached_property
     def log_derivative(self) -> GridFun:
         """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g),
         made once and kept."""
-        if self._logd is None:
-            object.__setattr__(self, "_logd", GridFun(
-                self.grid, adjoint_inv(self.vals, self.z().vals)))
-        return self._logd
+        return GridFun(self.grid, adjoint_inv(self.vals, self.z().vals))
 
     def flow(self, X: GridFun, t) -> "LoopPoint":
         """The points g exp(t X), with the Z payload carried along exactly.
@@ -514,15 +503,15 @@ class LoopPoint:
         t is a step or an array of steps; its axes lead the point's own
         leading axes in the result (`step_axes`), which broadcast against
         those of a stack of tangents X.  Evaluated from the
-        tangent's kept eigendecomposition (`X.eig()`), so the four
+        tangent's kept eigendecomposition (`X.eig`), so the four
         Richardson steps of a directional derivative, and every other
         flow along X, share one eigh.  A tangent that is not
         anti-Hermitian raises ValueError on its first flow."""
         _check_grids(X.grid, self.grid)
         t = step_axes(t, max(0, self.vals.ndim - X.vals.ndim))
         if self.zvals is None or X.dvals is None:
-            return LoopPoint(self.grid, mm(self.vals, X.eig().exp(t)))
-        e, d = X.eig().exp_dexp(t)
+            return LoopPoint(self.grid, mm(self.vals, X.eig.exp(t)))
+        e, d = X.eig.exp_dexp(t)
         return LoopPoint(self.grid, mm(self.vals, e),
                          self.zvals + adjoint(self.vals, d))
 
@@ -531,13 +520,11 @@ class LoopPoint:
             raise ValueError("endpoint is defined for closed-grid paths")
         return self.vals[..., -1, :, :]
 
+    @functools.cached_property
     def endpoint_frame(self) -> np.ndarray:
         """Q(theta) = g(theta)^(-1) g(2 pi) at every node, theta axis -3,
         made once and kept (closed grids only)."""
-        if self._frame is None:
-            end = self.endpoint()[..., None, :, :]
-            object.__setattr__(self, "_frame", mm(group_inv(self.vals), end))
-        return self._frame
+        return mm(group_inv(self.vals), self.endpoint()[..., None, :, :])
 
     @staticmethod
     def identity(grid: ThetaGrid, n: int) -> "LoopPoint":

@@ -8,7 +8,7 @@ import pytest
 from loopgerbe import (caloron, centext, checks, forms, gerbe, liegroup,
                        loops)
 from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
-                               caloron_connection, caloron_curvature,
+                               caloron_connection, curvature_samples,
                                curvature_via_ext_d, eval_loop,
                                eval_samples, extract_connection_higgs, group_act,
                                integrate_circle, kernel_vector, loop_act,
@@ -90,11 +90,17 @@ def test_group_equivariance():
 # curvature
 
 
+def _curvature(scn, pt, V, W):
+    # the caloron curvature R(V, W) at the point's angle: pair 0 of a
+    # two-tangent table
+    return eval_samples(curvature_samples(scn, pt, (V, W)).R[0], pt.theta)
+
+
 def test_curvature_closed_form_vs_ext_d():
     rng = make_rng(313)
     pt = tb_caloron_point(rng)
     V, W = tb_caloron_tangent(rng), tb_caloron_tangent(rng)
-    a = caloron_curvature(TB, pt, V, W)
+    a = _curvature(TB, pt, V, W)
     b = curvature_via_ext_d(TB, pt, V, W)
     assert np.max(np.abs(a - b)) < 1e-6
 
@@ -105,7 +111,7 @@ def test_curvature_theta_only_vanishes():
     z = TB.zero_tangent(pt.p)
     V = CaloronTangent(z, np.zeros((2, 2)), 0.7)
     W = CaloronTangent(z, np.zeros((2, 2)), -0.2)
-    got = caloron_curvature(TB, pt, V, W)
+    got = _curvature(TB, pt, V, W)
     assert np.max(np.abs(got)) < 1e-14
 
 
@@ -116,8 +122,8 @@ def test_curvature_group_covariance():
     k0 = exp_alg(random_algebra(rng, SU2))
     qt, Vp = group_act(pt, V, k0)
     _, Wp = group_act(pt, W, k0)
-    lhs = caloron_curvature(TB, qt, Vp, Wp)
-    rhs = adjoint_inv(k0, caloron_curvature(TB, pt, V, W))
+    lhs = _curvature(TB, qt, Vp, Wp)
+    rhs = adjoint_inv(k0, _curvature(TB, pt, V, W))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -125,29 +131,27 @@ def test_curvature_group_covariance():
 # the 4-form
 
 
+def _form(scn, pt, Vs):
+    return pontrjagin_form(curvature_samples(scn, pt, Vs))
+
+
 def test_pontrjagin_split_identity():
     rng = make_rng(331)
     for _ in range(5):
         pt = tb_caloron_point(rng)
         Vs = [tb_caloron_tangent(rng) for _ in range(4)]
-        lhs = pontrjagin_form(TB, pt, *Vs)
-        rhs = pontrjagin_split(TB, pt, *Vs)
-        assert abs(lhs - rhs) < 1e-8
-
-
-def _eval(fun, theta):
-    # eval_samples with a lookup of its own, as CaloronPoint._at keeps one
-    return eval_samples(fun, theta, caloron._node(fun.grid, theta))
+        table = curvature_samples(TB, pt, Vs)
+        assert abs(pontrjagin_form(table) - pontrjagin_split(table)) < 1e-8
 
 
 def _direct_curvature(scn, q, a, b):
-    # the caloron curvature from unstacked scenario calls, nothing kept
+    # the caloron curvature from unstacked scenario calls, nothing shared
     total = scn.curvature(q.p, a.X, b.X)
     if b.lam != 0.0:
         total = total + gerbe.nabla_phi(scn, q.p, a.X) * b.lam
     if a.lam != 0.0:
         total = total - gerbe.nabla_phi(scn, q.p, b.X) * a.lam
-    return _eval(GridFun(total.grid, adjoint_inv(q.k, total.vals)),
+    return eval_samples(GridFun(total.grid, adjoint_inv(q.k, total.vals)),
                         q.theta)
 
 
@@ -165,15 +169,15 @@ def _unshared_split(scn, pt, Vs):
     n = scn.group.n
 
     def f_ev(q, a, b):
-        return _eval(scn.curvature(q.p, a.X, b.X), q.theta)
+        return eval_samples(scn.curvature(q.p, a.X, b.X), q.theta)
 
     def h_ev(q, a, b):
         out = np.zeros((n, n), dtype=complex)
         if b.lam != 0.0:
-            out = out + b.lam * _eval(gerbe.nabla_phi(scn, q.p, a.X),
+            out = out + b.lam * eval_samples(gerbe.nabla_phi(scn, q.p, a.X),
                                              q.theta)
         if a.lam != 0.0:
-            out = out - a.lam * _eval(gerbe.nabla_phi(scn, q.p, b.X),
+            out = out - a.lam * eval_samples(gerbe.nabla_phi(scn, q.p, b.X),
                                              q.theta)
         return out
 
@@ -204,25 +208,27 @@ def counted(monkeypatch):
     return calls
 
 
+def _assert_sides_unshared(counted, scn, pt, Vs):
+    # one table, built from one curvature call on the 6 stacked pairs and
+    # one nabla Phi call on the 4 stacked tangents, serves both sides,
+    # and each side equals its unshared reference bit for bit
+    form, split = _unshared_form(scn, pt, Vs), _unshared_split(scn, pt, Vs)
+    counted.update(nabla_phi=[], curvature=[])
+    table = curvature_samples(scn, pt, Vs)
+    lhs, rhs = pontrjagin_form(table), pontrjagin_split(table)
+    assert counted == {"nabla_phi": [4], "curvature": [6]}
+    assert lhs == form
+    assert rhs == split
+    return lhs, rhs
+
+
 def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
     # the 4-form pairs the six curvature samples in 6 shuffles; nabla Phi
-    # depends on one tangent only, so four are enough: the point fills
-    # its table from one curvature call on the 6 stacked pairs and one
-    # nabla Phi call on the 4 stacked tangents, and the split at the
-    # same point reads the same samples from it
+    # depends on one tangent only, so four are enough
     rng = make_rng(333)
     pt = tb_caloron_point(rng)
     Vs = [tb_caloron_tangent(rng) for _ in range(4)]
-    plain = _unshared_form(TB, pt, Vs)
-    split_plain = _unshared_split(TB, pt, Vs)
-
-    counted.update(nabla_phi=[], curvature=[])
-    lhs = pontrjagin_form(TB, pt, *Vs)
-    rhs = pontrjagin_split(TB, pt, *Vs)
-    assert counted == {"nabla_phi": [4], "curvature": [6]}
-    # stacking and sharing the samples leaves each side unchanged bit for bit
-    assert lhs == plain
-    assert rhs == split_plain
+    lhs, rhs = _assert_sides_unshared(counted, TB, pt, Vs)
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -232,18 +238,13 @@ def test_one_split_draw_evaluates_each_sample_once(counted):
     assert counted == {"nabla_phi": [4], "curvature": [6]}
 
 
-def test_repeated_tangents_fill_each_key_once(counted):
-    # (V, W, V, W) has the pairs (V, W), (V, V), (W, V), (W, W) and the
-    # tangents V, W: 4 distinct F entries and 2 nabla Phi entries
+def test_repeated_tangents_equal_the_unshared_reference(counted):
+    # (V, W, V, W) repeats its tangents: the table stacks all 6 pairs and
+    # all 4 tangents as they come, and both sides stay bit for bit
     rng = make_rng(343)
     pt = tb_caloron_point(rng)
     V, W = tb_caloron_tangent(rng), tb_caloron_tangent(rng)
-    plain = _unshared_form(TB, pt, (V, W, V, W))
-    counted.update(nabla_phi=[], curvature=[])
-    got = pontrjagin_form(TB, pt, V, W, V, W)
-    assert counted == {"nabla_phi": [2], "curvature": [4]}
-    assert len(pt._samples) == 6
-    assert got == plain
+    _assert_sides_unshared(counted, TB, pt, (V, W, V, W))
 
 
 def test_circle_reduction_samples_are_bit_identical(counted):
@@ -260,7 +261,7 @@ def test_circle_reduction_samples_are_bit_identical(counted):
     pt = CaloronPoint(p, np.eye(2, dtype=complex), GRID.nodes + 0.5 * GRID.h)
     plain = _unshared_form(tb, pt, Ts)
     counted.update(nabla_phi=[], curvature=[])
-    got = pontrjagin_form(tb, pt, *Ts)
+    got = _form(tb, pt, Ts)
     assert counted == {"nabla_phi": [4], "curvature": [6]}
     assert np.array_equal(got, plain)
     assert integrate_circle(tb, m, *us) == float(quad_s1(plain))
@@ -268,11 +269,12 @@ def test_circle_reduction_samples_are_bit_identical(counted):
 
 def test_sample_table_answers_for_its_own_point_and_scenario(counted):
     # the pushed point, another Higgs field at the same point and a
-    # flowed point each recompute every sample and equal the unshared route
+    # flowed point each build their own table, and both sides equal the
+    # unshared route
     rng = make_rng(339)
     pt = tb_caloron_point(rng)
     Vs = [tb_caloron_tangent(rng) for _ in range(4)]
-    base = pontrjagin_form(TB, pt, *Vs)
+    base = _form(TB, pt, Vs)
     k0 = exp_alg(random_algebra(rng, SU2))
     pushed = [group_act(pt, V, k0) for V in Vs]
     tb2 = TB.with_data(phi_coeff=lambda m: m[..., 1])
@@ -280,17 +282,31 @@ def test_sample_table_answers_for_its_own_point_and_scenario(counted):
     cases = [(TB, pushed[0][0], [w for _, w in pushed]), (tb2, pt, Vs),
              (TB, pt.flow(step, 0.05), Vs)]
     for scn, q, Ws in cases:
-        want = _unshared_form(scn, q, Ws)
-        counted.update(nabla_phi=[], curvature=[])
-        got = pontrjagin_form(scn, q, *Ws)
-        assert counted == {"nabla_phi": [4], "curvature": [6]}
-        assert got == want
-    assert pontrjagin_form(tb2, pt, *Vs) != base
+        _assert_sides_unshared(counted, scn, q, Ws)
+    assert _form(tb2, pt, Vs) != base
 
 
-def test_one_split_draw_makes_at_most_45_products(monkeypatch):
-    # F and Phi carry no theta-derivative payload, so a draw builds none:
-    # 45 liegroup.mm calls, where building the payloads took 61
+def _count_calls(monkeypatch, owner, name, draw):
+    """The arguments of every call of owner.name during draw()."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    draw()
+    return calls
+
+
+def _split_draw():
+    checks.curvature_square_split(checks.RunConfig(ntheta=48), make_rng(5), n=1)
+
+
+def test_one_split_draw_makes_at_most_35_products(monkeypatch):
+    # one stacked conjugation builds the curvature of all 6 pairs: 35
+    # liegroup.mm calls, where one conjugation per pair took 45
     calls = []
     mm = liegroup.mm
 
@@ -301,52 +317,50 @@ def test_one_split_draw_makes_at_most_45_products(monkeypatch):
     for mod in (caloron, centext, checks, forms, gerbe, liegroup, loops):
         if getattr(mod, "mm", None) is mm:
             monkeypatch.setattr(mod, "mm", counting)
-    checks.curvature_square_split(checks.RunConfig(ntheta=48), make_rng(5), n=1)
-    assert 0 < len(calls) <= 45
+    _split_draw()
+    assert 0 < len(calls) <= 35
 
 
-def test_node_lookup_once_per_point_and_grid(monkeypatch):
-    # a split draw reads 30 values at one point on one grid: its angle's
-    # node is looked up once, and a read on another grid looks up its own
-    calls = []
-    node = caloron._node
+def test_one_split_draw_looks_up_at_most_3_nodes(monkeypatch):
+    # the 4-form reads its curvature stack and the split its F and
+    # nabla Phi stacks, each in one lookup of the angle's node
+    calls = _count_calls(monkeypatch, caloron, "_node", _split_draw)
+    assert 0 < len(calls) <= 3
+    assert all(grid == ThetaGrid(48) for grid, _ in calls)
 
-    def counting(grid, theta):
-        calls.append(grid)
-        return node(grid, theta)
 
-    monkeypatch.setattr(caloron, "_node", counting)
-    checks.curvature_square_split(checks.RunConfig(ntheta=48), make_rng(5), n=1)
-    assert calls == [ThetaGrid(48)]
-    rng = make_rng(347)
-    pt = tb_caloron_point(rng)
-    Xs = (random_loop_tangent(rng, GRID, SU2),
-          random_loop_tangent(rng, ThetaGrid(48), SU2))
-    want = [_eval(X, pt.theta) for X in Xs]
-    calls.clear()
-    got = [pt._at(X) for X in Xs + Xs]
-    assert calls == [GRID, ThetaGrid(48)]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want + want))
+def test_integrate_circle_interpolates_once(monkeypatch):
+    # the curvature of all 6 pairs is interpolated to the N off-node
+    # angles in one call, not in one call per pair
+    rng = make_rng(351)
+    m = rng.uniform(-0.6, 0.6, size=2)
+    us = [rng.normal(size=2) for _ in range(3)]
+    calls = _count_calls(monkeypatch, GridFun, "interp",
+                         lambda: integrate_circle(TB, m, *us))
+    assert len(calls) == 1
 
 
 def test_pontrjagin_stacked_over_angles_matches_each_angle():
     # off-node angles, read off by trigonometric interpolation: the
-    # stacked evaluation equals the per-angle ones bit for bit
+    # stacked evaluation equals the per-angle ones and the unshared
+    # reference bit for bit
     rng = make_rng(335)
     pt = tb_caloron_point(rng)
     Vs = [tb_caloron_tangent(rng) for _ in range(4)]
     angles = GRID.nodes[:5] + 0.5 * GRID.h
-    stacked = pontrjagin_form(TB, CaloronPoint(pt.p, pt.k, angles), *Vs)
+    stacked_pt = CaloronPoint(pt.p, pt.k, angles)
+    stacked = _form(TB, stacked_pt, Vs)
     assert stacked.shape == angles.shape
+    assert np.array_equal(stacked, _unshared_form(TB, stacked_pt, Vs))
     for a, got in zip(angles, stacked):
-        assert got == pontrjagin_form(TB, CaloronPoint(pt.p, pt.k, a), *Vs)
+        assert got == _form(TB, CaloronPoint(pt.p, pt.k, a), Vs)
 
 
 def test_pontrjagin_repeated_argument_zero():
     rng = make_rng(337)
     pt = tb_caloron_point(rng)
     V, W = tb_caloron_tangent(rng), tb_caloron_tangent(rng)
-    assert pontrjagin_form(TB, pt, V, W, V, W) == pytest.approx(0.0, abs=1e-12)
+    assert _form(TB, pt, (V, W, V, W)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pontrjagin_group_invariance():
@@ -356,8 +370,8 @@ def test_pontrjagin_group_invariance():
     k0 = exp_alg(random_algebra(rng, SU2))
     pushed = [group_act(pt, V, k0) for V in Vs]
     qt = pushed[0][0]
-    lhs = pontrjagin_form(TB, qt, *[w for _, w in pushed])
-    rhs = pontrjagin_form(TB, pt, *Vs)
+    lhs = _form(TB, qt, [w for _, w in pushed])
+    rhs = _form(TB, pt, Vs)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -456,9 +470,9 @@ def test_eval_samples_node_and_interp():
     rng = make_rng(383)
     X = random_loop_tangent(rng, GRID, SU2)
     j = 11
-    assert np.array_equal(_eval(X, float(GRID.nodes[j])), X.vals[j])
+    assert np.array_equal(eval_samples(X, float(GRID.nodes[j])), X.vals[j])
     theta = 1.2345
-    got = _eval(X, theta)
+    got = eval_samples(X, theta)
     spec = np.fft.fft(X.vals, axis=0) / GRID.n
     ks = np.fft.fftfreq(GRID.n, d=1.0 / GRID.n)
     phase = np.exp(1j * ks * theta)
@@ -467,7 +481,7 @@ def test_eval_samples_node_and_interp():
     assert np.max(np.abs(got - want)) < 1e-12
     closedX = random_path_tangent(rng, PF.grid, SU2)
     with pytest.raises(ValueError):
-        _eval(closedX, theta)
+        eval_samples(closedX, theta)
 
 
 def test_non_finite_angle_is_off_the_nodes(monkeypatch):
@@ -481,15 +495,15 @@ def test_non_finite_angle_is_off_the_nodes(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for theta in (np.nan, np.inf, -np.inf):
-            assert np.all(np.isnan(_eval(X, theta)))
+            assert np.all(np.isnan(eval_samples(X, theta)))
             for fail in (lambda: eval_loop(q, theta),
-                         lambda: _eval(closedX, theta)):
+                         lambda: eval_samples(closedX, theta)):
                 with pytest.raises(ValueError):
                     fail()
-        mixed = _eval(X, np.array([GRID.nodes[3], np.nan, np.inf, -np.inf]))
+        mixed = eval_samples(X, np.array([GRID.nodes[3], np.nan, np.inf, -np.inf]))
     assert np.array_equal(mixed[0], X.vals[3]) and np.all(np.isnan(mixed[1:]))
     # a node angle is still a plain lookup: no interpolation runs
     monkeypatch.setattr(type(X), "interp", None)
-    assert np.array_equal(_eval(X, float(GRID.nodes[5])), X.vals[5])
-    assert np.array_equal(_eval(closedX, float(PF.grid.nodes[-1])),
+    assert np.array_equal(eval_samples(X, float(GRID.nodes[5])), X.vals[5])
+    assert np.array_equal(eval_samples(closedX, float(PF.grid.nodes[-1])),
                           closedX.vals[-1])

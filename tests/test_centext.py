@@ -206,7 +206,7 @@ class ToyBundle:
         self.C = C
 
     def higgs(self, p: LoopPoint) -> GridFun:
-        return loops.conj_loop(p, self.C) + p.log_derivative()
+        return loops.conj_loop(p, self.C) + p.log_derivative
 
     def act(self, p: LoopPoint, g: LoopPoint) -> LoopPoint:
         return p.mul(g)

@@ -189,7 +189,7 @@ def test_pf_higgs_is_log_derivative():
     rng = make_rng(137)
     p = random_path_point(rng, PF.grid, SU2)
     phi = PF.higgs(p)
-    assert np.max(np.abs(phi.vals - p.log_derivative().vals)) < 1e-12
+    assert np.max(np.abs(phi.vals - p.log_derivative.vals)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_log_derivative():
     grid = ThetaGrid(32)
     rng = sampling.make_rng(24)
     g = sampling.random_loop(rng, grid, lg.SU2)
-    ld = g.log_derivative()
+    ld = g.log_derivative
     want = np.einsum("tij,tjk->tik", lg.group_inv(g.vals),
                      np.einsum("tij,tjk->tik", g.zvals, g.vals))
     assert maxabs(ld.vals - want) < 1e-12

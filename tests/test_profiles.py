@@ -192,21 +192,21 @@ def _points(rng, group):
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 def test_kept_samples_equal_fresh_ones(group):
     for p in _points(sampling.make_rng(41), group):
-        L = p.log_derivative()
-        assert p.log_derivative() is L
+        L = p.log_derivative
+        assert p.log_derivative is L
         assert _same(L.vals, adjoint_inv(p.vals, p.z().vals))
-        Q = p.endpoint_frame()
-        assert p.endpoint_frame() is Q
+        Q = p.endpoint_frame
+        assert p.endpoint_frame is Q
         assert _same(Q, mm(group_inv(p.vals), p.vals[..., -1:, :, :]))
     loop = sampling.random_loop(sampling.make_rng(42), ThetaGrid(16), group)
     with pytest.raises(ValueError):
-        loop.endpoint_frame()
+        loop.endpoint_frame
 
 
 def test_kept_samples_go_with_their_point():
     p = _points(sampling.make_rng(43), SU2)[0]
-    kept = weakref.ref(p.log_derivative())
-    frame = weakref.ref(p.endpoint_frame())
+    kept = weakref.ref(p.log_derivative)
+    frame = weakref.ref(p.endpoint_frame)
     del p
     gc.collect()
     assert kept() is None and frame() is None

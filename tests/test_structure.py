@@ -46,6 +46,66 @@ def test_looppoint_is_frozen():
             setattr(g, name, None)
 
 
+def _frozen_classes(tree) -> list:
+    """The classes of a module that @dataclass(frozen=True) decorates."""
+    def frozen(dec):
+        return (isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                        for k in dec.keywords))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(frozen(dec) for dec in node.decorator_list)]
+
+
+def _kept_fields(source: str, name: str = "<src>") -> list:
+    """Fields of the module's frozen dataclasses that hold kept data: a
+    default_factory, or init=False."""
+    return ["%s:%d %s" % (name, n.lineno, cls.name)
+            for cls in _frozen_classes(ast.parse(source, name))
+            for n in ast.walk(cls)
+            if isinstance(n, ast.keyword) and (
+                n.arg == "default_factory"
+                or (n.arg == "init" and getattr(n.value, "value", True) is False))]
+
+
+def test_derived_data_is_a_cached_property():
+    # a frozen dataclass keeps what it derives from its fields in a
+    # functools.cached_property, never in a field of its own
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [o for name, src in sources.items() for o in _kept_fields(src, name)] == []
+    assert sum(len(_frozen_classes(ast.parse(src))) for src in sources.values()) >= 8
+    # the rule sees a kept field of a frozen dataclass, and only there
+    held = """
+@dataclass(frozen=True)
+class Held:
+    p: object
+    _samples: dict = field(default_factory=dict)
+    _rows: tuple = field(default=None, init=False)
+
+@dataclass
+class Rows:
+    rows: list = field(default_factory=list, init=False)
+"""
+    assert _kept_fields(held) == ["<src>:5 Held", "<src>:6 Held"]
+    for cls, names in ((loops.TrigPoly, ("a0", "ac", "bs")),
+                       (loops.GridFun, ("grid", "vals", "dvals")),
+                       (loops.LoopPoint, ("grid", "vals", "zvals"))):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+def test_caloron_point_keeps_nothing():
+    # a caloron point is (p, k, theta); the curvature samples of a tuple
+    # of tangents are one explicit value, not a table keyed by identity
+    assert tuple(f.name for f in dataclasses.fields(caloron.CaloronPoint)) == (
+        "p", "k", "theta")
+    for gone in ("_samples", "_nodes", "_at", "_missing", "_store", "fill",
+                 "_base_curvature", "_nabla_phi"):
+        assert not hasattr(caloron.CaloronPoint, gone), gone
+    source = (SRC / "caloron.py").read_text()
+    calls = [n.func.id for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert "id" not in calls
+
+
 _CACHES = ("cache", "lru_cache")
 _MUTATORS = ("append", "extend", "insert", "update", "setdefault")
 
@@ -102,7 +162,7 @@ def _kept_globally(source: str, name: str = "<src>") -> list:
 
 def test_no_module_keeps_a_cache():
     # kept data lives on instances (GridFun's eig, a LoopPoint's
-    # log-derivative, a CaloronPoint's samples), never in a module
+    # log-derivative), never in a module
     offenders = [o for path in sorted(SRC.glob("*.py"))
                  for o in _kept_globally(path.read_text(), path.name)]
     assert offenders == []
@@ -214,16 +274,14 @@ def test_no_parameter_that_no_caller_varies():
         "endpoint"].default is None
     assert _params(loops.Fn.based) == ("f",)
     assert _params(forms.pair_forms) == ("p", "forms")
-    # the caloron curvature reads F and nabla Phi from its point's sample
-    # table: no route takes a nabla_phi or a table of its own
-    pair = ("scn", "pt", "V", "W")
-    four = ("scn", "pt", "V1", "V2", "V3", "V4")
+    # one table of curvature samples per tuple of tangents, built once
+    # and handed to both sides of the split; a reader at an angle looks
+    # its node up itself
     assert {name: _params(getattr(caloron, name)) for name in (
-        "curvature_samples", "caloron_curvature", "curvature_form",
-        "pontrjagin_form", "pontrjagin_split")} == {
-        "curvature_samples": pair, "caloron_curvature": pair,
-        "curvature_form": ("scn",), "pontrjagin_form": four,
-        "pontrjagin_split": four}
+        "curvature_samples", "pontrjagin_form", "pontrjagin_split",
+        "eval_samples")} == {
+        "curvature_samples": ("scn", "pt", "Vs"), "pontrjagin_form": ("table",),
+        "pontrjagin_split": ("table",), "eval_samples": ("fun", "theta")}
 
 
 def _defs(path: Path) -> dict:
@@ -256,12 +314,14 @@ def test_no_python_loop_over_path_nodes():
 def test_no_code_that_only_tests_reach():
     # the disk holonomy, the path-space connection and their samplers had
     # no caller outside their own tests, and no more do these helpers;
-    # the rows check alpha's slot, so no self-test aborts a run, and the
-    # caloron point's sample table replaces the per-call memo
+    # the rows check alpha's slot, so no self-test aborts a run, and one
+    # explicit table of curvature samples replaces the per-call memo and
+    # the per-pair curvature routes
     gone = {centext: ("DiskLoop", "HOLONOMY_NR", "HOLONOMY_NS", "holonomy_H",
                       "mu_hat", "ConventionError", "_slot_residual"),
             sampling: ("random_pinned_profile", "random_disk_terms"),
-            caloron: ("killingback_map", "_memo"),
+            caloron: ("killingback_map", "_memo", "caloron_curvature",
+                      "curvature_form"),
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left"),
             loops.LoopPoint: ("constant",), gerbe.PathFibration: ("check_point",),
@@ -495,9 +555,10 @@ def test_one_alternating_pairing():
     permuting = sorted(name for name, called in calls.items()
                        if called & {"signed_permutations", "shuffles"})
     assert permuting == ["forms.pair_forms", "gerbe.omega3"]
-    for name in ("caloron.integrate_circle", "gerbe.string_form_at"):
-        assert not calls[name] & {"pair_samples", "curvature_samples",
-                                  "curvature"}, name
+    # the circle integral reaches the curvature only through its table
+    assert not calls["caloron.integrate_circle"] & {"pair_samples", "curvature"}
+    assert not calls["gerbe.string_form_at"] & {"pair_samples", "curvature_samples",
+                                               "curvature"}
 
 
 def test_only_the_grid_is_periodic_or_closed():
