@@ -10,7 +10,11 @@ construction realises the transfer on concrete loops in a chart model.
 
 Angles decouple from the scenario's theta grid: grid functions are read
 off at exact nodes by table lookup and elsewhere by trigonometric
-interpolation (periodic scenarios only).
+interpolation (periodic scenarios only).  A scenario on a one-node grid
+(`ThetaGrid(n, node=j)`) is read at node j's angle only: the checks
+`connection-axioms` and `curvature-square-split` build theirs there,
+since every sample they read is pointwise in theta, while
+`circle-reduction` and `frame-round-trip` read the whole circle.
 
 The curvature of a tuple of tangents is one explicit value: the
 scenario's F and nabla Phi on the grid, stacked over the pairs and
@@ -73,7 +77,9 @@ def _node(grid, theta):
     """(j, off) for an angle or an array of them on a theta grid: the
     index of the nearest grid node and whether the angle is off the
     nodes (NaN, +-inf, or more than 1e-9 grid steps away).  Periodic
-    grids wrap; closed grids reject node angles outside [0, 2 pi]."""
+    grids wrap; closed grids reject node angles outside [0, 2 pi].  A
+    one-node grid maps its node's angle to index 0 and rejects any
+    other angle."""
     j = theta / grid.h
     # NaN and +-inf are off the nodes; node 0 stands in for them, so that
     # neither the subtraction nor the cast sees them
@@ -85,6 +91,10 @@ def _node(grid, theta):
         jr = jr % grid.n
     elif np.count_nonzero((jr < 0) | (jr > grid.n)):
         raise ValueError("angle outside the closed grid")
+    if grid.node is not None:
+        if np.count_nonzero(off | (jr != grid.node)):
+            raise ValueError("a one-node grid is read at its node's angle only")
+        jr = np.zeros_like(jr)
     return jr.astype(int), off
 
 

@@ -31,10 +31,11 @@ from .caloron import CaloronPoint, CaloronTangent
 from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
                     ext_d_form)
 from .liegroup import exp_alg, exp_dexp_right, group_by_name, mm
-from .loops import ThetaGrid
-from .sampling import (random_algebra, random_loop, random_loop_tangent,
-                       random_path_fibre_points, random_path_fibre_tangent,
-                       random_path_point, random_path_tangent)
+from .loops import ThetaGrid, product_loop
+from .sampling import (random_algebra, random_loop, random_loop_factors,
+                       random_loop_tangent, random_path_fibre_points,
+                       random_path_fibre_tangent, random_path_point,
+                       random_path_tangent)
 
 SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
              "path-fibration", "trivial-bundle")
@@ -416,11 +417,22 @@ def differential_square_zero(cfg: RunConfig, rng):
 # caloron round trip
 
 
-def _caloron_point(tb, rng) -> CaloronPoint:
-    p = _tb_point(tb, rng)
-    k = exp_alg(random_algebra(rng, tb.group))
-    theta = float(tb.grid.nodes[int(rng.integers(tb.grid.n))])
-    return CaloronPoint(p, k, theta)
+def _caloron_point(cfg: RunConfig, rng):
+    """(tb, pt): a caloron point at a drawn grid node, and the default
+    bundle on that node alone.  m, the loop factors, k and the node j
+    are drawn in that order; then the bundle and the loop are built on
+    ThetaGrid(ntheta, node=j).  A caloron check reads its samples at the
+    point's angle only, and each is pointwise in theta (the payloads
+    give every theta derivative exactly), so node j alone gives the
+    full grid's samples there, bit for bit."""
+    group = group_by_name(cfg.group)
+    m = rng.uniform(-0.6, 0.6, size=_tb(cfg).dim)
+    factors = random_loop_factors(rng, group)
+    k = exp_alg(random_algebra(rng, group))
+    grid = ThetaGrid(cfg.ntheta, node=int(rng.integers(cfg.ntheta)))
+    tb = gerbe.TrivialBundle.default(grid, group, cfg.fd_step)
+    p = tb.point(m, product_loop(grid, factors))
+    return tb, CaloronPoint(p, k, float(grid.nodes[0]))
 
 
 def _caloron_tangent(tb, rng) -> CaloronTangent:
@@ -437,9 +449,13 @@ def _sup(a) -> float:
 def connection_axioms(cfg: RunConfig, rng):
     """vertical reproduction, kernel annihilation, based-loop invariance
     and frame equivariance of the transferred connection."""
-    grid, group = _setup(cfg)
-    tb = _tb(cfg)
-    pt = _caloron_point(tb, rng)
+    return _connection_residuals(*_caloron_point(cfg, rng), rng)
+
+
+def _connection_residuals(tb, pt: CaloronPoint, rng) -> tuple:
+    """The four connection residuals at pt, their tangents and based
+    loop drawn on the bundle's grid."""
+    grid, group = tb.grid, tb.group
     xi = random_algebra(rng, group)
     got = caloron.caloron_connection(tb, pt, caloron.vertical_vector(tb, pt, xi))
     r_vertical = _sup(got - xi)
@@ -465,8 +481,7 @@ def connection_axioms(cfg: RunConfig, rng):
 def curvature_square_split(cfg: RunConfig, rng):
     """pointwise identity between the squared transferred curvature and
     its base-curvature / Higgs-derivative split."""
-    tb = _tb(cfg)
-    pt = _caloron_point(tb, rng)
+    tb, pt = _caloron_point(cfg, rng)
     Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
     table = caloron.curvature_samples(tb, pt, Vs)
     return abs(caloron.pontrjagin_form(table) - caloron.pontrjagin_split(table))

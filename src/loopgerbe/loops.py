@@ -9,8 +9,13 @@ trigonometric (FFT) and the quadrature is the periodic trapezoid rule,
 both spectrally accurate for smooth periodic data.  Closed grids carry
 N+1 nodes including both ends; identity-based paths (which need not
 close up) live here, differentiation falls back to 4th-order finite
-differences and quadrature to composite Simpson.  An exact theta
-derivative payload (`GridFun.dvals`, `LoopPoint.zvals`) takes
+differences and quadrature to composite Simpson.  A one-node grid
+`ThetaGrid(n, node=j)` carries node j of the periodic N-grid alone,
+rounded as in the full grid: data read at that one angle only, with
+every theta derivative exact, are built there (the caloron checks
+`connection-axioms` and `curvature-square-split`); it has no numerical
+derivative, quadrature or interpolation, and each raises ValueError.
+An exact theta derivative payload (`GridFun.dvals`, `LoopPoint.zvals`) takes
 precedence over either numerical route, and exists only where a reader
 needs it: tangents and loops built from closed-form data carry one
 (flows, connections and the curving read them), while path velocities
@@ -40,7 +45,8 @@ no module keeps anything.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -156,14 +162,27 @@ class TrigPoly:
 @dataclass(frozen=True)
 class ThetaGrid:
     """Uniform grid on [0, 2 pi] with N subintervals: periodic (N nodes,
-    2 pi identified with 0) or closed (N+1 nodes, both ends kept)."""
+    2 pi identified with 0) or closed (N+1 nodes, both ends kept).
+
+    `ThetaGrid(n, node=j)` is node j of the periodic N-grid alone, for
+    data read at that one angle: its one node rounds as node j of the
+    full grid and its step stays 2 pi/N, but it has no theta derivative
+    or quadrature.  Equality and hash compare the N-grid (n, closed), so
+    a one-node grid equals the grid it samples; data on it combine only
+    with data on the same node (`_check_grids`).
+    """
 
     n: int
     closed: bool = False
+    node: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise ValueError("grid size must be even and at least 8")
+        if self.node is not None and (self.closed
+                                      or not 0 <= operator.index(self.node) < self.n):
+            raise ValueError(f"a one-node grid takes a node of the periodic "
+                             f"{self.n}-grid, got {self.node!r}")
 
     @property
     def h(self) -> float:
@@ -171,18 +190,26 @@ class ThetaGrid:
 
     @property
     def size(self) -> int:
-        """The number of nodes: N periodic, N+1 closed."""
+        """The number of nodes: N periodic, N+1 closed, 1 on one node."""
+        if self.node is not None:
+            return 1
         return self.n + 1 if self.closed else self.n
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
         """The nodes 2 pi j/N, built once per grid and read-only."""
-        return _frozen(2.0 * np.pi * np.arange(self.size) / self.n)
+        first = 0 if self.node is None else self.node
+        return _frozen(2.0 * np.pi * np.arange(first, first + self.size) / self.n)
+
+    def _whole(self, what: str):
+        if self.node is not None:
+            raise ValueError(f"{what} needs the whole circle, not one node")
 
     def dtheta(self, vals: np.ndarray) -> np.ndarray:
         """Numerical theta derivative of matrix samples along theta (axis
         -3), never along leading axes: spectral on a periodic grid,
         4th-order differences on a closed one."""
+        self._whole("a numerical theta derivative")
         vals = np.moveaxis(vals, -3, 0)
         d = fd4_dtheta_closed(vals, self.h) if self.closed else spectral_dtheta(vals)
         return np.moveaxis(d, 0, -3)
@@ -190,6 +217,7 @@ class ThetaGrid:
     def quad(self, samples: np.ndarray) -> np.ndarray:
         """Integral over theta (the last axis) of node samples: the
         periodic trapezoid rule, or composite Simpson on a closed grid."""
+        self._whole("a quadrature")
         return quad_closed(samples, self.h) if self.closed else quad_s1(samples)
 
 
@@ -360,6 +388,7 @@ class GridFun:
         (an angle per node set of a stack), shape (..., n, n)."""
         if self.grid.closed:
             raise ValueError("trigonometric interpolation needs periodic data")
+        self.grid._whole("trigonometric interpolation")
         theta = np.asarray(theta, dtype=float)
         # an infinite angle has no phase; as NaN it gives NaN without a warning
         theta = np.where(np.isinf(theta), np.nan, theta)
@@ -417,7 +446,7 @@ def _check_nodes(grid: ThetaGrid, vals: np.ndarray):
 
 
 def _check_grids(a: ThetaGrid, b: ThetaGrid):
-    if a is not b and a != b:
+    if a is not b and (a != b or a.node != b.node):
         raise ValueError("grid mismatch")
 
 

@@ -123,14 +123,21 @@ def random_based_profile(rng: np.random.Generator) -> Fn:
     return Fn.based(random_trig(rng))
 
 
-def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                nfactors: int = NFACTORS, based: bool = False) -> LoopPoint:
-    """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
+def random_loop_factors(rng: np.random.Generator, group: Group,
+                        nfactors: int = NFACTORS, based: bool = False) -> list:
+    """The factors (f_j, xi_j) of a random loop, drawn without a grid:
+    each a profile, then a generator."""
     factors = []
     for _ in range(nfactors):
         tp = random_trig(rng)
         factors.append((Fn.based(tp) if based else tp, random_algebra(rng, group)))
-    return product_loop(grid, factors)
+    return factors
+
+
+def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
+                nfactors: int = NFACTORS, based: bool = False) -> LoopPoint:
+    """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
+    return product_loop(grid, random_loop_factors(rng, group, nfactors, based))
 
 
 def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,

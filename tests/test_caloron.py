@@ -17,7 +17,8 @@ from loopgerbe.forms import Form, pair_forms
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
 from loopgerbe.loops import GridFun, ThetaGrid, TrigPoly, quad_s1
-from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
+from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
+                                random_loop, random_loop_factors,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
 
@@ -327,6 +328,132 @@ def test_one_split_draw_looks_up_at_most_3_nodes(monkeypatch):
     calls = _count_calls(monkeypatch, caloron, "_node", _split_draw)
     assert 0 < len(calls) <= 3
     assert all(grid == ThetaGrid(48) for grid, _ in calls)
+
+
+def _mm_matrices(monkeypatch, draw) -> int:
+    """The number of matrices the liegroup.mm calls of draw() build."""
+    built = []
+    mm = liegroup.mm
+
+    def counting(a, b):
+        out = mm(a, b)
+        built.append(int(np.prod(out.shape[:-2])))
+        return out
+
+    for mod in (caloron, centext, checks, forms, gerbe, liegroup, loops):
+        if getattr(mod, "mm", None) is mm:
+            monkeypatch.setattr(mod, "mm", counting)
+    draw()
+    return sum(built)
+
+
+@pytest.mark.parametrize("ntheta", [16, 48, 128])
+def test_one_split_draw_builds_at_most_300_matrices(monkeypatch, ntheta):
+    # the check builds its scenario on the one node it reads: 246
+    # matrices whatever N, where all N nodes took 11 761 at N = 48
+    cfg = checks.RunConfig(ntheta=ntheta)
+    built = _mm_matrices(monkeypatch, lambda: checks.curvature_square_split(
+        cfg, make_rng(5), n=1))
+    assert 0 < built <= 300
+
+
+def test_random_loop_is_the_product_of_its_drawn_factors():
+    # drawing the factors apart from the grid takes the same draws and
+    # gives the same loop, bit for bit
+    for group, based in ((SU2, False), (liegroup.SU3, True)):
+        a, b = RecordingRNG(make_rng(361)), RecordingRNG(make_rng(361))
+        g = random_loop(a, GRID, group, nfactors=3, based=based)
+        h = loops.product_loop(GRID, random_loop_factors(b, group, 3, based))
+        assert a.log == b.log
+        assert np.array_equal(g.vals, h.vals) and np.array_equal(g.zvals, h.zvals)
+
+
+def _full_grid_point(cfg, rng):
+    """A caloron check's point drawn as `checks._caloron_point` draws it,
+    but with the bundle and the loop on all N nodes: the reference the
+    one-node route is read against."""
+    grid = ThetaGrid(cfg.ntheta)
+    group = liegroup.group_by_name(cfg.group)
+    tb = TrivialBundle.default(grid, group, cfg.fd_step)
+    p = checks._tb_point(tb, rng)
+    k = exp_alg(random_algebra(rng, group))
+    return tb, CaloronPoint(p, k, float(grid.nodes[int(rng.integers(grid.n))]))
+
+
+def _both_routes(cfg, seed, draw):
+    """draw(tb, pt, rng) on the one-node route and on the full grid, each
+    from its own recorded generator of the same seed: (node, one-node
+    result, full-grid result), once both took the same draws."""
+    a, b = RecordingRNG(make_rng(seed)), RecordingRNG(make_rng(seed))
+    tb, pt = checks._caloron_point(cfg, a)
+    full_tb, full_pt = _full_grid_point(cfg, b)
+    assert tb.grid == full_tb.grid and tb.grid.size == 1
+    assert pt.theta == full_pt.theta and np.array_equal(pt.k, full_pt.k)
+    got, want = draw(tb, pt, a), draw(full_tb, full_pt, b)
+    assert a.log == b.log
+    # and the generators go on alike
+    assert np.array_equal(a._rng.bit_generator.random_raw(4),
+                          b._rng.bit_generator.random_raw(4))
+    return tb.grid.node, got, want
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+@pytest.mark.parametrize("ntheta", [16, 48, 128])
+def test_node_route_is_the_full_route_at_its_node(group, ntheta):
+    # every sample a caloron check reads is pointwise in theta, so the
+    # one-node scenario gives the full grid's samples at that node, and
+    # the same residuals, to the last bit
+    cfg = checks.RunConfig(group=group, ntheta=ntheta)
+
+    def split(tb, pt, rng):
+        Vs = [checks._caloron_tangent(tb, rng) for _ in range(4)]
+        return curvature_samples(tb, pt, Vs)
+
+    for seed in range(20):
+        j, got, want = _both_routes(cfg, seed, split)
+        for stack in ("F", "nabla_phi", "R"):
+            assert np.array_equal(getattr(got, stack).vals,
+                                  getattr(want, stack).vals[:, j:j + 1])
+        assert pontrjagin_form(got) == pontrjagin_form(want)
+        assert pontrjagin_split(got) == pontrjagin_split(want)
+
+        _, got, want = _both_routes(cfg, 100 + seed, checks._connection_residuals)
+        assert len(got) == 4 and got == want
+
+
+def test_one_node_grid_fails_loudly():
+    rng = make_rng(367)
+    grid = ThetaGrid(16, node=5)
+    assert grid.size == 1 and grid.h == ThetaGrid(16).h
+    assert np.array_equal(grid.nodes, ThetaGrid(16).nodes[5:6])
+    X = random_loop_tangent(rng, grid, SU2)
+    g = random_loop(rng, grid, SU2)
+    theta = float(grid.nodes[0])
+    assert np.array_equal(eval_samples(X, theta), X.vals[0])
+    assert np.array_equal(eval_loop(g, theta), g.vals[0])
+    # what needs the whole circle
+    bare = GridFun(grid, X.vals)
+    for fail in (bare.dtheta, loops.LoopPoint(grid, g.vals).z,
+                 lambda: grid.quad(np.ones(1)), lambda: X.interp(theta)):
+        with pytest.raises(ValueError, match="whole circle"):
+            fail()
+    # an angle off the nodes, another node's, or none at all
+    for angle in (theta + 1e-3, float(ThetaGrid(16).nodes[6]), np.nan,
+                  np.array([theta, float(ThetaGrid(16).nodes[4])])):
+        for fail in (lambda: eval_samples(X, angle), lambda: eval_loop(g, angle)):
+            with pytest.raises(ValueError):
+                fail()
+    # a node of a closed grid, or outside [0, n)
+    for bad in (dict(closed=True, node=5), dict(node=-1), dict(node=16),
+                dict(node=40)):
+        with pytest.raises(ValueError):
+            ThetaGrid(16, **bad)
+    # data on one node combine with data on that node only
+    for other in (ThetaGrid(16), ThetaGrid(16, node=6)):
+        Y = GridFun.zero(other, 2)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            X + Y
+    assert np.array_equal((X + GridFun.zero(ThetaGrid(16, node=5), 2)).vals, X.vals)
 
 
 def test_integrate_circle_interpolates_once(monkeypatch):

@@ -80,6 +80,18 @@ def test_coeffs_roundtrip():
         assert maxabs(lg.inner(group.basis, X) - c) < 1e-12
 
 
+def test_coeffs_round_as_tensordot():
+    # one BLAS dot of the flattened stack: the call np.tensordot makes,
+    # so every stack rounds as it does there, in its shape
+    rng = sampling.make_rng(17)
+    for group in (lg.SU2, lg.SU3):
+        for lead in ((), (4,), (3, 2), (2, 1, 5)):
+            c = rng.uniform(-1, 1, size=lead + (group.dim,))
+            want = np.tensordot(c.astype(complex), group.basis, axes=([-1], [0]))
+            got = group.from_coeffs(c)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_project_algebra():
     rng = sampling.make_rng(14)
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -581,7 +581,7 @@ def test_only_the_grid_is_periodic_or_closed():
                     if inspect.isfunction(fn) and "closed" in _params(fn):
                         takes.append(name + "." + attr)
     assert takes == []
-    assert _params(loops.ThetaGrid) == ("n", "closed")
+    assert _params(loops.ThetaGrid) == ("n", "closed", "node")
     for gone in ("quad_grid", "quad_pair", "_dtheta"):
         assert not hasattr(loops, gone)
     assert not hasattr(loops.ThetaGrid, "closed_nodes")
