@@ -25,8 +25,8 @@ from .loops import (GridFun, LoopPoint, PathInLoopGroup, conj_loop,
 
 def eval_R(g: LoopPoint, X: GridFun, Y: GridFun) -> np.ndarray:
     """(i/4 pi) int (<X, Y'> - <Y, X'>) dtheta; independent of g."""
-    if X.grid != g.grid or Y.grid != g.grid:
-        raise ValueError("grid mismatch")
+    g._check(X)
+    g._check(Y)
     s = pair_samples(X, Y.dtheta()) - pair_samples(Y, X.dtheta())
     return 0.25j / np.pi * X.grid.quad(s)
 
@@ -46,8 +46,8 @@ def alpha_slot() -> str:
 def eval_alpha(g: LoopPoint, h: LoopPoint, Xg: GridFun, Xh: GridFun) -> np.ndarray:
     """(i/2 pi) int <Xg, Z(h)> dtheta: the velocity of the first slot
     against Z of the second element."""
-    if h.grid != g.grid or Xg.grid != g.grid or Xh.grid != g.grid:
-        raise ValueError("grid mismatch")
+    for other in (h, Xg, Xh):
+        g._check(other)
     return gomi_cocycle_Z(h, Xg)
 
 
@@ -68,8 +68,7 @@ def cocycle_c(f: PathInLoopGroup, g: PathInLoopGroup) -> complex:
 
 def gomi_cocycle_Z(g: LoopPoint, X: GridFun) -> np.ndarray:
     """(i/2 pi) int <X, Z(g)> dtheta."""
-    if g.grid != X.grid:
-        raise ValueError("grid mismatch")
+    g._check(X)
     return 0.5j / np.pi * X.grid.quad(pair_samples(X, g.z()))
 
 

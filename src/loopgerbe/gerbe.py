@@ -316,7 +316,7 @@ class PathFibration:
         w = adjoint(Q, _end(V.vals))
         vals = V.vals - ramp[:, None, None] * w
         dvals = None
-        if V.dvals is not None and p.zvals is not None:
+        if V.dvals is not None:
             dw = bracket(w, self.higgs(p).vals)
             dvals = V.dvals - (1.0 / (2 * np.pi)) * w - ramp[:, None, None] * dw
         return GridFun(p.grid, vals, dvals)

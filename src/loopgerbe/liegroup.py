@@ -210,11 +210,11 @@ def adjoint_inv(g, X) -> np.ndarray:
 
 
 def inner(X, Y):
-    """Invariant pairing <X, Y> = -trace(X Y); real for algebra elements."""
+    """Invariant pairing <X, Y> = -trace(X Y), complex-typed; its real
+    part is the pairing of algebra elements."""
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
-    v = -np.einsum("...ij,...ji->...", X, Y)
-    return np.real_if_close(v, tol=1000)
+    return -np.einsum("...ij,...ji->...", X, Y)
 
 
 def bracket(X, Y) -> np.ndarray:

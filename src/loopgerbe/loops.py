@@ -1,26 +1,29 @@
 """Loops and paths in a compact group, sampled on a circle grid.
 
 A grid is periodic or closed; objects read the flavour from their grid
-(`ThetaGrid.closed`), which owns the nodes, the theta derivative and
-the quadrature of that flavour.  Periodic grids carry N nodes
+(`ThetaGrid.closed`), which owns the nodes, the node count and the
+quadrature of that flavour.  Periodic grids carry N nodes
 theta_j = 2 pi j/N with the node at 2 pi identified with 0; loops in
-the group and their tangents live here, differentiation is
-trigonometric (FFT) and the quadrature is the periodic trapezoid rule,
-both spectrally accurate for smooth periodic data.  Closed grids carry
-N+1 nodes including both ends; identity-based paths (which need not
-close up) live here, differentiation falls back to 4th-order finite
-differences and quadrature to composite Simpson.  A one-node grid
-`ThetaGrid(n, node=j)` carries node j of the periodic N-grid alone,
-rounded as in the full grid: data read at that one angle only, with
-every theta derivative exact, are built there (the caloron checks
-`connection-axioms` and `curvature-square-split`); it has no numerical
-derivative, quadrature or interpolation, and each raises ValueError.
-An exact theta derivative payload (`GridFun.dvals`, `LoopPoint.zvals`) takes
-precedence over either numerical route, and exists only where a reader
-needs it: tangents and loops built from closed-form data carry one
-(flows, connections and the curving read them), while path velocities
-and a scenario's curvature and Higgs field carry none, because every
-reader of those takes their values only.
+the group and their tangents live here, and the quadrature is the
+periodic trapezoid rule, spectrally accurate for smooth periodic data.
+Closed grids carry N+1 nodes including both ends; identity-based paths
+(which need not close up) live here, and the quadrature is composite
+Simpson.  A one-node grid `ThetaGrid(n, node=j)` carries node j of the
+periodic N-grid alone, rounded as in the full grid: data read at that
+one angle only are built there (the caloron checks `connection-axioms`
+and `curvature-square-split`); it has no quadrature or interpolation,
+and each raises ValueError.
+
+A grid has no numerical derivative: every theta derivative is an exact
+payload.  Every loop carries Z(g) (`LoopPoint.zvals`, a required
+field), and a tangent that a reader differentiates carries its
+derivative (`GridFun.dvals`): tangents built from closed-form data
+carry one (flows, connections and the curving read them), while path
+velocities and a scenario's curvature and Higgs field carry none,
+because every reader of those takes their values only; asking one of
+those for its derivative, or flowing along it, raises ValueError.
+`spectral_dtheta` and `fd4_dtheta_closed` stay as the numerical
+references that tests compare the payloads and path velocities against.
 
 Node arrays may carry leading axes: the samples of a path in the loop
 group stack its parameter nodes in front, shape (M, N, n, n).  Theta is
@@ -59,6 +62,7 @@ from .liegroup import (
     eig_alg,
     exp_dexp_right,
     group_inv,
+    inner,
     mm,
     project_algebra,
 )
@@ -73,9 +77,6 @@ class Fn:
 
     val: Callable[[np.ndarray], np.ndarray]
     dval: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, t):
-        return self.val(t)
 
     @staticmethod
     def ramp(c: float = 1.0, period: float = 2.0 * np.pi) -> "Fn":
@@ -151,12 +152,9 @@ class TrigPoly:
             out = out + np.multiply.outer(m * b, np.cos(m * t))
         return out
 
-    def __call__(self, t):
-        return self.val(t)
-
 
 # ---------------------------------------------------------------------------
-# grids, differentiation, quadrature
+# grids and quadrature
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,13 @@ class ThetaGrid:
 
     `ThetaGrid(n, node=j)` is node j of the periodic N-grid alone, for
     data read at that one angle: its one node rounds as node j of the
-    full grid and its step stays 2 pi/N, but it has no theta derivative
-    or quadrature.  Equality and hash compare the N-grid (n, closed), so
-    a one-node grid equals the grid it samples; data on it combine only
-    with data on the same node (`_check_grids`).
+    full grid and its step stays 2 pi/N, but it has no quadrature.
+    Equality and hash compare the N-grid (n, closed), so a one-node grid
+    equals the grid it samples; data on it combine only with data on
+    the same node (`_check_grids`, the one grid rule).
+
+    A grid owns its nodes, its node count and its quadrature; it has no
+    derivative, since every theta derivative is an exact payload.
     """
 
     n: int
@@ -205,15 +206,6 @@ class ThetaGrid:
         if self.node is not None:
             raise ValueError(f"{what} needs the whole circle, not one node")
 
-    def dtheta(self, vals: np.ndarray) -> np.ndarray:
-        """Numerical theta derivative of matrix samples along theta (axis
-        -3), never along leading axes: spectral on a periodic grid,
-        4th-order differences on a closed one."""
-        self._whole("a numerical theta derivative")
-        vals = np.moveaxis(vals, -3, 0)
-        d = fd4_dtheta_closed(vals, self.h) if self.closed else spectral_dtheta(vals)
-        return np.moveaxis(d, 0, -3)
-
     def quad(self, samples: np.ndarray) -> np.ndarray:
         """Integral over theta (the last axis) of node samples: the
         periodic trapezoid rule, or composite Simpson on a closed grid."""
@@ -237,7 +229,8 @@ def step_axes(t, pad: int) -> np.ndarray:
 
 
 def spectral_dtheta(vals: np.ndarray) -> np.ndarray:
-    """FFT derivative along axis 0 of periodic samples.
+    """FFT derivative along axis 0 of periodic samples: the reference
+    that tests compare exact theta derivative payloads against.
 
     The Nyquist mode is dropped: its derivative is not representable on
     the grid, and for resolved data its coefficient is at roundoff.
@@ -318,10 +311,12 @@ class GridFun:
     """A matrix-valued function sampled on the theta grid.
 
     Tangent vectors to loop groups appear here in left-trivialised form:
-    the samples are algebra elements.  `dvals` is an optional exact theta
-    derivative used in preference to numerical differentiation.  The
-    samples may carry leading axes (the nodes of a path, say); theta is
-    axis -3 of `vals` and `dvals`.
+    the samples are algebra elements.  `dvals` is the exact theta
+    derivative, the only one there is: `dtheta` and a flow along the
+    tangent read it, and raise ValueError where it is None (a path
+    velocity, a curvature or a Higgs field sample).  The samples may
+    carry leading axes (the nodes of a path, say); theta is axis -3 of
+    `vals` and `dvals`.
 
     One eigendecomposition per tangent: `eig` decomposes `vals` (with
     `dvals` in its eigenbasis) on first use and keeps the result, so
@@ -339,7 +334,9 @@ class GridFun:
     def _like(self, vals, dvals=None) -> "GridFun":
         return GridFun(self.grid, vals, dvals)
 
-    def _check(self, other: "GridFun"):
+    def _check(self, other):
+        """Raise ValueError unless other (a tangent or a loop) lives on
+        this grid, node included (`_check_grids`)."""
         _check_grids(self.grid, other.grid)
 
     def __add__(self, other: "GridFun") -> "GridFun":
@@ -355,9 +352,6 @@ class GridFun:
         if self.dvals is not None and other.dvals is not None:
             d = self.dvals - other.dvals
         return self._like(self.vals - other.vals, d)
-
-    def __neg__(self) -> "GridFun":
-        return self._like(-self.vals, None if self.dvals is None else -self.dvals)
 
     def __mul__(self, c) -> "GridFun":
         """Scale by a number, or node-set by node-set by an array of the
@@ -378,9 +372,10 @@ class GridFun:
         return eig_alg(self.vals, self.dvals)
 
     def dtheta(self) -> "GridFun":
-        if self.dvals is not None:
-            return self._like(self.dvals)
-        return self._like(self.grid.dtheta(self.vals))
+        """The exact theta derivative, from the payload."""
+        if self.dvals is None:
+            raise ValueError("no exact theta derivative")
+        return self._like(self.dvals)
 
     def interp(self, theta) -> np.ndarray:
         """Trigonometric interpolation at off-grid angles (periodic only),
@@ -461,7 +456,7 @@ def pair_samples(X: GridFun, Y: GridFun) -> np.ndarray:
     shape = np.broadcast_shapes(X.vals.shape, Y.vals.shape)
     x, y = (a if a.shape == shape else np.ascontiguousarray(np.broadcast_to(a, shape))
             for a in (X.vals, Y.vals))
-    return -np.einsum("...ij,...ji->...", x, y)
+    return inner(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +469,10 @@ class LoopPoint:
 
     Instances on a periodic grid are loops; instances on a closed grid
     with vals[0] = identity are the points of the path fibration.
-    `zvals` caches the exact right logarithmic derivative
-    Z(g) = (d_theta g) g^(-1) when it is known in closed form; group
-    multiplication and flows propagate it.  As for GridFun, the samples
+    `zvals` is the exact right logarithmic derivative
+    Z(g) = (d_theta g) g^(-1), required: every loop is built from
+    closed-form data that give it, and group multiplication, inversion
+    and flows carry it along.  As for GridFun, the samples
     may carry leading axes and theta is axis -3, and their node count
     must match the grid.
 
@@ -489,42 +485,35 @@ class LoopPoint:
 
     grid: ThetaGrid
     vals: np.ndarray
-    zvals: Optional[np.ndarray] = None
+    zvals: np.ndarray
 
     def __post_init__(self):
         _check_nodes(self.grid, self.vals)
 
-    @property
-    def n(self) -> int:
-        return self.vals.shape[-1]
-
-    def _check(self, other: "LoopPoint"):
+    def _check(self, other):
+        """Raise ValueError unless other (a loop or a tangent) lives on
+        this grid, node included (`_check_grids`)."""
         _check_grids(self.grid, other.grid)
 
     def inv(self) -> "LoopPoint":
-        zi = None if self.zvals is None else -adjoint_inv(self.vals, self.zvals)
-        return LoopPoint(self.grid, group_inv(self.vals), zi)
+        return LoopPoint(self.grid, group_inv(self.vals),
+                         -adjoint_inv(self.vals, self.zvals))
 
     def mul(self, other: "LoopPoint") -> "LoopPoint":
         """Pointwise product; Z(gh) = Z(g) + Ad(g) Z(h)."""
         self._check(other)
-        z = None
-        if self.zvals is not None and other.zvals is not None:
-            z = self.zvals + adjoint(self.vals, other.zvals)
-        return LoopPoint(self.grid, mm(self.vals, other.vals), z)
+        return LoopPoint(self.grid, mm(self.vals, other.vals),
+                         self.zvals + adjoint(self.vals, other.zvals))
 
     def z(self) -> GridFun:
         """Right logarithmic derivative Z(g) = (d_theta g) g^(-1)."""
-        if self.zvals is not None:
-            return GridFun(self.grid, self.zvals)
-        dv = self.grid.dtheta(self.vals)
-        return GridFun(self.grid, project_algebra(mm(dv, group_inv(self.vals))))
+        return GridFun(self.grid, self.zvals)
 
     @functools.cached_property
     def log_derivative(self) -> GridFun:
         """Left logarithmic derivative g^(-1) d_theta g = Ad(g^(-1)) Z(g),
         made once and kept."""
-        return GridFun(self.grid, adjoint_inv(self.vals, self.z().vals))
+        return GridFun(self.grid, adjoint_inv(self.vals, self.zvals))
 
     def flow(self, X: GridFun, t) -> "LoopPoint":
         """The points g exp(t X), with the Z payload carried along exactly.
@@ -535,11 +524,12 @@ class LoopPoint:
         tangent's kept eigendecomposition (`X.eig`), so the four
         Richardson steps of a directional derivative, and every other
         flow along X, share one eigh.  A tangent that is not
-        anti-Hermitian raises ValueError on its first flow."""
+        anti-Hermitian, or that carries no theta derivative, raises
+        ValueError on its first flow."""
         _check_grids(X.grid, self.grid)
+        if X.dvals is None:
+            raise ValueError("a flow needs the tangent's exact theta derivative (dvals)")
         t = step_axes(t, max(0, self.vals.ndim - X.vals.ndim))
-        if self.zvals is None or X.dvals is None:
-            return LoopPoint(self.grid, mm(self.vals, X.eig.exp(t)))
         e, d = X.eig.exp_dexp(t)
         return LoopPoint(self.grid, mm(self.vals, e),
                          self.zvals + adjoint(self.vals, d))
@@ -562,12 +552,12 @@ class LoopPoint:
 
 
 def conj_loop(h: LoopPoint, X: GridFun) -> GridFun:
-    """Ad(h^(-1)) X node-wise, with the exact derivative when known.
+    """Ad(h^(-1)) X node-wise, with the exact derivative when X has one.
 
     d_theta Ad(h^(-1)) X = Ad(h^(-1)) (d_theta X + [X, Z(h)]).
     """
     d = None
-    if h.zvals is not None and X.dvals is not None:
+    if X.dvals is not None:
         d = adjoint_inv(h.vals, X.dvals + bracket(X.vals, h.zvals))
     return GridFun(X.grid, adjoint_inv(h.vals, X.vals), d)
 

@@ -431,10 +431,12 @@ def test_one_node_grid_fails_loudly():
     theta = float(grid.nodes[0])
     assert np.array_equal(eval_samples(X, theta), X.vals[0])
     assert np.array_equal(eval_loop(g, theta), g.vals[0])
+    # theta derivatives are the exact payloads, on one node as on all
+    assert X.dtheta().vals is X.dvals and g.z().vals is g.zvals
+    with pytest.raises(ValueError, match="no exact theta derivative"):
+        GridFun(grid, X.vals).dtheta()
     # what needs the whole circle
-    bare = GridFun(grid, X.vals)
-    for fail in (bare.dtheta, loops.LoopPoint(grid, g.vals).z,
-                 lambda: grid.quad(np.ones(1)), lambda: X.interp(theta)):
+    for fail in (lambda: grid.quad(np.ones(1)), lambda: X.interp(theta)):
         with pytest.raises(ValueError, match="whole circle"):
             fail()
     # an angle off the nodes, another node's, or none at all

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from loopgerbe import centext, checks, liegroup as lg, loops, sampling
 from loopgerbe.centext import (cocycle_c, eval_R, eval_alpha, gomi_cocycle_Z,
@@ -15,20 +16,28 @@ def profile_fun(t):
     return np.sin(t)
 
 
+SIN = loops.Fn(np.sin, np.cos)
+COS = loops.Fn(np.cos, lambda t: -np.sin(t))
+
+
 def make_vec(profile, E, grid=GRID):
+    """profile(theta) E with its exact theta derivative; profile is a Fn."""
     t = grid.nodes
-    return GridFun(grid, profile(t)[:, None, None] * E)
+    return GridFun(grid, profile.val(t)[:, None, None] * E,
+                   dvals=profile.dval(t)[:, None, None] * E)
 
 
 def test_R_frozen_values():
     g = LoopPoint.identity(GRID, 2)
-    X = make_vec(np.sin, E1)
-    Y = make_vec(np.cos, E1)
+    X = make_vec(SIN, E1)
+    Y = make_vec(COS, E1)
+    for V in (X, Y):
+        assert np.max(np.abs(V.dvals - loops.spectral_dtheta(V.vals))) < 1e-12
     # same direction, quarter-phase profiles: analytic integral gives -i/2
     assert abs(eval_R(g, X, Y) - (-0.5j)) < 1e-12
     assert abs(eval_R(g, X, X)) < 1e-14
     # orthogonal directions kill the pairing pointwise
-    Y2 = make_vec(np.cos, E2)
+    Y2 = make_vec(COS, E2)
     assert abs(eval_R(g, X, Y2)) < 1e-13
 
 
@@ -41,6 +50,20 @@ def test_R_left_invariant():
     assert abs(eval_R(g1, X, Y) - eval_R(g2, X, Y)) < 1e-14
 
 
+def test_forms_reject_data_on_another_node():
+    # one grid rule: a one-node grid compares equal to the full grid it
+    # samples, but its data combine with data on that node only
+    rng = sampling.make_rng(54)
+    full, one = ThetaGrid(16), ThetaGrid(16, node=3)
+    g, g1 = (sampling.random_loop(rng, grid, lg.SU2) for grid in (full, one))
+    X, Y = (sampling.random_loop_tangent(rng, full, lg.SU2) for _ in range(2))
+    X1 = sampling.random_loop_tangent(rng, one, lg.SU2)
+    for fail in (lambda: eval_R(g1, X, Y), lambda: eval_alpha(g, g, X, X1),
+                 lambda: gomi_cocycle_Z(g1, X)):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            fail()
+
+
 def test_alpha_frozen_values():
     rng = sampling.make_rng(42)
     g = sampling.random_loop(rng, GRID, lg.SU2)
@@ -50,7 +73,7 @@ def test_alpha_frozen_values():
     zero = GridFun.zero(GRID, 2)
     # <E1, cos E1> integrates to zero over a period
     assert abs(eval_alpha(g, h, const, zero)) < 1e-13
-    cosv = make_vec(np.cos, E1)
+    cosv = make_vec(COS, E1)
     assert abs(eval_alpha(g, h, cosv, zero) - 0.5j) < 1e-12
     # constant second factor has Z = 0
     kv = np.broadcast_to(lg.exp_alg(0.3 * E2), (GRID.n, 2, 2)).copy()
@@ -187,7 +210,7 @@ def test_cocycle_is_the_per_node_quadrature():
 def test_gomi_frozen_and_alpha_relation():
     rng = sampling.make_rng(53)
     g = loops.product_loop(GRID, [(loops.TrigPoly(0.0, (), (1.0,)), E1)])
-    X = make_vec(np.cos, E1)
+    X = make_vec(COS, E1)
     assert abs(gomi_cocycle_Z(g, X) - 0.5j) < 1e-12
     kv = np.broadcast_to(lg.exp_alg(0.4 * E3), (GRID.n, 2, 2)).copy()
     k = LoopPoint(GRID, kv, zvals=np.zeros_like(kv))

@@ -12,6 +12,12 @@ def maxabs(x):
     return float(np.max(np.abs(x)))
 
 
+def z_spectral(vals):
+    """Z(g) = (d_theta g) g^(-1) from the FFT derivative of periodic loop
+    samples: the numerical reference for the exact Z payload."""
+    return lg.project_algebra(lg.mm(loops.spectral_dtheta(vals), lg.group_inv(vals)))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         ThetaGrid(7)  # odd
@@ -119,8 +125,7 @@ def test_loop_z_exact_vs_numeric():
     grid = ThetaGrid(64)
     rng = sampling.make_rng(22)
     g = sampling.random_loop(rng, grid, lg.SU3, nfactors=2)
-    znum = LoopPoint(grid, g.vals).z()  # spectral route, payload dropped
-    assert maxabs(g.zvals - znum.vals) < 1e-9
+    assert maxabs(g.zvals - z_spectral(g.vals)) < 1e-9
 
 
 def test_z_product_and_inverse_rules():
@@ -165,9 +170,24 @@ def test_loop_flow_keeps_z_payload():
     g = sampling.random_loop(rng, grid, lg.SU2)
     X = sampling.random_loop_tangent(rng, grid, lg.SU2)
     gt = g.flow(X, 0.3)
-    znum = LoopPoint(grid, gt.vals).z()
-    assert gt.zvals is not None
-    assert maxabs(gt.zvals - znum.vals) < 1e-9
+    assert maxabs(gt.zvals - z_spectral(gt.vals)) < 1e-9
+
+
+def test_theta_derivatives_come_only_from_payloads():
+    # a grid has no numerical derivative: a loop needs its Z, and a
+    # tangent without dvals has no derivative and no flow
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(38)
+    g = sampling.random_loop(rng, grid, lg.SU2)
+    X = sampling.random_loop_tangent(rng, grid, lg.SU2)
+    with pytest.raises(TypeError):
+        LoopPoint(grid, g.vals)
+    bare = GridFun(grid, X.vals)
+    with pytest.raises(ValueError, match="no exact theta derivative"):
+        bare.dtheta()
+    with pytest.raises(ValueError, match="dvals"):
+        g.flow(bare, 0.1)
+    assert g.z().vals is g.zvals and X.dtheta().vals is X.dvals
 
 
 def test_closed_loop_constructors():
@@ -206,7 +226,7 @@ def test_samples_must_match_the_node_count():
         for m in (grid.size - 1, grid.size + 1):
             vals = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
             with pytest.raises(ValueError):
-                LoopPoint(grid, vals)
+                LoopPoint(grid, vals, np.zeros_like(vals))
             with pytest.raises(ValueError):
                 GridFun(grid, vals)
         assert LoopPoint.identity(grid, 2).vals.shape == (grid.size, 2, 2)
@@ -234,7 +254,8 @@ def test_path_samples_must_stack_the_path_nodes():
     rng = sampling.make_rng(28)
     f = sampling.random_group_path(rng, grid, lg.SU2, npath=9)
     with pytest.raises(ValueError):
-        loops.PathInLoopGroup(f.sgrid, LoopPoint(grid, f.g.vals[3]), f.vel)
+        loops.PathInLoopGroup(f.sgrid, LoopPoint(grid, f.g.vals[3], f.g.zvals[3]),
+                              f.vel)
     with pytest.raises(ValueError):
         loops.PathInLoopGroup(f.sgrid, f.g, GridFun(grid, f.vel.vals[3]))
     with pytest.raises(ValueError):
@@ -251,8 +272,8 @@ def test_stacked_interp_and_endpoint_act_along_theta():
         for i in range(5):
             assert np.array_equal(got[i], GridFun(grid, f.vel.vals[i]).interp(theta))
     cgrid = ThetaGrid(16, closed=True)
-    p = LoopPoint(cgrid, np.stack([sampling.random_path_point(rng, cgrid, lg.SU2).vals
-                                   for _ in range(3)]))
+    ps = [sampling.random_path_point(rng, cgrid, lg.SU2) for _ in range(3)]
+    p = LoopPoint(cgrid, np.stack([q.vals for q in ps]), np.stack([q.zvals for q in ps]))
     assert np.array_equal(p.endpoint(), p.vals[:, -1])
 
 
@@ -269,7 +290,8 @@ def test_path_velocity_is_the_closed_grid_stencil():
     for i in range(f.m):
         want = lg.project_algebra(lg.mm(lg.group_inv(f.g.vals[i]), raw[i]))
         assert np.array_equal(vel.vals[i], want)
-    short = loops.PathInLoopGroup(f.sgrid[:4], LoopPoint(grid, f.g.vals[:4]),
+    short = loops.PathInLoopGroup(f.sgrid[:4],
+                                  LoopPoint(grid, f.g.vals[:4], f.g.zvals[:4]),
                                   GridFun(grid, f.vel.vals[:4]))
     with pytest.raises(ValueError):
         short.velocity()
@@ -297,24 +319,6 @@ def test_path_factor_needs_its_theta_derivative():
         loops.path_from_factors(grid, [], npath=9)
 
 
-def test_stacked_dtheta_is_the_per_slice_dtheta():
-    # theta is axis -3: the derivative of a stack never runs along the
-    # leading axes, on periodic and on closed grids
-    rng = sampling.make_rng(37)
-    for grid in (ThetaGrid(16), ThetaGrid(16, closed=True)):
-        m = grid.size
-        vals = rng.normal(size=(3, 5, m, 2, 2)) + 1j * rng.normal(size=(3, 5, m, 2, 2))
-        got = GridFun(grid, vals).dtheta().vals
-        assert got.shape == vals.shape
-        for a in range(3):
-            for b in range(5):
-                want = GridFun(grid, vals[a, b]).dtheta().vals
-                assert np.array_equal(got[a, b], want)
-        lp = LoopPoint(grid, lg.exp_alg(lg.project_algebra(vals)))
-        z = lp.z().vals
-        assert np.array_equal(z[2, 4], LoopPoint(grid, lp.vals[2, 4]).z().vals)
-
-
 def test_pair_and_quad_pair():
     grid = ThetaGrid(32)
     t = grid.nodes
@@ -325,6 +329,23 @@ def test_pair_and_quad_pair():
     assert maxabs(s - np.sin(t) ** 2) < 1e-13
     assert abs(grid.quad(s) - np.pi) < 1e-12
     assert abs(grid.quad(loops.pair_samples(X, Y))) < 1e-12
+
+
+def test_pair_samples_is_the_invariant_pairing():
+    # one pairing kernel: node-wise pairing of tangents is liegroup.inner,
+    # bit for bit, on stacked operands and on one broadcast against a stack
+    grid = ThetaGrid(16)
+    rng = sampling.make_rng(39)
+    for group in (lg.SU2, lg.SU3):
+        Xs = [sampling.random_loop_tangent(rng, grid, group) for _ in range(3)]
+        Ys = [sampling.random_loop_tangent(rng, grid, group) for _ in range(3)]
+        X = GridFun(grid, np.stack([V.vals for V in Xs]))
+        Y = GridFun(grid, np.stack([V.vals for V in Ys]))
+        got = loops.pair_samples(X, Y)
+        assert got.shape == (3, grid.n)
+        assert np.array_equal(got, lg.inner(X.vals, Y.vals))
+        one = loops.pair_samples(X, Ys[0])
+        assert np.array_equal(one, lg.inner(X.vals, np.stack([Ys[0].vals] * 3)))
 
 
 def test_fn_combinators():
@@ -404,8 +425,6 @@ def test_flow_from_kept_decomposition_is_the_direct_route():
             gt = g.flow(X, t)
             assert np.array_equal(gt.vals, lg.mm(g.vals, e))
             assert np.array_equal(gt.zvals, g.zvals + lg.adjoint(g.vals, d))
-            bare = LoopPoint(grid, g.vals)
-            assert np.array_equal(bare.flow(X, t).vals, lg.mm(g.vals, lg.exp_alg(X.vals, t)))
 
 
 def test_bad_tangent_raises_on_every_flow():
