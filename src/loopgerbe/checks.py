@@ -42,7 +42,8 @@ SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
 GROUPS = ("su2", "su3")
 REPORT_FORMATS = ("json", "csv")
 
-# step ladder for the plain central-difference order studies
+# the first step of the ladder that halves the difference step of
+# `forms.directional`, the one stencil every row runs
 FD_LADDER_START = 1e-2
 
 
@@ -66,9 +67,6 @@ class RunConfig:
     seed: int = 7
     report: str = "json"
     out: Optional[str] = None
-    # plain central differences when False; only the step ladder of
-    # convergence_table sets it, and only pair_form_coboundary reads it
-    richardson: bool = True
 
     def problems(self) -> list:
         out = []
@@ -199,7 +197,7 @@ def pair_form_coboundary(cfg: RunConfig, rng):
     q = (random_loop(rng, grid, group), random_loop(rng, grid, group))
     V = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
     W = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
-    a = ext_d(alpha, q, (V, W), h=cfg.fd_step, richardson=cfg.richardson)
+    a = ext_d(alpha, q, (V, W), h=cfg.fd_step)
     return abs(a - delta_nerve(r2)(q, V, W))
 
 
@@ -545,7 +543,7 @@ _SPECS = [
     CheckSpec("path-fibration/invariant-volume", "invariant-volume",
               1e-3, invariant_volume, groups=("su2",)),
     CheckSpec("path-fibration/string-matches-invariant-form", "string-form",
-              1e-6, string_matches_invariant_form, convergence="grid"),
+              1e-6, string_matches_invariant_form, convergence="flat"),
     CheckSpec("path-fibration/three-form-closed", "three-form-closed",
               1e-6, three_form_closed_base),
     CheckSpec("trivial-bundle/curving-differential", "curving-differential",
@@ -616,11 +614,11 @@ def convergence_table(name: str, grids, cfg: RunConfig = None,
     """Rerun one check over a refinement ladder.
 
     Grid-resolved checks sweep the angular grid sizes given; step-dominated
-    checks instead halve the difference step len(grids) times from 1e-2
-    with plain central differences (the grid column then reports the
-    reciprocal step).  The fitted slope of log(residual) against the
-    refinement parameter is the observed order; it is omitted for ladders
-    designed to sit flat at roundoff.
+    checks instead halve the step of the Richardson stencil that every
+    row runs, len(grids) times from FD_LADDER_START (the grid column then
+    reports the reciprocal step).  The fitted slope of log(residual)
+    against the refinement parameter is the observed order; it is
+    omitted for ladders designed to sit flat at roundoff.
 
     `residual` is the check's own result at cfg, when the caller already
     has it: the grid rung at cfg.ntheta would rerun that exact
@@ -634,7 +632,7 @@ def convergence_table(name: str, grids, cfg: RunConfig = None,
     if spec.convergence == "fd":
         hs = [FD_LADDER_START / 2 ** j for j in range(len(grids))]
         for h in hs:
-            sub = replace(cfg, fd_step=h, richardson=False)
+            sub = replace(cfg, fd_step=h)
             r = float(spec.fn(sub, _check_rng(sub, spec.name)))
             out.rows.append({"name": spec.name + "#fd-step",
                              "grid": int(round(1.0 / h)), "residual": r})

@@ -185,25 +185,17 @@ def pair_forms(p: Callable, forms) -> Form:
     sum over all d! permutations divided by prod(k_i!).  For 1-forms
     every permutation is a shuffle.
 
-    Within one evaluation each component form is evaluated once per
-    increasing index tuple and the value reused across shuffles, so a
-    (2,2) pairing of one form with itself costs 6 component
-    evaluations.
+    Each shuffle evaluates every slot on its own block of arguments, so
+    a (2,2) pairing makes 6 evaluations per slot.
     """
     degs = [f.degree for f in forms]
     blocks_signs = shuffles(degs)
 
     def ev(pt, *vecs):
-        seen = {}
         total = None
         for blocks, sign in blocks_signs:
-            args = []
-            for f, idx in zip(forms, blocks):
-                key = (id(f), idx)
-                if key not in seen:
-                    seen[key] = f(pt, *(vecs[i] for i in idx))
-                args.append(seen[key])
-            term = p(*args)
+            term = p(*(f(pt, *(vecs[i] for i in idx))
+                       for f, idx in zip(forms, blocks)))
             term = term * sign if sign < 0 else term
             total = term if total is None else total + term
         return total
@@ -211,30 +203,28 @@ def pair_forms(p: Callable, forms) -> Form:
     return Form(sum(degs), ev)
 
 
-def directional(fun: Callable, h: float, richardson: bool = True):
-    """Central-difference derivative of t -> fun(t) at 0, optional one
-    Richardson level (h and h/2).
+def directional(fun: Callable, h: float):
+    """Derivative of t -> fun(t) at 0: the central differences at h and
+    h/2 with one Richardson level, exact on quartics.
 
-    fun is called once, with the step array [h, -h, h/2, -h/2] ([h, -h]
-    without Richardson), and returns its values stacked in front: the
-    step axis leads, whatever leading axes the value has follow.  The
-    differences are taken from slices of that axis, which need only
-    support subtraction and scalar multiplication."""
+    fun is called once, with the step array [h, -h, h/2, -h/2], and
+    returns its values stacked in front: the step axis leads, whatever
+    leading axes the value has follow.  The differences are taken from
+    slices of that axis, which need only support subtraction and scalar
+    multiplication."""
     step = 0.5 * h
-    vals = fun(np.array([h, -h, step, -step] if richardson else [h, -h]))
+    vals = fun(np.array([h, -h, step, -step]))
     d1 = (vals[0] - vals[1]) * (0.5 / h)
-    if not richardson:
-        return d1
     d2 = (vals[2] - vals[3]) * (0.5 / step)
     return d2 * (4.0 / 3.0) - d1 * (1.0 / 3.0)
 
 
-def ext_d(form: Form, pt, vecs, h: float = FD_STEP, richardson: bool = True):
+def ext_d(form: Form, pt, vecs, h: float = FD_STEP):
     """Exterior derivative of `form` at pt on len = degree+1 tangents.
 
-    Directional terms use central differences along the canonical
-    extension flows, one evaluation of the form at the point flowed by
-    the whole stencil per tangent; bracket terms are exact.  Values must
+    Directional terms are `directional` along the canonical extension
+    flows, one evaluation of the form at the point flowed by the whole
+    stencil per tangent; bracket terms are exact.  Values must
     support addition and scalar multiplication (complex numbers, arrays
     and GridFun all do), and the form must broadcast over the leading
     axes of a stacked point.
@@ -251,7 +241,7 @@ def ext_d(form: Form, pt, vecs, h: float = FD_STEP, richardson: bool = True):
     for i, v in enumerate(vecs):
         rest = vecs[:i] + vecs[i + 1 :]
         sign = -1.0 if i % 2 else 1.0
-        der = directional(lambda t: form(flow(pt, v, t), *rest), h, richardson)
+        der = directional(lambda t: form(flow(pt, v, t), *rest), h)
         acc(der * sign)
     for i in range(k1):
         for j in range(i + 1, k1):

@@ -28,7 +28,7 @@ import numpy as np
 from . import centext, forms
 from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_forms,
                     signed_permutations, tangent_bracket)
-from .liegroup import (SU2, Group, adjoint, bracket, exp_alg, group_inv, mm,
+from .liegroup import (SU2, Group, adjoint, bracket, group_inv, mm,
                        project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
                     pair_samples, step_axes)
@@ -276,10 +276,6 @@ class PathFibration:
     def vertical(self, p: LoopPoint, xi: GridFun) -> GridFun:
         return xi
 
-    def lift_tangent(self, p: LoopPoint, xbar) -> GridFun:
-        """The ramp lift: theta/2pi times a left-trivialised base vector."""
-        return GridFun.from_profiles(self.grid, [(Fn.ramp(1.0), np.asarray(xbar))])
-
     def zero_tangent(self, p: LoopPoint) -> GridFun:
         return GridFun.zero(self.grid, self.group.n)
 
@@ -288,19 +284,6 @@ class PathFibration:
 
     def project_tangent(self, V: GridFun) -> np.ndarray:
         return V.vals[..., -1, :, :]
-
-    def canonical_lift(self, k: np.ndarray) -> LoopPoint:
-        """The one-parameter path exp(theta/2pi * log k); generic k only."""
-        import scipy.linalg
-
-        eta = project_algebra(scipy.linalg.logm(np.asarray(k, dtype=complex)))
-        if float(np.max(np.abs(exp_alg(eta) - k))) > 1e-8:
-            raise ValueError("no principal logarithm near this element")
-        return LoopPoint(
-            self.grid,
-            exp_alg(eta, self.grid.nodes / (2 * np.pi)),
-            zvals=(1.0 / (2 * np.pi))
-            * np.broadcast_to(eta, (self.grid.size,) + eta.shape).copy())
 
     def higgs(self, p: LoopPoint) -> GridFun:
         """Phi = p^-1 d_theta p, which the point keeps."""
@@ -359,7 +342,7 @@ def tau_deriv_fd(scn, p, q, V, W) -> GridFun:
     def at(t):
         return scn.tau(forms.flow(p, V, t), forms.flow(q, W, t))
 
-    raw = directional(lambda t: at(t).vals, scn.fd_step, richardson=False)
+    raw = directional(lambda t: at(t).vals, scn.fd_step)
     t0 = at(0.0)
     ltriv = project_algebra(mm(group_inv(t0.vals), raw))
     return GridFun(t0.grid, ltriv)
@@ -443,8 +426,8 @@ def string_form_at(scn, p, T1, T2, T3):
 
 
 def string_form(scn, m, u1, u2, u3):
-    """The descended 3-form at a base point, via the canonical lift; a
-    trivial bundle takes a stack of chart points as well."""
+    """The descended 3-form of a trivial bundle at a chart point, or a
+    stack of them, via its canonical lift."""
     p = scn.canonical_lift(m)
     lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
     return string_form_at(scn, p, *lifts)

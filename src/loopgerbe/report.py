@@ -3,7 +3,8 @@ a flat projection of the same rows.
 
 Everything in a report is a pure function of the configuration except
 the per-check wall times; byte-for-byte comparisons between runs should
-normalise the seconds column first (see normalized()).
+normalise the seconds column and the output path first (see
+normalized()).
 """
 
 from __future__ import annotations
@@ -52,9 +53,13 @@ def validate_report(report: dict) -> list:
 
 
 def normalized(report: dict) -> dict:
-    """The report with wall times zeroed; this is the part of a report
-    that is bit-identical across runs of the same configuration."""
+    """The report with wall times zeroed and the output path `out` set
+    to None, as a run that writes to stdout has it; this is the part of
+    a report that is bit-identical across runs of the same
+    configuration, wherever they write."""
     out = json.loads(json.dumps(report))
+    if "config" in out:
+        out["config"]["out"] = None
     for row in out.get("checks", ()):
         row["seconds"] = 0.0
     return out

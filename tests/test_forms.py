@@ -162,10 +162,10 @@ def test_pair_forms_is_the_permutation_sum_over_block_factorials():
             assert abs(got - want) <= 1e-15 * size
 
 
-def test_pair_forms_evaluates_each_component_once_per_index_tuple():
-    # a (2,2) pairing sums 6 shuffles; each increasing index pair is the
-    # block of one form in exactly one of them, so one form paired with
-    # itself needs 6 evaluations, and two different forms 6 each
+def test_pair_forms_evaluates_each_slot_once_per_shuffle():
+    # a (2,2) pairing sums 6 shuffles and evaluates both slots in each,
+    # so one form paired with itself needs 12 evaluations, and two
+    # different forms 6 each
     pt, vs = _chart_vectors(13)
     F = _chart_two_form("F", 1.0)
     G = _chart_two_form("G", -2.5)
@@ -173,7 +173,7 @@ def test_pair_forms_evaluates_each_component_once_per_index_tuple():
     calls = []
     Fc = _counted(F, calls)
     got = pair_forms(_mul, (Fc, Fc))(pt, *vs)
-    assert len(calls) == 6
+    assert len(calls) == 12
     assert got == pair_forms(_mul, (F, F))(pt, *vs)
 
     calls.clear()
@@ -182,7 +182,7 @@ def test_pair_forms_evaluates_each_component_once_per_index_tuple():
     assert calls.count("F") == 6 and calls.count("G") == 6
     assert got == pair_forms(_mul, (F, G))(pt, *vs)
 
-    # mixed degrees: 3 increasing pairs for the 2-form, 3 single slots
+    # mixed degrees: 3 shuffles, one evaluation of each form in each
     A = _chart_one_form("A", 0.5)
     calls.clear()
     got = pair_forms(_mul, (_counted(F, calls), _counted(A, calls)))(
@@ -232,14 +232,11 @@ def test_form_arity_checked():
 
 
 def test_directional_orders():
-    # plain central differences are exact on quadratics; one Richardson
-    # level is exact on quartics.  fun takes the step array and stacks
-    # its values with the step axis in front
+    # one Richardson level is exact on quartics.  fun takes the step
+    # array and stacks its values with the step axis in front
     def fun(t):
         return np.stack([t ** 2 + 3 * t, t ** 4 + t ** 3 - 2 * t], axis=-1)
 
-    plain = directional(fun, 0.1, richardson=False)
-    assert np.allclose(plain, [3.0, 0.1 ** 2 - 2.0], rtol=0, atol=1e-13)
     assert np.allclose(directional(fun, 0.1), [3.0, -2.0], rtol=0, atol=1e-13)
 
 

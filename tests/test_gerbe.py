@@ -468,15 +468,6 @@ def test_string_form_matches_omega3_at_endpoint():
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
 
 
-def test_string_form_canonical_lift_route():
-    rng = make_rng(229)
-    k = exp_alg(random_algebra(rng, SU2))
-    us = [random_algebra(rng, SU2) for _ in range(3)]
-    got = string_form(PF, k, *us)
-    want = omega3(k, *(k @ u for u in us))
-    assert abs(got - want) / max(1.0, abs(want)) < 1e-6
-
-
 def test_omega3_integrates_to_one_on_su2():
     val = omega3_su2_integral(neta=48, nxi=12)
     assert abs(val - 1.0) < 1e-3

@@ -39,8 +39,6 @@ def test_directional_calls_fun_once_with_every_step():
 
     directional(fun, 0.1)
     assert len(seen) == 1 and np.array_equal(seen[0], STENCIL)
-    directional(fun, 0.1, richardson=False)
-    assert len(seen) == 2 and np.array_equal(seen[1], STENCIL[:2])
 
 
 def _tb_fixture(seed, grid=ThetaGrid(32), group=SU2):

@@ -239,11 +239,15 @@ def _params(fn) -> tuple:
 
 
 def test_no_parameter_that_no_caller_varies():
-    # Richardson extrapolation is always on outside the exterior
-    # derivative, whose step-ladder study switches it off
-    takes = [name for mod in (gerbe, caloron) for name, fn in _functions(mod)
-             if "richardson" in _params(fn)]
+    # one difference stencil: nothing switches Richardson extrapolation
+    # off, and the run configuration is exactly its reported fields
+    takes = [mod.__name__ + "." + name
+             for mod in (caloron, centext, checks, cli, forms, gerbe, liegroup,
+                         loops, report, sampling)
+             for name, fn in _functions(mod) if "richardson" in _params(fn)]
     assert takes == []
+    assert tuple(f.name for f in dataclasses.fields(checks.RunConfig)) == tuple(
+        checks.CONFIG_FIELDS)
     assert _params(forms.ext_d_form) == ("form", "h")
     assert _params(liegroup.dexp_right) == ("X", "dX")
     assert _params(loops.conj_loop) == ("h", "X")
@@ -377,14 +381,7 @@ def test_census_of_code_that_only_tests_reach():
            for cls in ("TrivialBundle", "PathFibration")
            for name in ("act", "connection", "curvature", "higgs", "tau",
                         "zero_tangent")},
-        "gerbe.TrivialBundle.canonical_lift": scenario,
-        "gerbe.TrivialBundle.lift_tangent": scenario,
         "gerbe.TrivialBundle.vertical": scenario + " by caloron.kernel_vector",
-        # only tests/test_gerbe.py::test_string_form_canonical_lift_route
-        # reaches these, through gerbe.string_form; the string-class
-        # degree row (ROADMAP item 5) promotes them
-        "gerbe.PathFibration.canonical_lift": "waits for ROADMAP item 5",
-        "gerbe.PathFibration.lift_tangent": "waits for ROADMAP item 5",
         "gerbe.PathFibration.vertical":
             "test oracle: the connection reproduces vertical vectors",
         "gerbe.curvature_via_ext_d": "test oracle",
