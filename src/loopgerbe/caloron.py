@@ -292,7 +292,7 @@ def integrate_circle(scn, m, u1, u2, u3) -> float:
     """
     if scn.grid.closed:
         raise ValueError("circle integration needs the periodic picture")
-    p = scn.canonical_lift(m)
+    p = scn.point(m)
     n = scn.group.n
     no_eta = np.zeros((n, n), dtype=complex)
     Ts = [CaloronTangent(scn.lift_tangent(p, u), no_eta, 0.0)

@@ -418,19 +418,18 @@ def differential_square_zero(cfg: RunConfig, rng):
 def _caloron_point(cfg: RunConfig, rng):
     """(tb, pt): a caloron point at a drawn grid node, and the default
     bundle on that node alone.  m, the loop factors, k and the node j
-    are drawn in that order; then the bundle and the loop are built on
-    ThetaGrid(ntheta, node=j).  A caloron check reads its samples at the
-    point's angle only, and each is pointwise in theta (the payloads
-    give every theta derivative exactly), so node j alone gives the
-    full grid's samples there, bit for bit."""
-    group = group_by_name(cfg.group)
-    m = rng.uniform(-0.6, 0.6, size=_tb(cfg).dim)
-    factors = random_loop_factors(rng, group)
-    k = exp_alg(random_algebra(rng, group))
-    grid = ThetaGrid(cfg.ntheta, node=int(rng.integers(cfg.ntheta)))
-    tb = gerbe.TrivialBundle.default(grid, group, cfg.fd_step)
-    p = tb.point(m, product_loop(grid, factors))
-    return tb, CaloronPoint(p, k, float(grid.nodes[0]))
+    are drawn in that order; then the bundle is moved to
+    ThetaGrid(ntheta, node=j) and the loop built there.  A caloron check
+    reads its samples at the point's angle only, and each is pointwise
+    in theta (the payloads give every theta derivative exactly), so
+    node j alone gives the full grid's samples there, bit for bit."""
+    tb = _tb(cfg)
+    m = rng.uniform(-0.6, 0.6, size=tb.dim)
+    factors = random_loop_factors(rng, tb.group)
+    k = exp_alg(random_algebra(rng, tb.group))
+    tb = replace(tb, grid=ThetaGrid(cfg.ntheta, node=int(rng.integers(cfg.ntheta))))
+    p = tb.point(m, product_loop(tb.grid, factors))
+    return tb, CaloronPoint(p, k, float(tb.grid.nodes[0]))
 
 
 def _caloron_tangent(tb, rng) -> CaloronTangent:

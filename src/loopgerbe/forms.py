@@ -170,6 +170,17 @@ def shuffles(degs) -> list:
     return out
 
 
+def _signed_sum(terms):
+    """The sum, in order, of the values of (sign, value) terms: a value of
+    sign -1 enters as value * -1.0, one of sign +1 as it is.  Values
+    need only addition and scalar multiplication."""
+    total = None
+    for sign, val in terms:
+        val = val * -1.0 if sign < 0 else val
+        total = val if total is None else total + val
+    return total
+
+
 def pair_forms(p: Callable, forms) -> Form:
     """The alternating pairing of vector-valued forms through a
     multilinear map p: their wedge product.
@@ -192,13 +203,9 @@ def pair_forms(p: Callable, forms) -> Form:
     blocks_signs = shuffles(degs)
 
     def ev(pt, *vecs):
-        total = None
-        for blocks, sign in blocks_signs:
-            term = p(*(f(pt, *(vecs[i] for i in idx))
-                       for f, idx in zip(forms, blocks)))
-            term = term * sign if sign < 0 else term
-            total = term if total is None else total + term
-        return total
+        return _signed_sum((sign, p(*(f(pt, *(vecs[i] for i in idx))
+                                      for f, idx in zip(forms, blocks))))
+                           for blocks, sign in blocks_signs)
 
     return Form(sum(degs), ev)
 
@@ -232,23 +239,16 @@ def ext_d(form: Form, pt, vecs, h: float = FD_STEP):
     k1 = len(vecs)
     if k1 != form.degree + 1:
         raise ValueError("ext_d needs degree+1 tangents")
-    total = None
 
-    def acc(val):
-        nonlocal total
-        total = val if total is None else total + val
-
-    for i, v in enumerate(vecs):
-        rest = vecs[:i] + vecs[i + 1 :]
-        sign = -1.0 if i % 2 else 1.0
-        der = directional(lambda t: form(flow(pt, v, t), *rest), h)
-        acc(der * sign)
-    for i in range(k1):
-        for j in range(i + 1, k1):
+    def terms():
+        for i, v in enumerate(vecs):
+            rest = vecs[:i] + vecs[i + 1 :]
+            yield (-1) ** i, directional(lambda t: form(flow(pt, v, t), *rest), h)
+        for i, j in itertools.combinations(range(k1), 2):
             rest = tuple(vecs[m] for m in range(k1) if m not in (i, j))
-            sign = -1.0 if (i + j) % 2 else 1.0
-            acc(form(pt, tangent_bracket(vecs[i], vecs[j]), *rest) * sign)
-    return total
+            yield (-1) ** (i + j), form(pt, tangent_bracket(vecs[i], vecs[j]), *rest)
+
+    return _signed_sum(terms())
 
 
 def ext_d_form(form: Form, h: float = FD_STEP) -> Form:
@@ -279,13 +279,8 @@ def delta_fibre(form: Form) -> Form:
     """
 
     def ev(pt, *vecs):
-        total = None
-        for i in range(len(pt)):
-            term = form(_drop(pt, i), *(_drop(v, i) for v in vecs))
-            if i % 2:
-                term = term * (-1.0)
-            total = term if total is None else total + term
-        return total
+        return _signed_sum(((-1) ** i, form(_drop(pt, i), *(_drop(v, i) for v in vecs)))
+                           for i in range(len(pt)))
 
     return Form(form.degree, ev, name=f"delta({form.name})" if form.name else "")
 
@@ -315,13 +310,8 @@ def delta_nerve(form: Form) -> Form:
     """Alternating sum sum_{j=0..p+1} (-1)^j (face j)^* on the group nerve."""
 
     def ev(pt, *vecs):
-        total = None
-        for j in range(len(pt) + 1):
-            fpt, fvecs = _nerve_face(pt, vecs, j)
-            term = form(fpt, *fvecs)
-            if j % 2:
-                term = term * (-1.0)
-            total = term if total is None else total + term
-        return total
+        faces = (_nerve_face(pt, vecs, j) for j in range(len(pt) + 1))
+        return _signed_sum(((-1) ** j, form(fpt, *fvecs))
+                           for j, (fpt, fvecs) in enumerate(faces))
 
     return Form(form.degree, ev, name=f"delta_n({form.name})" if form.name else "")

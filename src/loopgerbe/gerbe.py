@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -74,6 +75,7 @@ class TrivialPoint:
                             self.g.flow(X, step_axes(t, lead - glead)))
 
 
+@dataclass(frozen=True, eq=False)
 class TrivialBundle:
     """Chart x loop group with an analytic base connection and Higgs seed.
 
@@ -85,26 +87,22 @@ class TrivialBundle:
     Chart points may stack leading axes in front of the chart axis, and
     every chart function reads coordinate i as m[..., i].  The loops
     live on the periodic grid.
+
+    The bundle is its data: a bundle with other data is
+    `dataclasses.replace(tb, phi_coeff=...)`.  Equality and hashing are
+    by identity, since the data holds arrays and functions.
     """
 
-    def __init__(self, grid: ThetaGrid, group: Group, a_terms, phi_term,
-                 phi_coeff, fd_step: float = FD_STEP):
-        self.grid = grid
-        self.group = group
-        self.dim = len(a_terms)
-        self.a_terms = a_terms
-        self.phi_term = phi_term
-        self.phi_coeff = phi_coeff
-        self.fd_step = fd_step
+    grid: ThetaGrid
+    group: Group
+    a_terms: tuple
+    phi_term: tuple
+    phi_coeff: Callable
+    fd_step: float = FD_STEP
 
-    def with_data(self, *, phi_term=None, phi_coeff=None) -> "TrivialBundle":
-        """A new bundle on the same grid, group, base connection and step
-        with the Higgs profile term or the Higgs coefficient
-        replaced; what is not given is kept."""
-        return TrivialBundle(
-            self.grid, self.group, self.a_terms,
-            self.phi_term if phi_term is None else phi_term,
-            self.phi_coeff if phi_coeff is None else phi_coeff, self.fd_step)
+    @property
+    def dim(self) -> int:
+        return len(self.a_terms)
 
     @staticmethod
     def default(grid: ThetaGrid, group: Group = SU2,
@@ -114,8 +112,8 @@ class TrivialBundle:
         E = group.basis
         return TrivialBundle(
             grid, group,
-            a_terms=[(Fn(np.sin, np.cos), E[0]),
-                     (Fn(np.cos, lambda t: -np.sin(t)), E[1])],
+            a_terms=((Fn(np.sin, np.cos), E[0]),
+                     (Fn(np.cos, lambda t: -np.sin(t)), E[1])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0], fd_step=fd_step,
         )
@@ -131,9 +129,9 @@ class TrivialBundle:
         # circle and the reduced 3-form degenerates to roundoff
         return TrivialBundle(
             grid, group,
-            a_terms=[(Fn(np.sin, np.cos), E[0]),
+            a_terms=((Fn(np.sin, np.cos), E[0]),
                      (Fn(np.cos, lambda t: -np.sin(t)), E[1]),
-                     (TrigPoly(1.0), E[2])],
+                     (TrigPoly(1.0), E[2])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2], fd_step=fd_step,
         )
@@ -144,10 +142,6 @@ class TrivialBundle:
         if g is None:
             g = LoopPoint.identity(self.grid, self.group.n)
         return TrivialPoint(np.asarray(m, dtype=float), g)
-
-    def canonical_lift(self, m) -> TrivialPoint:
-        """The point over m with the identity loop, as `point(m)`."""
-        return self.point(m)
 
     def act(self, p: TrivialPoint, h: LoopPoint) -> TrivialPoint:
         return TrivialPoint(p.m, p.g.mul(h))
@@ -177,28 +171,31 @@ class TrivialBundle:
         return np.stack([math.prod(f[:i] + f[i + 1:], start=-2.0 * m[..., i])
                          for i in range(self.dim)], axis=-1)
 
+    def _profile_sum(self, m, terms, coeffs) -> GridFun:
+        """sum_d coeffs_d * profile_d(theta) xi_d over the (profile, xi)
+        terms, one loop per chart point of m."""
+        return GridFun.from_profiles(
+            self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)
+                        for (f, xi), c in zip(terms, coeffs)])
+
     def base_connection(self, m, u) -> GridFun:
         """a(m)(u); a stack of chart vectors u broadcasts against the
         chart points m."""
-        r = self.rho(m)
-        u = np.asarray(u)
-        terms = [(Fn.scale(f, _coeffs(r * u[..., d], m)), xi)
-                 for d, (f, xi) in enumerate(self.a_terms)]
-        return GridFun.from_profiles(self.grid, terms)
+        r, u = self.rho(m), np.asarray(u)
+        return self._profile_sum(m, self.a_terms,
+                                 [r * u[..., d] for d in range(self.dim)])
 
     def base_connection_dm(self, m, u, w) -> GridFun:
         """Exact directional m-derivative of a(.)(u) along chart vector w
         at one chart point; u may be a stack of chart vectors."""
         dr = float(np.dot(self.rho_grad(m), np.asarray(w, dtype=float)))
         u = np.asarray(u)
-        terms = [(Fn.scale(f, _coeffs(dr * u[..., d], m)), xi)
-                 for d, (f, xi) in enumerate(self.a_terms)]
-        return GridFun.from_profiles(self.grid, terms)
+        return self._profile_sum(m, self.a_terms,
+                                 [dr * u[..., d] for d in range(self.dim)])
 
     def phi(self, m) -> GridFun:
-        f, xi = self.phi_term
-        c = self.rho(m) * self.phi_coeff(m)
-        return GridFun.from_profiles(self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)])
+        return self._profile_sum(m, [self.phi_term],
+                                 [self.rho(m) * self.phi_coeff(m)])
 
     # gerbe surface
 
@@ -427,8 +424,8 @@ def string_form_at(scn, p, T1, T2, T3):
 
 def string_form(scn, m, u1, u2, u3):
     """The descended 3-form of a trivial bundle at a chart point, or a
-    stack of them, via its canonical lift."""
-    p = scn.canonical_lift(m)
+    stack of them, at the point over m with the identity loop."""
+    p = scn.point(m)
     lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
     return string_form_at(scn, p, *lifts)
 

@@ -1,6 +1,7 @@
 """Transferred connection, curvature square and the evaluation map."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_circle_reduction_samples_are_bit_identical(counted):
     rng = make_rng(345)
     m = rng.uniform(-0.6, 0.6, size=3)
     us = [rng.normal(size=3) for _ in range(3)]
-    p = tb.canonical_lift(m)
+    p = tb.point(m)
     no_eta = np.zeros((2, 2), dtype=complex)
     Ts = [CaloronTangent(tb.lift_tangent(p, u), no_eta, 0.0) for u in us]
     Ts.append(CaloronTangent(tb.zero_tangent(p), no_eta, 1.0))
@@ -278,7 +279,7 @@ def test_sample_table_answers_for_its_own_point_and_scenario(counted):
     base = _form(TB, pt, Vs)
     k0 = exp_alg(random_algebra(rng, SU2))
     pushed = [group_act(pt, V, k0) for V in Vs]
-    tb2 = TB.with_data(phi_coeff=lambda m: m[..., 1])
+    tb2 = replace(TB, phi_coeff=lambda m: m[..., 1])
     step = CaloronTangent(Vs[0].X, Vs[0].eta, 0.0)
     cases = [(TB, pushed[0][0], [w for _, w in pushed]), (tb2, pt, Vs),
              (TB, pt.flow(step, 0.05), Vs)]

@@ -1,5 +1,7 @@
 """Scenario surfaces, transition forms, curving and the descended 3-form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
 PF = PathFibration(GRID)
 # a second Higgs field on the same bundle: seed E0, coefficient 0.4 + m_1
-TB_ALT = TB.with_data(phi_term=(Fn(np.ones_like, np.zeros_like), SU2.basis[0]),
-                      phi_coeff=lambda m: 0.4 + m[..., 1])
+TB_ALT = replace(TB, phi_term=(Fn(np.ones_like, np.zeros_like), SU2.basis[0]),
+                 phi_coeff=lambda m: 0.4 + m[..., 1])
 
 
 def tb_point(rng, scale=0.6):
@@ -155,7 +157,7 @@ def test_higgs_space_is_convex():
     assert higgs_transform_residual(TB, p, g, mix) < 1e-10
 
 
-def test_with_data_replaces_only_what_it_is_given():
+def test_replace_changes_only_what_it_is_given():
     assert TB_ALT is not TB
     assert (TB_ALT.grid, TB_ALT.group, TB_ALT.a_terms) == (
         TB.grid, TB.group, TB.a_terms)

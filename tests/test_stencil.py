@@ -72,13 +72,13 @@ def test_nabla_phi_makes_one_loop_flow(monkeypatch):
 def test_tb_curvature_builds_two_stacked_and_two_plain_base_connections(monkeypatch):
     _, tb, p, V, W = _tb_fixture(67)
     shapes = []
-    plain = tb.base_connection
+    plain = gerbe.TrivialBundle.base_connection
 
-    def counted(m, u):
+    def counted(self, m, u):
         shapes.append(np.shape(m))
-        return plain(m, u)
+        return plain(self, m, u)
 
-    monkeypatch.setattr(tb, "base_connection", counted)
+    monkeypatch.setattr(gerbe.TrivialBundle, "base_connection", counted)
     tb.curvature(p, V, W)
     assert sorted(shapes) == [(2,), (2,), (4, 2), (4, 2)]
 

@@ -38,6 +38,19 @@ def test_gridfun_is_frozen():
             setattr(X, name, None)
 
 
+def test_trivial_bundle_is_a_frozen_value():
+    # the bundle is its data: another bundle is dataclasses.replace, and
+    # equality and hashing stay by identity (the data holds arrays and
+    # functions)
+    tb = gerbe.TrivialBundle.default(loops.ThetaGrid(16))
+    for f in dataclasses.fields(tb):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tb, f.name, None)
+    other = dataclasses.replace(tb)
+    assert tb != other and tb == tb
+    assert hash(tb) != hash(other) and hash(tb) == hash(tb)
+
+
 def test_looppoint_is_frozen():
     # the kept log-derivative and endpoint frame must match the samples
     g = loops.LoopPoint.identity(loops.ThetaGrid(16, closed=True), 2)
@@ -332,6 +345,8 @@ def test_no_code_that_only_tests_reach():
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
             loops.TrigPoly: ("as_fn", "__call__"), loops.Fn: ("zero", "__call__"),
             gerbe: ("_one",),
+            # the bundle is a frozen value: dataclasses.replace and point(m)
+            gerbe.TrivialBundle: ("with_data", "canonical_lift"),
             # every theta derivative is an exact payload
             loops.ThetaGrid: ("dtheta",), loops.GridFun: ("__neg__",),
             liegroup.Group: ("identity", "coeffs"),
@@ -368,8 +383,6 @@ def test_census_of_code_that_only_tests_reach():
         # the numerical theta derivative, against which tests check the
         # exact payloads
         "loops.spectral_dtheta",
-        # its first caller is the connection-change row (ROADMAP item 6)
-        "gerbe.TrivialBundle.with_data",
         # to be promoted to rows (ROADMAP item 8)
         "gerbe.higgs_transform_residual", "gerbe.connection_pullback_check"}
     # a name that several definitions carry is reached by name through
@@ -395,6 +408,8 @@ def test_census_of_code_that_only_tests_reach():
         "gerbe.TrivialPoint.flow": "point flow, through forms.flow",
         "loops.LoopPoint.flow": "point flow, through forms.flow",
         "liegroup.bracket": "the algebra bracket",
+        "liegroup.Group.dim": "the algebra dimension, read as group.dim",
+        "gerbe.TrivialBundle.dim": "the chart dimension, read as tb.dim",
         "loops.LoopPoint.mul": "the loop product",
         "loops.PathInLoopGroup.mul": "the path product, in path_from_factors",
         **{"sampling.RecordingRNG." + name: "fixture recording in cli"
@@ -565,6 +580,23 @@ def test_one_alternating_pairing():
                                                "curvature"}
 
 
+def test_one_signed_sum():
+    # the wedge, the exterior derivative and both simplicial differentials
+    # add their signed terms through forms._signed_sum, the only function
+    # of forms that starts an accumulator at None
+    tree = ast.parse((SRC / "forms.py").read_text())
+    starts = sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                    for n in ast.walk(fn) if isinstance(n, ast.IfExp)
+                    and isinstance(n.test, ast.Compare)
+                    and isinstance(n.test.ops[0], ast.Is)
+                    and isinstance(n.orelse, ast.BinOp))
+    assert starts == ["_signed_sum"]
+    calls = _calls_by_function(SRC / "forms.py")
+    assert sorted(name for name, called in calls.items()
+                  if "_signed_sum" in called) == [
+        "delta_fibre", "delta_nerve", "ext_d", "pair_forms"]
+
+
 def test_only_the_grid_is_periodic_or_closed():
     # periodic or closed is decided once, by ThetaGrid(n, closed): no
     # other public function, method, dataclass field or class attribute
@@ -595,8 +627,8 @@ def test_only_the_grid_is_periodic_or_closed():
     # one Higgs field per bundle; another one is another bundle
     for gone in ("phi_alt", "higgs_alt"):
         assert not hasattr(gerbe.TrivialBundle, gone)
-    assert _params(gerbe.TrivialBundle.__init__) == (
-        "self", "grid", "group", "a_terms", "phi_term", "phi_coeff", "fd_step")
+    assert tuple(f.name for f in dataclasses.fields(gerbe.TrivialBundle)) == (
+        "grid", "group", "a_terms", "phi_term", "phi_coeff", "fd_step")
 
 
 def test_the_scenario_carries_its_step():
@@ -615,7 +647,7 @@ def test_the_scenario_carries_its_step():
     grid = loops.ThetaGrid(16)
     tb = gerbe.TrivialBundle.default(grid, fd_step=1e-3)
     assert tb.fd_step == 1e-3
-    assert tb.with_data(phi_coeff=lambda m: m[..., 1]).fd_step == 1e-3
+    assert dataclasses.replace(tb, phi_coeff=lambda m: m[..., 1]).fd_step == 1e-3
     assert gerbe.TrivialBundle.chart3(grid).fd_step is gerbe.FD_STEP
     assert gerbe.PathFibration(grid, liegroup.SU2, 1e-3).fd_step == 1e-3
     # the step is written as a literal once in the package, in the module
