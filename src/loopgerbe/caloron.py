@@ -16,22 +16,28 @@ interpolation (periodic scenarios only).  A scenario on a one-node grid
 since every sample they read is pointwise in theta, while
 `circle-reduction` and `frame-round-trip` read the whole circle.
 
-The curvature of a tuple of tangents is one explicit value: the
-scenario's F and nabla Phi on the grid, stacked over the pairs and
-the tangents, and the caloron curvature R built from them on the grid
-(`curvature_samples`).  The 4-form and its split take that value and
-read its stacks at the angle, each stack in one evaluation.
+Tangents may come as one stack: a CaloronTangent whose X, eta and lam
+carry a leading axis over d tangents (`curvature-square-split` draws
+its four so, and `integrate_circle` builds its four so).  The curvature
+of such a stack is one explicit value: the scenario's F on the pairs
+i < j, gathered from the stack by index arrays, its nabla Phi on the
+tangents, and the caloron curvature R built from them, all on the grid
+(`curvature_samples`).  The value looks its angle's node up once and
+keeps the lookup; the 4-form reads R and the split F and nabla Phi
+from it (`CurvatureSamples.at_angle`), and only a stack that is read
+is interpolated off the nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forms, gerbe
-from .forms import Form, pair_forms, stack_tangents, tangent_bracket
+from .forms import Form, pair_forms, tangent_bracket
 from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
 from .loops import GridFun, LoopPoint, conj_loop, quad_s1, step_axes
 
@@ -42,7 +48,7 @@ class CaloronPoint:
     when k and theta carry leading axes (theta's are the point's).
 
     The point keeps nothing derived: a reader of a grid function at its
-    angle calls `eval_samples`, and the curvature samples of a tuple of
+    angle calls `eval_samples`, and the curvature samples of a stack of
     tangents are one `CurvatureSamples` value that `curvature_samples`
     builds and its readers take explicitly.
     """
@@ -60,6 +66,9 @@ class CaloronPoint:
 
 @dataclass(frozen=True)
 class CaloronTangent:
+    """A tangent (X, eta, lam); a stack of d of them when X, eta and lam
+    carry a leading axis of length d."""
+
     X: object
     eta: np.ndarray
     lam: float
@@ -116,7 +125,11 @@ def eval_samples(fun: GridFun, theta) -> np.ndarray:
     Exact table lookup on grid nodes; trigonometric interpolation off
     the nodes, which needs periodic data.
     """
-    j, off = _node(fun.grid, theta)
+    return _read(fun, theta, *_node(fun.grid, theta))
+
+
+def _read(fun: GridFun, theta, j, off) -> np.ndarray:
+    """`eval_samples` at the node lookup (j, off) of theta."""
     vals = _at_nodes(fun.vals, j)
     if not np.count_nonzero(off):
         return vals
@@ -183,48 +196,59 @@ def group_act(pt: CaloronPoint, V: CaloronTangent, k0: np.ndarray):
 
 @dataclass(frozen=True)
 class CurvatureSamples:
-    """What the curvature of a tuple of tangents V_1 .. V_d reads at a
+    """What the curvature of d stacked tangents V_1 .. V_d reads at a
     point: its angle, the lams of the V_i, and three stacks on the
     scenario's grid.  F holds F(X_i, X_j) and R the caloron curvature on
-    the pairs i < j, in itertools.combinations order; nabla_phi holds
+    the pairs i < j, in itertools.combinations order, and pairs[i, j] is
+    the position of pair (i, j) in those stacks; nabla_phi holds
     nabla Phi(X_i)."""
 
     theta: object
-    lams: tuple
+    lams: np.ndarray
+    pairs: np.ndarray
     F: GridFun
     nabla_phi: GridFun
     R: GridFun
 
+    @functools.cached_property
+    def _angle(self) -> tuple:
+        """(theta, j, off): the angle, its axes put in front of the stack
+        axis, and its node lookup, made once for every read of the table."""
+        theta = np.expand_dims(self.theta, -1) if np.ndim(self.theta) else self.theta
+        return (theta,) + _node(self.R.grid, theta)
 
-def _pair_index(table: CurvatureSamples) -> dict:
-    """{(i, j): position of the pair in the table's pair stacks}."""
-    pairs = itertools.combinations(range(len(table.lams)), 2)
-    return {ij: a for a, ij in enumerate(pairs)}
+    def at_angle(self, stack: GridFun) -> np.ndarray:
+        """One of the table's stacks at its angle, from the table's one
+        node lookup; off the nodes only this stack is interpolated."""
+        return _read(stack, *self._angle)
 
 
-def _at_angle(stack: GridFun, theta) -> np.ndarray:
-    """A stack of grid functions at the angle, from one `eval_samples`
-    call: the angle's axes lead the stack axis."""
-    return eval_samples(stack, np.expand_dims(theta, -1) if np.ndim(theta) else theta)
+def _pick(X, at):
+    """The stacked tangent X at the stack positions `at`, componentwise
+    for a tuple."""
+    if isinstance(X, tuple):
+        return tuple(c[at] for c in X)
+    return X[at]
 
 
-def curvature_samples(scn, pt: CaloronPoint, Vs) -> CurvatureSamples:
-    """The curvature samples of the tangents Vs at pt, as functions of
-    the angle: F from one `scn.curvature` call on the stacked pairs,
-    nabla Phi from one `gerbe.nabla_phi` call on the stacked tangents,
-    and R = ad(k^-1)(F(X_i, X_j) + nabla Phi(X_i) lam_j
-    - nabla Phi(X_j) lam_i) from one stacked conjugation, each lam term
-    added only where its lam is nonzero."""
-    Xs = [V.X for V in Vs]
-    i, j = (list(ix) for ix in zip(*itertools.combinations(range(len(Vs)), 2)))
-    F = scn.curvature(pt.p, stack_tangents([Xs[a] for a in i]),
-                      stack_tangents([Xs[b] for b in j]))
-    grad = gerbe.nabla_phi(scn, pt.p, stack_tangents(Xs))
-    lam = np.array([V.lam for V in Vs], dtype=complex)[:, None, None, None]
+def curvature_samples(scn, pt: CaloronPoint, Vs: CaloronTangent) -> CurvatureSamples:
+    """The curvature samples of the stacked tangents Vs at pt, as
+    functions of the angle: F from one `scn.curvature` call on the pair
+    stacks, gathered from Vs by index arrays, nabla Phi from one
+    `gerbe.nabla_phi` call on Vs, and R = ad(k^-1)(F(X_i, X_j)
+    + nabla Phi(X_i) lam_j - nabla Phi(X_j) lam_i) from one stacked
+    conjugation, each lam term added only where its lam is nonzero."""
+    d = len(Vs.lam)
+    i, j = (np.array(ix) for ix in zip(*itertools.combinations(range(d), 2)))
+    pairs = np.zeros((d, d), dtype=int)
+    pairs[i, j] = np.arange(i.size)
+    F = scn.curvature(pt.p, _pick(Vs.X, i), _pick(Vs.X, j))
+    grad = gerbe.nabla_phi(scn, pt.p, Vs.X)
+    lam = np.asarray(Vs.lam, dtype=complex)[:, None, None, None]
     total = F.vals
     total = np.where(lam[j] != 0.0, total + lam[j] * grad.vals[i], total)
     total = np.where(lam[i] != 0.0, total - lam[i] * grad.vals[j], total)
-    return CurvatureSamples(pt.theta, tuple(V.lam for V in Vs), F, grad,
+    return CurvatureSamples(pt.theta, np.asarray(Vs.lam), pairs, F, grad,
                             GridFun(F.grid, adjoint_inv(pt.k, total)))
 
 
@@ -246,9 +270,9 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 def pontrjagin_form(table: CurvatureSamples):
     """-(1/8 pi^2) <R, R> as a 4-form on the table's four tangents, one
     value per angle of a point stacked over angles."""
-    R = _at_angle(table.R, table.theta)
-    index = _pair_index(table)
-    Rf = Form(2, lambda _, i, j: R[..., index[i, j], :, :])
+    R = table.at_angle(table.R)
+    pairs = table.pairs
+    Rf = Form(2, lambda _, i, j: R[..., pairs[i, j], :, :])
     val = pair_forms(inner, (Rf, Rf))(table, 0, 1, 2, 3)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
@@ -257,10 +281,8 @@ def pontrjagin_split(table: CurvatureSamples) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
     part; the conjugation by k drops under the invariant pairing.  F and
     nabla Phi are read at the angle first and combined after."""
-    F = _at_angle(table.F, table.theta)
-    grad = _at_angle(table.nabla_phi, table.theta)
-    index = _pair_index(table)
-    lam = table.lams
+    F, grad = table.at_angle(table.F), table.at_angle(table.nabla_phi)
+    pairs, lam = table.pairs, table.lams
     n = F.shape[-1]
 
     def h_ev(_, i, j):
@@ -271,7 +293,7 @@ def pontrjagin_split(table: CurvatureSamples) -> float:
             out = out - lam[i] * grad[..., j, :, :]
         return out
 
-    Ff = Form(2, lambda _, i, j: F[..., index[i, j], :, :])
+    Ff = Form(2, lambda _, i, j: F[..., pairs[i, j], :, :])
     Hf = Form(2, h_ev)
     val = (pair_forms(inner, (Ff, Ff))(table, 0, 1, 2, 3)
            + 2.0 * pair_forms(inner, (Ff, Hf))(table, 0, 1, 2, 3))
@@ -294,10 +316,10 @@ def integrate_circle(scn, m, u1, u2, u3) -> float:
         raise ValueError("circle integration needs the periodic picture")
     p = scn.point(m)
     n = scn.group.n
-    no_eta = np.zeros((n, n), dtype=complex)
-    Ts = [CaloronTangent(scn.lift_tangent(p, u), no_eta, 0.0)
-          for u in (u1, u2, u3)]
-    Ts.append(CaloronTangent(scn.zero_tangent(p), no_eta, 1.0))
+    # the three lifts and the angle direction, as one stacked tangent
+    us = np.array([u1, u2, u3, np.zeros(np.shape(u1))], dtype=float)
+    Ts = CaloronTangent(scn.lift_tangent(p, us), np.zeros((4, n, n), dtype=complex),
+                        np.array([0.0, 0.0, 0.0, 1.0]))
     angles = scn.grid.nodes + 0.5 * scn.grid.h
     pt = CaloronPoint(p, np.eye(n, dtype=complex), angles)
     return float(quad_s1(pontrjagin_form(curvature_samples(scn, pt, Ts))))

@@ -31,11 +31,11 @@ from .caloron import CaloronPoint, CaloronTangent
 from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
                     ext_d_form)
 from .liegroup import exp_alg, exp_dexp_right, group_by_name, mm
-from .loops import ThetaGrid, product_loop
+from .loops import GridFun, ThetaGrid, TrigPoly, product_loop
 from .sampling import (random_algebra, random_loop, random_loop_factors,
                        random_loop_tangent, random_path_fibre_points,
                        random_path_fibre_tangent, random_path_point,
-                       random_path_tangent)
+                       random_path_tangent, random_trig_coeffs)
 
 SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
              "path-fibration", "trivial-bundle")
@@ -432,10 +432,29 @@ def _caloron_point(cfg: RunConfig, rng):
     return tb, CaloronPoint(p, k, float(tb.grid.nodes[0]))
 
 
+def _caloron_tangents(tb, rng, k: int) -> CaloronTangent:
+    """k caloron tangents as one stacked tangent: u of shape (k, dim), X
+    one GridFun of shape (k, N, n, n), eta of shape (k, n, n) and lam of
+    shape (k,).  Each tangent is drawn in turn, its u, the group.dim
+    profiles of X, eta and lam; X is then built by one `from_profiles`
+    call over the (group.dim, k) stack of the profiles."""
+    group = tb.group
+    us, coeffs, etas, lams = [], [], [], []
+    for _ in range(k):
+        us.append(rng.normal(size=tb.dim))
+        coeffs.append(random_trig_coeffs(rng, group.dim))
+        etas.append(random_algebra(rng, group))
+        lams.append(rng.uniform(-1.0, 1.0))
+    profiles = TrigPoly(*(np.stack(c, axis=1) for c in zip(*coeffs)))
+    X = GridFun.from_profiles(tb.grid, [(profiles, group.basis)])
+    return CaloronTangent((np.array(us), X), np.array(etas), np.array(lams))
+
+
 def _caloron_tangent(tb, rng) -> CaloronTangent:
-    X = _tb_tangent(tb, rng)
-    return CaloronTangent(X, random_algebra(rng, tb.group),
-                          float(rng.uniform(-1.0, 1.0)))
+    """One caloron tangent, drawn and built as `_caloron_tangents` does."""
+    V = _caloron_tangents(tb, rng, 1)
+    u, X = V.X
+    return CaloronTangent((u[0], X[0]), V.eta[0], float(V.lam[0]))
 
 
 def _sup(a) -> float:
@@ -479,8 +498,7 @@ def curvature_square_split(cfg: RunConfig, rng):
     """pointwise identity between the squared transferred curvature and
     its base-curvature / Higgs-derivative split."""
     tb, pt = _caloron_point(cfg, rng)
-    Vs = [_caloron_tangent(tb, rng) for _ in range(4)]
-    table = caloron.curvature_samples(tb, pt, Vs)
+    table = caloron.curvature_samples(tb, pt, _caloron_tangents(tb, rng, 4))
     return abs(caloron.pontrjagin_form(table) - caloron.pontrjagin_split(table))
 
 
@@ -616,8 +634,10 @@ def convergence_table(name: str, grids, cfg: RunConfig = None,
     checks instead halve the step of the Richardson stencil that every
     row runs, len(grids) times from FD_LADDER_START (the grid column then
     reports the reciprocal step).  The fitted slope of log(residual)
-    against the refinement parameter is the observed order; it is
-    omitted for ladders designed to sit flat at roundoff.
+    against the refinement parameter is the observed order, and every
+    row of the ladder reports it (None where no line fits); it is
+    omitted for ladders designed to sit flat at roundoff, whose rows
+    carry no order.
 
     `residual` is the check's own result at cfg, when the caller already
     has it: the grid rung at cfg.ntheta would rerun that exact
@@ -647,6 +667,8 @@ def convergence_table(name: str, grids, cfg: RunConfig = None,
             out.rows.append({"name": spec.name, "grid": g, "residual": r})
     if spec.convergence in ("fd", "grid"):
         out.order = _fit_order(hs, [row["residual"] for row in out.rows])
+        for row in out.rows:
+            row["order"] = out.order
     return out
 
 

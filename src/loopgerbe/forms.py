@@ -25,7 +25,7 @@ difference stencil; an exterior derivative of an exterior derivative
 flows an already stacked point and gets the axes (inner, outer, ...).
 
 The tangent stacks.  A tangent may carry leading stack axes as well
-(`stack_tangents` builds one from k tangents): the point broadcasts
+(the caloron checks draw their k tangents as one): the point broadcasts
 against them, right-aligned, so a flow along a stack of k tangents
 gives the axes (steps, k, ...), and a scenario's connection, curvature
 and nabla Phi at a stack of tangents return the k values stacked in
@@ -75,25 +75,6 @@ def flow(pt, v, t):
     if not hasattr(pt, "flow"):
         raise TypeError(f"no flow rule for {type(pt).__name__}")
     return pt.flow(v, t)
-
-
-def stack_tangents(vs):
-    """The tangents vs, all of one kind, as one tangent with a leading
-    stack axis: tuples componentwise, a GridFun's vals and dvals (None
-    unless every tangent has them), arrays by np.stack."""
-    v = vs[0]
-    if isinstance(v, tuple):
-        return tuple(stack_tangents(c) for c in zip(*vs))
-    if isinstance(v, GridFun):
-        for w in vs[1:]:
-            v._check(w)
-        d = None
-        if all(w.dvals is not None for w in vs):
-            d = np.stack([w.dvals for w in vs])
-        return GridFun(v.grid, np.stack([w.vals for w in vs]), d)
-    if isinstance(v, np.ndarray):
-        return np.stack(vs)
-    raise TypeError(f"no stacking rule for {type(v).__name__}")
 
 
 def tangent_bracket(v, w):

@@ -150,10 +150,15 @@ class TrivialBundle:
         return (np.zeros(self.dim), xi)
 
     def lift_tangent(self, p: TrivialPoint, u):
-        return (np.asarray(u, dtype=float), GridFun.zero(self.grid, self.group.n))
+        """(u, 0); a stack of chart vectors, chart axis last, lifts to
+        the stack of their tangents."""
+        u = np.asarray(u, dtype=float)
+        n = self.group.n
+        zero = np.zeros(u.shape[:-1] + (self.grid.size, n, n), dtype=complex)
+        return (u, GridFun(self.grid, zero, zero.copy()))
 
     def zero_tangent(self, p: TrivialPoint):
-        return (np.zeros(self.dim), GridFun.zero(self.grid, self.group.n))
+        return self.lift_tangent(p, np.zeros(self.dim))
 
     # base data
 

@@ -112,11 +112,12 @@ class TrigPoly:
     """Finite Fourier sum a0 + sum_m (ac[m] cos((m+1) t) + bs[m] sin((m+1) t)).
     TrigPoly() is the zero profile and TrigPoly(1.0) the unit one.
 
-    A stack of k profiles has a0 of shape (k,) and ac, bs of shape
-    (k, harmonics): the term axis leads the samples of val and dval,
-    which evaluate each cos(m t) and sin(m t) once for all k terms and
-    round every term as it rounds alone.  The coefficients are kept as
-    float arrays, one row per harmonic, from the first evaluation on.
+    A stack of profiles has a0 of the stack's shape, (k,) or (k1, k2)
+    say, and ac, bs of that shape plus (harmonics,): the stack axes
+    lead the samples of val and dval, which evaluate each cos(m t) and
+    sin(m t) once for all terms and round every term as it rounds
+    alone.  The coefficients are kept as float arrays, one row per
+    harmonic, from the first evaluation on.
     """
 
     a0: float = 0.0
@@ -127,15 +128,17 @@ class TrigPoly:
     def rows(self) -> tuple:
         """a0, and ac and bs one row per harmonic, made once and kept."""
         a0 = np.asarray(self.a0, dtype=float)
-        ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).T
-        bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).T
+        # the harmonic axis first, the stack axes after it in their order
+        axes = (a0.ndim,) + tuple(range(a0.ndim))
+        ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
+        bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
         return a0, ac, bs
 
     def val(self, t):
         t = np.asarray(t, dtype=float)
         a0, ac, bs = self.rows
         out = np.empty(a0.shape + t.shape)
-        out.T[...] = a0  # the term axis last, so a0 broadcasts along it
+        out[...] = a0.reshape(a0.shape + (1,) * t.ndim)  # a0 along t's axes
         for m, a in enumerate(ac, start=1):
             out = out + np.multiply.outer(a, np.cos(m * t))
         for m, b in enumerate(bs, start=1):

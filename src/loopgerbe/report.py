@@ -21,13 +21,16 @@ VERSION = "1.0"
 REPORT_KEYS = ("version", "config", "checks", "convergence")
 CHECK_FIELDS = ("name", "paper_ref", "residual", "tol", "pass", "seconds")
 CONVERGENCE_FIELDS = ("name", "grid", "residual")
+# a row of an fd or grid ladder adds the ladder's fitted order; a flat
+# ladder's rows have none
+ORDER_FIELDS = CONVERGENCE_FIELDS + ("order",)
 
 
 def build_report(cfg: RunConfig, result: SuiteResult) -> dict:
     return {"version": VERSION, "config": cfg.as_dict(),
             "checks": [{k: row[k] for k in CHECK_FIELDS}
                        for row in result.rows],
-            "convergence": [{k: row[k] for k in CONVERGENCE_FIELDS}
+            "convergence": [{k: row[k] for k in ORDER_FIELDS if k in row}
                             for row in result.convergence]}
 
 
@@ -46,7 +49,7 @@ def validate_report(report: dict) -> list:
     if names != sorted(names):
         problems.append("check rows not sorted by name")
     for row in report.get("convergence", ()):
-        if tuple(row.keys()) != CONVERGENCE_FIELDS:
+        if tuple(row.keys()) not in (CONVERGENCE_FIELDS, ORDER_FIELDS):
             problems.append("bad convergence row fields: %s"
                             % (tuple(row.keys()),))
     return problems
@@ -73,21 +76,25 @@ def to_json(report: dict) -> str:
 
 
 def to_csv(report: dict) -> str:
-    """Flat projection: one table, check rows then convergence rows."""
+    """Flat projection: one table, check rows then convergence rows; the
+    order column is empty but on the rows of a ladder with a fitted
+    order."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["# version", report["version"]])
     for key, val in report["config"].items():
         w.writerow(["# config:" + key, "" if val is None else val])
     w.writerow(["kind", "name", "paper_ref", "grid", "residual", "tol",
-                "pass", "seconds"])
+                "pass", "seconds", "order"])
     for row in report["checks"]:
         w.writerow(["check", row["name"], row["paper_ref"], "",
                     repr(row["residual"]), repr(row["tol"]),
-                    str(row["pass"]).lower(), repr(row["seconds"])])
+                    str(row["pass"]).lower(), repr(row["seconds"]), ""])
     for row in report["convergence"]:
+        order = row.get("order")
         w.writerow(["convergence", row["name"], "", row["grid"],
-                    repr(row["residual"]), "", "", ""])
+                    repr(row["residual"]), "", "", "",
+                    "" if order is None else repr(order)])
     return buf.getvalue()
 
 

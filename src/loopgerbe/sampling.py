@@ -26,6 +26,7 @@ from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
 
 HARMONICS = 2  # harmonics of a theta profile
 SCALE = 0.5    # half-width of a profile coefficient's uniform draw
+DAMP = 1.0 / np.arange(1, HARMONICS + 1) ** 2  # 1/m^2 on harmonic m
 NFACTORS = 2   # generator factors of a loop, a path point and a group path
 
 
@@ -102,20 +103,30 @@ def random_algebra(rng: np.random.Generator, group: Group, scale: float = 0.7) -
     return group.from_coeffs(_coeffs(rng, group.dim, scale))
 
 
+def random_trig_coeffs(rng: np.random.Generator, k: int) -> tuple:
+    """The coefficients (a0, ac, bs) of k theta profiles, of shapes (k,),
+    (k, HARMONICS) and (k, HARMONICS): the one draw of a profile, made
+    profile after profile, each its a0, then its a_m, then its b_m; the
+    a_m and b_m are damped by 1/m^2 once all are drawn."""
+    a0 = np.empty(k)
+    ac = np.empty((k, HARMONICS))
+    bs = np.empty((k, HARMONICS))
+    for i in range(k):
+        a0[i] = rng.uniform(-SCALE, SCALE)
+        ac[i] = _coeffs(rng, HARMONICS, SCALE)
+        bs[i] = _coeffs(rng, HARMONICS, SCALE)
+    return a0, ac * DAMP, bs * DAMP
+
+
 def random_trig(rng: np.random.Generator) -> TrigPoly:
-    damp = 1.0 / np.arange(1, HARMONICS + 1) ** 2
-    a0 = float(rng.uniform(-SCALE, SCALE))
-    ac = tuple(_coeffs(rng, HARMONICS, SCALE) * damp)
-    bs = tuple(_coeffs(rng, HARMONICS, SCALE) * damp)
-    return TrigPoly(a0, ac, bs)
+    a0, ac, bs = random_trig_coeffs(rng, 1)
+    return TrigPoly(float(a0[0]), tuple(ac[0]), tuple(bs[0]))
 
 
 def _random_trigs(rng: np.random.Generator, k: int) -> TrigPoly:
     """k profiles drawn as k `random_trig` calls, stacked on a leading
     term axis."""
-    ps = [random_trig(rng) for _ in range(k)]
-    return TrigPoly(np.array([p.a0 for p in ps]), np.array([p.ac for p in ps]),
-                    np.array([p.bs for p in ps]))
+    return TrigPoly(*random_trig_coeffs(rng, k))
 
 
 def random_based_profile(rng: np.random.Generator) -> Fn:

@@ -22,6 +22,7 @@ from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
                                 random_loop, random_loop_factors,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
+from test_stencil import stack_tangents
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
@@ -43,6 +44,14 @@ def tb_caloron_tangent(rng, lam=None):
     if lam is None:
         lam = float(rng.uniform(-1.0, 1.0))
     return CaloronTangent(X, eta, lam)
+
+
+def stacked(Vs):
+    """Caloron tangents as one stacked tangent, the form that
+    `curvature_samples` takes."""
+    return CaloronTangent(stack_tangents([V.X for V in Vs]),
+                          np.stack([V.eta for V in Vs]),
+                          np.array([V.lam for V in Vs]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def test_group_equivariance():
 def _curvature(scn, pt, V, W):
     # the caloron curvature R(V, W) at the point's angle: pair 0 of a
     # two-tangent table
-    return eval_samples(curvature_samples(scn, pt, (V, W)).R[0], pt.theta)
+    return eval_samples(curvature_samples(scn, pt, stacked((V, W))).R[0], pt.theta)
 
 
 def test_curvature_closed_form_vs_ext_d():
@@ -134,7 +143,7 @@ def test_curvature_group_covariance():
 
 
 def _form(scn, pt, Vs):
-    return pontrjagin_form(curvature_samples(scn, pt, Vs))
+    return pontrjagin_form(curvature_samples(scn, pt, stacked(Vs)))
 
 
 def test_pontrjagin_split_identity():
@@ -142,7 +151,7 @@ def test_pontrjagin_split_identity():
     for _ in range(5):
         pt = tb_caloron_point(rng)
         Vs = [tb_caloron_tangent(rng) for _ in range(4)]
-        table = curvature_samples(TB, pt, Vs)
+        table = curvature_samples(TB, pt, stacked(Vs))
         assert abs(pontrjagin_form(table) - pontrjagin_split(table)) < 1e-8
 
 
@@ -216,7 +225,7 @@ def _assert_sides_unshared(counted, scn, pt, Vs):
     # and each side equals its unshared reference bit for bit
     form, split = _unshared_form(scn, pt, Vs), _unshared_split(scn, pt, Vs)
     counted.update(nabla_phi=[], curvature=[])
-    table = curvature_samples(scn, pt, Vs)
+    table = curvature_samples(scn, pt, stacked(Vs))
     lhs, rhs = pontrjagin_form(table), pontrjagin_split(table)
     assert counted == {"nabla_phi": [4], "curvature": [6]}
     assert lhs == form
@@ -234,10 +243,21 @@ def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
     assert abs(lhs - rhs) < 1e-8
 
 
-def test_one_split_draw_evaluates_each_sample_once(counted):
-    cfg = checks.RunConfig(ntheta=48)
-    checks.curvature_square_split(cfg, make_rng(5), n=1)
+def test_one_split_draw_evaluates_each_sample_once(counted, monkeypatch):
+    # one curvature call on the 6 pairs and one nabla Phi call on the 4
+    # tangents; the 4 tangents come from one from_profiles call over a
+    # (3, 4) stack of profiles, the pair stacks are gathered from them
+    # by index (forms stacks no tangents), and the table reads its three
+    # stacks at the angle in one node lookup
+    profiles = _counting(monkeypatch, GridFun, "from_profiles")
+    nodes = _counting(monkeypatch, caloron, "_node")
+    _split_draw()
     assert counted == {"nabla_phi": [4], "curvature": [6]}
+    stacks = [np.shape(f.a0) for _, terms in profiles for f, _ in terms
+              if isinstance(f, TrigPoly)]
+    assert stacks == [(3, 4)]
+    assert not hasattr(forms, "stack_tangents")
+    assert len(nodes) == 1
 
 
 def test_repeated_tangents_equal_the_unshared_reference(counted):
@@ -288,8 +308,8 @@ def test_sample_table_answers_for_its_own_point_and_scenario(counted):
     assert _form(tb2, pt, Vs) != base
 
 
-def _count_calls(monkeypatch, owner, name, draw):
-    """The arguments of every call of owner.name during draw()."""
+def _counting(monkeypatch, owner, name) -> list:
+    """Log the arguments of every later call of owner.name; the log."""
     calls = []
     fn = getattr(owner, name)
 
@@ -298,6 +318,12 @@ def _count_calls(monkeypatch, owner, name, draw):
         return fn(*args)
 
     monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _count_calls(monkeypatch, owner, name, draw):
+    """The arguments of every call of owner.name during draw()."""
+    calls = _counting(monkeypatch, owner, name)
     draw()
     return calls
 
@@ -324,8 +350,9 @@ def test_one_split_draw_makes_at_most_35_products(monkeypatch):
 
 
 def test_one_split_draw_looks_up_at_most_3_nodes(monkeypatch):
-    # the 4-form reads its curvature stack and the split its F and
-    # nabla Phi stacks, each in one lookup of the angle's node
+    # the table reads its curvature, F and nabla Phi stacks at the
+    # angle's node, on the check's grid (one lookup: see
+    # test_one_split_draw_evaluates_each_sample_once)
     calls = _count_calls(monkeypatch, caloron, "_node", _split_draw)
     assert 0 < len(calls) <= 3
     assert all(grid == ThetaGrid(48) for grid, _ in calls)
@@ -369,6 +396,88 @@ def test_random_loop_is_the_product_of_its_drawn_factors():
         assert np.array_equal(g.vals, h.vals) and np.array_equal(g.zvals, h.zvals)
 
 
+def _one_profile(rng) -> TrigPoly:
+    """A theta profile drawn alone: a0, then the two cos and the two sin
+    coefficients, uniform in [-0.5, 0.5] and damped by 1/m^2."""
+    damp = 1.0 / np.arange(1, 3) ** 2
+    a0 = float(rng.uniform(-0.5, 0.5))
+    ac = tuple(rng.uniform(-0.5, 0.5, size=2) * damp)
+    return TrigPoly(a0, ac, tuple(rng.uniform(-0.5, 0.5, size=2) * damp))
+
+
+def _one_tangent(tb, rng) -> CaloronTangent:
+    """A caloron tangent drawn and built by itself: u, one profile per
+    basis element, eta, lam; X summed term by term."""
+    u = rng.normal(size=tb.dim)
+    terms = [(_one_profile(rng), E) for E in tb.group.basis]
+    X = GridFun.from_profiles(tb.grid, terms)
+    return CaloronTangent((u, X), random_algebra(rng, tb.group),
+                          float(rng.uniform(-1.0, 1.0)))
+
+
+def _one_point(cfg, rng):
+    """A caloron check's point, drawn by itself: m, two loop factors
+    (each a profile, then a generator), k, the node."""
+    tb = TrivialBundle.default(ThetaGrid(cfg.ntheta), liegroup.group_by_name(cfg.group))
+    rng.uniform(-0.6, 0.6, size=tb.dim)
+    for _ in range(2):
+        _one_profile(rng), random_algebra(rng, tb.group)
+    random_algebra(rng, tb.group)
+    j = int(rng.integers(cfg.ntheta))
+    return replace(tb, grid=ThetaGrid(cfg.ntheta, node=j))
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_stacked_tangents_are_the_tangents_drawn_one_by_one(group):
+    # the four tangents of a split draw take the draws of four tangents
+    # drawn one after the other, and equal them stacked, bit for bit;
+    # connection-axioms's single tangent is the same draw and build
+    cfg = checks.RunConfig(group=group, ntheta=48)
+    a, b = RecordingRNG(make_rng(371)), RecordingRNG(make_rng(371))
+    tb, _ = checks._caloron_point(cfg, a)
+    assert _one_point(cfg, b).grid == tb.grid
+    V = checks._caloron_tangents(tb, a, 4)
+    Ws = [_one_tangent(tb, b) for _ in range(4)]
+    assert a.log == b.log
+    (u, X), want = V.X, [W.X for W in Ws]
+    assert u.shape == (4, tb.dim) and X.vals.shape == (4, 1, tb.group.n, tb.group.n)
+    assert np.array_equal(u, np.stack([w[0] for w in want]))
+    assert np.array_equal(X.vals, np.stack([w[1].vals for w in want]))
+    assert np.array_equal(X.dvals, np.stack([w[1].dvals for w in want]))
+    assert np.array_equal(V.eta, np.stack([W.eta for W in Ws]))
+    assert np.array_equal(V.lam, [W.lam for W in Ws])
+    one, ref = checks._caloron_tangent(tb, a), _one_tangent(tb, b)
+    assert a.log == b.log and type(one.lam) is float and one.lam == ref.lam
+    for got, want in ((one.X[0], ref.X[0]), (one.X[1].vals, ref.X[1].vals),
+                      (one.X[1].dvals, ref.X[1].dvals), (one.eta, ref.eta)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_caloron_draws_keep_their_draw_order(group):
+    # the logs of one split draw and one connection-axioms draw: the
+    # point, then each draw in the order of a sampler that draws one
+    # profile and one tangent at a time
+    cfg = checks.RunConfig(group=group, ntheta=48)
+    a, b = RecordingRNG(make_rng(373)), RecordingRNG(make_rng(373))
+    checks.curvature_square_split(cfg, a, n=1)
+    tb = _one_point(cfg, b)
+    for _ in range(4):
+        _one_tangent(tb, b)
+    assert a.log == b.log
+
+    a, b = RecordingRNG(make_rng(379)), RecordingRNG(make_rng(379))
+    checks.connection_axioms(cfg, a, n=1)
+    tb = _one_point(cfg, b)
+    random_algebra(b, tb.group)                      # xi
+    [_one_profile(b) for _ in tb.group.basis]        # the kernel direction
+    _one_tangent(tb, b)
+    for _ in range(2):                               # the based loop
+        _one_profile(b), random_algebra(b, tb.group)
+    random_algebra(b, tb.group)                      # k0
+    assert a.log == b.log
+
+
 def _full_grid_point(cfg, rng):
     """A caloron check's point drawn as `checks._caloron_point` draws it,
     but with the bundle and the loop on all N nodes: the reference the
@@ -407,8 +516,7 @@ def test_node_route_is_the_full_route_at_its_node(group, ntheta):
     cfg = checks.RunConfig(group=group, ntheta=ntheta)
 
     def split(tb, pt, rng):
-        Vs = [checks._caloron_tangent(tb, rng) for _ in range(4)]
-        return curvature_samples(tb, pt, Vs)
+        return curvature_samples(tb, pt, checks._caloron_tangents(tb, rng, 4))
 
     for seed in range(20):
         j, got, want = _both_routes(cfg, seed, split)

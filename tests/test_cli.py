@@ -310,7 +310,7 @@ def test_csv_projection():
     assert "# version,%s" % report_mod.VERSION in meta[0]
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header.split(",") == ["kind", "name", "paper_ref", "grid",
-                                 "residual", "tol", "pass", "seconds"]
+                                 "residual", "tol", "pass", "seconds", "order"]
     body = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(body) == len(rep["checks"]) + len(rep["convergence"])
     assert cli.EXIT_PASS == 0  # keep the import earning its place
@@ -335,6 +335,30 @@ def test_fd_ladder_order_is_fourth():
     steps = [row["grid"] for row in tab.rows]
     assert steps == [100, 200, 400]
     assert tab.order is not None and tab.order > 3.5
+
+
+def test_fd_ladder_rows_report_their_order():
+    # every row of an fd ladder carries the fitted order into the JSON
+    # report and the CSV order column; flat-ladder rows carry none
+    cfg = RunConfig(ntheta=64)
+    tab = convergence_table("central-extension/pair-form-coboundary",
+                            (64, 128), cfg)
+    flat = convergence_table("path-fibration/string-matches-invariant-form",
+                             (16, 32), cfg)
+    assert tab.order is not None and flat.order is None
+    rep = report_mod.build_report(cfg, checks.SuiteResult(
+        convergence=tab.rows + flat.rows))
+    assert report_mod.validate_report(rep) == []
+    fd_rows, flat_rows = rep["convergence"][:2], rep["convergence"][2:]
+    assert all(tuple(row) == report_mod.ORDER_FIELDS and row["order"] == tab.order
+               for row in fd_rows)
+    assert all(tuple(row) == report_mod.CONVERGENCE_FIELDS for row in flat_rows)
+    assert strict_json(report_mod.to_json(rep))["convergence"] == rep["convergence"]
+    body = report_mod.to_csv(rep).strip().split("\n")[-4:]
+    assert [line.split(",")[-1] for line in body] == [repr(tab.order)] * 2 + [""] * 2
+    # a convergence row with any other key is flagged
+    bad = dict(rep, convergence=[dict(fd_rows[0], slope=1.0)])
+    assert report_mod.validate_report(bad) != []
 
 
 def test_grid_sweep_rows_match_request():

@@ -1,7 +1,7 @@
 """Fixture profiles and loop-point samples, each evaluated once.
 
-A stacked TrigPoly evaluates all its terms in one val and one dval
-call, and the samplers multiply and sum the terms of a stack as the
+A stacked TrigPoly, with one stack axis or two, evaluates all its
+terms in one val and one dval call, and the samplers multiply and sum the terms of a stack as the
 same terms taken one at a time, bit for bit.  A loop point keeps its
 left logarithmic derivative and its endpoint frame; both equal a fresh
 computation bit for bit, and go with the point."""
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from loopgerbe import sampling
 from loopgerbe.gerbe import PathFibration
 from loopgerbe.liegroup import SU2, SU3, adjoint_inv, exp_alg, group_inv, mm
-from loopgerbe.loops import Fn, LoopPoint, ThetaGrid, TrigPoly, conj_loop
+from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop
 
 GROUPS = (SU2, SU3)
 
@@ -149,6 +149,43 @@ def test_a_stacked_trig_poly_rounds_each_term_as_alone(case):
         assert _same(at0[j], one.val(0.0))
         assert _same(based[j], Fn.based(one).val(t))
         assert _same(based[j], _based(one, t)[0])
+
+
+@st.composite
+def _two_axis_stacks(draw):
+    """A (k1, k2) stack of profiles: k2 tangents of k1 profiles each."""
+    k1, k2, h = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    a0 = draw(hnp.arrays(float, (k1, k2), elements=_COEF))
+    ac = draw(hnp.arrays(float, (k1, k2, h), elements=_COEF))
+    bs = draw(hnp.arrays(float, (k1, k2, h), elements=_COEF))
+    return TrigPoly(a0, ac, bs), draw(st.sampled_from(_GRIDS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_axis_stacks(), st.sampled_from(GROUPS))
+def test_a_two_axis_stack_rounds_each_profile_as_alone(case, group):
+    # both stack axes lead the samples, and each profile rounds as it
+    # does alone; with the first axis over k1 basis elements,
+    # from_profiles over the stack is the k2 one-tangent results stacked
+    stack, grid = case
+    t = grid.nodes
+    val, dval = stack.val(t), stack.dval(t)
+    k1, k2 = stack.a0.shape
+    assert val.shape == dval.shape == (k1, k2, grid.size)
+    for i in range(k1):
+        for j in range(k2):
+            one = TrigPoly(float(stack.a0[i, j]), tuple(stack.ac[i, j]),
+                           tuple(stack.bs[i, j]))
+            want_val, want_dval = _trig(one, t)
+            assert _same(val[i, j], one.val(t)) and _same(val[i, j], want_val)
+            assert _same(dval[i, j], one.dval(t)) and _same(dval[i, j], want_dval)
+    basis = group.basis[:k1]
+    got = GridFun.from_profiles(grid, [(stack, basis)])
+    want = [GridFun.from_profiles(grid, [(TrigPoly(stack.a0[:, j], stack.ac[:, j],
+                                                   stack.bs[:, j]), basis)])
+            for j in range(k2)]
+    assert _same(got.vals, np.stack([w.vals for w in want]))
+    assert _same(got.dvals, np.stack([w.dvals for w in want]))
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)

@@ -273,10 +273,11 @@ def test_no_parameter_that_no_caller_varies():
     assert (sampling.HARMONICS, sampling.SCALE, sampling.NFACTORS) == (2, 0.5, 2)
     grid_group = ("rng", "grid", "group")
     assert {name: _params(getattr(sampling, name)) for name in (
-        "random_trig", "random_based_profile", "random_loop",
+        "random_trig_coeffs", "random_trig", "random_based_profile", "random_loop",
         "random_loop_tangent", "random_path_point", "random_path_tangent",
         "random_path_fibre_points", "random_path_fibre_tangent",
         "random_unit_profile", "random_group_path")} == {
+        "random_trig_coeffs": ("rng", "k"),
         "random_trig": ("rng",),
         "random_based_profile": ("rng",),
         "random_loop": grid_group + ("nfactors", "based"),
@@ -338,7 +339,10 @@ def test_no_code_that_only_tests_reach():
                       "mu_hat", "ConventionError", "_slot_residual"),
             sampling: ("random_pinned_profile", "random_disk_terms"),
             caloron: ("killingback_map", "_memo", "caloron_curvature",
-                      "curvature_form"),
+                      "curvature_form", "_at_angle", "_pair_index"),
+            # the caloron checks draw their tangents as one stack, and the
+            # table gathers its pair stacks by index
+            forms: ("stack_tangents",),
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left"),
             loops.LoopPoint: ("constant", "n"), gerbe.PathFibration: ("check_point",),
