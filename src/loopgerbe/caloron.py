@@ -73,6 +73,10 @@ class CaloronTangent:
     eta: np.ndarray
     lam: float
 
+    def __getitem__(self, at) -> "CaloronTangent":
+        """The tangents of a stack at the stack positions `at`."""
+        return CaloronTangent(_pick(self.X, at), self.eta[at], self.lam[at])
+
     def bracket(self, w: "CaloronTangent") -> "CaloronTangent":
         return CaloronTangent(tangent_bracket(self.X, w.X),
                               bracket(self.eta, w.eta), 0.0)

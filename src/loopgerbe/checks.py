@@ -3,8 +3,9 @@
 Each check is registered under a stable identifier `<scenario>/<slug>`
 with a formula tag and a default tolerance.  A check body is one fixture
 draw `(cfg, rng) -> residual or tuple of residuals`: it builds its
-scenario from the configuration, which takes nothing from rng, then
-samples one fixture from rng and measures the identity on it.  `_draws`
+scenario from the configuration, which takes nothing from rng, draws
+one fixture from rng with the samplers of `sampling` and measures the
+identity on it.  `_draws`
 makes the body into the public check `(cfg, rng, n=<default>)`, which
 runs the draw n >= 1 times on the same generator and returns the worst
 residual; a NaN residual anywhere makes the check NaN, and so fails its
@@ -27,15 +28,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import caloron, centext, gerbe, sampling
-from .caloron import CaloronPoint, CaloronTangent
 from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
                     ext_d_form)
-from .liegroup import exp_alg, exp_dexp_right, group_by_name, mm
-from .loops import GridFun, ThetaGrid, TrigPoly, product_loop
-from .sampling import (random_algebra, random_loop, random_loop_factors,
+from .liegroup import exp_dexp_right, group_by_name, mm
+from .loops import ThetaGrid
+from .sampling import (random_algebra, random_bundle_fibre_points,
+                       random_bundle_tangent, random_caloron_point,
+                       random_caloron_tangents, random_chart_point,
+                       random_chart_vector, random_group_element, random_loop,
                        random_loop_tangent, random_path_fibre_points,
                        random_path_fibre_tangent, random_path_point,
-                       random_path_tangent, random_trig_coeffs)
+                       random_path_tangent)
 
 SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
              "path-fibration", "trivial-bundle")
@@ -109,18 +112,6 @@ def _tb(cfg: RunConfig):
 
 def _pf(cfg: RunConfig):
     return gerbe.PathFibration(*_setup(cfg), cfg.fd_step)
-
-
-def _tb_point(tb, rng):
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    return tb.point(m, random_loop(rng, tb.grid, tb.group))
-
-
-def _tb_tangent(tb, rng, u=None):
-    if u is None:
-        u = rng.normal(size=tb.dim)
-    return (np.asarray(u, dtype=float),
-            random_loop_tangent(rng, tb.grid, tb.group))
 
 
 def _worst(residuals) -> float:
@@ -227,7 +218,7 @@ def reduced_splitting(cfg: RunConfig, rng):
     """splitting identity on both scenario surfaces; pointwise cancellation."""
     grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    p = _tb_point(tb, rng)
+    p, = random_bundle_fibre_points(rng, tb, 1)
     g = random_loop(rng, grid, group)
     X = random_loop_tangent(rng, grid, group)
     r_tb = centext.reduced_splitting_check(tb, p, g, X)
@@ -283,7 +274,7 @@ def three_form_closed_base(cfg: RunConfig, rng):
     pullback is degenerate, for su3 the four directions are generic.
     """
     group = _setup(cfg)[1]
-    k0 = exp_alg(random_algebra(rng, group))
+    k0 = random_group_element(rng, group)
     xs = [random_algebra(rng, group) for _ in range(4)]
 
     def amap(s):
@@ -299,9 +290,9 @@ def three_form_closed_base(cfg: RunConfig, rng):
         k = mm(e, k0)
         return gerbe.omega3(k, *mm(d, k))
 
-    vs = tuple(rng.normal(size=4) for _ in range(4))
-    return abs(ext_d(Form(3, pulled), ChartPt(rng.normal(size=4) * 0.3), vs,
-                     h=1e-3))
+    vs = tuple(random_chart_vector(rng, 4) for _ in range(4))
+    return abs(ext_d(Form(3, pulled), ChartPt(random_chart_vector(rng, 4) * 0.3),
+                     vs, h=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +302,15 @@ def three_form_closed_base(cfg: RunConfig, rng):
 @_draws(2)
 def transition_coboundary(cfg: RunConfig, rng):
     """|delta epsilon - beta| at fibre triples, both scenarios."""
-    grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
-    u = rng.normal(size=tb.dim)
-    vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(3))
+    pts = random_bundle_fibre_points(rng, tb, 3)
+    u = random_chart_vector(rng, tb.dim)
+    vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(3))
     eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
     r_tb = abs(delta_fibre(eps)(pts, vecs) - gerbe.beta_form(tb, pts, vecs))
 
-    ppts = random_path_fibre_points(rng, pf.grid, group, 3)
-    pvecs = random_path_fibre_tangent(rng, pf.grid, group, 3)
+    ppts = random_path_fibre_points(rng, pf.grid, pf.group, 3)
+    pvecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 3)
     peps = Form(1, lambda pt, v: gerbe.epsilon_form(pf, pt, v))
     return r_tb, abs(delta_fibre(peps)(ppts, pvecs)
                      - gerbe.beta_form(pf, ppts, pvecs))
@@ -342,18 +331,16 @@ def _curving_chain(scn, pts, vecs, wecs) -> float:
 @_draws(1)
 def curving_transition(cfg: RunConfig, rng):
     """|delta f - (tau^* R - d epsilon)| on fibre pairs, both scenarios."""
-    grid, group = _setup(cfg)
     tb, pf = _tb(cfg), _pf(cfg)
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(2))
-    u, w = rng.normal(size=tb.dim), rng.normal(size=tb.dim)
-    vecs = tuple(_tb_tangent(tb, rng, u) for _ in range(2))
-    wecs = tuple(_tb_tangent(tb, rng, w) for _ in range(2))
+    pts = random_bundle_fibre_points(rng, tb, 2)
+    u, w = random_chart_vector(rng, tb.dim), random_chart_vector(rng, tb.dim)
+    vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(2))
+    wecs = tuple(random_bundle_tangent(rng, tb, w) for _ in range(2))
     r_tb = _curving_chain(tb, pts, vecs, wecs)
 
-    ppts = random_path_fibre_points(rng, pf.grid, group, 2)
-    pvecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
-    pwecs = random_path_fibre_tangent(rng, pf.grid, group, 2)
+    ppts = random_path_fibre_points(rng, pf.grid, pf.group, 2)
+    pvecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 2)
+    pwecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 2)
     return r_tb, _curving_chain(pf, ppts, pvecs, pwecs)
 
 
@@ -363,8 +350,8 @@ def curving_differential_chart(cfg: RunConfig, rng):
     no room for a 3-form, so both sides cancel to the difference noise."""
     tb = _tb(cfg)
     fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b))
-    p = _tb_point(tb, rng)
-    Ts = tuple(_tb_tangent(tb, rng) for _ in range(3))
+    p, = random_bundle_fibre_points(rng, tb, 1)
+    Ts = tuple(random_bundle_tangent(rng, tb) for _ in range(3))
     df = ext_d(fform, p, Ts, h=1e-3)
     want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts])
     return abs(df - want)
@@ -386,8 +373,7 @@ def simplicial_square_zero(cfg: RunConfig, rng):
     r_two = abs(delta_nerve(delta_nerve(r2))(gs, V, W))
 
     ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    pts = tuple(tb.point(m, random_loop(rng, grid, group)) for _ in range(3))
+    pts = random_bundle_fibre_points(rng, tb, 3)
     return r_zero, r_two, abs(delta_fibre(delta_fibre(ell0))(pts))
 
 
@@ -399,8 +385,8 @@ def differential_square_zero(cfg: RunConfig, rng):
     one = Form(1, lambda pt, v: np.sin(pt.x[..., 0]) * v[1]
                + np.exp(0.3 * pt.x[..., 2]) * v[0]
                + np.float_power(pt.x[..., 1], 2) * v[2])
-    x0 = ChartPt(rng.normal(size=3) * 0.5)
-    vs = tuple(rng.normal(size=3) for _ in range(3))
+    x0 = ChartPt(random_chart_vector(rng, 3) * 0.5)
+    vs = tuple(random_chart_vector(rng, 3) for _ in range(3))
     r_chart = abs(ext_d(ext_d_form(one, h=1e-3), x0, vs, h=1e-3))
 
     C = random_loop_tangent(rng, grid, group)
@@ -415,48 +401,6 @@ def differential_square_zero(cfg: RunConfig, rng):
 # caloron round trip
 
 
-def _caloron_point(cfg: RunConfig, rng):
-    """(tb, pt): a caloron point at a drawn grid node, and the default
-    bundle on that node alone.  m, the loop factors, k and the node j
-    are drawn in that order; then the bundle is moved to
-    ThetaGrid(ntheta, node=j) and the loop built there.  A caloron check
-    reads its samples at the point's angle only, and each is pointwise
-    in theta (the payloads give every theta derivative exactly), so
-    node j alone gives the full grid's samples there, bit for bit."""
-    tb = _tb(cfg)
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    factors = random_loop_factors(rng, tb.group)
-    k = exp_alg(random_algebra(rng, tb.group))
-    tb = replace(tb, grid=ThetaGrid(cfg.ntheta, node=int(rng.integers(cfg.ntheta))))
-    p = tb.point(m, product_loop(tb.grid, factors))
-    return tb, CaloronPoint(p, k, float(tb.grid.nodes[0]))
-
-
-def _caloron_tangents(tb, rng, k: int) -> CaloronTangent:
-    """k caloron tangents as one stacked tangent: u of shape (k, dim), X
-    one GridFun of shape (k, N, n, n), eta of shape (k, n, n) and lam of
-    shape (k,).  Each tangent is drawn in turn, its u, the group.dim
-    profiles of X, eta and lam; X is then built by one `from_profiles`
-    call over the (group.dim, k) stack of the profiles."""
-    group = tb.group
-    us, coeffs, etas, lams = [], [], [], []
-    for _ in range(k):
-        us.append(rng.normal(size=tb.dim))
-        coeffs.append(random_trig_coeffs(rng, group.dim))
-        etas.append(random_algebra(rng, group))
-        lams.append(rng.uniform(-1.0, 1.0))
-    profiles = TrigPoly(*(np.stack(c, axis=1) for c in zip(*coeffs)))
-    X = GridFun.from_profiles(tb.grid, [(profiles, group.basis)])
-    return CaloronTangent((np.array(us), X), np.array(etas), np.array(lams))
-
-
-def _caloron_tangent(tb, rng) -> CaloronTangent:
-    """One caloron tangent, drawn and built as `_caloron_tangents` does."""
-    V = _caloron_tangents(tb, rng, 1)
-    u, X = V.X
-    return CaloronTangent((u[0], X[0]), V.eta[0], float(V.lam[0]))
-
-
 def _sup(a) -> float:
     return _worst(np.abs(a))
 
@@ -465,10 +409,10 @@ def _sup(a) -> float:
 def connection_axioms(cfg: RunConfig, rng):
     """vertical reproduction, kernel annihilation, based-loop invariance
     and frame equivariance of the transferred connection."""
-    return _connection_residuals(*_caloron_point(cfg, rng), rng)
+    return _connection_residuals(*random_caloron_point(rng, _tb(cfg)), rng)
 
 
-def _connection_residuals(tb, pt: CaloronPoint, rng) -> tuple:
+def _connection_residuals(tb, pt: caloron.CaloronPoint, rng) -> tuple:
     """The four connection residuals at pt, their tangents and based
     loop drawn on the bundle's grid."""
     grid, group = tb.grid, tb.group
@@ -480,13 +424,13 @@ def _connection_residuals(tb, pt: CaloronPoint, rng) -> tuple:
     kv = caloron.kernel_vector(tb, pt, X)
     r_kernel = _sup(caloron.caloron_connection(tb, pt, kv))
 
-    V = _caloron_tangent(tb, rng)
+    V = random_caloron_tangents(rng, tb, 1)[0]
     a0 = caloron.caloron_connection(tb, pt, V)
     g = random_loop(rng, grid, group, based=True)
     qt, Vp = caloron.loop_act(tb, pt, V, g)
     r_loop = _sup(caloron.caloron_connection(tb, qt, Vp) - a0)
 
-    k0 = exp_alg(random_algebra(rng, group))
+    k0 = random_group_element(rng, group)
     qt, Vp = caloron.group_act(pt, V, k0)
     lhs = caloron.caloron_connection(tb, qt, Vp)
     rhs = mm(mm(np.linalg.inv(k0), a0), k0)
@@ -497,8 +441,8 @@ def _connection_residuals(tb, pt: CaloronPoint, rng) -> tuple:
 def curvature_square_split(cfg: RunConfig, rng):
     """pointwise identity between the squared transferred curvature and
     its base-curvature / Higgs-derivative split."""
-    tb, pt = _caloron_point(cfg, rng)
-    table = caloron.curvature_samples(tb, pt, _caloron_tangents(tb, rng, 4))
+    tb, pt = random_caloron_point(rng, _tb(cfg))
+    table = caloron.curvature_samples(tb, pt, random_caloron_tangents(rng, tb, 4))
     return abs(caloron.pontrjagin_form(table) - caloron.pontrjagin_split(table))
 
 
@@ -507,8 +451,8 @@ def circle_reduction(cfg: RunConfig, rng):
     """circle integral of the 4-form against the descended 3-form, on
     the three-direction chart where the 3-form is nonzero."""
     tb = gerbe.TrivialBundle.chart3(*_setup(cfg), cfg.fd_step)
-    m = rng.uniform(-0.6, 0.6, size=tb.dim)
-    us = [rng.normal(size=tb.dim) for _ in range(3)]
+    m = random_chart_point(rng, tb.dim)
+    us = [random_chart_vector(rng, tb.dim) for _ in range(3)]
     a = caloron.integrate_circle(tb, m, *us)
     b = gerbe.string_form(tb, m, *us)
     return abs(a - b) / max(1.0, abs(b))
@@ -518,9 +462,9 @@ def circle_reduction(cfg: RunConfig, rng):
 def frame_round_trip(cfg: RunConfig, rng):
     """connection and Higgs field recovered from the identity frame."""
     tb, pf = _tb(cfg), _pf(cfg)
-    p = _tb_point(tb, rng)
+    p, = random_bundle_fibre_points(rng, tb, 1)
     conn_of, phi = caloron.extract_connection_higgs(tb, p)
-    V = _tb_tangent(tb, rng)
+    V = random_bundle_tangent(rng, tb)
     r_tb = (_sup(conn_of(V).vals - tb.connection(p, V).vals),
             _sup(phi.vals - tb.higgs(p).vals))
 

@@ -29,8 +29,8 @@ import numpy as np
 from . import centext, forms
 from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_forms,
                     signed_permutations, tangent_bracket)
-from .liegroup import (SU2, Group, adjoint, bracket, group_inv, mm,
-                       project_algebra, trace_mm)
+from .liegroup import (ATOL_STRUCT, SU2, Group, adjoint, bracket, group_inv,
+                       mm, project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
                     pair_samples, step_axes)
 
@@ -215,7 +215,7 @@ class TrivialBundle:
         return conj_loop(p.g, phi) + p.g.log_derivative
 
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
-        if float(np.max(np.abs(p.m - q.m))) > 1e-10:
+        if float(np.max(np.abs(p.m - q.m))) > ATOL_STRUCT:
             raise ValueError("points in different fibres")
         return p.g.inv().mul(q.g)
 
@@ -291,14 +291,10 @@ class PathFibration:
         """Phi = p^-1 d_theta p, which the point keeps."""
         return p.log_derivative
 
-    def _endpoint_frame(self, p: LoopPoint):
-        """Q(theta) = p(theta)^-1 p(2pi), which the point keeps, and the
-        ramp theta/2pi."""
-        return p.endpoint_frame, p.grid.nodes / (2.0 * np.pi)
-
     def connection(self, p: LoopPoint, V: GridFun) -> GridFun:
-        Q, ramp = self._endpoint_frame(p)
-        w = adjoint(Q, _end(V.vals))
+        """V - (theta/2pi) Ad(Q) V(2pi) with Q = p.endpoint_frame."""
+        ramp = p.grid.nodes / (2.0 * np.pi)
+        w = adjoint(p.endpoint_frame, _end(V.vals))
         vals = V.vals - ramp[:, None, None] * w
         dvals = None
         if V.dvals is not None:
@@ -307,7 +303,7 @@ class PathFibration:
         return GridFun(p.grid, vals, dvals)
 
     def tau(self, p: LoopPoint, q: LoopPoint) -> LoopPoint:
-        if float(np.max(np.abs(p.endpoint() - q.endpoint()))) > 1e-10:
+        if float(np.max(np.abs(p.endpoint() - q.endpoint()))) > ATOL_STRUCT:
             raise ValueError("points in different fibres")
         return p.inv().mul(q)
 
@@ -321,8 +317,7 @@ class PathFibration:
         return GridFun(p.grid, 2.0 * poly[:, None, None] * adc)
 
     def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
-        Q, _ = self._endpoint_frame(p)
-        w = adjoint(Q, _end(V.vals))
+        w = adjoint(p.endpoint_frame, _end(V.vals))
         return GridFun(p.grid, w * (1.0 / (2 * np.pi)))
 
 

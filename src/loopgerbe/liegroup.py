@@ -157,8 +157,10 @@ class AlgEig:
                         self.Uh.reshape(lead + self.Uh.shape[-2:]), s)
 
     def dexp(self, t=1.0) -> np.ndarray:
-        """dexp_right(tX, t dX) in closed form (Daleckii-Krein; Higham,
-        Functions of Matrices, 2008, 3.2); t's leading axes lead it."""
+        """dexp_right(tX, t dX) = d(exp(tX)) exp(-tX) = U [phi(t(w_j - w_k))
+        o (U* t dX U)] U*, phi(x) = (e^(ix) - 1)/(ix) = e^(ix/2) sinc(x/2), in
+        closed form (Daleckii-Krein; Higham, Functions of Matrices, 2008,
+        3.2), exact for repeated eigenvalues too; t's leading axes lead it."""
         t = np.asarray(t, dtype=float)
         ts = t.reshape(t.shape + (1,) * self.Y.ndim)
         theta = ts * (self.w[..., :, None] - self.w[..., None, :])
@@ -226,11 +228,3 @@ def bracket(X, Y) -> np.ndarray:
 def group_inv(g) -> np.ndarray:
     """Inverse of a unitary stack (conjugate transpose)."""
     return np.swapaxes(np.asarray(g, dtype=complex), -1, -2).conj()
-
-
-def dexp_right(X, dX) -> np.ndarray:
-    """d(exp(X)) exp(-X) = U [phi(w_j - w_k) o (U* dX U)] U* with X = U diag(i w) U*
-    and phi(x) = (e^(ix) - 1)/(ix) = e^(ix/2) sinc(x/2), entire with phi(0) = 1:
-    exact up to roundoff for anti-Hermitian X (repeated eigenvalues included)
-    and any dX."""
-    return eig_alg(X, dX).dexp()

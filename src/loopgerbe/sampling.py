@@ -14,13 +14,23 @@ the product of NFACTORS = 2 single-generator factors exp(f_j(theta)
 xi_j), each a profile and then an algebra element whose basis
 coefficients are uniform in [-0.7, 0.7].  A path profile on [0, 1] has
 four coefficients uniform in [-0.8, 0.8].
+
+A chart point has coordinates uniform in [-CHART, CHART] = [-0.6, 0.6],
+a chart vector N(0, 1) coordinates; a group element is exp of an algebra
+element.  q points of one trivial-bundle fibre draw one chart point,
+then q loops.  A caloron point draws a chart point, the loop factors, k
+and its node, an integer in [0, ntheta); a caloron tangent a chart vector,
+one profile per basis element, eta and lam in [-LAM, LAM] = [-1, 1].
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .liegroup import Group
+from .caloron import CaloronPoint, CaloronTangent
+from .liegroup import Group, exp_alg
 from .loops import (Fn, GridFun, LoopPoint, PathInLoopGroup, ThetaGrid,
                     TrigPoly, path_from_factors, product_loop)
 
@@ -28,6 +38,8 @@ HARMONICS = 2  # harmonics of a theta profile
 SCALE = 0.5    # half-width of a profile coefficient's uniform draw
 DAMP = 1.0 / np.arange(1, HARMONICS + 1) ** 2  # 1/m^2 on harmonic m
 NFACTORS = 2   # generator factors of a loop, a path point and a group path
+CHART = 0.6    # half-width of a chart point's coordinates
+LAM = 1.0      # half-width of a caloron tangent's lam
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -103,6 +115,18 @@ def random_algebra(rng: np.random.Generator, group: Group, scale: float = 0.7) -
     return group.from_coeffs(_coeffs(rng, group.dim, scale))
 
 
+def random_chart_point(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.uniform(-CHART, CHART, size=dim)
+
+
+def random_chart_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.normal(size=dim)
+
+
+def random_group_element(rng: np.random.Generator, group: Group) -> np.ndarray:
+    return exp_alg(random_algebra(rng, group))
+
+
 def random_trig_coeffs(rng: np.random.Generator, k: int) -> tuple:
     """The coefficients (a0, ac, bs) of k theta profiles, of shapes (k,),
     (k, HARMONICS) and (k, HARMONICS): the one draw of a profile, made
@@ -121,12 +145,6 @@ def random_trig_coeffs(rng: np.random.Generator, k: int) -> tuple:
 def random_trig(rng: np.random.Generator) -> TrigPoly:
     a0, ac, bs = random_trig_coeffs(rng, 1)
     return TrigPoly(float(a0[0]), tuple(ac[0]), tuple(bs[0]))
-
-
-def _random_trigs(rng: np.random.Generator, k: int) -> TrigPoly:
-    """k profiles drawn as k `random_trig` calls, stacked on a leading
-    term axis."""
-    return TrigPoly(*random_trig_coeffs(rng, k))
 
 
 def random_based_profile(rng: np.random.Generator) -> Fn:
@@ -155,7 +173,8 @@ def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,
                         group: Group) -> GridFun:
     """Algebra-valued loop sum_a f_a(theta) E_a over the basis, with exact
     derivative payload: one stacked profile per basis element."""
-    return GridFun.from_profiles(grid, [(_random_trigs(rng, group.dim), group.basis)])
+    profiles = TrigPoly(*random_trig_coeffs(rng, group.dim))
+    return GridFun.from_profiles(grid, [(profiles, group.basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +212,7 @@ def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
     """
     _need_closed(grid)
     end = random_algebra(rng, group, SCALE) if endpoint is None else np.asarray(endpoint)
-    based = Fn.based(_random_trigs(rng, group.dim))
+    based = Fn.based(TrigPoly(*random_trig_coeffs(rng, group.dim)))
     return GridFun.from_profiles(grid, [(Fn.ramp(1.0), end), (based, group.basis)])
 
 
@@ -214,6 +233,50 @@ def random_path_fibre_tangent(rng: np.random.Generator, grid: ThetaGrid, group: 
     end = random_algebra(rng, group, SCALE)
     return tuple(random_path_tangent(rng, grid, group, endpoint=end)
                  for _ in range(q))
+
+
+# ---------------------------------------------------------------------------
+# points and tangents of the trivial bundle and of the caloron
+
+
+def random_bundle_fibre_points(rng: np.random.Generator, tb, q: int) -> tuple:
+    """q points of one fibre: one chart point, then q loops."""
+    m = random_chart_point(rng, tb.dim)
+    return tuple(tb.point(m, random_loop(rng, tb.grid, tb.group)) for _ in range(q))
+
+
+def random_bundle_tangent(rng: np.random.Generator, tb, u=None) -> tuple:
+    """(u, X): u drawn as a chart vector unless given, then the loop tangent X."""
+    if u is None:
+        u = random_chart_vector(rng, tb.dim)
+    return np.asarray(u, dtype=float), random_loop_tangent(rng, tb.grid, tb.group)
+
+
+def random_caloron_point(rng: np.random.Generator, tb) -> tuple:
+    """(tb on ThetaGrid(N, node=j), a caloron point at node j): m, the
+    loop factors, k and j drawn in that order.  Each sample a check reads
+    at the point's angle is pointwise in theta, so node j alone gives the
+    full grid's samples there, bit for bit."""
+    m = random_chart_point(rng, tb.dim)
+    factors = random_loop_factors(rng, tb.group)
+    k = random_group_element(rng, tb.group)
+    tb = replace(tb, grid=ThetaGrid(tb.grid.n, node=int(rng.integers(tb.grid.n))))
+    p = tb.point(m, product_loop(tb.grid, factors))
+    return tb, CaloronPoint(p, k, float(tb.grid.nodes[0]))
+
+
+def random_caloron_tangents(rng: np.random.Generator, tb, k: int) -> CaloronTangent:
+    """k caloron tangents as one stack: u (k, dim), X one GridFun (k, N, n,
+    n), eta (k, n, n) and lam (k,).  Each tangent draws in turn its u, its
+    group.dim profiles, eta and lam; X is one `from_profiles` call over the
+    (group.dim, k) profile stack.  One tangent is the stack's [0]."""
+    group = tb.group
+    us, coeffs, etas, lams = zip(*[
+        (random_chart_vector(rng, tb.dim), random_trig_coeffs(rng, group.dim),
+         random_algebra(rng, group), rng.uniform(-LAM, LAM)) for _ in range(k)])
+    profiles = TrigPoly(*(np.stack(c, axis=1) for c in zip(*coeffs)))
+    X = GridFun.from_profiles(tb.grid, [(profiles, group.basis)])
+    return CaloronTangent((np.array(us), X), np.array(etas), np.array(lams))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import numpy as np
 from loopgerbe import checks, gerbe
 from loopgerbe.checks import RunConfig, convergence_table
 from loopgerbe.forms import ChartPt, Form, delta_fibre, ext_d
-from loopgerbe.sampling import random_loop
+from loopgerbe.sampling import (random_bundle_fibre_points, random_bundle_tangent,
+                                random_chart_vector)
 
 
 def rng_for(cfg, slug):
@@ -86,11 +87,9 @@ def test_criterion_5_gerbe_derivation_chain():
     # so a NaN fails the part instead of vanishing into a running max
     trans = []
     for _ in range(6):
-        m = rng.uniform(-0.6, 0.6, size=tb.dim)
-        pts = tuple(tb.point(m, random_loop(rng, grid, group))
-                    for _ in range(3))
-        u = rng.normal(size=tb.dim)
-        vecs = tuple(checks._tb_tangent(tb, rng, u) for _ in range(3))
+        pts = random_bundle_fibre_points(rng, tb, 3)
+        u = random_chart_vector(rng, tb.dim)
+        vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(3))
         eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
         trans.append(abs(delta_fibre(eps)(pts, vecs)
                          - gerbe.beta_form(tb, pts, vecs)))
@@ -99,12 +98,10 @@ def test_criterion_5_gerbe_derivation_chain():
 
     curv = []
     for _ in range(4):
-        m = rng.uniform(-0.6, 0.6, size=tb.dim)
-        pts = tuple(tb.point(m, random_loop(rng, grid, group))
-                    for _ in range(2))
-        u, w = rng.normal(size=tb.dim), rng.normal(size=tb.dim)
-        vecs = tuple(checks._tb_tangent(tb, rng, u) for _ in range(2))
-        wecs = tuple(checks._tb_tangent(tb, rng, w) for _ in range(2))
+        pts = random_bundle_fibre_points(rng, tb, 2)
+        u, w = random_chart_vector(rng, tb.dim), random_chart_vector(rng, tb.dim)
+        vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(2))
+        wecs = tuple(random_bundle_tangent(rng, tb, w) for _ in range(2))
         curv.append(checks._curving_chain(tb, pts, vecs, wecs))
     r_curv = checks._worst(curv)
     assert r_curv < 1e-6
@@ -112,8 +109,8 @@ def test_criterion_5_gerbe_derivation_chain():
     fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b))
     dfs = []
     for _ in range(4):
-        p = checks._tb_point(tb, rng)
-        Ts = tuple(checks._tb_tangent(tb, rng) for _ in range(3))
+        p, = random_bundle_fibre_points(rng, tb, 1)
+        Ts = tuple(random_bundle_tangent(rng, tb) for _ in range(3))
         df = ext_d(fform, p, Ts, h=1e-3)
         want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts])
         dfs.append(abs(df - want))

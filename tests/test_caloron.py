@@ -19,6 +19,8 @@ from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
 from loopgerbe.loops import GridFun, ThetaGrid, TrigPoly, quad_s1
 from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
+                                random_bundle_fibre_points,
+                                random_caloron_point, random_caloron_tangents,
                                 random_loop, random_loop_factors,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
@@ -434,9 +436,9 @@ def test_stacked_tangents_are_the_tangents_drawn_one_by_one(group):
     # connection-axioms's single tangent is the same draw and build
     cfg = checks.RunConfig(group=group, ntheta=48)
     a, b = RecordingRNG(make_rng(371)), RecordingRNG(make_rng(371))
-    tb, _ = checks._caloron_point(cfg, a)
+    tb, _ = random_caloron_point(a, checks._tb(cfg))
     assert _one_point(cfg, b).grid == tb.grid
-    V = checks._caloron_tangents(tb, a, 4)
+    V = random_caloron_tangents(a, tb, 4)
     Ws = [_one_tangent(tb, b) for _ in range(4)]
     assert a.log == b.log
     (u, X), want = V.X, [W.X for W in Ws]
@@ -446,8 +448,8 @@ def test_stacked_tangents_are_the_tangents_drawn_one_by_one(group):
     assert np.array_equal(X.dvals, np.stack([w[1].dvals for w in want]))
     assert np.array_equal(V.eta, np.stack([W.eta for W in Ws]))
     assert np.array_equal(V.lam, [W.lam for W in Ws])
-    one, ref = checks._caloron_tangent(tb, a), _one_tangent(tb, b)
-    assert a.log == b.log and type(one.lam) is float and one.lam == ref.lam
+    one, ref = random_caloron_tangents(a, tb, 1)[0], _one_tangent(tb, b)
+    assert a.log == b.log and np.ndim(one.lam) == 0 and one.lam == ref.lam
     for got, want in ((one.X[0], ref.X[0]), (one.X[1].vals, ref.X[1].vals),
                       (one.X[1].dvals, ref.X[1].dvals), (one.eta, ref.eta)):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -479,13 +481,13 @@ def test_caloron_draws_keep_their_draw_order(group):
 
 
 def _full_grid_point(cfg, rng):
-    """A caloron check's point drawn as `checks._caloron_point` draws it,
+    """A caloron check's point drawn as `random_caloron_point` draws it,
     but with the bundle and the loop on all N nodes: the reference the
     one-node route is read against."""
     grid = ThetaGrid(cfg.ntheta)
     group = liegroup.group_by_name(cfg.group)
     tb = TrivialBundle.default(grid, group, cfg.fd_step)
-    p = checks._tb_point(tb, rng)
+    p, = random_bundle_fibre_points(rng, tb, 1)
     k = exp_alg(random_algebra(rng, group))
     return tb, CaloronPoint(p, k, float(grid.nodes[int(rng.integers(grid.n))]))
 
@@ -495,7 +497,7 @@ def _both_routes(cfg, seed, draw):
     from its own recorded generator of the same seed: (node, one-node
     result, full-grid result), once both took the same draws."""
     a, b = RecordingRNG(make_rng(seed)), RecordingRNG(make_rng(seed))
-    tb, pt = checks._caloron_point(cfg, a)
+    tb, pt = random_caloron_point(a, checks._tb(cfg))
     full_tb, full_pt = _full_grid_point(cfg, b)
     assert tb.grid == full_tb.grid and tb.grid.size == 1
     assert pt.theta == full_pt.theta and np.array_equal(pt.k, full_pt.k)
@@ -516,7 +518,7 @@ def test_node_route_is_the_full_route_at_its_node(group, ntheta):
     cfg = checks.RunConfig(group=group, ntheta=ntheta)
 
     def split(tb, pt, rng):
-        return curvature_samples(tb, pt, checks._caloron_tangents(tb, rng, 4))
+        return curvature_samples(tb, pt, random_caloron_tangents(rng, tb, 4))
 
     for seed in range(20):
         j, got, want = _both_routes(cfg, seed, split)

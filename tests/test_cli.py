@@ -1,6 +1,8 @@
 """Config merging, exit statuses, report schema and fixture replay."""
 
 import dataclasses
+import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ from loopgerbe import checks, cli, report as report_mod
 from loopgerbe.checks import (CHECKS, EQUATION_TAGS, RunConfig,
                               convergence_grids, convergence_table,
                               run_check, run_suite)
-from loopgerbe.sampling import ReplayRNG
+from loopgerbe.sampling import RecordingRNG, ReplayRNG
 
 
 def fast_args(tmp_path, **extra):
@@ -300,6 +302,62 @@ def test_seed_changes_fixtures_not_structure():
     r1 = [r["residual"] for r in rep1["checks"]]
     r2 = [r["residual"] for r in rep2["checks"]]
     assert r1 != r2
+
+
+# the sha256 (first 16 hex digits) of the JSON fixture log of one draw
+# of each check at ntheta=16, npath=8, seed 7: what one draw means
+DRAW_DIGESTS = {
+    "su2": {
+        "caloron-roundtrip/circle-reduction": "c741c146dd703a61",
+        "caloron-roundtrip/connection-axioms": "c63919ad9666967b",
+        "caloron-roundtrip/curvature-square-split": "94219b9eedbb3af3",
+        "caloron-roundtrip/frame-round-trip": "13fcab95aaa308c5",
+        "central-extension/cochain-closed": "6511fb614a4745cb",
+        "central-extension/pair-form-coboundary": "74d3eaf1551bdceb",
+        "central-extension/path-cocycle-identity": "898e990966c86fb6",
+        "central-extension/reduced-splitting": "b3151fc2488b170c",
+        "path-fibration/curving-differential": "602f0ae6625477a5",
+        "path-fibration/invariant-volume": "4f53cda18c2baa0c",
+        "path-fibration/string-matches-invariant-form": "d4b4c754961fb017",
+        "path-fibration/three-form-closed": "834ad3c7d711865d",
+        "trivial-bundle/curving-differential": "684f5c74606983cf",
+        "trivial-bundle/curving-transition": "d5699ea515cbf2aa",
+        "trivial-bundle/differential-square-zero": "2e6ddf216433b491",
+        "trivial-bundle/simplicial-square-zero": "ba2011b50bde6499",
+        "trivial-bundle/transition-coboundary": "d28d22452a87705e",
+    },
+    "su3": {
+        "caloron-roundtrip/circle-reduction": "c741c146dd703a61",
+        "caloron-roundtrip/connection-axioms": "4c798fff91580cc7",
+        "caloron-roundtrip/curvature-square-split": "395279117d0762f6",
+        "caloron-roundtrip/frame-round-trip": "a89b0837efde59db",
+        "central-extension/cochain-closed": "06c73f21832d83e9",
+        "central-extension/pair-form-coboundary": "6c50da98554f7682",
+        "central-extension/path-cocycle-identity": "d593e44ed4243909",
+        "central-extension/reduced-splitting": "bdcc5e3dc9554f68",
+        "path-fibration/curving-differential": "4967018137b55c85",
+        "path-fibration/string-matches-invariant-form": "aea57a9d625712c8",
+        "path-fibration/three-form-closed": "7c19356de98a6c0b",
+        "trivial-bundle/curving-differential": "964951f13f7381a4",
+        "trivial-bundle/curving-transition": "f1109d71b830d813",
+        "trivial-bundle/differential-square-zero": "6ddaab9ddaeee82a",
+        "trivial-bundle/simplicial-square-zero": "4fb5b5325631f959",
+        "trivial-bundle/transition-coboundary": "37764c1793d5a4a2",
+    }}
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_one_draw_of_every_check_keeps_its_fixture_log(group):
+    # every sampler makes the draws it made when its draw was written, in
+    # the same order, whichever module it lives in
+    cfg = RunConfig(group=group, ntheta=16, npath=8)
+    got = {}
+    for spec in checks.select_checks(cfg):
+        rng = RecordingRNG(checks._check_rng(cfg, spec.name))
+        one = {"n": 1} if "n" in inspect.signature(spec.fn).parameters else {}
+        spec.fn(cfg, rng, **one)
+        got[spec.name] = hashlib.sha256(json.dumps(rng.log).encode()).hexdigest()[:16]
+    assert got == DRAW_DIGESTS[group]
 
 
 def test_csv_projection():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopgerbe import centext
+from loopgerbe import centext, gerbe
 from loopgerbe.forms import Form, delta_fibre, ext_d
 from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              connection_pullback_check, curvature_via_ext_d,
@@ -15,8 +15,9 @@ from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              tau_deriv_fd)
 from loopgerbe.forms import signed_permutations
 from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
-from loopgerbe.loops import Fn, ThetaGrid, conj_loop
-from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
+from loopgerbe.loops import Fn, ThetaGrid, conj_loop, product_loop
+from loopgerbe.sampling import (make_rng, random_algebra,
+                                random_bundle_fibre_points, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
                                 random_path_tangent)
@@ -93,6 +94,28 @@ def test_tau_cocycle_and_fibre_guard():
     b = TB.point(m + 1e-3, random_loop(rng, GRID, SU2))
     with pytest.raises(ValueError):
         TB.tau(a, b)
+
+
+def _fibre_pair_and_neighbour(scn, rng, shift):
+    """Two points of one fibre, and a third point `shift` off the first's
+    fibre: the chart point moved, or the endpoint times exp(shift E_0)."""
+    if scn is TB:
+        p, q = random_bundle_fibre_points(rng, TB, 2)
+        return p, q, TB.point(q.m + shift, q.g)
+    p, q = random_path_fibre_points(rng, PF.grid, SU2, 2)
+    return p, q, q.mul(product_loop(PF.grid, [(Fn.ramp(shift), SU2.basis[0])]))
+
+
+@pytest.mark.parametrize("scn", [TB, PF], ids=["trivial-bundle", "path-fibration"])
+def test_tau_guards_its_fibre_at_the_structure_tolerance(scn, monkeypatch):
+    # one fibre tolerance for both scenarios, liegroup.ATOL_STRUCT:
+    # points 1e-6 apart lie in different fibres, points of one fibre pass
+    p, q, far = _fibre_pair_and_neighbour(scn, make_rng(113), 1e-6)
+    scn.tau(p, q)
+    with pytest.raises(ValueError, match="points in different fibres"):
+        scn.tau(p, far)
+    monkeypatch.setattr(gerbe, "ATOL_STRUCT", 1e-5)
+    scn.tau(p, far)
 
 
 def test_tau_deriv_matches_finite_differences():

@@ -123,7 +123,7 @@ def test_dexp_matches_finite_difference():
     dX = sampling.random_algebra(rng, lg.SU3, scale=0.9)
     h = 1e-5
     fd = (scipy.linalg.expm(X + h * dX) - scipy.linalg.expm(X - h * dX)) / (2 * h)
-    right = lg.dexp_right(X, dX) @ scipy.linalg.expm(X)
+    right = lg.eig_alg(X, dX).dexp() @ scipy.linalg.expm(X)
     left = scipy.linalg.expm(X) @ dexp_left(X, dX)
     assert maxabs(right - fd) < 1e-9
     assert maxabs(left - fd) < 1e-9
@@ -133,7 +133,7 @@ def test_dexp_commuting_case():
     # when [X, dX] = 0 both variants collapse to dX
     X = lg.SU2.basis[0]
     assert maxabs(dexp_left(2.0 * X, X) - X) < 1e-14
-    assert maxabs(lg.dexp_right(2.0 * X, X) - X) < 1e-14
+    assert maxabs(lg.eig_alg(2.0 * X, X).dexp() - X) < 1e-14
 
 
 def _scaled(group, c, norm):
@@ -149,7 +149,7 @@ def _frechet_oracle(X, dX):
 
 
 def _assert_dexp_matches_oracle(Xs, dXs, bound=1e-12):
-    right, left = lg.dexp_right(Xs, dXs), dexp_left(Xs, dXs)
+    right, left = lg.eig_alg(Xs, dXs).dexp(), dexp_left(Xs, dXs)
     for idx in np.ndindex(Xs.shape[:-2]):
         want_r, want_l = _frechet_oracle(Xs[idx], dXs[idx])
         assert maxabs(right[idx] - want_r) < bound
@@ -174,7 +174,7 @@ def test_dexp_at_repeated_eigenvalues():
     for group in (lg.SU2, lg.SU3):
         dX = group.from_coeffs(rng.normal(size=group.dim))
         zero = np.zeros((group.n, group.n), dtype=complex)
-        assert maxabs(lg.dexp_right(zero, dX) - dX) < 1e-15
+        assert maxabs(lg.eig_alg(zero, dX).dexp() - dX) < 1e-15
         assert maxabs(dexp_left(zero, dX) - dX) < 1e-15
     # E_8 of su3 is proportional to diag(1, 1, -2): a double eigenvalue
     E8 = lg.SU3.basis[7]
@@ -200,12 +200,12 @@ def test_exp_dexp_right_serves_every_scale():
     assert maxabs(lg.exp_alg(Xs, t) - E) == 0.0
     for idx in np.ndindex(t.shape):
         assert maxabs(E[idx] - lg.exp_alg(t[idx] * Xs)) < 1e-13
-        assert maxabs(D[idx] - lg.dexp_right(t[idx] * Xs, t[idx] * dXs)) < 1e-13
+        assert maxabs(D[idx] - lg.eig_alg(t[idx] * Xs, t[idx] * dXs).dexp()) < 1e-13
     # dX may carry leading axes of its own
     E1, D1 = lg.exp_dexp_right(Xs[0], dXs)
     assert maxabs(E1 - lg.exp_alg(Xs[0])) == 0.0
     for i in range(6):
-        assert maxabs(D1[i] - lg.dexp_right(Xs[0], dXs[i])) < 1e-14
+        assert maxabs(D1[i] - lg.eig_alg(Xs[0], dXs[i]).dexp()) < 1e-14
 
 
 def test_stacked_scales_round_as_each_scale_alone():
@@ -226,8 +226,8 @@ def test_stacked_scales_round_as_each_scale_alone():
 
 
 def test_dexp_is_the_second_output_of_exp_dexp():
-    # one formula: exp_dexp is (exp, dexp), and dexp_right is dexp at
-    # one scale, bit for bit
+    # one formula: exp_dexp is (exp, dexp), and exp_dexp_right is
+    # exp_dexp of the one decomposition, bit for bit
     rng = sampling.make_rng(29)
     for group in (lg.SU2, lg.SU3):
         X = sampling.random_algebra(rng, group, scale=3.0)
@@ -237,7 +237,7 @@ def test_dexp_is_the_second_output_of_exp_dexp():
             e, d = eig.exp_dexp(t)
             assert np.array_equal(d, eig.dexp(t))
             assert np.array_equal(e, eig.exp(t))
-        assert np.array_equal(lg.dexp_right(X, dX), lg.exp_dexp_right(X, dX)[1])
+        assert np.array_equal(eig.dexp(), lg.exp_dexp_right(X, dX)[1])
 
 
 @st.composite
@@ -306,7 +306,7 @@ def test_eigen_kernels_reject_non_anti_hermitian_input():
         with pytest.raises(ValueError, match="anti-Hermitian"):
             lg.exp_alg(bad)
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            lg.dexp_right(bad, X)
+            lg.eig_alg(bad, X).dexp()
         with pytest.raises(ValueError, match="anti-Hermitian"):
             dexp_left(bad, X)
         with pytest.raises(ValueError, match="anti-Hermitian"):

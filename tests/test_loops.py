@@ -438,13 +438,13 @@ def test_bad_tangent_raises_on_every_flow():
 
 
 def _path_node_by_node(grid, factors, s):
-    """Reference: the path node at s from per-node exp_alg and dexp_right."""
+    """Reference: the path node at s from per-node exp_alg and AlgEig.dexp."""
     lp = vel = None
     for sigma, X in factors:
         sv = float(sigma.val(np.asarray(s)))
         dsv = float(sigma.dval(np.asarray(s)))
         e = LoopPoint(grid, lg.exp_alg(sv * X.vals),
-                      zvals=lg.dexp_right(sv * X.vals, sv * X.dvals))
+                      zvals=lg.eig_alg(sv * X.vals, sv * X.dvals).dexp())
         term = GridFun(grid, dsv * X.vals)
         if lp is None:
             lp, vel = e, term

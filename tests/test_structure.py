@@ -3,7 +3,8 @@ cache, no import goes unused, no parameter exists that no caller
 varies, paths are node-stacked arrays that no Python loop walks, every matrix
 product goes through `liegroup.mm`, the grid flavour is set on the
 grid alone, the difference step on the scenario alone, every check
-is one fixture draw that a single loop repeats, and no public function
+is one fixture draw that a single loop repeats and that draws only
+through the samplers of `sampling`, and no public function
 that only tests reach survives without its reason."""
 
 import ast
@@ -262,21 +263,26 @@ def test_no_parameter_that_no_caller_varies():
     assert tuple(f.name for f in dataclasses.fields(checks.RunConfig)) == tuple(
         checks.CONFIG_FIELDS)
     assert _params(forms.ext_d_form) == ("form", "h")
-    assert _params(liegroup.dexp_right) == ("X", "dX")
+    assert _params(liegroup.eig_alg) == ("X", "dX")
     assert _params(loops.conj_loop) == ("h", "X")
     # no path is drawn from based tangents
     assert "based_loops" not in _params(sampling.random_group_path)
     assert "based" not in _params(sampling.random_loop_tangent)
     # nothing reads a gradient of the Higgs coefficient
     assert "phi_coeff_grad" not in _params(gerbe.TrivialBundle.__init__)
-    # one draw has fixed harmonics, coefficient range and factor count
+    # one draw has fixed harmonics, coefficient range and factor count,
+    # chart range and lam range
     assert (sampling.HARMONICS, sampling.SCALE, sampling.NFACTORS) == (2, 0.5, 2)
+    assert (sampling.CHART, sampling.LAM) == (0.6, 1.0)
     grid_group = ("rng", "grid", "group")
     assert {name: _params(getattr(sampling, name)) for name in (
         "random_trig_coeffs", "random_trig", "random_based_profile", "random_loop",
         "random_loop_tangent", "random_path_point", "random_path_tangent",
         "random_path_fibre_points", "random_path_fibre_tangent",
-        "random_unit_profile", "random_group_path")} == {
+        "random_unit_profile", "random_group_path", "random_chart_point",
+        "random_chart_vector", "random_group_element",
+        "random_bundle_fibre_points", "random_bundle_tangent",
+        "random_caloron_point", "random_caloron_tangents")} == {
         "random_trig_coeffs": ("rng", "k"),
         "random_trig": ("rng",),
         "random_based_profile": ("rng",),
@@ -287,9 +293,17 @@ def test_no_parameter_that_no_caller_varies():
         "random_path_fibre_points": grid_group + ("q",),
         "random_path_fibre_tangent": grid_group + ("q",),
         "random_unit_profile": ("rng",),
-        "random_group_path": grid_group + ("npath",)}
-    assert inspect.signature(sampling.random_path_tangent).parameters[
-        "endpoint"].default is None
+        "random_group_path": grid_group + ("npath",),
+        "random_chart_point": ("rng", "dim"),
+        "random_chart_vector": ("rng", "dim"),
+        "random_group_element": ("rng", "group"),
+        "random_bundle_fibre_points": ("rng", "tb", "q"),
+        "random_bundle_tangent": ("rng", "tb", "u"),
+        "random_caloron_point": ("rng", "tb"),
+        "random_caloron_tangents": ("rng", "tb", "k")}
+    for fn, name in ((sampling.random_path_tangent, "endpoint"),
+                     (sampling.random_bundle_tangent, "u")):
+        assert inspect.signature(fn).parameters[name].default is None
     assert _params(loops.Fn.based) == ("f",)
     assert _params(forms.pair_forms) == ("p", "forms")
     # one table of curvature samples per tuple of tangents, built once
@@ -343,9 +357,14 @@ def test_no_code_that_only_tests_reach():
             # the caloron checks draw their tangents as one stack, and the
             # table gathers its pair stacks by index
             forms: ("stack_tangents",),
+            # AlgEig.dexp is dexp_right; the kept frame is p.endpoint_frame
             liegroup: ("maurer_cartan", "is_group_element",
-                       "is_algebra_element", "dexp_left"),
-            loops.LoopPoint: ("constant", "n"), gerbe.PathFibration: ("check_point",),
+                       "is_algebra_element", "dexp_left", "dexp_right"),
+            loops.LoopPoint: ("constant", "n"),
+            gerbe.PathFibration: ("check_point", "_endpoint_frame"),
+            # the fixture draws of the checks are samplers of `sampling`
+            checks: ("_tb_point", "_tb_tangent", "_caloron_point",
+                     "_caloron_tangents", "_caloron_tangent"),
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
             loops.TrigPoly: ("as_fn", "__call__"), loops.Fn: ("zero", "__call__"),
             gerbe: ("_one",),
@@ -383,7 +402,7 @@ def test_census_of_code_that_only_tests_reach():
         # test oracles: second routes the tests compare against
         "gerbe.TrivialBundle.curvature_exact", "gerbe.PathFibration.nabla_phi_closed",
         "gerbe.curvature_via_ext_d", "caloron.curvature_via_ext_d",
-        "liegroup.dexp_right", "loops.PathInLoopGroup.velocity",
+        "loops.PathInLoopGroup.velocity",
         # the numerical theta derivative, against which tests check the
         # exact payloads
         "loops.spectral_dtheta",
@@ -478,6 +497,26 @@ def test_one_draw_loop():
     looping = [name for name, node in bodies.items()
                if any(isinstance(n, ast.For) for n in ast.walk(node))]
     assert looping == []
+
+
+_DRAWS = ("uniform", "normal", "integers")
+
+
+def _raw_draws(source: str, name: str = "<src>") -> list:
+    """Every call of a generator method, as <name>:<line> <method>."""
+    return ["%s:%d %s" % (name, n.lineno, n.func.attr)
+            for n in ast.walk(ast.parse(source, name))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in _DRAWS]
+
+
+def test_checks_make_no_raw_draw():
+    # what one draw means is a sampler of `sampling`: the checks hold
+    # only identities, and draw through the samplers alone
+    assert _raw_draws((SRC / "checks.py").read_text(), "checks.py") == []
+    assert _raw_draws("m = rng.uniform(-0.6, 0.6, size=2)\n"
+                      "j = int(rng.integers(n))\n") == ["<src>:1 uniform",
+                                                        "<src>:2 integers"]
 
 
 def test_path_has_one_representation():
