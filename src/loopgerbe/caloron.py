@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, gerbe
-from .forms import Form, pair_forms, tangent_bracket
+from .forms import Form, pair_stacks, tangent_bracket
 from .liegroup import adjoint_inv, bracket, exp_alg, group_inv, inner, mm
 from .loops import GridFun, LoopPoint, conj_loop, quad_s1, step_axes
 
@@ -75,7 +75,7 @@ class CaloronTangent:
 
     def __getitem__(self, at) -> "CaloronTangent":
         """The tangents of a stack at the stack positions `at`."""
-        return CaloronTangent(_pick(self.X, at), self.eta[at], self.lam[at])
+        return CaloronTangent(gerbe.pick(self.X, at), self.eta[at], self.lam[at])
 
     def bracket(self, w: "CaloronTangent") -> "CaloronTangent":
         return CaloronTangent(tangent_bracket(self.X, w.X),
@@ -203,13 +203,12 @@ class CurvatureSamples:
     """What the curvature of d stacked tangents V_1 .. V_d reads at a
     point: its angle, the lams of the V_i, and three stacks on the
     scenario's grid.  F holds F(X_i, X_j) and R the caloron curvature on
-    the pairs i < j, in itertools.combinations order, and pairs[i, j] is
-    the position of pair (i, j) in those stacks; nabla_phi holds
-    nabla Phi(X_i)."""
+    the pairs i < j, in itertools.combinations order, and pairs holds
+    their index arrays (i, j); nabla_phi holds nabla Phi(X_i)."""
 
     theta: object
     lams: np.ndarray
-    pairs: np.ndarray
+    pairs: tuple
     F: GridFun
     nabla_phi: GridFun
     R: GridFun
@@ -221,18 +220,24 @@ class CurvatureSamples:
         theta = np.expand_dims(self.theta, -1) if np.ndim(self.theta) else self.theta
         return (theta,) + _node(self.R.grid, theta)
 
+    @functools.cached_property
+    def _shuffles(self) -> tuple:
+        """The (2, 2) `forms.shuffle_index`, made once per table."""
+        return forms.shuffle_index((2, 2))
+
     def at_angle(self, stack: GridFun) -> np.ndarray:
-        """One of the table's stacks at its angle, from the table's one
-        node lookup; off the nodes only this stack is interpolated."""
-        return _read(stack, *self._angle)
+        """One of the table's stacks at its angle, stack axis leading, from
+        the one node lookup; off the nodes only this stack is interpolated."""
+        return np.moveaxis(_read(stack, *self._angle), -3, 0)
 
 
-def _pick(X, at):
-    """The stacked tangent X at the stack positions `at`, componentwise
-    for a tuple."""
-    if isinstance(X, tuple):
-        return tuple(c[at] for c in X)
-    return X[at]
+def _lam_terms(base, grad, lam, i, j):
+    """base + lam_j grad_i - lam_i grad_j on the pairs (i, j), stack axis
+    leading: each lam term added only where its lam is nonzero, with lam
+    multiplying in its own dtype."""
+    lam = lam.reshape(lam.shape + (1,) * (grad.ndim - 1))
+    total = np.where(lam[j] != 0.0, base + lam[j] * grad[i], base)
+    return np.where(lam[i] != 0.0, total - lam[i] * grad[j], total)
 
 
 def curvature_samples(scn, pt: CaloronPoint, Vs: CaloronTangent) -> CurvatureSamples:
@@ -241,18 +246,13 @@ def curvature_samples(scn, pt: CaloronPoint, Vs: CaloronTangent) -> CurvatureSam
     stacks, gathered from Vs by index arrays, nabla Phi from one
     `gerbe.nabla_phi` call on Vs, and R = ad(k^-1)(F(X_i, X_j)
     + nabla Phi(X_i) lam_j - nabla Phi(X_j) lam_i) from one stacked
-    conjugation, each lam term added only where its lam is nonzero."""
-    d = len(Vs.lam)
-    i, j = (np.array(ix) for ix in zip(*itertools.combinations(range(d), 2)))
-    pairs = np.zeros((d, d), dtype=int)
-    pairs[i, j] = np.arange(i.size)
-    F = scn.curvature(pt.p, _pick(Vs.X, i), _pick(Vs.X, j))
+    conjugation, each lam term added only where its lam is nonzero
+    (`_lam_terms`)."""
+    i, j = (np.array(ix) for ix in zip(*itertools.combinations(range(len(Vs.lam)), 2)))
+    F = scn.curvature(pt.p, gerbe.pick(Vs.X, i), gerbe.pick(Vs.X, j))
     grad = gerbe.nabla_phi(scn, pt.p, Vs.X)
-    lam = np.asarray(Vs.lam, dtype=complex)[:, None, None, None]
-    total = F.vals
-    total = np.where(lam[j] != 0.0, total + lam[j] * grad.vals[i], total)
-    total = np.where(lam[i] != 0.0, total - lam[i] * grad.vals[j], total)
-    return CurvatureSamples(pt.theta, np.asarray(Vs.lam), pairs, F, grad,
+    total = _lam_terms(F.vals, grad.vals, np.asarray(Vs.lam, dtype=complex), i, j)
+    return CurvatureSamples(pt.theta, np.asarray(Vs.lam), (i, j), F, grad,
                             GridFun(F.grid, adjoint_inv(pt.k, total)))
 
 
@@ -273,34 +273,22 @@ def curvature_via_ext_d(scn, pt: CaloronPoint, V: CaloronTangent,
 
 def pontrjagin_form(table: CurvatureSamples):
     """-(1/8 pi^2) <R, R> as a 4-form on the table's four tangents, one
-    value per angle of a point stacked over angles."""
+    value per angle of a point stacked over angles: the (2, 2)
+    `pair_stacks` of the R stack read at the angle with itself."""
     R = table.at_angle(table.R)
-    pairs = table.pairs
-    Rf = Form(2, lambda _, i, j: R[..., pairs[i, j], :, :])
-    val = pair_forms(inner, (Rf, Rf))(table, 0, 1, 2, 3)
+    val = pair_stacks(inner, (R, R), table._shuffles)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
 def pontrjagin_split(table: CurvatureSamples) -> float:
     """-(1/8 pi^2)(<F, F> + 2 <F, H>) with H the nabla Phi wedge dtheta
     part; the conjugation by k drops under the invariant pairing.  F and
-    nabla Phi are read at the angle first and combined after."""
+    nabla Phi are read at the angle first, H is built from them in one
+    step, and both pairings share the table's shuffle index."""
     F, grad = table.at_angle(table.F), table.at_angle(table.nabla_phi)
-    pairs, lam = table.pairs, table.lams
-    n = F.shape[-1]
-
-    def h_ev(_, i, j):
-        out = np.zeros((n, n), dtype=complex)
-        if lam[j] != 0.0:
-            out = out + lam[j] * grad[..., i, :, :]
-        if lam[i] != 0.0:
-            out = out - lam[i] * grad[..., j, :, :]
-        return out
-
-    Ff = Form(2, lambda _, i, j: F[..., pairs[i, j], :, :])
-    Hf = Form(2, h_ev)
-    val = (pair_forms(inner, (Ff, Ff))(table, 0, 1, 2, 3)
-           + 2.0 * pair_forms(inner, (Ff, Hf))(table, 0, 1, 2, 3))
+    H = _lam_terms(np.zeros_like(F), grad, table.lams, *table.pairs)
+    val = (pair_stacks(inner, (F, F), table._shuffles)
+           + 2.0 * pair_stacks(inner, (F, H), table._shuffles))
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 

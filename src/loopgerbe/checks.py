@@ -32,11 +32,12 @@ from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
                     ext_d_form)
 from .liegroup import exp_dexp_right, group_by_name, mm
 from .loops import ThetaGrid
-from .sampling import (random_algebra, random_bundle_fibre_points,
-                       random_bundle_tangent, random_caloron_point,
-                       random_caloron_tangents, random_chart_point,
-                       random_chart_vector, random_group_element, random_loop,
-                       random_loop_tangent, random_path_fibre_points,
+from .sampling import (DD_CHART, EXP_CHART, random_algebra,
+                       random_bundle_fibre_points, random_bundle_tangent,
+                       random_caloron_point, random_caloron_tangents,
+                       random_chart_point, random_chart_vector,
+                       random_group_element, random_loop, random_loop_tangent,
+                       random_normal_point, random_path_fibre_points,
                        random_path_fibre_tangent, random_path_point,
                        random_path_tangent)
 
@@ -291,7 +292,7 @@ def three_form_closed_base(cfg: RunConfig, rng):
         return gerbe.omega3(k, *mm(d, k))
 
     vs = tuple(random_chart_vector(rng, 4) for _ in range(4))
-    return abs(ext_d(Form(3, pulled), ChartPt(random_chart_vector(rng, 4) * 0.3),
+    return abs(ext_d(Form(3, pulled), ChartPt(random_normal_point(rng, 4, EXP_CHART)),
                      vs, h=1e-3))
 
 
@@ -385,7 +386,7 @@ def differential_square_zero(cfg: RunConfig, rng):
     one = Form(1, lambda pt, v: np.sin(pt.x[..., 0]) * v[1]
                + np.exp(0.3 * pt.x[..., 2]) * v[0]
                + np.float_power(pt.x[..., 1], 2) * v[2])
-    x0 = ChartPt(random_chart_vector(rng, 3) * 0.5)
+    x0 = ChartPt(random_normal_point(rng, 3, DD_CHART))
     vs = tuple(random_chart_vector(rng, 3) for _ in range(3))
     r_chart = abs(ext_d(ext_d_form(one, h=1e-3), x0, vs, h=1e-3))
 

@@ -31,9 +31,11 @@ gives the axes (steps, k, ...), and a scenario's connection, curvature
 and nabla Phi at a stack of tangents return the k values stacked in
 front, each rounded as it rounds alone.
 
-The pairing.  `pair_forms` is the one wedge of vector-valued forms.
-Its inputs must be alternating: it sums over the shuffles, in
-itertools.permutations order, which equals the sum over all d!
+The pairing.  `pair_stacks` is the one wedge of vector-valued forms:
+each slot's values come once, stacked over its increasing blocks of
+arguments, and one call of the multilinear map on the stacks gathered
+by `shuffle_index` gives every shuffle's term.  The forms must be
+alternating: the sum over the shuffles equals the sum over all d!
 permutations divided by the product of the degrees' factorials.
 """
 
@@ -162,33 +164,30 @@ def _signed_sum(terms):
     return total
 
 
-def pair_forms(p: Callable, forms) -> Form:
-    """The alternating pairing of vector-valued forms through a
-    multilinear map p: their wedge product.
+def shuffle_index(degs) -> tuple:
+    """(index, signs) of the shuffles of `shuffles(degs)`, in their order:
+    index[r][s] is the position of block r of shuffle s among the
+    increasing blocks of its size, in itertools.combinations order of
+    range(sum(degs)), and signs[s] the shuffle's sign."""
+    combos = [{c: n for n, c in enumerate(itertools.combinations(range(sum(degs)), k))}
+              for k in degs]
+    blocks, signs = zip(*shuffles(degs))
+    return [np.array([at[b[r]] for b in blocks]) for r, at in enumerate(combos)], signs
 
-    The result has degree d = sum of the degrees k_i and is the signed
-    sum over shuffles (`shuffles`): the permutations of the d arguments,
-    in itertools.permutations order, that increase within each form's
-    block of arguments,
 
-        (X_1 .. X_d) -> sum_shuffle sign p(w_1(X..), ..., w_r(X..)).
+def pair_stacks(p: Callable, stacks, index):
+    """The wedge of vector-valued forms through a multilinear map p.
 
-    The component forms must be alternating; then this equals the signed
-    sum over all d! permutations divided by prod(k_i!).  For 1-forms
-    every permutation is a shuffle.
-
-    Each shuffle evaluates every slot on its own block of arguments, so
-    a (2,2) pairing makes 6 evaluations per slot.
-    """
-    degs = [f.degree for f in forms]
-    blocks_signs = shuffles(degs)
-
-    def ev(pt, *vecs):
-        return _signed_sum((sign, p(*(f(pt, *(vecs[i] for i in idx))
-                                      for f, idx in zip(forms, blocks))))
-                           for blocks, sign in blocks_signs)
-
-    return Form(sum(degs), ev)
+    stacks[r] holds form r's values on every increasing block of its
+    degree k_r, in itertools.combinations order, stack axis leading, and
+    index is `shuffle_index` of the degrees.  The value is the signed sum
+    over the shuffles, in itertools.permutations order, of
+    p(w_1(X..), ..., w_r(X..)): p is called once, on the stacks gathered
+    by index, keeps the shuffle axis in front, and its terms are added in
+    shuffle order.  On alternating forms this is the signed sum over all
+    d! permutations divided by prod(k_r!)."""
+    at, signs = index
+    return _signed_sum(zip(signs, p(*(s[i] for s, i in zip(stacks, at)))))
 
 
 def directional(fun: Callable, h: float):

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import centext, forms
-from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_forms,
-                    signed_permutations, tangent_bracket)
+from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_stacks,
+                    shuffle_index, signed_permutations, tangent_bracket)
 from .liegroup import (ATOL_STRUCT, SU2, Group, adjoint, bracket, group_inv,
                        mm, project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
@@ -407,26 +407,50 @@ def curvature_via_ext_d(scn, p, V, W) -> GridFun:
     return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
 
 
+def pick(T, at):
+    """The stacked tangent T at the stack positions `at`, componentwise
+    for a tuple."""
+    if isinstance(T, tuple):
+        return tuple(c[at] for c in T)
+    return T[at]
+
+
+def _stack(Ts):
+    """Tangents of one kind and shape as one tangent with a leading stack
+    axis: tuples componentwise, a GridFun's vals and dvals (None unless
+    every one has them), arrays by np.stack."""
+    if isinstance(Ts[0], tuple):
+        return tuple(_stack(c) for c in zip(*Ts))
+    if isinstance(Ts[0], GridFun):
+        d = None if any(T.dvals is None for T in Ts) else np.stack([T.dvals for T in Ts])
+        return GridFun(Ts[0].grid, np.stack([T.vals for T in Ts]), d)
+    return np.stack(Ts)
+
+
 def string_form_at(scn, p, T1, T2, T3):
     """-(1/4 pi^2) int <F, nabla Phi> dtheta at a total-space point, one
-    value per node set of a stacked point.
+    value per node set of a stacked point, whose leading axes the
+    tangents carry.
 
-    The (2,1) pairing `forms.pair_forms` of the curvature and nabla Phi
-    through `pair_samples`, integrated by the quadrature of the
-    scenario's grid.  The value descends: it depends only on the
-    projections of point and tangents.
+    The (2,1) `forms.pair_stacks` through `pair_samples` of one
+    `scn.curvature` call on the pairs, gathered by index from the three
+    tangents stacked once, and one `nabla_phi` call on that stack,
+    integrated by the quadrature of the scenario's grid.  The value
+    descends: it depends only on the projections of point and tangents.
     """
-    F = Form(2, scn.curvature)
-    dphi = Form(1, lambda q, T: nabla_phi(scn, q, T))
-    s = pair_forms(pair_samples, (F, dphi))(p, T1, T2, T3)
+    Ts = _stack((T1, T2, T3))
+    i, j = np.array([[0, 0, 1], [1, 2, 2]])      # the pairs i < j, in order
+    F = scn.curvature(p, pick(Ts, i), pick(Ts, j))
+    s = pair_stacks(pair_samples, (F, nabla_phi(scn, p, Ts)), shuffle_index((2, 1)))
     return np.real(-1.0 / (4 * np.pi ** 2) * scn.grid.quad(s))
 
 
 def string_form(scn, m, u1, u2, u3):
     """The descended 3-form of a trivial bundle at a chart point, or a
-    stack of them, at the point over m with the identity loop."""
+    stack of them, at the point over m with the identity loop; each
+    chart vector lifts at every point of the stack."""
     p = scn.point(m)
-    lifts = [scn.lift_tangent(p, u) for u in (u1, u2, u3)]
+    lifts = [scn.lift_tangent(p, np.broadcast_arrays(p.m, u)[1]) for u in (u1, u2, u3)]
     return string_form_at(scn, p, *lifts)
 
 

@@ -16,7 +16,9 @@ coefficients are uniform in [-0.7, 0.7].  A path profile on [0, 1] has
 four coefficients uniform in [-0.8, 0.8].
 
 A chart point has coordinates uniform in [-CHART, CHART] = [-0.6, 0.6],
-a chart vector N(0, 1) coordinates; a group element is exp of an algebra
+a chart vector N(0, 1) coordinates, a normal chart point N(0, spread^2)
+ones (EXP_CHART = 0.3 on the group's exponential chart, DD_CHART = 0.5
+where d after d is checked); a group element is exp of an algebra
 element.  q points of one trivial-bundle fibre draw one chart point,
 then q loops.  A caloron point draws a chart point, the loop factors, k
 and its node, an integer in [0, ntheta); a caloron tangent a chart vector,
@@ -40,6 +42,8 @@ DAMP = 1.0 / np.arange(1, HARMONICS + 1) ** 2  # 1/m^2 on harmonic m
 NFACTORS = 2   # generator factors of a loop, a path point and a group path
 CHART = 0.6    # half-width of a chart point's coordinates
 LAM = 1.0      # half-width of a caloron tangent's lam
+EXP_CHART = 0.3  # spread of the base point of the exponential chart on the group
+DD_CHART = 0.5   # spread of the base point of the d after d chart check
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -121,6 +125,11 @@ def random_chart_point(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_chart_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.normal(size=dim)
+
+
+def random_normal_point(rng: np.random.Generator, dim: int, spread: float) -> np.ndarray:
+    """A chart vector scaled by spread: N(0, spread^2) coordinates."""
+    return random_chart_vector(rng, dim) * spread
 
 
 def random_group_element(rng: np.random.Generator, group: Group) -> np.ndarray:

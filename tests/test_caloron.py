@@ -14,7 +14,7 @@ from loopgerbe.caloron import (CaloronPoint, CaloronTangent,
                                eval_samples, extract_connection_higgs, group_act,
                                integrate_circle, kernel_vector, loop_act,
                                pontrjagin_form, pontrjagin_split, vertical_vector)
-from loopgerbe.forms import Form, pair_forms
+from loopgerbe.forms import Form
 from loopgerbe.gerbe import PathFibration, TrivialBundle, string_form
 from loopgerbe.liegroup import SU2, adjoint_inv, exp_alg, inner
 from loopgerbe.loops import GridFun, ThetaGrid, TrigPoly, quad_s1
@@ -24,6 +24,7 @@ from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
                                 random_loop, random_loop_factors,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
+from test_forms import shuffle_pairing
 from test_stencil import stack_tangents
 
 GRID = ThetaGrid(96)
@@ -173,7 +174,7 @@ def _unshared_form(scn, pt, Vs):
     # unstacked scenario calls: nothing is shared or stacked
     forms_ = [Form(2, lambda q, a, b: _direct_curvature(scn, q, a, b))
               for _ in range(2)]
-    val = pair_forms(inner, tuple(forms_))(pt, *Vs)
+    val = shuffle_pairing(inner, tuple(forms_))(pt, *Vs)
     return np.real(val) * (-1.0 / (8 * np.pi ** 2))
 
 
@@ -195,8 +196,8 @@ def _unshared_split(scn, pt, Vs):
         return out
 
     Ff, Hf = Form(2, f_ev), Form(2, h_ev)
-    val = (pair_forms(inner, (Ff, Ff))(pt, *Vs)
-           + 2.0 * pair_forms(inner, (Ff, Hf))(pt, *Vs))
+    val = (shuffle_pairing(inner, (Ff, Ff))(pt, *Vs)
+           + 2.0 * shuffle_pairing(inner, (Ff, Hf))(pt, *Vs))
     return float(np.real(val)) * (-1.0 / (8 * np.pi ** 2))
 
 
@@ -236,8 +237,9 @@ def _assert_sides_unshared(counted, scn, pt, Vs):
 
 
 def test_pontrjagin_evaluates_each_nabla_phi_once_per_tangent(counted):
-    # the 4-form pairs the six curvature samples in 6 shuffles; nabla Phi
-    # depends on one tangent only, so four are enough
+    # the 4-form pairs the six curvature samples in one gathered call
+    # over the 6 shuffles; nabla Phi depends on one tangent only, so
+    # four are enough
     rng = make_rng(333)
     pt = tb_caloron_point(rng)
     Vs = [tb_caloron_tangent(rng) for _ in range(4)]
@@ -249,12 +251,18 @@ def test_one_split_draw_evaluates_each_sample_once(counted, monkeypatch):
     # one curvature call on the 6 pairs and one nabla Phi call on the 4
     # tangents; the 4 tangents come from one from_profiles call over a
     # (3, 4) stack of profiles, the pair stacks are gathered from them
-    # by index (forms stacks no tangents), and the table reads its three
-    # stacks at the angle in one node lookup
+    # by index (forms stacks no tangents), the table reads its three
+    # stacks at the angle in one node lookup, both sides pair through
+    # one shuffle enumeration, and each of the three pairings makes one
+    # gathered inner call over its 6 shuffles
     profiles = _counting(monkeypatch, GridFun, "from_profiles")
     nodes = _counting(monkeypatch, caloron, "_node")
+    shuffled = _counting(monkeypatch, forms, "shuffles")
+    inners = _counting(monkeypatch, caloron, "inner")
     _split_draw()
     assert counted == {"nabla_phi": [4], "curvature": [6]}
+    assert shuffled == [((2, 2),)]
+    assert [tuple(np.shape(x) for x in xs) for xs in inners] == [((6, 2, 2),) * 2] * 3
     stacks = [np.shape(f.a0) for _, terms in profiles for f, _ in terms
               if isinstance(f, TrigPoly)]
     assert stacks == [(3, 4)]
@@ -271,6 +279,18 @@ def test_repeated_tangents_equal_the_unshared_reference(counted):
     _assert_sides_unshared(counted, TB, pt, (V, W, V, W))
 
 
+def _circle_tangents(tb, m, us):
+    """The point stacked over the off-node angles and the four tangents
+    of integrate_circle, one by one: lam = 0 on the three lifts and 1
+    on the angle direction."""
+    p = tb.point(m)
+    n = tb.group.n
+    no_eta = np.zeros((n, n), dtype=complex)
+    Ts = [CaloronTangent(tb.lift_tangent(p, u), no_eta, 0.0) for u in us]
+    Ts.append(CaloronTangent(tb.zero_tangent(p), no_eta, 1.0))
+    return CaloronPoint(p, np.eye(n, dtype=complex), GRID.nodes + 0.5 * GRID.h), Ts
+
+
 def test_circle_reduction_samples_are_bit_identical(counted):
     # lam = 0 on three tangents and 1 on the angle direction, at a point
     # stacked over the off-node angles, as integrate_circle builds them
@@ -278,17 +298,45 @@ def test_circle_reduction_samples_are_bit_identical(counted):
     rng = make_rng(345)
     m = rng.uniform(-0.6, 0.6, size=3)
     us = [rng.normal(size=3) for _ in range(3)]
-    p = tb.point(m)
-    no_eta = np.zeros((2, 2), dtype=complex)
-    Ts = [CaloronTangent(tb.lift_tangent(p, u), no_eta, 0.0) for u in us]
-    Ts.append(CaloronTangent(tb.zero_tangent(p), no_eta, 1.0))
-    pt = CaloronPoint(p, np.eye(2, dtype=complex), GRID.nodes + 0.5 * GRID.h)
+    pt, Ts = _circle_tangents(tb, m, us)
     plain = _unshared_form(tb, pt, Ts)
     counted.update(nabla_phi=[], curvature=[])
     got = _form(tb, pt, Ts)
     assert counted == {"nabla_phi": [4], "curvature": [6]}
     assert np.array_equal(got, plain)
     assert integrate_circle(tb, m, *us) == float(quad_s1(plain))
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_pairings_equal_the_shuffle_oracle(group):
+    # both sides of the split at a node, on both scenarios, and the
+    # circle integral on both charts of the trivial bundle, equal the
+    # shuffle-by-shuffle pairing of per-tangent scenario calls, bit for bit
+    grp = liegroup.group_by_name(group)
+    rng = make_rng(389)
+    pf = PathFibration(GRID, grp)
+    for scn in (TrivialBundle.default(GRID, grp), TrivialBundle.chart3(GRID, grp), pf):
+        for _ in range(2):
+            if scn is pf:
+                p = random_path_point(rng, pf.grid, grp)
+                X = stack_tangents([random_path_tangent(rng, pf.grid, grp)
+                                    for _ in range(4)])
+                etas = np.stack([random_algebra(rng, grp) for _ in range(4)])
+                Vs = CaloronTangent(X, etas, rng.uniform(-1.0, 1.0, size=4))
+            else:
+                p, = random_bundle_fibre_points(rng, scn, 1)
+                Vs = random_caloron_tangents(rng, scn, 4)
+            theta = float(scn.grid.nodes[int(rng.integers(scn.grid.n))])
+            pt = CaloronPoint(p, exp_alg(random_algebra(rng, grp)), theta)
+            table = curvature_samples(scn, pt, Vs)
+            ref = [Vs[k] for k in range(4)]
+            assert pontrjagin_form(table) == _unshared_form(scn, pt, ref)
+            assert pontrjagin_split(table) == _unshared_split(scn, pt, ref)
+            if scn is not pf:
+                m = rng.uniform(-0.6, 0.6, size=scn.dim)
+                us = [rng.normal(size=scn.dim) for _ in range(3)]
+                plain = _unshared_form(scn, *_circle_tangents(scn, m, us))
+                assert integrate_circle(scn, m, *us) == float(quad_s1(plain))
 
 
 def test_sample_table_answers_for_its_own_point_and_scenario(counted):

@@ -1,13 +1,17 @@
 """Exterior calculus and simplicial differentials on the point registry."""
 
+import functools
 import itertools
+import math
+import operator
 
 import numpy as np
 import pytest
 
-from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
-                             directional, ext_d, flow, pair_forms,
-                             shuffles, signed_permutations, tangent_bracket)
+from loopgerbe.forms import (ChartPt, Form, _signed_sum, delta_fibre,
+                             delta_nerve, directional, ext_d, flow,
+                             pair_stacks, shuffle_index, shuffles,
+                             signed_permutations, tangent_bracket)
 from loopgerbe.liegroup import SU2
 from loopgerbe.loops import ThetaGrid, quad_s1, spectral_dtheta
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
@@ -65,10 +69,40 @@ def test_gridfun_bracket_derivative_payload_matches_spectral():
 # pairings
 
 
-def test_pair_forms_two_one_forms():
+def shuffle_pairing(p, forms):
+    """The alternating pairing evaluated shuffle by shuffle: every slot
+    on its own block of arguments in every shuffle, p once per shuffle,
+    the terms added in shuffle order.  The oracle that `pair_stacks`
+    equals bit for bit."""
+    degs = [f.degree for f in forms]
+
+    def ev(pt, *vecs):
+        return _signed_sum((sign, p(*(f(pt, *(vecs[i] for i in idx))
+                                      for f, idx in zip(forms, blocks))))
+                           for blocks, sign in shuffles(degs))
+
+    return Form(sum(degs), ev)
+
+
+def _slot_stacks(forms, pt, vecs):
+    """Each form's values on every increasing block of its degree, in
+    itertools.combinations order, stacked."""
+    return [np.array([f(pt, *(vecs[i] for i in block)) for block in
+                      itertools.combinations(range(len(vecs)), f.degree)])
+            for f in forms]
+
+
+def stacked_pairing(p, forms):
+    """`pair_stacks` of the forms' slot stacks, as a form."""
+    degs = [f.degree for f in forms]
+    return Form(sum(degs), lambda pt, *vecs: pair_stacks(
+        p, _slot_stacks(forms, pt, vecs), shuffle_index(degs)))
+
+
+def test_pair_stacks_two_one_forms():
     w1 = Form(1, lambda pt, v: float(pt.x[0] * v[0]))
     w2 = Form(1, lambda pt, v: float(pt.x[1] * v[1]))
-    both = pair_forms(lambda a, b: a * b, (w1, w2))
+    both = stacked_pairing(lambda a, b: a * b, (w1, w2))
     pt = chart(2.0, 3.0)
     v = np.array([1.0, -1.0])
     w = np.array([0.5, 2.0])
@@ -105,8 +139,8 @@ def _brute_pair_sum(p, forms, pt, vecs, signed=True):
     return total
 
 
-def _mul(a, b):
-    return a * b
+def _mul(*xs):
+    return functools.reduce(operator.mul, xs)
 
 
 def _chart_two_form(name, c):
@@ -126,8 +160,9 @@ def _chart_vectors(seed):
     return chart(0.7, -0.4, 1.3, 0.2), [rng.normal(size=4) for _ in range(4)]
 
 
-def test_pair_forms_is_the_shuffle_sum():
-    # the shuffles, written out in permutation order, bit for bit
+def test_pair_stacks_is_the_shuffle_sum():
+    # the shuffles, written out in permutation order, bit for bit, and
+    # the shuffle-by-shuffle oracle
     pt, vs = _chart_vectors(3)
     F, G = _chart_two_form("F", 1.0), _chart_two_form("G", -2.5)
     A, B = _chart_one_form("A", 0.5), _chart_one_form("B", -1.5)
@@ -135,17 +170,27 @@ def test_pair_forms_is_the_shuffle_sum():
                                     itertools.combinations(range(4), 2))
     G01, G02, G03, G12, G13, G23 = (G(pt, vs[i], vs[j]) for i, j in
                                     itertools.combinations(range(4), 2))
+    A0, A1, A2, A3 = (A(pt, v) for v in vs)
+    B0, B1, B2, B3 = (B(pt, v) for v in vs)
     want = (F01 * G23 - F02 * G13 + F03 * G12
             + F12 * G03 - F13 * G02 + F23 * G01)
-    assert pair_forms(_mul, (F, G))(pt, *vs) == want
-    want = (F01 * A(pt, vs[2]) - F02 * A(pt, vs[1])
-            + F12 * A(pt, vs[0]))
-    assert pair_forms(_mul, (F, A))(pt, *vs[:3]) == want
-    want = A(pt, vs[0]) * B(pt, vs[1]) - A(pt, vs[1]) * B(pt, vs[0])
-    assert pair_forms(_mul, (A, B))(pt, *vs[:2]) == want
+    assert stacked_pairing(_mul, (F, G))(pt, *vs) == want
+    assert shuffle_pairing(_mul, (F, G))(pt, *vs) == want
+    want = F01 * A2 - F02 * A1 + F12 * A0
+    assert stacked_pairing(_mul, (F, A))(pt, *vs[:3]) == want
+    assert shuffle_pairing(_mul, (F, A))(pt, *vs[:3]) == want
+    want = A0 * B1 - A1 * B0
+    assert stacked_pairing(_mul, (A, B))(pt, *vs[:2]) == want
+    assert shuffle_pairing(_mul, (A, B))(pt, *vs[:2]) == want
+    want = (A0 * F12 * B3 - A0 * F13 * B2 + A0 * F23 * B1
+            - A1 * F02 * B3 + A1 * F03 * B2 - A1 * F23 * B0
+            + A2 * F01 * B3 - A2 * F03 * B1 + A2 * F13 * B0
+            - A3 * F01 * B2 + A3 * F02 * B1 - A3 * F12 * B0)
+    assert stacked_pairing(_mul, (A, F, B))(pt, *vs) == want
+    assert shuffle_pairing(_mul, (A, F, B))(pt, *vs) == want
 
 
-def test_pair_forms_is_the_permutation_sum_over_block_factorials():
+def test_pair_stacks_is_the_permutation_sum_over_block_factorials():
     # on alternating inputs the shuffle sum is the d!-sum / prod k_i!,
     # to round-off relative to the magnitude of the summed terms (the
     # sums cancel, so the value itself may be much smaller)
@@ -154,41 +199,54 @@ def test_pair_forms_is_the_permutation_sum_over_block_factorials():
     for seed in range(8):
         pt, vs = _chart_vectors(seed)
         for forms, scale in (((A, B), 1.0), ((F, A), 2.0), ((F, G), 4.0),
-                             ((F, F), 4.0)):
+                             ((F, F), 4.0), ((A, F, B), 2.0)):
             d = sum(f.degree for f in forms)
-            got = pair_forms(_mul, forms)(pt, *vs[:d])
+            got = stacked_pairing(_mul, forms)(pt, *vs[:d])
             want = _brute_pair_sum(_mul, forms, pt, vs[:d]) / scale
             size = _brute_pair_sum(_mul, forms, pt, vs[:d], signed=False) / scale
             assert abs(got - want) <= 1e-15 * size
 
 
-def test_pair_forms_evaluates_each_slot_once_per_shuffle():
-    # a (2,2) pairing sums 6 shuffles and evaluates both slots in each,
-    # so one form paired with itself needs 12 evaluations, and two
-    # different forms 6 each
+def test_pair_stacks_calls_p_once_per_pairing():
+    # the slot stacks hold each form's values once per block; p is
+    # called once, on the stacks gathered for every shuffle at once,
+    # where the shuffle-by-shuffle oracle calls it once per shuffle and
+    # evaluates every slot in each
     pt, vs = _chart_vectors(13)
-    F = _chart_two_form("F", 1.0)
-    G = _chart_two_form("G", -2.5)
+    F, G = _chart_two_form("F", 1.0), _chart_two_form("G", -2.5)
+    A, B = _chart_one_form("A", 0.5), _chart_one_form("B", -1.5)
+    for forms, nshuffles in (((A, B), 2), ((F, A), 3), ((F, G), 6),
+                             ((F, F), 6), ((A, F, B), 12)):
+        d = sum(f.degree for f in forms)
+        degs = [f.degree for f in forms]
+        seen, calls = [], []
 
-    calls = []
-    Fc = _counted(F, calls)
-    got = pair_forms(_mul, (Fc, Fc))(pt, *vs)
-    assert len(calls) == 12
-    assert got == pair_forms(_mul, (F, F))(pt, *vs)
+        def p(*xs):
+            seen.append([np.shape(x) for x in xs])
+            return _mul(*xs)
 
-    calls.clear()
-    Fc, Gc = _counted(F, calls), _counted(G, calls)
-    got = pair_forms(_mul, (Fc, Gc))(pt, *vs)
-    assert calls.count("F") == 6 and calls.count("G") == 6
-    assert got == pair_forms(_mul, (F, G))(pt, *vs)
+        stacks = _slot_stacks([_counted(f, calls) for f in forms], pt, vs[:d])
+        assert len(calls) == sum(math.comb(d, k) for k in degs)
+        got = pair_stacks(p, stacks, shuffle_index(degs))
+        assert seen == [[(nshuffles,)] * len(forms)]
+        seen.clear()
+        calls.clear()
+        want = shuffle_pairing(p, [_counted(f, calls) for f in forms])(pt, *vs[:d])
+        assert len(seen) == nshuffles and len(calls) == nshuffles * len(forms)
+        assert got == want
 
-    # mixed degrees: 3 shuffles, one evaluation of each form in each
-    A = _chart_one_form("A", 0.5)
-    calls.clear()
-    got = pair_forms(_mul, (_counted(F, calls), _counted(A, calls)))(
-        pt, *vs[:3])
-    assert calls.count("F") == 3 and calls.count("A") == 3
-    assert got == pair_forms(_mul, (F, A))(pt, *vs[:3])
+
+def test_shuffle_index_is_the_shuffles_by_position():
+    # index[r][s] is the position of block r of shuffle s among the
+    # combinations of its size; signs are the shuffles' signs
+    for d in range(1, 6):
+        for degs in _compositions(d) + [(0, d), (d, 0)]:
+            index, signs = shuffle_index(degs)
+            want = shuffles(degs)
+            assert list(signs) == [sign for _, sign in want]
+            for r, k in enumerate(degs):
+                combos = list(itertools.combinations(range(d), k))
+                assert [combos[n] for n in index[r]] == [b[r] for b, _ in want]
 
 
 def test_signed_permutations_order_and_sign():

@@ -15,12 +15,13 @@ from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              tau_deriv_fd)
 from loopgerbe.forms import signed_permutations
 from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
-from loopgerbe.loops import Fn, ThetaGrid, conj_loop, product_loop
+from loopgerbe.loops import Fn, ThetaGrid, conj_loop, pair_samples, product_loop
 from loopgerbe.sampling import (make_rng, random_algebra,
                                 random_bundle_fibre_points, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
                                 random_path_tangent)
+from test_forms import shuffle_pairing
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
@@ -439,6 +440,65 @@ def test_string_form_descends_on_lifts():
     Us = [conj_loop(gam, T) + v for T, v in zip(Ts, verts)]
     moved = string_form_at(PF, q, *Us)
     assert abs(moved - base) < 1e-6
+
+
+def _shuffle_string_form(scn, p, *Ts):
+    """The descended 3-form through the shuffle-by-shuffle pairing of
+    per-tangent curvature and nabla Phi calls: the oracle."""
+    F = Form(2, scn.curvature)
+    dphi = Form(1, lambda q, T: nabla_phi(scn, q, T))
+    s = shuffle_pairing(pair_samples, (F, dphi))(p, *Ts)
+    return np.real(-1.0 / (4 * np.pi ** 2) * scn.grid.quad(s))
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=["su2", "su3"])
+def test_string_form_at_equals_the_shuffle_oracle(group):
+    # on both scenarios, and over a stack of chart points whose lifts
+    # the oracle leaves unstacked, bit for bit
+    rng = make_rng(233)
+    tb, pf = TrivialBundle.chart3(GRID, group), PathFibration(GRID, group)
+    for _ in range(2):
+        p = random_path_point(rng, pf.grid, group)
+        Ts = [random_path_tangent(rng, pf.grid, group) for _ in range(3)]
+        assert string_form_at(pf, p, *Ts) == _shuffle_string_form(pf, p, *Ts)
+        p, = random_bundle_fibre_points(rng, tb, 1)
+        Ts = [(rng.normal(size=3), random_loop_tangent(rng, GRID, group))
+              for _ in range(3)]
+        assert string_form_at(tb, p, *Ts) == _shuffle_string_form(tb, p, *Ts)
+        m = rng.uniform(-0.6, 0.6, size=(4, 3))
+        us = [rng.normal(size=3) for _ in range(3)]
+        q = tb.point(m)
+        want = _shuffle_string_form(tb, q, *(tb.lift_tangent(q, u) for u in us))
+        assert want.shape == (4,) and np.array_equal(string_form(tb, m, *us), want)
+
+
+def test_string_form_at_calls_curvature_and_nabla_phi_once(monkeypatch):
+    # the three tangents are stacked once: one curvature call on the
+    # three pairs and one nabla Phi call on the three tangents
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            # the loop part of the last tangent argument: its stack length
+            X = args[-1][1] if isinstance(args[-1], tuple) else args[-1]
+            calls.append((name, len(X.vals)))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((gerbe, "nabla_phi"), (PathFibration, "curvature"),
+                        (TrivialBundle, "curvature")):
+        counting(owner, name)
+    rng = make_rng(239)
+    p = random_path_point(rng, PF.grid, SU2)
+    string_form_at(PF, p, *(random_path_tangent(rng, PF.grid, SU2) for _ in range(3)))
+    assert calls == [("curvature", 3), ("nabla_phi", 3)]
+    calls.clear()
+    string_form(TrivialBundle.chart3(GRID), rng.uniform(-0.6, 0.6, size=3),
+                *(rng.normal(size=3) for _ in range(3)))
+    assert calls == [("curvature", 3), ("nabla_phi", 3)]
 
 
 # ---------------------------------------------------------------------------

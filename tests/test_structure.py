@@ -271,16 +271,17 @@ def test_no_parameter_that_no_caller_varies():
     # nothing reads a gradient of the Higgs coefficient
     assert "phi_coeff_grad" not in _params(gerbe.TrivialBundle.__init__)
     # one draw has fixed harmonics, coefficient range and factor count,
-    # chart range and lam range
+    # chart range, lam range and the spreads of the normal chart points
     assert (sampling.HARMONICS, sampling.SCALE, sampling.NFACTORS) == (2, 0.5, 2)
     assert (sampling.CHART, sampling.LAM) == (0.6, 1.0)
+    assert (sampling.EXP_CHART, sampling.DD_CHART) == (0.3, 0.5)
     grid_group = ("rng", "grid", "group")
     assert {name: _params(getattr(sampling, name)) for name in (
         "random_trig_coeffs", "random_trig", "random_based_profile", "random_loop",
         "random_loop_tangent", "random_path_point", "random_path_tangent",
         "random_path_fibre_points", "random_path_fibre_tangent",
         "random_unit_profile", "random_group_path", "random_chart_point",
-        "random_chart_vector", "random_group_element",
+        "random_chart_vector", "random_normal_point", "random_group_element",
         "random_bundle_fibre_points", "random_bundle_tangent",
         "random_caloron_point", "random_caloron_tangents")} == {
         "random_trig_coeffs": ("rng", "k"),
@@ -296,6 +297,7 @@ def test_no_parameter_that_no_caller_varies():
         "random_group_path": grid_group + ("npath",),
         "random_chart_point": ("rng", "dim"),
         "random_chart_vector": ("rng", "dim"),
+        "random_normal_point": ("rng", "dim", "spread"),
         "random_group_element": ("rng", "group"),
         "random_bundle_fibre_points": ("rng", "tb", "q"),
         "random_bundle_tangent": ("rng", "tb", "u"),
@@ -305,7 +307,8 @@ def test_no_parameter_that_no_caller_varies():
                      (sampling.random_bundle_tangent, "u")):
         assert inspect.signature(fn).parameters[name].default is None
     assert _params(loops.Fn.based) == ("f",)
-    assert _params(forms.pair_forms) == ("p", "forms")
+    assert _params(forms.pair_stacks) == ("p", "stacks", "index")
+    assert _params(forms.shuffle_index) == ("degs",)
     # one table of curvature samples per tuple of tangents, built once
     # and handed to both sides of the split; a reader at an angle looks
     # its node up itself
@@ -355,8 +358,10 @@ def test_no_code_that_only_tests_reach():
             caloron: ("killingback_map", "_memo", "caloron_curvature",
                       "curvature_form", "_at_angle", "_pair_index"),
             # the caloron checks draw their tangents as one stack, and the
-            # table gathers its pair stacks by index
-            forms: ("stack_tangents",),
+            # table gathers its pair stacks by index; the wedge pairs slot
+            # stacks gathered by a shuffle index (pair_stacks), and the
+            # per-shuffle slot evaluation is a test oracle
+            forms: ("stack_tangents", "pair_forms"),
             # AlgEig.dexp is dexp_right; the kept frame is p.endpoint_frame
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left", "dexp_right"),
@@ -519,6 +524,27 @@ def test_checks_make_no_raw_draw():
                                                         "<src>:2 integers"]
 
 
+def _scaled_draws(source: str, name: str = "<src>") -> list:
+    """Every product or quotient with a sampler call as an operand, as
+    <name>:<line> <sampler>."""
+    return ["%s:%d %s" % (name, n.lineno, side.func.id)
+            for n in ast.walk(ast.parse(source, name))
+            if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Div))
+            for side in (n.left, n.right)
+            if isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+            and side.func.id.startswith("random_")]
+
+
+def test_checks_scale_no_sampler_result():
+    # the spread of a drawn object is the sampler's: no check rescales
+    # what a sampler returns
+    assert _scaled_draws((SRC / "checks.py").read_text(), "checks.py") == []
+    assert _scaled_draws("x = random_chart_vector(rng, 4) * 0.3\n"
+                         "y = 2.0 / random_algebra(rng, g)\n"
+                         "z = random_normal_point(rng, 3, DD_CHART)\n") == [
+        "<src>:1 random_chart_vector", "<src>:2 random_algebra"]
+
+
 def test_path_has_one_representation():
     fields = {f.name for f in dataclasses.fields(loops.PathInLoopGroup)}
     assert fields == {"sgrid", "g", "vel"}
@@ -607,26 +633,36 @@ def _calls_by_function(path: Path) -> dict:
 
 
 def test_one_alternating_pairing():
-    # pair_forms is the one alternating sum over permutations: the caloron
-    # 4-form and the descended 3-form are its pairings, and only the
-    # literal six-term omega3 writes out a permutation sum of its own
-    assert not hasattr(forms, "wedge_pair")
+    # pair_stacks is the one alternating sum over permutations, and
+    # shuffle_index the one function that enumerates shuffles for it:
+    # the caloron 4-form and the descended 3-form are its pairings, and
+    # only the literal six-term omega3 writes out a permutation sum of
+    # its own
+    for gone in ("wedge_pair", "pair_forms"):
+        assert not hasattr(forms, gone)
     calls = {path.stem + "." + name: called
              for path in sorted(SRC.glob("*.py"))
              for name, called in _calls_by_function(path).items()}
     permuting = sorted(name for name, called in calls.items()
                        if called & {"signed_permutations", "shuffles"})
-    assert permuting == ["forms.pair_forms", "gerbe.omega3"]
+    assert permuting == ["forms.shuffle_index", "gerbe.omega3"]
     # the circle integral reaches the curvature only through its table
     assert not calls["caloron.integrate_circle"] & {"pair_samples", "curvature"}
-    assert not calls["gerbe.string_form_at"] & {"pair_samples", "curvature_samples",
-                                               "curvature"}
+    # the descended 3-form makes one curvature call and one nabla Phi
+    # call, on its stacked tangents, and pairs through pair_stacks alone
+    assert not calls["gerbe.string_form_at"] & {"pair_samples", "curvature_samples"}
+    fn = _defs(SRC / "gerbe.py")["string_form_at"]
+    made = Counter(n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                   for n in ast.walk(fn) if isinstance(n, ast.Call)
+                   and isinstance(n.func, (ast.Name, ast.Attribute)))
+    assert (made["curvature"], made["nabla_phi"], made["pair_stacks"]) == (1, 1, 1)
 
 
 def test_one_signed_sum():
-    # the wedge, the exterior derivative and both simplicial differentials
-    # add their signed terms through forms._signed_sum, the only function
-    # of forms that starts an accumulator at None
+    # the wedge (pair_stacks), the exterior derivative and both
+    # simplicial differentials add their signed terms through
+    # forms._signed_sum, the only function of forms that starts an
+    # accumulator at None
     tree = ast.parse((SRC / "forms.py").read_text())
     starts = sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
                     for n in ast.walk(fn) if isinstance(n, ast.IfExp)
@@ -637,7 +673,7 @@ def test_one_signed_sum():
     calls = _calls_by_function(SRC / "forms.py")
     assert sorted(name for name, called in calls.items()
                   if "_signed_sum" in called) == [
-        "delta_fibre", "delta_nerve", "ext_d", "pair_forms"]
+        "delta_fibre", "delta_nerve", "ext_d", "pair_stacks"]
 
 
 def test_only_the_grid_is_periodic_or_closed():
