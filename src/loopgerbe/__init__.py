@@ -4,7 +4,7 @@ caloron transfer, discretised on a circle grid.
 Modules
 -------
 liegroup   compact groups SU(2)/SU(3), exp, adjoint, invariant pairing
-loops      theta grids, sampled loops and paths, differentiation, quadrature
+loops      theta grids, loops and paths with exact theta derivatives, quadrature
 forms      differential forms over the supported point types, exterior
            derivative, simplicial alternating sums
 centext    the two-form and product one-form of the central extension,

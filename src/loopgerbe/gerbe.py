@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import centext, forms
-from .forms import (FD_STEP, ChartPt, Form, directional, ext_d, pair_stacks,
-                    shuffle_index, signed_permutations, tangent_bracket)
+from .forms import (FD_STEP, ChartPt, directional, pair_stacks, shuffle_index,
+                    signed_permutations, tangent_bracket)
 from .liegroup import (ATOL_STRUCT, SU2, Group, adjoint, bracket, group_inv,
                        mm, project_algebra, trace_mm)
 from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
@@ -162,19 +162,9 @@ class TrivialBundle:
 
     # base data
 
-    def _bump_factors(self, m) -> list:
-        return [1.0 - _sq(m[..., i]) for i in range(self.dim)]
-
     def rho(self, m):
         """The bump prod_i (1 - m_i^2), its factors multiplied left to right."""
-        return math.prod(self._bump_factors(m))
-
-    def rho_grad(self, m):
-        """Its chart gradient: component i is -2 m_i times the other
-        factors, multiplied left to right."""
-        f = self._bump_factors(m)
-        return np.stack([math.prod(f[:i] + f[i + 1:], start=-2.0 * m[..., i])
-                         for i in range(self.dim)], axis=-1)
+        return math.prod(1.0 - _sq(m[..., i]) for i in range(self.dim))
 
     def _profile_sum(self, m, terms, coeffs) -> GridFun:
         """sum_d coeffs_d * profile_d(theta) xi_d over the (profile, xi)
@@ -189,14 +179,6 @@ class TrivialBundle:
         r, u = self.rho(m), np.asarray(u)
         return self._profile_sum(m, self.a_terms,
                                  [r * u[..., d] for d in range(self.dim)])
-
-    def base_connection_dm(self, m, u, w) -> GridFun:
-        """Exact directional m-derivative of a(.)(u) along chart vector w
-        at one chart point; u may be a stack of chart vectors."""
-        dr = float(np.dot(self.rho_grad(m), np.asarray(w, dtype=float)))
-        u = np.asarray(u)
-        return self._profile_sum(m, self.a_terms,
-                                 [dr * u[..., d] for d in range(self.dim)])
 
     def phi(self, m) -> GridFun:
         return self._profile_sum(m, [self.phi_term],
@@ -234,14 +216,6 @@ class TrivialBundle:
                                self.fd_step)
 
         base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(a(p.m, u), a(p.m, v))
-        return conj_loop(p.g, base)
-
-    def curvature_exact(self, p: TrivialPoint, V, W) -> GridFun:
-        """Same field from the analytic chart gradient (test oracle)."""
-        base = (self.base_connection_dm(p.m, W[0], V[0])
-                - self.base_connection_dm(p.m, V[0], W[0])
-                + tangent_bracket(self.base_connection(p.m, V[0]),
-                                  self.base_connection(p.m, W[0])))
         return conj_loop(p.g, base)
 
 
@@ -315,10 +289,6 @@ class PathFibration:
         adc = adjoint(p.endpoint_frame, bracket(_end(V.vals), _end(W.vals)))
         poly = theta ** 2 / (8 * np.pi ** 2) - theta / (4 * np.pi)
         return GridFun(p.grid, 2.0 * poly[:, None, None] * adc)
-
-    def nabla_phi_closed(self, p: LoopPoint, V: GridFun) -> GridFun:
-        w = adjoint(p.endpoint_frame, _end(V.vals))
-        return GridFun(p.grid, w * (1.0 / (2 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +369,6 @@ def nabla_phi(scn, p, V) -> GridFun:
     aV = scn.connection(p, V)
     phi = scn.higgs(p)
     return d1 + tangent_bracket(aV, phi) - aV.dtheta()
-
-
-def curvature_via_ext_d(scn, p, V, W) -> GridFun:
-    """dA(V, W) + [A(V), A(W)] through the generic exterior derivative."""
-    dA = ext_d(Form(1, scn.connection, name="A"), p, (V, W), scn.fd_step)
-    return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
 
 
 def pick(T, at):

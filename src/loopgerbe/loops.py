@@ -22,8 +22,6 @@ carry one (flows, connections and the curving read them), while path
 velocities and a scenario's curvature and Higgs field carry none,
 because every reader of those takes their values only; asking one of
 those for its derivative, or flowing along it, raises ValueError.
-`spectral_dtheta` and `fd4_dtheta_closed` stay as the numerical
-references that tests compare the payloads and path velocities against.
 
 Node arrays may carry leading axes: the samples of a path in the loop
 group stack its parameter nodes in front, shape (M, N, n, n).  Theta is
@@ -64,7 +62,6 @@ from .liegroup import (
     group_inv,
     inner,
     mm,
-    project_algebra,
 )
 
 # ---------------------------------------------------------------------------
@@ -229,35 +226,6 @@ def step_axes(t, pad: int) -> np.ndarray:
     in the flowed point."""
     t = np.asarray(t, dtype=float)
     return t.reshape(t.shape + (1,) * pad)
-
-
-def spectral_dtheta(vals: np.ndarray) -> np.ndarray:
-    """FFT derivative along axis 0 of periodic samples: the reference
-    that tests compare exact theta derivative payloads against.
-
-    The Nyquist mode is dropped: its derivative is not representable on
-    the grid, and for resolved data its coefficient is at roundoff.
-    """
-    n = vals.shape[0]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0
-    shape = (n,) + (1,) * (vals.ndim - 1)
-    spec = np.fft.fft(vals, axis=0)
-    return np.fft.ifft(1j * k.reshape(shape) * spec, axis=0)
-
-
-_FD4_LEFT = np.array([[-25, 48, -36, 16, -3],
-                      [-3, -10, 18, -6, 1]], dtype=float) / 12.0
-
-
-def fd4_dtheta_closed(vals: np.ndarray, h: float) -> np.ndarray:
-    """4th-order derivative on a closed grid, one-sided at the ends."""
-    out = np.empty_like(vals)
-    out[2:-2] = (-vals[4:] + 8 * vals[3:-1] - 8 * vals[1:-3] + vals[:-4]) / (12.0 * h)
-    for r in range(2):
-        out[r] = sum(c * vals[j] for j, c in enumerate(_FD4_LEFT[r])) / h
-        out[-1 - r] = -sum(c * vals[-1 - j] for j, c in enumerate(_FD4_LEFT[r])) / h
-    return out
 
 
 def quad_s1(samples: np.ndarray) -> np.ndarray:
@@ -616,15 +584,6 @@ class PathInLoopGroup:
     @property
     def m(self) -> int:
         return self.sgrid.size
-
-    def velocity(self) -> GridFun:
-        """Left-trivialised s-derivative at every node by 4th-order
-        differences: the numerical reference for `vel`."""
-        if self.m < 5:
-            raise ValueError("need at least 5 path nodes")
-        raw = fd4_dtheta_closed(self.g.vals, self.sgrid[1] - self.sgrid[0])
-        ltriv = project_algebra(mm(group_inv(self.g.vals), raw))
-        return GridFun(self.g.grid, ltriv)
 
     def mul(self, other: "PathInLoopGroup") -> "PathInLoopGroup":
         """Pointwise product path; velocities compose as Ad(h^(-1)) f' + h'."""

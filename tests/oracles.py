@@ -1,0 +1,141 @@
+"""The second routes that the tests compare the package against.
+
+Each is a numerical or closed-form reference for a route that a check,
+the CLI or the benchmark runs, and nothing outside the tests calls it:
+the FFT and fourth-order difference theta derivatives, the difference
+velocity of a path in the loop group, the trivial-bundle curvature from
+the analytic chart gradient of its bump, the closed-form nabla Phi of
+the path fibration, the curvature through the generic exterior
+derivative, the shuffle-by-shuffle pairing, and a stack of tangents
+built from its members.  The package's own structure rules (every
+matrix product through `liegroup.mm`, no module cache) do not bind
+them: an oracle may differ from the route it checks.
+"""
+
+import math
+
+import numpy as np
+
+from loopgerbe.forms import Form, _signed_sum, ext_d, shuffles, tangent_bracket
+from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
+from loopgerbe.loops import GridFun, conj_loop
+
+# ---------------------------------------------------------------------------
+# numerical derivatives
+
+
+def spectral_dtheta(vals: np.ndarray) -> np.ndarray:
+    """FFT derivative along axis 0 of periodic samples: the reference
+    that tests compare exact theta derivative payloads against.
+
+    The Nyquist mode is dropped: its derivative is not representable on
+    the grid, and for resolved data its coefficient is at roundoff.
+    """
+    n = vals.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    shape = (n,) + (1,) * (vals.ndim - 1)
+    spec = np.fft.fft(vals, axis=0)
+    return np.fft.ifft(1j * k.reshape(shape) * spec, axis=0)
+
+
+_FD4_LEFT = np.array([[-25, 48, -36, 16, -3],
+                      [-3, -10, 18, -6, 1]], dtype=float) / 12.0
+
+
+def fd4_dtheta_closed(vals: np.ndarray, h: float) -> np.ndarray:
+    """4th-order derivative on a closed grid, one-sided at the ends."""
+    out = np.empty_like(vals)
+    out[2:-2] = (-vals[4:] + 8 * vals[3:-1] - 8 * vals[1:-3] + vals[:-4]) / (12.0 * h)
+    for r in range(2):
+        out[r] = sum(c * vals[j] for j, c in enumerate(_FD4_LEFT[r])) / h
+        out[-1 - r] = -sum(c * vals[-1 - j] for j, c in enumerate(_FD4_LEFT[r])) / h
+    return out
+
+
+def velocity(path) -> GridFun:
+    """Left-trivialised s-derivative of a `loops.PathInLoopGroup` at
+    every node by 4th-order differences: the numerical reference for
+    `path.vel`."""
+    if path.m < 5:
+        raise ValueError("need at least 5 path nodes")
+    raw = fd4_dtheta_closed(path.g.vals, path.sgrid[1] - path.sgrid[0])
+    ltriv = project_algebra(mm(group_inv(path.g.vals), raw))
+    return GridFun(path.g.grid, ltriv)
+
+
+# ---------------------------------------------------------------------------
+# scenario curvature and nabla Phi
+
+
+def rho_grad(tb, m):
+    """The chart gradient of the bump `TrivialBundle.rho`: component i
+    is -2 m_i times the other factors 1 - m_j^2, multiplied left to
+    right."""
+    f = [1.0 - np.float_power(m[..., i], 2) for i in range(tb.dim)]
+    return np.stack([math.prod(f[:i] + f[i + 1:], start=-2.0 * m[..., i])
+                     for i in range(tb.dim)], axis=-1)
+
+
+def _base_connection_dm(tb, m, u, w) -> GridFun:
+    """Exact directional m-derivative of a(.)(u) along chart vector w
+    at one chart point; u may be a stack of chart vectors."""
+    dr = float(np.dot(rho_grad(tb, m), np.asarray(w, dtype=float)))
+    u = np.asarray(u)
+    return tb._profile_sum(m, tb.a_terms, [dr * u[..., d] for d in range(tb.dim)])
+
+
+def curvature_exact(tb, p, V, W) -> GridFun:
+    """The trivial-bundle curvature from the analytic chart gradient."""
+    base = (_base_connection_dm(tb, p.m, W[0], V[0])
+            - _base_connection_dm(tb, p.m, V[0], W[0])
+            + tangent_bracket(tb.base_connection(p.m, V[0]),
+                              tb.base_connection(p.m, W[0])))
+    return conj_loop(p.g, base)
+
+
+def nabla_phi_closed(p, V) -> GridFun:
+    """nabla Phi of the path fibration in closed form: the endpoint value
+    of V conjugated back along the path, over 2 pi."""
+    w = adjoint(p.endpoint_frame, V.vals[..., -1:, :, :])
+    return GridFun(p.grid, w * (1.0 / (2 * np.pi)))
+
+
+def curvature_via_ext_d(scn, p, V, W) -> GridFun:
+    """dA(V, W) + [A(V), A(W)] through the generic exterior derivative."""
+    dA = ext_d(Form(1, scn.connection, name="A"), p, (V, W), scn.fd_step)
+    return dA + tangent_bracket(scn.connection(p, V), scn.connection(p, W))
+
+
+# ---------------------------------------------------------------------------
+# pairings and tangent stacks
+
+
+def shuffle_pairing(p, forms):
+    """The alternating pairing evaluated shuffle by shuffle: every slot
+    on its own block of arguments in every shuffle, p once per shuffle,
+    the terms added in shuffle order.  The oracle that `pair_stacks`
+    equals bit for bit."""
+    degs = [f.degree for f in forms]
+
+    def ev(pt, *vecs):
+        return _signed_sum((sign, p(*(f(pt, *(vecs[i] for i in idx))
+                                      for f, idx in zip(forms, blocks))))
+                           for blocks, sign in shuffles(degs))
+
+    return Form(sum(degs), ev)
+
+
+def stack_tangents(vs):
+    """The tangents vs, all of one kind, as one tangent with a leading
+    stack axis: tuples componentwise, a GridFun's vals and dvals (None
+    unless every tangent has them), arrays by np.stack."""
+    v = vs[0]
+    if isinstance(v, tuple):
+        return tuple(stack_tangents(c) for c in zip(*vs))
+    if isinstance(v, GridFun):
+        d = None
+        if all(w.dvals is not None for w in vs):
+            d = np.stack([w.dvals for w in vs])
+        return GridFun(v.grid, np.stack([w.vals for w in vs]), d)
+    return np.stack(vs)

@@ -24,26 +24,25 @@ from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
                                 random_loop, random_loop_factors,
                                 random_loop_tangent, random_path_point,
                                 random_path_tangent)
-from test_forms import shuffle_pairing
-from test_stencil import stack_tangents
+from oracles import shuffle_pairing, stack_tangents
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
 PF = PathFibration(GRID)
 
 
-def tb_caloron_point(rng, theta=None):
+def tb_caloron_point(rng, theta=None, tb=TB):
     m = rng.uniform(-0.6, 0.6, size=2)
-    p = TB.point(m, random_loop(rng, GRID, SU2))
-    k = exp_alg(random_algebra(rng, SU2))
+    p = tb.point(m, random_loop(rng, tb.grid, tb.group))
+    k = exp_alg(random_algebra(rng, tb.group))
     if theta is None:
-        theta = float(GRID.nodes[int(rng.integers(GRID.n))])
+        theta = float(tb.grid.nodes[int(rng.integers(tb.grid.n))])
     return CaloronPoint(p, k, theta)
 
 
-def tb_caloron_tangent(rng, lam=None):
-    X = (rng.normal(size=2), random_loop_tangent(rng, GRID, SU2))
-    eta = random_algebra(rng, SU2)
+def tb_caloron_tangent(rng, lam=None, tb=TB):
+    X = (rng.normal(size=2), random_loop_tangent(rng, tb.grid, tb.group))
+    eta = random_algebra(rng, tb.group)
     if lam is None:
         lam = float(rng.uniform(-1.0, 1.0))
     return CaloronTangent(X, eta, lam)
@@ -77,15 +76,27 @@ def test_kernel_directions_die():
     assert np.max(np.abs(got)) < 1e-10
 
 
-def test_based_loop_invariance():
+@pytest.mark.parametrize("group", (SU2, liegroup.SU3), ids=lambda g: g.name)
+@pytest.mark.parametrize("scenario", ("trivial-bundle", "path-fibration"))
+def test_based_loop_invariance(scenario, group):
+    # loop_act pushes the loop part of a trivial-bundle tangent, and the
+    # whole of a path-fibration tangent, through conj_loop
     rng = make_rng(307)
+    trivial = scenario == "trivial-bundle"
+    scn = TrivialBundle.default(GRID, group) if trivial else PathFibration(GRID, group)
     for _ in range(3):
-        pt = tb_caloron_point(rng)
-        V = tb_caloron_tangent(rng)
-        g = random_loop(rng, GRID, SU2, based=True)
-        qt, W = loop_act(TB, pt, V, g)
-        before = caloron_connection(TB, pt, V)
-        after = caloron_connection(TB, qt, W)
+        if trivial:
+            pt, V = tb_caloron_point(rng, tb=scn), tb_caloron_tangent(rng, tb=scn)
+        else:
+            theta = float(scn.grid.nodes[int(rng.integers(scn.grid.size))])
+            pt = CaloronPoint(random_path_point(rng, scn.grid, group),
+                              exp_alg(random_algebra(rng, group)), theta)
+            V = CaloronTangent(random_path_tangent(rng, scn.grid, group),
+                               random_algebra(rng, group), float(rng.uniform(-1.0, 1.0)))
+        g = random_loop(rng, scn.grid, group, based=True)
+        qt, W = loop_act(scn, pt, V, g)
+        before = caloron_connection(scn, pt, V)
+        after = caloron_connection(scn, qt, W)
         assert np.max(np.abs(after - before)) < 1e-8
 
 

@@ -8,14 +8,15 @@ import operator
 import numpy as np
 import pytest
 
-from loopgerbe.forms import (ChartPt, Form, _signed_sum, delta_fibre,
-                             delta_nerve, directional, ext_d, flow,
-                             pair_stacks, shuffle_index, shuffles,
-                             signed_permutations, tangent_bracket)
+from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
+                             directional, ext_d, flow, pair_stacks,
+                             shuffle_index, shuffles, signed_permutations,
+                             tangent_bracket)
 from loopgerbe.liegroup import SU2
-from loopgerbe.loops import ThetaGrid, quad_s1, spectral_dtheta
+from loopgerbe.loops import ThetaGrid, quad_s1
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent)
+from oracles import shuffle_pairing, spectral_dtheta
 
 GRID = ThetaGrid(48)
 
@@ -67,21 +68,6 @@ def test_gridfun_bracket_derivative_payload_matches_spectral():
 
 # ---------------------------------------------------------------------------
 # pairings
-
-
-def shuffle_pairing(p, forms):
-    """The alternating pairing evaluated shuffle by shuffle: every slot
-    on its own block of arguments in every shuffle, p once per shuffle,
-    the terms added in shuffle order.  The oracle that `pair_stacks`
-    equals bit for bit."""
-    degs = [f.degree for f in forms]
-
-    def ev(pt, *vecs):
-        return _signed_sum((sign, p(*(f(pt, *(vecs[i] for i in idx))
-                                      for f, idx in zip(forms, blocks))))
-                           for blocks, sign in shuffles(degs))
-
-    return Form(sum(degs), ev)
 
 
 def _slot_stacks(forms, pt, vecs):

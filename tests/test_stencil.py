@@ -22,23 +22,9 @@ from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
                                 random_path_tangent)
+from oracles import stack_tangents
 
 STENCIL = (0.1, -0.1, 0.05, -0.05)
-
-
-def stack_tangents(vs):
-    """The tangents vs, all of one kind, as one tangent with a leading
-    stack axis: tuples componentwise, a GridFun's vals and dvals (None
-    unless every tangent has them), arrays by np.stack."""
-    v = vs[0]
-    if isinstance(v, tuple):
-        return tuple(stack_tangents(c) for c in zip(*vs))
-    if isinstance(v, GridFun):
-        d = None
-        if all(w.dvals is not None for w in vs):
-            d = np.stack([w.dvals for w in vs])
-        return GridFun(v.grid, np.stack([w.vals for w in vs]), d)
-    return np.stack(vs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ varies, paths are node-stacked arrays that no Python loop walks, every matrix
 product goes through `liegroup.mm`, the grid flavour is set on the
 grid alone, the difference step on the scenario alone, every check
 is one fixture draw that a single loop repeats and that draws only
-through the samplers of `sampling`, and no public function
-that only tests reach survives without its reason."""
+through the samplers of `sampling`, no public function
+that only tests reach survives without its reason, and the second
+routes that tests compare against live in `tests/oracles.py` alone."""
 
 import ast
 import dataclasses
@@ -20,6 +21,8 @@ from loopgerbe import (caloron, centext, checks, cli, forms, gerbe, liegroup,
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "loopgerbe"
+TESTS = ROOT / "tests"
+ORACLES = TESTS / "oracles.py"
 
 
 def test_no_module_rebinds_a_global():
@@ -229,7 +232,7 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_unused_imports():
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     offenders = [u for path in paths for u in _unused_imports(path)]
     assert offenders == []
 
@@ -335,12 +338,12 @@ def _defs(path: Path) -> dict:
 
 def test_no_python_loop_over_path_nodes():
     # a path is one stacked LoopPoint and one stacked GridFun: the
-    # product rule, the difference velocity and the path integrals are
-    # array operations over the node axis
+    # product rule, the difference velocity (an oracle) and the path
+    # integrals are array operations over the node axis
     loops_ = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
               ast.GeneratorExp)
-    defs = {**_defs(SRC / "centext.py"), **_defs(SRC / "loops.py")}
-    names = ("cocycle_c", "PathInLoopGroup.mul", "PathInLoopGroup.velocity")
+    defs = {**_defs(SRC / "centext.py"), **_defs(SRC / "loops.py"), **_defs(ORACLES)}
+    names = ("cocycle_c", "PathInLoopGroup.mul", "velocity")
     offenders = [name for name in names
                  if any(isinstance(n, loops_) for n in ast.walk(defs[name]))]
     assert offenders == []
@@ -351,7 +354,8 @@ def test_no_code_that_only_tests_reach():
     # no caller outside their own tests, and no more do these helpers;
     # the rows check alpha's slot, so no self-test aborts a run, and one
     # explicit table of curvature samples replaces the per-call memo and
-    # the per-pair curvature routes
+    # the per-pair curvature routes; the test oracles live in
+    # tests/oracles.py
     gone = {centext: ("DiskLoop", "HOLONOMY_NR", "HOLONOMY_NS", "holonomy_H",
                       "mu_hat", "ConventionError", "_slot_residual"),
             sampling: ("random_pinned_profile", "random_disk_terms"),
@@ -366,15 +370,19 @@ def test_no_code_that_only_tests_reach():
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left", "dexp_right"),
             loops.LoopPoint: ("constant", "n"),
-            gerbe.PathFibration: ("check_point", "_endpoint_frame"),
+            loops: ("spectral_dtheta", "fd4_dtheta_closed", "_FD4_LEFT"),
+            loops.PathInLoopGroup: ("velocity",),
+            gerbe.PathFibration: ("check_point", "_endpoint_frame", "nabla_phi_closed"),
             # the fixture draws of the checks are samplers of `sampling`
             checks: ("_tb_point", "_tb_tangent", "_caloron_point",
                      "_caloron_tangents", "_caloron_tangent"),
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
             loops.TrigPoly: ("as_fn", "__call__"), loops.Fn: ("zero", "__call__"),
-            gerbe: ("_one",),
-            # the bundle is a frozen value: dataclasses.replace and point(m)
-            gerbe.TrivialBundle: ("with_data", "canonical_lift"),
+            gerbe: ("_one", "curvature_via_ext_d"),
+            # the bundle is a frozen value: dataclasses.replace and point(m);
+            # rho multiplies its own factors
+            gerbe.TrivialBundle: ("with_data", "canonical_lift", "curvature_exact",
+                                  "base_connection_dm", "rho_grad", "_bump_factors"),
             # every theta derivative is an exact payload
             loops.ThetaGrid: ("dtheta",), loops.GridFun: ("__neg__",),
             liegroup.Group: ("identity", "coeffs"),
@@ -404,14 +412,9 @@ def test_census_of_code_that_only_tests_reach():
     # the benchmark harness names outside its own body; each stays for
     # the reason given, and anything new here is deleted or promoted
     allowed = {
-        # test oracles: second routes the tests compare against
-        "gerbe.TrivialBundle.curvature_exact", "gerbe.PathFibration.nabla_phi_closed",
-        "gerbe.curvature_via_ext_d", "caloron.curvature_via_ext_d",
-        "loops.PathInLoopGroup.velocity",
-        # the numerical theta derivative, against which tests check the
-        # exact payloads
-        "loops.spectral_dtheta",
-        # to be promoted to rows (ROADMAP item 8)
+        # to be promoted to rows: a second circle reference (ROADMAP
+        # item 9) and the two axiom checks (item 8)
+        "caloron.curvature_via_ext_d",
         "gerbe.higgs_transform_residual", "gerbe.connection_pullback_check"}
     # a name that several definitions carry is reached by name through
     # any of them, so the rule above cannot tell them apart: each is
@@ -422,15 +425,12 @@ def test_census_of_code_that_only_tests_reach():
            for cls in ("TrivialBundle", "PathFibration")
            for name in ("act", "connection", "curvature", "higgs", "tau",
                         "zero_tangent")},
-        "gerbe.TrivialBundle.vertical": scenario + " by caloron.kernel_vector",
-        "gerbe.PathFibration.vertical":
-            "test oracle: the connection reproduces vertical vectors",
-        "gerbe.curvature_via_ext_d": "test oracle",
-        "caloron.curvature_via_ext_d": "test oracle",
-        # the flow and bracket of the transferred bundle, which only the
-        # oracle caloron.curvature_via_ext_d reaches (through forms.ext_d)
-        "caloron.CaloronPoint.flow": "test oracle route",
-        "caloron.CaloronTangent.bracket": "test oracle route",
+        **{"gerbe.%s.vertical" % cls: scenario + " by caloron.kernel_vector"
+           for cls in ("TrivialBundle", "PathFibration")},
+        # the flow and bracket of the transferred bundle, which only
+        # caloron.curvature_via_ext_d reaches (through forms.ext_d)
+        "caloron.CaloronPoint.flow": "the route of caloron.curvature_via_ext_d",
+        "caloron.CaloronTangent.bracket": "the route of caloron.curvature_via_ext_d",
         "forms.flow": "the flow of every point type",
         "forms.ChartPt.flow": "point flow, through forms.flow",
         "gerbe.TrivialPoint.flow": "point flow, through forms.flow",
@@ -460,6 +460,66 @@ def test_census_of_code_that_only_tests_reach():
     assert found == allowed
     carriers = Counter(qual.rsplit(".", 1)[-1] for qual in defs)
     assert {q for q in defs if carriers[q.rsplit(".", 1)[-1]] > 1} == set(shared)
+
+
+def _imports(source: str, name: str = "<src>") -> set:
+    """The modules that the source imports, each by its first dotted name."""
+    out = set()
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+def _run_imports(source: str, name: str = "<src>") -> set:
+    """`_imports` of the source and of each string constant in it that
+    parses as code (the setup strings of perfbench, say)."""
+    out = _imports(source, name)
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                out |= _imports(node.value)
+            except (SyntaxError, ValueError):
+                pass
+    return out
+
+
+def test_no_test_module_imports_another():
+    # what several test modules share lives in tests/oracles.py
+    modules = {path.stem for path in TESTS.glob("test_*.py")}
+    offenders = {path.name: sorted(_imports(path.read_text(), path.name) & modules)
+                 for path in sorted(TESTS.glob("test_*.py"))}
+    assert {name: mods for name, mods in offenders.items() if mods} == {}
+    assert _imports("from test_forms import shuffle_pairing\n"
+                    "import test_stencil.x as ts\nfrom . import oracles\n") == {
+        "test_forms", "test_stencil", "oracles"}
+
+
+def test_nothing_outside_the_tests_imports_the_oracles():
+    # the package and the benchmark harness run one route per formula;
+    # the second routes are the tests' alone
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert [path.name for path in paths
+            if "oracles" in _run_imports(path.read_text(), path.name)] == []
+    assert _run_imports('SETUP = "import oracles\\nx = 1\\n"\n') == {"oracles"}
+
+
+def test_every_oracle_is_called_by_a_test():
+    # each public function of tests/oracles.py is called from a test
+    # module, and no test module defines one of the same name
+    public = {name for name in _defs(ORACLES) if not name.startswith("_")}
+    called, defined = set(), set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        called |= {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                   for n in ast.walk(tree) if isinstance(n, ast.Call)
+                   and isinstance(n.func, (ast.Name, ast.Attribute))}
+        defined |= set(_defs(path))
+    assert public - called == set()
+    assert public & defined == set()
 
 
 def test_path_product_builds_no_velocity_derivative(monkeypatch):
