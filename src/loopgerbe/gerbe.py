@@ -166,23 +166,29 @@ class TrivialBundle:
         """The bump prod_i (1 - m_i^2), its factors multiplied left to right."""
         return math.prod(1.0 - _sq(m[..., i]) for i in range(self.dim))
 
-    def _profile_sum(self, m, terms, coeffs) -> GridFun:
-        """sum_d coeffs_d * profile_d(theta) xi_d over the (profile, xi)
-        terms, one loop per chart point of m."""
-        return GridFun.from_profiles(
-            self.grid, [(Fn.scale(f, _coeffs(c, m)), xi)
-                        for (f, xi), c in zip(terms, coeffs)])
+    def _profile_terms(self, m, terms, coeffs) -> list:
+        """The terms coeffs_d * profile_d(theta) xi_d of the (profile, xi)
+        terms, as (profile, xi) pairs, one loop per chart point of m."""
+        return [(Fn.scale(f, _coeffs(c, m)), xi) for (f, xi), c in zip(terms, coeffs)]
+
+    def _base_terms(self, m, u) -> list:
+        """The profile terms of a(m)(u); a stack of chart vectors u
+        broadcasts against the chart points m."""
+        r, u = self.rho(m), np.asarray(u)
+        return self._profile_terms(m, self.a_terms,
+                                   [r * u[..., d] for d in range(self.dim)])
 
     def base_connection(self, m, u) -> GridFun:
-        """a(m)(u); a stack of chart vectors u broadcasts against the
-        chart points m."""
-        r, u = self.rho(m), np.asarray(u)
-        return self._profile_sum(m, self.a_terms,
-                                 [r * u[..., d] for d in range(self.dim)])
+        """a(m)(u) with its theta derivative, which the connection
+        carries; a stack of chart vectors u broadcasts against the chart
+        points m."""
+        return GridFun.from_profiles(self.grid, self._base_terms(m, u))
 
     def phi(self, m) -> GridFun:
-        return self._profile_sum(m, [self.phi_term],
-                                 [self.rho(m) * self.phi_coeff(m)])
+        """The Higgs seed phi(m), its values alone: no reader of the
+        Higgs field takes a theta derivative."""
+        return GridFun.from_profile_vals(self.grid, self._profile_terms(
+            m, [self.phi_term], [self.rho(m) * self.phi_coeff(m)]))
 
     # gerbe surface
 
@@ -191,10 +197,8 @@ class TrivialBundle:
 
     def higgs(self, p: TrivialPoint) -> GridFun:
         """ad(g^-1) phi(m) + g^-1 d_theta g, with no theta-derivative
-        payload: the log-derivative has none, so phi is conjugated
-        without its own."""
-        phi = GridFun(self.grid, self.phi(p.m).vals)
-        return conj_loop(p.g, phi) + p.g.log_derivative
+        payload: neither the seed nor the log-derivative carries one."""
+        return conj_loop(p.g, self.phi(p.m)) + p.g.log_derivative
 
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
         if float(np.max(np.abs(p.m - q.m))) > ATOL_STRUCT:
@@ -202,21 +206,25 @@ class TrivialBundle:
         return p.g.inv().mul(q.g)
 
     def curvature(self, p: TrivialPoint, V, W) -> GridFun:
-        """ad(g^-1)(da + [a(u), a(v)]) with da by chart differences,
-        one stacked base connection per difference stencil.  Its samples
-        carry no theta-derivative payload: no reader of F needs one, so
-        the base connections enter without theirs."""
-        u, v = V[0], W[0]
+        """ad(g^-1)(da + [a(u), a(v)]) with da(u, v) - da(v, u) by chart
+        differences: one stacked base connection per difference stencil.
+        u and v, broadcast against the chart points, stack the two
+        orders x = (u, v) and y = (v, u) on a new leading axis; one
+        stencil flows the chart point along x and evaluates a at y, and
+        one plain evaluation at x gives a(u) and a(v).  No reader of F
+        needs a theta derivative, so a is summed from its profiles'
+        values alone (`GridFun.from_profile_vals`), and its samples are
+        differenced and bracketed as arrays."""
+        x = np.empty((2,) + np.broadcast(p.m, V[0], W[0]).shape)
+        x[0], x[1] = V[0], W[0]
+        y = x[::-1]
 
-        def a(m, x):
-            return GridFun(self.grid, self.base_connection(m, x).vals)
+        def a(m, z):
+            return GridFun.from_profile_vals(self.grid, self._base_terms(m, z)).vals
 
-        def da_dir(x, y):
-            return directional(lambda t: a(ChartPt(p.m).flow(x, t).x, y),
-                               self.fd_step)
-
-        base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(a(p.m, u), a(p.m, v))
-        return conj_loop(p.g, base)
+        da = directional(lambda t: a(ChartPt(p.m).flow(x, t).x, y), self.fd_step)
+        ax = a(p.m, x)
+        return conj_loop(p.g, GridFun(self.grid, da[0] - da[1] + bracket(ax[0], ax[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,13 @@ class TrigPoly:
 
     A stack of profiles has a0 of the stack's shape, (k,) or (k1, k2)
     say, and ac, bs of that shape plus (harmonics,): the stack axes
-    lead the samples of val and dval, which evaluate each cos(m t) and
-    sin(m t) once for all terms and round every term as it rounds
-    alone.  The coefficients are kept as float arrays, one row per
-    harmonic, from the first evaluation on.
+    lead the samples of val and dval.  Each makes one cos and one sin
+    call, over the stack of m t for every harmonic m, and one broadcast
+    product per coefficient kind, then adds a0, the cos terms and the
+    sin terms in that order, so that every term of every profile rounds
+    as it rounds alone.  The coefficients are kept as float arrays, one
+    row per harmonic, with the orders m of their rows, from the first
+    evaluation on.
     """
 
     a0: float = 0.0
@@ -123,34 +126,55 @@ class TrigPoly:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        """a0, and ac and bs one row per harmonic, made once and kept."""
+        """a0, ac and bs one row per harmonic, and the orders m of the
+        rows of ac and of bs, made once and kept."""
         a0 = np.asarray(self.a0, dtype=float)
         # the harmonic axis first, the stack axes after it in their order
         axes = (a0.ndim,) + tuple(range(a0.ndim))
         ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
         bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
-        return a0, ac, bs
+        return a0, ac, bs, _orders(ac), _orders(bs)
 
     def val(self, t):
         t = np.asarray(t, dtype=float)
-        a0, ac, bs = self.rows
+        a0, ac, bs, mc, ms = self.rows
         out = np.empty(a0.shape + t.shape)
         out[...] = a0.reshape(a0.shape + (1,) * t.ndim)  # a0 along t's axes
-        for m, a in enumerate(ac, start=1):
-            out = out + np.multiply.outer(a, np.cos(m * t))
-        for m, b in enumerate(bs, start=1):
-            out = out + np.multiply.outer(b, np.sin(m * t))
+        for term in _harmonics(ac, mc, np.cos, t):
+            out = out + term
+        for term in _harmonics(bs, ms, np.sin, t):
+            out = out + term
         return out
 
     def dval(self, t):
         t = np.asarray(t, dtype=float)
-        a0, ac, bs = self.rows
+        a0, ac, bs, mc, ms = self.rows
         out = np.zeros(a0.shape + t.shape)
-        for m, a in enumerate(ac, start=1):
-            out = out - np.multiply.outer(m * a, np.sin(m * t))
-        for m, b in enumerate(bs, start=1):
-            out = out + np.multiply.outer(m * b, np.cos(m * t))
+        for term in _harmonics(mc * ac, mc, np.sin, t):
+            out = out - term
+        for term in _harmonics(ms * bs, ms, np.cos, t):
+            out = out + term
         return out
+
+
+def _orders(rows) -> np.ndarray:
+    """The harmonic orders 1.0, ..., H of H coefficient rows, along the
+    row axis and broadcast against the rest of the rows."""
+    return np.arange(1.0, len(rows) + 1).reshape((-1,) + (1,) * (rows.ndim - 1))
+
+
+def _harmonics(rows, orders, wave, t):
+    """The terms rows[m-1] (x) wave(m t) of the harmonics m = 1..H, in
+    order along the leading axis: one wave call over the stack of m * t
+    for the `orders` m, and one broadcast product, each term rounded as
+    np.multiply.outer(rows[m-1], wave(m * t)); none without harmonics."""
+    if not len(rows):
+        return ()
+
+    def along_t(x):
+        return x.reshape(x.shape + (1,) * t.ndim)
+
+    return along_t(rows) * wave(along_t(orders) * t)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +396,25 @@ class GridFun:
     @staticmethod
     def from_profiles(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
         """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j,
-        added from 0.0 in the order given.  A profile may return a stack
-        of them, theta last: its leading axes lead the samples.  An X
-        with a leading axis is a stack of k matrices, and its f then a
-        stack of k profiles, term axis first (a stacked TrigPoly, say):
+        with its exact theta derivative sum_j f_j'(theta) X_j, each added
+        from 0.0 in the order given (`_add_terms`).  A profile may return
+        a stack of them, theta last: its leading axes lead the samples.
+        An X with a leading axis is a stack of k matrices, and its f then
+        a stack of k profiles, term axis first (a stacked TrigPoly, say):
         one val call, one dval call and one broadcast product serve the
-        k terms, which enter the sum in their order."""
+        k terms, which enter the sum in their order.  `from_profile_vals`
+        is the same sum of the values alone."""
         t = grid.nodes
-        # from 0.0, so that the profiles' stack shape sets the samples'
-        vals = dvals = 0.0
-        for f, X in terms:
-            vals = _add_terms(vals, f.val(t), X)
-            dvals = _add_terms(dvals, f.dval(t), X)
-        return GridFun(grid, vals, dvals)
+        return GridFun(grid, _add_terms((f.val(t), X) for f, X in terms),
+                       _add_terms((f.dval(t), X) for f, X in terms))
+
+    @staticmethod
+    def from_profile_vals(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
+        """The samples of `from_profiles` without a theta-derivative
+        payload, bit for bit: one val call per profile and no dval call,
+        for data that no reader differentiates (a trivial bundle's
+        curvature and Higgs field)."""
+        return GridFun(grid, _add_terms((f.val(grid.nodes), X) for f, X in terms))
 
     @staticmethod
     def zero(grid: ThetaGrid, n: int) -> "GridFun":
@@ -392,17 +422,21 @@ class GridFun:
         return GridFun(grid, z, z.copy())
 
 
-def _add_terms(out, samples, X):
-    """out + s X for a profile's samples s and a matrix X; for a stack of
-    k matrices, out + s_0 X_0 + ... + s_(k-1) X_(k-1) from one broadcast
-    product, added in order so that the stack rounds as its terms one at
-    a time."""
-    s = np.asarray(samples)[..., None, None]
-    X = np.asarray(X)
-    if X.ndim == 2:
-        return out + s * X
-    for term in s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:]):
-        out = out + term
+def _add_terms(terms):
+    """sum_j s_j X_j over (samples s_j, matrix X_j) terms, added from 0.0
+    in order, so that the profiles' stack shape sets the samples'.  For
+    a stack of k matrices X_j, s_j stacks k profiles, and
+    s_j0 X_j0 + ... + s_j(k-1) X_j(k-1) come from one broadcast product,
+    added in order so that the stack rounds as its terms one at a time."""
+    out = 0.0
+    for samples, X in terms:
+        s = np.asarray(samples)[..., None, None]
+        X = np.asarray(X)
+        if X.ndim == 2:
+            out = out + s * X
+        else:
+            for term in s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:]):
+                out = out + term
     return out
 
 

@@ -4,19 +4,22 @@ Each is a numerical or closed-form reference for a route that a check,
 the CLI or the benchmark runs, and nothing outside the tests calls it:
 the FFT and fourth-order difference theta derivatives, the difference
 velocity of a path in the loop group, the trivial-bundle curvature from
-the analytic chart gradient of its bump, the closed-form nabla Phi of
-the path fibration, the curvature through the generic exterior
-derivative, the shuffle-by-shuffle pairing, and a stack of tangents
-built from its members.  The package's own structure rules (every
-matrix product through `liegroup.mm`, no module cache) do not bind
-them: an oracle may differ from the route it checks.
+the analytic chart gradient of its bump and by its two orders, one
+stencil each, the closed-form nabla Phi of the path fibration, the
+curvature through the generic exterior derivative, the
+shuffle-by-shuffle pairing, a stack of tangents built from its
+members, and a Fourier profile summed harmonic by harmonic.  The
+package's own structure rules (every matrix product through
+`liegroup.mm`, no module cache) do not bind them: an oracle may differ
+from the route it checks.
 """
 
 import math
 
 import numpy as np
 
-from loopgerbe.forms import Form, _signed_sum, ext_d, shuffles, tangent_bracket
+from loopgerbe.forms import (ChartPt, Form, _signed_sum, directional, ext_d, shuffles,
+                             tangent_bracket)
 from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
 from loopgerbe.loops import GridFun, conj_loop
 
@@ -82,7 +85,8 @@ def _base_connection_dm(tb, m, u, w) -> GridFun:
     at one chart point; u may be a stack of chart vectors."""
     dr = float(np.dot(rho_grad(tb, m), np.asarray(w, dtype=float)))
     u = np.asarray(u)
-    return tb._profile_sum(m, tb.a_terms, [dr * u[..., d] for d in range(tb.dim)])
+    return GridFun.from_profiles(tb.grid, tb._profile_terms(
+        m, tb.a_terms, [dr * u[..., d] for d in range(tb.dim)]))
 
 
 def curvature_exact(tb, p, V, W) -> GridFun:
@@ -91,6 +95,24 @@ def curvature_exact(tb, p, V, W) -> GridFun:
             - _base_connection_dm(tb, p.m, V[0], W[0])
             + tangent_bracket(tb.base_connection(p.m, V[0]),
                               tb.base_connection(p.m, W[0])))
+    return conj_loop(p.g, base)
+
+
+def curvature_by_orders(tb, p, V, W) -> GridFun:
+    """The trivial-bundle curvature with da(u, v) and da(v, u) each from
+    its own difference stencil, and a(u) and a(v) each from its own
+    plain base connection, every theta-derivative payload dropped: the
+    route that `TrivialBundle.curvature`, one stencil over both orders,
+    equals bit for bit."""
+    u, v = V[0], W[0]
+
+    def a(m, x):
+        return GridFun(tb.grid, tb.base_connection(m, x).vals)
+
+    def da_dir(x, y):
+        return directional(lambda t: a(ChartPt(p.m).flow(x, t).x, y), tb.fd_step)
+
+    base = da_dir(u, v) - da_dir(v, u) + tangent_bracket(a(p.m, u), a(p.m, v))
     return conj_loop(p.g, base)
 
 
@@ -139,3 +161,39 @@ def stack_tangents(vs):
             d = np.stack([w.dvals for w in vs])
         return GridFun(v.grid, np.stack([w.vals for w in vs]), d)
     return np.stack(vs)
+
+
+# ---------------------------------------------------------------------------
+# profiles
+
+
+def trig_val(tp, t) -> np.ndarray:
+    """`loops.TrigPoly.val` harmonic by harmonic: a0 along t's axes, then
+    one cos(m t) and one outer product per cos term, then the sin terms,
+    each added in order."""
+    t = np.asarray(t, dtype=float)
+    a0 = np.asarray(tp.a0, dtype=float)
+    ac, bs = (np.moveaxis(np.asarray(c, dtype=float).reshape(a0.shape + (-1,)), -1, 0)
+              for c in (tp.ac, tp.bs))
+    out = np.empty(a0.shape + t.shape)
+    out[...] = a0.reshape(a0.shape + (1,) * t.ndim)
+    for m, a in enumerate(ac, start=1):
+        out = out + np.multiply.outer(a, np.cos(m * t))
+    for m, b in enumerate(bs, start=1):
+        out = out + np.multiply.outer(b, np.sin(m * t))
+    return out
+
+
+def trig_dval(tp, t) -> np.ndarray:
+    """`loops.TrigPoly.dval` harmonic by harmonic: from zeros, minus
+    m a sin(m t) per cos term, then plus m b cos(m t) per sin term."""
+    t = np.asarray(t, dtype=float)
+    a0 = np.asarray(tp.a0, dtype=float)
+    ac, bs = (np.moveaxis(np.asarray(c, dtype=float).reshape(a0.shape + (-1,)), -1, 0)
+              for c in (tp.ac, tp.bs))
+    out = np.zeros(a0.shape + t.shape)
+    for m, a in enumerate(ac, start=1):
+        out = out - np.multiply.outer(m * a, np.sin(m * t))
+    for m, b in enumerate(bs, start=1):
+        out = out + np.multiply.outer(m * b, np.cos(m * t))
+    return out

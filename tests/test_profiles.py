@@ -2,7 +2,9 @@
 
 A stacked TrigPoly, with one stack axis or two, evaluates all its
 terms in one val and one dval call, and the samplers multiply and sum the terms of a stack as the
-same terms taken one at a time, bit for bit.  A loop point keeps its
+same terms taken one at a time, bit for bit; val and dval, one cos
+and one sin call over every harmonic, equal the sum harmonic by
+harmonic bit for bit.  A loop point keeps its
 left logarithmic derivative and its endpoint frame; both equal a fresh
 computation bit for bit, and go with the point."""
 
@@ -19,6 +21,7 @@ from loopgerbe import sampling
 from loopgerbe.gerbe import PathFibration
 from loopgerbe.liegroup import SU2, SU3, adjoint_inv, exp_alg, group_inv, mm
 from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop
+from oracles import trig_dval, trig_val
 
 GROUPS = (SU2, SU3)
 
@@ -149,6 +152,37 @@ def test_a_stacked_trig_poly_rounds_each_term_as_alone(case):
         assert _same(at0[j], one.val(0.0))
         assert _same(based[j], Fn.based(one).val(t))
         assert _same(based[j], _based(one, t)[0])
+
+
+@st.composite
+def _trig_cases(draw):
+    """A TrigPoly of stack shape (), (k,) or (k1, k2) with 0 to 3
+    harmonics of each kind, and its argument: a 0-d t, or the nodes of a
+    one-node, periodic or closed grid."""
+    shape = draw(st.sampled_from(((), (3,), (2, 3))))
+    harmonics = [draw(st.integers(0, 3)) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a0, ac, bs = (rng.uniform(-2.0, 2.0, size=shape + extra)
+                  for extra in ((), (harmonics[0],), (harmonics[1],)))
+    if shape == ():
+        a0, ac, bs = float(a0), tuple(ac), tuple(bs)
+    n = 2 * draw(st.integers(4, 12))
+    t = draw(st.one_of(
+        st.floats(-10.0, 10.0).map(np.asarray),
+        st.integers(0, n - 1).map(lambda j: ThetaGrid(n, node=j).nodes),
+        st.sampled_from((ThetaGrid(n).nodes, ThetaGrid(n, closed=True).nodes))))
+    return TrigPoly(a0, ac, bs), t
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trig_cases())
+def test_trig_poly_is_the_sum_harmonic_by_harmonic(case):
+    # one cos and one sin call over every harmonic round each term as
+    # one harmonic at a time does, added in the same order
+    tp, t = case
+    assert _same(tp.val(t), trig_val(tp, t))
+    assert _same(tp.dval(t), trig_dval(tp, t))
+    assert tp.val(t).shape == np.shape(tp.a0) + t.shape
 
 
 @st.composite

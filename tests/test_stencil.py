@@ -5,11 +5,17 @@ an array of steps puts the step axes in front of the point's own
 leading axes; and everything evaluated at a flowed point equals the
 evaluations at each step alone, bit for bit.  The same holds for a
 stack of tangents: its axis follows the steps, and every value at it
-equals the values at each tangent alone."""
+equals the values at each tangent alone.  The trivial-bundle curvature
+takes both orders of its chart difference from one stencil, and equals
+the route with one stencil per order bit for bit."""
+
+import itertools
+from dataclasses import replace
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from loopgerbe import caloron, centext, gerbe
@@ -17,12 +23,13 @@ from loopgerbe.caloron import CaloronPoint, CaloronTangent
 from loopgerbe.forms import ChartPt, directional, flow
 from loopgerbe.gerbe import PathFibration, TrivialBundle, TrivialPoint
 from loopgerbe.liegroup import SU2, SU3, exp_alg
-from loopgerbe.loops import GridFun, LoopPoint, ThetaGrid
-from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
+from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid
+from loopgerbe.sampling import (make_rng, random_algebra, random_caloron_point,
+                                random_caloron_tangents, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
                                 random_path_tangent)
-from oracles import stack_tangents
+from oracles import curvature_by_orders, stack_tangents
 
 STENCIL = (0.1, -0.1, 0.05, -0.05)
 
@@ -70,18 +77,78 @@ def test_nabla_phi_makes_one_loop_flow(monkeypatch):
     assert steps == [(4,), (4,)]
 
 
-def test_tb_curvature_builds_two_stacked_and_two_plain_base_connections(monkeypatch):
+def test_tb_curvature_evaluates_a_once_per_stencil_and_once_plain(monkeypatch):
+    # one stencil over both orders x = (u, v), y = (v, u), and one plain
+    # evaluation of a at both tangents; no base connection, whose theta
+    # derivative no reader of F needs
     _, tb, p, V, W = _tb_fixture(67)
-    shapes = []
-    plain = gerbe.TrivialBundle.base_connection
+    shapes, built = [], []
+    plain = gerbe.TrivialBundle._base_terms
 
     def counted(self, m, u):
-        shapes.append(np.shape(m))
+        shapes.append((np.shape(m), np.shape(u)))
         return plain(self, m, u)
 
-    monkeypatch.setattr(gerbe.TrivialBundle, "base_connection", counted)
+    monkeypatch.setattr(gerbe.TrivialBundle, "_base_terms", counted)
+    monkeypatch.setattr(gerbe.TrivialBundle, "base_connection",
+                        lambda *args: built.append(args))
     tb.curvature(p, V, W)
-    assert sorted(shapes) == [(2,), (2,), (4, 2), (4, 2)]
+    assert sorted(shapes) == [((2,), (2, 2)), ((4, 2, 2), (2, 2))]
+    assert built == []
+
+
+def _counting_profiles(tb, calls):
+    """tb with every profile's dval counted into calls."""
+
+    def counted(f):
+        def dval(t):
+            calls.append(np.shape(t))
+            return f.dval(t)
+        return Fn(f.val, dval)
+
+    return replace(tb, a_terms=tuple((counted(f), xi) for f, xi in tb.a_terms),
+                   phi_term=(counted(tb.phi_term[0]), tb.phi_term[1]))
+
+
+def test_curvature_and_higgs_evaluate_no_profile_derivative():
+    # F and Phi carry no theta-derivative payload, so no profile dval is
+    # evaluated for them; the connection carries one and evaluates it
+    _, tb, p, V, W = _tb_fixture(73)
+    calls = []
+    tb = _counting_profiles(tb, calls)
+    tb.curvature(p, V, W)
+    tb.higgs(p)
+    assert calls == []
+    tb.connection(p, V)
+    assert len(calls) == tb.dim
+
+
+def _tb_curvature_cases(tb, rng):
+    """(bundle, point, V, W) at which the curvature is compared: single
+    tangents, the six pairs of a split draw's four tangents on a one-node
+    grid, and points flowed by one stencil and by two."""
+    group, t = tb.group, np.array(STENCIL)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=tb.dim), random_loop(rng, tb.grid, group))
+    A, B, V, W = ((rng.normal(size=tb.dim), random_loop_tangent(rng, tb.grid, group))
+                  for _ in range(4))
+    one, cpt = random_caloron_point(rng, tb)
+    Xs = random_caloron_tangents(rng, one, 4).X
+    i, j = (np.array(ix) for ix in zip(*itertools.combinations(range(4), 2)))
+    return ((tb, p, V, W), (one, cpt.p, gerbe.pick(Xs, i), gerbe.pick(Xs, j)),
+            (tb, flow(p, A, t), V, W), (tb, flow(flow(p, A, t), B, t), V, W))
+
+
+@pytest.mark.parametrize("group", (SU2, SU3), ids=lambda g: g.name)
+@pytest.mark.parametrize("bundle", ("default", "chart3"))
+def test_tb_curvature_is_the_route_by_orders_bit_for_bit(bundle, group):
+    tb = getattr(TrivialBundle, bundle)(ThetaGrid(16), group)
+    cases = _tb_curvature_cases(tb, make_rng(79))
+    leads = [(), (6,), (4,), (4, 4)]
+    for (scn, p, V, W), lead in zip(cases, leads):
+        got, want = scn.curvature(p, V, W), curvature_by_orders(scn, p, V, W)
+        assert got.vals.shape == lead + (scn.grid.size, group.n, group.n)
+        assert got.dvals is None and want.dvals is None
+        assert np.array_equal(got.vals, want.vals), lead
 
 
 def test_flows_stack_steps_in_front_of_the_point_axes():

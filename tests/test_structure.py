@@ -5,7 +5,8 @@ product goes through `liegroup.mm`, the grid flavour is set on the
 grid alone, the difference step on the scenario alone, every check
 is one fixture draw that a single loop repeats and that draws only
 through the samplers of `sampling`, no public function
-that only tests reach survives without its reason, and the second
+that only tests reach survives without its reason, no value is built
+with a theta-derivative payload only to drop it, and the second
 routes that tests compare against live in `tests/oracles.py` alone."""
 
 import ast
@@ -665,6 +666,34 @@ def test_directional_evaluates_fun_once():
              and isinstance(n.func, ast.Name) and n.func.id == "fun"]
     assert len(calls) == 1
     assert not any(isinstance(n, loops_) for n in ast.walk(fn) if n is not fn)
+
+
+def _dropped_payloads(source: str, name: str = "<src>") -> list:
+    """Every GridFun(<grid>, <call>(...).vals), which builds a value
+    with its theta-derivative payload only to drop it, as <name>:<line>."""
+    out = []
+    for n in ast.walk(ast.parse(source, name)):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "GridFun"):
+            continue
+        vals = n.args[1:2] + [k.value for k in n.keywords if k.arg == "vals"]
+        if any(isinstance(v, ast.Attribute) and v.attr == "vals"
+               and isinstance(v.value, ast.Call) for v in vals):
+            out.append("%s:%d" % (name, n.lineno))
+    return out
+
+
+def test_no_payload_is_built_to_be_dropped():
+    # a value with no theta derivative is summed from its values alone
+    # (GridFun.from_profile_vals), not built with one and then stripped
+    offenders = [site for path in sorted(SRC.glob("*.py"))
+                 for site in _dropped_payloads(path.read_text(), path.name)]
+    assert offenders == []
+    assert _dropped_payloads("F = GridFun(grid, tb.base_connection(m, u).vals)\n"
+                             "G = GridFun(grid, X.vals)\n"
+                             "H = GridFun(X.grid, adjoint_inv(h.vals, X.vals), d)\n"
+                             "K = GridFun(grid, vals=phi(m).vals)\n") == [
+        "<src>:1", "<src>:4"]
 
 
 def test_no_flow_casts_its_steps_to_float():
