@@ -200,6 +200,13 @@ class TrivialBundle:
         payload: neither the seed nor the log-derivative carries one."""
         return conj_loop(p.g, self.phi(p.m)) + p.g.log_derivative
 
+    def dphi_chart(self, p: TrivialPoint, u) -> GridFun:
+        """ad(g^-1) of the chart derivative of the seed phi(m) along u:
+        the part of dPhi that moves the chart point, by one difference
+        stencil over chart points alone."""
+        d = directional(lambda t: self.phi(ChartPt(p.m).flow(u, t).x).vals, self.fd_step)
+        return conj_loop(p.g, GridFun(self.grid, d))
+
     def tau(self, p: TrivialPoint, q: TrivialPoint) -> LoopPoint:
         if float(np.max(np.abs(p.m - q.m))) > ATOL_STRUCT:
             raise ValueError("points in different fibres")
@@ -369,14 +376,21 @@ def curving_f(scn, p, V, W) -> complex:
 
 
 def nabla_phi(scn, p, V) -> GridFun:
-    """Covariant derivative of the Higgs field along V.
+    """Covariant derivative dPhi(V) + [A(V), Phi] - d_theta A(V) of the
+    Higgs field along V, with no loop flow.
 
-    Directional term by flow differences; bracket and -dtheta(A) exact.
-    """
-    d1 = directional(lambda t: scn.higgs(forms.flow(p, V, t)), scn.fd_step)
+    dPhi along the loop part X of V is exact by the equivariance
+    Phi(pg) = ad(g^-1) Phi(p) + g^-1 d_theta g: d_theta X + [Phi, X],
+    from X's payload (`GridFun.dtheta`, ValueError where it has none)
+    and one bracket.  A trivial-bundle tangent (u, X) adds
+    `dphi_chart(p, u)`."""
+    X = V[1] if isinstance(V, tuple) else V
     aV = scn.connection(p, V)
     phi = scn.higgs(p)
-    return d1 + tangent_bracket(aV, phi) - aV.dtheta()
+    dphi = X.dtheta() + tangent_bracket(phi, X)
+    if isinstance(V, tuple):
+        dphi = dphi + scn.dphi_chart(p, V[0])
+    return dphi + tangent_bracket(aV, phi) - aV.dtheta()
 
 
 def pick(T, at):

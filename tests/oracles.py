@@ -5,10 +5,11 @@ the CLI or the benchmark runs, and nothing outside the tests calls it:
 the FFT and fourth-order difference theta derivatives, the difference
 velocity of a path in the loop group, the trivial-bundle curvature from
 the analytic chart gradient of its bump and by its two orders, one
-stencil each, the closed-form nabla Phi of the path fibration, the
-curvature through the generic exterior derivative, the
-shuffle-by-shuffle pairing, a stack of tangents built from its
-members, and a Fourier profile summed harmonic by harmonic.  The
+stencil each, the closed-form nabla Phi of the path fibration and
+nabla Phi by whole loop flows, the curvature through the generic
+exterior derivative, the shuffle-by-shuffle pairing, a stack of
+tangents built from its members, and a Fourier profile summed harmonic
+by harmonic.  The
 package's own structure rules (every matrix product through
 `liegroup.mm`, no module cache) do not bind them: an oracle may differ
 from the route it checks.
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from loopgerbe import forms
 from loopgerbe.forms import (ChartPt, Form, _signed_sum, directional, ext_d, shuffles,
                              tangent_bracket)
 from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
@@ -121,6 +123,17 @@ def nabla_phi_closed(p, V) -> GridFun:
     of V conjugated back along the path, over 2 pi."""
     w = adjoint(p.endpoint_frame, V.vals[..., -1:, :, :])
     return GridFun(p.grid, w * (1.0 / (2 * np.pi)))
+
+
+def nabla_phi_by_flows(scn, p, V) -> GridFun:
+    """Covariant derivative of the Higgs field along V.
+
+    Directional term by flow differences; bracket and -dtheta(A) exact.
+    """
+    d1 = directional(lambda t: scn.higgs(forms.flow(p, V, t)), scn.fd_step)
+    aV = scn.connection(p, V)
+    phi = scn.higgs(p)
+    return d1 + tangent_bracket(aV, phi) - aV.dtheta()
 
 
 def curvature_via_ext_d(scn, p, V, W) -> GridFun:

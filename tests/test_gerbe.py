@@ -15,14 +15,15 @@ from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
                              tau_deriv_fd)
 from loopgerbe.forms import signed_permutations
 from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
-from loopgerbe.loops import Fn, ThetaGrid, conj_loop, pair_samples, product_loop
+from loopgerbe.loops import (Fn, GridFun, ThetaGrid, conj_loop, pair_samples,
+                             product_loop)
 from loopgerbe.sampling import (make_rng, random_algebra,
                                 random_bundle_fibre_points, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangent, random_path_point,
                                 random_path_tangent)
-from oracles import (curvature_exact, curvature_via_ext_d, nabla_phi_closed,
-                     rho_grad, shuffle_pairing)
+from oracles import (curvature_exact, curvature_via_ext_d, nabla_phi_by_flows,
+                     nabla_phi_closed, rho_grad, shuffle_pairing, stack_tangents)
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
@@ -331,6 +332,40 @@ def test_nabla_phi_equivariance():
     lhs = nabla_phi(TB, TB.act(p, h), (V[0], conj_loop(h, V[1])))
     rhs = conj_loop(h, nabla_phi(TB, p, V))
     assert np.max(np.abs(lhs.vals - rhs.vals)) < 1e-7
+
+
+def _nabla_phi_cases(group, seed, k=3):
+    """(bundle, point, tangents) on both bundles at N = 64: k tangents of
+    each, to be taken alone and as one stack."""
+    rng = make_rng(seed)
+    grid = ThetaGrid(64)
+    tb, pf = TrivialBundle.default(grid, group), PathFibration(grid, group)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=2), random_loop(rng, grid, group))
+    Vs = [(rng.normal(size=2), random_loop_tangent(rng, grid, group)) for _ in range(k)]
+    pp = random_path_point(rng, pf.grid, group)
+    Xs = [random_path_tangent(rng, pf.grid, group) for _ in range(k)]
+    return (tb, p, Vs), (pf, pp, Xs)
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=["su2", "su3"])
+def test_nabla_phi_is_the_flow_route_and_the_closed_form(group):
+    # dPhi from the Higgs field's equivariance against dPhi by whole
+    # loop flows; on the path fibration also against the closed form
+    for scn, p, Ts in _nabla_phi_cases(group, 179):
+        for V in Ts + [stack_tangents(Ts)]:
+            got = nabla_phi(scn, p, V).vals
+            assert np.max(np.abs(got - nabla_phi_by_flows(scn, p, V).vals)) < 1e-9
+            if isinstance(scn, PathFibration):
+                assert np.max(np.abs(got - nabla_phi_closed(p, V).vals)) < 1e-9
+
+
+def test_nabla_phi_needs_the_loop_payload():
+    # a loop tangent without its exact theta derivative has no d_theta X
+    (tb, p, (V, _, _)), (pf, pp, (X, _, _)) = _nabla_phi_cases(SU2, 181)
+    with pytest.raises(ValueError, match="theta derivative"):
+        nabla_phi(tb, p, (V[0], GridFun(V[1].grid, V[1].vals)))
+    with pytest.raises(ValueError, match="theta derivative"):
+        nabla_phi(pf, pp, GridFun(X.grid, X.vals))
 
 
 # ---------------------------------------------------------------------------

@@ -398,14 +398,6 @@ def test_one_eigh_per_algebra_element(eigh_calls):
 def test_one_eigh_per_flow_direction(eigh_calls):
     grid = ThetaGrid(32)
     rng = sampling.make_rng(34)
-    tb = gerbe.TrivialBundle.default(grid, lg.SU3)
-    p = tb.point(rng.uniform(-0.6, 0.6, size=tb.dim),
-                 sampling.random_loop(rng, grid, lg.SU3))
-    V = (rng.normal(size=tb.dim), sampling.random_loop_tangent(rng, grid, lg.SU3))
-    # nabla_phi flows p to the four Richardson steps +-h, +-h/2
-    eigh_calls.clear()
-    gerbe.nabla_phi(tb, p, V)
-    assert eigh_calls == [(grid.n, 3, 3)]
     # d of a 2-form on three tangents: twelve flows, one eigh per tangent
     g = sampling.random_loop(rng, grid, lg.SU3)
     Xs = tuple(sampling.random_loop_tangent(rng, grid, lg.SU3) for _ in range(3))

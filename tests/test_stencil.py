@@ -58,23 +58,30 @@ def _tb_fixture(seed, grid=ThetaGrid(32), group=SU2):
     return rng, tb, p, V, W
 
 
-def test_nabla_phi_makes_one_loop_flow(monkeypatch):
+def test_nabla_phi_makes_no_loop_flow(monkeypatch):
+    # dPhi along the loop part comes from the Higgs field's equivariance,
+    # and the trivial bundle's chart term flows chart points alone: no
+    # loop is flowed and no tangent is decomposed, on either bundle
     rng, tb, p, V, _ = _tb_fixture(61)
     pf = PathFibration(tb.grid)
     pp = random_path_point(rng, pf.grid, SU2)
     X = random_path_tangent(rng, pf.grid, SU2)
-    steps = []
-    plain = LoopPoint.flow
+    flows, eighs = [], []
+    plain_flow, plain_eigh = LoopPoint.flow, np.linalg.eigh
 
-    def counted(self, Y, t):
-        steps.append(np.shape(t))
-        return plain(self, Y, t)
+    def counted_flow(self, Y, t):
+        flows.append(np.shape(t))
+        return plain_flow(self, Y, t)
 
-    monkeypatch.setattr(LoopPoint, "flow", counted)
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return plain_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(LoopPoint, "flow", counted_flow)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     gerbe.nabla_phi(tb, p, V)
-    assert steps == [(4,)]
     gerbe.nabla_phi(pf, pp, X)
-    assert steps == [(4,), (4,)]
+    assert flows == [] and eighs == []
 
 
 def test_tb_curvature_evaluates_a_once_per_stencil_and_once_plain(monkeypatch):
@@ -314,6 +321,25 @@ def test_stacked_tangents_evaluate_as_every_tangent_alone(case):
                        [scn.curvature(p, A, B) for A, B in zip(Vs, Ws)], _ident)
         _assert_slices(gerbe.nabla_phi(scn, p, V),
                        [gerbe.nabla_phi(scn, p, A) for A in Vs], _ident)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from((SU2, SU3)), st.integers(8, 20), st.integers(0, 2 ** 20),
+       st.integers(1, 4))
+def test_nabla_phi_on_a_stack_is_every_single_call(group, half, seed, k):
+    # the loop term, the chart term and the covariant terms round each
+    # slice of a (k,)-stack of tangents as that tangent alone
+    rng, grid = make_rng(seed), ThetaGrid(2 * half)
+    tb = TrivialBundle.default(grid, group)
+    pf = PathFibration(grid, group)
+    tbs = (tb.point(rng.uniform(-0.6, 0.6, size=2), random_loop(rng, grid, group)),
+           [(rng.normal(size=2), random_loop_tangent(rng, grid, group)) for _ in range(k)])
+    pfs = (random_path_point(rng, pf.grid, group),
+           [random_path_tangent(rng, pf.grid, group) for _ in range(k)])
+    for scn, (p, Vs) in ((tb, tbs), (pf, pfs)):
+        stacked = gerbe.nabla_phi(scn, p, stack_tangents(Vs))
+        assert stacked.vals.shape[0] == k
+        _assert_slices(stacked, [gerbe.nabla_phi(scn, p, V) for V in Vs], _ident)
 
 
 @settings(max_examples=10, deadline=None)

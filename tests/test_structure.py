@@ -379,7 +379,9 @@ def test_no_code_that_only_tests_reach():
                      "_caloron_tangents", "_caloron_tangent"),
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
             loops.TrigPoly: ("as_fn", "__call__"), loops.Fn: ("zero", "__call__"),
-            gerbe: ("_one", "curvature_via_ext_d"),
+            # nabla Phi takes dPhi from the Higgs field's equivariance;
+            # the route by whole loop flows is a test oracle
+            gerbe: ("_one", "curvature_via_ext_d", "nabla_phi_by_flows"),
             # the bundle is a frozen value: dataclasses.replace and point(m);
             # rho multiplies its own factors
             gerbe.TrivialBundle: ("with_data", "canonical_lift", "curvature_exact",
