@@ -346,18 +346,83 @@ DRAW_DIGESTS = {
     }}
 
 
-@pytest.mark.parametrize("group", ["su2", "su3"])
-def test_one_draw_of_every_check_keeps_its_fixture_log(group):
-    # every sampler makes the draws it made when its draw was written, in
-    # the same order, whichever module it lives in
+def _one_draw_logs(group):
+    """The fixture log of one draw of each check at ntheta=16, npath=8,
+    seed 7, by check name."""
     cfg = RunConfig(group=group, ntheta=16, npath=8)
-    got = {}
+    logs = {}
     for spec in checks.select_checks(cfg):
         rng = RecordingRNG(checks._check_rng(cfg, spec.name))
         one = {"n": 1} if "n" in inspect.signature(spec.fn).parameters else {}
         spec.fn(cfg, rng, **one)
-        got[spec.name] = hashlib.sha256(json.dumps(rng.log).encode()).hexdigest()[:16]
+        logs[spec.name] = rng.log
+    return logs
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_one_draw_of_every_check_keeps_its_fixture_log(group):
+    # every sampler makes the draws it made when its draw was written, in
+    # the same order and the same grouping into calls, whichever module
+    # it lives in
+    got = {name: _digest(log) for name, log in _one_draw_logs(group).items()}
     assert got == DRAW_DIGESTS[group]
+
+
+# the digest of the same draws as one flat stream of (method, value)
+# pairs, whatever calls they came in: the numbers a draw takes from the
+# generator, in order
+STREAM_DIGESTS = {
+    "su2": {
+        "caloron-roundtrip/circle-reduction": "30c70c765b5090d2",
+        "caloron-roundtrip/connection-axioms": "64031f5ff6cd5068",
+        "caloron-roundtrip/curvature-square-split": "326c11113d6b9477",
+        "caloron-roundtrip/frame-round-trip": "08ff210908def1e8",
+        "central-extension/cochain-closed": "0054487bd5a65102",
+        "central-extension/pair-form-coboundary": "23182890f2c1e98d",
+        "central-extension/path-cocycle-identity": "864610c2bb38f0cd",
+        "central-extension/reduced-splitting": "569089d843e7a7b2",
+        "path-fibration/curving-differential": "411d5275be9d37a3",
+        "path-fibration/invariant-volume": "4f53cda18c2baa0c",
+        "path-fibration/string-matches-invariant-form": "53012a1739a568ff",
+        "path-fibration/three-form-closed": "06d04a5921572f84",
+        "trivial-bundle/curving-differential": "4c15d64f6944bf91",
+        "trivial-bundle/curving-transition": "cba3630443773039",
+        "trivial-bundle/differential-square-zero": "5dc27c0f17205cee",
+        "trivial-bundle/simplicial-square-zero": "112645896dc1ca5f",
+        "trivial-bundle/transition-coboundary": "a553f6beabe8861e",
+    },
+    "su3": {
+        "caloron-roundtrip/circle-reduction": "30c70c765b5090d2",
+        "caloron-roundtrip/connection-axioms": "eb0a6cb5dd2dd17a",
+        "caloron-roundtrip/curvature-square-split": "8bc39d9c4c0b634b",
+        "caloron-roundtrip/frame-round-trip": "e2243a161e7da8bb",
+        "central-extension/cochain-closed": "34fe149e1bce36f9",
+        "central-extension/pair-form-coboundary": "3561aa41e77586be",
+        "central-extension/path-cocycle-identity": "f218a1694db8b189",
+        "central-extension/reduced-splitting": "ca3bad5ab1b395bb",
+        "path-fibration/curving-differential": "63510a86fc94c958",
+        "path-fibration/string-matches-invariant-form": "4455c917501174a9",
+        "path-fibration/three-form-closed": "79b21d65dfc40c03",
+        "trivial-bundle/curving-differential": "4e215e074d1c7618",
+        "trivial-bundle/curving-transition": "25044687fef61f09",
+        "trivial-bundle/differential-square-zero": "16e5bc62ada013cc",
+        "trivial-bundle/simplicial-square-zero": "9409d32b53635fd1",
+        "trivial-bundle/transition-coboundary": "5c7bc344a252dbd8",
+    }}
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_one_draw_of_every_check_keeps_its_drawn_numbers(group):
+    # regrouping the draws into fewer generator calls keeps every number
+    # drawn and its order
+    got = {name: _digest([[entry["method"], v] for entry in log
+                          for v in np.ravel(entry["values"]).tolist()])
+           for name, log in _one_draw_logs(group).items()}
+    assert got == STREAM_DIGESTS[group]
 
 
 def test_csv_projection():
