@@ -134,25 +134,6 @@ def signed_permutations(d: int) -> list:
     return [(perm, _sign(perm)) for perm in itertools.permutations(range(d))]
 
 
-def shuffles(degs) -> list:
-    """(blocks, sign) for every shuffle of sum(degs) arguments into
-    increasing blocks of the given sizes, in itertools.permutations
-    order: each block a combination of the arguments the blocks before
-    it left, taken in itertools.combinations order."""
-    out = []
-
-    def grow(blocks, rest, sizes):
-        if not sizes:
-            out.append((blocks, _sign(sum(blocks, ()))))
-            return
-        for block in itertools.combinations(rest, sizes[0]):
-            grow(blocks + [block], tuple(i for i in rest if i not in block),
-                 sizes[1:])
-
-    grow([], tuple(range(sum(degs))), list(degs))
-    return out
-
-
 def _signed_sum(terms):
     """The sum, in order, of the values of (sign, value) terms: a value of
     sign -1 enters as value * -1.0, one of sign +1 as it is.  Values
@@ -165,14 +146,36 @@ def _signed_sum(terms):
 
 
 def shuffle_index(degs) -> tuple:
-    """(index, signs) of the shuffles of `shuffles(degs)`, in their order:
-    index[r][s] is the position of block r of shuffle s among the
-    increasing blocks of its size, in itertools.combinations order of
-    range(sum(degs)), and signs[s] the shuffle's sign."""
-    combos = [{c: n for n, c in enumerate(itertools.combinations(range(sum(degs)), k))}
-              for k in degs]
-    blocks, signs = zip(*shuffles(degs))
-    return [np.array([at[b[r]] for b in blocks]) for r, at in enumerate(combos)], signs
+    """(index, signs) of the shuffles of sum(degs) arguments into
+    increasing blocks of the given sizes, in itertools.permutations order
+    of their blocks written out one after the other: index[r][s] is the
+    position of block r of shuffle s among the increasing blocks of its
+    size, in itertools.combinations order of range(sum(degs)), and
+    signs[s] the shuffle's sign.
+
+    The shuffles grow block by block: block r is each combination of the
+    arguments the blocks before it left, in combinations order, and the
+    arguments it leaves are the complements, which come in the reverse
+    order; the last block takes all that is left.  A block at positions
+    pick among the arguments it chose from passes sum(pick) - k(k-1)/2
+    of the arguments it leaves, and the sign is -1 to the number of
+    passes over all blocks."""
+    d = sum(degs)
+    at = [{c: n for n, c in enumerate(itertools.combinations(range(d), k))} for k in degs]
+    # per shuffle: the positions of its blocks so far, the arguments
+    # left, and sum(pick) over its blocks so far
+    grown = [((), tuple(range(d)), 0)]
+    for k, table in zip(degs[:-1], at):
+        grown = [(row + (table[block],), left, picked + sum(pick))
+                 for row, rest, picked in grown
+                 for block, left, pick in zip(
+                     itertools.combinations(rest, k),
+                     reversed(list(itertools.combinations(rest, len(rest) - k))),
+                     itertools.combinations(range(len(rest)), k))]
+    rows = [row + (at[-1][rest],) for row, rest, _ in grown] if degs else [()]
+    shift = sum(k * (k - 1) // 2 for k in degs[:-1])
+    return ([np.array(col) for col in zip(*rows)],
+            tuple([-1 if (picked - shift) % 2 else 1 for _, _, picked in grown]))
 
 
 def pair_stacks(p: Callable, stacks, index):

@@ -112,8 +112,8 @@ class TrivialBundle:
         E = group.basis
         return TrivialBundle(
             grid, group,
-            a_terms=((Fn(np.sin, np.cos), E[0]),
-                     (Fn(np.cos, lambda t: -np.sin(t)), E[1])),
+            a_terms=((Fn.of(np.sin, np.cos), E[0]),
+                     (Fn.of(np.cos, lambda t: -np.sin(t)), E[1])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0], fd_step=fd_step,
         )
@@ -129,8 +129,8 @@ class TrivialBundle:
         # circle and the reduced 3-form degenerates to roundoff
         return TrivialBundle(
             grid, group,
-            a_terms=((Fn(np.sin, np.cos), E[0]),
-                     (Fn(np.cos, lambda t: -np.sin(t)), E[1]),
+            a_terms=((Fn.of(np.sin, np.cos), E[0]),
+                     (Fn.of(np.cos, lambda t: -np.sin(t)), E[1]),
                      (TrigPoly(1.0), E[2])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2], fd_step=fd_step,
@@ -492,7 +492,9 @@ def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
     e1, e2 = np.exp(1j * X1), np.exp(1j * X2)
 
     def pack(a, b, c, d):
-        out = np.empty(E.shape + (2, 2), dtype=complex)
+        # matrix axes outermost in memory: every product of omega3 runs
+        # its inner loop along the node stack
+        out = np.empty((2, 2) + E.shape, dtype=complex).transpose(2, 3, 4, 0, 1)
         out[..., 0, 0] = a
         out[..., 0, 1] = b
         out[..., 1, 0] = c

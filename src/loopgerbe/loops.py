@@ -30,10 +30,12 @@ one; theta derivatives never run along a leading axis, and the
 quadratures integrate the last axis.  A flow by an array of steps puts
 the step axes in front of those (`step_axes`).
 
-Closed-form profiles may come as a stack with a leading term axis (a
-TrigPoly of k profiles): one val and one dval call evaluate every term,
-`GridFun.from_profiles` multiplies them by a stack of k matrices in one
-broadcast product and adds the terms in order, and `product_loop`
+A closed-form profile gives its values alone (`val`) or its values and
+theta derivative from one evaluation (`val_dval`).  Profiles may come
+as a stack with a leading term axis (a TrigPoly of k profiles): one
+`val_dval` call evaluates every term, `GridFun.from_profiles`
+multiplies them by a stack of k matrices in one broadcast product and
+adds the terms in order, and `product_loop`
 decomposes its generators in one stacked eigh; each rounds as the same
 terms one at a time.  Derived samples are kept on the object they
 derive from, each a cached property made on first use: a TrigPoly
@@ -70,38 +72,61 @@ from .liegroup import (
 
 @dataclass(frozen=True)
 class Fn:
-    """A scalar function of theta (or of a path parameter) with exact derivative."""
+    """A scalar function of theta (or of a path parameter) with exact
+    derivative: `val(t)` gives its values alone, `val_dval(t)` its
+    values and derivative from one evaluation."""
 
     val: Callable[[np.ndarray], np.ndarray]
-    dval: Callable[[np.ndarray], np.ndarray]
+    val_dval: Callable[[np.ndarray], tuple]
+
+    @staticmethod
+    def of(val: Callable, dval: Callable) -> "Fn":
+        """The function with values val(t) and derivative dval(t)."""
+        return Fn(val, lambda t: (val(t), dval(t)))
 
     @staticmethod
     def ramp(c: float = 1.0, period: float = 2.0 * np.pi) -> "Fn":
         """c * t / period: vanishes at 0, reaches c at the period end."""
-        return Fn(lambda t, c=c: c * np.asarray(t, dtype=float) / period,
-                  lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c / period))
+        return Fn.of(lambda t, c=c: c * np.asarray(t, dtype=float) / period,
+                     lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c / period))
 
     @staticmethod
     def scale(f: "Fn", c: float) -> "Fn":
-        return Fn(lambda t: c * f.val(t), lambda t: c * f.dval(t))
+        def val_dval(t):
+            v, d = f.val_dval(t)
+            return c * v, c * d
+
+        return Fn(lambda t: c * f.val(t), val_dval)
 
     @staticmethod
     def add(*fs: "Fn") -> "Fn":
-        return Fn(lambda t: sum(f.val(t) for f in fs),
-                  lambda t: sum(f.dval(t) for f in fs))
+        def val_dval(t):
+            vs, ds = zip(*(f.val_dval(t) for f in fs))
+            return sum(vs), sum(ds)
+
+        return Fn(lambda t: sum(f.val(t) for f in fs), val_dval)
 
     @staticmethod
     def based(f: "Fn") -> "Fn":
         """f shifted by a constant so that the result vanishes at 0: one
-        val call takes t and 0.0 together, and the value at 0.0 is
+        evaluation of f takes t and 0.0 together, and the value at 0.0 is
         subtracted after, term by term for a stack of profiles."""
+
+        def at(v, t, shift):
+            v = np.asarray(v)
+            return ((v[..., :-1] - v[..., -1:]) if shift
+                    else v[..., :-1]).reshape(v.shape[:-1] + t.shape)
+
+        def val_dval(t):
+            t = np.asarray(t, dtype=float)
+            v, d = f.val_dval(np.append(t, 0.0))
+            return at(v, t, True), at(d, t, False)
 
         def val(t):
             t = np.asarray(t, dtype=float)
-            v = np.asarray(f.val(np.append(t, 0.0)))
-            return (v[..., :-1] - v[..., -1:]).reshape(v.shape[:-1] + t.shape)
+            return at(f.val(np.append(t, 0.0)), t, True)
 
-        return Fn(val, f.dval)
+        return Fn(val, val_dval)
 
 
 @dataclass(frozen=True)
@@ -111,13 +136,14 @@ class TrigPoly:
 
     A stack of profiles has a0 of the stack's shape, (k,) or (k1, k2)
     say, and ac, bs of that shape plus (harmonics,): the stack axes
-    lead the samples of val and dval.  Each makes one cos and one sin
-    call, over the stack of m t for every harmonic m, and one broadcast
-    product per coefficient kind, then adds a0, the cos terms and the
-    sin terms in that order, so that every term of every profile rounds
-    as it rounds alone.  The coefficients are kept as float arrays, one
-    row per harmonic, with the orders m of their rows, from the first
-    evaluation on.
+    lead the samples.  `val_dval` makes one cos and one sin call, over
+    m t for every harmonic m, and one broadcast product of every term of
+    the value and of the derivative; one ordered np.add.reduce then adds
+    a0, the cos terms and the sin terms of the value, and from 0.0 minus
+    m a_m sin(m t) and plus m b_m cos(m t) of the derivative, so that
+    every term of every profile rounds as it rounds alone.  `val` is the
+    value of `val_dval`.  The coefficients are kept as float arrays, one
+    row per term, from the first evaluation on.
     """
 
     a0: float = 0.0
@@ -126,55 +152,41 @@ class TrigPoly:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        """a0, ac and bs one row per harmonic, and the orders m of the
-        rows of ac and of bs, made once and kept."""
+        """The terms a0, a_m cos(m t), b_m sin(m t) one row each, made
+        once and kept: per row the coefficients of its value and of its
+        derivative, 0.0 for a0, -m a_m and m b_m (stack axes after
+        them), its order m, and where its value and its derivative take
+        cos(m t) rather than sin(m t)."""
         a0 = np.asarray(self.a0, dtype=float)
-        # the harmonic axis first, the stack axes after it in their order
-        axes = (a0.ndim,) + tuple(range(a0.ndim))
-        ac = np.asarray(self.ac, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
-        bs = np.asarray(self.bs, dtype=float).reshape(a0.shape + (-1,)).transpose(axes)
-        return a0, ac, bs, _orders(ac), _orders(bs)
+        ac, bs = (np.asarray(c, dtype=float).reshape(a0.shape + (-1,))
+                  for c in (self.ac, self.bs))
+        hc, hs = ac.shape[-1], bs.shape[-1]
+        m = np.array([0.0, *range(1, hc + 1), *range(1, hs + 1)])
+        vals = np.concatenate((a0[..., None], ac, bs), axis=-1)
+        coef = np.array((vals, vals * np.array([0.0, *range(-1, -hc - 1, -1),
+                                                  *range(1, hs + 1)])))
+        coef[1, ..., 0] = 0.0
+        cos_at = np.array([(True, True)] + [(True, False)] * hc + [(False, True)] * hs)
+        ends = (1,) * a0.ndim + (1,)
+        return (np.ascontiguousarray(coef.transpose((-1, 0) + tuple(range(1, a0.ndim + 1))))[..., None],
+                m.reshape((-1, 1) + ends), cos_at.reshape((-1, 2) + ends))
 
     def val(self, t):
+        return self.val_dval(t)[0]
+
+    def val_dval(self, t) -> tuple:
         t = np.asarray(t, dtype=float)
-        a0, ac, bs, mc, ms = self.rows
-        out = np.empty(a0.shape + t.shape)
-        out[...] = a0.reshape(a0.shape + (1,) * t.ndim)  # a0 along t's axes
-        for term in _harmonics(ac, mc, np.cos, t):
-            out = out + term
-        for term in _harmonics(bs, ms, np.sin, t):
-            out = out + term
-        return out
-
-    def dval(self, t):
-        t = np.asarray(t, dtype=float)
-        a0, ac, bs, mc, ms = self.rows
-        out = np.zeros(a0.shape + t.shape)
-        for term in _harmonics(mc * ac, mc, np.sin, t):
-            out = out - term
-        for term in _harmonics(ms * bs, ms, np.cos, t):
-            out = out + term
-        return out
-
-
-def _orders(rows) -> np.ndarray:
-    """The harmonic orders 1.0, ..., H of H coefficient rows, along the
-    row axis and broadcast against the rest of the rows."""
-    return np.arange(1.0, len(rows) + 1).reshape((-1,) + (1,) * (rows.ndim - 1))
-
-
-def _harmonics(rows, orders, wave, t):
-    """The terms rows[m-1] (x) wave(m t) of the harmonics m = 1..H, in
-    order along the leading axis: one wave call over the stack of m * t
-    for the `orders` m, and one broadcast product, each term rounded as
-    np.multiply.outer(rows[m-1], wave(m * t)); none without harmonics."""
-    if not len(rows):
-        return ()
-
-    def along_t(x):
-        return x.reshape(x.shape + (1,) * t.ndim)
-
-    return along_t(rows) * wave(along_t(orders) * t)
+        if not len(self.ac) and not len(self.bs):
+            # a0 alone, along t's axes, and the derivative 0.0: no wave
+            val = np.multiply.outer(np.asarray(self.a0, dtype=float), np.ones(t.shape))
+            return val, np.zeros(val.shape)
+        coef, m, cos_at = self.rows
+        mt = m * t.reshape(-1)
+        waves = np.where(cos_at, np.cos(mt), np.sin(mt))
+        waves[0] = 1.0
+        out = np.add.reduce(coef * waves, axis=0, initial=-0.0)
+        val, dval = out.reshape(out.shape[:-1] + t.shape)
+        return val, dval
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +413,19 @@ class GridFun:
         a stack of them, theta last: its leading axes lead the samples.
         An X with a leading axis is a stack of k matrices, and its f then
         a stack of k profiles, term axis first (a stacked TrigPoly, say):
-        one val call, one dval call and one broadcast product serve the
-        k terms, which enter the sum in their order.  `from_profile_vals`
-        is the same sum of the values alone."""
+        one `val_dval` call per profile, and one broadcast product for the
+        values and one for the derivatives, serve the k terms, which enter
+        the sums in their order.  `from_profile_vals` is the same sum of
+        the values alone."""
         t = grid.nodes
-        return GridFun(grid, _add_terms((f.val(t), X) for f, X in terms),
-                       _add_terms((f.dval(t), X) for f, X in terms))
+        both = [(f.val_dval(t), X) for f, X in terms]
+        return GridFun(grid, _add_terms((v, X) for (v, _), X in both),
+                       _add_terms((d, X) for (_, d), X in both))
 
     @staticmethod
     def from_profile_vals(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
         """The samples of `from_profiles` without a theta-derivative
-        payload, bit for bit: one val call per profile and no dval call,
+        payload, bit for bit: one val call per profile and no derivative,
         for data that no reader differentiates (a trivial bundle's
         curvature and Higgs field)."""
         return GridFun(grid, _add_terms((f.val(grid.nodes), X) for f, X in terms))
@@ -426,17 +440,20 @@ def _add_terms(terms):
     """sum_j s_j X_j over (samples s_j, matrix X_j) terms, added from 0.0
     in order, so that the profiles' stack shape sets the samples'.  For
     a stack of k matrices X_j, s_j stacks k profiles, and
-    s_j0 X_j0 + ... + s_j(k-1) X_j(k-1) come from one broadcast product,
-    added in order so that the stack rounds as its terms one at a time."""
+    s_j0 X_j0, ..., s_j(k-1) X_j(k-1) come from one broadcast product;
+    a stack that opens the sum is added by one np.add.reduce from 0.0
+    along the term axis, one after other terms term by term, so that the
+    stack rounds as its terms one at a time."""
     out = 0.0
     for samples, X in terms:
         s = np.asarray(samples)[..., None, None]
         X = np.asarray(X)
         if X.ndim == 2:
             out = out + s * X
-        else:
-            for term in s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:]):
-                out = out + term
+            continue
+        prods = s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:])
+        out = (np.add.reduce(prods, axis=0, initial=0.0) if np.ndim(out) == 0
+               else functools.reduce(np.add, prods, out))
     return out
 
 
@@ -575,7 +592,8 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
     """Product of single-generator loops exp(f_j xi_j) on the nodes of
     the grid, exact Z payload.
 
-    Each factor is (profile, xi) where profile provides val/dval.  One
+    Each factor is (profile, xi), the profile evaluated once by its
+    `val_dval`.  One
     eigendecomposition of the stacked generators and one stacked exp
     serve every factor.
     """
@@ -583,8 +601,9 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
         raise ValueError("need at least one factor")
     t = grid.nodes
     xi = np.asarray([x for _, x in factors], dtype=complex)
-    vals = eig_alg(xi).exp_each([f.val(t) for f, _ in factors])
-    dfv = np.asarray([f.dval(t) for f, _ in factors], dtype=float)
+    fv, dfv = zip(*(f.val_dval(t) for f, _ in factors))
+    vals = eig_alg(xi).exp_each(list(fv))
+    dfv = np.asarray(dfv, dtype=float)
     z = dfv[..., None, None] * xi[:, None]
     out = LoopPoint(grid, vals[0], z[0])
     for e, dz in zip(vals[1:], z[1:]):
@@ -642,8 +661,9 @@ def path_from_factors(grid: ThetaGrid, factors: Sequence[tuple],
     for sigma, X in factors:
         if X.dvals is None:
             raise ValueError("a path factor needs its exact theta derivative (dvals)")
-        ev, ze = exp_dexp_right(X.vals, X.dvals, sigma.val(sgrid))
-        dsv = np.asarray(sigma.dval(sgrid), dtype=float)[:, None, None, None]
+        sv, dsv = sigma.val_dval(sgrid)
+        ev, ze = exp_dexp_right(X.vals, X.dvals, sv)
+        dsv = np.asarray(dsv, dtype=float)[:, None, None, None]
         one = PathInLoopGroup(sgrid, LoopPoint(grid, ev, zvals=ze),
                               GridFun(grid, dsv * X.vals))
         path = one if path is None else path.mul(one)

@@ -9,7 +9,9 @@ One draw.  A theta profile is a0 + sum_m (a_m cos m theta + b_m sin m
 theta) over HARMONICS = 2 harmonics: a0, a_1, a_2, b_1, b_2 are drawn in
 that order uniform in [-SCALE, SCALE] = [-0.5, 0.5], and a_m, b_m are
 damped by 1/m^2 so that the objects resolve on coarse grids; a based
-profile subtracts its value at 0.  A loop is
+profile subtracts its value at 0.  A stack of k profiles is one uniform
+draw of shape (k, 1 + 2 HARMONICS), row by row, and a profile alone a
+stack of one.  A loop is
 the product of NFACTORS = 2 single-generator factors exp(f_j(theta)
 xi_j), each a profile and then an algebra element whose basis
 coefficients are uniform in [-0.7, 0.7].  A path profile on [0, 1] has
@@ -138,17 +140,12 @@ def random_group_element(rng: np.random.Generator, group: Group) -> np.ndarray:
 
 def random_trig_coeffs(rng: np.random.Generator, k: int) -> tuple:
     """The coefficients (a0, ac, bs) of k theta profiles, of shapes (k,),
-    (k, HARMONICS) and (k, HARMONICS): the one draw of a profile, made
-    profile after profile, each its a0, then its a_m, then its b_m; the
-    a_m and b_m are damped by 1/m^2 once all are drawn."""
-    a0 = np.empty(k)
-    ac = np.empty((k, HARMONICS))
-    bs = np.empty((k, HARMONICS))
-    for i in range(k):
-        a0[i] = rng.uniform(-SCALE, SCALE)
-        ac[i] = _coeffs(rng, HARMONICS, SCALE)
-        bs[i] = _coeffs(rng, HARMONICS, SCALE)
-    return a0, ac * DAMP, bs * DAMP
+    (k, HARMONICS) and (k, HARMONICS): the one draw of a stack of
+    profiles, one uniform draw of shape (k, 1 + 2 HARMONICS) whose row i
+    is profile i's a0, then its a_m, then its b_m; the a_m and b_m are
+    damped by 1/m^2."""
+    c = rng.uniform(-SCALE, SCALE, size=(k, 1 + 2 * HARMONICS))
+    return c[:, 0], c[:, 1:1 + HARMONICS] * DAMP, c[:, 1 + HARMONICS:] * DAMP
 
 
 def random_trig(rng: np.random.Generator) -> TrigPoly:
@@ -296,17 +293,13 @@ def random_unit_profile(rng: np.random.Generator) -> Fn:
     """Smooth profile on [0, 1] vanishing at 0 (for path factors)."""
     c = _coeffs(rng, 4, 0.8)
 
-    def val(s):
+    def val_dval(s):
         s = np.asarray(s, dtype=float)
-        return (c[0] * s + c[1] * s * s + c[2] * np.sin(np.pi * s)
-                + c[3] * (1.0 - np.cos(np.pi * s)))
+        sn, cs = np.sin(np.pi * s), np.cos(np.pi * s)
+        return (c[0] * s + c[1] * s * s + c[2] * sn + c[3] * (1.0 - cs),
+                c[0] + 2.0 * c[1] * s + c[2] * np.pi * cs + c[3] * np.pi * sn)
 
-    def dval(s):
-        s = np.asarray(s, dtype=float)
-        return (c[0] + 2.0 * c[1] * s + c[2] * np.pi * np.cos(np.pi * s)
-                + c[3] * np.pi * np.sin(np.pi * s))
-
-    return Fn(val, dval)
+    return Fn(lambda s: val_dval(s)[0], val_dval)
 
 
 def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,

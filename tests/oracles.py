@@ -7,7 +7,8 @@ velocity of a path in the loop group, the trivial-bundle curvature from
 the analytic chart gradient of its bump and by its two orders, one
 stencil each, the closed-form nabla Phi of the path fibration and
 nabla Phi by whole loop flows, the curvature through the generic
-exterior derivative, the shuffle-by-shuffle pairing, a stack of
+exterior derivative, the shuffles by nested combinations and the
+shuffle-by-shuffle pairing, a stack of
 tangents built from its members, and a Fourier profile summed harmonic
 by harmonic.  The
 package's own structure rules (every matrix product through
@@ -15,12 +16,13 @@ package's own structure rules (every matrix product through
 from the route it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from loopgerbe import forms
-from loopgerbe.forms import (ChartPt, Form, _signed_sum, directional, ext_d, shuffles,
+from loopgerbe.forms import (ChartPt, Form, _sign, _signed_sum, directional, ext_d,
                              tangent_bracket)
 from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
 from loopgerbe.loops import GridFun, conj_loop
@@ -146,6 +148,27 @@ def curvature_via_ext_d(scn, p, V, W) -> GridFun:
 # pairings and tangent stacks
 
 
+def shuffles(degs) -> list:
+    """(blocks, sign) for every shuffle of sum(degs) arguments into
+    increasing blocks of the given sizes, in itertools.permutations
+    order: each block a combination of the arguments the blocks before
+    it left, taken in itertools.combinations order, and the sign by the
+    inversion count of the blocks written out.  The enumeration that
+    `forms.shuffle_index` indexes."""
+    out = []
+
+    def grow(blocks, rest, sizes):
+        if not sizes:
+            out.append((blocks, _sign(sum(blocks, ()))))
+            return
+        for block in itertools.combinations(rest, sizes[0]):
+            grow(blocks + [block], tuple(i for i in rest if i not in block),
+                 sizes[1:])
+
+    grow([], tuple(range(sum(degs))), list(degs))
+    return out
+
+
 def shuffle_pairing(p, forms):
     """The alternating pairing evaluated shuffle by shuffle: every slot
     on its own block of arguments in every shuffle, p once per shuffle,
@@ -181,9 +204,9 @@ def stack_tangents(vs):
 
 
 def trig_val(tp, t) -> np.ndarray:
-    """`loops.TrigPoly.val` harmonic by harmonic: a0 along t's axes, then
-    one cos(m t) and one outer product per cos term, then the sin terms,
-    each added in order."""
+    """The value of `loops.TrigPoly.val_dval` harmonic by harmonic: a0
+    along t's axes, then one cos(m t) and one outer product per cos
+    term, then the sin terms, each added in order."""
     t = np.asarray(t, dtype=float)
     a0 = np.asarray(tp.a0, dtype=float)
     ac, bs = (np.moveaxis(np.asarray(c, dtype=float).reshape(a0.shape + (-1,)), -1, 0)
@@ -198,8 +221,9 @@ def trig_val(tp, t) -> np.ndarray:
 
 
 def trig_dval(tp, t) -> np.ndarray:
-    """`loops.TrigPoly.dval` harmonic by harmonic: from zeros, minus
-    m a sin(m t) per cos term, then plus m b cos(m t) per sin term."""
+    """The derivative of `loops.TrigPoly.val_dval` harmonic by harmonic:
+    from zeros, minus m a sin(m t) per cos term, then plus m b cos(m t)
+    per sin term."""
     t = np.asarray(t, dtype=float)
     a0 = np.asarray(tp.a0, dtype=float)
     ac, bs = (np.moveaxis(np.asarray(c, dtype=float).reshape(a0.shape + (-1,)), -1, 0)

@@ -268,7 +268,7 @@ def test_one_split_draw_evaluates_each_sample_once(counted, monkeypatch):
     # gathered inner call over its 6 shuffles
     profiles = _counting(monkeypatch, GridFun, "from_profiles")
     nodes = _counting(monkeypatch, caloron, "_node")
-    shuffled = _counting(monkeypatch, forms, "shuffles")
+    shuffled = _counting(monkeypatch, forms, "shuffle_index")
     inners = _counting(monkeypatch, caloron, "inner")
     _split_draw()
     assert counted == {"nabla_phi": [4], "curvature": [6]}
@@ -457,20 +457,25 @@ def test_random_loop_is_the_product_of_its_drawn_factors():
         assert np.array_equal(g.vals, h.vals) and np.array_equal(g.zvals, h.zvals)
 
 
-def _one_profile(rng) -> TrigPoly:
-    """A theta profile drawn alone: a0, then the two cos and the two sin
-    coefficients, uniform in [-0.5, 0.5] and damped by 1/m^2."""
+def _profiles(rng, k) -> list:
+    """k theta profiles drawn as one stack: one uniform draw of shape
+    (k, 5) in [-0.5, 0.5], row i profile i's a0, then its two cos and its
+    two sin coefficients, each pair damped by 1/m^2."""
     damp = 1.0 / np.arange(1, 3) ** 2
-    a0 = float(rng.uniform(-0.5, 0.5))
-    ac = tuple(rng.uniform(-0.5, 0.5, size=2) * damp)
-    return TrigPoly(a0, ac, tuple(rng.uniform(-0.5, 0.5, size=2) * damp))
+    return [TrigPoly(float(row[0]), tuple(row[1:3] * damp), tuple(row[3:] * damp))
+            for row in rng.uniform(-0.5, 0.5, size=(k, 5))]
+
+
+def _one_profile(rng) -> TrigPoly:
+    """A theta profile drawn alone: a stack of one."""
+    return _profiles(rng, 1)[0]
 
 
 def _one_tangent(tb, rng) -> CaloronTangent:
-    """A caloron tangent drawn and built by itself: u, one profile per
-    basis element, eta, lam; X summed term by term."""
+    """A caloron tangent drawn and built by itself: u, one stack of one
+    profile per basis element, eta, lam; X summed term by term."""
     u = rng.normal(size=tb.dim)
-    terms = [(_one_profile(rng), E) for E in tb.group.basis]
+    terms = list(zip(_profiles(rng, tb.group.dim), tb.group.basis))
     X = GridFun.from_profiles(tb.grid, terms)
     return CaloronTangent((u, X), random_algebra(rng, tb.group),
                           float(rng.uniform(-1.0, 1.0)))
@@ -531,7 +536,7 @@ def test_caloron_draws_keep_their_draw_order(group):
     checks.connection_axioms(cfg, a, n=1)
     tb = _one_point(cfg, b)
     random_algebra(b, tb.group)                      # xi
-    [_one_profile(b) for _ in tb.group.basis]        # the kernel direction
+    _profiles(b, tb.group.dim)                       # the kernel direction
     _one_tangent(tb, b)
     for _ in range(2):                               # the based loop
         _one_profile(b), random_algebra(b, tb.group)

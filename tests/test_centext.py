@@ -17,15 +17,14 @@ def profile_fun(t):
     return np.sin(t)
 
 
-SIN = loops.Fn(np.sin, np.cos)
-COS = loops.Fn(np.cos, lambda t: -np.sin(t))
+SIN = loops.Fn.of(np.sin, np.cos)
+COS = loops.Fn.of(np.cos, lambda t: -np.sin(t))
 
 
 def make_vec(profile, E, grid=GRID):
     """profile(theta) E with its exact theta derivative; profile is a Fn."""
-    t = grid.nodes
-    return GridFun(grid, profile.val(t)[:, None, None] * E,
-                   dvals=profile.dval(t)[:, None, None] * E)
+    val, dval = profile.val_dval(grid.nodes)
+    return GridFun(grid, val[:, None, None] * E, dvals=dval[:, None, None] * E)
 
 
 def test_R_frozen_values():
@@ -182,7 +181,7 @@ def test_cocycle_commuting_closed_form():
     f = path_from_factors(GRID, [(lin, A)], npath=129)
     g = path_from_factors(GRID, [(lin, B)], npath=129)
     t = GRID.nodes
-    want = 0.25j / np.pi * loops.quad_s1(a.val(t) * b.dval(t))
+    want = 0.25j / np.pi * loops.quad_s1(a.val(t) * b.val_dval(t)[1])
     got = np.log(cocycle_c(f, g))
     assert abs(got - want) < 1e-7
 

@@ -305,44 +305,46 @@ def test_seed_changes_fixtures_not_structure():
 
 
 # the sha256 (first 16 hex digits) of the JSON fixture log of one draw
-# of each check at ntheta=16, npath=8, seed 7: what one draw means
+# of each check at ntheta=16, npath=8, seed 7: what one draw means, and
+# how its numbers group into calls (a stack of k profiles is one uniform
+# draw of shape (k, 5))
 DRAW_DIGESTS = {
     "su2": {
         "caloron-roundtrip/circle-reduction": "c741c146dd703a61",
-        "caloron-roundtrip/connection-axioms": "c63919ad9666967b",
-        "caloron-roundtrip/curvature-square-split": "94219b9eedbb3af3",
-        "caloron-roundtrip/frame-round-trip": "13fcab95aaa308c5",
-        "central-extension/cochain-closed": "6511fb614a4745cb",
-        "central-extension/pair-form-coboundary": "74d3eaf1551bdceb",
-        "central-extension/path-cocycle-identity": "898e990966c86fb6",
-        "central-extension/reduced-splitting": "b3151fc2488b170c",
-        "path-fibration/curving-differential": "602f0ae6625477a5",
+        "caloron-roundtrip/connection-axioms": "d329f6800de84089",
+        "caloron-roundtrip/curvature-square-split": "e3a926ac166b5480",
+        "caloron-roundtrip/frame-round-trip": "82892e50e62b2ca0",
+        "central-extension/cochain-closed": "314d902bcff19531",
+        "central-extension/pair-form-coboundary": "697ffa727b5da791",
+        "central-extension/path-cocycle-identity": "b48134e1ad740ae6",
+        "central-extension/reduced-splitting": "8d73e8af86fb14c9",
+        "path-fibration/curving-differential": "de059dfe18385d7d",
         "path-fibration/invariant-volume": "4f53cda18c2baa0c",
-        "path-fibration/string-matches-invariant-form": "d4b4c754961fb017",
+        "path-fibration/string-matches-invariant-form": "dfc45bf49dcfede1",
         "path-fibration/three-form-closed": "834ad3c7d711865d",
-        "trivial-bundle/curving-differential": "684f5c74606983cf",
-        "trivial-bundle/curving-transition": "d5699ea515cbf2aa",
-        "trivial-bundle/differential-square-zero": "2e6ddf216433b491",
-        "trivial-bundle/simplicial-square-zero": "ba2011b50bde6499",
-        "trivial-bundle/transition-coboundary": "d28d22452a87705e",
+        "trivial-bundle/curving-differential": "109da71c9031a7b7",
+        "trivial-bundle/curving-transition": "c9be7c9125a8b5af",
+        "trivial-bundle/differential-square-zero": "6c9e3a255e795d5b",
+        "trivial-bundle/simplicial-square-zero": "662ae0b5f3b2ae06",
+        "trivial-bundle/transition-coboundary": "7898ce91b20f930c",
     },
     "su3": {
         "caloron-roundtrip/circle-reduction": "c741c146dd703a61",
-        "caloron-roundtrip/connection-axioms": "4c798fff91580cc7",
-        "caloron-roundtrip/curvature-square-split": "395279117d0762f6",
-        "caloron-roundtrip/frame-round-trip": "a89b0837efde59db",
-        "central-extension/cochain-closed": "06c73f21832d83e9",
-        "central-extension/pair-form-coboundary": "6c50da98554f7682",
-        "central-extension/path-cocycle-identity": "d593e44ed4243909",
-        "central-extension/reduced-splitting": "bdcc5e3dc9554f68",
-        "path-fibration/curving-differential": "4967018137b55c85",
-        "path-fibration/string-matches-invariant-form": "aea57a9d625712c8",
+        "caloron-roundtrip/connection-axioms": "a66e08feadf765d7",
+        "caloron-roundtrip/curvature-square-split": "5b6640809c73aa7b",
+        "caloron-roundtrip/frame-round-trip": "894da2750a53a7a1",
+        "central-extension/cochain-closed": "88b74813031ae706",
+        "central-extension/pair-form-coboundary": "a85b82368b5cbd4c",
+        "central-extension/path-cocycle-identity": "4403e9ca0a8c0228",
+        "central-extension/reduced-splitting": "69552ef0fb9766ea",
+        "path-fibration/curving-differential": "0edfa8875e2377df",
+        "path-fibration/string-matches-invariant-form": "6fbd60e01d3927c7",
         "path-fibration/three-form-closed": "7c19356de98a6c0b",
-        "trivial-bundle/curving-differential": "964951f13f7381a4",
-        "trivial-bundle/curving-transition": "f1109d71b830d813",
-        "trivial-bundle/differential-square-zero": "6ddaab9ddaeee82a",
-        "trivial-bundle/simplicial-square-zero": "4fb5b5325631f959",
-        "trivial-bundle/transition-coboundary": "37764c1793d5a4a2",
+        "trivial-bundle/curving-differential": "db7d33e58a992cd8",
+        "trivial-bundle/curving-transition": "cfaf403c43b32fca",
+        "trivial-bundle/differential-square-zero": "61796b0f5680bdfa",
+        "trivial-bundle/simplicial-square-zero": "5348758448b196cd",
+        "trivial-bundle/transition-coboundary": "0072bcd7bdf731fe",
     }}
 
 

@@ -10,13 +10,13 @@ import pytest
 
 from loopgerbe.forms import (ChartPt, Form, delta_fibre, delta_nerve,
                              directional, ext_d, flow, pair_stacks,
-                             shuffle_index, shuffles, signed_permutations,
+                             shuffle_index, signed_permutations,
                              tangent_bracket)
 from loopgerbe.liegroup import SU2
 from loopgerbe.loops import ThetaGrid, quad_s1
 from loopgerbe.sampling import (make_rng, random_algebra, random_loop,
                                 random_loop_tangent)
-from oracles import shuffle_pairing, spectral_dtheta
+from oracles import shuffle_pairing, shuffles, spectral_dtheta
 
 GRID = ThetaGrid(48)
 
@@ -233,6 +233,23 @@ def test_shuffle_index_is_the_shuffles_by_position():
             for r, k in enumerate(degs):
                 combos = list(itertools.combinations(range(d), k))
                 assert [combos[n] for n in index[r]] == [b[r] for b, _ in want]
+
+
+def test_shuffle_index_equals_the_index_of_the_enumerated_shuffles():
+    # the index arrays and signs of the pairings the package makes are
+    # the ones looked up from the shuffles enumerated by nested
+    # combinations: the same values, types and dtypes
+    for degs in ((1, 1), (2, 1), (2, 2), (1, 2, 1)):
+        at = [{c: n for n, c in enumerate(itertools.combinations(range(sum(degs)), k))}
+              for k in degs]
+        blocks, want_signs = zip(*shuffles(degs))
+        want = [np.array([table[b[r]] for b in blocks]) for r, table in enumerate(at)]
+        index, signs = shuffle_index(degs)
+        assert type(signs) is tuple and signs == want_signs
+        assert len(index) == len(want)
+        for got, ref in zip(index, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert shuffle_index(()) == ([], (1,))
 
 
 def test_signed_permutations_order_and_sign():

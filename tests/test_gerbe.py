@@ -592,3 +592,11 @@ def test_string_form_matches_omega3_at_endpoint():
 def test_omega3_integrates_to_one_on_su2():
     val = omega3_su2_integral(neta=48, nxi=12)
     assert abs(val - 1.0) < 1e-3
+
+
+def test_omega3_integral_keeps_its_value_at_every_size():
+    # the node stacks' memory layout moves no bit of the quadrature
+    want = {(64, 16): 1.0001004058641836, (32, 8): 1.0004017081549654,
+            (48, 12): 1.000178509072193, (16, 4): 1.0016081890839752,
+            (100, 20): 1.000041124535493}
+    assert {size: omega3_su2_integral(*size) for size in want} == want

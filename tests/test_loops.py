@@ -99,7 +99,8 @@ def test_gridfun_exact_derivative_payload():
     X = GridFun.from_profiles(grid, [(tp, lg.SU2.basis[0])])
     d = X.dtheta()
     t = grid.nodes
-    want = tp.dval(t)[:, None, None] * lg.SU2.basis[0]
+    dtp = -0.5 * np.sin(t) + 0.2 * np.cos(t) + 0.2 * np.cos(2 * t)
+    want = dtp[:, None, None] * lg.SU2.basis[0]
     assert maxabs(d.vals - want) < 1e-14  # payload route, not spectral
 
 
@@ -355,6 +356,12 @@ def test_fn_combinators():
     want = 2.0 * s + (np.cos(s) - 1.0)
     assert maxabs(f.val(s) - want) < 1e-14
     assert abs(f.val(np.asarray(0.0))) < 1e-14
+    # the joint evaluation gives the same values and the derivative
+    v, d = f.val_dval(s)
+    assert np.array_equal(v, f.val(s))
+    assert maxabs(d - (2.0 - np.sin(s))) < 1e-14
+    v, d = Fn.scale(f, 3.0).val_dval(s)
+    assert np.array_equal(v, 3.0 * f.val(s)) and maxabs(d - 3.0 * (2.0 - np.sin(s))) < 1e-14
 
 
 @pytest.fixture
@@ -434,8 +441,7 @@ def _path_node_by_node(grid, factors, s):
     """Reference: the path node at s from per-node exp_alg and AlgEig.dexp."""
     lp = vel = None
     for sigma, X in factors:
-        sv = float(sigma.val(np.asarray(s)))
-        dsv = float(sigma.dval(np.asarray(s)))
+        sv, dsv = (float(x) for x in sigma.val_dval(np.asarray(s)))
         e = LoopPoint(grid, lg.exp_alg(sv * X.vals),
                       zvals=lg.eig_alg(sv * X.vals, sv * X.dvals).dexp())
         term = GridFun(grid, dsv * X.vals)

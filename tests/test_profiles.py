@@ -1,10 +1,12 @@
 """Fixture profiles and loop-point samples, each evaluated once.
 
 A stacked TrigPoly, with one stack axis or two, evaluates all its
-terms in one val and one dval call, and the samplers multiply and sum the terms of a stack as the
-same terms taken one at a time, bit for bit; val and dval, one cos
-and one sin call over every harmonic, equal the sum harmonic by
-harmonic bit for bit.  A loop point keeps its
+terms and their derivatives in one val_dval call, and the samplers
+multiply and sum the terms of a stack as the same terms taken one at a
+time, bit for bit; val_dval, one cos and one sin call over every
+harmonic and one ordered sum, equals the sum harmonic by harmonic bit
+for bit, and a stack of matrix terms sums as the terms one at a time
+from 0.0, signed zeros included.  A loop point keeps its
 left logarithmic derivative and its endpoint frame; both equal a fresh
 computation bit for bit, and go with the point."""
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from loopgerbe import sampling
+from loopgerbe import loops, sampling
 from loopgerbe.gerbe import PathFibration
 from loopgerbe.liegroup import SU2, SU3, adjoint_inv, exp_alg, group_inv, mm
 from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop
@@ -139,30 +141,35 @@ def _stacks(draw):
 def test_a_stacked_trig_poly_rounds_each_term_as_alone(case):
     stack, grid = case
     t = grid.nodes
-    val, dval, at0 = stack.val(t), stack.dval(t), stack.val(0.0)
-    based = Fn.based(stack).val(t)
+    (val, dval), at0 = stack.val_dval(t), stack.val(0.0)
+    based, dbased = Fn.based(stack).val_dval(t)
     k = stack.a0.shape[0]
-    assert val.shape == dval.shape == based.shape == (k, grid.size)
+    assert val.shape == dval.shape == based.shape == dbased.shape == (k, grid.size)
     assert at0.shape == (k,)
+    assert _same(val, stack.val(t)) and _same(based, Fn.based(stack).val(t))
     for j in range(k):
         one = TrigPoly(float(stack.a0[j]), tuple(stack.ac[j]), tuple(stack.bs[j]))
         want_val, want_dval = _trig(one, t)
-        assert _same(val[j], one.val(t)) and _same(val[j], want_val)
-        assert _same(dval[j], one.dval(t)) and _same(dval[j], want_dval)
+        one_val, one_dval = one.val_dval(t)
+        assert _same(val[j], one_val) and _same(val[j], want_val)
+        assert _same(dval[j], one_dval) and _same(dval[j], want_dval)
         assert _same(at0[j], one.val(0.0))
         assert _same(based[j], Fn.based(one).val(t))
         assert _same(based[j], _based(one, t)[0])
+        assert _same(dbased[j], want_dval)
 
 
 @st.composite
 def _trig_cases(draw):
-    """A TrigPoly of stack shape (), (k,) or (k1, k2) with 0 to 3
-    harmonics of each kind, and its argument: a 0-d t, or the nodes of a
+    """A TrigPoly of stack shape (), (k,) or (k1, k2) with 0 to 4
+    harmonics of each kind, some coefficients signed zeros, or the zero
+    or the unit profile; and its argument: a 0-d t, or the nodes of a
     one-node, periodic or closed grid."""
     shape = draw(st.sampled_from(((), (3,), (2, 3))))
-    harmonics = [draw(st.integers(0, 3)) for _ in range(2)]
+    harmonics = [draw(st.integers(0, 4)) for _ in range(2)]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a0, ac, bs = (rng.uniform(-2.0, 2.0, size=shape + extra)
+                  * rng.choice([1.0, 0.0, -0.0], size=shape + extra, p=[0.6, 0.2, 0.2])
                   for extra in ((), (harmonics[0],), (harmonics[1],)))
     if shape == ():
         a0, ac, bs = float(a0), tuple(ac), tuple(bs)
@@ -171,18 +178,23 @@ def _trig_cases(draw):
         st.floats(-10.0, 10.0).map(np.asarray),
         st.integers(0, n - 1).map(lambda j: ThetaGrid(n, node=j).nodes),
         st.sampled_from((ThetaGrid(n).nodes, ThetaGrid(n, closed=True).nodes))))
-    return TrigPoly(a0, ac, bs), t
+    tp = draw(st.sampled_from((TrigPoly(a0, ac, bs), TrigPoly(), TrigPoly(1.0))))
+    return tp, t
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_trig_cases())
 def test_trig_poly_is_the_sum_harmonic_by_harmonic(case):
-    # one cos and one sin call over every harmonic round each term as
+    # one cos and one sin call over every harmonic, one product and one
+    # ordered sum round each term of the value and of the derivative as
     # one harmonic at a time does, added in the same order
     tp, t = case
-    assert _same(tp.val(t), trig_val(tp, t))
-    assert _same(tp.dval(t), trig_dval(tp, t))
-    assert tp.val(t).shape == np.shape(tp.a0) + t.shape
+    val, dval = tp.val_dval(t)
+    want_val, want_dval = trig_val(tp, t), trig_dval(tp, t)
+    assert np.array_equal(val, want_val) and np.array_equal(dval, want_dval)
+    assert _same(val, want_val) and _same(dval, want_dval)
+    assert _same(tp.val(t), val)
+    assert val.shape == np.shape(tp.a0) + t.shape
 
 
 @st.composite
@@ -203,7 +215,7 @@ def test_a_two_axis_stack_rounds_each_profile_as_alone(case, group):
     # from_profiles over the stack is the k2 one-tangent results stacked
     stack, grid = case
     t = grid.nodes
-    val, dval = stack.val(t), stack.dval(t)
+    val, dval = stack.val_dval(t)
     k1, k2 = stack.a0.shape
     assert val.shape == dval.shape == (k1, k2, grid.size)
     for i in range(k1):
@@ -211,8 +223,9 @@ def test_a_two_axis_stack_rounds_each_profile_as_alone(case, group):
             one = TrigPoly(float(stack.a0[i, j]), tuple(stack.ac[i, j]),
                            tuple(stack.bs[i, j]))
             want_val, want_dval = _trig(one, t)
-            assert _same(val[i, j], one.val(t)) and _same(val[i, j], want_val)
-            assert _same(dval[i, j], one.dval(t)) and _same(dval[i, j], want_dval)
+            one_val, one_dval = one.val_dval(t)
+            assert _same(val[i, j], one_val) and _same(val[i, j], want_val)
+            assert _same(dval[i, j], one_dval) and _same(dval[i, j], want_dval)
     basis = group.basis[:k1]
     got = GridFun.from_profiles(grid, [(stack, basis)])
     want = [GridFun.from_profiles(grid, [(TrigPoly(stack.a0[:, j], stack.ac[:, j],
@@ -220,6 +233,74 @@ def test_a_two_axis_stack_rounds_each_profile_as_alone(case, group):
             for j in range(k2)]
     assert _same(got.vals, np.stack([w.vals for w in want]))
     assert _same(got.dvals, np.stack([w.dvals for w in want]))
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, width=16))
+
+
+@st.composite
+def _matrix_stacks(draw):
+    """(samples, X, head): k profile samples of stack shape (k,) + lead +
+    (nodes,), k complex n x n matrices, and a plain (samples, matrix)
+    term to put before them or None; every part may be a signed zero."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(2, 3))
+    lead = draw(st.sampled_from(((), (2,), (3, 2))))
+    nodes = draw(st.sampled_from((1, 5)))
+    samples = draw(hnp.arrays(float, (k,) + lead + (nodes,), elements=_SIGNED))
+    parts = draw(hnp.arrays(float, (2, k, n, n), elements=_SIGNED))
+    head = draw(st.one_of(st.none(), st.tuples(
+        hnp.arrays(float, lead + (nodes,), elements=_SIGNED),
+        hnp.arrays(float, (2, n, n), elements=_SIGNED))))
+    if head is not None:
+        head = (head[0], head[1][0] + 1j * head[1][1])
+    return samples, parts[0] + 1j * parts[1], head
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrix_stacks())
+def test_a_stack_of_terms_sums_as_its_terms_from_zero(case):
+    # one product and one ordered reduce along the term axis give the
+    # sequential sum from 0.0, the sign of every zero part included;
+    # after a plain term the stack adds on to the sum so far
+    samples, X, head = case
+    terms = [(samples, X)] if head is None else [head, (samples, X)]
+    want = 0.0
+    for s, M in ([head] if head else []) + list(zip(samples, X)):
+        want = want + s[..., None, None] * M
+    got = loops._add_terms(terms)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def _count_waves(monkeypatch):
+    """Count every np.cos and np.sin call into the returned list."""
+    calls = []
+    for name in ("cos", "sin"):
+        def counted(*args, _wave=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _wave(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_one_wave_call_of_each_kind_per_profile_stack(monkeypatch, group):
+    # from_profiles evaluates a profile stack once, with its derivative:
+    # one cos and one sin call, plain or based, on a full or a one-node
+    # grid; a product loop evaluates each factor's profile once
+    rng = sampling.make_rng(5)
+    stack = TrigPoly(*sampling.random_trig_coeffs(rng, group.dim))
+    factors = sampling.random_loop_factors(rng, group, based=True)
+    calls = _count_waves(monkeypatch)
+    for grid in (ThetaGrid(16), ThetaGrid(16, node=3), ThetaGrid(16, closed=True)):
+        for profile in (stack, Fn.based(stack)):
+            del calls[:]
+            GridFun.from_profiles(grid, [(profile, group.basis)])
+            assert sorted(calls) == ["cos", "sin"]
+        del calls[:]
+        loops.product_loop(grid, factors)
+        assert sorted(calls) == ["cos"] * len(factors) + ["sin"] * len(factors)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)

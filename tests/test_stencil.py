@@ -105,21 +105,23 @@ def test_tb_curvature_evaluates_a_once_per_stencil_and_once_plain(monkeypatch):
 
 
 def _counting_profiles(tb, calls):
-    """tb with every profile's dval counted into calls."""
+    """tb with every profile's evaluation with its derivative counted
+    into calls."""
 
     def counted(f):
-        def dval(t):
+        def val_dval(t):
             calls.append(np.shape(t))
-            return f.dval(t)
-        return Fn(f.val, dval)
+            return f.val_dval(t)
+        return Fn(f.val, val_dval)
 
     return replace(tb, a_terms=tuple((counted(f), xi) for f, xi in tb.a_terms),
                    phi_term=(counted(tb.phi_term[0]), tb.phi_term[1]))
 
 
 def test_curvature_and_higgs_evaluate_no_profile_derivative():
-    # F and Phi carry no theta-derivative payload, so no profile dval is
-    # evaluated for them; the connection carries one and evaluates it
+    # F and Phi carry no theta-derivative payload, so no profile
+    # derivative is evaluated for them; the connection carries one and
+    # evaluates each profile with its derivative once
     _, tb, p, V, W = _tb_fixture(73)
     calls = []
     tb = _counting_profiles(tb, calls)

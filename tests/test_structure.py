@@ -311,6 +311,10 @@ def test_no_parameter_that_no_caller_varies():
                      (sampling.random_bundle_tangent, "u")):
         assert inspect.signature(fn).parameters[name].default is None
     assert _params(loops.Fn.based) == ("f",)
+    # a profile gives its values alone, or its values and derivative from
+    # one evaluation; there is no derivative alone
+    assert [f.name for f in dataclasses.fields(loops.Fn)] == ["val", "val_dval"]
+    assert _params(loops.Fn.of) == ("val", "dval")
     assert _params(forms.pair_stacks) == ("p", "stacks", "index")
     assert _params(forms.shuffle_index) == ("degs",)
     # one table of curvature samples per tuple of tangents, built once
@@ -365,8 +369,9 @@ def test_no_code_that_only_tests_reach():
             # the caloron checks draw their tangents as one stack, and the
             # table gathers its pair stacks by index; the wedge pairs slot
             # stacks gathered by a shuffle index (pair_stacks), and the
-            # per-shuffle slot evaluation is a test oracle
-            forms: ("stack_tangents", "pair_forms"),
+            # per-shuffle slot evaluation and the recursive enumeration of
+            # the shuffles are test oracles
+            forms: ("stack_tangents", "pair_forms", "shuffles"),
             # AlgEig.dexp is dexp_right; the kept frame is p.endpoint_frame
             liegroup: ("maurer_cartan", "is_group_element",
                        "is_algebra_element", "dexp_left", "dexp_right"),
@@ -378,7 +383,10 @@ def test_no_code_that_only_tests_reach():
             checks: ("_tb_point", "_tb_tangent", "_caloron_point",
                      "_caloron_tangents", "_caloron_tangent"),
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
-            loops.TrigPoly: ("as_fn", "__call__"), loops.Fn: ("zero", "__call__"),
+            # (a profile gives its values, or its values and derivative
+            # together: no derivative alone)
+            loops.TrigPoly: ("as_fn", "__call__", "dval"),
+            loops.Fn: ("zero", "__call__"),
             # nabla Phi takes dPhi from the Higgs field's equivariance;
             # the route by whole loop flows is a test oracle
             gerbe: ("_one", "curvature_via_ext_d", "nabla_phi_by_flows"),
@@ -725,18 +733,19 @@ def _calls_by_function(path: Path) -> dict:
 
 def test_one_alternating_pairing():
     # pair_stacks is the one alternating sum over permutations, and
-    # shuffle_index the one function that enumerates shuffles for it:
-    # the caloron 4-form and the descended 3-form are its pairings, and
-    # only the literal six-term omega3 writes out a permutation sum of
-    # its own
-    for gone in ("wedge_pair", "pair_forms"):
+    # shuffle_index the one function that enumerates shuffles for it
+    # (the recursive enumeration is a test oracle): the caloron 4-form
+    # and the descended 3-form are its pairings, and only the literal
+    # six-term omega3 writes out a permutation sum of its own
+    for gone in ("wedge_pair", "pair_forms", "shuffles"):
         assert not hasattr(forms, gone)
     calls = {path.stem + "." + name: called
              for path in sorted(SRC.glob("*.py"))
              for name, called in _calls_by_function(path).items()}
     permuting = sorted(name for name, called in calls.items()
-                       if called & {"signed_permutations", "shuffles"})
-    assert permuting == ["forms.shuffle_index", "gerbe.omega3"]
+                       if called & {"signed_permutations", "shuffle_index"})
+    assert permuting == ["caloron.CurvatureSamples._shuffles", "gerbe.omega3",
+                         "gerbe.string_form_at"]
     # the circle integral reaches the curvature only through its table
     assert not calls["caloron.integrate_circle"] & {"pair_samples", "curvature"}
     # the descended 3-form makes one curvature call and one nabla Phi
