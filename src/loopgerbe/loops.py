@@ -35,9 +35,9 @@ theta derivative from one evaluation (`val_dval`).  Profiles may come
 as a stack with a leading term axis (a TrigPoly of k profiles): one
 `val_dval` call evaluates every term, `GridFun.from_profiles`
 multiplies them by a stack of k matrices in one broadcast product and
-adds the terms in order, and `product_loop`
-decomposes its generators in one stacked eigh; each rounds as the same
-terms one at a time.  Derived samples are kept on the object they
+adds the terms in order, and `product_loop` decomposes its generators
+in one stacked eigh; each rounds as the same terms one at a time.
+Derived samples are kept on the object they
 derive from, each a cached property made on first use: a TrigPoly
 keeps its coefficient rows, a GridFun its eigendecomposition, a
 LoopPoint its left logarithmic derivative and endpoint frame.  The
@@ -112,19 +112,19 @@ class Fn:
         evaluation of f takes t and 0.0 together, and the value at 0.0 is
         subtracted after, term by term for a stack of profiles."""
 
-        def at(v, t, shift):
-            v = np.asarray(v)
-            return ((v[..., :-1] - v[..., -1:]) if shift
-                    else v[..., :-1]).reshape(v.shape[:-1] + t.shape)
-
-        def val_dval(t):
-            t = np.asarray(t, dtype=float)
-            v, d = f.val_dval(np.append(t, 0.0))
-            return at(v, t, True), at(d, t, False)
+        def at_t(v, t):
+            """The samples of v at t: all but the last, at 0.0."""
+            return v[..., :-1].reshape(v.shape[:-1] + t.shape)
 
         def val(t):
             t = np.asarray(t, dtype=float)
-            return at(f.val(np.append(t, 0.0)), t, True)
+            v = np.asarray(f.val(np.append(t, 0.0)))
+            return at_t(v - v[..., -1:], t)
+
+        def val_dval(t):
+            t = np.asarray(t, dtype=float)
+            v, d = (np.asarray(x) for x in f.val_dval(np.append(t, 0.0)))
+            return at_t(v - v[..., -1:], t), at_t(d, t)
 
         return Fn(val, val_dval)
 
@@ -141,7 +141,8 @@ class TrigPoly:
     the value and of the derivative; one ordered np.add.reduce then adds
     a0, the cos terms and the sin terms of the value, and from 0.0 minus
     m a_m sin(m t) and plus m b_m cos(m t) of the derivative, so that
-    every term of every profile rounds as it rounds alone.  `val` is the
+    every term of every profile rounds as it rounds alone; a profile
+    without harmonics is a0 along t, with no wave call.  `val` is the
     value of `val_dval`.  The coefficients are kept as float arrays, one
     row per term, from the first evaluation on.
     """
@@ -154,8 +155,8 @@ class TrigPoly:
     def rows(self) -> tuple:
         """The terms a0, a_m cos(m t), b_m sin(m t) one row each, made
         once and kept: per row the coefficients of its value and of its
-        derivative, 0.0 for a0, -m a_m and m b_m (stack axes after
-        them), its order m, and where its value and its derivative take
+        derivative (0.0 for a0, -m a_m, m b_m), the stack axes after
+        them; its order m; and where its value and its derivative take
         cos(m t) rather than sin(m t)."""
         a0 = np.asarray(self.a0, dtype=float)
         ac, bs = (np.asarray(c, dtype=float).reshape(a0.shape + (-1,))
@@ -167,9 +168,11 @@ class TrigPoly:
                                                   *range(1, hs + 1)])))
         coef[1, ..., 0] = 0.0
         cos_at = np.array([(True, True)] + [(True, False)] * hc + [(False, True)] * hs)
+        # the row axis first, then value and derivative, the stack and t
+        coef = coef.transpose((-1, 0) + tuple(range(1, a0.ndim + 1)))
         ends = (1,) * a0.ndim + (1,)
-        return (np.ascontiguousarray(coef.transpose((-1, 0) + tuple(range(1, a0.ndim + 1))))[..., None],
-                m.reshape((-1, 1) + ends), cos_at.reshape((-1, 2) + ends))
+        return (np.ascontiguousarray(coef)[..., None], m.reshape((-1, 1) + ends),
+                cos_at.reshape((-1, 2) + ends))
 
     def val(self, t):
         return self.val_dval(t)[0]
@@ -183,7 +186,9 @@ class TrigPoly:
         coef, m, cos_at = self.rows
         mt = m * t.reshape(-1)
         waves = np.where(cos_at, np.cos(mt), np.sin(mt))
-        waves[0] = 1.0
+        waves[0] = 1.0  # the a0 row takes no wave
+        # the rows are the outer axis, so they add one after another; from
+        # -0.0, since -0.0 + x is x for every x, signed zeros included
         out = np.add.reduce(coef * waves, axis=0, initial=-0.0)
         val, dval = out.reshape(out.shape[:-1] + t.shape)
         return val, dval
@@ -593,9 +598,8 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
     the grid, exact Z payload.
 
     Each factor is (profile, xi), the profile evaluated once by its
-    `val_dval`.  One
-    eigendecomposition of the stacked generators and one stacked exp
-    serve every factor.
+    `val_dval`.  One eigendecomposition of the stacked generators and
+    one stacked exp serve every factor.
     """
     if not factors:
         raise ValueError("need at least one factor")

@@ -600,3 +600,21 @@ def test_omega3_integral_keeps_its_value_at_every_size():
             (48, 12): 1.000178509072193, (16, 4): 1.0016081890839752,
             (100, 20): 1.000041124535493}
     assert {size: omega3_su2_integral(*size) for size in want} == want
+
+
+def test_omega3_integral_stacks_are_matrix_outer(monkeypatch):
+    # every product of omega3 loops along the node stack: each (eta, x1,
+    # x2, 2, 2) argument keeps its matrix axes outermost in memory
+    seen = []
+    plain = gerbe.omega3
+
+    def spy(*args):
+        seen.extend(args)
+        return plain(*args)
+
+    monkeypatch.setattr(gerbe, "omega3", spy)
+    assert omega3_su2_integral(16, 4) == 1.0016081890839752
+    assert len(seen) == 4
+    for a in seen:
+        assert a.shape == (16, 4, 4, 2, 2)
+        assert min(a.strides[-2:]) > max(a.strides[:3])
