@@ -303,6 +303,23 @@ def test_one_wave_call_of_each_kind_per_profile_stack(monkeypatch, group):
         assert sorted(calls) == ["cos"] * len(factors) + ["sin"] * len(factors)
 
 
+@pytest.mark.parametrize("k", (1, 3, 8))
+def test_a_profile_stack_is_one_draw_of_the_same_numbers(k):
+    # one (k, 5) uniform call takes from Philox the numbers that drawing
+    # each profile's a0, cos pair and sin pair apart takes, in the same
+    # order, and leaves the generator in the same state
+    rng = sampling.RecordingRNG(sampling.make_rng(17))
+    ref = sampling.make_rng(17)
+    a0, ac, bs = sampling.random_trig_coeffs(rng, k)
+    assert [(e["method"], np.shape(e["values"])) for e in rng.log] == [("uniform", (k, 5))]
+    for j in range(k):
+        assert _same(a0[j], np.float64(ref.uniform(-0.5, 0.5)))
+        assert _same(ac[j], ref.uniform(-0.5, 0.5, size=2) * sampling.DAMP)
+        assert _same(bs[j], ref.uniform(-0.5, 0.5, size=2) * sampling.DAMP)
+    assert np.array_equal(rng._rng.bit_generator.random_raw(4),
+                          ref.bit_generator.random_raw(4))
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
 @pytest.mark.parametrize("seed", (7, 3))
 def test_samplers_match_the_per_term_oracle(group, seed):
