@@ -3,15 +3,18 @@
 Each check is registered under a stable identifier `<scenario>/<slug>`
 with a formula tag and a default tolerance.  A check body is one fixture
 draw `(cfg, rng) -> residual or tuple of residuals`: it builds its
-scenario from the configuration, which takes nothing from rng, draws
-one fixture from rng with the samplers of `sampling` and measures the
-identity on it.  `_draws`
-makes the body into the public check `(cfg, rng, n=<default>)`, which
-runs the draw n >= 1 times on the same generator and returns the worst
-residual; a NaN residual anywhere makes the check NaN, and so fails its
-row.  The generator is seeded by (run seed, check name), so reruns with
-the same configuration reproduce the samples exactly and adding a check
-never shifts another check's draws.
+scenario from the configuration, which takes nothing from rng, draws one
+fixture from rng with the samplers of `sampling` and measures the
+identity on it.  An identity of every bundle has one body `(scn, draw,
+rng)` that draws through the bundle's sampler set, run once per bundle:
+on the trivial bundle with `sampling.TRIVIAL`, then on the path
+fibration with `sampling.PATH`.  `_draws` makes the body into the public
+check `(cfg, rng, n=<default>)`, which runs the draw n >= 1 times on the
+same generator and returns the worst residual; a NaN residual anywhere
+makes the check NaN, and so fails its row.  The generator is seeded by
+(run seed, check name), so reruns with the same configuration reproduce
+the samples exactly and adding a check never shifts another check's
+draws.
 
 `run_suite` produces the report rows; `convergence_table` reruns one
 check over a refinement ladder (grid halving, or step halving for the
@@ -33,13 +36,10 @@ from .forms import (FD_STEP, ChartPt, Form, delta_fibre, delta_nerve, ext_d,
 from .liegroup import exp_dexp_right, group_by_name, mm
 from .loops import ThetaGrid
 from .sampling import (DD_CHART, EXP_CHART, random_algebra,
-                       random_bundle_fibre_points, random_bundle_tangent,
                        random_caloron_point, random_caloron_tangents,
                        random_chart_point, random_chart_vector,
                        random_group_element, random_loop, random_loop_tangent,
-                       random_normal_point, random_path_fibre_points,
-                       random_path_fibre_tangent, random_path_point,
-                       random_path_tangent)
+                       random_normal_point)
 
 SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
              "path-fibration", "trivial-bundle")
@@ -120,6 +120,10 @@ def _worst(residuals) -> float:
     return float(np.max(residuals))
 
 
+def _sup(a) -> float:
+    return _worst(np.abs(a))
+
+
 def _draws(n: int):
     """Make a fixture draw into a check that runs it n times by default.
 
@@ -178,6 +182,62 @@ EQUATION_TAGS = {
 
 
 # ---------------------------------------------------------------------------
+# the identities of every bundle
+
+
+def _on_both(body, cfg: RunConfig, rng) -> tuple:
+    """body(scn, draw, rng) on each bundle scn with its sampler set draw."""
+    return (body(_tb(cfg), sampling.TRIVIAL, rng),
+            body(_pf(cfg), sampling.PATH, rng))
+
+
+def _reduced_splitting(scn, draw, rng) -> float:
+    p, = draw.fibre_points(rng, scn, 1)
+    g = draw.acting_loop(rng, scn)
+    X = random_loop_tangent(rng, scn.grid, scn.group)
+    return centext.reduced_splitting_check(scn, p, g, X)
+
+
+def _transition_coboundary(scn, draw, rng) -> float:
+    pts = draw.fibre_points(rng, scn, 3)
+    vecs, = draw.fibre_tangents(rng, scn, 3)
+    eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
+    return abs(delta_fibre(eps)(pts, vecs) - gerbe.beta_form(scn, pts, vecs))
+
+
+def _curving_chain(scn, draw, rng) -> float:
+    pts = draw.fibre_points(rng, scn, 2)
+    vecs, wecs = draw.fibre_tangents(rng, scn, 2, k=2)
+    p1, p2 = pts
+    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1])
+           - gerbe.curving_f(scn, p1, vecs[0], wecs[0]))
+    t = scn.tau(p1, p2)
+    tr = centext.eval_R(t, gerbe.tau_deriv(scn, p1, p2, *vecs),
+                        gerbe.tau_deriv(scn, p1, p2, *wecs))
+    eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
+    de = ext_d(eps, pts, (vecs, wecs), h=scn.fd_step)
+    return abs(lhs - (tr - de))
+
+
+def _curving_differential(scn, draw, rng) -> float:
+    fform = Form(2, lambda q, a, b: gerbe.curving_f(scn, q, a, b))
+    p, = draw.fibre_points(rng, scn, 1)
+    # one tangent at a time: on the trivial bundle each draws u, then X
+    Ts = tuple(draw.fibre_tangents(rng, scn, 1)[0][0] for _ in range(3))
+    # outer step 1e-3: a wider step keeps the second-level difference noise down
+    df = ext_d(fform, p, Ts, h=1e-3)
+    return abs(df - 2j * np.pi * gerbe.string_form_at(scn, p, *Ts))
+
+
+def _frame_round_trip(scn, draw, rng) -> tuple:
+    p, = draw.fibre_points(rng, scn, 1)
+    conn_of, phi = caloron.extract_connection_higgs(scn, p)
+    (V,), = draw.fibre_tangents(rng, scn, 1)
+    return (_sup(conn_of(V).vals - scn.connection(p, V).vals),
+            _sup(phi.vals - scn.higgs(p).vals))
+
+
+# ---------------------------------------------------------------------------
 # central extension
 
 
@@ -217,17 +277,7 @@ def path_cocycle_identity(cfg: RunConfig, rng):
 @_draws(3)
 def reduced_splitting(cfg: RunConfig, rng):
     """splitting identity on both scenario surfaces; pointwise cancellation."""
-    grid, group = _setup(cfg)
-    tb, pf = _tb(cfg), _pf(cfg)
-    p, = random_bundle_fibre_points(rng, tb, 1)
-    g = random_loop(rng, grid, group)
-    X = random_loop_tangent(rng, grid, group)
-    r_tb = centext.reduced_splitting_check(tb, p, g, X)
-
-    pp = random_path_point(rng, pf.grid, group)
-    gam = random_loop(rng, pf.grid, group, based=True)
-    Xc = random_loop_tangent(rng, pf.grid, group)
-    return r_tb, centext.reduced_splitting_check(pf, pp, gam, Xc)
+    return _on_both(_reduced_splitting, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +288,8 @@ def reduced_splitting(cfg: RunConfig, rng):
 def string_matches_invariant_form(cfg: RunConfig, rng):
     """relative gap between the descended 3-form and omega3 downstairs."""
     pf = _pf(cfg)
-    p = random_path_point(rng, pf.grid, pf.group)
-    Ts = [random_path_tangent(rng, pf.grid, pf.group) for _ in range(3)]
+    p, = sampling.PATH.fibre_points(rng, pf, 1)
+    Ts = [sampling.PATH.fibre_tangents(rng, pf, 1)[0][0] for _ in range(3)]
     got = gerbe.string_form_at(pf, p, *Ts)
     k = pf.project(p)
     want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
@@ -255,15 +305,7 @@ def invariant_volume(cfg: RunConfig, rng) -> float:
 @_draws(1)
 def curving_differential_path(cfg: RunConfig, rng):
     """|d f - 2 pi i omega(projected)| on the path fibration."""
-    pf = _pf(cfg)
-    fform = Form(2, lambda q, a, b: gerbe.curving_f(pf, q, a, b))
-    p = random_path_point(rng, pf.grid, pf.group)
-    Ts = tuple(random_path_tangent(rng, pf.grid, pf.group) for _ in range(3))
-    # outer step 1e-3: the inner quadratures are exact here, the
-    # wider step keeps the second-level difference noise down
-    df = ext_d(fform, p, Ts, h=1e-3)
-    want = 2j * np.pi * gerbe.string_form_at(pf, p, *Ts)
-    return abs(df - want)
+    return _curving_differential(_pf(cfg), sampling.PATH, rng)
 
 
 @_draws(1)
@@ -303,59 +345,20 @@ def three_form_closed_base(cfg: RunConfig, rng):
 @_draws(2)
 def transition_coboundary(cfg: RunConfig, rng):
     """|delta epsilon - beta| at fibre triples, both scenarios."""
-    tb, pf = _tb(cfg), _pf(cfg)
-    pts = random_bundle_fibre_points(rng, tb, 3)
-    u = random_chart_vector(rng, tb.dim)
-    vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(3))
-    eps = Form(1, lambda pt, v: gerbe.epsilon_form(tb, pt, v))
-    r_tb = abs(delta_fibre(eps)(pts, vecs) - gerbe.beta_form(tb, pts, vecs))
-
-    ppts = random_path_fibre_points(rng, pf.grid, pf.group, 3)
-    pvecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 3)
-    peps = Form(1, lambda pt, v: gerbe.epsilon_form(pf, pt, v))
-    return r_tb, abs(delta_fibre(peps)(ppts, pvecs)
-                     - gerbe.beta_form(pf, ppts, pvecs))
-
-
-def _curving_chain(scn, pts, vecs, wecs) -> float:
-    p1, p2 = pts
-    lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1])
-           - gerbe.curving_f(scn, p1, vecs[0], wecs[0]))
-    t = scn.tau(p1, p2)
-    tr = centext.eval_R(t, gerbe.tau_deriv(scn, p1, p2, *vecs),
-                        gerbe.tau_deriv(scn, p1, p2, *wecs))
-    eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
-    de = ext_d(eps, pts, (vecs, wecs), h=scn.fd_step)
-    return abs(lhs - (tr - de))
+    return _on_both(_transition_coboundary, cfg, rng)
 
 
 @_draws(1)
 def curving_transition(cfg: RunConfig, rng):
     """|delta f - (tau^* R - d epsilon)| on fibre pairs, both scenarios."""
-    tb, pf = _tb(cfg), _pf(cfg)
-    pts = random_bundle_fibre_points(rng, tb, 2)
-    u, w = random_chart_vector(rng, tb.dim), random_chart_vector(rng, tb.dim)
-    vecs = tuple(random_bundle_tangent(rng, tb, u) for _ in range(2))
-    wecs = tuple(random_bundle_tangent(rng, tb, w) for _ in range(2))
-    r_tb = _curving_chain(tb, pts, vecs, wecs)
-
-    ppts = random_path_fibre_points(rng, pf.grid, pf.group, 2)
-    pvecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 2)
-    pwecs = random_path_fibre_tangent(rng, pf.grid, pf.group, 2)
-    return r_tb, _curving_chain(pf, ppts, pvecs, pwecs)
+    return _on_both(_curving_chain, cfg, rng)
 
 
 @_draws(1)
 def curving_differential_chart(cfg: RunConfig, rng):
     """|d f - 2 pi i omega| over the two-dimensional chart; the base has
     no room for a 3-form, so both sides cancel to the difference noise."""
-    tb = _tb(cfg)
-    fform = Form(2, lambda q, a, b: gerbe.curving_f(tb, q, a, b))
-    p, = random_bundle_fibre_points(rng, tb, 1)
-    Ts = tuple(random_bundle_tangent(rng, tb) for _ in range(3))
-    df = ext_d(fform, p, Ts, h=1e-3)
-    want = 2j * np.pi * gerbe.string_form(tb, p.m, *[T[0] for T in Ts])
-    return abs(df - want)
+    return _curving_differential(_tb(cfg), sampling.TRIVIAL, rng)
 
 
 @_draws(2)
@@ -374,7 +377,7 @@ def simplicial_square_zero(cfg: RunConfig, rng):
     r_two = abs(delta_nerve(delta_nerve(r2))(gs, V, W))
 
     ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
-    pts = random_bundle_fibre_points(rng, tb, 3)
+    pts = sampling.TRIVIAL.fibre_points(rng, tb, 3)
     return r_zero, r_two, abs(delta_fibre(delta_fibre(ell0))(pts))
 
 
@@ -400,10 +403,6 @@ def differential_square_zero(cfg: RunConfig, rng):
 
 # ---------------------------------------------------------------------------
 # caloron round trip
-
-
-def _sup(a) -> float:
-    return _worst(np.abs(a))
 
 
 @_draws(2)
@@ -462,18 +461,7 @@ def circle_reduction(cfg: RunConfig, rng):
 @_draws(1)
 def frame_round_trip(cfg: RunConfig, rng):
     """connection and Higgs field recovered from the identity frame."""
-    tb, pf = _tb(cfg), _pf(cfg)
-    p, = random_bundle_fibre_points(rng, tb, 1)
-    conn_of, phi = caloron.extract_connection_higgs(tb, p)
-    V = random_bundle_tangent(rng, tb)
-    r_tb = (_sup(conn_of(V).vals - tb.connection(p, V).vals),
-            _sup(phi.vals - tb.higgs(p).vals))
-
-    pp = random_path_point(rng, pf.grid, pf.group)
-    conn_of, phi = caloron.extract_connection_higgs(pf, pp)
-    X = random_path_tangent(rng, pf.grid, pf.group)
-    return r_tb + (_sup(conn_of(X).vals - pf.connection(pp, X).vals),
-                   _sup(phi.vals - pf.higgs(pp).vals))
+    return _on_both(_frame_round_trip, cfg, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -48,28 +48,23 @@ def trace_mm(a, b) -> np.ndarray:
     return d.sum(axis=-1)
 
 
-def _su2_basis() -> np.ndarray:
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return np.stack([1j * s1, 1j * s2, 1j * s3]) / np.sqrt(2.0)
-
-
-def _su3_basis() -> np.ndarray:
-    l = np.zeros((8, 3, 3), dtype=complex)
-    l[0][0, 1] = l[0][1, 0] = 1
-    l[1][0, 1] = -1j
-    l[1][1, 0] = 1j
-    l[2][0, 0] = 1
-    l[2][1, 1] = -1
-    l[3][0, 2] = l[3][2, 0] = 1
-    l[4][0, 2] = -1j
-    l[4][2, 0] = 1j
-    l[5][1, 2] = l[5][2, 1] = 1
-    l[6][1, 2] = -1j
-    l[6][2, 1] = 1j
-    l[7] = np.diag([1, 1, -2]) / np.sqrt(3.0)
-    return 1j * l / np.sqrt(2.0)
+def gell_mann_basis(n: int) -> np.ndarray:
+    """The orthonormal basis of su(n) from the generalised Gell-Mann
+    matrices, in Gell-Mann's order: for k = 1 .. n-1, the symmetric and
+    then the antisymmetric unit (j, k) for each j < k, then
+    diag(1, .., 1, -k, 0, ..) / sqrt(k(k+1)/2); all times 1j/sqrt(2)."""
+    out = []
+    for k in range(1, n):
+        for j in range(k):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[j, k] = sym[k, j] = 1
+            anti = np.zeros((n, n), dtype=complex)
+            anti[j, k], anti[k, j] = -1j, 1j
+            out += [sym, anti]
+        d = np.zeros(n)
+        d[:k], d[k] = 1, -k
+        out.append(np.diag(d) / np.sqrt(k * (k + 1) / 2))
+    return 1j * np.array(out, dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ class Group:
         return flat.reshape(c.shape[:-1] + self.basis.shape[1:])
 
 
-SU2 = Group("su2", 2, _su2_basis())
-SU3 = Group("su3", 3, _su3_basis())
+SU2 = Group("su2", 2, gell_mann_basis(2))
+SU3 = Group("su3", 3, gell_mann_basis(3))
 
 _GROUPS = {"su2": SU2, "su3": SU3}
 

@@ -21,14 +21,21 @@ A chart point has coordinates uniform in [-CHART, CHART] = [-0.6, 0.6],
 a chart vector N(0, 1) coordinates, a normal chart point N(0, spread^2)
 ones (EXP_CHART = 0.3 on the group's exponential chart, DD_CHART = 0.5
 where d after d is checked); a group element is exp of an algebra
-element.  q points of one trivial-bundle fibre draw one chart point,
-then q loops.  A caloron point draws a chart point, the loop factors, k
+element.  A caloron point draws a chart point, the loop factors, k
 and its node, an integer in [0, ntheta); a caloron tangent a chart vector,
 one profile per basis element, eta and lam in [-LAM, LAM] = [-1, 1].
+
+Each bundle has one sampler set of one signature: `fibre_points(rng,
+scn, q)`, `fibre_tangents(rng, scn, q, k=1)` and `acting_loop(rng, scn)`.
+`TRIVIAL` draws q fibre points as a chart point, then q loops, and k
+fibre tangents as k chart vectors, then q loop tangents for each; `PATH`
+draws a path point, then q - 1 based loops, and each tangent's 2 pi
+value, then its q slots.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -184,13 +191,8 @@ def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,
 
 
 # ---------------------------------------------------------------------------
-# points of the path fibration
-#
-# A path-fibration point is a closed-grid loop-group element p with
-# p(0) = identity; its projection is the endpoint p(2 pi).  Tangents are
-# closed-grid algebra loops vanishing at 0; vertical ones vanish at
-# 2 pi too.  These samplers take the closed grid of the scenario
-# (`PathFibration.grid`) and raise ValueError on a periodic one.
+# points and tangents of the path fibration (`gerbe.PathFibration`), on
+# its closed grid: a periodic grid raises ValueError
 
 
 def _need_closed(grid: ThetaGrid):
@@ -222,40 +224,40 @@ def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
     return GridFun.from_profiles(grid, [(Fn.ramp(1.0), end), (based, group.basis)])
 
 
-def random_path_fibre_points(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                             q: int) -> tuple:
+def random_path_fibre_points(rng: np.random.Generator, scn, q: int) -> tuple:
     """q points of one fibre: p_1 random, the rest p_1 times based loops."""
-    p1 = random_path_point(rng, grid, group)
-    pts = [p1]
-    for _ in range(q - 1):
-        gam = random_loop(rng, grid, group, nfactors=1, based=True)
-        pts.append(p1.mul(gam))
-    return tuple(pts)
+    p1 = random_path_point(rng, scn.grid, scn.group)
+    gams = (random_loop(rng, scn.grid, scn.group, nfactors=1, based=True)
+            for _ in range(q - 1))
+    return (p1,) + tuple(p1.mul(gam) for gam in gams)
 
 
-def random_path_fibre_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                              q: int) -> tuple:
-    """One tangent to the q-fold fibre product: slots share the 2 pi value."""
-    end = random_algebra(rng, group, SCALE)
-    return tuple(random_path_tangent(rng, grid, group, endpoint=end)
-                 for _ in range(q))
+def random_path_fibre_tangents(rng: np.random.Generator, scn, q: int,
+                               k: int = 1) -> tuple:
+    """k tangents to the q-fold fibre product, each q slots that share
+    their 2 pi value, drawn (a generator) just before the slots."""
+    ends = (random_algebra(rng, scn.group, SCALE) for _ in range(k))
+    return tuple(tuple(random_path_tangent(rng, scn.grid, scn.group, endpoint=end)
+                       for _ in range(q)) for end in ends)
 
 
 # ---------------------------------------------------------------------------
 # points and tangents of the trivial bundle and of the caloron
 
 
-def random_bundle_fibre_points(rng: np.random.Generator, tb, q: int) -> tuple:
+def random_bundle_fibre_points(rng: np.random.Generator, scn, q: int) -> tuple:
     """q points of one fibre: one chart point, then q loops."""
-    m = random_chart_point(rng, tb.dim)
-    return tuple(tb.point(m, random_loop(rng, tb.grid, tb.group)) for _ in range(q))
+    m = random_chart_point(rng, scn.dim)
+    return tuple(scn.point(m, random_loop(rng, scn.grid, scn.group)) for _ in range(q))
 
 
-def random_bundle_tangent(rng: np.random.Generator, tb, u=None) -> tuple:
-    """(u, X): u drawn as a chart vector unless given, then the loop tangent X."""
-    if u is None:
-        u = random_chart_vector(rng, tb.dim)
-    return np.asarray(u, dtype=float), random_loop_tangent(rng, tb.grid, tb.group)
+def random_bundle_fibre_tangents(rng: np.random.Generator, scn, q: int,
+                                 k: int = 1) -> tuple:
+    """k tangents to the q-fold fibre product, each q slots (u, X) that
+    share their chart vector u: the k chart vectors, then each one's Xs."""
+    us = [random_chart_vector(rng, scn.dim) for _ in range(k)]
+    return tuple(tuple((u, random_loop_tangent(rng, scn.grid, scn.group))
+                       for _ in range(q)) for u in us)
 
 
 def random_caloron_point(rng: np.random.Generator, tb) -> tuple:
@@ -310,3 +312,13 @@ def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,
         X = random_loop_tangent(rng, grid, group)
         factors.append((random_unit_profile(rng), X))
     return path_from_factors(grid, factors, npath)
+
+
+# ---------------------------------------------------------------------------
+# one sampler set per bundle; the acting loop is based on the path fibration
+
+FibreSamplers = namedtuple("FibreSamplers", "fibre_points fibre_tangents acting_loop")
+TRIVIAL = FibreSamplers(random_bundle_fibre_points, random_bundle_fibre_tangents,
+                        lambda rng, scn: random_loop(rng, scn.grid, scn.group))
+PATH = FibreSamplers(random_path_fibre_points, random_path_fibre_tangents,
+                     lambda rng, scn: random_loop(rng, scn.grid, scn.group, based=True))

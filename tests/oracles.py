@@ -9,8 +9,8 @@ stencil each, the closed-form nabla Phi of the path fibration and
 nabla Phi by whole loop flows, the curvature through the generic
 exterior derivative, the shuffles by nested combinations and the
 shuffle-by-shuffle pairing, a stack of
-tangents built from its members, and a Fourier profile summed harmonic
-by harmonic.  The
+tangents built from its members, a Fourier profile summed harmonic
+by harmonic, and the Pauli and Gell-Mann matrices written out.  The
 package's own structure rules (every matrix product through
 `liegroup.mm`, no module cache) do not bind them: an oracle may differ
 from the route it checks.
@@ -234,3 +234,28 @@ def trig_dval(tp, t) -> np.ndarray:
     for m, b in enumerate(bs, start=1):
         out = out + np.multiply.outer(m * b, np.cos(m * t))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the algebra bases, written out
+
+
+def pauli_matrices() -> np.ndarray:
+    """sigma_1, sigma_2, sigma_3."""
+    return np.array([[[0, 1], [1, 0]],
+                     [[0, -1j], [1j, 0]],
+                     [[1, 0], [0, -1]]], dtype=complex)
+
+
+def gell_mann_matrices() -> np.ndarray:
+    """lambda_1 .. lambda_8, in Gell-Mann's order."""
+    lam = np.array([[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                    [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+                    [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+                    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+                    [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+                    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+                    [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+                    [[0, 0, 0], [0, 0, 0], [0, 0, 0]]], dtype=complex)
+    lam[7] = np.diag([1, 1, -2]) / np.sqrt(3.0)
+    return lam

@@ -5,14 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopgerbe import centext, gerbe
-from loopgerbe.forms import Form, delta_fibre, ext_d
-from loopgerbe.gerbe import (PathFibration, TrivialBundle, beta_form,
+from loopgerbe import checks, gerbe, sampling
+from loopgerbe.forms import Form, ext_d
+from loopgerbe.gerbe import (PathFibration, TrivialBundle,
                              connection_pullback_check, curving_f,
-                             epsilon_form, higgs_transform_residual,
-                             nabla_phi, omega3, omega3_su2_integral,
-                             string_form, string_form_at, tau_deriv,
-                             tau_deriv_fd)
+                             higgs_transform_residual, nabla_phi, omega3,
+                             omega3_su2_integral, string_form, string_form_at,
+                             tau_deriv, tau_deriv_fd)
 from loopgerbe.forms import signed_permutations
 from loopgerbe.liegroup import SU2, SU3, bracket, exp_alg, group_inv, mm
 from loopgerbe.loops import (Fn, GridFun, ThetaGrid, conj_loop, pair_samples,
@@ -20,7 +19,7 @@ from loopgerbe.loops import (Fn, GridFun, ThetaGrid, conj_loop, pair_samples,
 from loopgerbe.sampling import (make_rng, random_algebra,
                                 random_bundle_fibre_points, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
-                                random_path_fibre_tangent, random_path_point,
+                                random_path_fibre_tangents, random_path_point,
                                 random_path_tangent)
 from oracles import (curvature_exact, curvature_via_ext_d, nabla_phi_by_flows,
                      nabla_phi_closed, rho_grad, shuffle_pairing, stack_tangents)
@@ -84,7 +83,7 @@ def test_pf_connection_axioms():
 
 def test_tau_cocycle_and_fibre_guard():
     rng = make_rng(107)
-    p1, p2, p3 = random_path_fibre_points(rng, PF.grid, SU2, 3)
+    p1, p2, p3 = random_path_fibre_points(rng, PF, 3)
     t12, t23, t13 = PF.tau(p1, p2), PF.tau(p2, p3), PF.tau(p1, p3)
     assert np.max(np.abs(t12.mul(t23).vals - t13.vals)) < 1e-12
     assert np.max(np.abs(p1.mul(t12).vals - p2.vals)) < 1e-12
@@ -105,7 +104,7 @@ def _fibre_pair_and_neighbour(scn, rng, shift):
     if scn is TB:
         p, q = random_bundle_fibre_points(rng, TB, 2)
         return p, q, TB.point(q.m + shift, q.g)
-    p, q = random_path_fibre_points(rng, PF.grid, SU2, 2)
+    p, q = random_path_fibre_points(rng, PF, 2)
     return p, q, q.mul(product_loop(PF.grid, [(Fn.ramp(shift), SU2.basis[0])]))
 
 
@@ -123,8 +122,8 @@ def test_tau_guards_its_fibre_at_the_structure_tolerance(scn, monkeypatch):
 
 def test_tau_deriv_matches_finite_differences():
     rng = make_rng(109)
-    p1, p2 = random_path_fibre_points(rng, PF.grid, SU2, 2)
-    V = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
+    p1, p2 = random_path_fibre_points(rng, PF, 2)
+    V, = random_path_fibre_tangents(rng, PF, 2)
     exact = tau_deriv(PF, p1, p2, V[0], V[1])
     fd = tau_deriv_fd(PF, p1, p2, V[0], V[1])
     assert np.max(np.abs(exact.vals - fd.vals)) < 1e-8
@@ -141,8 +140,8 @@ def test_tau_deriv_matches_finite_differences():
 
 def test_connection_pullback_identity():
     rng = make_rng(113)
-    p1, p2 = random_path_fibre_points(rng, PF.grid, SU2, 2)
-    V = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
+    p1, p2 = random_path_fibre_points(rng, PF, 2)
+    V, = random_path_fibre_tangents(rng, PF, 2)
     assert connection_pullback_check(PF, p1, p2, V[0], V[1]) < 1e-6
 
     m = np.array([-0.2, 0.5])
@@ -372,68 +371,27 @@ def test_nabla_phi_needs_the_loop_payload():
 # transition forms: delta(epsilon) = beta
 
 
-def fibre_triple_tb(rng):
-    m = rng.uniform(-0.6, 0.6, size=2)
-    pts = tuple(TB.point(m, random_loop(rng, GRID, SU2)) for _ in range(3))
-    u = rng.normal(size=2)
-    vecs = tuple(tb_tangent(rng, u) for _ in range(3))
-    return pts, vecs
+# each identity is the one body of its row, run on each bundle with the
+# bundle's sampler set
+BUNDLES = ["trivial-bundle", "path-fibration"]
 
 
-def test_delta_epsilon_equals_beta_trivial_bundle():
-    rng = make_rng(179)
+@pytest.mark.parametrize("scn, draw, seed", [(TB, sampling.TRIVIAL, 179),
+                                             (PF, sampling.PATH, 181)], ids=BUNDLES)
+def test_delta_epsilon_equals_beta(scn, draw, seed):
+    rng = make_rng(seed)
     for _ in range(3):
-        pts, vecs = fibre_triple_tb(rng)
-        eps = Form(1, lambda pt, v: epsilon_form(TB, pt, v))
-        lhs = delta_fibre(eps)(pts, vecs)
-        rhs = beta_form(TB, pts, vecs)
-        assert abs(lhs - rhs) < 1e-8
-
-
-def test_delta_epsilon_equals_beta_path_fibration():
-    rng = make_rng(181)
-    for _ in range(3):
-        pts = random_path_fibre_points(rng, PF.grid, SU2, 3)
-        vecs = random_path_fibre_tangent(rng, PF.grid, SU2, 3)
-        eps = Form(1, lambda pt, v: epsilon_form(PF, pt, v))
-        lhs = delta_fibre(eps)(pts, vecs)
-        rhs = beta_form(PF, pts, vecs)
-        assert abs(lhs - rhs) < 1e-8
+        assert checks._transition_coboundary(scn, draw, rng) < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # curving: delta(f) = tau^* R - d epsilon
 
 
-def _curving_chain_residual(scn, pts, vecs, wecs):
-    p1, p2 = pts
-    V1, V2 = vecs
-    W1, W2 = wecs
-    lhs = (curving_f(scn, p2, V2, W2) - curving_f(scn, p1, V1, W1))
-    t = scn.tau(p1, p2)
-    tr = centext.eval_R(t, tau_deriv(scn, p1, p2, V1, V2),
-                        tau_deriv(scn, p1, p2, W1, W2))
-    eps = Form(1, lambda pt, v: epsilon_form(scn, pt, v))
-    de = ext_d(eps, pts, (vecs, wecs), h=1e-4)
-    return abs(lhs - (tr - de))
-
-
-def test_curving_transition_trivial_bundle():
-    rng = make_rng(191)
-    m = rng.uniform(-0.6, 0.6, size=2)
-    pts = tuple(TB.point(m, random_loop(rng, GRID, SU2)) for _ in range(2))
-    u, w = rng.normal(size=2), rng.normal(size=2)
-    vecs = tuple(tb_tangent(rng, u) for _ in range(2))
-    wecs = tuple(tb_tangent(rng, w) for _ in range(2))
-    assert _curving_chain_residual(TB, pts, vecs, wecs) < 1e-6
-
-
-def test_curving_transition_path_fibration():
-    rng = make_rng(193)
-    pts = random_path_fibre_points(rng, PF.grid, SU2, 2)
-    vecs = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
-    wecs = random_path_fibre_tangent(rng, PF.grid, SU2, 2)
-    assert _curving_chain_residual(PF, pts, vecs, wecs) < 1e-6
+@pytest.mark.parametrize("scn, draw, seed", [(TB, sampling.TRIVIAL, 191),
+                                             (PF, sampling.PATH, 193)], ids=BUNDLES)
+def test_curving_transition(scn, draw, seed):
+    assert checks._curving_chain(scn, draw, make_rng(seed)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from loopgerbe import liegroup as lg
 from loopgerbe import sampling
 from loopgerbe.loops import ThetaGrid
+from oracles import gell_mann_matrices, pauli_matrices
 
 
 def maxabs(x):
@@ -33,6 +34,24 @@ def test_basis_skew_traceless():
         for E in group.basis:
             assert maxabs(E + E.conj().T) < 1e-12
             assert abs(np.trace(E)) < 1e-12
+
+
+def test_one_basis_rule_gives_the_pauli_and_gell_mann_bases():
+    # the generalised Gell-Mann rule is i/sqrt(2) times the Pauli and the
+    # Gell-Mann matrices, bit for bit, and builds SU2 and SU3
+    for group, mats in ((lg.SU2, pauli_matrices()), (lg.SU3, gell_mann_matrices())):
+        assert np.array_equal(lg.gell_mann_basis(group.n), 1j * mats / np.sqrt(2.0))
+        assert np.array_equal(group.basis, lg.gell_mann_basis(group.n))
+
+
+def test_basis_rule_is_orthonormal_on_su4():
+    # no SU4 group: the rule alone, checked by its Gram matrix
+    B = lg.gell_mann_basis(4)
+    assert B.shape == (15, 4, 4)
+    gram = lg.inner(B[:, None], B[None, :])
+    assert maxabs(gram - np.eye(15)) < 1e-15
+    assert maxabs(B + np.swapaxes(B, -1, -2).conj()) == 0.0
+    assert maxabs(np.trace(B, axis1=-2, axis2=-1)) < 1e-15
 
 
 def test_su2_structure_constant():

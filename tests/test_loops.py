@@ -209,14 +209,13 @@ def test_closed_loop_constructors():
 
 def test_path_samplers_need_the_closed_grid():
     # the path fibration holds the closed grid of the N it is given, and
-    # its samplers refuse a periodic grid
+    # the samplers that take a grid refuse a periodic one (the fibre
+    # samplers take the scenario, whose grid is closed)
     grid = ThetaGrid(16)
     assert gerbe.PathFibration(grid).grid == ThetaGrid(16, closed=True)
     rng = sampling.make_rng(27)
     for sample in (lambda: sampling.random_path_point(rng, grid, lg.SU2),
-                   lambda: sampling.random_path_tangent(rng, grid, lg.SU2),
-                   lambda: sampling.random_path_fibre_points(rng, grid, lg.SU2, 2),
-                   lambda: sampling.random_path_fibre_tangent(rng, grid, lg.SU2, 2)):
+                   lambda: sampling.random_path_tangent(rng, grid, lg.SU2)):
         with pytest.raises(ValueError):
             sample()
 

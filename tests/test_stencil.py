@@ -27,7 +27,7 @@ from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid
 from loopgerbe.sampling import (make_rng, random_algebra, random_caloron_point,
                                 random_caloron_tangents, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
-                                random_path_fibre_tangent, random_path_point,
+                                random_path_fibre_tangents, random_path_point,
                                 random_path_tangent)
 from oracles import curvature_by_orders, stack_tangents
 
@@ -262,8 +262,8 @@ def test_stacked_point_evaluates_as_every_step_alone(case):
     vecs, wecs = (tuple((u, random_loop_tangent(rng, grid, group)) for _ in range(2))
                   for _ in range(2))
     _assert_per_step(lambda q: gerbe.epsilon_form(tb, q, wecs), pair, vecs, steps)
-    ppair = random_path_fibre_points(rng, pf.grid, group, 2)
-    pvecs, pwecs = (random_path_fibre_tangent(rng, pf.grid, group, 2) for _ in range(2))
+    ppair = random_path_fibre_points(rng, pf, 2)
+    pvecs, pwecs = random_path_fibre_tangents(rng, pf, 2, k=2)
     _assert_per_step(lambda q: gerbe.epsilon_form(pf, q, pwecs), ppair, pvecs, steps)
 
     # the transferred bundle: the angle flows off the grid nodes

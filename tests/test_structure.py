@@ -283,10 +283,10 @@ def test_no_parameter_that_no_caller_varies():
     assert {name: _params(getattr(sampling, name)) for name in (
         "random_trig_coeffs", "random_trig", "random_based_profile", "random_loop",
         "random_loop_tangent", "random_path_point", "random_path_tangent",
-        "random_path_fibre_points", "random_path_fibre_tangent",
+        "random_path_fibre_points", "random_path_fibre_tangents",
         "random_unit_profile", "random_group_path", "random_chart_point",
         "random_chart_vector", "random_normal_point", "random_group_element",
-        "random_bundle_fibre_points", "random_bundle_tangent",
+        "random_bundle_fibre_points", "random_bundle_fibre_tangents",
         "random_caloron_point", "random_caloron_tangents")} == {
         "random_trig_coeffs": ("rng", "k"),
         "random_trig": ("rng",),
@@ -295,21 +295,28 @@ def test_no_parameter_that_no_caller_varies():
         "random_loop_tangent": grid_group,
         "random_path_point": grid_group,
         "random_path_tangent": grid_group + ("endpoint",),
-        "random_path_fibre_points": grid_group + ("q",),
-        "random_path_fibre_tangent": grid_group + ("q",),
+        "random_path_fibre_points": ("rng", "scn", "q"),
+        "random_path_fibre_tangents": ("rng", "scn", "q", "k"),
         "random_unit_profile": ("rng",),
         "random_group_path": grid_group + ("npath",),
         "random_chart_point": ("rng", "dim"),
         "random_chart_vector": ("rng", "dim"),
         "random_normal_point": ("rng", "dim", "spread"),
         "random_group_element": ("rng", "group"),
-        "random_bundle_fibre_points": ("rng", "tb", "q"),
-        "random_bundle_tangent": ("rng", "tb", "u"),
+        "random_bundle_fibre_points": ("rng", "scn", "q"),
+        "random_bundle_fibre_tangents": ("rng", "scn", "q", "k"),
         "random_caloron_point": ("rng", "tb"),
         "random_caloron_tangents": ("rng", "tb", "k")}
-    for fn, name in ((sampling.random_path_tangent, "endpoint"),
-                     (sampling.random_bundle_tangent, "u")):
-        assert inspect.signature(fn).parameters[name].default is None
+    assert inspect.signature(sampling.random_path_tangent).parameters[
+        "endpoint"].default is None
+    # one sampler set per bundle, every set with the same members of the
+    # same parameters: k tangents to the fibre product, one by default
+    sets = (sampling.TRIVIAL, sampling.PATH)
+    assert [{name: _params(getattr(s, name)) for name in s._fields} for s in sets] == [{
+        "fibre_points": ("rng", "scn", "q"), "fibre_tangents": ("rng", "scn", "q", "k"),
+        "acting_loop": ("rng", "scn")}] * 2
+    assert [inspect.signature(s.fibre_tangents).parameters["k"].default
+            for s in sets] == [1, 1]
     assert _params(loops.Fn.based) == ("f",)
     # a profile gives its values alone, or its values and derivative from
     # one evaluation; there is no derivative alone
@@ -363,7 +370,10 @@ def test_no_code_that_only_tests_reach():
     # tests/oracles.py
     gone = {centext: ("DiskLoop", "HOLONOMY_NR", "HOLONOMY_NS", "holonomy_H",
                       "mu_hat", "ConventionError", "_slot_residual"),
-            sampling: ("random_pinned_profile", "random_disk_terms"),
+            # one sampler set per bundle: k fibre tangents, chart vectors
+            # included, and the fibre samplers take the scenario
+            sampling: ("random_pinned_profile", "random_disk_terms",
+                       "random_bundle_tangent", "random_path_fibre_tangent"),
             caloron: ("killingback_map", "_memo", "caloron_curvature",
                       "curvature_form", "_at_angle", "_pair_index"),
             # the caloron checks draw their tangents as one stack, and the
@@ -593,6 +603,21 @@ def test_checks_make_no_raw_draw():
     assert _raw_draws("m = rng.uniform(-0.6, 0.6, size=2)\n"
                       "j = int(rng.integers(n))\n") == ["<src>:1 uniform",
                                                         "<src>:2 integers"]
+
+
+def test_checks_draw_fibres_through_the_sampler_sets():
+    # an identity of every bundle has one body, which draws through the
+    # sampler set of the bundle it is given: checks names no per-bundle
+    # fibre sampler, and neither checks nor sampling dispatches by isinstance
+    fibre = {name for name in vars(sampling)
+             if name.startswith("random_") and "_fibre_" in name}
+    assert fibre == {"random_bundle_fibre_points", "random_bundle_fibre_tangents",
+                     "random_path_fibre_points", "random_path_fibre_tangents"}
+    named = _references(ast.parse((SRC / "checks.py").read_text()))
+    assert sorted(name for name in fibre if named[name]) == []
+    for path in (SRC / "checks.py", SRC / "sampling.py"):
+        named = _references(ast.parse(path.read_text()))
+        assert named["isinstance"] == 0, path.name
 
 
 def _scaled_draws(source: str, name: str = "<src>") -> list:
