@@ -39,7 +39,7 @@ from .sampling import (DD_CHART, EXP_CHART, random_algebra,
                        random_caloron_point, random_caloron_tangents,
                        random_chart_point, random_chart_vector,
                        random_group_element, random_loop, random_loop_tangent,
-                       random_normal_point)
+                       random_loop_tangents, random_loops, random_normal_point)
 
 SCENARIOS = ("all", "caloron-roundtrip", "central-extension",
              "path-fibration", "trivial-bundle")
@@ -222,7 +222,8 @@ def _curving_chain(scn, draw, rng) -> float:
 def _curving_differential(scn, draw, rng) -> float:
     fform = Form(2, lambda q, a, b: gerbe.curving_f(scn, q, a, b))
     p, = draw.fibre_points(rng, scn, 1)
-    # one tangent at a time: on the trivial bundle each draws u, then X
+    # one tangent at a time: on the trivial bundle each draws u, then X,
+    # where k = 3 tangents of one call would draw the three u first
     Ts = tuple(draw.fibre_tangents(rng, scn, 1)[0][0] for _ in range(3))
     # outer step 1e-3: a wider step keeps the second-level difference noise down
     df = ext_d(fform, p, Ts, h=1e-3)
@@ -246,9 +247,9 @@ def pair_form_coboundary(cfg: RunConfig, rng):
     """|d alpha - delta R| at random nerve pairs."""
     grid, group = _setup(cfg)
     alpha, r2 = centext.extension_forms()
-    q = (random_loop(rng, grid, group), random_loop(rng, grid, group))
-    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
-    W = tuple(random_loop_tangent(rng, grid, group) for _ in range(2))
+    q = random_loops(rng, grid, group, 2)
+    VW = random_loop_tangents(rng, grid, group, 4)
+    V, W = VW[:2], VW[2:]
     a = ext_d(alpha, q, (V, W), h=cfg.fd_step)
     return abs(a - delta_nerve(r2)(q, V, W))
 
@@ -258,8 +259,8 @@ def cochain_closed(cfg: RunConfig, rng):
     """|delta alpha| at random nerve triples; no differentiation."""
     grid, group = _setup(cfg)
     alpha = centext.extension_forms()[0]
-    q = tuple(random_loop(rng, grid, group) for _ in range(3))
-    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
+    q = random_loops(rng, grid, group, 3)
+    V = random_loop_tangents(rng, grid, group, 3)
     return abs(delta_nerve(alpha)(q, V))
 
 
@@ -289,7 +290,8 @@ def string_matches_invariant_form(cfg: RunConfig, rng):
     """relative gap between the descended 3-form and omega3 downstairs."""
     pf = _pf(cfg)
     p, = sampling.PATH.fibre_points(rng, pf, 1)
-    Ts = [sampling.PATH.fibre_tangents(rng, pf, 1)[0][0] for _ in range(3)]
+    # each tangent draws its 2 pi value, then its slot
+    Ts = [T for T, in sampling.PATH.fibre_tangents(rng, pf, 1, k=3)]
     got = gerbe.string_form_at(pf, p, *Ts)
     k = pf.project(p)
     want = gerbe.omega3(k, *(mm(k, pf.project_tangent(T)) for T in Ts))
@@ -368,12 +370,12 @@ def simplicial_square_zero(cfg: RunConfig, rng):
     tb = _tb(cfg)
     C = random_loop_tangent(rng, grid, group)
     F0 = Form(0, lambda q: centext.gomi_cocycle_Z(q[0], C))
-    gs = tuple(random_loop(rng, grid, group) for _ in range(3))
+    gs = random_loops(rng, grid, group, 3)
     r_zero = abs(delta_nerve(delta_nerve(F0))(gs))
 
     r2 = centext.extension_forms()[1]
-    V = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
-    W = tuple(random_loop_tangent(rng, grid, group) for _ in range(3))
+    VW = random_loop_tangents(rng, grid, group, 6)
+    V, W = VW[:3], VW[3:]
     r_two = abs(delta_nerve(delta_nerve(r2))(gs, V, W))
 
     ell0 = Form(0, lambda q: centext.splitting_ell(tb, q[0], C))
@@ -396,8 +398,7 @@ def differential_square_zero(cfg: RunConfig, rng):
     C = random_loop_tangent(rng, grid, group)
     F0 = Form(0, lambda g: centext.gomi_cocycle_Z(g, C))
     g = random_loop(rng, grid, group)
-    X = random_loop_tangent(rng, grid, group)
-    Y = random_loop_tangent(rng, grid, group)
+    X, Y = random_loop_tangents(rng, grid, group, 2)
     return r_chart, abs(ext_d(ext_d_form(F0, h=1e-3), g, (X, Y), h=1e-3))
 
 

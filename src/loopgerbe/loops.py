@@ -35,8 +35,9 @@ theta derivative from one evaluation (`val_dval`).  Profiles may come
 as a stack with a leading term axis (a TrigPoly of k profiles): one
 `val_dval` call evaluates every term, `GridFun.from_profiles`
 multiplies them by a stack of k matrices in one broadcast product and
-adds the terms in order, and `product_loop` decomposes its generators
-in one stacked eigh; each rounds as the same terms one at a time.
+adds the terms in order, and `product_loop` decomposes its generators,
+of one loop or of a stack of loops, in one stacked eigh; each rounds as
+the same terms, or the same loop, one at a time.
 Derived samples are kept on the object they
 derive from, each a cached property made on first use: a TrigPoly
 keeps its coefficient rows, a GridFun its eigendecomposition, a
@@ -85,10 +86,19 @@ class Fn:
         return Fn(val, lambda t: (val(t), dval(t)))
 
     @staticmethod
-    def ramp(c: float = 1.0, period: float = 2.0 * np.pi) -> "Fn":
-        """c * t / period: vanishes at 0, reaches c at the period end."""
-        return Fn.of(lambda t, c=c: c * np.asarray(t, dtype=float) / period,
-                     lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c / period))
+    def ramp(c=1.0, period: float = 2.0 * np.pi) -> "Fn":
+        """c * t / period: vanishes at 0, reaches c at the period end.  An
+        array c is a stack of ramps, its axes leading t's."""
+        c = np.asarray(c, dtype=float)
+
+        def val_dval(t):
+            t = np.asarray(t, dtype=float)
+            ct = c.reshape(c.shape + (1,) * t.ndim)
+            d = np.empty(c.shape + t.shape)
+            d[...] = ct / period
+            return ct * t / period, d
+
+        return Fn(lambda t: val_dval(t)[0], val_dval)
 
     @staticmethod
     def scale(f: "Fn", c: float) -> "Fn":
@@ -420,8 +430,10 @@ class GridFun:
         a stack of k profiles, term axis first (a stacked TrigPoly, say):
         one `val_dval` call per profile, and one broadcast product for the
         values and one for the derivatives, serve the k terms, which enter
-        the sums in their order.  `from_profile_vals` is the same sum of
-        the values alone."""
+        the sums in their order.  Axes of such an X after its term axis
+        vary each term's matrix over the samples' stack axes (the 2 pi
+        value of each slot of a stack of path tangents, say).
+        `from_profile_vals` is the same sum of the values alone."""
         t = grid.nodes
         both = [(f.val_dval(t), X) for f, X in terms]
         return GridFun(grid, _add_terms((v, X) for (v, _), X in both),
@@ -448,7 +460,9 @@ def _add_terms(terms):
     s_j0 X_j0, ..., s_j(k-1) X_j(k-1) come from one broadcast product;
     a stack that opens the sum is added by one np.add.reduce from 0.0
     along the term axis, one after other terms term by term, so that the
-    stack rounds as its terms one at a time."""
+    stack rounds as its terms one at a time.  Axes of a matrix stack
+    after its term axis vary each term's matrix over the samples' stack
+    axes, which they broadcast against."""
     out = 0.0
     for samples, X in terms:
         s = np.asarray(samples)[..., None, None]
@@ -456,7 +470,12 @@ def _add_terms(terms):
         if X.ndim == 2:
             out = out + s * X
             continue
-        prods = s * X.reshape(X.shape[:1] + (1,) * (s.ndim - 3) + X.shape[1:])
+        # the term axis first in both, then the stack axes, theta and the matrix
+        X = X[..., None, :, :]
+        nd = max(s.ndim, X.ndim)
+        s, X = (a.reshape(a.shape[:1] + (1,) * (nd - a.ndim) + a.shape[1:])
+                for a in (s, X))
+        prods = s * X
         out = (np.add.reduce(prods, axis=0, initial=0.0) if np.ndim(out) == 0
                else functools.reduce(np.add, prods, out))
     return out
@@ -532,6 +551,11 @@ class LoopPoint:
         return LoopPoint(self.grid, mm(self.vals, other.vals),
                          self.zvals + adjoint(self.vals, other.zvals))
 
+    def __getitem__(self, i) -> "LoopPoint":
+        """Index the leading axes, never theta: g[0] is the first loop
+        of a stack."""
+        return LoopPoint(self.grid, self.vals[i], self.zvals[i])
+
     def z(self) -> GridFun:
         """Right logarithmic derivative Z(g) = (d_theta g) g^(-1)."""
         return GridFun(self.grid, self.zvals)
@@ -598,8 +622,11 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
     the grid, exact Z payload.
 
     Each factor is (profile, xi), the profile evaluated once by its
-    `val_dval`.  One eigendecomposition of the stacked generators and
-    one stacked exp serve every factor.
+    `val_dval`.  A factor may also be a stack of q generators (q, n, n)
+    with a stack of q profiles, every factor the same q: the q loops
+    then come as one stack, shape (q, N, n, n), each rounded as alone.
+    One eigendecomposition of the stacked generators and one stacked
+    exp serve every factor of every loop.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -608,7 +635,7 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
     fv, dfv = zip(*(f.val_dval(t) for f, _ in factors))
     vals = eig_alg(xi).exp_each(list(fv))
     dfv = np.asarray(dfv, dtype=float)
-    z = dfv[..., None, None] * xi[:, None]
+    z = dfv[..., None, None] * xi[..., None, :, :]
     out = LoopPoint(grid, vals[0], z[0])
     for e, dz in zip(vals[1:], z[1:]):
         out = out.mul(LoopPoint(grid, e, dz))

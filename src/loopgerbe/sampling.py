@@ -14,7 +14,12 @@ draw of shape (k, 1 + 2 HARMONICS), row by row, and a profile alone a
 stack of one.  A loop is
 the product of NFACTORS = 2 single-generator factors exp(f_j(theta)
 xi_j), each a profile and then an algebra element whose basis
-coefficients are uniform in [-0.7, 0.7].  A path profile on [0, 1] has
+coefficients are uniform in [-0.7, 0.7]; a loop tangent draws one
+profile per basis element as one stack.  A sampler of k loops or
+tangents draws them in turn, each as it is drawn alone, and builds them
+as one stack: one `product_loop` call (one eigh) for the loops, one
+`GridFun.from_profiles` call for the tangents; it returns the slices,
+and one object is the stack of one.  A path profile on [0, 1] has
 four coefficients uniform in [-0.8, 0.8].
 
 A chart point has coordinates uniform in [-CHART, CHART] = [-0.6, 0.6],
@@ -30,7 +35,8 @@ scn, q)`, `fibre_tangents(rng, scn, q, k=1)` and `acting_loop(rng, scn)`.
 `TRIVIAL` draws q fibre points as a chart point, then q loops, and k
 fibre tangents as k chart vectors, then q loop tangents for each; `PATH`
 draws a path point, then q - 1 based loops, and each tangent's 2 pi
-value, then its q slots.
+value, then its q slots.  Either set builds the loops of a call as one
+stack, and the k q loop tangents or slots of a call as another.
 """
 
 from __future__ import annotations
@@ -166,28 +172,73 @@ def random_based_profile(rng: np.random.Generator) -> Fn:
 
 
 def random_loop_factors(rng: np.random.Generator, group: Group,
-                        nfactors: int = NFACTORS, based: bool = False) -> list:
+                        nfactors: int = NFACTORS) -> list:
     """The factors (f_j, xi_j) of a random loop, drawn without a grid:
     each a profile, then a generator."""
+    return [(random_trig(rng), random_algebra(rng, group)) for _ in range(nfactors)]
+
+
+def _slices(stack) -> tuple:
+    """The objects of a stack (a LoopPoint or a GridFun), one per index
+    of its leading axis."""
+    return tuple(stack[i] for i in range(len(stack.vals)))
+
+
+def _profile_stack(coeffs) -> TrigPoly:
+    """The (group.dim, k) profile stack of k drawn (a0, ac, bs) sets of
+    group.dim profiles each: one column per set."""
+    return TrigPoly(*(np.stack(c, axis=1) for c in zip(*coeffs)))
+
+
+def _loop_stack(rng: np.random.Generator, grid: ThetaGrid, group: Group, k: int,
+                nfactors: int, based: bool) -> LoopPoint:
+    """k loops as one stack (k, N, n, n): each loop draws its factors in
+    turn (`random_loop_factors`), and factor j of every loop is one
+    stacked profile and a (k, n, n) stack of generators, so one
+    `product_loop` call, one eigh, builds them all."""
+    drawn = [random_loop_factors(rng, group, nfactors) for _ in range(k)]
     factors = []
-    for _ in range(nfactors):
-        tp = random_trig(rng)
-        factors.append((Fn.based(tp) if based else tp, random_algebra(rng, group)))
-    return factors
+    for column in zip(*drawn):
+        profiles, xis = zip(*column)
+        stack = TrigPoly(*(np.array(c) for c in zip(*((f.a0, f.ac, f.bs)
+                                                       for f in profiles))))
+        factors.append((Fn.based(stack) if based else stack, np.array(xis)))
+    return product_loop(grid, factors)
+
+
+def random_loops(rng: np.random.Generator, grid: ThetaGrid, group: Group,
+                 k: int) -> tuple:
+    """k loops drawn in turn and built as one stack (`_loop_stack`), each
+    a product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
+    return _slices(_loop_stack(rng, grid, group, k, NFACTORS, False))
 
 
 def random_loop(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                nfactors: int = NFACTORS, based: bool = False) -> LoopPoint:
-    """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
-    return product_loop(grid, random_loop_factors(rng, group, nfactors, based))
+                based: bool = False) -> LoopPoint:
+    """One loop: a stack of one (`_loop_stack`)."""
+    return _loop_stack(rng, grid, group, 1, NFACTORS, based)[0]
+
+
+def _tangent_stack(grid: ThetaGrid, group: Group, coeffs) -> GridFun:
+    """sum_a f_a(theta) E_a over the basis for each drawn set of
+    group.dim profile coefficients, as one stack (k, N, n, n) with exact
+    derivative payload: one `from_profiles` call."""
+    return GridFun.from_profiles(grid, [(_profile_stack(coeffs), group.basis)])
+
+
+def random_loop_tangents(rng: np.random.Generator, grid: ThetaGrid, group: Group,
+                         k: int) -> tuple:
+    """k algebra-valued loops, each one profile per basis element drawn
+    as one stack (`random_trig_coeffs`), drawn in turn and built as one
+    stack (`_tangent_stack`)."""
+    coeffs = [random_trig_coeffs(rng, group.dim) for _ in range(k)]
+    return _slices(_tangent_stack(grid, group, coeffs))
 
 
 def random_loop_tangent(rng: np.random.Generator, grid: ThetaGrid,
                         group: Group) -> GridFun:
-    """Algebra-valued loop sum_a f_a(theta) E_a over the basis, with exact
-    derivative payload: one stacked profile per basis element."""
-    profiles = TrigPoly(*random_trig_coeffs(rng, group.dim))
-    return GridFun.from_profiles(grid, [(profiles, group.basis)])
+    """One algebra-valued loop: a stack of one (`random_loop_tangents`)."""
+    return random_loop_tangents(rng, grid, group, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +262,33 @@ def random_path_point(rng: np.random.Generator, grid: ThetaGrid,
     return product_loop(grid, factors)
 
 
-def random_path_tangent(rng: np.random.Generator, grid: ThetaGrid, group: Group,
-                        endpoint=None) -> GridFun:
-    """Closed-grid tangent vanishing at theta = 0.
-
-    endpoint: None draws the 2 pi value, an algebra matrix pins it
-    exactly (zeros make the tangent vertical).
-    """
-    _need_closed(grid)
-    end = random_algebra(rng, group, SCALE) if endpoint is None else np.asarray(endpoint)
-    based = Fn.based(TrigPoly(*random_trig_coeffs(rng, group.dim)))
-    return GridFun.from_profiles(grid, [(Fn.ramp(1.0), end), (based, group.basis)])
-
-
 def random_path_fibre_points(rng: np.random.Generator, scn, q: int) -> tuple:
-    """q points of one fibre: p_1 random, the rest p_1 times based loops."""
+    """q points of one fibre: p_1 random, the rest p_1 times based loops,
+    drawn in turn and built as one stack that one `p_1.mul` multiplies."""
     p1 = random_path_point(rng, scn.grid, scn.group)
-    gams = (random_loop(rng, scn.grid, scn.group, nfactors=1, based=True)
-            for _ in range(q - 1))
-    return (p1,) + tuple(p1.mul(gam) for gam in gams)
+    if q == 1:
+        return (p1,)
+    return (p1,) + _slices(p1.mul(_loop_stack(rng, scn.grid, scn.group, q - 1, 1, True)))
 
 
 def random_path_fibre_tangents(rng: np.random.Generator, scn, q: int,
                                k: int = 1) -> tuple:
-    """k tangents to the q-fold fibre product, each q slots that share
-    their 2 pi value, drawn (a generator) just before the slots."""
-    ends = (random_algebra(rng, scn.group, SCALE) for _ in range(k))
-    return tuple(tuple(random_path_tangent(rng, scn.grid, scn.group, endpoint=end)
-                       for _ in range(q)) for end in ends)
+    """k tangents to the q-fold fibre product, each q slots that vanish
+    at theta = 0 and share their 2 pi value, drawn (a generator) just
+    before the slots' profiles.  The k q slots are one stack and one
+    `from_profiles` call: the ramp theta/2 pi times each slot's 2 pi value
+    first, then one based profile per basis element."""
+    group = scn.group
+    ends, coeffs = [], []
+    for _ in range(k):
+        ends += [random_algebra(rng, group, SCALE)] * q
+        coeffs += [random_trig_coeffs(rng, group.dim) for _ in range(q)]
+    # the ramp is a stack of one term whose matrix varies over the slots
+    X = GridFun.from_profiles(scn.grid, [
+        (Fn.ramp(np.ones(1)), np.array(ends)[None]),
+        (Fn.based(_profile_stack(coeffs)), group.basis)])
+    slots = _slices(X)
+    return tuple(slots[i * q:(i + 1) * q] for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +296,20 @@ def random_path_fibre_tangents(rng: np.random.Generator, scn, q: int,
 
 
 def random_bundle_fibre_points(rng: np.random.Generator, scn, q: int) -> tuple:
-    """q points of one fibre: one chart point, then q loops."""
+    """q points of one fibre: one chart point, then q loops
+    (`random_loops`)."""
     m = random_chart_point(rng, scn.dim)
-    return tuple(scn.point(m, random_loop(rng, scn.grid, scn.group)) for _ in range(q))
+    return tuple(scn.point(m, g) for g in random_loops(rng, scn.grid, scn.group, q))
 
 
 def random_bundle_fibre_tangents(rng: np.random.Generator, scn, q: int,
                                  k: int = 1) -> tuple:
     """k tangents to the q-fold fibre product, each q slots (u, X) that
-    share their chart vector u: the k chart vectors, then each one's Xs."""
+    share their chart vector u: the k chart vectors, then each one's Xs,
+    the k q of them one `random_loop_tangents` stack."""
     us = [random_chart_vector(rng, scn.dim) for _ in range(k)]
-    return tuple(tuple((u, random_loop_tangent(rng, scn.grid, scn.group))
-                       for _ in range(q)) for u in us)
+    Xs = random_loop_tangents(rng, scn.grid, scn.group, k * q)
+    return tuple(tuple((u, X) for X in Xs[i * q:(i + 1) * q]) for i, u in enumerate(us))
 
 
 def random_caloron_point(rng: np.random.Generator, tb) -> tuple:
@@ -282,8 +334,7 @@ def random_caloron_tangents(rng: np.random.Generator, tb, k: int) -> CaloronTang
     us, coeffs, etas, lams = zip(*[
         (random_chart_vector(rng, tb.dim), random_trig_coeffs(rng, group.dim),
          random_algebra(rng, group), rng.uniform(-LAM, LAM)) for _ in range(k)])
-    profiles = TrigPoly(*(np.stack(c, axis=1) for c in zip(*coeffs)))
-    X = GridFun.from_profiles(tb.grid, [(profiles, group.basis)])
+    X = _tangent_stack(tb.grid, group, coeffs)
     return CaloronTangent((np.array(us), X), np.array(etas), np.array(lams))
 
 

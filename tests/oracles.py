@@ -10,7 +10,9 @@ nabla Phi by whole loop flows, the curvature through the generic
 exterior derivative, the shuffles by nested combinations and the
 shuffle-by-shuffle pairing, a stack of
 tangents built from its members, a Fourier profile summed harmonic
-by harmonic, and the Pauli and Gell-Mann matrices written out.  The
+by harmonic, the samplers that build each loop and tangent of a draw
+on its own (a path tangent with a pinned 2 pi value among them), and
+the Pauli and Gell-Mann matrices written out.  The
 package's own structure rules (every matrix product through
 `liegroup.mm`, no module cache) do not bind them: an oracle may differ
 from the route it checks.
@@ -25,7 +27,10 @@ from loopgerbe import forms
 from loopgerbe.forms import (ChartPt, Form, _sign, _signed_sum, directional, ext_d,
                              tangent_bracket)
 from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
-from loopgerbe.loops import GridFun, conj_loop
+from loopgerbe.loops import Fn, GridFun, LoopPoint, TrigPoly, conj_loop, product_loop
+from loopgerbe.sampling import (NFACTORS, SCALE, _need_closed, random_algebra,
+                                random_chart_point, random_chart_vector,
+                                random_path_point, random_trig, random_trig_coeffs)
 
 # ---------------------------------------------------------------------------
 # numerical derivatives
@@ -234,6 +239,75 @@ def trig_dval(tp, t) -> np.ndarray:
     for m, b in enumerate(bs, start=1):
         out = out + np.multiply.outer(m * b, np.cos(m * t))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the samplers one object at a time: each loop and each tangent of a
+# draw built by its own product_loop or from_profiles call
+
+
+def random_loop_factors(rng, group, nfactors=NFACTORS, based=False) -> list:
+    """The factors (f_j, xi_j) of a random loop, drawn without a grid:
+    each a profile, then a generator."""
+    factors = []
+    for _ in range(nfactors):
+        tp = random_trig(rng)
+        factors.append((Fn.based(tp) if based else tp, random_algebra(rng, group)))
+    return factors
+
+
+def random_loop(rng, grid, group, nfactors=NFACTORS, based=False) -> LoopPoint:
+    """Product of single-generator factors exp(f_j(theta) xi_j), exact Z."""
+    return product_loop(grid, random_loop_factors(rng, group, nfactors, based))
+
+
+def random_loop_tangent(rng, grid, group) -> GridFun:
+    """Algebra-valued loop sum_a f_a(theta) E_a over the basis, with exact
+    derivative payload: one stacked profile per basis element."""
+    profiles = TrigPoly(*random_trig_coeffs(rng, group.dim))
+    return GridFun.from_profiles(grid, [(profiles, group.basis)])
+
+
+def random_path_tangent(rng, grid, group, endpoint=None) -> GridFun:
+    """Closed-grid tangent vanishing at theta = 0.
+
+    endpoint: None draws the 2 pi value, an algebra matrix pins it
+    exactly (zeros make the tangent vertical).
+    """
+    _need_closed(grid)
+    end = random_algebra(rng, group, SCALE) if endpoint is None else np.asarray(endpoint)
+    based = Fn.based(TrigPoly(*random_trig_coeffs(rng, group.dim)))
+    return GridFun.from_profiles(grid, [(Fn.ramp(1.0), end), (based, group.basis)])
+
+
+def random_path_fibre_points(rng, scn, q: int) -> tuple:
+    """q points of one fibre: p_1 random, the rest p_1 times based loops."""
+    p1 = random_path_point(rng, scn.grid, scn.group)
+    gams = (random_loop(rng, scn.grid, scn.group, nfactors=1, based=True)
+            for _ in range(q - 1))
+    return (p1,) + tuple(p1.mul(gam) for gam in gams)
+
+
+def random_path_fibre_tangents(rng, scn, q: int, k: int = 1) -> tuple:
+    """k tangents to the q-fold fibre product, each q slots that share
+    their 2 pi value, drawn (a generator) just before the slots."""
+    ends = (random_algebra(rng, scn.group, SCALE) for _ in range(k))
+    return tuple(tuple(random_path_tangent(rng, scn.grid, scn.group, endpoint=end)
+                       for _ in range(q)) for end in ends)
+
+
+def random_bundle_fibre_points(rng, scn, q: int) -> tuple:
+    """q points of one fibre: one chart point, then q loops."""
+    m = random_chart_point(rng, scn.dim)
+    return tuple(scn.point(m, random_loop(rng, scn.grid, scn.group)) for _ in range(q))
+
+
+def random_bundle_fibre_tangents(rng, scn, q: int, k: int = 1) -> tuple:
+    """k tangents to the q-fold fibre product, each q slots (u, X) that
+    share their chart vector u: the k chart vectors, then each one's Xs."""
+    us = [random_chart_vector(rng, scn.dim) for _ in range(k)]
+    return tuple(tuple((u, random_loop_tangent(rng, scn.grid, scn.group))
+                       for _ in range(q)) for u in us)
 
 
 # ---------------------------------------------------------------------------

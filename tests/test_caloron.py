@@ -22,9 +22,8 @@ from loopgerbe.sampling import (RecordingRNG, make_rng, random_algebra,
                                 random_bundle_fibre_points,
                                 random_caloron_point, random_caloron_tangents,
                                 random_loop, random_loop_factors,
-                                random_loop_tangent, random_path_point,
-                                random_path_tangent)
-from oracles import shuffle_pairing, stack_tangents
+                                random_loop_tangent, random_path_point)
+from oracles import random_path_tangent, shuffle_pairing, stack_tangents
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
@@ -451,8 +450,9 @@ def test_random_loop_is_the_product_of_its_drawn_factors():
     # gives the same loop, bit for bit
     for group, based in ((SU2, False), (liegroup.SU3, True)):
         a, b = RecordingRNG(make_rng(361)), RecordingRNG(make_rng(361))
-        g = random_loop(a, GRID, group, nfactors=3, based=based)
-        h = loops.product_loop(GRID, random_loop_factors(b, group, 3, based))
+        g = random_loop(a, GRID, group, based=based)
+        h = loops.product_loop(GRID, [(loops.Fn.based(f) if based else f, xi)
+                                      for f, xi in random_loop_factors(b, group)])
         assert a.log == b.log
         assert np.array_equal(g.vals, h.vals) and np.array_equal(g.zvals, h.zvals)
 

@@ -19,10 +19,10 @@ from loopgerbe.loops import (Fn, GridFun, ThetaGrid, conj_loop, pair_samples,
 from loopgerbe.sampling import (make_rng, random_algebra,
                                 random_bundle_fibre_points, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
-                                random_path_fibre_tangents, random_path_point,
-                                random_path_tangent)
+                                random_path_fibre_tangents, random_path_point)
 from oracles import (curvature_exact, curvature_via_ext_d, nabla_phi_by_flows,
-                     nabla_phi_closed, rho_grad, shuffle_pairing, stack_tangents)
+                     nabla_phi_closed, random_path_tangent, rho_grad, shuffle_pairing,
+                     stack_tangents)
 
 GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)

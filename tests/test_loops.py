@@ -6,7 +6,7 @@ from loopgerbe import liegroup as lg
 from loopgerbe import loops, sampling
 from loopgerbe.forms import Form, ext_d, tangent_bracket
 from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly
-from oracles import fd4_dtheta_closed, spectral_dtheta, velocity
+from oracles import fd4_dtheta_closed, random_path_tangent, spectral_dtheta, velocity
 
 
 def maxabs(x):
@@ -126,7 +126,7 @@ def test_gridfun_interp_trig():
 def test_loop_z_exact_vs_numeric():
     grid = ThetaGrid(64)
     rng = sampling.make_rng(22)
-    g = sampling.random_loop(rng, grid, lg.SU3, nfactors=2)
+    g = sampling.random_loop(rng, grid, lg.SU3)
     assert maxabs(g.zvals - z_spectral(g.vals)) < 1e-9
 
 
@@ -201,23 +201,21 @@ def test_closed_loop_constructors():
     gam = sampling.random_loop(rng, grid, lg.SU2, based=True)
     assert maxabs(gam.vals[0] - np.eye(2)) < 1e-12
     assert maxabs(gam.vals[-1] - np.eye(2)) < 1e-12
-    X = sampling.random_path_tangent(rng, grid, lg.SU2)
-    assert maxabs(X.vals[0]) < 1e-12
-    V = sampling.random_path_tangent(rng, grid, lg.SU2, endpoint=np.zeros((2, 2)))
+    (X,), = sampling.PATH.fibre_tangents(rng, gerbe.PathFibration(grid), 1)
+    assert X.grid == grid and maxabs(X.vals[0]) < 1e-12
+    V = random_path_tangent(rng, grid, lg.SU2, endpoint=np.zeros((2, 2)))
     assert maxabs(V.vals[-1]) < 1e-12
 
 
 def test_path_samplers_need_the_closed_grid():
     # the path fibration holds the closed grid of the N it is given, and
-    # the samplers that take a grid refuse a periodic one (the fibre
-    # samplers take the scenario, whose grid is closed)
+    # the point sampler, which takes a grid, refuses a periodic one (the
+    # fibre samplers take the scenario, whose grid is closed)
     grid = ThetaGrid(16)
     assert gerbe.PathFibration(grid).grid == ThetaGrid(16, closed=True)
     rng = sampling.make_rng(27)
-    for sample in (lambda: sampling.random_path_point(rng, grid, lg.SU2),
-                   lambda: sampling.random_path_tangent(rng, grid, lg.SU2)):
-        with pytest.raises(ValueError):
-            sample()
+    with pytest.raises(ValueError):
+        sampling.random_path_point(rng, grid, lg.SU2)
 
 
 def test_samples_must_match_the_node_count():
@@ -411,6 +409,41 @@ def test_one_eigh_per_flow_direction(eigh_calls):
     eigh_calls.clear()
     ext_d(two, g, Xs)
     assert eigh_calls == [(grid.n, 3, 3)] * 3
+
+
+@pytest.mark.parametrize("group", (lg.SU2, lg.SU3), ids=lambda g: g.name)
+def test_a_stacked_draw_is_one_build(eigh_calls, monkeypatch, group):
+    # a sampler of k loops makes one product_loop call and one eigh for
+    # all of them, and a sampler of k tangents one from_profiles call; a
+    # path fibre adds the product loop of its point
+    products, sums = [], []
+    real_product, real_sum = sampling.product_loop, GridFun.from_profiles
+
+    def product(*args):
+        products.append(args)
+        return real_product(*args)
+
+    def from_profiles(*args):
+        sums.append(args)
+        return real_sum(*args)
+
+    monkeypatch.setattr(sampling, "product_loop", product)
+    monkeypatch.setattr(GridFun, "from_profiles", staticmethod(from_profiles))
+    grid = ThetaGrid(32)
+    tb, pf = gerbe.TrivialBundle.default(grid, group), gerbe.PathFibration(grid, group)
+    rng = sampling.make_rng(36)
+    for draw, builds in ((lambda: sampling.random_loops(rng, grid, group, 3), 1),
+                         (lambda: sampling.TRIVIAL.fibre_points(rng, tb, 3), 1),
+                         (lambda: sampling.PATH.fibre_points(rng, pf, 3), 2)):
+        del eigh_calls[:], products[:]
+        assert len(draw()) == 3
+        assert len(eigh_calls) == len(products) == builds
+    for draw in (lambda: sampling.random_loop_tangents(rng, grid, group, 6),
+                 lambda: sum(sampling.TRIVIAL.fibre_tangents(rng, tb, 3, k=2), ()),
+                 lambda: sum(sampling.PATH.fibre_tangents(rng, pf, 3, k=2), ())):
+        del sums[:]
+        assert len(draw()) == 6
+        assert len(sums) == 1
 
 
 def test_flow_from_kept_decomposition_is_the_direct_route():

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from loopgerbe import loops, sampling
-from loopgerbe.gerbe import PathFibration
+from loopgerbe.gerbe import PathFibration, TrivialBundle
 from loopgerbe.liegroup import SU2, SU3, adjoint_inv, exp_alg, group_inv, mm
 from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop
 from oracles import trig_dval, trig_val
@@ -241,13 +242,15 @@ _SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, width=16)
 @st.composite
 def _matrix_stacks(draw):
     """(samples, X, head): k profile samples of stack shape (k,) + lead +
-    (nodes,), k complex n x n matrices, and a plain (samples, matrix)
-    term to put before them or None; every part may be a signed zero."""
+    (nodes,), k complex n x n matrices, or k stacks of them of shape lead
+    (a matrix per stack index), and a plain (samples, matrix) term to put
+    before them or None; every part may be a signed zero."""
     k, n = draw(st.integers(1, 8)), draw(st.integers(2, 3))
     lead = draw(st.sampled_from(((), (2,), (3, 2))))
     nodes = draw(st.sampled_from((1, 5)))
     samples = draw(hnp.arrays(float, (k,) + lead + (nodes,), elements=_SIGNED))
-    parts = draw(hnp.arrays(float, (2, k, n, n), elements=_SIGNED))
+    xlead = draw(st.sampled_from(((), lead)))
+    parts = draw(hnp.arrays(float, (2, k) + xlead + (n, n), elements=_SIGNED))
     head = draw(st.one_of(st.none(), st.tuples(
         hnp.arrays(float, lead + (nodes,), elements=_SIGNED),
         hnp.arrays(float, (2, n, n), elements=_SIGNED))))
@@ -261,12 +264,13 @@ def _matrix_stacks(draw):
 def test_a_stack_of_terms_sums_as_its_terms_from_zero(case):
     # one product and one ordered reduce along the term axis give the
     # sequential sum from 0.0, the sign of every zero part included;
-    # after a plain term the stack adds on to the sum so far
+    # after a plain term the stack adds on to the sum so far, and a
+    # matrix that varies over the stack multiplies its own samples
     samples, X, head = case
     terms = [(samples, X)] if head is None else [head, (samples, X)]
     want = 0.0
     for s, M in ([head] if head else []) + list(zip(samples, X)):
-        want = want + s[..., None, None] * M
+        want = want + s[..., None, None] * M[..., None, :, :]
     got = loops._add_terms(terms)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -291,7 +295,7 @@ def test_one_wave_call_of_each_kind_per_profile_stack(monkeypatch, group):
     # grid; a product loop evaluates each factor's profile once
     rng = sampling.make_rng(5)
     stack = TrigPoly(*sampling.random_trig_coeffs(rng, group.dim))
-    factors = sampling.random_loop_factors(rng, group, based=True)
+    factors = [(Fn.based(f), xi) for f, xi in sampling.random_loop_factors(rng, group)]
     calls = _count_waves(monkeypatch)
     for grid in (ThetaGrid(16), ThetaGrid(16, node=3), ThetaGrid(16, closed=True)):
         for profile in (stack, Fn.based(stack)):
@@ -330,7 +334,7 @@ def test_samplers_match_the_per_term_oracle(group, seed):
     vals, dvals = _loop_tangent(ref, per, group)
     assert _same(X.vals, vals) and _same(X.dvals, dvals)
 
-    V = sampling.random_path_tangent(rng, closed, group)
+    (V,), = sampling.PATH.fibre_tangents(rng, PathFibration(per, group), 1)
     vals, dvals = _path_tangent(ref, closed, group)
     assert _same(V.vals, vals) and _same(V.dvals, dvals)
 
@@ -347,13 +351,69 @@ def test_samplers_match_the_per_term_oracle(group, seed):
 
 
 # ---------------------------------------------------------------------------
+# stacked draws against the samplers one object at a time
+
+
+def _same_loops(got, want) -> bool:
+    return len(got) == len(want) and all(
+        _same(g.vals, w.vals) and _same(g.zvals, w.zvals) for g, w in zip(got, want))
+
+
+def _same_tangents(got, want) -> bool:
+    return len(got) == len(want) and all(
+        _same(g.vals, w.vals) and _same(g.dvals, w.dvals) for g, w in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GROUPS), st.integers(8, 32), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_a_stacked_draw_keeps_every_bit(group, half, q, k, seed):
+    # each stacked sampler draws the same numbers in the same calls as
+    # the samplers one object at a time, builds the same samples bit for
+    # bit, and leaves the generator in the same state
+    grid = ThetaGrid(2 * half)
+    tb, pf = TrivialBundle.default(grid, group), PathFibration(grid, group)
+    rng, ref = sampling.make_rng(seed), sampling.make_rng(seed)
+
+    assert _same_loops(sampling.random_loops(rng, grid, group, q),
+                       [oracles.random_loop(ref, grid, group) for _ in range(q)])
+    assert _same_tangents(sampling.random_loop_tangents(rng, grid, group, k),
+                          [oracles.random_loop_tangent(ref, grid, group)
+                           for _ in range(k)])
+    for based in (False, True):
+        assert _same_loops([sampling.random_loop(rng, grid, group, based=based)],
+                           [oracles.random_loop(ref, grid, group, based=based)])
+
+    # the trivial bundle: points (m, g) and tangents (u, X)
+    got = sampling.TRIVIAL.fibre_points(rng, tb, q)
+    want = oracles.random_bundle_fibre_points(ref, tb, q)
+    assert all(_same(g.m, w.m) for g, w in zip(got, want))
+    assert _same_loops([p.g for p in got], [p.g for p in want])
+    got = sum(sampling.TRIVIAL.fibre_tangents(rng, tb, q, k), ())
+    want = sum(oracles.random_bundle_fibre_tangents(ref, tb, q, k), ())
+    assert all(_same(g[0], w[0]) for g, w in zip(got, want))
+    assert _same_tangents([V[1] for V in got], [V[1] for V in want])
+    assert _same_loops([sampling.TRIVIAL.acting_loop(rng, tb)],
+                       [oracles.random_loop(ref, grid, group)])
+
+    # the path fibration: points and tangents on its closed grid
+    assert _same_loops(sampling.PATH.fibre_points(rng, pf, q),
+                       oracles.random_path_fibre_points(ref, pf, q))
+    assert _same_tangents(sum(sampling.PATH.fibre_tangents(rng, pf, q, k), ()),
+                          sum(oracles.random_path_fibre_tangents(ref, pf, q, k), ()))
+    assert _same_loops([sampling.PATH.acting_loop(rng, pf)],
+                       [oracles.random_loop(ref, pf.grid, group, based=True)])
+    assert np.array_equal(rng.bit_generator.random_raw(4), ref.bit_generator.random_raw(4))
+
+
+# ---------------------------------------------------------------------------
 # what a loop point keeps
 
 
 def _points(rng, group):
     grid = ThetaGrid(16, closed=True)
     p = sampling.random_path_point(rng, grid, group)
-    V = sampling.random_path_tangent(rng, grid, group)
+    (V,), = sampling.PATH.fibre_tangents(rng, PathFibration(grid, group), 1)
     # a point and a flowed stack of points
     return p, p.flow(V, np.array([0.1, -0.05]))
 

@@ -27,9 +27,8 @@ from loopgerbe.loops import Fn, GridFun, LoopPoint, ThetaGrid
 from loopgerbe.sampling import (make_rng, random_algebra, random_caloron_point,
                                 random_caloron_tangents, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
-                                random_path_fibre_tangents, random_path_point,
-                                random_path_tangent)
-from oracles import curvature_by_orders, stack_tangents
+                                random_path_fibre_tangents, random_path_point)
+from oracles import curvature_by_orders, random_path_tangent, stack_tangents
 
 STENCIL = (0.1, -0.1, 0.05, -0.05)
 

@@ -280,9 +280,12 @@ def test_no_parameter_that_no_caller_varies():
     assert (sampling.CHART, sampling.LAM) == (0.6, 1.0)
     assert (sampling.EXP_CHART, sampling.DD_CHART) == (0.3, 0.5)
     grid_group = ("rng", "grid", "group")
+    # a sampler of k objects draws them in turn and builds them as one
+    # stack; one object is the stack of one
     assert {name: _params(getattr(sampling, name)) for name in (
-        "random_trig_coeffs", "random_trig", "random_based_profile", "random_loop",
-        "random_loop_tangent", "random_path_point", "random_path_tangent",
+        "random_trig_coeffs", "random_trig", "random_based_profile",
+        "random_loop_factors", "random_loops", "random_loop",
+        "random_loop_tangents", "random_loop_tangent", "random_path_point",
         "random_path_fibre_points", "random_path_fibre_tangents",
         "random_unit_profile", "random_group_path", "random_chart_point",
         "random_chart_vector", "random_normal_point", "random_group_element",
@@ -291,10 +294,12 @@ def test_no_parameter_that_no_caller_varies():
         "random_trig_coeffs": ("rng", "k"),
         "random_trig": ("rng",),
         "random_based_profile": ("rng",),
-        "random_loop": grid_group + ("nfactors", "based"),
+        "random_loop_factors": ("rng", "group", "nfactors"),
+        "random_loops": grid_group + ("k",),
+        "random_loop": grid_group + ("based",),
+        "random_loop_tangents": grid_group + ("k",),
         "random_loop_tangent": grid_group,
         "random_path_point": grid_group,
-        "random_path_tangent": grid_group + ("endpoint",),
         "random_path_fibre_points": ("rng", "scn", "q"),
         "random_path_fibre_tangents": ("rng", "scn", "q", "k"),
         "random_unit_profile": ("rng",),
@@ -307,8 +312,6 @@ def test_no_parameter_that_no_caller_varies():
         "random_bundle_fibre_tangents": ("rng", "scn", "q", "k"),
         "random_caloron_point": ("rng", "tb"),
         "random_caloron_tangents": ("rng", "tb", "k")}
-    assert inspect.signature(sampling.random_path_tangent).parameters[
-        "endpoint"].default is None
     # one sampler set per bundle, every set with the same members of the
     # same parameters: k tangents to the fibre product, one by default
     sets = (sampling.TRIVIAL, sampling.PATH)
@@ -372,8 +375,11 @@ def test_no_code_that_only_tests_reach():
                       "mu_hat", "ConventionError", "_slot_residual"),
             # one sampler set per bundle: k fibre tangents, chart vectors
             # included, and the fibre samplers take the scenario
+            # and a path tangent is a slot of a fibre tangent (the
+            # sampler with a pinned 2 pi value is a test oracle)
             sampling: ("random_pinned_profile", "random_disk_terms",
-                       "random_bundle_tangent", "random_path_fibre_tangent"),
+                       "random_bundle_tangent", "random_path_fibre_tangent",
+                       "random_path_tangent"),
             caloron: ("killingback_map", "_memo", "caloron_curvature",
                       "curvature_form", "_at_angle", "_pair_index"),
             # the caloron checks draw their tangents as one stack, and the
