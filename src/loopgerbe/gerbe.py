@@ -20,6 +20,7 @@ to a fibre product share their projection slot by slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,8 +32,8 @@ from .forms import (FD_STEP, ChartPt, directional, pair_stacks, shuffle_index,
                     signed_permutations, tangent_bracket)
 from .liegroup import (ATOL_STRUCT, SU2, Group, adjoint, bracket, group_inv,
                        mm, project_algebra, trace_mm)
-from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, conj_loop,
-                    pair_samples, step_axes)
+from .loops import (Fn, GridFun, LoopPoint, ThetaGrid, TrigPoly, add_terms,
+                    conj_loop, pair_samples, step_axes)
 
 
 def _sq(x):
@@ -42,15 +43,24 @@ def _sq(x):
     return np.float_power(x, 2)
 
 
-def _coeffs(c, m) -> np.ndarray:
-    """The coefficient c of a chart function at the chart points m, one
-    per point of a stack (a constant function broadcasts), against the
-    theta axis of a profile: its axes lead the samples of
-    `GridFun.from_profiles`."""
+def _chart_sum(m, terms) -> np.ndarray:
+    """sum_d c_d s_d xi_d over (c_d, s_d, xi_d) terms: the coefficient c_d
+    of a chart function at the chart points m, one per point of a stack
+    (a constant function broadcasts), times the samples s_d of a profile
+    along theta, which its axes lead, times a matrix xi_d.  Each product
+    is (c_d s_d) xi_d, and the terms are added in order (`add_terms`)."""
     lead = np.shape(m)[:-1]
-    if np.shape(c) != lead:
-        c = c * np.ones(lead)
-    return np.asarray(c)[..., None]
+    prods = []
+    for c, s, xi in terms:
+        if np.shape(c) != lead:
+            c = c * np.ones(lead)
+        prods.append((np.asarray(c)[..., None] * s, xi))
+    return add_terms(prods)
+
+
+# the default bundle's theta directions
+_SIN = Fn(lambda t: (np.sin(t), np.cos(t)))
+_COS = Fn(lambda t: (np.cos(t), -np.sin(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +98,11 @@ class TrivialBundle:
     every chart function reads coordinate i as m[..., i].  The loops
     live on the periodic grid.
 
+    Each profile is evaluated once, at the grid nodes (`samples`), and
+    every chart point scales what is kept: the connection sums the
+    values and the theta derivatives, the curvature (`a_vals`) and the
+    Higgs seed the values alone.
+
     The bundle is its data: a bundle with other data is
     `dataclasses.replace(tb, phi_coeff=...)`.  Equality and hashing are
     by identity, since the data holds arrays and functions.
@@ -112,8 +127,7 @@ class TrivialBundle:
         E = group.basis
         return TrivialBundle(
             grid, group,
-            a_terms=((Fn.of(np.sin, np.cos), E[0]),
-                     (Fn.of(np.cos, lambda t: -np.sin(t)), E[1])),
+            a_terms=((_SIN, E[0]), (_COS, E[1])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0], fd_step=fd_step,
         )
@@ -129,9 +143,7 @@ class TrivialBundle:
         # circle and the reduced 3-form degenerates to roundoff
         return TrivialBundle(
             grid, group,
-            a_terms=((Fn.of(np.sin, np.cos), E[0]),
-                     (Fn.of(np.cos, lambda t: -np.sin(t)), E[1]),
-                     (TrigPoly(1.0), E[2])),
+            a_terms=((_SIN, E[0]), (_COS, E[1]), (TrigPoly(1.0), E[2])),
             phi_term=(TrigPoly(1.0), E[2]),
             phi_coeff=lambda m: m[..., 0] - 0.3 * m[..., 2], fd_step=fd_step,
         )
@@ -166,29 +178,40 @@ class TrivialBundle:
         """The bump prod_i (1 - m_i^2), its factors multiplied left to right."""
         return math.prod(1.0 - _sq(m[..., i]) for i in range(self.dim))
 
-    def _profile_terms(self, m, terms, coeffs) -> list:
-        """The terms coeffs_d * profile_d(theta) xi_d of the (profile, xi)
-        terms, as (profile, xi) pairs, one loop per chart point of m."""
-        return [(Fn.scale(f, _coeffs(c, m)), xi) for (f, xi), c in zip(terms, coeffs)]
+    @functools.cached_property
+    def samples(self) -> tuple:
+        """The profile of each of a_terms, then that of phi_term, at the
+        grid nodes, as (values, theta derivative, xi): one `val_dval`
+        call per profile, made on first use and kept."""
+        t = self.grid.nodes
+        return tuple((*f.val_dval(t), xi) for f, xi in (*self.a_terms, self.phi_term))
 
-    def _base_terms(self, m, u) -> list:
-        """The profile terms of a(m)(u); a stack of chart vectors u
-        broadcasts against the chart points m."""
+    def _a_coeffs(self, m, u) -> list:
+        """The coefficients rho(m) u_d of a(m)(u); a stack of chart
+        vectors u broadcasts against the chart points m."""
         r, u = self.rho(m), np.asarray(u)
-        return self._profile_terms(m, self.a_terms,
-                                   [r * u[..., d] for d in range(self.dim)])
+        return [r * u[..., d] for d in range(self.dim)]
+
+    def a_vals(self, m, u) -> np.ndarray:
+        """The samples of a(m)(u) alone, for the curvature: no reader of
+        F takes a theta derivative."""
+        vals, _, xis = zip(*self.samples[:self.dim])
+        return _chart_sum(m, zip(self._a_coeffs(m, u), vals, xis))
 
     def base_connection(self, m, u) -> GridFun:
         """a(m)(u) with its theta derivative, which the connection
         carries; a stack of chart vectors u broadcasts against the chart
         points m."""
-        return GridFun.from_profiles(self.grid, self._base_terms(m, u))
+        c = self._a_coeffs(m, u)
+        vals, dvals, xis = zip(*self.samples[:self.dim])
+        return GridFun(self.grid, _chart_sum(m, zip(c, vals, xis)),
+                       _chart_sum(m, zip(c, dvals, xis)))
 
     def phi(self, m) -> GridFun:
         """The Higgs seed phi(m), its values alone: no reader of the
         Higgs field takes a theta derivative."""
-        return GridFun.from_profile_vals(self.grid, self._profile_terms(
-            m, [self.phi_term], [self.rho(m) * self.phi_coeff(m)]))
+        v, _, xi = self.samples[-1]
+        return GridFun(self.grid, _chart_sum(m, [(self.rho(m) * self.phi_coeff(m), v, xi)]))
 
     # gerbe surface
 
@@ -220,17 +243,13 @@ class TrivialBundle:
         stencil flows the chart point along x and evaluates a at y, and
         one plain evaluation at x gives a(u) and a(v).  No reader of F
         needs a theta derivative, so a is summed from its profiles'
-        values alone (`GridFun.from_profile_vals`), and its samples are
-        differenced and bracketed as arrays."""
+        values alone (`a_vals`), and its samples are differenced and
+        bracketed as arrays."""
         x = np.empty((2,) + np.broadcast(p.m, V[0], W[0]).shape)
         x[0], x[1] = V[0], W[0]
         y = x[::-1]
-
-        def a(m, z):
-            return GridFun.from_profile_vals(self.grid, self._base_terms(m, z)).vals
-
-        da = directional(lambda t: a(ChartPt(p.m).flow(x, t).x, y), self.fd_step)
-        ax = a(p.m, x)
+        da = directional(lambda t: self.a_vals(ChartPt(p.m).flow(x, t).x, y), self.fd_step)
+        ax = self.a_vals(p.m, x)
         return conj_loop(p.g, GridFun(self.grid, da[0] - da[1] + bracket(ax[0], ax[1])))
 
 

@@ -30,12 +30,13 @@ one; theta derivatives never run along a leading axis, and the
 quadratures integrate the last axis.  A flow by an array of steps puts
 the step axes in front of those (`step_axes`).
 
-A closed-form profile gives its values alone (`val`) or its values and
-theta derivative from one evaluation (`val_dval`).  Profiles may come
+A closed-form profile has one evaluation, `val_dval`: its values and
+theta derivative together.  Profiles may come
 as a stack with a leading term axis (a TrigPoly of k profiles): one
 `val_dval` call evaluates every term, `GridFun.from_profiles`
 multiplies them by a stack of k matrices in one broadcast product and
-adds the terms in order, and `product_loop` decomposes its generators,
+adds the terms in order (`add_terms`, the one ordered sum of profile
+terms), and `product_loop` decomposes its generators,
 of one loop or of a stack of loops, in one stacked eigh; each rounds as
 the same terms, or the same loop, one at a time.
 Derived samples are kept on the object they
@@ -74,16 +75,10 @@ from .liegroup import (
 @dataclass(frozen=True)
 class Fn:
     """A scalar function of theta (or of a path parameter) with exact
-    derivative: `val(t)` gives its values alone, `val_dval(t)` its
-    values and derivative from one evaluation."""
+    derivative: `val_dval(t)` gives its values and derivative from one
+    evaluation."""
 
-    val: Callable[[np.ndarray], np.ndarray]
     val_dval: Callable[[np.ndarray], tuple]
-
-    @staticmethod
-    def of(val: Callable, dval: Callable) -> "Fn":
-        """The function with values val(t) and derivative dval(t)."""
-        return Fn(val, lambda t: (val(t), dval(t)))
 
     @staticmethod
     def ramp(c=1.0, period: float = 2.0 * np.pi) -> "Fn":
@@ -98,15 +93,7 @@ class Fn:
             d[...] = ct / period
             return ct * t / period, d
 
-        return Fn(lambda t: val_dval(t)[0], val_dval)
-
-    @staticmethod
-    def scale(f: "Fn", c: float) -> "Fn":
-        def val_dval(t):
-            v, d = f.val_dval(t)
-            return c * v, c * d
-
-        return Fn(lambda t: c * f.val(t), val_dval)
+        return Fn(val_dval)
 
     @staticmethod
     def add(*fs: "Fn") -> "Fn":
@@ -114,7 +101,7 @@ class Fn:
             vs, ds = zip(*(f.val_dval(t) for f in fs))
             return sum(vs), sum(ds)
 
-        return Fn(lambda t: sum(f.val(t) for f in fs), val_dval)
+        return Fn(val_dval)
 
     @staticmethod
     def based(f: "Fn") -> "Fn":
@@ -126,17 +113,12 @@ class Fn:
             """The samples of v at t: all but the last, at 0.0."""
             return v[..., :-1].reshape(v.shape[:-1] + t.shape)
 
-        def val(t):
-            t = np.asarray(t, dtype=float)
-            v = np.asarray(f.val(np.append(t, 0.0)))
-            return at_t(v - v[..., -1:], t)
-
         def val_dval(t):
             t = np.asarray(t, dtype=float)
             v, d = (np.asarray(x) for x in f.val_dval(np.append(t, 0.0)))
             return at_t(v - v[..., -1:], t), at_t(d, t)
 
-        return Fn(val, val_dval)
+        return Fn(val_dval)
 
 
 @dataclass(frozen=True)
@@ -152,8 +134,7 @@ class TrigPoly:
     a0, the cos terms and the sin terms of the value, and from 0.0 minus
     m a_m sin(m t) and plus m b_m cos(m t) of the derivative, so that
     every term of every profile rounds as it rounds alone; a profile
-    without harmonics is a0 along t, with no wave call.  `val` is the
-    value of `val_dval`.  The coefficients are kept as float arrays, one
+    without harmonics is a0 along t, with no wave call.  The coefficients are kept as float arrays, one
     row per term, from the first evaluation on.
     """
 
@@ -183,9 +164,6 @@ class TrigPoly:
         ends = (1,) * a0.ndim + (1,)
         return (np.ascontiguousarray(coef)[..., None], m.reshape((-1, 1) + ends),
                 cos_at.reshape((-1, 2) + ends))
-
-    def val(self, t):
-        return self.val_dval(t)[0]
 
     def val_dval(self, t) -> tuple:
         t = np.asarray(t, dtype=float)
@@ -424,7 +402,7 @@ class GridFun:
     def from_profiles(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
         """sum_j f_j(theta) X_j for closed-form profiles f_j and fixed X_j,
         with its exact theta derivative sum_j f_j'(theta) X_j, each added
-        from 0.0 in the order given (`_add_terms`).  A profile may return
+        from 0.0 in the order given (`add_terms`).  A profile may return
         a stack of them, theta last: its leading axes lead the samples.
         An X with a leading axis is a stack of k matrices, and its f then
         a stack of k profiles, term axis first (a stacked TrigPoly, say):
@@ -432,20 +410,11 @@ class GridFun:
         values and one for the derivatives, serve the k terms, which enter
         the sums in their order.  Axes of such an X after its term axis
         vary each term's matrix over the samples' stack axes (the 2 pi
-        value of each slot of a stack of path tangents, say).
-        `from_profile_vals` is the same sum of the values alone."""
+        value of each slot of a stack of path tangents, say)."""
         t = grid.nodes
         both = [(f.val_dval(t), X) for f, X in terms]
-        return GridFun(grid, _add_terms((v, X) for (v, _), X in both),
-                       _add_terms((d, X) for (_, d), X in both))
-
-    @staticmethod
-    def from_profile_vals(grid: ThetaGrid, terms: Sequence[tuple]) -> "GridFun":
-        """The samples of `from_profiles` without a theta-derivative
-        payload, bit for bit: one val call per profile and no derivative,
-        for data that no reader differentiates (a trivial bundle's
-        curvature and Higgs field)."""
-        return GridFun(grid, _add_terms((f.val(grid.nodes), X) for f, X in terms))
+        return GridFun(grid, add_terms((v, X) for (v, _), X in both),
+                       add_terms((d, X) for (_, d), X in both))
 
     @staticmethod
     def zero(grid: ThetaGrid, n: int) -> "GridFun":
@@ -453,7 +422,7 @@ class GridFun:
         return GridFun(grid, z, z.copy())
 
 
-def _add_terms(terms):
+def add_terms(terms):
     """sum_j s_j X_j over (samples s_j, matrix X_j) terms, added from 0.0
     in order, so that the profiles' stack shape sets the samples'.  For
     a stack of k matrices X_j, s_j stacks k profiles, and

@@ -352,7 +352,7 @@ def random_unit_profile(rng: np.random.Generator) -> Fn:
         return (c[0] * s + c[1] * s * s + c[2] * sn + c[3] * (1.0 - cs),
                 c[0] + 2.0 * c[1] * s + c[2] * np.pi * cs + c[3] * np.pi * sn)
 
-    return Fn(lambda s: val_dval(s)[0], val_dval)
+    return Fn(val_dval)
 
 
 def random_group_path(rng: np.random.Generator, grid: ThetaGrid, group: Group,

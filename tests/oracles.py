@@ -5,7 +5,8 @@ the CLI or the benchmark runs, and nothing outside the tests calls it:
 the FFT and fourth-order difference theta derivatives, the difference
 velocity of a path in the loop group, the trivial-bundle curvature from
 the analytic chart gradient of its bump and by its two orders, one
-stencil each, the closed-form nabla Phi of the path fibration and
+stencil each, the trivial bundle that evaluates its profiles again at
+every call, the closed-form nabla Phi of the path fibration and
 nabla Phi by whole loop flows, the curvature through the generic
 exterior derivative, the shuffles by nested combinations and the
 shuffle-by-shuffle pairing, a stack of
@@ -18,6 +19,7 @@ package's own structure rules (every matrix product through
 from the route it checks.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -27,7 +29,9 @@ from loopgerbe import forms
 from loopgerbe.forms import (ChartPt, Form, _sign, _signed_sum, directional, ext_d,
                              tangent_bracket)
 from loopgerbe.liegroup import adjoint, group_inv, mm, project_algebra
-from loopgerbe.loops import Fn, GridFun, LoopPoint, TrigPoly, conj_loop, product_loop
+from loopgerbe.gerbe import TrivialBundle
+from loopgerbe.loops import (Fn, GridFun, LoopPoint, TrigPoly, add_terms, conj_loop,
+                            product_loop)
 from loopgerbe.sampling import (NFACTORS, SCALE, _need_closed, random_algebra,
                                 random_chart_point, random_chart_vector,
                                 random_path_point, random_trig, random_trig_coeffs)
@@ -89,12 +93,73 @@ def rho_grad(tb, m):
                      for i in range(tb.dim)], axis=-1)
 
 
+def _coeffs(c, m) -> np.ndarray:
+    """The coefficient c of a chart function at the chart points m, one
+    per point of a stack (a constant function broadcasts), against the
+    theta axis of a profile: its axes lead the samples of
+    `GridFun.from_profiles`."""
+    lead = np.shape(m)[:-1]
+    if np.shape(c) != lead:
+        c = c * np.ones(lead)
+    return np.asarray(c)[..., None]
+
+
+def _scaled(f, c) -> Fn:
+    """The profile c f, which evaluates f at every call."""
+
+    def val_dval(t):
+        v, d = f.val_dval(t)
+        return c * v, c * d
+
+    return Fn(val_dval)
+
+
+def _profile_terms(m, terms, coeffs) -> list:
+    """The terms coeffs_d * profile_d(theta) xi_d of the (profile, xi)
+    terms, as (profile, xi) pairs, one loop per chart point of m."""
+    return [(_scaled(f, _coeffs(c, m)), xi) for (f, xi), c in zip(terms, coeffs)]
+
+
+def _profile_vals(grid, terms) -> GridFun:
+    """The samples of `GridFun.from_profiles` without a theta-derivative
+    payload: the values of each profile, added in order."""
+    return GridFun(grid, add_terms((f.val_dval(grid.nodes)[0], X) for f, X in terms))
+
+
+class _TermsBundle(TrivialBundle):
+    """The trivial bundle that builds its profile terms at every call and
+    evaluates them on the grid again: a(m)(u) through
+    `GridFun.from_profiles`, and a(m)(u) and phi(m) from their values
+    alone.  Every other member is the bundle's own and reads these, so
+    that `TrivialBundle`, which scales the profile samples it keeps,
+    equals it bit for bit."""
+
+    def _base_terms(self, m, u) -> list:
+        r, u = self.rho(m), np.asarray(u)
+        return _profile_terms(m, self.a_terms, [r * u[..., d] for d in range(self.dim)])
+
+    def base_connection(self, m, u) -> GridFun:
+        return GridFun.from_profiles(self.grid, self._base_terms(m, u))
+
+    def a_vals(self, m, u) -> np.ndarray:
+        return _profile_vals(self.grid, self._base_terms(m, u)).vals
+
+    def phi(self, m) -> GridFun:
+        return _profile_vals(self.grid, _profile_terms(
+            m, [self.phi_term], [self.rho(m) * self.phi_coeff(m)]))
+
+
+def by_terms(tb) -> TrivialBundle:
+    """The bundle of tb's data that evaluates its profiles at every call."""
+    return _TermsBundle(*(getattr(tb, f.name) for f in dataclasses.fields(tb)))
+
+
 def _base_connection_dm(tb, m, u, w) -> GridFun:
     """Exact directional m-derivative of a(.)(u) along chart vector w
     at one chart point; u may be a stack of chart vectors."""
     dr = float(np.dot(rho_grad(tb, m), np.asarray(w, dtype=float)))
     u = np.asarray(u)
-    return GridFun.from_profiles(tb.grid, tb._profile_terms(
+    return GridFun.from_profiles(tb.grid, _profile_terms(
         m, tb.a_terms, [dr * u[..., d] for d in range(tb.dim)]))
 
 

@@ -17,8 +17,8 @@ def profile_fun(t):
     return np.sin(t)
 
 
-SIN = loops.Fn.of(np.sin, np.cos)
-COS = loops.Fn.of(np.cos, lambda t: -np.sin(t))
+SIN = loops.Fn(lambda t: (np.sin(t), np.cos(t)))
+COS = loops.Fn(lambda t: (np.cos(t), -np.sin(t)))
 
 
 def make_vec(profile, E, grid=GRID):
@@ -181,7 +181,7 @@ def test_cocycle_commuting_closed_form():
     f = path_from_factors(GRID, [(lin, A)], npath=129)
     g = path_from_factors(GRID, [(lin, B)], npath=129)
     t = GRID.nodes
-    want = 0.25j / np.pi * loops.quad_s1(a.val(t) * b.val_dval(t)[1])
+    want = 0.25j / np.pi * loops.quad_s1(a.val_dval(t)[0] * b.val_dval(t)[1])
     got = np.log(cocycle_c(f, g))
     assert abs(got - want) < 1e-7
 

@@ -28,7 +28,8 @@ GRID = ThetaGrid(96)
 TB = TrivialBundle.default(GRID)
 PF = PathFibration(GRID)
 # a second Higgs field on the same bundle: seed E0, coefficient 0.4 + m_1
-TB_ALT = replace(TB, phi_term=(Fn(np.ones_like, np.zeros_like), SU2.basis[0]),
+TB_ALT = replace(TB, phi_term=(Fn(lambda t: (np.ones_like(t), np.zeros_like(t))),
+                                   SU2.basis[0]),
                  phi_coeff=lambda m: 0.4 + m[..., 1])
 
 

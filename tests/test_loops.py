@@ -119,7 +119,7 @@ def test_gridfun_interp_trig():
     tp = TrigPoly(0.1, (0.4, 0.2), (0.3,))
     X = GridFun.from_profiles(grid, [(tp, lg.SU2.basis[1])])
     for theta in (0.0, 0.37, grid.nodes[5], 2 * np.pi - 1e-3):
-        want = tp.val(theta) * lg.SU2.basis[1]
+        want = tp.val_dval(theta)[0] * lg.SU2.basis[1]
         assert maxabs(X.interp(float(theta)) - want) < 1e-12
 
 
@@ -351,14 +351,10 @@ def test_fn_combinators():
     f = Fn.add(Fn.ramp(2.0, period=1.0), Fn.based(TrigPoly(0.0, (1.0,), ())))
     s = np.array([0.0, 0.25, 1.0])
     want = 2.0 * s + (np.cos(s) - 1.0)
-    assert maxabs(f.val(s) - want) < 1e-14
-    assert abs(f.val(np.asarray(0.0))) < 1e-14
-    # the joint evaluation gives the same values and the derivative
     v, d = f.val_dval(s)
-    assert np.array_equal(v, f.val(s))
+    assert maxabs(v - want) < 1e-14
+    assert abs(f.val_dval(np.asarray(0.0))[0]) < 1e-14
     assert maxabs(d - (2.0 - np.sin(s))) < 1e-14
-    v, d = Fn.scale(f, 3.0).val_dval(s)
-    assert np.array_equal(v, 3.0 * f.val(s)) and maxabs(d - 3.0 * (2.0 - np.sin(s))) < 1e-14
 
 
 @pytest.fixture

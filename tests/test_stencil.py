@@ -28,7 +28,7 @@ from loopgerbe.sampling import (make_rng, random_algebra, random_caloron_point,
                                 random_caloron_tangents, random_loop,
                                 random_loop_tangent, random_path_fibre_points,
                                 random_path_fibre_tangents, random_path_point)
-from oracles import curvature_by_orders, random_path_tangent, stack_tangents
+from oracles import by_terms, curvature_by_orders, random_path_tangent, stack_tangents
 
 STENCIL = (0.1, -0.1, 0.05, -0.05)
 
@@ -85,17 +85,17 @@ def test_nabla_phi_makes_no_loop_flow(monkeypatch):
 
 def test_tb_curvature_evaluates_a_once_per_stencil_and_once_plain(monkeypatch):
     # one stencil over both orders x = (u, v), y = (v, u), and one plain
-    # evaluation of a at both tangents; no base connection, whose theta
-    # derivative no reader of F needs
+    # evaluation of a at both tangents, from the values alone; no base
+    # connection, whose theta derivative no reader of F needs
     _, tb, p, V, W = _tb_fixture(67)
     shapes, built = [], []
-    plain = gerbe.TrivialBundle._base_terms
+    plain = gerbe.TrivialBundle.a_vals
 
     def counted(self, m, u):
         shapes.append((np.shape(m), np.shape(u)))
         return plain(self, m, u)
 
-    monkeypatch.setattr(gerbe.TrivialBundle, "_base_terms", counted)
+    monkeypatch.setattr(gerbe.TrivialBundle, "a_vals", counted)
     monkeypatch.setattr(gerbe.TrivialBundle, "base_connection",
                         lambda *args: built.append(args))
     tb.curvature(p, V, W)
@@ -104,31 +104,43 @@ def test_tb_curvature_evaluates_a_once_per_stencil_and_once_plain(monkeypatch):
 
 
 def _counting_profiles(tb, calls):
-    """tb with every profile's evaluation with its derivative counted
+    """tb with the argument of every evaluation of a profile recorded
     into calls."""
 
     def counted(f):
         def val_dval(t):
-            calls.append(np.shape(t))
+            calls.append(t)
             return f.val_dval(t)
-        return Fn(f.val, val_dval)
+        return Fn(val_dval)
 
     return replace(tb, a_terms=tuple((counted(f), xi) for f, xi in tb.a_terms),
                    phi_term=(counted(tb.phi_term[0]), tb.phi_term[1]))
 
 
-def test_curvature_and_higgs_evaluate_no_profile_derivative():
-    # F and Phi carry no theta-derivative payload, so no profile
-    # derivative is evaluated for them; the connection carries one and
-    # evaluates each profile with its derivative once
-    _, tb, p, V, W = _tb_fixture(73)
+def test_a_bundle_evaluates_each_profile_once():
+    # the bundle evaluates each profile once, with its derivative, at
+    # its grid nodes, and keeps the samples: the curvature, the Higgs
+    # field, the connection, the chart derivative of the seed, nabla Phi
+    # and the string form all scale them; a bundle remade onto a
+    # one-node grid evaluates again, at its node
+    rng, tb, p, V, W = _tb_fixture(73)
     calls = []
     tb = _counting_profiles(tb, calls)
     tb.curvature(p, V, W)
     tb.higgs(p)
-    assert calls == []
     tb.connection(p, V)
-    assert len(calls) == tb.dim
+    tb.dphi_chart(p, V[0])
+    gerbe.nabla_phi(tb, p, V)
+    gerbe.string_form_at(tb, p, V, W, V)
+    assert len(calls) == tb.dim + 1
+    assert all(t is tb.grid.nodes for t in calls)
+    one, cpt = random_caloron_point(rng, tb)
+    Xs = random_caloron_tangents(rng, one, 2).X
+    del calls[:]
+    one.curvature(cpt.p, gerbe.pick(Xs, 0), gerbe.pick(Xs, 1))
+    gerbe.nabla_phi(one, cpt.p, gerbe.pick(Xs, 0))
+    assert len(calls) == tb.dim + 1
+    assert all(t is one.grid.nodes and t.shape == (1,) for t in calls)
 
 
 def _tb_curvature_cases(tb, rng):
@@ -157,6 +169,58 @@ def test_tb_curvature_is_the_route_by_orders_bit_for_bit(bundle, group):
         assert got.vals.shape == lead + (scn.grid.size, group.n, group.n)
         assert got.dvals is None and want.dvals is None
         assert np.array_equal(got.vals, want.vals), lead
+
+
+@st.composite
+def _bundle_cases(draw):
+    """A trivial bundle, default or chart3, of su2 or su3 on an even grid
+    of 16 to 64 nodes; a generator; and the stack of chart points and
+    tangents, () for one alone."""
+    group = draw(st.sampled_from((SU2, SU3)))
+    bundle = draw(st.sampled_from(("default", "chart3")))
+    grid = ThetaGrid(2 * draw(st.integers(8, 32)))
+    return (getattr(TrivialBundle, bundle)(grid, group),
+            make_rng(draw(st.integers(0, 2 ** 20))), draw(st.sampled_from(((), (3,)))))
+
+
+def _profile_readers(scn, p, V, W) -> list:
+    """The arrays of every value of a trivial bundle that its profiles
+    enter, at a point and two tangents."""
+    return _arrays((scn.base_connection(p.m, V[0]), scn.phi(p.m), scn.higgs(p),
+                    scn.curvature(p, V, W), scn.dphi_chart(p, V[0]),
+                    gerbe.nabla_phi(scn, p, V)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_bundle_cases())
+def test_kept_profile_samples_give_every_bit_of_the_evaluation_per_call(case):
+    # the bundle scales the profile samples it keeps; the route that
+    # evaluates every profile term again at every call gives the same
+    # bits, at single and stacked chart points and vectors, at points
+    # flowed by one stencil and by two, and on a one-node grid
+    tb, rng, lead = case
+    group, t = tb.group, np.array(STENCIL)
+    p = tb.point(rng.uniform(-0.6, 0.6, size=lead + (tb.dim,)),
+                 random_loop(rng, tb.grid, group))
+    if lead:
+        V, W = (random_caloron_tangents(rng, tb, lead[0]).X for _ in range(2))
+    else:
+        V, W = ((rng.normal(size=tb.dim), random_loop_tangent(rng, tb.grid, group))
+                for _ in range(2))
+    A, B = ((rng.normal(size=tb.dim), random_loop_tangent(rng, tb.grid, group))
+            for _ in range(2))
+    one, cpt = random_caloron_point(rng, tb)
+    Xs = random_caloron_tangents(rng, one, 2).X
+    cases = ((tb, p, V, W), (tb, flow(p, A, t), V, W), (tb, flow(flow(p, A, t), B, t), V, W),
+             (one, cpt.p, gerbe.pick(Xs, 0), gerbe.pick(Xs, 1)),
+             (one, cpt.p, gerbe.pick(Xs, [0, 1]), gerbe.pick(Xs, [1, 0])))
+    for scn, q, X, Y in cases:
+        got, want = _profile_readers(scn, q, X, Y), _profile_readers(by_terms(scn), q, X, Y)
+        assert [a is None for a in got] == [a is None for a in want]
+        for a, b in zip(got, want):
+            if a is not None:
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
 
 
 def test_flows_stack_steps_in_front_of_the_point_axes():

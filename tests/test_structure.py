@@ -106,7 +106,10 @@ class Rows:
     assert _kept_fields(held) == ["<src>:5 Held", "<src>:6 Held"]
     for cls, names in ((loops.TrigPoly, ("a0", "ac", "bs")),
                        (loops.GridFun, ("grid", "vals", "dvals")),
-                       (loops.LoopPoint, ("grid", "vals", "zvals"))):
+                       (loops.LoopPoint, ("grid", "vals", "zvals")),
+                       # the bundle keeps its profile samples, never as a field
+                       (gerbe.TrivialBundle, ("grid", "group", "a_terms", "phi_term",
+                                              "phi_coeff", "fd_step"))):
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
 
@@ -321,10 +324,8 @@ def test_no_parameter_that_no_caller_varies():
     assert [inspect.signature(s.fibre_tangents).parameters["k"].default
             for s in sets] == [1, 1]
     assert _params(loops.Fn.based) == ("f",)
-    # a profile gives its values alone, or its values and derivative from
-    # one evaluation; there is no derivative alone
-    assert [f.name for f in dataclasses.fields(loops.Fn)] == ["val", "val_dval"]
-    assert _params(loops.Fn.of) == ("val", "dval")
+    # a profile has one evaluation: its values and derivative together
+    assert [f.name for f in dataclasses.fields(loops.Fn)] == ["val_dval"]
     assert _params(forms.pair_stacks) == ("p", "stacks", "index")
     assert _params(forms.shuffle_index) == ("degs",)
     # one table of curvature samples per tuple of tangents, built once
@@ -399,19 +400,23 @@ def test_no_code_that_only_tests_reach():
             checks: ("_tb_point", "_tb_tangent", "_caloron_point",
                      "_caloron_tangents", "_caloron_tangent"),
             # TrigPoly() and TrigPoly(1.0) are the zero and the unit profile
-            # (a profile gives its values, or its values and derivative
-            # together: no derivative alone)
-            loops.TrigPoly: ("as_fn", "__call__", "dval"),
-            loops.Fn: ("zero", "__call__"),
+            # (a profile gives its values and derivative together, by its
+            # one method val_dval: no values or derivative alone, and no
+            # scaled profile, since a trivial bundle scales the samples it
+            # keeps)
+            loops.TrigPoly: ("as_fn", "__call__", "dval", "val"),
+            loops.Fn: ("zero", "__call__", "of", "scale"),
             # nabla Phi takes dPhi from the Higgs field's equivariance;
             # the route by whole loop flows is a test oracle
-            gerbe: ("_one", "curvature_via_ext_d", "nabla_phi_by_flows"),
+            gerbe: ("_one", "curvature_via_ext_d", "nabla_phi_by_flows", "_coeffs"),
             # the bundle is a frozen value: dataclasses.replace and point(m);
             # rho multiplies its own factors
             gerbe.TrivialBundle: ("with_data", "canonical_lift", "curvature_exact",
-                                  "base_connection_dm", "rho_grad", "_bump_factors"),
+                                  "base_connection_dm", "rho_grad", "_bump_factors",
+                                  "_profile_terms", "_base_terms"),
             # every theta derivative is an exact payload
-            loops.ThetaGrid: ("dtheta",), loops.GridFun: ("__neg__",),
+            loops.ThetaGrid: ("dtheta",),
+            loops.GridFun: ("__neg__", "from_profile_vals"),
             liegroup.Group: ("identity", "coeffs"),
             checks.SuiteResult: ("aborted",), cli: ("EXIT_CONVENTION",)}
     # a class inherits dunders such as __call__ from type or object, so
@@ -726,7 +731,7 @@ def _dropped_payloads(source: str, name: str = "<src>") -> list:
 
 def test_no_payload_is_built_to_be_dropped():
     # a value with no theta derivative is summed from its values alone
-    # (GridFun.from_profile_vals), not built with one and then stripped
+    # (TrivialBundle.a_vals and phi), not built with one and then stripped
     offenders = [site for path in sorted(SRC.glob("*.py"))
                  for site in _dropped_payloads(path.read_text(), path.name)]
     assert offenders == []
