@@ -16,9 +16,12 @@ makes the check NaN, and so fails its row.  The generator is seeded by
 the samples exactly and adding a check never shifts another check's
 draws.
 
-`run_suite` produces the report rows; `convergence_table` reruns one
-check over a refinement ladder (grid halving, or step halving for the
-finite-difference dominated identities) and fits the observed order.
+`run_suite` produces the report rows; `convergence_table` reruns a
+check that has a ladder over its refinement rungs and fits the observed
+order.  A check's `convergence` names its ladder: "grid" sweeps the
+angular grids of `convergence_grids`, "fd" halves the difference step
+from `FD_LADDER_START`, and "" is no ladder, the choice for a row that
+sits at round-off on every rung and so has no order to show.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ GROUPS = ("su2", "su3")
 REPORT_FORMATS = ("json", "csv")
 
 # the first step of the ladder that halves the difference step of
-# `forms.directional`, the one stencil every row runs
+# `forms.directional`, the one stencil every row runs, on its three rungs
 FD_LADDER_START = 1e-2
 
 
@@ -476,7 +479,7 @@ class CheckSpec:
     tol: float
     fn: Callable
     groups: tuple = ("su2", "su3")
-    convergence: str = ""      # "", "grid", "fd" or "flat"
+    convergence: str = ""      # "", "grid" or "fd"
 
 
 _SPECS = [
@@ -490,11 +493,11 @@ _SPECS = [
     CheckSpec("central-extension/reduced-splitting", "reduced-splitting",
               1e-8, reduced_splitting),
     CheckSpec("path-fibration/curving-differential", "curving-differential",
-              1e-6, curving_differential_path),
+              1e-6, curving_differential_path, convergence="grid"),
     CheckSpec("path-fibration/invariant-volume", "invariant-volume",
               1e-3, invariant_volume, groups=("su2",)),
     CheckSpec("path-fibration/string-matches-invariant-form", "string-form",
-              1e-6, string_matches_invariant_form, convergence="flat"),
+              1e-6, string_matches_invariant_form),
     CheckSpec("path-fibration/three-form-closed", "three-form-closed",
               1e-6, three_form_closed_base),
     CheckSpec("trivial-bundle/curving-differential", "curving-differential",
@@ -504,8 +507,7 @@ _SPECS = [
     CheckSpec("trivial-bundle/differential-square-zero",
               "differential-square-zero", 1e-8, differential_square_zero),
     CheckSpec("trivial-bundle/simplicial-square-zero",
-              "simplicial-square-zero", 1e-12, simplicial_square_zero,
-              convergence="flat"),
+              "simplicial-square-zero", 1e-12, simplicial_square_zero),
     CheckSpec("trivial-bundle/transition-coboundary", "transition-coboundary",
               1e-8, transition_coboundary),
     CheckSpec("caloron-roundtrip/circle-reduction", "circle-reduction",
@@ -522,6 +524,7 @@ CHECKS = {s.name: s for s in sorted(_SPECS, key=lambda s: s.name)}
 
 assert all(s.paper_ref in EQUATION_TAGS for s in _SPECS)
 assert all(s.name.split("/")[0] in SCENARIOS[1:] for s in _SPECS)
+assert all(s.convergence in ("", "grid", "fd") for s in _SPECS)
 
 
 def select_checks(cfg: RunConfig) -> list:
@@ -545,12 +548,6 @@ def run_check(spec: CheckSpec, cfg: RunConfig, rng=None) -> dict:
 # convergence studies
 
 
-@dataclass
-class ConvergenceResult:
-    rows: list = field(default_factory=list)
-    order: Optional[float] = None
-
-
 def _fit_order(hs, rs) -> Optional[float]:
     """The slope of log(residual) against log(step); None when fewer than
     two rungs, or a residual at zero or not finite, leave no line to fit."""
@@ -560,50 +557,44 @@ def _fit_order(hs, rs) -> Optional[float]:
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 
 
-def convergence_table(name: str, grids, cfg: RunConfig = None,
-                      residual: Optional[float] = None) -> ConvergenceResult:
-    """Rerun one check over a refinement ladder.
+def convergence_table(name: str, cfg: RunConfig = None,
+                      residual: Optional[float] = None) -> list:
+    """The rows of one check's refinement ladder, each with its order.
 
-    Grid-resolved checks sweep the angular grid sizes given; step-dominated
-    checks instead halve the step of the Richardson stencil that every
-    row runs, len(grids) times from FD_LADDER_START (the grid column then
-    reports the reciprocal step).  The fitted slope of log(residual)
-    against the refinement parameter is the observed order, and every
-    row of the ladder reports it (None where no line fits); it is
-    omitted for ladders designed to sit flat at roundoff, whose rows
-    carry no order.
+    The rungs come from the check's ladder kind and cfg alone: a "grid"
+    ladder sweeps the angular grids of `convergence_grids(cfg)`; an
+    "fd" ladder halves the step of the Richardson stencil that every
+    row runs, FD_LADDER_START and two halvings, whatever cfg.ntheta is
+    (its rows are named `<name>#fd-step`, and their grid column is the
+    reciprocal step).  The fitted slope of log(residual) against the
+    step is the observed order, and every row carries it (None where no
+    line fits).  A check with no ladder is a ValueError.
 
     `residual` is the check's own result at cfg, when the caller already
-    has it: the grid rung at cfg.ntheta would rerun that exact
-    configuration on the same fixtures, so it reuses the value instead.
+    has it: a rung at cfg itself would rerun that exact configuration on
+    the same fixtures, so it reuses the value instead.
     """
     if name not in CHECKS:
         raise ValueError("unknown check: %s" % name)
     spec = CHECKS[name]
     cfg = cfg if cfg is not None else RunConfig()
-    out = ConvergenceResult()
     if spec.convergence == "fd":
-        hs = [FD_LADDER_START / 2 ** j for j in range(len(grids))]
-        for h in hs:
-            sub = replace(cfg, fd_step=h)
-            r = float(spec.fn(sub, _check_rng(sub, spec.name)))
-            out.rows.append({"name": spec.name + "#fd-step",
-                             "grid": int(round(1.0 / h)), "residual": r})
+        hs = [FD_LADDER_START / 2 ** j for j in range(3)]
+        grids = [int(round(1.0 / h)) for h in hs]
+        rungs = [replace(cfg, fd_step=h) for h in hs]
+        label = spec.name + "#fd-step"
+    elif spec.convergence == "grid":
+        grids = convergence_grids(cfg)
+        hs = [1.0 / g for g in grids]
+        rungs = [replace(cfg, ntheta=g) for g in grids]
+        label = spec.name
     else:
-        gs = sorted(int(g) for g in grids)
-        hs = [1.0 / g for g in gs]
-        for g in gs:
-            if residual is not None and g == cfg.ntheta:
-                r = residual
-            else:
-                sub = replace(cfg, ntheta=g)
-                r = float(spec.fn(sub, _check_rng(sub, spec.name)))
-            out.rows.append({"name": spec.name, "grid": g, "residual": r})
-    if spec.convergence in ("fd", "grid"):
-        out.order = _fit_order(hs, [row["residual"] for row in out.rows])
-        for row in out.rows:
-            row["order"] = out.order
-    return out
+        raise ValueError("check has no convergence ladder: %s" % name)
+    rs = [residual if residual is not None and sub == cfg
+          else float(spec.fn(sub, _check_rng(sub, spec.name))) for sub in rungs]
+    order = _fit_order(hs, rs)
+    return [{"name": label, "grid": g, "residual": r, "order": order}
+            for g, r in zip(grids, rs)]
 
 
 def convergence_grids(cfg: RunConfig) -> list:
@@ -645,11 +636,10 @@ def run_suite(cfg: RunConfig, record_fixtures: bool = False) -> SuiteResult:
         result.rows.append(run_check(spec, cfg, rng))
         if record_fixtures:
             result.fixtures[spec.name] = rng.log
-    grids = convergence_grids(cfg)
     for spec, row in zip(specs, result.rows):
         if spec.convergence:
-            result.convergence.extend(convergence_table(
-                spec.name, grids, cfg, row["residual"]).rows)
+            result.convergence.extend(
+                convergence_table(spec.name, cfg, row["residual"]))
     result.rows.sort(key=lambda r: r["name"])
     result.convergence.sort(key=lambda r: (r["name"], r["grid"]))
     return result

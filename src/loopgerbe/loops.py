@@ -615,7 +615,7 @@ def product_loop(grid: ThetaGrid, factors: Sequence[tuple]) -> LoopPoint:
 # paths in the loop group
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathInLoopGroup:
     """A path [0, 1] -> loop group, sampled at the M parameter nodes `sgrid`.
 

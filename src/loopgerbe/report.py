@@ -20,17 +20,15 @@ VERSION = "1.0"
 
 REPORT_KEYS = ("version", "config", "checks", "convergence")
 CHECK_FIELDS = ("name", "paper_ref", "residual", "tol", "pass", "seconds")
-CONVERGENCE_FIELDS = ("name", "grid", "residual")
-# a row of an fd or grid ladder adds the ladder's fitted order; a flat
-# ladder's rows have none
-ORDER_FIELDS = CONVERGENCE_FIELDS + ("order",)
+# every ladder row carries its ladder's fitted order, null where no line fits
+CONVERGENCE_FIELDS = ("name", "grid", "residual", "order")
 
 
 def build_report(cfg: RunConfig, result: SuiteResult) -> dict:
     return {"version": VERSION, "config": cfg.as_dict(),
             "checks": [{k: row[k] for k in CHECK_FIELDS}
                        for row in result.rows],
-            "convergence": [{k: row[k] for k in ORDER_FIELDS if k in row}
+            "convergence": [{k: row[k] for k in CONVERGENCE_FIELDS}
                             for row in result.convergence]}
 
 
@@ -49,7 +47,7 @@ def validate_report(report: dict) -> list:
     if names != sorted(names):
         problems.append("check rows not sorted by name")
     for row in report.get("convergence", ()):
-        if tuple(row.keys()) not in (CONVERGENCE_FIELDS, ORDER_FIELDS):
+        if tuple(row.keys()) != CONVERGENCE_FIELDS:
             problems.append("bad convergence row fields: %s"
                             % (tuple(row.keys()),))
     return problems
@@ -77,8 +75,7 @@ def to_json(report: dict) -> str:
 
 def to_csv(report: dict) -> str:
     """Flat projection: one table, check rows then convergence rows; the
-    order column is empty but on the rows of a ladder with a fitted
-    order."""
+    order column is empty only on check rows and on null orders."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["# version", report["version"]])
@@ -91,10 +88,9 @@ def to_csv(report: dict) -> str:
                     repr(row["residual"]), repr(row["tol"]),
                     str(row["pass"]).lower(), repr(row["seconds"]), ""])
     for row in report["convergence"]:
-        order = row.get("order")
         w.writerow(["convergence", row["name"], "", row["grid"],
                     repr(row["residual"]), "", "", "",
-                    "" if order is None else repr(order)])
+                    "" if row["order"] is None else repr(row["order"])])
     return buf.getvalue()
 
 

@@ -231,7 +231,7 @@ def test_non_finite_residual_is_json_null():
            "tol": 1e-8, "pass": True, "seconds": 0.25}
     rep = {"version": report_mod.VERSION, "config": RunConfig().as_dict(),
            "checks": [row], "convergence": [{"name": "a/b", "grid": 16,
-                                             "residual": 2.5e-9}]}
+                                             "residual": 2.5e-9, "order": None}]}
     # a finite report is written as before
     assert report_mod.to_json(rep) == json.dumps(rep, indent=2) + "\n"
     bad = dict(rep, checks=[dict(row, residual=float("nan"), **{"pass": False})],
@@ -452,50 +452,93 @@ def test_render_rejects_unknown_format():
 
 
 def test_fd_ladder_order_is_fourth():
-    # the ladder halves the step of the Richardson stencil every row runs
-    cfg = RunConfig(ntheta=64)
-    tab = convergence_table("central-extension/pair-form-coboundary",
-                            (64, 128, 256), cfg)
-    assert len(tab.rows) == 3
-    steps = [row["grid"] for row in tab.rows]
-    assert steps == [100, 200, 400]
-    assert tab.order is not None and tab.order > 3.5
+    # the ladder halves the step of the Richardson stencil every row
+    # runs, three rungs from FD_LADDER_START whatever the grid
+    orders = {}
+    for ntheta in (16, 32, 128):
+        rows = convergence_table("central-extension/pair-form-coboundary",
+                                 RunConfig(ntheta=ntheta))
+        assert [row["grid"] for row in rows] == [100, 200, 400]
+        assert all(row["name"] == "central-extension/pair-form-coboundary#fd-step"
+                   for row in rows)
+        orders[ntheta] = rows[0]["order"]
+        assert all(row["order"] == orders[ntheta] for row in rows)
+    assert orders[32] > 3.5 and orders[128] > 3.5
+    # at 16 nodes the grid error (6e-10 at seed 7) lies above every
+    # rung's difference error (2e-11 at the first), so the order reads
+    # the flat floor
+    assert abs(orders[16]) < 0.5
 
 
 def test_fd_ladder_rows_report_their_order():
-    # every row of an fd ladder carries the fitted order into the JSON
-    # report and the CSV order column; flat-ladder rows carry none
-    cfg = RunConfig(ntheta=64)
-    tab = convergence_table("central-extension/pair-form-coboundary",
-                            (64, 128), cfg)
-    flat = convergence_table("path-fibration/string-matches-invariant-form",
-                             (16, 32), cfg)
-    assert tab.order is not None and flat.order is None
-    rep = report_mod.build_report(cfg, checks.SuiteResult(
-        convergence=tab.rows + flat.rows))
+    # every row of an fd or a grid ladder carries its ladder's fitted
+    # order into the JSON report and the CSV order column
+    cfg = RunConfig(ntheta=32)
+    fd = convergence_table("central-extension/pair-form-coboundary", cfg)
+    grid = convergence_table("path-fibration/curving-differential", cfg)
+    assert [row["grid"] for row in grid] == [16, 32]
+    rep = report_mod.build_report(cfg, checks.SuiteResult(convergence=fd + grid))
     assert report_mod.validate_report(rep) == []
-    fd_rows, flat_rows = rep["convergence"][:2], rep["convergence"][2:]
-    assert all(tuple(row) == report_mod.ORDER_FIELDS and row["order"] == tab.order
-               for row in fd_rows)
-    assert all(tuple(row) == report_mod.CONVERGENCE_FIELDS for row in flat_rows)
+    for rows in (rep["convergence"][:3], rep["convergence"][3:]):
+        assert rows[0]["order"] is not None
+        assert all(tuple(row) == report_mod.CONVERGENCE_FIELDS
+                   and row["order"] == rows[0]["order"] for row in rows)
     assert strict_json(report_mod.to_json(rep))["convergence"] == rep["convergence"]
-    body = report_mod.to_csv(rep).strip().split("\n")[-4:]
-    assert [line.split(",")[-1] for line in body] == [repr(tab.order)] * 2 + [""] * 2
+    body = report_mod.to_csv(rep).strip().split("\n")[-5:]
+    assert [line.split(",")[-1] for line in body] == (
+        [repr(fd[0]["order"])] * 3 + [repr(grid[0]["order"])] * 2)
+    # a null order is an empty cell, and JSON null
+    rep["convergence"][0]["order"] = None
+    assert report_mod.validate_report(rep) == []
+    assert report_mod.to_csv(rep).strip().split("\n")[-5].endswith(",")
+    assert strict_json(report_mod.to_json(rep))["convergence"][0]["order"] is None
     # a convergence row with any other key is flagged
-    bad = dict(rep, convergence=[dict(fd_rows[0], slope=1.0)])
+    bad = dict(rep, convergence=[dict(fd[0], slope=1.0)])
     assert report_mod.validate_report(bad) != []
 
 
+def test_a_convergence_row_without_order_is_flagged():
+    cfg = RunConfig(ntheta=32)
+    rows = convergence_table("path-fibration/curving-differential", cfg)
+    rep = report_mod.build_report(cfg, checks.SuiteResult(convergence=rows))
+    assert report_mod.validate_report(rep) == []
+    bare = [{k: v for k, v in row.items() if k != "order"} for row in rows]
+    assert report_mod.validate_report(dict(rep, convergence=bare)) == [
+        "bad convergence row fields: ('name', 'grid', 'residual')"] * len(rows)
+
+
 def test_grid_sweep_rows_match_request():
+    # a grid ladder's rungs are the grids of the configuration alone
     cfg = RunConfig(ntheta=64)
-    grids = convergence_grids(cfg)
-    tab = convergence_table("path-fibration/string-matches-invariant-form",
-                            grids, cfg)
-    assert [row["grid"] for row in tab.rows] == list(grids)
-    # closed-form integrands: already at roundoff on the coarsest grid,
-    # so the ladder is flat and fits no order to the noise
-    assert all(row["residual"] < 1e-10 for row in tab.rows)
-    assert tab.order is None
+    rows = convergence_table("path-fibration/curving-differential", cfg)
+    assert [row["grid"] for row in rows] == convergence_grids(cfg) == [16, 32, 64]
+    assert rows[0]["order"] is not None
+    # a row at round-off on every rung has no ladder
+    with pytest.raises(ValueError, match="no convergence ladder"):
+        convergence_table("path-fibration/string-matches-invariant-form", cfg)
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_curving_differential_ladder_is_fourth_order(group):
+    # the closed-grid Simpson rule sets the residual of d f = 2 pi i omega
+    cfg = RunConfig(group=group, seed=7)
+    name = "path-fibration/curving-differential"
+    rows = convergence_table(name, cfg)
+    assert [row["grid"] for row in rows] == [32, 64, 128]
+    assert rows[-1]["residual"] == run_check(CHECKS[name], cfg)["residual"]
+    assert 3.5 <= rows[0]["order"] <= 4.5
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_every_default_convergence_row_fits_an_order(group):
+    cfg = RunConfig(group=group)
+    rep = report_mod.build_report(cfg, run_suite(cfg))
+    assert rep["convergence"]
+    assert all(tuple(row) == report_mod.CONVERGENCE_FIELDS
+               and row["order"] is not None for row in rep["convergence"])
+    assert {row["name"] for row in rep["convergence"]} == {
+        "central-extension/pair-form-coboundary#fd-step",
+        "path-fibration/curving-differential"}
 
 
 def test_one_rung_fits_no_order():
@@ -517,7 +560,7 @@ def test_non_finite_rung_fits_no_order():
 
 def test_suite_runs_each_check_configuration_once(monkeypatch):
     # the finest grid rung of a convergence table is the check's own row
-    name = "path-fibration/string-matches-invariant-form"
+    name = "path-fibration/curving-differential"
     spec = CHECKS[name]
     grids_run = []
 
@@ -530,7 +573,7 @@ def test_suite_runs_each_check_configuration_once(monkeypatch):
     result = run_suite(cfg)
     assert sorted(grids_run) == [32, 64, 128]
     rows = [r for r in result.convergence if r["name"] == name]
-    assert rows == convergence_table(name, convergence_grids(cfg), cfg).rows
+    assert rows == convergence_table(name, cfg)
     own = [r for r in result.rows if r["name"] == name][0]
     assert rows[-1]["grid"] == cfg.ntheta
     assert rows[-1]["residual"] == own["residual"]
@@ -538,7 +581,7 @@ def test_suite_runs_each_check_configuration_once(monkeypatch):
 
 def test_convergence_unknown_check():
     with pytest.raises(ValueError):
-        convergence_table("no-such/check", (16, 32), RunConfig())
+        convergence_table("no-such/check", RunConfig())
 
 
 # ---------------------------------------------------------------------------

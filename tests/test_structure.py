@@ -64,6 +64,15 @@ def test_looppoint_is_frozen():
             setattr(g, name, None)
 
 
+def test_path_is_frozen():
+    # a path is its samples; what it derives from them can be cached
+    f = sampling.random_group_path(sampling.make_rng(3), loops.ThetaGrid(16, closed=True),
+                                   liegroup.SU2, 4)
+    for name in ("sgrid", "g", "vel"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, None)
+
+
 def _frozen_classes(tree) -> list:
     """The classes of a module that @dataclass(frozen=True) decorates."""
     def frozen(dec):
@@ -107,6 +116,7 @@ class Rows:
     for cls, names in ((loops.TrigPoly, ("a0", "ac", "bs")),
                        (loops.GridFun, ("grid", "vals", "dvals")),
                        (loops.LoopPoint, ("grid", "vals", "zvals")),
+                       (loops.PathInLoopGroup, ("sgrid", "g", "vel")),
                        # the bundle keeps its profile samples, never as a field
                        (gerbe.TrivialBundle, ("grid", "group", "a_terms", "phi_term",
                                               "phi_coeff", "fd_step"))):
