@@ -215,8 +215,7 @@ def _curving_chain(scn, draw, rng) -> float:
     lhs = (gerbe.curving_f(scn, p2, vecs[1], wecs[1])
            - gerbe.curving_f(scn, p1, vecs[0], wecs[0]))
     t = scn.tau(p1, p2)
-    tr = centext.eval_R(t, gerbe.tau_deriv(scn, p1, p2, *vecs),
-                        gerbe.tau_deriv(scn, p1, p2, *wecs))
+    tr = centext.eval_R(t, gerbe.tau_deriv(t, *vecs), gerbe.tau_deriv(t, *wecs))
     eps = Form(1, lambda pt, v: gerbe.epsilon_form(scn, pt, v))
     de = ext_d(eps, pts, (vecs, wecs), h=scn.fd_step)
     return abs(lhs - (tr - de))

@@ -329,9 +329,9 @@ class PathFibration:
 # scenario-generic constructions
 
 
-def tau_deriv(scn, p, q, V, W) -> GridFun:
-    """Left-trivialised derivative of tau(p, q) along a fibre-pair tangent."""
-    t = scn.tau(p, q)
+def tau_deriv(t: LoopPoint, V, W) -> GridFun:
+    """Left-trivialised derivative of the transition t = tau(p, q) along
+    a fibre-pair tangent, V at p and W at q."""
     xp = V if isinstance(V, GridFun) else V[1]
     xq = W if isinstance(W, GridFun) else W[1]
     return xq - conj_loop(t, xp)
@@ -378,8 +378,8 @@ def beta_form(scn, pts, vecs) -> complex:
     V1, V2, V3 = vecs
     t12 = scn.tau(p1, p2)
     t23 = scn.tau(p2, p3)
-    d12 = tau_deriv(scn, p1, p2, V1, V2)
-    d23 = tau_deriv(scn, p2, p3, V2, V3)
+    d12 = tau_deriv(t12, V1, V2)
+    d23 = tau_deriv(t23, V2, V3)
     return centext.eval_alpha(t12, t23, d12, d23)
 
 
@@ -495,6 +495,16 @@ def omega3(k: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     return np.real(total) / (48 * np.pi ** 2)
 
 
+# the most Hopf nodes one omega3 call of omega3_su2_integral evaluates.
+# omega3 holds some forty complex 2x2 stacks of its nodes at once, about
+# 0.8 KiB a node: 3072 nodes take 2.4 MiB, where the whole (64, 16, 16)
+# grid took 12.6 MiB.  Paired timings at (64, 16) and (128, 32) found
+# 3072 as fast as 4096 and faster than 1024 or 2048, which spread
+# omega3's per-call overhead over fewer nodes (and at 2048 set off heap
+# trimming in the allocator on every call of a lone integral).
+_OMEGA3_SLAB = 3072
+
+
 def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
     """Quadrature of omega3 over SU(2) in Hopf coordinates.
 
@@ -502,29 +512,38 @@ def omega3_su2_integral(neta: int = 64, nxi: int = 16) -> float:
          [sin(eta) e^{i x2},  cos(eta) e^{-i x1}]],
     eta in [0, pi/2], x1, x2 in [0, 2 pi); orientation chosen so the
     integral of the generator form is +1.
+
+    omega3 runs on slabs of whole eta rows, at most `_OMEGA3_SLAB` nodes
+    each (one row where a row holds more), so the working set stays
+    bounded at every size.  Each slab writes its values into one
+    (neta, nxi, nxi) array, summed once: every node rounds as it would
+    in one call over the whole grid, and so does the sum.
     """
     eta = (np.arange(neta) + 0.5) * (np.pi / 2) / neta
-    x1 = np.arange(nxi) * 2 * np.pi / nxi
-    x2 = np.arange(nxi) * 2 * np.pi / nxi
-    E, X1, X2 = np.meshgrid(eta, x1, x2, indexing="ij")
-    ce, se = np.cos(E), np.sin(E)
-    e1, e2 = np.exp(1j * X1), np.exp(1j * X2)
+    x = np.arange(nxi) * 2 * np.pi / nxi
+    cos, sin = np.cos(eta)[:, None, None], np.sin(eta)[:, None, None]
+    ex = np.exp(1j * x)
+    e1, e2 = ex[:, None], ex                    # along x1, along x2
+    vals = np.empty((neta, nxi, nxi))
 
-    def pack(a, b, c, d):
+    def pack(shape, a, b, c, d):
         # matrix axes outermost in memory: every product of omega3 runs
         # its inner loop along the node stack
-        out = np.empty((2, 2) + E.shape, dtype=complex).transpose(2, 3, 4, 0, 1)
+        out = np.empty((2, 2) + shape, dtype=complex).transpose(2, 3, 4, 0, 1)
         out[..., 0, 0] = a
         out[..., 0, 1] = b
         out[..., 1, 0] = c
         out[..., 1, 1] = d
         return out
 
-    k = pack(ce * e1, -se / e2, se * e2, ce / e1)
-    dk_eta = pack(-se * e1, -ce / e2, ce * e2, -se / e1)
-    dk_x1 = pack(1j * ce * e1, 0.0 * E, 0.0 * E, -1j * ce / e1)
-    dk_x2 = pack(0.0 * E, 1j * se / e2, 1j * se * e2, 0.0 * E)
-
-    vals = omega3(k, dk_eta, dk_x1, dk_x2)
+    step = max(1, _OMEGA3_SLAB // nxi ** 2)
+    for lo in range(0, neta, step):
+        rows = slice(lo, lo + step)
+        ce, se, shape = cos[rows], sin[rows], vals[rows].shape
+        k = pack(shape, ce * e1, -se / e2, se * e2, ce / e1)
+        dk_eta = pack(shape, -se * e1, -ce / e2, ce * e2, -se / e1)
+        dk_x1 = pack(shape, 1j * ce * e1, 0.0, 0.0, -1j * ce / e1)
+        dk_x2 = pack(shape, 0.0, 1j * se / e2, 1j * se * e2, 0.0)
+        vals[rows] = omega3(k, dk_eta, dk_x1, dk_x2)
     cell = (np.pi / 2 / neta) * (2 * np.pi / nxi) ** 2
     return float(vals.sum() * cell)

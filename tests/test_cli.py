@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -425,6 +426,30 @@ def test_one_draw_of_every_check_keeps_its_drawn_numbers(group):
                           for v in np.ravel(entry["values"]).tolist()])
            for name, log in _one_draw_logs(group).items()}
     assert got == STREAM_DIGESTS[group]
+
+
+# the most one row of the trivial-bundle and path-fibration scenarios
+# may allocate above what it found held, in MiB traced: their fixtures
+# are a few loops on the default grid, and so should their working sets be
+ROW_BUDGET_MIB = 4.0
+
+
+@pytest.mark.parametrize("group", ["su2", "su3"])
+def test_trivial_bundle_and_path_fibration_rows_keep_a_small_working_set(group):
+    cfg = RunConfig(group=group)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for spec in checks.select_checks(cfg):
+            if spec.name.split("/")[0] in ("trivial-bundle", "path-fibration"):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                run_check(spec, cfg)
+                peaks[spec.name] = (tracemalloc.get_traced_memory()[1] - held) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == (9 if group == "su2" else 8)
+    assert {n: mib for n, mib in peaks.items() if mib > ROW_BUDGET_MIB} == {}
 
 
 def test_csv_projection():

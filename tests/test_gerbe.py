@@ -125,7 +125,7 @@ def test_tau_deriv_matches_finite_differences():
     rng = make_rng(109)
     p1, p2 = random_path_fibre_points(rng, PF, 2)
     V, = random_path_fibre_tangents(rng, PF, 2)
-    exact = tau_deriv(PF, p1, p2, V[0], V[1])
+    exact = tau_deriv(PF.tau(p1, p2), V[0], V[1])
     fd = tau_deriv_fd(PF, p1, p2, V[0], V[1])
     assert np.max(np.abs(exact.vals - fd.vals)) < 1e-8
 
@@ -134,7 +134,7 @@ def test_tau_deriv_matches_finite_differences():
     b = TB.point(m, random_loop(rng, GRID, SU2))
     u = rng.normal(size=2)
     Va, Vb = tb_tangent(rng, u), tb_tangent(rng, u)
-    exact = tau_deriv(TB, a, b, Va, Vb)
+    exact = tau_deriv(TB.tau(a, b), Va, Vb)
     fd = tau_deriv_fd(TB, a, b, Va, Vb)
     assert np.max(np.abs(exact.vals - fd.vals)) < 1e-8
 
@@ -395,6 +395,28 @@ def test_curving_transition(scn, draw, seed):
     assert checks._curving_chain(scn, draw, make_rng(seed)) < 1e-6
 
 
+@pytest.mark.parametrize("scn, draw", [(TB, sampling.TRIVIAL), (PF, sampling.PATH)],
+                         ids=BUNDLES)
+def test_transition_draws_build_each_transition_once(scn, draw, monkeypatch):
+    # beta and tau^* R differentiate the transitions their callers hold:
+    # delta epsilon = beta builds the three of epsilon and beta's two;
+    # delta f = tau^* R - d epsilon builds its one and the three stacked
+    # evaluations of epsilon in d epsilon
+    calls = []
+    tau = type(scn).tau
+
+    def counted(self, p, q):
+        calls.append(1)
+        return tau(self, p, q)
+
+    monkeypatch.setattr(type(scn), "tau", counted)
+    checks._transition_coboundary(scn, draw, make_rng(5))
+    assert len(calls) == 5
+    calls.clear()
+    checks._curving_chain(scn, draw, make_rng(5))
+    assert len(calls) == 4
+
+
 # ---------------------------------------------------------------------------
 # d(curving) descends to the 3-form
 
@@ -554,10 +576,11 @@ def test_omega3_integrates_to_one_on_su2():
 
 
 def test_omega3_integral_keeps_its_value_at_every_size():
-    # the node stacks' memory layout moves no bit of the quadrature
+    # neither the node stacks' memory layout nor their slabs move a bit
+    # of the quadrature
     want = {(64, 16): 1.0001004058641836, (32, 8): 1.0004017081549654,
             (48, 12): 1.000178509072193, (16, 4): 1.0016081890839752,
-            (100, 20): 1.000041124535493}
+            (100, 20): 1.000041124535493, (128, 32): 1.0000251001429512}
     assert {size: omega3_su2_integral(*size) for size in want} == want
 
 
@@ -577,3 +600,23 @@ def test_omega3_integral_stacks_are_matrix_outer(monkeypatch):
     for a in seen:
         assert a.shape == (16, 4, 4, 2, 2)
         assert min(a.strides[-2:]) > max(a.strides[:3])
+
+
+def test_omega3_integral_runs_in_bounded_slabs(monkeypatch):
+    # at (64, 16) the grid spans several slabs: each omega3 call takes
+    # whole eta rows, at most _OMEGA3_SLAB nodes, matrix axes outermost
+    rows = []
+    plain = gerbe.omega3
+
+    def spy(*args):
+        assert len(args) == 4
+        for a in args:
+            assert a.shape[1:] == (16, 16, 2, 2)
+            assert a[..., 0, 0].size <= gerbe._OMEGA3_SLAB
+            assert min(a.strides[-2:]) > max(a.strides[:3])
+        rows.append(len(args[0]))
+        return plain(*args)
+
+    monkeypatch.setattr(gerbe, "omega3", spy)
+    assert omega3_su2_integral(64, 16) == 1.0001004058641836
+    assert len(rows) > 1 and sum(rows) == 64
